@@ -16,7 +16,7 @@ import time
 from fractions import Fraction
 
 from . import certify, doubling, experiments, geom, measure, qs, reports, seq
-from .errors import DmlabError
+from .errors import DmlabError, PreconditionViolated
 from .ratio import parse_rational
 
 PASS, ERROR, INCONCLUSIVE = 0, 1, 2
@@ -143,6 +143,10 @@ def _balls_from(args, config) -> list[geom.RationalInterval]:
         raise DmlabError("provide --balls JSON or --nested COUNT")
     if isinstance(raw, str):
         raw = json.loads(raw)
+    if not isinstance(raw, list) or not all(
+        isinstance(ball, list) and len(ball) == 2 for ball in raw
+    ):
+        raise PreconditionViolated("--balls must be a JSON list of [lo, hi] pairs")
     return [geom.closed(_rat(lo), _rat(hi)) for lo, hi in raw]
 
 
@@ -218,11 +222,7 @@ def _cmd_doubling_scan(args, config):
         "command": "doubling scan",
         "measure": measure.measure_to_spec(m),
         **reports.doubling_report_payload(rep),
-        "plot": [
-            reports.plot_series(
-                "doubling_ratio_by_scale", doubling.per_scale_max_ratios(m, depth)
-            )
-        ],
+        "plot": [reports.plot_series("doubling_ratio_by_scale", list(rep.per_scale))],
     }
     return report, "pass"
 

@@ -15,6 +15,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
+from typing import NamedTuple
 
 from .enclosure import (
     DEFAULT_BITS,
@@ -30,8 +32,15 @@ from .errors import (
     PreconditionViolated,
     ZeroMassBall,
 )
-from .geom import closed, realized_beta_max
-from .measure import MassBracket, TreeMeasure, ball_mass, dyadic_cdf_grid, interval_mass
+from .geom import check_nodes, closed, realized_beta_max
+from .measure import (
+    MassBracket,
+    TreeMeasure,
+    ball_mass,
+    dyadic_cdf_numerators,
+    interval_mass,
+    level_numerators,
+)
 
 PERFECTNESS_GAP_CAP = Fraction(15, 16)
 
@@ -75,20 +84,24 @@ class DoublingReport:
     ratio_decay: RatioDecayFit | None = None
     mass_window: MassWindowFit | None = None
     notes: tuple[str, ...] = ()
+    per_scale: tuple[tuple[int, Fraction], ...] = ()  # scan_core's per-scale maxima
 
 
 class _MassOracle:
-    """Uniform exact-or-bracket ball masses for the scan grids."""
+    """Uniform exact-or-bracket ball masses for the scan grids.
+
+    When the measure splits on the dyadic base down to depth + 1, the cdf on
+    that grid is kept as integer numerators `cdf` over one denominator `den`.
+    Every scan ball then has grid endpoints, and a ratio of two ball masses is
+    a ratio of two integer differences: the denominator cancels."""
 
     def __init__(self, m: TreeMeasure, depth: int):
         self.m = m
         self.depth = depth
-        self.grid: list[Fraction] | None = None
-        if m.base is None:
-            grid_depth = min(depth + 1, m.split_depth)
-            if grid_depth == depth + 1:
-                self.grid = dyadic_cdf_grid(m, grid_depth)
-                self.grid_depth = grid_depth
+        self.cdf: list[int] | None = None
+        self.den = 1
+        if m.base is None and depth + 1 <= m.split_depth:
+            self.cdf, self.den = dyadic_cdf_numerators(m, depth + 1)
         self.eval_depth = m.split_depth if m.base is not None else min(
             depth + 8, m.split_depth
         )
@@ -96,17 +109,18 @@ class _MassOracle:
     def ball(self, x: Fraction, r: Fraction) -> MassBracket:
         lo = max(Fraction(0), x - r)
         hi = min(Fraction(1), x + r)
-        if self.grid is not None:
-            scale = 1 << self.grid_depth
+        if self.cdf is not None:
+            scale = 1 << (self.depth + 1)
             li, hi_i = lo * scale, hi * scale
             if li.denominator == 1 and hi_i.denominator == 1:
-                v = self.grid[int(hi_i)] - self.grid[int(li)]
+                v = Fraction(self.cdf[int(hi_i)] - self.cdf[int(li)], self.den)
                 return MassBracket(v, v)
         return interval_mass(self.m, closed(lo, hi), self.eval_depth)
 
 
 def _scan_centers(m: TreeMeasure, depth: int) -> list[Fraction]:
     if m.base is None:
+        check_nodes(1 << (depth + 1))
         step = Fraction(1, 1 << (depth + 1))
         return [i * step for i in range((1 << (depth + 1)) + 1)]
     level = min(depth, m.base.depth)
@@ -116,45 +130,110 @@ def _scan_centers(m: TreeMeasure, depth: int) -> list[Fraction]:
     return sorted(pts)
 
 
-def scan_core(
-    m: TreeMeasure, depth: int
-) -> tuple[Fraction, Fraction, ScanWitness, bool, list[str]]:
-    """Certified doubling-ratio bounds over the grid of centers and radii
-    2^-k, k = 1..depth, comparing each ball with its doubled ball."""
-    if depth < 1:
-        raise PreconditionViolated("scan needs depth >= 1")
-    if m.total_mass == 0:
-        raise ZeroMassBall("the zero measure has no doubling ratios")
+class ScanResult(NamedTuple):
+    """What `scan_core` certifies, plus the per-scale maxima of the same pass."""
+
+    c_upper: Fraction
+    c_lower: Fraction
+    witness: ScanWitness
+    exact: bool
+    notes: list[str]
+    per_scale: list[tuple[int, Fraction]]  # lower-certified max ratio per scale
+
+
+def _grid_pass(cdf: list[int], depth: int) -> tuple[list[tuple[int, int, int | None]], int]:
+    """Integer scan over centers i / 2^(depth+1) and radii 2^-k.
+
+    Per scale k = 1..depth: (big, small, i) for the first center index i
+    whose ratio big/small of ball numerators is largest (i is None when
+    every small ball is empty), plus the count of empty small balls.
+    Ratios are compared by cross-multiplication."""
+    n = 1 << (depth + 1)
+    pad = [cdf[0]] * n + cdf + [cdf[-1]] * n  # balls clip to [0, 1]
+    per_scale = []
+    skipped = 0
+    for k in range(1, depth + 1):
+        h = n >> k
+        small = map(sub, pad[n + h:2 * n + h + 1], pad[n - h:2 * n - h + 1])
+        big = map(sub, pad[n + 2 * h:2 * n + 2 * h + 1], pad[n - 2 * h:2 * n - 2 * h + 1])
+        best_b, best_s, best_i = 0, 1, None
+        for i, (sm, bg) in enumerate(zip(small, big)):
+            if not sm:
+                skipped += 1
+            elif bg * best_s > best_b * sm:
+                best_b, best_s, best_i = bg, sm, i
+        per_scale.append((best_b, best_s, best_i))
+    return per_scale, skipped
+
+
+def _scan_pass(m: TreeMeasure, depth: int) -> tuple:
+    """One pass over the scan grid: (c_upper, c_lower, witness or None,
+    exact, skipped, per-scale maxima)."""
     oracle = _MassOracle(m, depth)
+    if oracle.cdf is not None:
+        rows, skipped = _grid_pass(oracle.cdf, depth)
+        per_scale = []
+        c_lower = Fraction(0)
+        witness = None
+        for k, (big, small, i) in enumerate(rows, start=1):
+            ratio = Fraction(0) if i is None else Fraction(big, small)
+            per_scale.append((k, ratio))
+            if ratio > c_lower:
+                c_lower = ratio
+                witness = ScanWitness(
+                    x=Fraction(i, 1 << (depth + 1)), r=Fraction(1, 1 << k), ratio_lower=ratio
+                )
+        return c_lower, c_lower, witness, not skipped, skipped, per_scale
+
+    # bracket path: scan_core skips a small ball without certified mass,
+    # the per-scale maxima skip only one that certainly has none
     centers = _scan_centers(m, depth)
     c_upper = Fraction(0)
     c_lower = Fraction(0)
-    witness: ScanWitness | None = None
+    witness = None
     exact = True
     skipped = 0
+    per_scale = []
     for k in range(1, depth + 1):
         r = Fraction(1, 1 << k)
+        best = Fraction(0)
         for x in centers:
             small = oracle.ball(x, r)
             big = oracle.ball(x, 2 * r)
+            if small.upper != 0:
+                lo = big.lower / small.upper
+                if lo > best:
+                    best = lo
             if small.lower == 0:
                 skipped += 1
                 exact = False
                 continue
             up = big.upper / small.lower
-            lo = big.lower / small.upper
             exact = exact and small.is_exact and big.is_exact
             if up > c_upper:
                 c_upper = up
             if lo > c_lower:
                 c_lower = lo
                 witness = ScanWitness(x=x, r=r, ratio_lower=lo)
+        per_scale.append((k, best))
+    return c_upper, c_lower, witness, exact, skipped, per_scale
+
+
+def scan_core(m: TreeMeasure, depth: int) -> ScanResult:
+    """Certified doubling-ratio bounds over the grid of centers and radii
+    2^-k, k = 1..depth, comparing each ball with its doubled ball; the same
+    pass yields the per-scale maxima of `per_scale_max_ratios`."""
+    if depth < 1:
+        raise PreconditionViolated("scan needs depth >= 1")
+    if m.total_mass == 0:
+        raise ZeroMassBall("the zero measure has no doubling ratios")
+    c_upper, c_lower, witness, exact, skipped, per_scale = _scan_pass(m, depth)
     if witness is None:
         raise ZeroMassBall("no scanned ball produced a certifiable ratio")
     notes = []
     if skipped:
         notes.append(f"skipped {skipped} pairs whose small ball had no certified mass")
-    return c_upper, c_lower, witness, exact, notes
+    return ScanResult(c_upper, c_lower, witness, exact, notes, per_scale)
 
 
 def per_scale_max_ratios(m: TreeMeasure, depth: int) -> list[tuple[int, Fraction]]:
@@ -164,21 +243,7 @@ def per_scale_max_ratios(m: TreeMeasure, depth: int) -> list[tuple[int, Fraction
     that scale, so the list under-reports rather than over-reports."""
     if depth < 1:
         raise PreconditionViolated("scan needs depth >= 1")
-    oracle = _MassOracle(m, depth)
-    centers = _scan_centers(m, depth)
-    out = []
-    for k in range(1, depth + 1):
-        r = Fraction(1, 1 << k)
-        best = Fraction(0)
-        for x in centers:
-            small = oracle.ball(x, r)
-            if small.upper == 0:
-                continue
-            lo = oracle.ball(x, 2 * r).lower / small.upper
-            if lo > best:
-                best = lo
-        out.append((k, best))
-    return out
+    return _scan_pass(m, depth)[5]
 
 
 def _guard_tree_perfectness(m: TreeMeasure) -> None:
@@ -218,39 +283,77 @@ def fit_ratio_decay(
     _guard_tree_perfectness(m)
     oracle = _MassOracle(m, depth)
 
+    # Concentric pairs: center x = c / 2^(depth+1), radii R = 2^-j and R / 2^l.
+    # Every such ball has endpoints on the oracle's grid.
+    n = 1 << (depth + 1)
+    cdf = oracle.cdf
+
+    def pair_ratio(c: int, j: int, l: int) -> Fraction | None:
+        """Certified upper bound of mu(B(x, R/2^l)) / mu(B(x, R)), or None
+        when the big ball has no certified mass."""
+        big_h = n >> j
+        h = big_h >> l
+        if cdf is not None:
+            big = cdf[c + big_h] - cdf[c - big_h]
+            return Fraction(cdf[c + h] - cdf[c - h], big) if big else None
+        x = Fraction(c, n)
+        small = oracle.ball(x, Fraction(h, n))
+        big_b = oracle.ball(x, Fraction(big_h, n))
+        if big_b.lower == 0:
+            return None
+        return small.upper / big_b.lower
+
     # best certified ratio upper bound at each scale separation l
     best: dict[int, Fraction] = {}
-
-    def feed(x: Fraction, big_r: Fraction, l: int) -> bool:
-        small = oracle.ball(x, big_r / (1 << l))
-        big = oracle.ball(x, big_r)
-        if big.lower == 0:
-            return False
-        ratio = small.upper / big.lower
-        if ratio > best.get(l, Fraction(0)):
-            best[l] = ratio
-        return True
-
     pairs = 0
-    for j in range(1, depth):
-        big_r = Fraction(1, 1 << j)
-        for i in range(1, 1 << j):
-            x = i * big_r
-            if x - big_r < 0 or x + big_r > 1:
-                continue
-            for l in range(0, depth - j + 1):
-                if feed(x, big_r, l):
+    if cdf is not None:
+        # the same pairs on integer numerators, ratios compared by
+        # cross-multiplication
+        top: dict[int, tuple[int, int]] = {}  # l -> (small, big)
+        for j in range(1, depth):
+            big_h = n >> j
+            for c in range(big_h, n, big_h):
+                big = cdf[c + big_h] - cdf[c - big_h]
+                if not big:
+                    continue
+                pairs += depth - j + 1
+                for l in range(0, depth - j + 1):
+                    h = big_h >> l
+                    small = cdf[c + h] - cdf[c - h]
+                    cur = top.get(l)
+                    if cur is None:
+                        if small:
+                            top[l] = (small, big)
+                    elif small * cur[1] > cur[0] * big:
+                        top[l] = (small, big)
+        best = {l: Fraction(small, big) for l, (small, big) in top.items()}
+    else:
+        for j in range(1, depth):
+            big_h = n >> j
+            for c in range(big_h, n, big_h):  # interior centers i / 2^j
+                for l in range(0, depth - j + 1):
+                    ratio = pair_ratio(c, j, l)
+                    if ratio is None:
+                        continue
                     pairs += 1
+                    if ratio > best.get(l, Fraction(0)):
+                        best[l] = ratio
     if not pairs:
         raise PreconditionViolated("no interior pair produced a certified ratio")
 
     grid_max = int(t_max / T_STEP)
+    growth: dict[int, Fraction] = {}
+
+    def growth_hi(n64: int) -> Fraction:
+        """Upper enclosure of 2^(n64/64), once per exponent."""
+        if n64 not in growth:
+            growth[n64] = exp2_bounds(Fraction(n64, 64), bits).hi
+        return growth[n64]
 
     def lam_at(t_steps: int) -> Fraction:
         worst = Fraction(0)
         for l, ratio in best.items():
-            growth = exp2_bounds(Fraction(l * t_steps, 64), bits).hi
-            val = ratio * growth
+            val = ratio * growth_hi(l * t_steps)
             if val > worst:
                 worst = val
         return worst
@@ -280,26 +383,21 @@ def fit_ratio_decay(
             )
         t = k * T_STEP
         lam = lam_at(k)
-        failures: list[tuple[Fraction, Fraction, int]] = []
+        failures: list[tuple[int, int, int]] = []
         for _ in range(holdout):
             j = rng.randrange(1, depth)
-            big_r = Fraction(1, 1 << j)
             i = rng.randrange(0, 1 << j) * 2 + 1
-            x = Fraction(i, 1 << (j + 1))
-            if x - big_r < 0 or x + big_r > 1:
+            if i < 2 or i + 2 > 2 << j:  # x = i / 2^(j+1) within 2^-j of an end
                 continue
             l = rng.randrange(0, depth - j + 1)
-            small = oracle.ball(x, big_r / (1 << l))
-            big = oracle.ball(x, big_r)
-            if big.lower == 0:
+            ratio = pair_ratio(i << (depth - j), j, l)
+            if ratio is None:
                 continue
             holdout_seen += 1
-            ratio = small.upper / big.lower
             # same rounding direction as the fit, so a pair never fails
             # against the bound it itself defines
-            growth_up = exp2_bounds(Fraction(l * k, 64), bits).hi
-            if ratio * growth_up > lam:
-                failures.append((x, big_r, l))
+            if ratio * growth_hi(l * k) > lam:
+                failures.append((i, j, l))
                 if ratio > best.get(l, Fraction(0)):
                     best[l] = ratio
         if not failures:
@@ -331,53 +429,55 @@ def fit_mass_window(
         raise PreconditionViolated("window fit needs depth >= 1")
     _guard_tree_perfectness(m)
     if c_upper is None:
-        c_upper, _, _, _, _ = scan_core(m, depth)
+        c_upper = scan_core(m, depth).c_upper
     if c_upper < 1:
         raise PreconditionViolated("doubling bound below 1 is impossible")
     s_hi = log2_bounds(c_upper, bits).hi
     s = Fraction(math.ceil(s_hi * 64), 64)
 
-    samples: list[tuple[Fraction, Fraction]] = []  # (mass, diam), both exact or safe
+    # Samples are node masses and doubled-node masses, exact or safe from
+    # below, grouped by diameter: lam needs only the lightest mass of each
+    # diameter and upper_lam the heaviest, so each diameter power is enclosed
+    # once per exponent.
+    lightest: dict[Fraction, Fraction] = {}
+    heaviest: dict[Fraction, Fraction] = {}
+    samples = 0
+
+    def note(diam: Fraction, low: Fraction, high: Fraction) -> None:
+        if diam not in lightest or low < lightest[diam]:
+            lightest[diam] = low
+        if diam not in heaviest or high > heaviest[diam]:
+            heaviest[diam] = high
+
     if m.base is None:
         cap = min(depth, m.split_depth)
-        masses = [m.total_mass]
-        for level in range(cap + 1):
+        check_nodes(1 << cap)
+        for level, (masses, den) in enumerate(level_numerators(m, cap)):
             diam = Fraction(1, 1 << level)
-            for i, mass in enumerate(masses):
-                samples.append((mass, diam))
-                if i + 1 < len(masses):
-                    samples.append((mass + masses[i + 1], 2 * diam))
-            if level == cap:
-                break
-            nxt = []
-            for i, mass in enumerate(masses):
-                w = m.weights.left_share(level, i)
-                nxt.append(mass * w)
-                nxt.append(mass * (1 - w))
-            masses = nxt
+            doubled = list(map(sum, zip(masses, masses[1:])))
+            samples += len(masses) + len(doubled)
+            note(diam, Fraction(min(masses), den), Fraction(max(masses), den))
+            if doubled:
+                note(2 * diam, Fraction(min(doubled), den), Fraction(max(doubled), den))
     else:
         cap = min(depth, m.base.depth)
         for level in range(cap + 1):
             nodes = m.base.nodes[level]
-            row = [interval_mass(m, nd, m.split_depth) for nd in nodes]
+            row = [interval_mass(m, nd, m.split_depth).lower for nd in nodes]
             for i, nd in enumerate(nodes):
-                samples.append((row[i].lower, nd.diameter))
+                samples += 1
+                note(nd.diameter, row[i], row[i])
                 if i + 1 < len(nodes):
-                    span = nodes[i + 1].hi - nd.lo
-                    samples.append((row[i].lower + row[i + 1].lower, span))
+                    samples += 1
+                    pair = row[i] + row[i + 1]
+                    note(nodes[i + 1].hi - nd.lo, pair, pair)
 
     # lower constant: worst mass / diam^s, rounded down through the enclosure
-    lam: Fraction | None = None
-    for mass, diam in samples:
-        denom = pow_bounds(diam, s, bits).hi
-        val = mass / denom
-        if lam is None or val < lam:
-            lam = val
-    assert lam is not None
+    lam = min(mass / pow_bounds(diam, s, bits).hi for diam, mass in lightest.items())
 
     def upper_lam(t: Fraction) -> Fraction:
         worst = Fraction(0)
-        for mass, diam in samples:
+        for diam, mass in heaviest.items():
             denom = pow_bounds(diam, t, bits).lo
             if denom == 0:
                 raise EnclosureInconclusive("diameter power underflowed")
@@ -398,7 +498,7 @@ def fit_mass_window(
             hi_k = mid - 1
     t = lo_k * T_STEP
     return MassWindowFit(
-        lam=lam, s=s, big_lam=upper_lam(t), t=t, samples=len(samples)
+        lam=lam, s=s, big_lam=upper_lam(t), t=t, samples=samples
     )
 
 
@@ -410,7 +510,7 @@ def doubling_scan(
     seed: int = 0,
     bits: int = DEFAULT_BITS,
 ) -> DoublingReport:
-    c_upper, c_lower, witness, exact, notes = scan_core(m, depth)
+    c_upper, c_lower, witness, exact, notes, per_scale = scan_core(m, depth)
     s_up = log2_bounds(c_upper, bits).hi
     s_lo = log2_bounds(c_lower, bits).lo if c_lower >= 1 else Fraction(0)
     ratio_decay = None
@@ -437,6 +537,7 @@ def doubling_scan(
         ratio_decay=ratio_decay,
         mass_window=window_fit,
         notes=tuple(notes),
+        per_scale=tuple(per_scale),
     )
 
 

@@ -245,6 +245,8 @@ def pow_bounds(x: Fraction, e: Fraction | Bounds, bits: int = DEFAULT_BITS) -> B
         if x == 1:
             return Bounds.exact(Fraction(1))
     prod = mul_bounds(e_bounds, log2_bounds(x, bits))
+    if prod.is_exact:  # x a power of two: one enclosure of 2^prod serves both ends
+        return exp2_bounds(prod.lo, bits)
     lo = exp2_bounds(prod.lo, bits).lo
     hi = exp2_bounds(prod.hi, bits).hi
     return Bounds(lo, hi)

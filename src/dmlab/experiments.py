@@ -358,7 +358,7 @@ def run_cutout_fat(overrides: dict) -> dict:
         "plot": [
             reports.plot_series(
                 "doubling_ratio_by_scale",
-                [(k, v) for k, v in doubling.per_scale_max_ratios(m, scan_depth)],
+                list(scan.per_scale),
             )
         ],
     }

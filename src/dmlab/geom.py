@@ -65,6 +65,14 @@ def check_depth(depth: int, max_depth: int | None = None) -> None:
         raise DepthBudgetExceeded(f"depth {depth} exceeds cap {cap}")
 
 
+def check_nodes(count: int, max_nodes: int | None = None) -> None:
+    """Refuse to materialize `count` entries beyond the node cap; call it
+    before the allocation."""
+    cap = resolve_node_cap(max_nodes)
+    if count > cap:
+        raise NodeBudgetExceeded(f"{count} nodes exceed the node cap {cap}")
+
+
 @dataclass(frozen=True)
 class RationalInterval:
     """Subinterval of [0,1] with exact endpoints and per-side openness."""
@@ -261,8 +269,7 @@ def build_cantor(
     """Construct the tree to the given depth; splitting into level k uses the
     k-th gap fraction, so the level-k length sum is prod_{j<=k} (1 - beta_j)."""
     check_depth(depth, max_depth)
-    if (1 << depth) > resolve_node_cap(max_nodes):
-        raise NodeBudgetExceeded(f"2^{depth} leaves exceed the node cap")
+    check_nodes(1 << depth, max_nodes)
     levels: list[tuple[RationalInterval, ...]] = [(closed(0, 1),)]
     gaps: list[tuple[RationalInterval, ...]] = []
     worst: Fraction | None = None

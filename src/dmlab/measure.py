@@ -12,13 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from itertools import accumulate
+from math import lcm
+from typing import Iterator, Union
 
 from .errors import MisalignedTrees, PreconditionViolated, ZeroMassBall
 from .geom import (
     ConstructionTree,
     CutOutConfig,
     RationalInterval,
+    check_nodes,
     closed,
     interval_contains,
     remaining_set,
@@ -239,8 +242,30 @@ def cutout_mass(
     return total
 
 
-def dyadic_cdf_grid(m: TreeMeasure, depth: int) -> list[Fraction]:
-    """F[i] = mu([0, i/2^depth]) exactly, for dyadic-base measures."""
+def level_numerators(m: TreeMeasure, depth: int) -> Iterator[tuple[list[int], int]]:
+    """Node masses of dyadic-base levels 0..depth as (numerators, den): node i
+    of a level has mass numerators[i] / den, one common den per level."""
+    den = m.total_mass.denominator
+    masses = [m.total_mass.numerator]
+    for level in range(depth + 1):
+        yield masses, den
+        if level == depth:
+            return
+        shares = [m.weights.left_share(level, i) for i in range(len(masses))]
+        scale = lcm(*(w.denominator for w in shares))
+        nxt = []
+        for mass, w in zip(masses, shares):
+            left = mass * w.numerator * (scale // w.denominator)
+            nxt.append(left)
+            nxt.append(mass * scale - left)
+        masses = nxt
+        den *= scale
+
+
+def dyadic_cdf_numerators(m: TreeMeasure, depth: int) -> tuple[list[int], int]:
+    """(F, den) with F[i] / den = mu([0, i/2^depth]) exactly, for dyadic-base
+    measures: the cdf grid on one common denominator, so a ratio of two grid
+    masses is a ratio of two integers."""
     if m.base is not None:
         raise PreconditionViolated("exact cdf grid needs the dyadic base")
     if depth < 0:
@@ -249,20 +274,16 @@ def dyadic_cdf_grid(m: TreeMeasure, depth: int) -> list[Fraction]:
         raise PreconditionViolated(
             f"grid depth {depth} exceeds the measure's split depth {m.split_depth}"
         )
-    masses = [m.total_mass]
-    for level in range(depth):
-        nxt = []
-        for index, mass in enumerate(masses):
-            w = m.weights.left_share(level, index)
-            nxt.append(mass * w)
-            nxt.append(mass * (1 - w))
-        masses = nxt
-    out = [Fraction(0)]
-    acc = Fraction(0)
-    for mass in masses:
-        acc += mass
-        out.append(acc)
-    return out
+    check_nodes(1 << depth)
+    for masses, den in level_numerators(m, depth):
+        pass  # keep the deepest level
+    return list(accumulate(masses, initial=0)), den
+
+
+def dyadic_cdf_grid(m: TreeMeasure, depth: int) -> list[Fraction]:
+    """F[i] = mu([0, i/2^depth]) exactly, for dyadic-base measures."""
+    nums, den = dyadic_cdf_numerators(m, depth)
+    return [Fraction(n, den) for n in nums]
 
 
 def restrict(
@@ -322,13 +343,20 @@ def measure_to_spec(m: TreeMeasure) -> dict:
 
 
 def measure_from_spec(data: dict) -> TreeMeasure:
+    if not isinstance(data, dict):
+        raise PreconditionViolated("a measure spec must be a JSON object")
     kind = data.get("kind")
     total = parse_rational(str(data.get("total_mass", "1")))
     if kind == "binomial":
+        if "p" not in data:
+            raise PreconditionViolated("a binomial measure spec needs \"p\"")
         return TreeMeasure(BinomialWeights(parse_rational(str(data["p"]))), total_mass=total)
     if kind == "table":
-        rows = tuple(
-            tuple(parse_rational(str(w)) for w in row) for row in data["weights"]
-        )
-        return TreeMeasure(TableWeights(rows), total_mass=total)
+        rows = data.get("weights")
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise PreconditionViolated(
+                "a table measure spec needs \"weights\": a list of lists"
+            )
+        levels = tuple(tuple(parse_rational(str(w)) for w in row) for row in rows)
+        return TreeMeasure(TableWeights(levels), total_mass=total)
     raise PreconditionViolated(f"unknown measure kind {kind!r}")

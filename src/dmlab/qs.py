@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 
 from .enclosure import DEFAULT_BITS, Bounds, add_bounds, log2_bounds, mul_bounds, pow_bounds
 from .errors import NonMonotone, PreconditionViolated
@@ -20,6 +21,7 @@ from .measure import (
     TreeMeasure,
     cdf,
     dyadic_cdf_grid,
+    dyadic_cdf_numerators,
 )
 
 DEFAULT_TAUS = (
@@ -91,6 +93,57 @@ class RatioScanRow:
     witness: tuple[Fraction, Fraction, Fraction]  # (x, y, z) attaining the max
 
 
+def _outranks(a: tuple, b: tuple) -> bool:
+    """a = (num, den, order, ...) beats b: a larger ratio num/den, or the
+    same ratio earlier in scan order."""
+    lhs, rhs = a[0] * b[1], b[0] * a[1]
+    return lhs > rhs or (lhs == rhs and a[2] < b[2])
+
+
+def _straddle_maxima(cdf: list[int], depth: int) -> dict[Fraction, tuple]:
+    """Best straddle per shape ratio, on integer cdf numerators.
+
+    Returns shape -> (num, den, order, (j, y, z)): the largest image ratio
+    num/den of that shape and the grid indices of the first triple attaining
+    it, where `order` is the triple's position in the scan order (j, k, a, b,
+    forward before reverse)."""
+    size = 1 << depth
+    rises: dict[int, list[int]] = {}  # offset o -> [cdf[i + o] - cdf[i]]
+
+    def rise(o: int) -> list[int]:
+        if o not in rises:
+            rises[o] = list(map(sub, cdf[o:], cdf[:-o]))
+        return rises[o]
+
+    best: dict[Fraction, tuple] = {}
+    for k in range(1, depth + 1):
+        unit = 1 << (depth - k)
+        for ai, a in enumerate(_STRADDLE_STEPS):
+            for bi, b in enumerate(_STRADDLE_STEPS):
+                lo, hi = a * unit, b * unit
+                if lo + hi > size:
+                    continue
+                # centers j = lo .. size - hi
+                left = rise(lo)[:size - hi - lo + 1]
+                right = rise(hi)[lo:size - hi + 1]
+                for direction, nums, dens, shape in (
+                    (0, left, right, Fraction(a, b)),
+                    (1, right, left, Fraction(b, a)),
+                ):
+                    top_n, top_d, top_t = 0, 0, None
+                    for t, (num, den) in enumerate(zip(nums, dens)):
+                        if den and (top_t is None or num * top_d > top_n * den):
+                            top_n, top_d, top_t = num, den, t
+                    if top_t is None:
+                        continue
+                    j = lo + top_t
+                    y, z = (j - lo, j + hi) if direction == 0 else (j + hi, j - lo)
+                    cand = (top_n, top_d, (j, k, ai, bi, direction), (j, y, z))
+                    if shape not in best or _outranks(cand, best[shape]):
+                        best[shape] = cand
+    return best
+
+
 def qs_ratio_scan(
     qsmap: QSMap,
     depth: int,
@@ -103,45 +156,28 @@ def qs_ratio_scan(
     Triples are symmetric dyadic straddles y = x -/+ a*2^-k, z = x +/- b*2^-k
     with a, b in {1, 2, 4}; a triple enters every row whose tau admits its
     shape ratio |x-y|/|x-z| = a/b, so rows grow monotonically with tau.
-    Optionally mixes in uniformly random grid triples.
+    Optionally mixes in uniformly random grid triples.  Each row keeps the
+    first triple, in scan order, that attains its maximum.
     """
     if depth < 1:
         raise PreconditionViolated("scan depth must be >= 1")
-    grid = dyadic_cdf_grid(qsmap.source, depth)
+    cdf, _ = dyadic_cdf_numerators(qsmap.source, depth)
     size = 1 << depth
     taus = tuple(sorted(Fraction(t) for t in taus))
-
-    best: dict[Fraction, tuple[Fraction, tuple[Fraction, ...]] | None] = {
-        t: None for t in taus
-    }
-
-    def offer(shape: Fraction, image: Fraction, witness: tuple[Fraction, ...]):
-        for t in taus:
-            if shape <= t:
-                cur = best[t]
-                if cur is None or image > cur[0]:
-                    best[t] = (image, witness)
+    shapes = _straddle_maxima(cdf, depth)
 
     def point(j: int) -> Fraction:
         return Fraction(j, size)
 
-    for j in range(size + 1):
-        for k in range(1, depth + 1):
-            unit = 1 << (depth - k)
-            for a in _STRADDLE_STEPS:
-                for b in _STRADDLE_STEPS:
-                    left, right = j - a * unit, j + b * unit
-                    if left < 0 or right > size:
-                        continue
-                    rise_l = grid[j] - grid[left]
-                    rise_r = grid[right] - grid[j]
-                    shape = Fraction(a, b)
-                    if rise_r > 0:
-                        offer(shape, rise_l / rise_r,
-                              (point(j), point(left), point(right)))
-                    if rise_l > 0:
-                        offer(Fraction(b, a), rise_r / rise_l,
-                              (point(j), point(right), point(left)))
+    best: dict[Fraction, tuple[Fraction, tuple[Fraction, ...]] | None] = {}
+    for t in taus:
+        top = None
+        for shape, cand in shapes.items():
+            if shape <= t and (top is None or _outranks(cand, top)):
+                top = cand
+        best[t] = None if top is None else (
+            Fraction(top[0], top[1]), tuple(point(v) for v in top[3])
+        )
 
     if random_triples:
         rng = random.Random(seed)
@@ -151,12 +187,15 @@ def qs_ratio_scan(
             if j == jy or j == jz or jy == jz:
                 continue
             made += 1
-            num = abs(grid[j] - grid[jy])
-            den = abs(grid[j] - grid[jz])
+            den = abs(cdf[j] - cdf[jz])
             if den == 0:
                 continue
             shape = Fraction(abs(j - jy), abs(j - jz))
-            offer(shape, num / den, (point(j), point(jy), point(jz)))
+            image = Fraction(abs(cdf[j] - cdf[jy]), den)
+            for t in taus:
+                cur = best[t]
+                if shape <= t and (cur is None or image > cur[0]):
+                    best[t] = (image, (point(j), point(jy), point(jz)))
 
     rows = []
     for t in taus:

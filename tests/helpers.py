@@ -5,10 +5,18 @@ sweep lines instead of interval algebra, leaf enumeration instead of the
 recursive bracketer, literal word simulation instead of the counting DP.
 None of these import anything from the modules they check beyond plain
 data types.
+
+The exceptions are the Fraction scan oracles at the end of the file: the
+rational loops that `scan_core`, `per_scale_max_ratios`, `fit_ratio_decay`,
+`fit_mass_window` and `qs_ratio_scan` ran before they moved to integer
+numerators.  They reuse the library's bracketing (`interval_mass`) and
+enclosure primitives, but none of the kernels they check.
 """
 
 from __future__ import annotations
 
+import math
+import random
 from fractions import Fraction
 from math import comb
 
@@ -97,3 +105,322 @@ def direct_product(terms: list[Fraction]) -> Fraction:
 
 def binomial_row_counts(m: int) -> list[int]:
     return [comb(m, k) for k in range(m + 1)]
+
+
+# --- Fraction oracles for the doubling and qs kernels --------------------------
+
+from dmlab.enclosure import DEFAULT_BITS, exp2_bounds, log2_bounds, pow_bounds  # noqa: E402
+from dmlab.errors import EnclosureInconclusive, PreconditionViolated, ZeroMassBall  # noqa: E402
+from dmlab.geom import closed  # noqa: E402
+from dmlab.measure import MassBracket, interval_mass  # noqa: E402
+
+T_STEP = Fraction(1, 64)
+
+
+def cdf_grid_oracle(m, depth: int) -> list[Fraction]:
+    """F[i] = mu([0, i/2^depth]) by rational splitting, level by level."""
+    masses = [m.total_mass]
+    for level in range(depth):
+        nxt = []
+        for index, mass in enumerate(masses):
+            w = m.weights.left_share(level, index)
+            nxt.append(mass * w)
+            nxt.append(mass * (1 - w))
+        masses = nxt
+    out = [Fraction(0)]
+    acc = Fraction(0)
+    for mass in masses:
+        acc += mass
+        out.append(acc)
+    return out
+
+
+class BallOracle:
+    """Exact grid masses where aligned, `interval_mass` brackets elsewhere."""
+
+    def __init__(self, m, depth: int):
+        self.m = m
+        self.grid = None
+        if m.base is None and min(depth + 1, m.split_depth) == depth + 1:
+            self.grid = cdf_grid_oracle(m, depth + 1)
+            self.grid_depth = depth + 1
+        self.eval_depth = m.split_depth if m.base is not None else min(
+            depth + 8, m.split_depth
+        )
+
+    def ball(self, x: Fraction, r: Fraction) -> MassBracket:
+        lo = max(Fraction(0), x - r)
+        hi = min(Fraction(1), x + r)
+        if self.grid is not None:
+            scale = 1 << self.grid_depth
+            li, hi_i = lo * scale, hi * scale
+            if li.denominator == 1 and hi_i.denominator == 1:
+                v = self.grid[int(hi_i)] - self.grid[int(li)]
+                return MassBracket(v, v)
+        return interval_mass(self.m, closed(lo, hi), self.eval_depth)
+
+
+def scan_centers_oracle(m, depth: int) -> list[Fraction]:
+    if m.base is None:
+        step = Fraction(1, 1 << (depth + 1))
+        return [i * step for i in range((1 << (depth + 1)) + 1)]
+    level = min(depth, m.base.depth)
+    pts: set[Fraction] = set()
+    for node in m.base.nodes[level]:
+        pts.update((node.lo, node.midpoint, node.hi))
+    return sorted(pts)
+
+
+def scan_core_oracle(m, depth: int):
+    """(c_upper, c_lower, (x, r, ratio_lower), exact, notes)."""
+    if m.total_mass == 0:
+        raise ZeroMassBall("the zero measure has no doubling ratios")
+    oracle = BallOracle(m, depth)
+    centers = scan_centers_oracle(m, depth)
+    c_upper = Fraction(0)
+    c_lower = Fraction(0)
+    witness = None
+    exact = True
+    skipped = 0
+    for k in range(1, depth + 1):
+        r = Fraction(1, 1 << k)
+        for x in centers:
+            small = oracle.ball(x, r)
+            big = oracle.ball(x, 2 * r)
+            if small.lower == 0:
+                skipped += 1
+                exact = False
+                continue
+            up = big.upper / small.lower
+            lo = big.lower / small.upper
+            exact = exact and small.is_exact and big.is_exact
+            if up > c_upper:
+                c_upper = up
+            if lo > c_lower:
+                c_lower = lo
+                witness = (x, r, lo)
+    if witness is None:
+        raise ZeroMassBall("no scanned ball produced a certifiable ratio")
+    notes = []
+    if skipped:
+        notes.append(f"skipped {skipped} pairs whose small ball had no certified mass")
+    return c_upper, c_lower, witness, exact, notes
+
+
+def per_scale_oracle(m, depth: int) -> list[tuple[int, Fraction]]:
+    oracle = BallOracle(m, depth)
+    centers = scan_centers_oracle(m, depth)
+    out = []
+    for k in range(1, depth + 1):
+        r = Fraction(1, 1 << k)
+        best = Fraction(0)
+        for x in centers:
+            small = oracle.ball(x, r)
+            if small.upper == 0:
+                continue
+            lo = oracle.ball(x, 2 * r).lower / small.upper
+            if lo > best:
+                best = lo
+        out.append((k, best))
+    return out
+
+
+def fit_ratio_decay_oracle(
+    m, depth: int, lambda_cap=Fraction(1), t_max=Fraction(4), seed=0,
+    holdout=64, bits=DEFAULT_BITS,
+):
+    """(big_lam, t, pairs_checked, holdout_size, rounds); perfectness guard
+    and precondition errors are left to the caller."""
+    oracle = BallOracle(m, depth)
+    best: dict[int, Fraction] = {}
+
+    def feed(x, big_r, l):
+        small = oracle.ball(x, big_r / (1 << l))
+        big = oracle.ball(x, big_r)
+        if big.lower == 0:
+            return False
+        ratio = small.upper / big.lower
+        if ratio > best.get(l, Fraction(0)):
+            best[l] = ratio
+        return True
+
+    pairs = 0
+    for j in range(1, depth):
+        big_r = Fraction(1, 1 << j)
+        for i in range(1, 1 << j):
+            x = i * big_r
+            if x - big_r < 0 or x + big_r > 1:
+                continue
+            for l in range(0, depth - j + 1):
+                if feed(x, big_r, l):
+                    pairs += 1
+    if not pairs:
+        raise PreconditionViolated("no interior pair produced a certified ratio")
+    grid_max = int(t_max / T_STEP)
+
+    def lam_at(t_steps):
+        worst = Fraction(0)
+        for l, ratio in best.items():
+            val = ratio * exp2_bounds(Fraction(l * t_steps, 64), bits).hi
+            if val > worst:
+                worst = val
+        return worst
+
+    def largest_feasible():
+        lo_k, hi_k = 0, grid_max
+        if lam_at(1) > lambda_cap:
+            return 0
+        lo_k = 1
+        while lo_k < hi_k:
+            mid = (lo_k + hi_k + 1) // 2
+            if lam_at(mid) <= lambda_cap:
+                lo_k = mid
+            else:
+                hi_k = mid - 1
+        return lo_k
+
+    rng = random.Random(seed)
+    rounds = 0
+    holdout_seen = 0
+    while True:
+        rounds += 1
+        k = largest_feasible()
+        if k == 0:
+            raise PreconditionViolated("no positive exponent validates at this Lambda cap")
+        t = k * T_STEP
+        lam = lam_at(k)
+        failures = []
+        for _ in range(holdout):
+            j = rng.randrange(1, depth)
+            big_r = Fraction(1, 1 << j)
+            i = rng.randrange(0, 1 << j) * 2 + 1
+            x = Fraction(i, 1 << (j + 1))
+            if x - big_r < 0 or x + big_r > 1:
+                continue
+            l = rng.randrange(0, depth - j + 1)
+            small = oracle.ball(x, big_r / (1 << l))
+            big = oracle.ball(x, big_r)
+            if big.lower == 0:
+                continue
+            holdout_seen += 1
+            ratio = small.upper / big.lower
+            if ratio * exp2_bounds(Fraction(l * k, 64), bits).hi > lam:
+                failures.append((x, big_r, l))
+                if ratio > best.get(l, Fraction(0)):
+                    best[l] = ratio
+        if not failures:
+            return lam, t, pairs + holdout_seen, holdout_seen, rounds
+        if rounds >= 4:
+            raise PreconditionViolated(f"holdout kept failing after {rounds} refit rounds")
+
+
+def fit_mass_window_oracle(m, depth: int, c_upper: Fraction, lambda_cap=Fraction(1),
+                           bits=DEFAULT_BITS):
+    """(lam, s, big_lam, t, samples), one enclosure per sample."""
+    s_hi = log2_bounds(c_upper, bits).hi
+    s = Fraction(math.ceil(s_hi * 64), 64)
+    samples = []
+    if m.base is None:
+        cap = min(depth, m.split_depth)
+        masses = [m.total_mass]
+        for level in range(cap + 1):
+            diam = Fraction(1, 1 << level)
+            for i, mass in enumerate(masses):
+                samples.append((mass, diam))
+                if i + 1 < len(masses):
+                    samples.append((mass + masses[i + 1], 2 * diam))
+            if level == cap:
+                break
+            nxt = []
+            for i, mass in enumerate(masses):
+                w = m.weights.left_share(level, i)
+                nxt.append(mass * w)
+                nxt.append(mass * (1 - w))
+            masses = nxt
+    else:
+        cap = min(depth, m.base.depth)
+        for level in range(cap + 1):
+            nodes = m.base.nodes[level]
+            row = [interval_mass(m, nd, m.split_depth) for nd in nodes]
+            for i, nd in enumerate(nodes):
+                samples.append((row[i].lower, nd.diameter))
+                if i + 1 < len(nodes):
+                    samples.append((row[i].lower + row[i + 1].lower, nodes[i + 1].hi - nd.lo))
+    lam = None
+    for mass, diam in samples:
+        val = mass / pow_bounds(diam, s, bits).hi
+        if lam is None or val < lam:
+            lam = val
+
+    def upper_lam(t):
+        worst = Fraction(0)
+        for mass, diam in samples:
+            denom = pow_bounds(diam, t, bits).lo
+            if denom == 0:
+                raise EnclosureInconclusive("diameter power underflowed")
+            val = mass / denom
+            if val > worst:
+                worst = val
+        return worst
+
+    lo_k, hi_k = 0, 4 * 64
+    if upper_lam(T_STEP) > lambda_cap:
+        raise PreconditionViolated("no positive growth exponent fits under the cap")
+    lo_k = 1
+    while lo_k < hi_k:
+        mid = (lo_k + hi_k + 1) // 2
+        if upper_lam(mid * T_STEP) <= lambda_cap:
+            lo_k = mid
+        else:
+            hi_k = mid - 1
+    t = lo_k * T_STEP
+    return lam, s, upper_lam(t), t, len(samples)
+
+
+def qs_ratio_scan_oracle(m, depth: int, taus, random_triples=0, seed=0):
+    """[(tau, max_ratio, witness)] by offering every straddle to every row."""
+    grid = cdf_grid_oracle(m, depth)
+    size = 1 << depth
+    taus = tuple(sorted(Fraction(t) for t in taus))
+    best = {t: None for t in taus}
+
+    def offer(shape, image, witness):
+        for t in taus:
+            if shape <= t:
+                cur = best[t]
+                if cur is None or image > cur[0]:
+                    best[t] = (image, witness)
+
+    def point(j):
+        return Fraction(j, size)
+
+    for j in range(size + 1):
+        for k in range(1, depth + 1):
+            unit = 1 << (depth - k)
+            for a in (1, 2, 4):
+                for b in (1, 2, 4):
+                    left, right = j - a * unit, j + b * unit
+                    if left < 0 or right > size:
+                        continue
+                    rise_l = grid[j] - grid[left]
+                    rise_r = grid[right] - grid[j]
+                    if rise_r > 0:
+                        offer(Fraction(a, b), rise_l / rise_r,
+                              (point(j), point(left), point(right)))
+                    if rise_l > 0:
+                        offer(Fraction(b, a), rise_r / rise_l,
+                              (point(j), point(right), point(left)))
+    if random_triples:
+        rng = random.Random(seed)
+        made = 0
+        while made < random_triples:
+            j, jy, jz = (rng.randrange(size + 1) for _ in range(3))
+            if j == jy or j == jz or jy == jz:
+                continue
+            made += 1
+            den = abs(grid[j] - grid[jz])
+            if den == 0:
+                continue
+            offer(Fraction(abs(j - jy), abs(j - jz)), abs(grid[j] - grid[jy]) / den,
+                  (point(j), point(jy), point(jz)))
+    return [(t, best[t][0], best[t][1]) for t in taus if best[t] is not None]

@@ -124,3 +124,28 @@ class TestDepthCaps:
         )
         assert code == 0
         assert json.loads(out)["c_upper"]["value"] == "2"
+
+
+class TestErrorContract:
+    """Bad input ends in exit 1 with exactly one JSON line on stderr."""
+
+    @pytest.mark.parametrize(
+        "argv, kind",
+        [
+            (["measure", "mass", "--measure", "[1]", "--lo", "0", "--hi", "1"], "PreconditionViolated"),
+            (["measure", "mass", "--measure", '{"kind":"binomial"}', "--lo", "0", "--hi", "1"],
+             "PreconditionViolated"),
+            (["measure", "grid", "--measure", '{"kind":"table","weights":3}'], "PreconditionViolated"),
+            (["cantor", "cutout", "--balls", '[["1/2"]]'], "PreconditionViolated"),
+            (["cantor", "cutout", "--balls", "5"], "PreconditionViolated"),
+            # 2^30 grid entries: refused by the node cap before any allocation
+            (["measure", "grid", "--measure", BINOM, "--depth", "30"], "NodeBudgetExceeded"),
+        ],
+    )
+    def test_one_json_line(self, capsys, argv, kind):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["kind"] == kind

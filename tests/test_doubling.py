@@ -19,13 +19,13 @@ from dmlab.measure import BinomialWeights, TreeMeasure
 
 class TestScan:
     def test_lebesgue_constant_exact(self, lebesgue):
-        c_upper, c_lower, witness, exact, notes = scan_core(lebesgue, 7)
+        c_upper, c_lower, witness, exact, notes, _ = scan_core(lebesgue, 7)
         assert c_upper == c_lower == 2
         assert exact
         assert witness.ratio_lower == 2
 
     def test_binomial_distorts(self, binom13):
-        c_upper, c_lower, witness, exact, _ = scan_core(binom13, 7)
+        c_upper, c_lower, witness, exact, _, _ = scan_core(binom13, 7)
         assert c_lower >= 3
         assert witness is not None
         assert c_upper >= c_lower
