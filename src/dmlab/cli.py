@@ -115,7 +115,7 @@ def _cmd_seq_tail(args, config):
 def _cmd_cantor_build(args, config):
     beta = _family_arg(_require(args, config, "beta"))
     depth = _depth_arg(args, config, "depth", 8)
-    tree = geom.build_cantor(beta, depth, max_depth=args.max_depth, max_nodes=args.max_nodes)
+    tree = geom.build_cantor(beta, depth, max_depth=args.max_depth)
     lengths = [(k, tree.level_length(k)) for k in range(depth + 1)]
     report = {
         "command": "cantor build",
@@ -380,6 +380,16 @@ def _cmd_qs_pullback(args, config):
 # --- example ---------------------------------------------------------------------
 
 
+def _set_value(text: str):
+    """A --set value that reads as a JSON object or array is decoded; any
+    other value stays the string it was given as."""
+    try:
+        value = json.loads(text)
+    except ValueError:
+        return text
+    return value if isinstance(value, (dict, list)) else text
+
+
 def _cmd_example(args, config):
     overrides = dict(config)
     inline = getattr(args, "override", None)
@@ -392,7 +402,7 @@ def _cmd_example(args, config):
         if "=" not in item:
             raise DmlabError(f"--set needs KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
-        overrides[key.strip()] = value.strip()
+        overrides[key.strip()] = _set_value(value.strip())
     overrides.pop("config", None)
     report = experiments.run_experiment(args.name, overrides)
     return report, report["status"]
@@ -475,7 +485,9 @@ def build_parser() -> argparse.ArgumentParser:
     example_p.add_argument("name", choices=experiments.EXPERIMENT_NAMES)
     _add_common(example_p)
     example_p.add_argument("--override", help="JSON object of experiment overrides")
-    example_p.add_argument("--set", action="append", help="KEY=VALUE scalar override")
+    example_p.add_argument(
+        "--set", action="append", help="KEY=VALUE override; a JSON object or array value is decoded"
+    )
     example_p.set_defaults(handler=_cmd_example)
 
     return parser
@@ -487,7 +499,8 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         config = _load_config(getattr(args, "config", None))
-        report, status = args.handler(args, config)
+        with geom.node_budget(args.max_nodes):
+            report, status = args.handler(args, config)
     except DmlabError as exc:
         print(
             json.dumps({"error": str(exc), "kind": type(exc).__name__}),

@@ -15,6 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, partial
 from operator import sub
 from typing import NamedTuple
 
@@ -38,7 +39,9 @@ from .measure import (
     TreeMeasure,
     ball_mass,
     dyadic_cdf_numerators,
+    effective_depth,
     interval_mass,
+    leaf_prefix_mass,
     level_numerators,
 )
 
@@ -93,7 +96,11 @@ class _MassOracle:
     When the measure splits on the dyadic base down to depth + 1, the cdf on
     that grid is kept as integer numerators `cdf` over one denominator `den`.
     Every scan ball then has grid endpoints, and a ratio of two ball masses is
-    a ratio of two integer differences: the denominator cancels."""
+    a ratio of two integer differences: the denominator cancels.
+
+    Otherwise balls are bracketed by `interval_mass` at `eval_depth`, with
+    the leaf-prefix masses it needs memoized per oracle: a scan's balls hit
+    at most 2^cap + 1 leaf indices."""
 
     def __init__(self, m: TreeMeasure, depth: int):
         self.m = m
@@ -105,6 +112,9 @@ class _MassOracle:
         self.eval_depth = m.split_depth if m.base is not None else min(
             depth + 8, m.split_depth
         )
+        self.prefix = lru_cache(maxsize=None)(
+            partial(leaf_prefix_mass, m, effective_depth(m, self.eval_depth))
+        )
 
     def ball(self, x: Fraction, r: Fraction) -> MassBracket:
         lo = max(Fraction(0), x - r)
@@ -115,7 +125,7 @@ class _MassOracle:
             if li.denominator == 1 and hi_i.denominator == 1:
                 v = Fraction(self.cdf[int(hi_i)] - self.cdf[int(li)], self.den)
                 return MassBracket(v, v)
-        return interval_mass(self.m, closed(lo, hi), self.eval_depth)
+        return interval_mass(self.m, (lo, hi), self.eval_depth, self.prefix)
 
 
 def _scan_centers(m: TreeMeasure, depth: int) -> list[Fraction]:

@@ -13,8 +13,12 @@ closed, so complements carry per-side openness flags instead of an epsilon.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import lcm
+from typing import Iterator
 
 from . import seq as seqmod
 from .errors import (
@@ -45,9 +49,25 @@ def resolve_depth_cap(explicit: int | None = None) -> int:
     return DEFAULT_MAX_DEPTH
 
 
-def resolve_node_cap(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return explicit
+_SCOPED_NODE_CAP: ContextVar[int | None] = ContextVar("node_cap", default=None)
+
+
+@contextmanager
+def node_budget(max_nodes: int | None) -> Iterator[None]:
+    """Within the block, every node check uses max_nodes (None keeps the
+    environment override or the default)."""
+    token = _SCOPED_NODE_CAP.set(max_nodes)
+    try:
+        yield
+    finally:
+        _SCOPED_NODE_CAP.reset(token)
+
+
+def resolve_node_cap() -> int:
+    """A `node_budget` scope beats DMLAB_MAX_NODES beats the default."""
+    scoped = _SCOPED_NODE_CAP.get()
+    if scoped is not None:
+        return scoped
     env = os.environ.get("DMLAB_MAX_NODES")
     if env is not None:
         try:
@@ -65,10 +85,10 @@ def check_depth(depth: int, max_depth: int | None = None) -> None:
         raise DepthBudgetExceeded(f"depth {depth} exceeds cap {cap}")
 
 
-def check_nodes(count: int, max_nodes: int | None = None) -> None:
+def check_nodes(count: int) -> None:
     """Refuse to materialize `count` entries beyond the node cap; call it
     before the allocation."""
-    cap = resolve_node_cap(max_nodes)
+    cap = resolve_node_cap()
     if count > cap:
         raise NodeBudgetExceeded(f"{count} nodes exceed the node cap {cap}")
 
@@ -252,9 +272,24 @@ class ConstructionTree:
     nodes: tuple[tuple[RationalInterval, ...], ...]  # levels 0..depth
     gaps: tuple[tuple[RationalInterval, ...], ...]  # gaps[k]: middles of level-k nodes
     perfectness_constant: Fraction | None = None
+    _edges: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def node(self, level: int, index: int) -> RationalInterval:
         return self.nodes[level][index]
+
+    def level_edges(self, level: int) -> tuple[int, list[int], list[int]]:
+        """(den, lows, highs): the level's node endpoints as integer
+        numerators over one common denominator, in node order. Both lists
+        ascend because each level is sorted and disjoint. Built once."""
+        if level not in self._edges:
+            nodes = self.nodes[level]
+            den = lcm(*(n.lo.denominator for n in nodes), *(n.hi.denominator for n in nodes))
+            self._edges[level] = (
+                den,
+                [n.lo.numerator * (den // n.lo.denominator) for n in nodes],
+                [n.hi.numerator * (den // n.hi.denominator) for n in nodes],
+            )
+        return self._edges[level]
 
     def level_length(self, level: int) -> Fraction:
         return sum((n.diameter for n in self.nodes[level]), Fraction(0))
@@ -264,12 +299,15 @@ def build_cantor(
     beta: SequenceFamily,
     depth: int,
     max_depth: int | None = None,
-    max_nodes: int | None = None,
 ) -> ConstructionTree:
     """Construct the tree to the given depth; splitting into level k uses the
-    k-th gap fraction, so the level-k length sum is prod_{j<=k} (1 - beta_j)."""
+    k-th gap fraction, so the level-k length sum is prod_{j<=k} (1 - beta_j).
+
+    Each level's nodes are emitted left to right, sorted and pairwise
+    disjoint (children of a node sit on either side of its open middle gap);
+    `interval_mass` bisects the leaves by their endpoints and relies on it."""
     check_depth(depth, max_depth)
-    check_nodes(1 << depth, max_nodes)
+    check_nodes(1 << depth)
     levels: list[tuple[RationalInterval, ...]] = [(closed(0, 1),)]
     gaps: list[tuple[RationalInterval, ...]] = []
     worst: Fraction | None = None
@@ -434,7 +472,7 @@ def build_porous(
     """
     check_depth(depth, max_depth)
     level_cap = resolve_depth_cap(max_level)
-    node_cap = resolve_node_cap(None)
+    node_cap = resolve_node_cap()
     stages: list[tuple[DyadicPiece, ...]] = [(DyadicPiece(0, 0),)]
     removed: list[tuple[DyadicPiece, ...]] = []
     for n in range(1, depth + 1):

@@ -10,11 +10,13 @@ query depth.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 from math import lcm
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 from .errors import MisalignedTrees, PreconditionViolated, ZeroMassBall
 from .geom import (
@@ -23,7 +25,6 @@ from .geom import (
     RationalInterval,
     check_nodes,
     closed,
-    interval_contains,
     remaining_set,
 )
 from .ratio import parse_rational
@@ -37,8 +38,9 @@ class MassBracket:
     upper: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lower", Fraction(self.lower))
-        object.__setattr__(self, "upper", Fraction(self.upper))
+        if type(self.lower) is not Fraction or type(self.upper) is not Fraction:
+            object.__setattr__(self, "lower", Fraction(self.lower))
+            object.__setattr__(self, "upper", Fraction(self.upper))
         if not 0 <= self.lower <= self.upper:
             raise PreconditionViolated(
                 f"bad mass bracket [{self.lower}, {self.upper}]"
@@ -153,17 +155,6 @@ class TreeMeasure:
         return 60 if limit is None else limit
 
 
-def node_interval(m: TreeMeasure, level: int, index: int) -> RationalInterval:
-    if level < 0 or index < 0 or index >= (1 << level):
-        raise PreconditionViolated(f"no node ({level}, {index})")
-    if m.base is not None:
-        if level > m.base.depth:
-            raise PreconditionViolated(f"tree base stops at depth {m.base.depth}")
-        return m.base.nodes[level][index]
-    unit = Fraction(1, 1 << level)
-    return closed(index * unit, (index + 1) * unit)
-
-
 def node_mass(m: TreeMeasure, level: int, index: int) -> Fraction:
     mass = m.total_mass
     for bit_pos in range(level - 1, -1, -1):
@@ -180,34 +171,84 @@ def effective_depth(m: TreeMeasure, depth: int) -> int:
     return min(depth, m.split_depth)
 
 
-def interval_mass(m: TreeMeasure, iv: RationalInterval, depth: int) -> MassBracket:
-    """Bracket mu(iv): lower adds nodes inside iv, upper also charges the
-    straddling boundary nodes at the query depth.
+def leaf_prefix_mass(m: TreeMeasure, level: int, j: int) -> Fraction:
+    """P(j): the mass of leaves 0..j-1 at `level`, for 0 <= j <= 2^level.
+
+    One walk down leaf j's path adds the left child's mass at every right
+    turn. Masses are kept as integer numerators over one running
+    denominator, and the walk stops at j's lowest set bit: below it the path
+    only turns left."""
+    if j <= 0:
+        return Fraction(0)
+    if j >> level:
+        return m.total_mass
+    left_share = m.weights.left_share
+    mass, den = m.total_mass.numerator, m.total_mass.denominator
+    acc = 0
+    for lev in range(level - ((j & -j).bit_length() - 1)):
+        w = left_share(lev, j >> (level - lev))
+        wn, wd = w.numerator, w.denominator
+        left = mass * wn
+        acc *= wd
+        den *= wd
+        if (j >> (level - 1 - lev)) & 1:
+            acc += left
+            mass = mass * wd - left
+        else:
+            mass = left
+    return Fraction(acc, den)
+
+
+def _leaf_runs(m: TreeMeasure, level: int, lo: Fraction, hi: Fraction) -> tuple[int, int, int, int]:
+    """(first_in, end_in, first_touch, end_touch): leaves first_in..end_in-1
+    of `level` lie inside [lo, hi], leaves first_touch..end_touch-1 meet its
+    interior. Both runs are contiguous because the leaves of a level are
+    sorted and disjoint (see `build_cantor`); endpoints outside [0, 1] clip."""
+    if m.base is None:
+        n = 1 << level
+        den, lows, highs = n, range(n), range(1, n + 1)
+    else:
+        den, lows, highs = m.base.level_edges(level)
+    # leaf edges are integers over den: compare them with floor/ceil of the ends
+    a, da = lo.numerator * den, lo.denominator
+    b, db = hi.numerator * den, hi.denominator
+    return (
+        bisect_left(lows, -(-a // da)),  # leaf.lo >= lo
+        bisect_right(highs, b // db),  # leaf.hi <= hi
+        bisect_right(highs, a // da),  # leaf.hi <= lo
+        bisect_left(lows, -(-b // db)),  # leaf.lo < hi
+    )
+
+
+def interval_mass(
+    m: TreeMeasure,
+    iv: RationalInterval | tuple[Fraction, Fraction],
+    depth: int,
+    prefix: Callable[[int], Fraction] | None = None,
+) -> MassBracket:
+    """Bracket mu(iv) at the query level cap = effective_depth(m, depth):
+    lower is the mass of the leaves inside iv, upper the mass of the leaves
+    whose interior meets iv. Each is a difference of two leaf-prefix masses
+    P(j) (`leaf_prefix_mass`); `prefix` may supply a memo of P at cap.
 
     Single points carry no mass, so the query is evaluated on its closed hull;
-    open or half-open intervals get the same bracket as their closure.
+    open or half-open intervals get the same bracket as their closure. iv
+    may also be a bare (lo, hi) pair of Fractions, lo <= hi; the measure
+    lives on [0, 1], so only the part inside it counts.
     """
-    if iv.lo == iv.hi:
+    lo, hi = (iv.lo, iv.hi) if isinstance(iv, RationalInterval) else iv
+    if lo >= hi:
+        if lo > hi:
+            raise PreconditionViolated(f"interval [{lo}, {hi}] is reversed")
         return EXACT_ZERO
-    iv = closed(iv.lo, iv.hi)
     cap = effective_depth(m, depth)
-
-    def rec(level: int, index: int, mass: Fraction) -> tuple[Fraction, Fraction]:
-        node_iv = node_interval(m, level, index)
-        # single-point contact contributes nothing: require interior overlap
-        if mass == 0 or node_iv.hi <= iv.lo or node_iv.lo >= iv.hi:
-            return Fraction(0), Fraction(0)
-        if interval_contains(iv, node_iv):
-            return mass, mass
-        if level == cap:
-            return Fraction(0), mass
-        w = m.weights.left_share(level, index)
-        lo_l, hi_l = rec(level + 1, 2 * index, mass * w)
-        lo_r, hi_r = rec(level + 1, 2 * index + 1, mass * (1 - w))
-        return lo_l + lo_r, hi_l + hi_r
-
-    lo, hi = rec(0, 0, m.total_mass)
-    return MassBracket(lo, hi)
+    if prefix is None:
+        prefix = partial(leaf_prefix_mass, m, cap)
+    first_in, end_in, first_touch, end_touch = _leaf_runs(m, cap, lo, hi)
+    upper = prefix(end_touch) - prefix(first_touch)
+    if end_in <= first_in:
+        return MassBracket(Fraction(0), upper)
+    return MassBracket(prefix(end_in) - prefix(first_in), upper)
 
 
 def cdf(m: TreeMeasure, x: Fraction, depth: int) -> MassBracket:

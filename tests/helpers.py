@@ -9,8 +9,10 @@ data types.
 The exceptions are the Fraction scan oracles at the end of the file: the
 rational loops that `scan_core`, `per_scale_max_ratios`, `fit_ratio_decay`,
 `fit_mass_window` and `qs_ratio_scan` ran before they moved to integer
-numerators.  They reuse the library's bracketing (`interval_mass`) and
-enclosure primitives, but none of the kernels they check.
+numerators.  They reuse the library's enclosure primitives, but none of the
+kernels they check; their brackets come from the recursive node walk that
+`interval_mass` ran before it became two boundary walks
+(`interval_mass_recursive_oracle`).
 """
 
 from __future__ import annotations
@@ -111,10 +113,44 @@ def binomial_row_counts(m: int) -> list[int]:
 
 from dmlab.enclosure import DEFAULT_BITS, exp2_bounds, log2_bounds, pow_bounds  # noqa: E402
 from dmlab.errors import EnclosureInconclusive, PreconditionViolated, ZeroMassBall  # noqa: E402
-from dmlab.geom import closed  # noqa: E402
-from dmlab.measure import MassBracket, interval_mass  # noqa: E402
+from dmlab.geom import closed, interval_contains  # noqa: E402
+from dmlab.measure import EXACT_ZERO, MassBracket, effective_depth  # noqa: E402
 
 T_STEP = Fraction(1, 64)
+
+
+def node_interval(m, level: int, index: int):
+    if m.base is not None:
+        return m.base.nodes[level][index]
+    unit = Fraction(1, 1 << level)
+    return closed(index * unit, (index + 1) * unit)
+
+
+def interval_mass_recursive_oracle(m, iv, depth: int) -> MassBracket:
+    """`interval_mass` by recursion over the nodes: lower adds nodes inside
+    iv, upper also charges the straddling boundary nodes at the query depth;
+    iv is taken as its closed hull."""
+    if iv.lo == iv.hi:
+        return EXACT_ZERO
+    iv = closed(iv.lo, iv.hi)
+    cap = effective_depth(m, depth)
+
+    def rec(level: int, index: int, mass: Fraction) -> tuple[Fraction, Fraction]:
+        node_iv = node_interval(m, level, index)
+        # single-point contact contributes nothing: require interior overlap
+        if mass == 0 or node_iv.hi <= iv.lo or node_iv.lo >= iv.hi:
+            return Fraction(0), Fraction(0)
+        if interval_contains(iv, node_iv):
+            return mass, mass
+        if level == cap:
+            return Fraction(0), mass
+        w = m.weights.left_share(level, index)
+        lo_l, hi_l = rec(level + 1, 2 * index, mass * w)
+        lo_r, hi_r = rec(level + 1, 2 * index + 1, mass * (1 - w))
+        return lo_l + lo_r, hi_l + hi_r
+
+    lo, hi = rec(0, 0, m.total_mass)
+    return MassBracket(lo, hi)
 
 
 def cdf_grid_oracle(m, depth: int) -> list[Fraction]:
@@ -136,7 +172,7 @@ def cdf_grid_oracle(m, depth: int) -> list[Fraction]:
 
 
 class BallOracle:
-    """Exact grid masses where aligned, `interval_mass` brackets elsewhere."""
+    """Exact grid masses where aligned, recursive brackets elsewhere."""
 
     def __init__(self, m, depth: int):
         self.m = m
@@ -157,7 +193,7 @@ class BallOracle:
             if li.denominator == 1 and hi_i.denominator == 1:
                 v = self.grid[int(hi_i)] - self.grid[int(li)]
                 return MassBracket(v, v)
-        return interval_mass(self.m, closed(lo, hi), self.eval_depth)
+        return interval_mass_recursive_oracle(self.m, closed(lo, hi), self.eval_depth)
 
 
 def scan_centers_oracle(m, depth: int) -> list[Fraction]:
@@ -341,7 +377,7 @@ def fit_mass_window_oracle(m, depth: int, c_upper: Fraction, lambda_cap=Fraction
         cap = min(depth, m.base.depth)
         for level in range(cap + 1):
             nodes = m.base.nodes[level]
-            row = [interval_mass(m, nd, m.split_depth) for nd in nodes]
+            row = [interval_mass_recursive_oracle(m, nd, m.split_depth) for nd in nodes]
             for i, nd in enumerate(nodes):
                 samples.append((row[i].lower, nd.diameter))
                 if i + 1 < len(nodes):

@@ -1,8 +1,14 @@
-"""Command-line behaviour: exit codes, report files, determinism, depth caps."""
+"""Command-line behaviour: exit codes, report files, determinism, depth and
+node caps, the error contract."""
 
+import contextlib
+import io
 import json
+import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmlab.cli import main
 from dmlab.experiments import EXPERIMENT_NAMES
@@ -126,6 +132,54 @@ class TestDepthCaps:
         assert json.loads(out)["c_upper"]["value"] == "2"
 
 
+class TestNodeCaps:
+    GRID = ["measure", "grid", "--measure", '{"kind":"binomial","p":"1/3"}', "--depth", "12"]
+
+    def test_flag_cap_blocks_grid(self, capsys):
+        code, out, err = run(capsys, *self.GRID, "--max-nodes", "1000")
+        assert code == 1
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["kind"] == "NodeBudgetExceeded"
+        assert "node cap 1000" in error["error"]
+
+    def test_grid_runs_without_flag(self, capsys):
+        code, out, _ = run(capsys, *self.GRID)
+        assert code == 0
+        assert json.loads(out)["depth"] == 12
+
+    def test_flag_cap_reaches_scan_and_example(self, capsys):
+        # the scan's cdf grid at depth 7 holds 128 entries
+        code, _, err = run(capsys, "doubling", "scan", "--measure", BINOM, "--depth", "6",
+                           "--no-fit", "--max-nodes", "100")
+        assert code == 1
+        assert "node cap 100" in json.loads(err)["error"]
+        code, _, err = run(capsys, "example", "cutout_fat", "--max-nodes", "100")
+        assert code == 1
+        assert "node cap 100" in json.loads(err)["error"]
+
+    def test_flag_beats_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("DMLAB_MAX_NODES", "10")
+        code, _, _ = run(capsys, *self.GRID, "--max-nodes", "5000")
+        assert code == 0
+
+
+class TestExampleSet:
+    def test_json_measure_value_reproduces_golden(self, capsys):
+        code, out, _ = run(capsys, "example", "cutout_fat",
+                           "--set", 'measure={"kind":"binomial","p":"1/2"}')
+        assert code == 0
+        golden = pathlib.Path(__file__).parent / "golden" / "example_cutout_fat.json"
+        assert out == golden.read_text(encoding="utf-8")
+
+    def test_json_scalars_stay_strings(self, capsys):
+        code, _, err = run(capsys, "example", "logfloor_removal", "--set", "p=true")
+        assert code == 1
+        assert json.loads(err)["error"] == "malformed rational 'true'"
+
+
 class TestErrorContract:
     """Bad input ends in exit 1 with exactly one JSON line on stderr."""
 
@@ -149,3 +203,67 @@ class TestErrorContract:
         lines = err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["kind"] == kind
+
+
+# --- error-contract fuzz ---------------------------------------------------------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+unit_texts = st.integers(1, 12).flatmap(lambda d: st.integers(0, d).map(lambda n: f"{n}/{d}"))
+rational_texts = st.one_of(
+    unit_texts,
+    st.integers(-3, 12).map(str),
+    st.tuples(st.integers(-3, 12), st.integers(-2, 12)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.text(max_size=5),
+)
+rational_values = st.one_of(unit_texts, rational_texts, json_values)
+# weight tables, mostly with 2^k weights on level k
+weight_tables = st.one_of(
+    json_values,
+    st.integers(0, 4).flatmap(
+        lambda n: st.tuples(*[st.lists(st.one_of(unit_texts, rational_values),
+                                       min_size=1 << k, max_size=1 << k)
+                              for k in range(n)]).map(list)
+    ),
+)
+measure_specs = st.one_of(
+    json_values,
+    st.fixed_dictionaries({"kind": st.just("binomial"), "p": unit_texts}),
+    st.fixed_dictionaries({"kind": st.just("table"), "weights": weight_tables}),
+    st.fixed_dictionaries(
+        {"kind": st.sampled_from(["binomial", "table", "dyadic", ""])},
+        optional={"p": rational_values, "weights": weight_tables, "total_mass": rational_values},
+    ),
+)
+
+
+@st.composite
+def cli_calls(draw):
+    spec = json.dumps(draw(measure_specs))
+    depth = str(draw(st.integers(0, 12)))
+    verb = draw(st.sampled_from(["mass", "grid", "scan"]))
+    if verb == "mass":
+        lo, hi = draw(rational_texts), draw(rational_texts)
+        return ["measure", "mass", f"--measure={spec}", f"--lo={lo}", f"--hi={hi}", "--depth", depth]
+    if verb == "grid":
+        return ["measure", "grid", f"--measure={spec}", "--depth", depth]
+    return ["doubling", "scan", f"--measure={spec}", "--depth", depth, "--no-fit"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_calls())
+def test_error_contract_fuzz(argv):
+    """Any measure spec and depth: exit 0, 1 or 2, and an error is exactly one
+    JSON line on stderr (an uncaught exception fails the test)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        assert set(json.loads(lines[0])) == {"error", "kind"}
+        assert out.getvalue() == ""

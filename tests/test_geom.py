@@ -11,6 +11,7 @@ from dmlab.errors import (
     EmptyRemainder,
     FailsThickness,
     IndexOutOfRange,
+    NodeBudgetExceeded,
     NotUniformlyPerfect,
     PreconditionViolated,
 )
@@ -26,13 +27,17 @@ from dmlab.geom import (
     intervals_intersect,
     largest_gap,
     merge_components,
+    node_budget,
     open_interval,
     remaining_set,
+    resolve_node_cap,
     subtract_intervals,
     thick_from_cantor,
     union_length,
     verify_thick,
 )
+from dmlab.doubling import fit_mass_window, scan_core
+from dmlab.measure import BinomialWeights, TreeMeasure, dyadic_cdf_grid
 from dmlab.seq import Constant, ExplicitFinite, Geometric, term
 
 from helpers import direct_product, union_length_oracle
@@ -152,6 +157,40 @@ class TestCantorConstruction:
         with pytest.raises(Exception) as err:
             build_cantor(Constant(Fraction(1, 3)), 6, max_depth=4)
         assert "depth" in str(err.value).lower()
+
+    def test_levels_sorted_and_disjoint(self):
+        tree = build_cantor(Geometric(Fraction(1, 4), Fraction(1, 2)), 5)
+        for level in range(6):
+            den, lows, highs = tree.level_edges(level)
+            nodes = tree.nodes[level]
+            assert [Fraction(v, den) for v in lows] == [n.lo for n in nodes]
+            assert [Fraction(v, den) for v in highs] == [n.hi for n in nodes]
+            assert all(lo < hi for lo, hi in zip(lows, highs))
+            assert all(hi < lo for hi, lo in zip(highs, lows[1:]))
+
+
+class TestNodeBudget:
+    def test_scope_sets_the_cap(self, monkeypatch):
+        monkeypatch.setenv("DMLAB_MAX_NODES", "64")
+        assert resolve_node_cap() == 64
+        with node_budget(8):
+            assert resolve_node_cap() == 8
+            with pytest.raises(NodeBudgetExceeded):
+                build_cantor(Constant(Fraction(1, 3)), 4)
+        with node_budget(None):
+            assert resolve_node_cap() == 64
+        assert resolve_node_cap() == 64
+
+    def test_scope_reaches_grid_scan_and_fit(self):
+        m = TreeMeasure(BinomialWeights(Fraction(1, 3)))
+        with node_budget(15):
+            with pytest.raises(NodeBudgetExceeded):
+                dyadic_cdf_grid(m, 4)
+            with pytest.raises(NodeBudgetExceeded):
+                scan_core(m, 3)
+            with pytest.raises(NodeBudgetExceeded):
+                fit_mass_window(m, 4, c_upper=Fraction(3))
+        assert len(dyadic_cdf_grid(m, 4)) == 17
 
 
 class TestCutOut:

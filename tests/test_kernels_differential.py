@@ -1,25 +1,36 @@
-"""The integer grid kernels against the Fraction loops they replaced.
+"""The fast kernels against the Fraction loops they replaced.
 
 `scan_core`, `per_scale_max_ratios`, `fit_ratio_decay`, `fit_mass_window`
 and `qs_ratio_scan` must give the same values, witnesses, notes and errors as
-the oracles in helpers.py, on the exact dyadic grid and on the bracket path.
+the oracles in helpers.py, on the exact dyadic grid and on the bracket path;
+`interval_mass` must give the same brackets as the recursive node walk.
 """
 
 import random
 from fractions import Fraction
+from functools import lru_cache, partial
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmlab.doubling import fit_mass_window, fit_ratio_decay, per_scale_max_ratios, scan_core
-from dmlab.geom import build_cantor
-from dmlab.measure import BinomialWeights, TableWeights, TreeMeasure, restrict
+from dmlab.geom import RationalInterval, build_cantor
+from dmlab.measure import (
+    BinomialWeights,
+    TableWeights,
+    TreeMeasure,
+    effective_depth,
+    interval_mass,
+    leaf_prefix_mass,
+    restrict,
+)
 from dmlab.qs import DEFAULT_TAUS, QSMap, qs_ratio_scan
 from dmlab.seq import Constant
 
 from helpers import (
     fit_mass_window_oracle,
     fit_ratio_decay_oracle,
+    interval_mass_recursive_oracle,
     per_scale_oracle,
     qs_ratio_scan_oracle,
     scan_core_oracle,
@@ -129,3 +140,56 @@ def test_qs_scan_matches_oracle(case, random_triples, seed):
     rows = qs_ratio_scan(QSMap(m), depth, random_triples=random_triples, seed=seed)
     expected = qs_ratio_scan_oracle(m, depth, DEFAULT_TAUS, random_triples, seed)
     assert [(r.tau, r.max_ratio, r.witness) for r in rows] == expected
+
+
+@st.composite
+def cantor_measures(draw):
+    tree = build_cantor(Constant(Fraction(draw(st.integers(1, 14)), 16)), draw(st.integers(0, 5)))
+    return restrict(draw(binomials()), tree)
+
+
+@st.composite
+def points(draw, m):
+    """0 and 1, grid points (dyadic or the tree's node ends) and off-grid
+    points, odd denominators among them."""
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return draw(st.sampled_from([Fraction(0), Fraction(1)]))
+    if kind == 1:
+        if m.base is not None:
+            nodes = m.base.nodes[draw(st.integers(0, m.base.depth))]
+            node = draw(st.sampled_from(nodes))
+            return draw(st.sampled_from([node.lo, node.hi]))
+        k = draw(st.integers(0, 16))
+        return Fraction(draw(st.integers(0, 1 << k)), 1 << k)
+    q = draw(st.integers(0, 60).map(lambda h: 2 * h + 1) if kind == 2 else st.integers(1, 10**4))
+    return Fraction(draw(st.integers(0, q)), q)
+
+
+@st.composite
+def mass_queries(draw):
+    depth = draw(st.integers(0, 14))
+    m = draw(st.one_of(
+        binomials(),
+        tables(st.integers(1, 10)),  # deeper and shallower than depth
+        cantor_measures(),
+    ))
+    a = draw(points(m))
+    b = a if draw(st.booleans()) else draw(points(m))
+    a, b = min(a, b), max(a, b)
+    lo_open, hi_open = (False, False) if a == b else (draw(st.booleans()), draw(st.booleans()))
+    return m, RationalInterval(a, b, lo_open, hi_open), depth
+
+
+@settings(max_examples=300, deadline=None)
+@given(mass_queries())
+def test_interval_mass_matches_recursion(query):
+    m, iv, depth = query
+    expected = interval_mass_recursive_oracle(m, iv, depth)
+    expected = (expected.lower, expected.upper)
+    got = interval_mass(m, iv, depth)
+    assert (got.lower, got.upper) == expected
+    # bare endpoints and a memo of the leaf-prefix masses give the same bracket
+    memo = lru_cache(maxsize=None)(partial(leaf_prefix_mass, m, effective_depth(m, depth)))
+    got = interval_mass(m, (iv.lo, iv.hi), depth, memo)
+    assert (got.lower, got.upper) == expected

@@ -77,6 +77,18 @@ class TestIntervalMass:
         b = interval_mass(binom13, closed(Fraction(1, 4), Fraction(3, 4)), 8)
         assert (a.lower, a.upper) == (b.lower, b.upper)
 
+    def test_bare_endpoints(self, binom13):
+        third, half = Fraction(1, 3), Fraction(1, 2)
+        got = interval_mass(binom13, (third, half), 9)
+        want = interval_mass(binom13, closed(third, half), 9)
+        assert (got.lower, got.upper) == (want.lower, want.upper)
+        # the measure lives on [0, 1]: ends outside it clip
+        got = interval_mass(binom13, (Fraction(-1), half), 9)
+        want = interval_mass(binom13, closed(0, half), 9)
+        assert (got.lower, got.upper) == (want.lower, want.upper)
+        with pytest.raises(PreconditionViolated):
+            interval_mass(binom13, (half, third), 9)
+
     def test_deeper_evaluation_tightens(self, binom13):
         iv = closed(Fraction(1, 7), Fraction(3, 7))
         shallow = interval_mass(binom13, iv, 4)
