@@ -10,6 +10,7 @@ usage errors).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -73,7 +74,7 @@ def _rat(value) -> Fraction:
 
 def _depth_arg(args, config: dict, key: str, default: int) -> int:
     depth = int(_setting(args, config, key, default))
-    geom.check_depth(depth, getattr(args, "max_depth", None))
+    geom.check_depth(depth)
     return depth
 
 
@@ -115,7 +116,7 @@ def _cmd_seq_tail(args, config):
 def _cmd_cantor_build(args, config):
     beta = _family_arg(_require(args, config, "beta"))
     depth = _depth_arg(args, config, "depth", 8)
-    tree = geom.build_cantor(beta, depth, max_depth=args.max_depth)
+    tree = geom.build_cantor(beta, depth)
     lengths = [(k, tree.level_length(k)) for k in range(depth + 1)]
     report = {
         "command": "cantor build",
@@ -281,7 +282,7 @@ def _cmd_certify_cutout(args, config):
     n_balls = int(_setting(args, config, "n-balls", 18))
     r = _rat(_setting(args, config, "r", "1"))
     p = _rat(_setting(args, config, "p", "1/4"))
-    scan = doubling.doubling_scan(m, scan_depth)
+    scan = doubling.doubling_scan(m, scan_depth, seed=args.seed or 0)
     cfg = geom.CutOutConfig(
         _nested_balls(n_total),
         diam_family=seq.Geometric(Fraction(1, 2), Fraction(1, 2)),
@@ -391,14 +392,19 @@ def _set_value(text: str):
 
 
 def _cmd_example(args, config):
+    honoured = experiments.HONOURED_FLAGS.get(args.name, ())
+    for flag in _RUN_FLAGS:
+        if getattr(args, flag) is not None and flag not in honoured:
+            raise DmlabError(f"example {args.name} takes no --{flag.replace('_', '-')}")
     overrides = dict(config)
-    inline = getattr(args, "override", None)
-    if inline:
-        data = json.loads(inline)
+    if args.seed is not None:
+        overrides["seed"] = args.seed
+    if args.override:
+        data = json.loads(args.override)
         if not isinstance(data, dict):
             raise DmlabError("--override must be a JSON object")
         overrides.update(data)
-    for item in getattr(args, "set", None) or []:
+    for item in args.set or []:
         if "=" not in item:
             raise DmlabError(f"--set needs KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
@@ -411,103 +417,98 @@ def _cmd_example(args, config):
 # --- wiring ---------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", help="write the JSON report to this file")
-    p.add_argument("--plot", help="write plot-data CSV to this file")
-    p.add_argument("--config", help="JSON file with option defaults")
-    p.add_argument("--seed", type=int, default=None, help="seed for randomized scans")
-    p.add_argument("--max-depth", type=int, default=None, help="hard depth cap")
-    p.add_argument("--max-nodes", type=int, default=None, help="hard node cap")
+# Flags a verb's table row may list besides its own options: every verb that
+# lists one honours it, argparse refuses it on every other verb.  `example`
+# lists the run flags and refuses those its experiment does not honour.
+_COMMON = {
+    "out": {"help": "write the JSON report to this file"},
+    "plot": {"help": "write plot-data CSV to this file"},
+    "config": {"help": "JSON file with option defaults"},
+    "seed": {"type": int, "help": "seed for randomized scans (default 0)"},
+    "max-depth": {"type": int, "help": "hard depth cap; beats DMLAB_MAX_DEPTH"},
+    "max-nodes": {"type": int, "help": "hard node cap; beats DMLAB_MAX_NODES"},
+}
+_RUN_FLAGS = ("seed", "max_depth", "max_nodes")
+_IO = ("out", "plot", "config")
+_DEPTH = _IO + ("max-depth",)
+_CAPS = _DEPTH + ("max-nodes",)
+_ALL = _CAPS + ("seed",)
+
+_TOPICS = {
+    "seq": "sequence families",
+    "cantor": "middle-gap and cut-out geometry",
+    "measure": "tree measures on [0,1]",
+    "doubling": "doubling-ratio scans and fits",
+    "certify": "fatness/thinness certificates",
+    "qs": "increasing-map view and ratio scans",
+}
+
+# (topic, verb, help, handler, options, common flags).  A verb of None makes
+# the topic the verb.  An option is a bare name, taken as --name, or a
+# (name or flag, add_argument keywords) pair.
+VERBS = (
+    ("seq", "classify", "summability class of term^p", _cmd_seq_classify, ("family", "p"), _IO),
+    ("seq", "tail", "certified tail sum upper bound", _cmd_seq_tail, ("family", "p", "from"), _IO),
+    ("cantor", "build", "middle-gap construction tree", _cmd_cantor_build, ("beta", "depth"), _CAPS),
+    ("cantor", "cutout", "components left after removing balls", _cmd_cantor_cutout,
+     ("balls", "nested", "n-balls", "diam-family"), _IO),
+    ("measure", "mass", "bracket the mass of an interval", _cmd_measure_mass,
+     ("measure", "lo", "hi", "depth"), _DEPTH),
+    ("measure", "grid", "exact cdf on a dyadic grid", _cmd_measure_grid, ("measure", "depth"), _CAPS),
+    ("doubling", "scan", "certified ratio scan with window fits", _cmd_doubling_scan,
+     ("measure", "depth", ("--no-fit", {"action": "store_true", "default": None})), _ALL),
+    ("certify", "fat", "positive limit product for thick sets", _cmd_certify_fat,
+     ("alpha", "t", "factor-scale"), _IO),
+    ("certify", "thin", "decay certificate for porous sets", _cmd_certify_thin,
+     ("alpha", "s", "c", "epsilon"), _IO),
+    ("certify", "cutout", "survival bound after removing balls", _cmd_certify_cutout,
+     ("measure", "scan-depth", "n-total", "n-balls", "r", "p"), _ALL),
+    ("certify", "logfloor", "log-floor removal schedule mass", _cmd_certify_logfloor,
+     ("p", "stages"), _IO),
+    ("qs", "scan", "empirical distortion envelope", _cmd_qs_scan,
+     ("measure", "depth", "random-triples"), _ALL),
+    ("qs", "pullback", "doubling constant through a gauge value", _cmd_qs_pullback, ("C", "eta2"), _IO),
+    ("example", None, "named end-to-end experiments", _cmd_example, (
+        ("name", {"choices": experiments.EXPERIMENT_NAMES}),
+        ("--override", {"help": "JSON object of experiment overrides"}),
+        ("--set", {"action": "append",
+                   "help": "KEY=VALUE override; a JSON object or array value is decoded"}),
+    ), _ALL),
+)
 
 
-def _opt(p: argparse.ArgumentParser, *names: str) -> None:
-    for name in names:
-        p.add_argument(f"--{name}")
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser for every row of VERBS, built once per process: argparse
+    keeps no per-call state on it, so every `main` call reuses it."""
     parser = _Parser(prog="dmlab", description=__doc__)
-    sub = parser.add_subparsers(dest="topic", required=True)
-
-    seq_p = sub.add_parser("seq", help="sequence families")
-    seq_sub = seq_p.add_subparsers(dest="verb", required=True)
-    p = seq_sub.add_parser("classify", help="summability class of term^p")
-    _add_common(p); _opt(p, "family", "p"); p.set_defaults(handler=_cmd_seq_classify)
-    p = seq_sub.add_parser("tail", help="certified tail sum upper bound")
-    _add_common(p); _opt(p, "family", "p", "from"); p.set_defaults(handler=_cmd_seq_tail)
-
-    cantor_p = sub.add_parser("cantor", help="middle-gap and cut-out geometry")
-    cantor_sub = cantor_p.add_subparsers(dest="verb", required=True)
-    p = cantor_sub.add_parser("build", help="middle-gap construction tree")
-    _add_common(p); _opt(p, "beta", "depth"); p.set_defaults(handler=_cmd_cantor_build)
-    p = cantor_sub.add_parser("cutout", help="components left after removing balls")
-    _add_common(p); _opt(p, "balls", "nested", "n-balls", "diam-family")
-    p.set_defaults(handler=_cmd_cantor_cutout)
-
-    measure_p = sub.add_parser("measure", help="tree measures on [0,1]")
-    measure_sub = measure_p.add_subparsers(dest="verb", required=True)
-    p = measure_sub.add_parser("mass", help="bracket the mass of an interval")
-    _add_common(p); _opt(p, "measure", "lo", "hi", "depth")
-    p.set_defaults(handler=_cmd_measure_mass)
-    p = measure_sub.add_parser("grid", help="exact cdf on a dyadic grid")
-    _add_common(p); _opt(p, "measure", "depth"); p.set_defaults(handler=_cmd_measure_grid)
-
-    doubling_p = sub.add_parser("doubling", help="doubling-ratio scans and fits")
-    doubling_sub = doubling_p.add_subparsers(dest="verb", required=True)
-    p = doubling_sub.add_parser("scan", help="certified ratio scan with window fits")
-    _add_common(p); _opt(p, "measure", "depth")
-    p.add_argument("--no-fit", action="store_true", default=None)
-    p.set_defaults(handler=_cmd_doubling_scan)
-
-    certify_p = sub.add_parser("certify", help="fatness/thinness certificates")
-    certify_sub = certify_p.add_subparsers(dest="verb", required=True)
-    p = certify_sub.add_parser("fat", help="positive limit product for thick sets")
-    _add_common(p); _opt(p, "alpha", "t", "factor-scale")
-    p.set_defaults(handler=_cmd_certify_fat)
-    p = certify_sub.add_parser("thin", help="decay certificate for porous sets")
-    _add_common(p); _opt(p, "alpha", "s", "c", "epsilon")
-    p.set_defaults(handler=_cmd_certify_thin)
-    p = certify_sub.add_parser("cutout", help="survival bound after removing balls")
-    _add_common(p); _opt(p, "measure", "scan-depth", "n-total", "n-balls", "r", "p")
-    p.set_defaults(handler=_cmd_certify_cutout)
-    p = certify_sub.add_parser("logfloor", help="log-floor removal schedule mass")
-    _add_common(p); _opt(p, "p", "stages"); p.set_defaults(handler=_cmd_certify_logfloor)
-
-    qs_p = sub.add_parser("qs", help="increasing-map view and ratio scans")
-    qs_sub = qs_p.add_subparsers(dest="verb", required=True)
-    p = qs_sub.add_parser("scan", help="empirical distortion envelope")
-    _add_common(p); _opt(p, "measure", "depth", "random-triples")
-    p.set_defaults(handler=_cmd_qs_scan)
-    p = qs_sub.add_parser("pullback", help="doubling constant through a gauge value")
-    _add_common(p); _opt(p, "C", "eta2"); p.set_defaults(handler=_cmd_qs_pullback)
-
-    example_p = sub.add_parser("example", help="named end-to-end experiments")
-    example_p.add_argument("name", choices=experiments.EXPERIMENT_NAMES)
-    _add_common(example_p)
-    example_p.add_argument("--override", help="JSON object of experiment overrides")
-    example_p.add_argument(
-        "--set", action="append", help="KEY=VALUE override; a JSON object or array value is decoded"
-    )
-    example_p.set_defaults(handler=_cmd_example)
-
+    topics = parser.add_subparsers(dest="topic", required=True)
+    verbs = {}
+    for topic, verb, help_text, handler, options, common in VERBS:
+        if verb is None:
+            p = topics.add_parser(topic, help=help_text)
+        else:
+            if topic not in verbs:
+                topic_p = topics.add_parser(topic, help=_TOPICS[topic])
+                verbs[topic] = topic_p.add_subparsers(dest="verb", required=True)
+            p = verbs[topic].add_parser(verb, help=help_text)
+        for name in common:
+            p.add_argument(f"--{name}", **_COMMON[name])
+        for option in options:
+            name, kwargs = (f"--{option}", {}) if isinstance(option, str) else option
+            p.add_argument(name, **kwargs)
+        p.set_defaults(handler=handler, **dict.fromkeys(_RUN_FLAGS))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        config = _load_config(getattr(args, "config", None))
-        with geom.node_budget(args.max_nodes):
+        config = _load_config(args.config)
+        with geom.caps(args.max_depth, args.max_nodes):
             report, status = args.handler(args, config)
-    except DmlabError as exc:
-        print(
-            json.dumps({"error": str(exc), "kind": type(exc).__name__}),
-            file=sys.stderr,
-        )
-        return ERROR
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (DmlabError, OSError, ValueError) as exc:
         print(json.dumps({"error": str(exc), "kind": type(exc).__name__}), file=sys.stderr)
         return ERROR
 

@@ -33,7 +33,7 @@ from .errors import (
     PreconditionViolated,
     ZeroMassBall,
 )
-from .geom import check_nodes, closed, realized_beta_max
+from .geom import check_depth, check_nodes, closed, realized_beta_max
 from .measure import (
     MassBracket,
     TreeMeasure,
@@ -520,6 +520,7 @@ def doubling_scan(
     seed: int = 0,
     bits: int = DEFAULT_BITS,
 ) -> DoublingReport:
+    check_depth(depth)
     c_upper, c_lower, witness, exact, notes, per_scale = scan_core(m, depth)
     s_up = log2_bounds(c_upper, bits).hi
     s_lo = log2_bounds(c_lower, bits).lo if c_lower >= 1 else Fraction(0)

@@ -57,10 +57,6 @@ def add_bounds(a: Bounds, b: Bounds) -> Bounds:
     return Bounds(a.lo + b.lo, a.hi + b.hi)
 
 
-def neg_bounds(a: Bounds) -> Bounds:
-    return Bounds(-a.hi, -a.lo)
-
-
 def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 

@@ -26,6 +26,14 @@ EXPERIMENT_NAMES = (
 
 SCHEMA = "dmlab-report/1"
 
+# The run-time flags an experiment honours: "seed" for a random draw,
+# "max_depth" / "max_nodes" for a depth or node check on its path; an
+# experiment not listed honours none.
+HONOURED_FLAGS = {
+    "middle_cantor": ("max_depth", "max_nodes"),
+    "cutout_fat": ("seed", "max_depth", "max_nodes"),
+}
+
 
 def _frac(overrides: dict, key: str, default: Fraction) -> Fraction:
     if key in overrides:
@@ -301,8 +309,9 @@ def run_cutout_fat(overrides: dict) -> dict:
     r = _frac(overrides, "r", Fraction(1))
     p = _frac(overrides, "p", Fraction(1, 4))
     eval_depth = _int(overrides, "eval_depth", 20)
+    seed = _int(overrides, "seed", 0)
 
-    scan = doubling.doubling_scan(m, scan_depth)
+    scan = doubling.doubling_scan(m, scan_depth, seed=seed)
     balls = [geom.closed(0, Fraction(1, 1 << i)) for i in range(1, n_total + 1)]
     diam_family = seq.Geometric(Fraction(1, 2), Fraction(1, 2))
     config = geom.CutOutConfig(balls, diam_family=diam_family)

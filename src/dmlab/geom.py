@@ -32,53 +32,40 @@ from .errors import (
 )
 from .seq import SequenceFamily, term
 
-DEFAULT_MAX_DEPTH = 32
-DEFAULT_MAX_NODES = 1 << 20
+DEFAULT_CAPS = {"depth": 32, "nodes": 1 << 20}
 
-
-def resolve_depth_cap(explicit: int | None = None) -> int:
-    """CLI flag beats the DMLAB_MAX_DEPTH environment override beats default."""
-    if explicit is not None:
-        return explicit
-    env = os.environ.get("DMLAB_MAX_DEPTH")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise PreconditionViolated(f"bad DMLAB_MAX_DEPTH {env!r}") from exc
-    return DEFAULT_MAX_DEPTH
-
-
-_SCOPED_NODE_CAP: ContextVar[int | None] = ContextVar("node_cap", default=None)
+_SCOPED_CAPS: ContextVar[dict] = ContextVar("caps", default={})
 
 
 @contextmanager
-def node_budget(max_nodes: int | None) -> Iterator[None]:
-    """Within the block, every node check uses max_nodes (None keeps the
-    environment override or the default)."""
-    token = _SCOPED_NODE_CAP.set(max_nodes)
+def caps(max_depth: int | None = None, max_nodes: int | None = None) -> Iterator[None]:
+    """Within the block, every depth and node check uses these caps (None
+    keeps the environment override or the default)."""
+    token = _SCOPED_CAPS.set({"depth": max_depth, "nodes": max_nodes})
     try:
         yield
     finally:
-        _SCOPED_NODE_CAP.reset(token)
+        _SCOPED_CAPS.reset(token)
 
 
-def resolve_node_cap() -> int:
-    """A `node_budget` scope beats DMLAB_MAX_NODES beats the default."""
-    scoped = _SCOPED_NODE_CAP.get()
-    if scoped is not None:
-        return scoped
-    env = os.environ.get("DMLAB_MAX_NODES")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise PreconditionViolated(f"bad DMLAB_MAX_NODES {env!r}") from exc
-    return DEFAULT_MAX_NODES
+def resolve_cap(kind: str, explicit: int | None = None) -> int:
+    """The "depth" or "nodes" cap: an explicit cap beats a `caps` scope beats
+    DMLAB_MAX_DEPTH / DMLAB_MAX_NODES beats the default."""
+    cap = explicit if explicit is not None else _SCOPED_CAPS.get().get(kind)
+    if cap is not None:
+        return cap
+    name = f"DMLAB_MAX_{kind.upper()}"
+    env = os.environ.get(name)
+    if env is None:
+        return DEFAULT_CAPS[kind]
+    try:
+        return int(env)
+    except ValueError as exc:
+        raise PreconditionViolated(f"bad {name} {env!r}") from exc
 
 
 def check_depth(depth: int, max_depth: int | None = None) -> None:
-    cap = resolve_depth_cap(max_depth)
+    cap = resolve_cap("depth", max_depth)
     if depth < 0:
         raise PreconditionViolated("depth must be >= 0")
     if depth > cap:
@@ -88,7 +75,7 @@ def check_depth(depth: int, max_depth: int | None = None) -> None:
 def check_nodes(count: int) -> None:
     """Refuse to materialize `count` entries beyond the node cap; call it
     before the allocation."""
-    cap = resolve_node_cap()
+    cap = resolve_cap("nodes")
     if count > cap:
         raise NodeBudgetExceeded(f"{count} nodes exceed the node cap {cap}")
 
@@ -471,8 +458,8 @@ def build_porous(
     alpha*len/2 < L <= alpha*len, the scale the decay certificate needs.
     """
     check_depth(depth, max_depth)
-    level_cap = resolve_depth_cap(max_level)
-    node_cap = resolve_node_cap()
+    level_cap = resolve_cap("depth", max_level)
+    node_cap = resolve_cap("nodes")
     stages: list[tuple[DyadicPiece, ...]] = [(DyadicPiece(0, 0),)]
     removed: list[tuple[DyadicPiece, ...]] = []
     for n in range(1, depth + 1):

@@ -23,6 +23,7 @@ from .geom import (
     ConstructionTree,
     CutOutConfig,
     RationalInterval,
+    check_depth,
     check_nodes,
     closed,
     remaining_set,
@@ -276,6 +277,7 @@ def cutout_mass(
     m: TreeMeasure, config: CutOutConfig, n_balls: int, depth: int
 ) -> MassBracket:
     """Bracket the mass surviving after the first n_balls are removed."""
+    check_depth(depth)
     pieces = remaining_set(config, n_balls, depth=None)
     total = EXACT_ZERO
     for piece in pieces:

@@ -206,17 +206,6 @@ def qs_ratio_scan(
     return rows
 
 
-def ratio_rows_csv(rows: list[RatioScanRow]) -> str:
-    """CSV with columns tau, max_ratio_num, max_ratio_den, witness."""
-    out = ["tau,max_ratio_num,max_ratio_den,witness"]
-    for row in rows:
-        wit = " ".join(str(v) for v in row.witness)
-        out.append(
-            f"{row.tau},{row.max_ratio.numerator},{row.max_ratio.denominator},{wit}"
-        )
-    return "\n".join(out) + "\n"
-
-
 def pullback_constant(
     c: Fraction, eta2: Fraction, bits: int = DEFAULT_BITS
 ) -> Bounds:

@@ -166,10 +166,6 @@ def term(f: SequenceFamily, n: int) -> Fraction:
     raise InvalidFamily(f"unknown family {f!r}")
 
 
-def terms_prefix(f: SequenceFamily, count: int) -> list[Fraction]:
-    return [term(f, n) for n in range(1, count + 1)]
-
-
 def sup_term(f: SequenceFamily) -> Fraction:
     """Exact supremum of the terms (every family here is non-increasing)."""
     if isinstance(f, ExplicitFinite):

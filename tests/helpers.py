@@ -460,3 +460,16 @@ def qs_ratio_scan_oracle(m, depth: int, taus, random_triples=0, seed=0):
             offer(Fraction(abs(j - jy), abs(j - jz)), abs(grid[j] - grid[jy]) / den,
                   (point(j), point(jy), point(jz)))
     return [(t, best[t][0], best[t][1]) for t in taus if best[t] is not None]
+
+
+# --- formatting -------------------------------------------------------------------
+
+
+def ratio_rows_csv(rows) -> str:
+    """`qs_ratio_scan` rows as CSV with columns tau, max_ratio_num,
+    max_ratio_den, witness."""
+    out = ["tau,max_ratio_num,max_ratio_den,witness"]
+    for row in rows:
+        wit = " ".join(str(v) for v in row.witness)
+        out.append(f"{row.tau},{row.max_ratio.numerator},{row.max_ratio.denominator},{wit}")
+    return "\n".join(out) + "\n"

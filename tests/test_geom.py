@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmlab.errors import (
+    DepthBudgetExceeded,
     EmptyRemainder,
     FailsThickness,
     IndexOutOfRange,
@@ -21,23 +22,23 @@ from dmlab.geom import (
     RationalInterval,
     build_cantor,
     build_porous,
+    caps,
     closed,
     inflate,
     interval_contains,
     intervals_intersect,
     largest_gap,
     merge_components,
-    node_budget,
     open_interval,
     remaining_set,
-    resolve_node_cap,
+    resolve_cap,
     subtract_intervals,
     thick_from_cantor,
     union_length,
     verify_thick,
 )
-from dmlab.doubling import fit_mass_window, scan_core
-from dmlab.measure import BinomialWeights, TreeMeasure, dyadic_cdf_grid
+from dmlab.doubling import doubling_scan, fit_mass_window, scan_core
+from dmlab.measure import BinomialWeights, TreeMeasure, cutout_mass, dyadic_cdf_grid
 from dmlab.seq import Constant, ExplicitFinite, Geometric, term
 
 from helpers import direct_product, union_length_oracle
@@ -172,18 +173,18 @@ class TestCantorConstruction:
 class TestNodeBudget:
     def test_scope_sets_the_cap(self, monkeypatch):
         monkeypatch.setenv("DMLAB_MAX_NODES", "64")
-        assert resolve_node_cap() == 64
-        with node_budget(8):
-            assert resolve_node_cap() == 8
+        assert resolve_cap("nodes") == 64
+        with caps(max_nodes=8):
+            assert resolve_cap("nodes") == 8
             with pytest.raises(NodeBudgetExceeded):
                 build_cantor(Constant(Fraction(1, 3)), 4)
-        with node_budget(None):
-            assert resolve_node_cap() == 64
-        assert resolve_node_cap() == 64
+        with caps(max_nodes=None):
+            assert resolve_cap("nodes") == 64
+        assert resolve_cap("nodes") == 64
 
     def test_scope_reaches_grid_scan_and_fit(self):
         m = TreeMeasure(BinomialWeights(Fraction(1, 3)))
-        with node_budget(15):
+        with caps(max_nodes=15):
             with pytest.raises(NodeBudgetExceeded):
                 dyadic_cdf_grid(m, 4)
             with pytest.raises(NodeBudgetExceeded):
@@ -191,6 +192,23 @@ class TestNodeBudget:
             with pytest.raises(NodeBudgetExceeded):
                 fit_mass_window(m, 4, c_upper=Fraction(3))
         assert len(dyadic_cdf_grid(m, 4)) == 17
+
+    def test_scope_carries_the_depth_cap(self, monkeypatch):
+        monkeypatch.setenv("DMLAB_MAX_DEPTH", "6")
+        monkeypatch.delenv("DMLAB_MAX_NODES", raising=False)
+        assert resolve_cap("depth") == 6
+        m = TreeMeasure(BinomialWeights(Fraction(1, 3)))
+        with caps(max_depth=3):
+            assert resolve_cap("depth") == 3
+            assert resolve_cap("depth", 5) == 5
+            assert resolve_cap("nodes") == 1 << 20
+            with pytest.raises(DepthBudgetExceeded):
+                build_cantor(Constant(Fraction(1, 3)), 4)
+            with pytest.raises(DepthBudgetExceeded):
+                doubling_scan(m, 4, fit=False)
+            with pytest.raises(DepthBudgetExceeded):
+                cutout_mass(m, CutOutConfig([closed(0, Fraction(1, 2))]), 1, 4)
+        assert len(build_cantor(Constant(Fraction(1, 3)), 4).nodes) == 5
 
 
 class TestCutOut:

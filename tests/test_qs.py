@@ -13,9 +13,10 @@ from dmlab.qs import (
     measure_from_map,
     pullback_constant,
     qs_ratio_scan,
-    ratio_rows_csv,
     tabulate,
 )
+
+from helpers import ratio_rows_csv
 
 
 def binom(p) -> TreeMeasure:
