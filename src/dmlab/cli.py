@@ -396,19 +396,27 @@ def _cmd_example(args, config):
     for flag in _RUN_FLAGS:
         if getattr(args, flag) is not None and flag not in honoured:
             raise DmlabError(f"example {args.name} takes no --{flag.replace('_', '-')}")
-    overrides = dict(config)
-    if args.seed is not None:
-        overrides["seed"] = args.seed
+    given = {}
     if args.override:
-        data = json.loads(args.override)
-        if not isinstance(data, dict):
+        given = json.loads(args.override)
+        if not isinstance(given, dict):
             raise DmlabError("--override must be a JSON object")
-        overrides.update(data)
     for item in args.set or []:
         if "=" not in item:
             raise DmlabError(f"--set needs KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
-        overrides[key.strip()] = _set_value(value.strip())
+        given[key.strip()] = _set_value(value.strip())
+    known = experiments.OVERRIDE_KEYS[args.name]
+    unknown = [key for key in given if key not in known]
+    if unknown:
+        raise DmlabError(
+            f"example {args.name} reads no override {', '.join(map(repr, unknown))}; "
+            f"it reads: {', '.join(known) or 'none'}"
+        )
+    overrides = dict(config)
+    if args.seed is not None:
+        overrides["seed"] = args.seed
+    overrides.update(given)
     overrides.pop("config", None)
     report = experiments.run_experiment(args.name, overrides)
     return report, report["status"]
@@ -429,10 +437,10 @@ _COMMON = {
     "max-nodes": {"type": int, "help": "hard node cap; beats DMLAB_MAX_NODES"},
 }
 _RUN_FLAGS = ("seed", "max_depth", "max_nodes")
-_IO = ("out", "plot", "config")
-_DEPTH = _IO + ("max-depth",)
-_CAPS = _DEPTH + ("max-nodes",)
-_ALL = _CAPS + ("seed",)
+_IO = ("out", "config")
+_PLOT = _IO + ("plot",)  # for verbs whose report has plot series
+_CAPS = ("max-depth", "max-nodes")
+_RUN = _CAPS + ("seed",)
 
 _TOPICS = {
     "seq": "sequence families",
@@ -449,31 +457,31 @@ _TOPICS = {
 VERBS = (
     ("seq", "classify", "summability class of term^p", _cmd_seq_classify, ("family", "p"), _IO),
     ("seq", "tail", "certified tail sum upper bound", _cmd_seq_tail, ("family", "p", "from"), _IO),
-    ("cantor", "build", "middle-gap construction tree", _cmd_cantor_build, ("beta", "depth"), _CAPS),
+    ("cantor", "build", "middle-gap construction tree", _cmd_cantor_build, ("beta", "depth"), _PLOT + _CAPS),
     ("cantor", "cutout", "components left after removing balls", _cmd_cantor_cutout,
      ("balls", "nested", "n-balls", "diam-family"), _IO),
     ("measure", "mass", "bracket the mass of an interval", _cmd_measure_mass,
-     ("measure", "lo", "hi", "depth"), _DEPTH),
-    ("measure", "grid", "exact cdf on a dyadic grid", _cmd_measure_grid, ("measure", "depth"), _CAPS),
+     ("measure", "lo", "hi", "depth"), _IO + ("max-depth",)),
+    ("measure", "grid", "exact cdf on a dyadic grid", _cmd_measure_grid, ("measure", "depth"), _PLOT + _CAPS),
     ("doubling", "scan", "certified ratio scan with window fits", _cmd_doubling_scan,
-     ("measure", "depth", ("--no-fit", {"action": "store_true", "default": None})), _ALL),
+     ("measure", "depth", ("--no-fit", {"action": "store_true", "default": None})), _PLOT + _RUN),
     ("certify", "fat", "positive limit product for thick sets", _cmd_certify_fat,
      ("alpha", "t", "factor-scale"), _IO),
     ("certify", "thin", "decay certificate for porous sets", _cmd_certify_thin,
-     ("alpha", "s", "c", "epsilon"), _IO),
+     ("alpha", "s", "c", "epsilon"), _PLOT),
     ("certify", "cutout", "survival bound after removing balls", _cmd_certify_cutout,
-     ("measure", "scan-depth", "n-total", "n-balls", "r", "p"), _ALL),
+     ("measure", "scan-depth", "n-total", "n-balls", "r", "p"), _IO + _RUN),
     ("certify", "logfloor", "log-floor removal schedule mass", _cmd_certify_logfloor,
-     ("p", "stages"), _IO),
+     ("p", "stages"), _PLOT),
     ("qs", "scan", "empirical distortion envelope", _cmd_qs_scan,
-     ("measure", "depth", "random-triples"), _ALL),
+     ("measure", "depth", "random-triples"), _PLOT + _RUN),
     ("qs", "pullback", "doubling constant through a gauge value", _cmd_qs_pullback, ("C", "eta2"), _IO),
     ("example", None, "named end-to-end experiments", _cmd_example, (
         ("name", {"choices": experiments.EXPERIMENT_NAMES}),
         ("--override", {"help": "JSON object of experiment overrides"}),
         ("--set", {"action": "append",
                    "help": "KEY=VALUE override; a JSON object or array value is decoded"}),
-    ), _ALL),
+    ), _PLOT + _RUN),
 )
 
 
@@ -497,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
         for option in options:
             name, kwargs = (f"--{option}", {}) if isinstance(option, str) else option
             p.add_argument(name, **kwargs)
-        p.set_defaults(handler=handler, **dict.fromkeys(_RUN_FLAGS))
+        p.set_defaults(handler=handler, plot=None, **dict.fromkeys(_RUN_FLAGS))
     return parser
 
 
@@ -508,6 +516,8 @@ def main(argv=None) -> int:
         config = _load_config(args.config)
         with geom.caps(args.max_depth, args.max_nodes):
             report, status = args.handler(args, config)
+        if args.plot and not report.get("plot"):
+            raise DmlabError("this report has no plot series for --plot to write")
     except (DmlabError, OSError, ValueError) as exc:
         print(json.dumps({"error": str(exc), "kind": type(exc).__name__}), file=sys.stderr)
         return ERROR

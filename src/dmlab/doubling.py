@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from math import lcm
 from operator import sub
 from typing import NamedTuple
 
@@ -35,11 +36,9 @@ from .errors import (
 )
 from .geom import check_depth, check_nodes, closed, realized_beta_max
 from .measure import (
-    MassBracket,
     TreeMeasure,
     ball_mass,
     dyadic_cdf_numerators,
-    effective_depth,
     interval_mass,
     leaf_prefix_mass,
     level_numerators,
@@ -91,41 +90,62 @@ class DoublingReport:
 
 
 class _MassOracle:
-    """Uniform exact-or-bracket ball masses for the scan grids.
+    """Ball masses for the scan grids as fractions of integers.
 
-    When the measure splits on the dyadic base down to depth + 1, the cdf on
-    that grid is kept as integer numerators `cdf` over one denominator `den`.
-    Every scan ball then has grid endpoints, and a ratio of two ball masses is
-    a ratio of two integer differences: the denominator cancels.
+    Ball ends are integers over `unit`. A ball is bracketed at the query
+    level cap as `interval_mass` brackets it: lower is the mass of the
+    leaves inside the ball, upper the mass of the leaves whose interior
+    meets it, each a difference of two leaf-prefix masses P(j) whose
+    indices come from two bisections over the leaf edges `lows`/`highs`.
 
-    Otherwise balls are bracketed by `interval_mass` at `eval_depth`, with
-    the leaf-prefix masses it needs memoized per oracle: a scan's balls hit
-    at most 2^cap + 1 leaf indices."""
+    When the measure splits on the dyadic base down to depth + 1 (`grid`),
+    cap is depth + 1 and P is the cdf grid `cdf`, integer numerators over
+    one denominator; every scan ball is then a union of leaves and exact.
+    Otherwise each P(j) is kept reduced, as `num[j] / den[j]`: one common
+    denominator would carry the share denominators of all 2^cap - 1 nodes,
+    P(j) only those on leaf j's path."""
 
     def __init__(self, m: TreeMeasure, depth: int):
-        self.m = m
-        self.depth = depth
-        self.cdf: list[int] | None = None
-        self.den = 1
-        if m.base is None and depth + 1 <= m.split_depth:
-            self.cdf, self.den = dyadic_cdf_numerators(m, depth + 1)
-        self.eval_depth = m.split_depth if m.base is not None else min(
-            depth + 8, m.split_depth
-        )
-        self.prefix = lru_cache(maxsize=None)(
-            partial(leaf_prefix_mass, m, effective_depth(m, self.eval_depth))
-        )
+        cap = min(depth + 1, m.split_depth) if m.base is None else m.split_depth
+        self.grid = m.base is None and cap == depth + 1
+        if self.grid:
+            self.cdf, _ = dyadic_cdf_numerators(m, cap)
+            self.unit = 1 << cap
+            return
+        check_nodes(1 << cap)
+        if m.base is None:
+            self.unit = 1 << (depth + 1)
+            width = self.unit >> cap
+            self.lows = range(0, self.unit, width)
+            self.highs = range(width, self.unit + width, width)
+        else:
+            den, lows, highs = m.base.level_edges(cap)
+            # node ends at every level are leaf edges (children keep their
+            # parent's outer ends), the scan halves them for midpoints, and
+            # fit_ratio_decay's centers are dyadic at depth + 1
+            self.unit = lcm(2 * den, 1 << (depth + 1))
+            scale = self.unit // den
+            self.lows = [e * scale for e in lows]
+            self.highs = [e * scale for e in highs]
+        prefix = [leaf_prefix_mass(m, cap, j) for j in range((1 << cap) + 1)]
+        self.num = [p.numerator for p in prefix]
+        self.den = [p.denominator for p in prefix]
 
-    def ball(self, x: Fraction, r: Fraction) -> MassBracket:
-        lo = max(Fraction(0), x - r)
-        hi = min(Fraction(1), x + r)
-        if self.cdf is not None:
-            scale = 1 << (self.depth + 1)
-            li, hi_i = lo * scale, hi * scale
-            if li.denominator == 1 and hi_i.denominator == 1:
-                v = Fraction(self.cdf[int(hi_i)] - self.cdf[int(li)], self.den)
-                return MassBracket(v, v)
-        return interval_mass(self.m, (lo, hi), self.eval_depth, self.prefix)
+    def bracket(self, lo: int, hi: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        """(lower, upper) bracket of mu([lo / unit, hi / unit]) for
+        0 <= lo <= hi <= unit, each a (numerator, denominator) pair; on the
+        grid the cdf's common denominator is left out, as every ratio
+        cancels it."""
+        if self.grid:
+            v = (self.cdf[hi] - self.cdf[lo], 1)
+            return v, v
+        lows, highs, num, den = self.lows, self.highs, self.num, self.den
+        e, f = bisect_left(lows, hi), bisect_right(highs, lo)
+        upper = num[e] * den[f] - num[f] * den[e], den[e] * den[f]
+        e, f = bisect_right(highs, hi), bisect_left(lows, lo)
+        if e <= f:  # no leaf lies inside
+            return (0, 1), upper
+        return (num[e] * den[f] - num[f] * den[e], den[e] * den[f]), upper
 
 
 def _scan_centers(m: TreeMeasure, depth: int) -> list[Fraction]:
@@ -176,57 +196,71 @@ def _grid_pass(cdf: list[int], depth: int) -> tuple[list[tuple[int, int, int | N
     return per_scale, skipped
 
 
+def _bracket_pass(oracle: _MassOracle, centers: list[Fraction], depth: int) -> tuple:
+    """The scan over bracketed balls, in the same (k, x) order as the grid
+    pass: scan_core skips a small ball without certified mass, the
+    per-scale maxima skip only one that certainly has none. The ball at
+    radius 2^-(k-1) is the doubled ball at scale k, so each center needs
+    depth + 1 brackets. Ratios are compared by cross-multiplication."""
+    unit = oracle.unit
+    xs = [x.numerator * (unit // x.denominator) for x in centers]
+
+    def balls(k: int) -> list:
+        h = unit >> k
+        return [oracle.bracket(max(0, x - h), min(unit, x + h)) for x in xs]
+
+    up_n, up_d = 0, 1  # c_upper
+    lo_n, lo_d = 0, 1  # c_lower
+    witness = None  # (k, center index)
+    exact = True
+    skipped = 0
+    per_scale = []
+    big_row = balls(0)
+    for k in range(1, depth + 1):
+        row = balls(k)
+        best_n, best_d = 0, 1
+        for i, (((sl, sl_d), (su, su_d)), ((bl, bl_d), (bu, bu_d))) in enumerate(zip(row, big_row)):
+            if su:  # ratio lower bound big.lower / small.upper
+                rn, rd = bl * su_d, bl_d * su
+                if rn * best_d > best_n * rd:
+                    best_n, best_d = rn, rd
+            if not sl:
+                skipped += 1
+                continue
+            exact = exact and sl * su_d == su * sl_d and bl * bu_d == bu * bl_d
+            qn, qd = bu * sl_d, bu_d * sl  # ratio upper bound big.upper / small.lower
+            if qn * up_d > up_n * qd:
+                up_n, up_d = qn, qd
+            if rn * lo_d > lo_n * rd:
+                lo_n, lo_d, witness = rn, rd, (k, i)
+        per_scale.append((k, Fraction(best_n, best_d)))
+        big_row = row
+    c_lower = Fraction(lo_n, lo_d)
+    if witness is not None:
+        k, i = witness
+        witness = ScanWitness(x=centers[i], r=Fraction(1, 1 << k), ratio_lower=c_lower)
+    return Fraction(up_n, up_d), c_lower, witness, exact and not skipped, skipped, per_scale
+
+
 def _scan_pass(m: TreeMeasure, depth: int) -> tuple:
     """One pass over the scan grid: (c_upper, c_lower, witness or None,
     exact, skipped, per-scale maxima)."""
     oracle = _MassOracle(m, depth)
-    if oracle.cdf is not None:
-        rows, skipped = _grid_pass(oracle.cdf, depth)
-        per_scale = []
-        c_lower = Fraction(0)
-        witness = None
-        for k, (big, small, i) in enumerate(rows, start=1):
-            ratio = Fraction(0) if i is None else Fraction(big, small)
-            per_scale.append((k, ratio))
-            if ratio > c_lower:
-                c_lower = ratio
-                witness = ScanWitness(
-                    x=Fraction(i, 1 << (depth + 1)), r=Fraction(1, 1 << k), ratio_lower=ratio
-                )
-        return c_lower, c_lower, witness, not skipped, skipped, per_scale
-
-    # bracket path: scan_core skips a small ball without certified mass,
-    # the per-scale maxima skip only one that certainly has none
-    centers = _scan_centers(m, depth)
-    c_upper = Fraction(0)
+    if not oracle.grid:
+        return _bracket_pass(oracle, _scan_centers(m, depth), depth)
+    rows, skipped = _grid_pass(oracle.cdf, depth)
+    per_scale = []
     c_lower = Fraction(0)
     witness = None
-    exact = True
-    skipped = 0
-    per_scale = []
-    for k in range(1, depth + 1):
-        r = Fraction(1, 1 << k)
-        best = Fraction(0)
-        for x in centers:
-            small = oracle.ball(x, r)
-            big = oracle.ball(x, 2 * r)
-            if small.upper != 0:
-                lo = big.lower / small.upper
-                if lo > best:
-                    best = lo
-            if small.lower == 0:
-                skipped += 1
-                exact = False
-                continue
-            up = big.upper / small.lower
-            exact = exact and small.is_exact and big.is_exact
-            if up > c_upper:
-                c_upper = up
-            if lo > c_lower:
-                c_lower = lo
-                witness = ScanWitness(x=x, r=r, ratio_lower=lo)
-        per_scale.append((k, best))
-    return c_upper, c_lower, witness, exact, skipped, per_scale
+    for k, (big, small, i) in enumerate(rows, start=1):
+        ratio = Fraction(0) if i is None else Fraction(big, small)
+        per_scale.append((k, ratio))
+        if ratio > c_lower:
+            c_lower = ratio
+            witness = ScanWitness(
+                x=Fraction(i, 1 << (depth + 1)), r=Fraction(1, 1 << k), ratio_lower=ratio
+            )
+    return c_lower, c_lower, witness, not skipped, skipped, per_scale
 
 
 def scan_core(m: TreeMeasure, depth: int) -> ScanResult:
@@ -293,61 +327,46 @@ def fit_ratio_decay(
     _guard_tree_perfectness(m)
     oracle = _MassOracle(m, depth)
 
-    # Concentric pairs: center x = c / 2^(depth+1), radii R = 2^-j and R / 2^l.
-    # Every such ball has endpoints on the oracle's grid.
+    # Concentric pairs: center x = c / 2^(depth+1), radii R = 2^-j and R / 2^l,
+    # the balls' ends scaled to the oracle's unit.
     n = 1 << (depth + 1)
-    cdf = oracle.cdf
+    step = oracle.unit // n
+    bracket = oracle.bracket
+
+    def ball(c: int, h: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        return bracket((c - h) * step, (c + h) * step)
 
     def pair_ratio(c: int, j: int, l: int) -> Fraction | None:
         """Certified upper bound of mu(B(x, R/2^l)) / mu(B(x, R)), or None
         when the big ball has no certified mass."""
         big_h = n >> j
-        h = big_h >> l
-        if cdf is not None:
-            big = cdf[c + big_h] - cdf[c - big_h]
-            return Fraction(cdf[c + h] - cdf[c - h], big) if big else None
-        x = Fraction(c, n)
-        small = oracle.ball(x, Fraction(h, n))
-        big_b = oracle.ball(x, Fraction(big_h, n))
-        if big_b.lower == 0:
+        bn, bd = ball(c, big_h)[0]
+        if not bn:
             return None
-        return small.upper / big_b.lower
+        sn, sd = ball(c, big_h >> l)[1]
+        return Fraction(sn * bd, sd * bn)
 
-    # best certified ratio upper bound at each scale separation l
-    best: dict[int, Fraction] = {}
+    # best certified ratio upper bound at each scale separation l, kept as
+    # a pair of integers and compared by cross-multiplication
+    top: dict[int, tuple[int, int]] = {}
     pairs = 0
-    if cdf is not None:
-        # the same pairs on integer numerators, ratios compared by
-        # cross-multiplication
-        top: dict[int, tuple[int, int]] = {}  # l -> (small, big)
-        for j in range(1, depth):
-            big_h = n >> j
-            for c in range(big_h, n, big_h):
-                big = cdf[c + big_h] - cdf[c - big_h]
-                if not big:
-                    continue
-                pairs += depth - j + 1
-                for l in range(0, depth - j + 1):
-                    h = big_h >> l
-                    small = cdf[c + h] - cdf[c - h]
-                    cur = top.get(l)
-                    if cur is None:
-                        if small:
-                            top[l] = (small, big)
-                    elif small * cur[1] > cur[0] * big:
-                        top[l] = (small, big)
-        best = {l: Fraction(small, big) for l, (small, big) in top.items()}
-    else:
-        for j in range(1, depth):
-            big_h = n >> j
-            for c in range(big_h, n, big_h):  # interior centers i / 2^j
-                for l in range(0, depth - j + 1):
-                    ratio = pair_ratio(c, j, l)
-                    if ratio is None:
-                        continue
-                    pairs += 1
-                    if ratio > best.get(l, Fraction(0)):
-                        best[l] = ratio
+    for j in range(1, depth):
+        big_h = n >> j
+        for c in range(big_h, n, big_h):  # interior centers i / 2^j
+            bn, bd = ball(c, big_h)[0]
+            if not bn:
+                continue
+            pairs += depth - j + 1
+            for l in range(0, depth - j + 1):
+                sn, sd = ball(c, big_h >> l)[1]
+                num, den = sn * bd, sd * bn
+                cur = top.get(l)
+                if cur is None:
+                    if num:
+                        top[l] = (num, den)
+                elif num * cur[1] > cur[0] * den:
+                    top[l] = (num, den)
+    best = {l: Fraction(num, den) for l, (num, den) in top.items()}
     if not pairs:
         raise PreconditionViolated("no interior pair produced a certified ratio")
 

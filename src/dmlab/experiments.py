@@ -34,6 +34,18 @@ HONOURED_FLAGS = {
     "cutout_fat": ("seed", "max_depth", "max_nodes"),
 }
 
+# The override keys each experiment's runner reads; `dmlab example` refuses
+# any other key given by --set or --override.
+OVERRIDE_KEYS = {
+    "interval_packing": (),
+    "middle_cantor": ("beta", "n_partial", "cross_depth"),
+    "logfloor_removal": ("p", "stages", "deep_stage", "threshold"),
+    "porous_thin": ("alpha", "s", "c", "epsilon"),
+    "thick_fat": ("alpha", "t", "factor_scale"),
+    "cutout_fat": ("measure", "scan_depth", "n_total", "n_balls", "probe_n", "r", "p",
+                   "eval_depth", "seed"),
+}
+
 
 def _frac(overrides: dict, key: str, default: Fraction) -> Fraction:
     if key in overrides:
@@ -397,4 +409,4 @@ def run_experiment(name: str, overrides: dict | None = None) -> dict:
     if name not in _RUNNERS:
         known = ", ".join(EXPERIMENT_NAMES)
         raise PreconditionViolated(f"unknown experiment {name!r}; known: {known}")
-    return _RUNNERS[name](overrides or {})
+    return _RUNNERS[name]({} if overrides is None else overrides)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import accumulate
 from math import lcm
-from typing import Callable, Iterator, Union
+from typing import Iterator, Union
 
 from .errors import MisalignedTrees, PreconditionViolated, ZeroMassBall
 from .geom import (
@@ -225,12 +225,11 @@ def interval_mass(
     m: TreeMeasure,
     iv: RationalInterval | tuple[Fraction, Fraction],
     depth: int,
-    prefix: Callable[[int], Fraction] | None = None,
 ) -> MassBracket:
     """Bracket mu(iv) at the query level cap = effective_depth(m, depth):
     lower is the mass of the leaves inside iv, upper the mass of the leaves
     whose interior meets iv. Each is a difference of two leaf-prefix masses
-    P(j) (`leaf_prefix_mass`); `prefix` may supply a memo of P at cap.
+    P(j) (`leaf_prefix_mass`).
 
     Single points carry no mass, so the query is evaluated on its closed hull;
     open or half-open intervals get the same bracket as their closure. iv
@@ -243,8 +242,7 @@ def interval_mass(
             raise PreconditionViolated(f"interval [{lo}, {hi}] is reversed")
         return EXACT_ZERO
     cap = effective_depth(m, depth)
-    if prefix is None:
-        prefix = partial(leaf_prefix_mass, m, cap)
+    prefix = partial(leaf_prefix_mass, m, cap)
     first_in, end_in, first_touch, end_touch = _leaf_runs(m, cap, lo, hi)
     upper = prefix(end_touch) - prefix(first_touch)
     if end_in <= first_in:

@@ -80,6 +80,32 @@ class TestOutputs:
         assert lines[0] == "series,x,y_num,y_den,y_decimal"
         assert len(lines) > 1
 
+    @pytest.mark.parametrize("argv", [
+        ["seq", "classify", "--family", GEOM],
+        ["seq", "tail", "--family", GEOM],
+        ["cantor", "cutout", "--balls", '[["0", "1/2"]]'],
+        ["measure", "mass", "--measure", BINOM, "--lo", "0", "--hi", "1/2"],
+        ["certify", "fat", "--alpha", GEOM, "--t", "1", "--factor-scale", "1"],
+        ["certify", "cutout"],
+        ["qs", "pullback", "--C", "2", "--eta2", "2"],
+    ])
+    def test_plot_refused_by_verbs_without_series(self, capsys, tmp_path, argv):
+        plot_file = tmp_path / "curve.csv"
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--plot", str(plot_file)])
+        assert info.value.code == 1
+        assert capsys.readouterr().out == ""
+        assert not plot_file.exists()
+
+    @pytest.mark.parametrize("name", ["interval_packing", "thick_fat"])
+    def test_plot_refused_by_examples_without_series(self, capsys, tmp_path, name):
+        plot_file = tmp_path / "curve.csv"
+        code, out, err = run(capsys, "example", name, "--plot", str(plot_file))
+        assert code == 1
+        assert out == ""
+        assert "--plot" in json.loads(err)["error"]
+        assert not plot_file.exists()
+
     def test_pullback_is_exact_eight(self, capsys):
         code, out, _ = run(capsys, "qs", "pullback", "--C", "2", "--eta2", "2")
         assert code == 0
@@ -178,6 +204,17 @@ class TestExampleSet:
         code, _, err = run(capsys, "example", "logfloor_removal", "--set", "p=true")
         assert code == 1
         assert json.loads(err)["error"] == "malformed rational 'true'"
+
+    @pytest.mark.parametrize("argv, key", [
+        (["example", "interval_packing", "--set", "foo=1"], "'foo'"),
+        (["example", "cutout_fat", "--override", '{"scan_dept": 3}'], "'scan_dept'"),
+        (["example", "logfloor_removal", "--set", "p=2/3", "--set", "seed=1"], "'seed'"),
+    ])
+    def test_unknown_override_key_refused(self, capsys, argv, key):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert key in json.loads(err)["error"]
 
 
 class TestErrorContract:

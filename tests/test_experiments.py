@@ -3,7 +3,7 @@
 import pytest
 
 from dmlab.errors import PreconditionViolated
-from dmlab.experiments import EXPERIMENT_NAMES, run_experiment
+from dmlab.experiments import EXPERIMENT_NAMES, OVERRIDE_KEYS, run_experiment
 from dmlab.reports import dump_report
 
 
@@ -44,3 +44,26 @@ def test_logfloor_heavy_override_vanishes():
 def test_unknown_name_rejected():
     with pytest.raises(PreconditionViolated):
         run_experiment("free_lunch")
+
+
+class _ReadKeys(dict):
+    """An empty override dict that records every key a runner looks up."""
+
+    def __init__(self):
+        super().__init__()
+        self.read = set()
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("name", EXPERIMENT_NAMES)
+def test_override_keys_are_the_keys_read(name):
+    overrides = _ReadKeys()
+    run_experiment(name, overrides)
+    assert overrides.read == set(OVERRIDE_KEYS[name])

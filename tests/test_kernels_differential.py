@@ -8,7 +8,6 @@ the oracles in helpers.py, on the exact dyadic grid and on the bracket path;
 
 import random
 from fractions import Fraction
-from functools import lru_cache, partial
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,13 +18,11 @@ from dmlab.measure import (
     BinomialWeights,
     TableWeights,
     TreeMeasure,
-    effective_depth,
     interval_mass,
-    leaf_prefix_mass,
     restrict,
 )
 from dmlab.qs import DEFAULT_TAUS, QSMap, qs_ratio_scan
-from dmlab.seq import Constant
+from dmlab.seq import Constant, Geometric, Power
 
 from helpers import (
     fit_mass_window_oracle,
@@ -102,19 +99,46 @@ def test_grid_scan_matches_oracle(case):
     _check_scan(*case)
 
 
-@settings(max_examples=8, deadline=None)
-@given(st.integers(1, 3).flatmap(lambda n: st.tuples(tables(st.just(n)), st.integers(n, 4))))
+@st.composite
+def gap_families(draw):
+    """Constant, geometric and power gap fractions, all below 15/16, so the
+    ratio fit's perfectness guard lets every tree through."""
+    a = Fraction(draw(st.integers(1, 14)), 16)
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        return Constant(a)
+    if kind == 1:
+        return Geometric(a, Fraction(draw(st.integers(1, 3)), 4))
+    return Power(a, draw(st.integers(1, 2)), draw(st.integers(0, 2)))
+
+
+@st.composite
+def cantor_measures(draw, max_depth=5):
+    """A binomial or table measure restricted to a Cantor tree: gaps carry
+    no mass, so some balls have none."""
+    tree = build_cantor(draw(gap_families()), draw(st.integers(0, max_depth)))
+    return restrict(draw(st.one_of(binomials(), tables(st.integers(1, 8)))), tree)
+
+
+# trees deeper and shallower than scans of depth up to 6
+cantor_cases = st.tuples(cantor_measures(max_depth=6), st.integers(1, 6))
+# tables shallower than the scan: depth + 1 > levels
+shallow_table_cases = st.integers(1, 5).flatmap(
+    lambda n: st.tuples(tables(st.just(n)), st.integers(n, 6))
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(shallow_table_cases)
 def test_shallow_table_scan_matches_oracle(case):
     _check_scan(*case)
 
 
-@settings(max_examples=6, deadline=None)
-@given(st.integers(2, 6), st.integers(2, 3), st.integers(1, 3), shares)
-def test_cantor_scan_matches_oracle(gap_16ths, tree_depth, depth, p):
-    # gaps carry no mass, so some small balls have none: both skip rules run
-    tree = build_cantor(Constant(Fraction(gap_16ths, 16)), tree_depth)
-    m = restrict(TreeMeasure(BinomialWeights(p)), tree)
-    _check_scan(m, depth)
+@settings(max_examples=25, deadline=None)
+@given(cantor_cases)
+def test_cantor_scan_matches_oracle(case):
+    # both skip rules run where small balls fall in gaps
+    _check_scan(*case)
 
 
 def test_zero_measure_per_scale_matches_oracle():
@@ -134,18 +158,20 @@ def test_fits_match_oracle(case, seed):
 
 
 @settings(max_examples=20, deadline=None)
+@given(st.one_of(cantor_cases, shallow_table_cases).filter(lambda case: case[1] >= 2), st.integers(0, 3))
+def test_bracket_ratio_fit_matches_oracle(case, seed):
+    m, depth = case
+    got = _outcome(lambda: tuple(vars(fit_ratio_decay(m, depth, seed=seed)).values()))
+    assert got == _outcome(lambda: fit_ratio_decay_oracle(m, depth, seed=seed))
+
+
+@settings(max_examples=20, deadline=None)
 @given(grid_cases(), st.sampled_from([0, 50]), st.integers(0, 9))
 def test_qs_scan_matches_oracle(case, random_triples, seed):
     m, depth = case
     rows = qs_ratio_scan(QSMap(m), depth, random_triples=random_triples, seed=seed)
     expected = qs_ratio_scan_oracle(m, depth, DEFAULT_TAUS, random_triples, seed)
     assert [(r.tau, r.max_ratio, r.witness) for r in rows] == expected
-
-
-@st.composite
-def cantor_measures(draw):
-    tree = build_cantor(Constant(Fraction(draw(st.integers(1, 14)), 16)), draw(st.integers(0, 5)))
-    return restrict(draw(binomials()), tree)
 
 
 @st.composite
@@ -189,7 +215,6 @@ def test_interval_mass_matches_recursion(query):
     expected = (expected.lower, expected.upper)
     got = interval_mass(m, iv, depth)
     assert (got.lower, got.upper) == expected
-    # bare endpoints and a memo of the leaf-prefix masses give the same bracket
-    memo = lru_cache(maxsize=None)(partial(leaf_prefix_mass, m, effective_depth(m, depth)))
-    got = interval_mass(m, (iv.lo, iv.hi), depth, memo)
+    # bare endpoints give the same bracket
+    got = interval_mass(m, (iv.lo, iv.hi), depth)
     assert (got.lower, got.upper) == expected
