@@ -24,19 +24,36 @@ PASS, ERROR, INCONCLUSIVE = 0, 1, 2
 
 
 class _Parser(argparse.ArgumentParser):
-    # exit code 2 is reserved for inconclusive results; usage errors are errors
+    # a usage error is an error like any other: exit 1 (2 is reserved for
+    # inconclusive results) with one JSON line on stderr
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(ERROR, f"{self.prog}: error: {message}\n")
+        _print_error(f"{self.prog}: {message}", "UsageError")
+        self.exit(ERROR)
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
+def _print_error(message: str, kind: str) -> None:
+    print(json.dumps({"error": message, "kind": kind}), file=sys.stderr)
+
+
+def _load_config(args) -> dict:
+    """The --config file's option defaults; a key the verb does not read is
+    refused, as `example` refuses an unknown --set key."""
+    if not args.config:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(args.config, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise DmlabError("config file must hold a JSON object")
+    if args.topic == "example":
+        verb, known = f"example {args.name}", experiments.OVERRIDE_KEYS[args.name]
+    else:
+        verb, known = f"{args.topic} {args.verb}", args.options
+    unknown = [key for key in data if key not in known]
+    if unknown:
+        raise DmlabError(
+            f"{verb} reads no --config key {', '.join(map(repr, unknown))}; "
+            f"it reads: {', '.join(known) or 'none'}"
+        )
     return data
 
 
@@ -417,7 +434,6 @@ def _cmd_example(args, config):
     if args.seed is not None:
         overrides["seed"] = args.seed
     overrides.update(given)
-    overrides.pop("config", None)
     report = experiments.run_experiment(args.name, overrides)
     return report, report["status"]
 
@@ -502,10 +518,14 @@ def build_parser() -> argparse.ArgumentParser:
             p = verbs[topic].add_parser(verb, help=help_text)
         for name in common:
             p.add_argument(f"--{name}", **_COMMON[name])
+        names = []
         for option in options:
             name, kwargs = (f"--{option}", {}) if isinstance(option, str) else option
             p.add_argument(name, **kwargs)
-        p.set_defaults(handler=handler, plot=None, **dict.fromkeys(_RUN_FLAGS))
+            names.append(name.removeprefix("--"))
+        # the option names are the keys a --config file may set
+        p.set_defaults(handler=handler, options=tuple(names), plot=None,
+                       **dict.fromkeys(_RUN_FLAGS))
     return parser
 
 
@@ -513,25 +533,26 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        config = _load_config(args.config)
+        config = _load_config(args)
         with geom.caps(args.max_depth, args.max_nodes):
             report, status = args.handler(args, config)
         if args.plot and not report.get("plot"):
             raise DmlabError("this report has no plot series for --plot to write")
+        report.setdefault("schema", experiments.SCHEMA)
+        text = reports.dump_report(report)
+        # files first, so a file that cannot be written leaves stdout empty
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        if args.plot:
+            with open(args.plot, "w", encoding="utf-8") as fh:
+                fh.write(reports.emit_plotdata(report))
     except (DmlabError, OSError, ValueError) as exc:
-        print(json.dumps({"error": str(exc), "kind": type(exc).__name__}), file=sys.stderr)
+        _print_error(str(exc), type(exc).__name__)
         return ERROR
 
-    report.setdefault("schema", experiments.SCHEMA)
-    text = reports.dump_report(report)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
-    if args.plot:
-        with open(args.plot, "w", encoding="utf-8") as fh:
-            fh.write(reports.emit_plotdata(report))
     print(f"elapsed: {time.monotonic() - started:.3f}s", file=sys.stderr)
     if status == "pass":
         return PASS

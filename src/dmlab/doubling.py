@@ -14,14 +14,17 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, bisect_right
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import sub
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .enclosure import (
     DEFAULT_BITS,
+    exp2_64ths,
     exp2_bounds,
     log2_bounds,
     mul_bounds,
@@ -109,7 +112,7 @@ class _MassOracle:
         cap = min(depth + 1, m.split_depth) if m.base is None else m.split_depth
         self.grid = m.base is None and cap == depth + 1
         if self.grid:
-            self.cdf, _ = dyadic_cdf_numerators(m, cap)
+            self.cdf, self.cdf_den = dyadic_cdf_numerators(m, cap)
             self.unit = 1 << cap
             return
         check_nodes(1 << cap)
@@ -146,6 +149,50 @@ class _MassOracle:
         if e <= f:  # no leaf lies inside
             return (0, 1), upper
         return (num[e] * den[f] - num[f] * den[e], den[e] * den[f]), upper
+
+
+class _ScanShare:
+    """What one doubling_scan shares with the scan and fits it runs: the
+    ball oracle of (m, depth), built by the first pass that asks for it,
+    and log2_bounds(c_upper, bits).hi, which gives both s_upper and the
+    window fit's s."""
+
+    def __init__(self, m: TreeMeasure, depth: int):
+        self.m, self.depth = m, depth
+        self.oracle: _MassOracle | None = None
+        self.log2_hi: dict[tuple[Fraction, int], Fraction] = {}
+
+
+# a context variable, so the public passes keep their signatures
+_SHARE: ContextVar[_ScanShare | None] = ContextVar("scan_share", default=None)
+
+
+@contextmanager
+def _sharing(m: TreeMeasure, depth: int) -> Iterator[None]:
+    token = _SHARE.set(_ScanShare(m, depth))
+    try:
+        yield
+    finally:
+        _SHARE.reset(token)
+
+
+def _shared_oracle(m: TreeMeasure, depth: int) -> _MassOracle | None:
+    """doubling_scan's ball oracle of (m, depth), built by the first pass
+    that asks for it; None outside doubling_scan."""
+    share = _SHARE.get()
+    if share is None or share.m is not m or share.depth != depth:
+        return None
+    if share.oracle is None:
+        share.oracle = _MassOracle(m, depth)
+    return share.oracle
+
+
+def _log2_hi(x: Fraction, bits: int) -> Fraction:
+    share = _SHARE.get()
+    memo = {} if share is None else share.log2_hi
+    if (x, bits) not in memo:
+        memo[x, bits] = log2_bounds(x, bits).hi
+    return memo[x, bits]
 
 
 def _scan_centers(m: TreeMeasure, depth: int) -> list[Fraction]:
@@ -245,7 +292,7 @@ def _bracket_pass(oracle: _MassOracle, centers: list[Fraction], depth: int) -> t
 def _scan_pass(m: TreeMeasure, depth: int) -> tuple:
     """One pass over the scan grid: (c_upper, c_lower, witness or None,
     exact, skipped, per-scale maxima)."""
-    oracle = _MassOracle(m, depth)
+    oracle = _shared_oracle(m, depth) or _MassOracle(m, depth)
     if not oracle.grid:
         return _bracket_pass(oracle, _scan_centers(m, depth), depth)
     rows, skipped = _grid_pass(oracle.cdf, depth)
@@ -304,6 +351,25 @@ def _guard_tree_perfectness(m: TreeMeasure) -> None:
 T_STEP = Fraction(1, 64)
 
 
+def _largest_within(bound, cap: Fraction, hi_k: int) -> int:
+    """Largest k in 1..hi_k whose bound(k), an integer pair, is at most cap,
+    by bisection over k (the bound grows with k); 0 when bound(1) is not."""
+    def within(k: int) -> bool:
+        num, den = bound(k)
+        return num * cap.denominator <= cap.numerator * den
+
+    if not within(1):
+        return 0
+    lo_k = 1
+    while lo_k < hi_k:
+        mid = (lo_k + hi_k + 1) // 2
+        if within(mid):
+            lo_k = mid
+        else:
+            hi_k = mid - 1
+    return lo_k
+
+
 def fit_ratio_decay(
     m: TreeMeasure,
     depth: int,
@@ -325,10 +391,11 @@ def fit_ratio_decay(
     if lambda_cap < 1:
         raise PreconditionViolated("lambda cap below 1 can never validate l = 0")
     _guard_tree_perfectness(m)
-    oracle = _MassOracle(m, depth)
+    oracle = _shared_oracle(m, depth) or _MassOracle(m, depth)
 
     # Concentric pairs: center x = c / 2^(depth+1), radii R = 2^-j and R / 2^l,
-    # the balls' ends scaled to the oracle's unit.
+    # the balls' ends scaled to the oracle's unit.  Every ratio and bound is
+    # a pair of integers, compared by cross-multiplication.
     n = 1 << (depth + 1)
     step = oracle.unit // n
     bracket = oracle.bracket
@@ -336,7 +403,7 @@ def fit_ratio_decay(
     def ball(c: int, h: int) -> tuple[tuple[int, int], tuple[int, int]]:
         return bracket((c - h) * step, (c + h) * step)
 
-    def pair_ratio(c: int, j: int, l: int) -> Fraction | None:
+    def pair_ratio(c: int, j: int, l: int) -> tuple[int, int] | None:
         """Certified upper bound of mu(B(x, R/2^l)) / mu(B(x, R)), or None
         when the big ball has no certified mass."""
         big_h = n >> j
@@ -344,10 +411,9 @@ def fit_ratio_decay(
         if not bn:
             return None
         sn, sd = ball(c, big_h >> l)[1]
-        return Fraction(sn * bd, sd * bn)
+        return sn * bd, sd * bn
 
-    # best certified ratio upper bound at each scale separation l, kept as
-    # a pair of integers and compared by cross-multiplication
+    # best certified ratio upper bound at each scale separation l
     top: dict[int, tuple[int, int]] = {}
     pairs = 0
     for j in range(1, depth):
@@ -366,52 +432,32 @@ def fit_ratio_decay(
                         top[l] = (num, den)
                 elif num * cur[1] > cur[0] * den:
                     top[l] = (num, den)
-    best = {l: Fraction(num, den) for l, (num, den) in top.items()}
     if not pairs:
         raise PreconditionViolated("no interior pair produced a certified ratio")
 
     grid_max = int(t_max / T_STEP)
-    growth: dict[int, Fraction] = {}
 
-    def growth_hi(n64: int) -> Fraction:
-        """Upper enclosure of 2^(n64/64), once per exponent."""
-        if n64 not in growth:
-            growth[n64] = exp2_bounds(Fraction(n64, 64), bits).hi
-        return growth[n64]
-
-    def lam_at(t_steps: int) -> Fraction:
-        worst = Fraction(0)
-        for l, ratio in best.items():
-            val = ratio * growth_hi(l * t_steps)
-            if val > worst:
-                worst = val
-        return worst
-
-    def largest_feasible() -> int:
-        lo_k, hi_k = 0, grid_max
-        if lam_at(1) > lambda_cap:
-            return 0
-        lo_k = 1
-        while lo_k < hi_k:
-            mid = (lo_k + hi_k + 1) // 2
-            if lam_at(mid) <= lambda_cap:
-                lo_k = mid
-            else:
-                hi_k = mid - 1
-        return lo_k
+    def lam_at(t_steps: int) -> tuple[int, int]:
+        """max over l of top[l] * 2^(l * t_steps / 64), rounded up."""
+        worst_n, worst_d = 0, 1
+        for l, (num, den) in top.items():
+            _, g, g_den = exp2_64ths(l * t_steps, bits)
+            val_n, val_d = num * g, den * g_den
+            if val_n * worst_d > worst_n * val_d:
+                worst_n, worst_d = val_n, val_d
+        return worst_n, worst_d
 
     rng = random.Random(seed)
     rounds = 0
     holdout_seen = 0
     while True:
         rounds += 1
-        k = largest_feasible()
+        k = _largest_within(lam_at, lambda_cap, grid_max)
         if k == 0:
             raise PreconditionViolated(
                 "no positive exponent validates at this Lambda cap"
             )
-        t = k * T_STEP
-        lam = lam_at(k)
+        lam_n, lam_d = lam_at(k)
         failures: list[tuple[int, int, int]] = []
         for _ in range(holdout):
             j = rng.randrange(1, depth)
@@ -425,14 +471,17 @@ def fit_ratio_decay(
             holdout_seen += 1
             # same rounding direction as the fit, so a pair never fails
             # against the bound it itself defines
-            if ratio * growth_hi(l * k) > lam:
+            num, den = ratio
+            _, g, g_den = exp2_64ths(l * k, bits)
+            if num * g * lam_d > lam_n * den * g_den:
                 failures.append((i, j, l))
-                if ratio > best.get(l, Fraction(0)):
-                    best[l] = ratio
+                cur_n, cur_d = top.get(l, (0, 1))
+                if num * cur_d > cur_n * den:
+                    top[l] = ratio
         if not failures:
             return RatioDecayFit(
-                big_lam=lam,
-                t=t,
+                big_lam=Fraction(lam_n, lam_d),
+                t=k * T_STEP,
                 pairs_checked=pairs + holdout_seen,
                 holdout_size=holdout_seen,
                 rounds=rounds,
@@ -441,6 +490,14 @@ def fit_ratio_decay(
             raise PreconditionViolated(
                 f"holdout kept failing after {rounds} refit rounds"
             )
+
+
+def _cdf_levels(cdf: list[int], den: int, cap: int) -> Iterator[tuple[list[int], int]]:
+    """Node masses of levels 0..cap as level_numerators gives them, read as
+    strided differences of a finer cdf grid."""
+    for level in range(cap + 1):
+        row = cdf[::(len(cdf) - 1) >> level]
+        yield list(map(sub, row[1:], row[:-1])), den
 
 
 def fit_mass_window(
@@ -461,73 +518,91 @@ def fit_mass_window(
         c_upper = scan_core(m, depth).c_upper
     if c_upper < 1:
         raise PreconditionViolated("doubling bound below 1 is impossible")
-    s_hi = log2_bounds(c_upper, bits).hi
-    s = Fraction(math.ceil(s_hi * 64), 64)
+    s_steps = math.ceil(_log2_hi(c_upper, bits) * 64)
 
     # Samples are node masses and doubled-node masses, exact or safe from
     # below, grouped by diameter: lam needs only the lightest mass of each
     # diameter and upper_lam the heaviest, so each diameter power is enclosed
-    # once per exponent.
-    lightest: dict[Fraction, Fraction] = {}
-    heaviest: dict[Fraction, Fraction] = {}
+    # once per exponent.  Masses, powers and bounds are pairs of integers,
+    # compared by cross-multiplication.
+    lightest: dict = {}
+    heaviest: dict = {}
     samples = 0
 
-    def note(diam: Fraction, low: Fraction, high: Fraction) -> None:
-        if diam not in lightest or low < lightest[diam]:
+    def note(diam, low: tuple[int, int], high: tuple[int, int]) -> None:
+        cur = lightest.get(diam)
+        if cur is None or low[0] * cur[1] < cur[0] * low[1]:
             lightest[diam] = low
-        if diam not in heaviest or high > heaviest[diam]:
+        cur = heaviest.get(diam)
+        if cur is None or high[0] * cur[1] > cur[0] * high[1]:
             heaviest[diam] = high
 
     if m.base is None:
+        # a diameter 2^-j is keyed by j; its powers 2^(-j * steps / 64) come
+        # from exp2_64ths, equal to pow_bounds' enclosures of them
+        def power(j: int, steps: int) -> tuple[tuple[int, int], tuple[int, int]]:
+            lo, hi, den = exp2_64ths(-j * steps, bits)
+            return (lo, den), (hi, den)
+
         cap = min(depth, m.split_depth)
-        check_nodes(1 << cap)
-        for level, (masses, den) in enumerate(level_numerators(m, cap)):
-            diam = Fraction(1, 1 << level)
+        oracle = _shared_oracle(m, depth)
+        if oracle is not None and oracle.grid:
+            levels = _cdf_levels(oracle.cdf, oracle.cdf_den, cap)
+        else:
+            check_nodes(1 << cap)
+            levels = level_numerators(m, cap)
+        for level, (masses, den) in enumerate(levels):
             doubled = list(map(sum, zip(masses, masses[1:])))
             samples += len(masses) + len(doubled)
-            note(diam, Fraction(min(masses), den), Fraction(max(masses), den))
+            note(level, (min(masses), den), (max(masses), den))
             if doubled:
-                note(2 * diam, Fraction(min(doubled), den), Fraction(max(doubled), den))
+                note(level - 1, (min(doubled), den), (max(doubled), den))
     else:
+        def power(diam: Fraction, steps: int) -> tuple[tuple[int, int], tuple[int, int]]:
+            b = pow_bounds(diam, Fraction(steps, 64), bits)
+            return b.lo.as_integer_ratio(), b.hi.as_integer_ratio()
+
         cap = min(depth, m.base.depth)
         for level in range(cap + 1):
             nodes = m.base.nodes[level]
             row = [interval_mass(m, nd, m.split_depth).lower for nd in nodes]
             for i, nd in enumerate(nodes):
                 samples += 1
-                note(nd.diameter, row[i], row[i])
+                mass = row[i].as_integer_ratio()
+                note(nd.diameter, mass, mass)
                 if i + 1 < len(nodes):
                     samples += 1
-                    pair = row[i] + row[i + 1]
+                    pair = (row[i] + row[i + 1]).as_integer_ratio()
                     note(nodes[i + 1].hi - nd.lo, pair, pair)
 
     # lower constant: worst mass / diam^s, rounded down through the enclosure
-    lam = min(mass / pow_bounds(diam, s, bits).hi for diam, mass in lightest.items())
+    lam_n, lam_d = None, 1
+    for diam, (mass_n, mass_d) in lightest.items():
+        p_n, p_d = power(diam, s_steps)[1]
+        val_n, val_d = mass_n * p_d, mass_d * p_n
+        if lam_n is None or val_n * lam_d < lam_n * val_d:
+            lam_n, lam_d = val_n, val_d
 
-    def upper_lam(t: Fraction) -> Fraction:
-        worst = Fraction(0)
-        for diam, mass in heaviest.items():
-            denom = pow_bounds(diam, t, bits).lo
-            if denom == 0:
+    def upper_lam(steps: int) -> tuple[int, int]:
+        worst_n, worst_d = 0, 1
+        for diam, (mass_n, mass_d) in heaviest.items():
+            p_n, p_d = power(diam, steps)[0]
+            if p_n == 0:
                 raise EnclosureInconclusive("diameter power underflowed")
-            val = mass / denom
-            if val > worst:
-                worst = val
-        return worst
+            val_n, val_d = mass_n * p_d, mass_d * p_n
+            if val_n * worst_d > worst_n * val_d:
+                worst_n, worst_d = val_n, val_d
+        return worst_n, worst_d
 
-    lo_k, hi_k = 0, 4 * 64
-    if upper_lam(T_STEP) > lambda_cap:
+    lo_k = _largest_within(upper_lam, lambda_cap, 4 * 64)
+    if lo_k == 0:
         raise PreconditionViolated("no positive growth exponent fits under the cap")
-    lo_k = 1
-    while lo_k < hi_k:
-        mid = (lo_k + hi_k + 1) // 2
-        if upper_lam(mid * T_STEP) <= lambda_cap:
-            lo_k = mid
-        else:
-            hi_k = mid - 1
-    t = lo_k * T_STEP
     return MassWindowFit(
-        lam=lam, s=s, big_lam=upper_lam(t), t=t, samples=samples
+        lam=Fraction(lam_n, lam_d),
+        s=Fraction(s_steps, 64),
+        big_lam=Fraction(*upper_lam(lo_k)),
+        t=lo_k * T_STEP,
+        samples=samples,
     )
 
 
@@ -540,20 +615,21 @@ def doubling_scan(
     bits: int = DEFAULT_BITS,
 ) -> DoublingReport:
     check_depth(depth)
-    c_upper, c_lower, witness, exact, notes, per_scale = scan_core(m, depth)
-    s_up = log2_bounds(c_upper, bits).hi
-    s_lo = log2_bounds(c_lower, bits).lo if c_lower >= 1 else Fraction(0)
-    ratio_decay = None
-    window_fit = None
-    if fit:
-        try:
-            ratio_decay = fit_ratio_decay(m, depth, lambda_cap=lambda_cap, seed=seed, bits=bits)
-        except (PreconditionViolated, NotUniformlyPerfect) as exc:
-            notes = notes + [f"ratio fit unavailable: {exc}"]
-        try:
-            window_fit = fit_mass_window(m, depth, c_upper=c_upper, lambda_cap=lambda_cap, bits=bits)
-        except (PreconditionViolated, NotUniformlyPerfect) as exc:
-            notes = notes + [f"window fit unavailable: {exc}"]
+    with _sharing(m, depth):  # one ball oracle for the scan and both fits
+        c_upper, c_lower, witness, exact, notes, per_scale = scan_core(m, depth)
+        s_up = _log2_hi(c_upper, bits)
+        s_lo = log2_bounds(c_lower, bits).lo if c_lower >= 1 else Fraction(0)
+        ratio_decay = None
+        window_fit = None
+        if fit:
+            try:
+                ratio_decay = fit_ratio_decay(m, depth, lambda_cap=lambda_cap, seed=seed, bits=bits)
+            except (PreconditionViolated, NotUniformlyPerfect) as exc:
+                notes = notes + [f"ratio fit unavailable: {exc}"]
+            try:
+                window_fit = fit_mass_window(m, depth, c_upper=c_upper, lambda_cap=lambda_cap, bits=bits)
+            except (PreconditionViolated, NotUniformlyPerfect) as exc:
+                notes = notes + [f"window fit unavailable: {exc}"]
     return DoublingReport(
         c_upper=c_upper,
         c_lower=c_lower,

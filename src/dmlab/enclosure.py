@@ -187,6 +187,34 @@ def exp2_bounds(y: Fraction, bits: int = DEFAULT_BITS) -> Bounds:
     return Bounds(lo, hi)
 
 
+@lru_cache(maxsize=8)
+def _exp2_64ths_row(bits: int) -> list:
+    # entry r encloses 2^(r/64); filled by exp2_64ths as entries are asked for
+    return [None] * 64
+
+
+def exp2_64ths(n: int, bits: int = DEFAULT_BITS) -> tuple[int, int, int]:
+    """exp2_bounds(Fraction(n, 64), bits) as integers (lo, hi, den), with
+    lo / den <= 2^(n/64) <= hi / den and den a power of two.
+
+    With n = 64q + r, exp2_bounds encloses 2^(n/64) as 2^q times its
+    enclosure of 2^(r/64), so each (r, bits) is enclosed once, by
+    exp2_bounds itself, and every result equals exp2_bounds' bit for bit."""
+    q, r = divmod(n, 64)
+    if abs(q) > 1 << 22:
+        raise PreconditionViolated("exponent magnitude out of supported range")
+    row = _exp2_64ths_row(bits)
+    if row[r] is None:
+        b = exp2_bounds(Fraction(r, 64), bits)
+        den = max(b.lo.denominator, b.hi.denominator)
+        row[r] = (b.lo.numerator * (den // b.lo.denominator),
+                  b.hi.numerator * (den // b.hi.denominator), den.bit_length() - 1)
+    lo, hi, shift = row[r]
+    if q >= shift:
+        return lo << (q - shift), hi << (q - shift), 1
+    return lo, hi, 1 << (shift - q)
+
+
 def iroot(n: int, k: int) -> tuple[int, bool]:
     """Integer floor k-th root of n >= 0 plus exactness flag."""
     if n < 0 or k <= 0:

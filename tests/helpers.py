@@ -9,8 +9,9 @@ data types.
 The exceptions are the Fraction scan oracles at the end of the file: the
 rational loops that `scan_core`, `per_scale_max_ratios`, `fit_ratio_decay`,
 `fit_mass_window` and `qs_ratio_scan` ran before they moved to integer
-numerators.  They reuse the library's enclosure primitives, but none of the
-kernels they check; their brackets come from the recursive node walk that
+numerators, and the `doubling_scan` report built from them.  They reuse the
+library's enclosure primitives and report types, but none of the kernels
+they check; their brackets come from the recursive node walk that
 `interval_mass` ran before it became two boundary walks
 (`interval_mass_recursive_oracle`).
 """
@@ -111,6 +112,12 @@ def binomial_row_counts(m: int) -> list[int]:
 
 # --- Fraction oracles for the doubling and qs kernels --------------------------
 
+from dmlab.doubling import (  # noqa: E402
+    DoublingReport,
+    MassWindowFit,
+    RatioDecayFit,
+    ScanWitness,
+)
 from dmlab.enclosure import DEFAULT_BITS, exp2_bounds, log2_bounds, pow_bounds  # noqa: E402
 from dmlab.errors import EnclosureInconclusive, PreconditionViolated, ZeroMassBall  # noqa: E402
 from dmlab.geom import closed, interval_contains  # noqa: E402
@@ -411,6 +418,38 @@ def fit_mass_window_oracle(m, depth: int, c_upper: Fraction, lambda_cap=Fraction
             hi_k = mid - 1
     t = lo_k * T_STEP
     return lam, s, upper_lam(t), t, len(samples)
+
+
+def doubling_scan_oracle(m, depth: int, lambda_cap=Fraction(1), seed=0, bits=DEFAULT_BITS):
+    """The report `doubling_scan` makes, from the scan and fit oracles; for
+    measures on the dyadic base and depth >= 2, where the fits' guards pass."""
+    c_upper, c_lower, (x, r, ratio), exact, notes = scan_core_oracle(m, depth)
+    fits = []
+    for kind, fit, cls in (
+        ("ratio", lambda: fit_ratio_decay_oracle(m, depth, lambda_cap, seed=seed, bits=bits),
+         RatioDecayFit),
+        ("window", lambda: fit_mass_window_oracle(m, depth, c_upper, lambda_cap, bits), MassWindowFit),
+    ):
+        try:
+            fits.append(cls(*fit()))
+        except PreconditionViolated as exc:
+            fits.append(None)
+            notes.append(f"{kind} fit unavailable: {exc}")
+    return DoublingReport(
+        c_upper=c_upper,
+        c_lower=c_lower,
+        witness=ScanWitness(x, r, ratio),
+        s_lower=log2_bounds(c_lower, bits).lo if c_lower >= 1 else Fraction(0),
+        s_upper=log2_bounds(c_upper, bits).hi,
+        window_lo=Fraction(1, 1 << depth),
+        window_hi=Fraction(1, 2),
+        depth=depth,
+        exact=exact,
+        ratio_decay=fits[0],
+        mass_window=fits[1],
+        notes=tuple(notes),
+        per_scale=tuple(per_scale_oracle(m, depth)),
+    )
 
 
 def qs_ratio_scan_oracle(m, depth: int, taus, random_triples=0, seed=0):

@@ -4,12 +4,15 @@ node caps, the error contract."""
 import contextlib
 import io
 import json
+import os
 import pathlib
+import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dmlab import cli
 from dmlab.cli import main
 from dmlab.experiments import EXPERIMENT_NAMES
 
@@ -118,6 +121,36 @@ class TestOutputs:
         code, out, _ = run(capsys, "qs", "pullback", "--config", str(cfg))
         assert code == 0
         assert json.loads(out)["pullback_constant"]["value"] == "8"
+
+    def test_config_file_supplies_example_overrides(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p": "2/3"}))
+        code, out, _ = run(capsys, "example", "logfloor_removal", "--config", str(cfg))
+        assert code == 0
+        assert json.loads(out)["results"]["verdict"] == "ZERO_LIMIT"
+
+    @pytest.mark.parametrize("argv, keys, key", [
+        # a common flag, which no handler reads from the file
+        (["qs", "pullback"], {"C": "2", "eta2": "2", "seed": 3}, "'seed'"),
+        (["doubling", "scan", "--measure", BINOM], {"depht": 3}, "'depht'"),
+        (["example", "cutout_fat"], {"scan_dept": 3}, "'scan_dept'"),
+        (["example", "interval_packing"], {"config": "x"}, "'config'"),
+    ])
+    def test_unknown_config_key_refused(self, capsys, tmp_path, argv, keys, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(keys))
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert key in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("flag", ["--out", "--plot"])
+    def test_unwritable_file_is_one_json_line(self, capsys, tmp_path, flag):
+        argv = ["measure", "grid", "--measure", BINOM, "--depth", "2"]
+        code, out, err = run(capsys, *argv, flag, str(tmp_path / "missing" / "f"))
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["kind"] == "FileNotFoundError"
 
 
 class TestDeterminism:
@@ -241,6 +274,30 @@ class TestErrorContract:
         assert len(lines) == 1
         assert json.loads(lines[0])["kind"] == kind
 
+    @pytest.mark.parametrize("argv, words", [
+        (["seq", "classify", "--family", '{"kind":"constant","value":"1/2"}', "--plot", "x.csv"],
+         "unrecognized arguments: --plot x.csv"),
+        (["seq", "classify", "--seed", "1"], "unrecognized arguments: --seed 1"),
+        (["doubling", "scan", "--frobnicate"], "unrecognized arguments: --frobnicate"),
+        ([], "required: topic"),
+        (["certify"], "dmlab certify: the following arguments are required: verb"),
+        (["frobnicate"], "invalid choice: 'frobnicate'"),
+        (["doubling", "scan", "--seed", "x"], "dmlab doubling scan: argument --seed"),
+        (["doubling", "scan", "--depth"], "expected one argument"),
+        (["example", "free_lunch"], "invalid choice: 'free_lunch'"),
+    ])
+    def test_usage_error_is_one_json_line(self, capsys, argv, words):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["kind"] == "UsageError"
+        assert words in error["error"]
+
 
 # --- error-contract fuzz ---------------------------------------------------------
 
@@ -290,14 +347,53 @@ def cli_calls(draw):
     return ["doubling", "scan", f"--measure={spec}", "--depth", depth, "--no-fit"]
 
 
-@settings(max_examples=300, deadline=None)
-@given(cli_calls())
+# a path whose directory does not exist: --out, --plot and --config fail on
+# it after the verb ran, and the fuzz writes no file
+MISSING = os.path.join(tempfile.gettempdir(), "dmlab-no-such-dir", "f")
+FILE_FLAGS = ("--out", "--plot", "--config")
+# each verb's argv head and the flags it offers
+OWN_FLAGS = {
+    (t,) if v is None else (t, v): sorted(
+        {f"--{o}" if isinstance(o, str) else o[0] for o in options} - {"name"}
+        | {f"--{c}" for c in common}
+    )
+    for t, v, _, _, options, common in cli.VERBS
+}
+FLAGS = sorted(set().union(*OWN_FLAGS.values()) | {"--seed", "--frobnicate"})
+flag_values = st.sampled_from(["0", "1", "3", "-1", "1/2", "2", "x", "", BINOM, GEOM, "[1]", "{}", "p=2/3"])
+
+
+@st.composite
+def random_argv(draw):
+    """Any verb, or none, or an unknown one, with the verb's own flags and
+    flags of other verbs: unknown and refused flags, missing and malformed
+    values."""
+    head = draw(st.sampled_from([*OWN_FLAGS, (), ("frobnicate",), ("seq", "frobnicate")]))
+    argv = list(head)
+    if head == ("example",) and draw(st.booleans()):
+        argv.append(draw(st.sampled_from([*EXPERIMENT_NAMES, "free_lunch"])))
+    own = st.sampled_from(OWN_FLAGS.get(head) or FLAGS)
+    for flag in draw(st.lists(st.one_of(own, own, st.sampled_from(FLAGS)), max_size=4)):
+        argv.append(flag)
+        if flag in FILE_FLAGS:
+            argv.append(MISSING)
+        elif flag != "--no-fit" and draw(st.integers(0, 5)):
+            argv.append(draw(flag_values))
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(cli_calls(), random_argv()))
 def test_error_contract_fuzz(argv):
-    """Any measure spec and depth: exit 0, 1 or 2, and an error is exactly one
-    JSON line on stderr (an uncaught exception fails the test)."""
+    """Any measure spec and depth, or any argv: exit 0, 1 or 2, and an error
+    is exactly one JSON line on stderr (an uncaught exception fails the
+    test)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # a usage error
+            code = exc.code
     assert code in (0, 1, 2)
     if code == 1:
         lines = err.getvalue().splitlines()

@@ -78,7 +78,7 @@ class TestReuse:
                 assert json.loads(out)["results"]["verdict"] == "ZERO_LIMIT"
             else:
                 assert out == text, argv
-            if expect == 1 and argv[0] != "frobnicate":
+            if expect == 1:
                 assert set(error_line(err)) == {"error", "kind"}
 
 

@@ -1,14 +1,19 @@
 """Directed-rounding enclosures against mpmath at high working precision."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
+import dmlab
 from dmlab.enclosure import (
     DEFAULT_BITS,
     Bounds,
     add_bounds,
+    exp2_64ths,
     exp2_bounds,
     exp_neg_upper,
     log2_bounds,
@@ -55,6 +60,28 @@ def test_log2_exact_on_powers_of_two():
 def test_exp2_encloses_reference(x):
     b = exp2_bounds(x, DEFAULT_BITS)
     assert contains(b, mp.power(2, mpf(x)))
+
+
+@pytest.mark.parametrize("bits", [8, 64, 128, 256])
+def test_exp2_64ths_is_exp2_bounds(bits):
+    # every table entry, then shifted by integer parts of both signs
+    for n in [*range(64), -1000, -129, -64, -63, -1, 64, 65, 700]:
+        lo, hi, den = exp2_64ths(n, bits)
+        b = exp2_bounds(Fraction(n, 64), bits)
+        assert (Fraction(lo, den), Fraction(hi, den)) == (b.lo, b.hi), n
+
+
+def test_exp2_64ths_table_fills_lazily():
+    code = (
+        "import dmlab, dmlab.cli; dmlab.cli.build_parser();"
+        "from dmlab.enclosure import _exp2_64ths_row as row;"
+        "assert row.cache_info().currsize == 0;"
+        "from dmlab.enclosure import exp2_64ths; exp2_64ths(70, 128);"
+        "assert sum(e is not None for e in row(128)) == 1"
+    )
+    src = os.path.dirname(os.path.dirname(dmlab.__file__))
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 @pytest.mark.parametrize(

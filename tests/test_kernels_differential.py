@@ -2,17 +2,24 @@
 
 `scan_core`, `per_scale_max_ratios`, `fit_ratio_decay`, `fit_mass_window`
 and `qs_ratio_scan` must give the same values, witnesses, notes and errors as
-the oracles in helpers.py, on the exact dyadic grid and on the bracket path;
+the oracles in helpers.py, on the exact dyadic grid and on the bracket path,
+and `doubling_scan` the report built from them;
 `interval_mass` must give the same brackets as the recursive node walk.
 """
 
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dmlab.doubling import fit_mass_window, fit_ratio_decay, per_scale_max_ratios, scan_core
+from dmlab.doubling import (
+    doubling_scan,
+    fit_mass_window,
+    fit_ratio_decay,
+    per_scale_max_ratios,
+    scan_core,
+)
 from dmlab.geom import RationalInterval, build_cantor
 from dmlab.measure import (
     BinomialWeights,
@@ -25,6 +32,7 @@ from dmlab.qs import DEFAULT_TAUS, QSMap, qs_ratio_scan
 from dmlab.seq import Constant, Geometric, Power
 
 from helpers import (
+    doubling_scan_oracle,
     fit_mass_window_oracle,
     fit_ratio_decay_oracle,
     interval_mass_recursive_oracle,
@@ -146,13 +154,43 @@ def test_zero_measure_per_scale_matches_oracle():
     _check_scan(m, 4)
 
 
-@settings(max_examples=12, deadline=None)
-@given(grid_cases(min_depth=2), st.integers(0, 3))
-def test_fits_match_oracle(case, seed):
+@settings(max_examples=20, deadline=None)
+@given(
+    st.one_of(grid_cases(min_depth=2), shallow_table_cases.filter(lambda case: case[1] >= 2)),
+    st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(4)]),
+    st.sampled_from([64, 128, 256]),
+    st.integers(0, 3),
+)
+# Lebesgue measure meets the cap exactly (t = 1 with Lambda = 1)
+@example((TreeMeasure(BinomialWeights(Fraction(1, 2))), 5), Fraction(1), 128, 0)
+def test_fits_match_oracle(case, lambda_cap, bits, seed):
+    """Both fits on the exact grid and on shallow tables, alone and inside
+    doubling_scan, which runs them over its scan's oracle."""
     m, depth = case
-    c_upper = scan_core(m, depth).c_upper
-    got = _outcome(lambda: tuple(vars(fit_ratio_decay(m, depth, seed=seed)).values()))
-    assert got == _outcome(lambda: fit_ratio_decay_oracle(m, depth, seed=seed))
+    expected = doubling_scan_oracle(m, depth, lambda_cap, seed, bits)
+    assert doubling_scan(m, depth, lambda_cap=lambda_cap, seed=seed, bits=bits) == expected
+    c_upper = expected.c_upper
+    for kind, fit, want in (
+        ("ratio", lambda: fit_ratio_decay(m, depth, lambda_cap=lambda_cap, seed=seed, bits=bits),
+         expected.ratio_decay),
+        ("window", lambda: fit_mass_window(m, depth, c_upper=c_upper, lambda_cap=lambda_cap, bits=bits),
+         expected.mass_window),
+    ):
+        got = _outcome(fit)
+        if want is None:  # the oracle refused; the fit must refuse alike
+            assert got[0] == "PreconditionViolated"
+            assert f"{kind} fit unavailable: {got[1]}" in expected.notes
+        else:
+            assert got == want
+
+
+@settings(max_examples=12, deadline=None)
+@given(grid_cases(min_depth=1, max_depth=6), st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2)]))
+@example((TreeMeasure(BinomialWeights(Fraction(1, 3))), 5), Fraction(3, 2))
+def test_window_fit_below_the_scanned_constant_matches_oracle(case, c_upper):
+    """A c_upper below the measure's doubling constant moves lam's minimum
+    off diameter 1, where diam^s is exact, to a deep level, where it is not."""
+    m, depth = case
     got = _outcome(lambda: tuple(vars(fit_mass_window(m, depth, c_upper=c_upper)).values()))
     assert got == _outcome(lambda: fit_mass_window_oracle(m, depth, c_upper))
 
