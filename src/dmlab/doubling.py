@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -37,13 +36,11 @@ from .errors import (
     PreconditionViolated,
     ZeroMassBall,
 )
-from .geom import check_depth, check_nodes, closed, realized_beta_max
+from .geom import check_depth, check_nodes, realized_beta_max
 from .measure import (
+    LeafPrefixes,
     TreeMeasure,
-    ball_mass,
     dyadic_cdf_numerators,
-    interval_mass,
-    leaf_prefix_mass,
     level_numerators,
 )
 
@@ -95,18 +92,13 @@ class DoublingReport:
 class _MassOracle:
     """Ball masses for the scan grids as fractions of integers.
 
-    Ball ends are integers over `unit`. A ball is bracketed at the query
-    level cap as `interval_mass` brackets it: lower is the mass of the
-    leaves inside the ball, upper the mass of the leaves whose interior
-    meets it, each a difference of two leaf-prefix masses P(j) whose
-    indices come from two bisections over the leaf edges `lows`/`highs`.
-
-    When the measure splits on the dyadic base down to depth + 1 (`grid`),
-    cap is depth + 1 and P is the cdf grid `cdf`, integer numerators over
-    one denominator; every scan ball is then a union of leaves and exact.
-    Otherwise each P(j) is kept reduced, as `num[j] / den[j]`: one common
-    denominator would carry the share denominators of all 2^cap - 1 nodes,
-    P(j) only those on leaf j's path."""
+    Ball ends are integers over `unit`. When the measure splits on the
+    dyadic base down to depth + 1 (`grid`), the query level is depth + 1 and
+    its cdf grid `cdf` holds integer numerators over one denominator; every
+    scan ball is then a union of leaves and exact. Otherwise a ball is
+    bracketed at the query level cap as `interval_mass` brackets it, through
+    a `LeafPrefixes` table (`table`) whose leaf edges are integers over
+    `unit` too."""
 
     def __init__(self, m: TreeMeasure, depth: int):
         cap = min(depth + 1, m.split_depth) if m.base is None else m.split_depth
@@ -116,39 +108,21 @@ class _MassOracle:
             self.unit = 1 << cap
             return
         check_nodes(1 << cap)
-        if m.base is None:
-            self.unit = 1 << (depth + 1)
-            width = self.unit >> cap
-            self.lows = range(0, self.unit, width)
-            self.highs = range(width, self.unit + width, width)
-        else:
-            den, lows, highs = m.base.level_edges(cap)
-            # node ends at every level are leaf edges (children keep their
-            # parent's outer ends), the scan halves them for midpoints, and
-            # fit_ratio_decay's centers are dyadic at depth + 1
-            self.unit = lcm(2 * den, 1 << (depth + 1))
-            scale = self.unit // den
-            self.lows = [e * scale for e in lows]
-            self.highs = [e * scale for e in highs]
-        prefix = [leaf_prefix_mass(m, cap, j) for j in range((1 << cap) + 1)]
-        self.num = [p.numerator for p in prefix]
-        self.den = [p.denominator for p in prefix]
+        den = 1 << cap if m.base is None else m.base.level_edges(cap)[0]
+        # node ends at every level are leaf edges (children keep their
+        # parent's outer ends), the scan halves them for midpoints, and
+        # fit_ratio_decay's centers are dyadic at depth + 1
+        self.unit = lcm(2 * den, 1 << (depth + 1))
+        self.table = LeafPrefixes(m, cap, self.unit)
+        self.bracket = self.table.bracket_units
 
     def bracket(self, lo: int, hi: int) -> tuple[tuple[int, int], tuple[int, int]]:
         """(lower, upper) bracket of mu([lo / unit, hi / unit]) for
         0 <= lo <= hi <= unit, each a (numerator, denominator) pair; on the
         grid the cdf's common denominator is left out, as every ratio
-        cancels it."""
-        if self.grid:
-            v = (self.cdf[hi] - self.cdf[lo], 1)
-            return v, v
-        lows, highs, num, den = self.lows, self.highs, self.num, self.den
-        e, f = bisect_left(lows, hi), bisect_right(highs, lo)
-        upper = num[e] * den[f] - num[f] * den[e], den[e] * den[f]
-        e, f = bisect_right(highs, hi), bisect_left(lows, lo)
-        if e <= f:  # no leaf lies inside
-            return (0, 1), upper
-        return (num[e] * den[f] - num[f] * den[e], den[e] * den[f]), upper
+        cancels it. Off the grid the table's `bracket_units` stands in."""
+        v = (self.cdf[hi] - self.cdf[lo], 1)
+        return v, v
 
 
 class _ScanShare:
@@ -562,17 +536,21 @@ def fit_mass_window(
             b = pow_bounds(diam, Fraction(steps, 64), bits)
             return b.lo.as_integer_ratio(), b.hi.as_integer_ratio()
 
+        # node ends are leaf edges of the oracle's level, split_depth, so node
+        # i of level L is the 2^(split_depth - L) leaves from i * width on:
+        # its mass is one exact difference of the oracle's prefixes
+        mass = (_shared_oracle(m, depth) or _MassOracle(m, depth)).table.mass
         cap = min(depth, m.base.depth)
         for level in range(cap + 1):
             nodes = m.base.nodes[level]
-            row = [interval_mass(m, nd, m.split_depth).lower for nd in nodes]
+            width = 1 << (m.split_depth - level)
             for i, nd in enumerate(nodes):
                 samples += 1
-                mass = row[i].as_integer_ratio()
-                note(nd.diameter, mass, mass)
+                single = mass(i * width, (i + 1) * width)
+                note(nd.diameter, single, single)
                 if i + 1 < len(nodes):
                     samples += 1
-                    pair = (row[i] + row[i + 1]).as_integer_ratio()
+                    pair = mass(i * width, (i + 2) * width)
                     note(nodes[i + 1].hi - nd.lo, pair, pair)
 
     # lower constant: worst mass / diam^s, rounded down through the enclosure
@@ -680,6 +658,11 @@ def _rhs_bounds(
     return mul_bounds(inv, rho_pow)
 
 
+def _below(p: tuple[int, int], q: tuple[int, int], f: Fraction) -> bool:
+    """p < q * f, for integer pairs p and q."""
+    return p[0] * q[1] * f.denominator < q[0] * f.numerator * p[1]
+
+
 def verify_small_ball_bound(
     m: TreeMeasure,
     c: Fraction | None = None,
@@ -711,28 +694,50 @@ def verify_small_ball_bound(
         r = (b - a) / (1 << rng.randrange(1, 5))
         todo.append(SmallBallCase(a, b, x, r))
 
+    # mu(A) and mu(B) as integer pairs from one prefix table, and the factor
+    # enclosure once per distinct (rho, bits)
+    table = LeafPrefixes(m, eval_depth)
+    factors: dict[tuple[Fraction, int], Bounds] = {}
+    capped = f", capped at the split depth {m.split_depth}" if eval_depth < depth + 8 else ""
     checked = 0
     for case in todo:
         if not (case.a_lo <= case.x <= case.a_hi):
             raise PreconditionViolated("center must lie in the set")
         if not 0 < case.r < case.a_hi - case.a_lo:
             raise PreconditionViolated("radius must be in (0, diam A)")
-        mu_a = interval_mass(m, closed(case.a_lo, case.a_hi), eval_depth)
-        mu_b = ball_mass(m, case.x, case.r, eval_depth)
+        if case.a_lo < 0 or case.a_hi > 1:
+            raise PreconditionViolated(
+                f"interval [{case.a_lo}, {case.a_hi}] must sit inside [0, 1]"
+            )
+        mu_a = table.bracket(case.a_lo, case.a_hi)
+        mu_b = table.bracket(max(Fraction(0), case.x - case.r), min(Fraction(1), case.x + case.r))
         rho = case.r / (case.a_hi - case.a_lo)
         cur = bits
         while True:
-            factor = _rhs_bounds(rho, c, s, cur)
-            rhs_up = mu_a.upper * factor.hi
-            rhs_lo = mu_a.lower * factor.lo
-            if mu_b.lower >= rhs_up:
+            if (rho, cur) not in factors:
+                factors[rho, cur] = _rhs_bounds(rho, c, s, cur)
+            factor = factors[rho, cur]
+            # mu_b.lower >= mu_a.upper * factor.hi
+            if not _below(mu_b[0], mu_a[1], factor.hi):
                 break
-            if mu_b.upper < rhs_lo:
+            # mu_b.upper < mu_a.lower * factor.lo
+            if _below(mu_b[1], mu_a[0], factor.lo):
+                rhs_lo = Fraction(*mu_a[0]) * factor.lo
                 return SmallBallResult(
                     holds=False,
                     checked=checked + 1,
                     counterexample=case,
-                    margin=rhs_lo - mu_b.upper,
+                    margin=rhs_lo - Fraction(*mu_b[1]),
+                )
+            if _below(mu_b[0], mu_a[1], factor.lo) and not _below(mu_b[1], mu_a[0], factor.hi):
+                # no factor in [factor.lo, factor.hi] settles the case, so no
+                # precision can: only a deeper evaluation narrows the masses
+                (a_lo, a_up), (b_lo, b_up) = ([Fraction(*p) for p in mu] for mu in (mu_a, mu_b))
+                raise EnclosureInconclusive(
+                    f"cannot settle the case A=[{case.a_lo},{case.a_hi}], "
+                    f"x={case.x}, r={case.r} at any precision: "
+                    f"mu(A) in [{a_lo}, {a_up}], mu(B) in [{b_lo}, {b_up}] "
+                    f"at eval depth {eval_depth} (depth {depth} + 8{capped})"
                 )
             if cur >= max_bits:
                 raise EnclosureInconclusive(

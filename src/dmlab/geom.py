@@ -291,8 +291,10 @@ def build_cantor(
     k-th gap fraction, so the level-k length sum is prod_{j<=k} (1 - beta_j).
 
     Each level's nodes are emitted left to right, sorted and pairwise
-    disjoint (children of a node sit on either side of its open middle gap);
-    `interval_mass` bisects the leaves by their endpoints and relies on it."""
+    disjoint (children of a node sit on either side of its open middle gap):
+    the leaf bisections of `measure.LeafPrefixes` rely on it, and so
+    `interval_mass`, `cutout_mass`, `restrict` and the doubling scan's ball
+    oracle do."""
     check_depth(depth, max_depth)
     check_nodes(1 << depth)
     levels: list[tuple[RationalInterval, ...]] = [(closed(0, 1),)]

@@ -13,9 +13,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import accumulate
-from math import lcm
+from math import gcd, lcm
 from typing import Iterator, Union
 
 from .errors import MisalignedTrees, PreconditionViolated, ZeroMassBall
@@ -172,53 +171,102 @@ def effective_depth(m: TreeMeasure, depth: int) -> int:
     return min(depth, m.split_depth)
 
 
-def leaf_prefix_mass(m: TreeMeasure, level: int, j: int) -> Fraction:
-    """P(j): the mass of leaves 0..j-1 at `level`, for 0 <= j <= 2^level.
+class LeafPrefixes(dict):
+    """P(j), the mass of leaves 0..j-1 at the level cap = effective_depth(m,
+    depth), keyed by j: a (numerator, denominator) pair, walked when first
+    asked for and kept reduced. One common denominator would carry the share
+    denominators of all 2^cap - 1 nodes of a construction tree, P(j) only
+    those on leaf j's path.
 
-    One walk down leaf j's path adds the left child's mass at every right
-    turn. Masses are kept as integer numerators over one running
-    denominator, and the walk stops at j's lowest set bit: below it the path
-    only turns left."""
-    if j <= 0:
-        return Fraction(0)
-    if j >> level:
-        return m.total_mass
-    left_share = m.weights.left_share
-    mass, den = m.total_mass.numerator, m.total_mass.denominator
-    acc = 0
-    for lev in range(level - ((j & -j).bit_length() - 1)):
-        w = left_share(lev, j >> (level - lev))
-        wn, wd = w.numerator, w.denominator
-        left = mass * wn
-        acc *= wd
-        den *= wd
-        if (j >> (level - 1 - lev)) & 1:
-            acc += left
-            mass = mass * wd - left
+    The leaf edges `lows`/`highs` are integers over `unit`, a multiple of
+    twice their common denominator: by default twice it, or what the caller
+    gives so that its query ends are integers over it too."""
+
+    def __init__(self, m: TreeMeasure, depth: int, unit: int | None = None):
+        super().__init__()
+        self.m, self.cap = m, effective_depth(m, depth)
+        den = 1 << self.cap if m.base is None else m.base.level_edges(self.cap)[0]
+        self.den, self.unit = den, 2 * den if unit is None else unit
+        self.step = step = self.unit // den
+        if step < 2 or self.unit % den:
+            raise PreconditionViolated(f"unit {self.unit} is no multiple of 2 * {den}")
+        if m.base is None:
+            self.lows, self.highs = range(0, self.unit, step), range(step, self.unit + step, step)
         else:
-            mass = left
-    return Fraction(acc, den)
+            _, lows, highs = m.base.level_edges(self.cap)
+            self.lows, self.highs = [e * step for e in lows], [e * step for e in highs]
+
+    def __missing__(self, j: int) -> tuple[int, int]:
+        """P(j) for 0 <= j <= 2^cap: one walk down leaf j's path adds the
+        left child's mass at every right turn. Masses are integer
+        numerators over one running denominator, and the walk stops at j's
+        lowest set bit: below it the path only turns left."""
+        cap, total, left_share = self.cap, self.m.total_mass, self.m.weights.left_share
+        mass, den, acc = total.numerator, total.denominator, 0
+        if j >> cap:
+            acc = mass
+        for lev in range(cap - ((j & -j).bit_length() - 1) if j else 0):
+            w = left_share(lev, j >> (cap - lev))
+            wn, wd = w.numerator, w.denominator
+            left = mass * wn
+            acc *= wd
+            den *= wd
+            if (j >> (cap - 1 - lev)) & 1:
+                acc += left
+                mass = mass * wd - left
+            else:
+                mass = left
+        g = gcd(acc, den)
+        p = self[j] = acc // g, den // g
+        return p
+
+    def mass(self, f: int, e: int) -> tuple[int, int]:
+        """P(e) - P(f): the mass of leaves f..e-1."""
+        (ne, de), (nf, df) = self[e], self[f]
+        if de == df:
+            return ne - nf, de
+        return ne * df - nf * de, de * df
+
+    def bracket(self, lo: Fraction, hi: Fraction) -> tuple[tuple[int, int], tuple[int, int]]:
+        """`bracket_units` of mu([lo, hi]) for Fractions lo <= hi; ends
+        outside [0, 1] clip. An end between two multiples of 1 / den stands
+        in as an integer over unit strictly between them, where no leaf edge
+        lies, so every comparison with an edge keeps its answer."""
+        a, da = lo.numerator * self.den, lo.denominator
+        b, db = hi.numerator * self.den, hi.denominator
+        step = self.step
+        return self.bracket_units(
+            a // da * step + (a % da > 0), b // db * step + (b % db > 0)
+        )
+
+    def bracket_units(self, lo: int, hi: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        """(lower, upper) of mu([lo / unit, hi / unit]) for integers lo <= hi,
+        each a (numerator, denominator) pair: lower is the mass of the leaves
+        inside the interval, upper the mass of the leaves whose interior
+        meets it. Both are contiguous runs, found by bisecting the leaf
+        edges, because each level is sorted and disjoint (see
+        `build_cantor`). When neither end lies inside a leaf the runs
+        coincide and one difference serves both."""
+        lows, highs = self.lows, self.highs
+        f, e = bisect_right(highs, lo), bisect_left(lows, hi)
+        g, h = bisect_left(lows, lo), bisect_right(highs, hi)
+        upper = self.mass(f, e)
+        if g == f and h == e:
+            return upper, upper
+        if h <= g:  # no leaf lies inside
+            return (0, 1), upper
+        return self.mass(g, h), upper
 
 
-def _leaf_runs(m: TreeMeasure, level: int, lo: Fraction, hi: Fraction) -> tuple[int, int, int, int]:
-    """(first_in, end_in, first_touch, end_touch): leaves first_in..end_in-1
-    of `level` lie inside [lo, hi], leaves first_touch..end_touch-1 meet its
-    interior. Both runs are contiguous because the leaves of a level are
-    sorted and disjoint (see `build_cantor`); endpoints outside [0, 1] clip."""
-    if m.base is None:
-        n = 1 << level
-        den, lows, highs = n, range(n), range(1, n + 1)
-    else:
-        den, lows, highs = m.base.level_edges(level)
-    # leaf edges are integers over den: compare them with floor/ceil of the ends
-    a, da = lo.numerator * den, lo.denominator
-    b, db = hi.numerator * den, hi.denominator
-    return (
-        bisect_left(lows, -(-a // da)),  # leaf.lo >= lo
-        bisect_right(highs, b // db),  # leaf.hi <= hi
-        bisect_right(highs, a // da),  # leaf.hi <= lo
-        bisect_left(lows, -(-b // db)),  # leaf.lo < hi
-    )
+def _pair_sum(pairs) -> tuple[int, int]:
+    """Sum of (numerator, denominator) pairs; equal denominators just add."""
+    num, den = 0, 1
+    for n, d in pairs:
+        if d == den:
+            num += n
+        else:
+            num, den = num * d + n * den, den * d
+    return num, den
 
 
 def interval_mass(
@@ -229,7 +277,7 @@ def interval_mass(
     """Bracket mu(iv) at the query level cap = effective_depth(m, depth):
     lower is the mass of the leaves inside iv, upper the mass of the leaves
     whose interior meets iv. Each is a difference of two leaf-prefix masses
-    P(j) (`leaf_prefix_mass`).
+    P(j) (`LeafPrefixes.bracket`).
 
     Single points carry no mass, so the query is evaluated on its closed hull;
     open or half-open intervals get the same bracket as their closure. iv
@@ -241,13 +289,8 @@ def interval_mass(
         if lo > hi:
             raise PreconditionViolated(f"interval [{lo}, {hi}] is reversed")
         return EXACT_ZERO
-    cap = effective_depth(m, depth)
-    prefix = partial(leaf_prefix_mass, m, cap)
-    first_in, end_in, first_touch, end_touch = _leaf_runs(m, cap, lo, hi)
-    upper = prefix(end_touch) - prefix(first_touch)
-    if end_in <= first_in:
-        return MassBracket(Fraction(0), upper)
-    return MassBracket(prefix(end_in) - prefix(first_in), upper)
+    lower, upper = LeafPrefixes(m, depth).bracket(lo, hi)
+    return MassBracket(Fraction(*lower), Fraction(*upper))
 
 
 def cdf(m: TreeMeasure, x: Fraction, depth: int) -> MassBracket:
@@ -274,13 +317,17 @@ def ball_mass(m: TreeMeasure, x: Fraction, r: Fraction, depth: int) -> MassBrack
 def cutout_mass(
     m: TreeMeasure, config: CutOutConfig, n_balls: int, depth: int
 ) -> MassBracket:
-    """Bracket the mass surviving after the first n_balls are removed."""
+    """Bracket the mass surviving after the first n_balls are removed, every
+    piece through one `LeafPrefixes` table."""
     check_depth(depth)
-    pieces = remaining_set(config, n_balls, depth=None)
-    total = EXACT_ZERO
-    for piece in pieces:
-        total = total + interval_mass(m, piece, depth)
-    return total
+    table = LeafPrefixes(m, depth)
+    lowers, uppers = [], []
+    for piece in remaining_set(config, n_balls, depth=None):
+        if piece.lo < piece.hi:
+            lower, upper = table.bracket(piece.lo, piece.hi)
+            lowers.append(lower)
+            uppers.append(upper)
+    return MassBracket(Fraction(*_pair_sum(lowers)), Fraction(*_pair_sum(uppers)))
 
 
 def level_numerators(m: TreeMeasure, depth: int) -> Iterator[tuple[list[int], int]]:
@@ -335,28 +382,35 @@ def restrict(
     Each target node's left share is the midpoint ratio of the children's mass
     brackets, evaluated at eval_depth (default: tree depth + 6). Nodes whose
     upper mass vanishes mean the tree lives where m has no mass.
+
+    Every node is bracketed once, through one `LeafPrefixes` table whose
+    prefixes the levels share, so a share (L_l + U_l) / (L_l + U_l + L_r +
+    U_r) and the leaf total are built from integers.
     """
     if eval_depth is None:
         eval_depth = tree.depth + 6
-    root = interval_mass(m, tree.nodes[0][0], eval_depth)
-    if root.upper == 0:
+    table = LeafPrefixes(m, eval_depth)
+    nodes = [table.bracket(nd.lo, nd.hi) for nd in tree.nodes[0]]
+    if nodes[0][1][0] == 0:  # the root's upper mass
         raise MisalignedTrees("the measure puts no mass on the tree's root")
     rows: list[tuple[Fraction, ...]] = []
     for level in range(tree.depth):
+        nodes = [table.bracket(nd.lo, nd.hi) for nd in tree.nodes[level + 1]]
+        sums = [_pair_sum(bracket) for bracket in nodes]  # L + U
         row = []
         for index in range(1 << level):
-            left = interval_mass(m, tree.nodes[level + 1][2 * index], eval_depth)
-            right = interval_mass(m, tree.nodes[level + 1][2 * index + 1], eval_depth)
-            denom = left.midpoint + right.midpoint
-            if denom == 0 or left.midpoint == 0 or right.midpoint == 0:
+            (ln, ld), (rn, rd) = sums[2 * index], sums[2 * index + 1]
+            if ln == 0 or rn == 0:
                 raise MisalignedTrees(
                     f"node ({level}, {index}) splits with a vanishing side"
                 )
-            row.append(left.midpoint / denom)
+            row.append(Fraction(ln * rd, ln * rd + rn * ld))
         rows.append(tuple(row))
-    leaf_total = EXACT_ZERO
-    for leaf in tree.nodes[tree.depth]:
-        leaf_total = leaf_total + interval_mass(m, leaf, eval_depth)
+    # nodes now holds the brackets of the leaves
+    leaf_total = MassBracket(
+        Fraction(*_pair_sum(lower for lower, _ in nodes)),
+        Fraction(*_pair_sum(upper for _, upper in nodes)),
+    )
     weights = TableWeights(tuple(rows))
     # total mass = the surviving-set mass at the build depth (midpoint of the
     # certified bracket; the bracket itself rides along for consumers)

@@ -8,8 +8,9 @@ data types.
 
 The exceptions are the Fraction scan oracles at the end of the file: the
 rational loops that `scan_core`, `per_scale_max_ratios`, `fit_ratio_decay`,
-`fit_mass_window` and `qs_ratio_scan` ran before they moved to integer
-numerators, and the `doubling_scan` report built from them.  They reuse the
+`fit_mass_window`, `qs_ratio_scan`, `restrict` and
+`verify_small_ball_bound` ran before they moved to integer numerators, and
+the `doubling_scan` report built from them.  They reuse the
 library's enclosure primitives and report types, but none of the kernels
 they check; their brackets come from the recursive node walk that
 `interval_mass` ran before it became two boundary walks
@@ -117,11 +118,31 @@ from dmlab.doubling import (  # noqa: E402
     MassWindowFit,
     RatioDecayFit,
     ScanWitness,
+    SmallBallCase,
+    SmallBallResult,
 )
-from dmlab.enclosure import DEFAULT_BITS, exp2_bounds, log2_bounds, pow_bounds  # noqa: E402
-from dmlab.errors import EnclosureInconclusive, PreconditionViolated, ZeroMassBall  # noqa: E402
+from dmlab.enclosure import (  # noqa: E402
+    DEFAULT_BITS,
+    Bounds,
+    exp2_bounds,
+    log2_bounds,
+    mul_bounds,
+    pow_bounds,
+)
+from dmlab.errors import (  # noqa: E402
+    EnclosureInconclusive,
+    MisalignedTrees,
+    PreconditionViolated,
+    ZeroMassBall,
+)
 from dmlab.geom import closed, interval_contains  # noqa: E402
-from dmlab.measure import EXACT_ZERO, MassBracket, effective_depth  # noqa: E402
+from dmlab.measure import (  # noqa: E402
+    EXACT_ZERO,
+    MassBracket,
+    TableWeights,
+    TreeMeasure,
+    effective_depth,
+)
 
 T_STEP = Fraction(1, 64)
 
@@ -499,6 +520,95 @@ def qs_ratio_scan_oracle(m, depth: int, taus, random_triples=0, seed=0):
             offer(Fraction(abs(j - jy), abs(j - jz)), abs(grid[j] - grid[jy]) / den,
                   (point(j), point(jy), point(jz)))
     return [(t, best[t][0], best[t][1]) for t in taus if best[t] is not None]
+
+
+# --- Fraction oracles for restrict and the small-ball check ----------------------
+
+
+def restrict_oracle(m, tree, eval_depth=None):
+    """`restrict` as it ran before its one-pass prefix table: every node's
+    bracket on its own, here by the recursive node walk, each left share
+    the midpoint ratio of the children's Fraction brackets."""
+    if eval_depth is None:
+        eval_depth = tree.depth + 6
+    root = interval_mass_recursive_oracle(m, tree.nodes[0][0], eval_depth)
+    if root.upper == 0:
+        raise MisalignedTrees("the measure puts no mass on the tree's root")
+    rows = []
+    for level in range(tree.depth):
+        row = []
+        for index in range(1 << level):
+            left = interval_mass_recursive_oracle(m, tree.nodes[level + 1][2 * index], eval_depth)
+            right = interval_mass_recursive_oracle(m, tree.nodes[level + 1][2 * index + 1], eval_depth)
+            denom = left.midpoint + right.midpoint
+            if denom == 0 or left.midpoint == 0 or right.midpoint == 0:
+                raise MisalignedTrees(f"node ({level}, {index}) splits with a vanishing side")
+            row.append(left.midpoint / denom)
+        rows.append(tuple(row))
+    leaf_total = EXACT_ZERO
+    for leaf in tree.nodes[tree.depth]:
+        leaf_total = leaf_total + interval_mass_recursive_oracle(m, leaf, eval_depth)
+    return TreeMeasure(TableWeights(tuple(rows)), base=tree, total_mass=leaf_total.midpoint,
+                       base_mass_bracket=leaf_total)
+
+
+def rhs_bounds_oracle(rho, c, s, bits: int) -> Bounds:
+    """Enclosure of 2^-s * rho^s with s either given or read off c = 2^s."""
+    if s is not None:
+        s_b = Bounds(Fraction(s), Fraction(s))
+        inv = exp2_bounds(-Fraction(s), bits)
+    else:
+        s_b = log2_bounds(c, bits)
+        inv = Bounds(1 / Fraction(c), 1 / Fraction(c))
+    return mul_bounds(inv, pow_bounds(rho, s_b, bits))
+
+
+def verify_small_ball_oracle(m, c=None, s=None, count=1000, depth=10, seed=0, cases=None,
+                             bits=DEFAULT_BITS, max_bits=4096):
+    """`verify_small_ball_bound` as it ran before its prefix table: per
+    case, Fraction brackets of mu(A) and mu(B) (here by the recursive node
+    walk) and a fresh factor enclosure at every precision, doubled up to
+    max_bits while the case stays open."""
+    if (c is None) == (s is None):
+        raise PreconditionViolated("give exactly one of c or s")
+    if c is not None and Fraction(c) < 1:
+        raise PreconditionViolated("constant must be >= 1")
+    eval_depth = min(depth + 8, m.split_depth)
+    todo = list(cases) if cases else []
+    rng = random.Random(seed)
+    grid = 1 << depth
+    while len(todo) < count:
+        ia = rng.randrange(0, grid)
+        ib = rng.randrange(ia + 1, grid + 1)
+        a, b = Fraction(ia, grid), Fraction(ib, grid)
+        x = Fraction(rng.randrange(ia, ib + 1), grid)
+        todo.append(SmallBallCase(a, b, x, (b - a) / (1 << rng.randrange(1, 5))))
+    checked = 0
+    for case in todo:
+        if not (case.a_lo <= case.x <= case.a_hi):
+            raise PreconditionViolated("center must lie in the set")
+        if not 0 < case.r < case.a_hi - case.a_lo:
+            raise PreconditionViolated("radius must be in (0, diam A)")
+        mu_a = interval_mass_recursive_oracle(m, closed(case.a_lo, case.a_hi), eval_depth)
+        ball = closed(max(Fraction(0), case.x - case.r), min(Fraction(1), case.x + case.r))
+        mu_b = interval_mass_recursive_oracle(m, ball, eval_depth)
+        rho = case.r / (case.a_hi - case.a_lo)
+        cur = bits
+        while True:
+            factor = rhs_bounds_oracle(rho, c, s, cur)
+            if mu_b.lower >= mu_a.upper * factor.hi:
+                break
+            if mu_b.upper < mu_a.lower * factor.lo:
+                return SmallBallResult(holds=False, checked=checked + 1, counterexample=case,
+                                       margin=mu_a.lower * factor.lo - mu_b.upper)
+            if cur >= max_bits:
+                raise EnclosureInconclusive(
+                    f"cannot settle the case A=[{case.a_lo},{case.a_hi}], "
+                    f"x={case.x}, r={case.r} at {cur} bits"
+                )
+            cur *= 2
+        checked += 1
+    return SmallBallResult(holds=True, checked=checked)
 
 
 # --- formatting -------------------------------------------------------------------

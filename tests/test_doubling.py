@@ -1,5 +1,6 @@
 """Doubling-ratio scans, window fits, and the lower-bound property suite."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,8 +14,8 @@ from dmlab.doubling import (
     scan_core,
     verify_small_ball_bound,
 )
-from dmlab.errors import PreconditionViolated, ZeroMassBall
-from dmlab.measure import BinomialWeights, TreeMeasure
+from dmlab.errors import EnclosureInconclusive, PreconditionViolated, ZeroMassBall
+from dmlab.measure import BinomialWeights, TableWeights, TreeMeasure
 
 
 class TestScan:
@@ -87,6 +88,33 @@ class TestSmallBallBound:
         case = SmallBallCase(Fraction(0), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))
         res = verify_small_ball_bound(lebesgue, c=Fraction(2), count=1, cases=[case])
         assert res.holds
+
+    def test_case_no_precision_settles_is_refused_at_once(self):
+        # the table splits only to depth 2, so mu(B) stays in [0, 1/15], and
+        # the bound asks for mu(B) >= mu(A) / 729 = 1/2187: no precision of
+        # the factor settles that, and escalating to 4096 bits took seconds
+        m = TreeMeasure(TableWeights(((Fraction(1, 3),), (Fraction(1, 5), Fraction(2, 7)))))
+        case = SmallBallCase(Fraction(0), Fraction(1, 2), Fraction(1, 8), Fraction(1, 64))
+        start = time.process_time()
+        with pytest.raises(EnclosureInconclusive) as info:
+            verify_small_ball_bound(m, c=Fraction(3), depth=6, count=1, cases=[case])
+        assert time.process_time() - start < 0.1
+        assert str(info.value) == (
+            "cannot settle the case A=[0,1/2], x=1/8, r=1/64 at any precision: "
+            "mu(A) in [1/3, 1/3], mu(B) in [0, 1/15] at eval depth 2 "
+            "(depth 6 + 8, capped at the split depth 2)"
+        )
+
+    def test_uncapped_eval_depth_is_named_as_such(self, binom13):
+        # a ball narrower than a leaf at depth 1 + 8 has no leaf inside it:
+        # mu(B) >= 0 says nothing, whatever the factor's precision
+        case = SmallBallCase(Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 1000))
+        with pytest.raises(EnclosureInconclusive) as info:
+            verify_small_ball_bound(binom13, c=Fraction(2), depth=1, count=1, cases=[case])
+        assert str(info.value) == (
+            "cannot settle the case A=[0,1], x=1/2, r=1/1000 at any precision: "
+            "mu(A) in [1, 1], mu(B) in [0, 86/6561] at eval depth 9 (depth 1 + 8)"
+        )
 
     def test_requires_exactly_one_exponent_form(self, lebesgue):
         with pytest.raises(PreconditionViolated):

@@ -1,10 +1,11 @@
 """The fast kernels against the Fraction loops they replaced.
 
-`scan_core`, `per_scale_max_ratios`, `fit_ratio_decay`, `fit_mass_window`
-and `qs_ratio_scan` must give the same values, witnesses, notes and errors as
-the oracles in helpers.py, on the exact dyadic grid and on the bracket path,
-and `doubling_scan` the report built from them;
-`interval_mass` must give the same brackets as the recursive node walk.
+`scan_core`, `per_scale_max_ratios`, `fit_ratio_decay`, `fit_mass_window`,
+`qs_ratio_scan`, `restrict` and `verify_small_ball_bound` must give the same
+values, witnesses, notes and errors as the oracles in helpers.py, on the
+exact dyadic grid and on the bracket path, and `doubling_scan` the report
+built from them; `interval_mass` and `cutout_mass` must give the same
+brackets as the recursive node walk.
 """
 
 import random
@@ -14,17 +15,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dmlab.doubling import (
+    SmallBallCase,
     doubling_scan,
     fit_mass_window,
     fit_ratio_decay,
     per_scale_max_ratios,
     scan_core,
+    verify_small_ball_bound,
 )
-from dmlab.geom import RationalInterval, build_cantor
+from dmlab.errors import EnclosureInconclusive
+from dmlab.geom import CutOutConfig, RationalInterval, build_cantor, closed, remaining_set
 from dmlab.measure import (
+    EXACT_ZERO,
     BinomialWeights,
     TableWeights,
     TreeMeasure,
+    cutout_mass,
     interval_mass,
     restrict,
 )
@@ -38,7 +44,9 @@ from helpers import (
     interval_mass_recursive_oracle,
     per_scale_oracle,
     qs_ratio_scan_oracle,
+    restrict_oracle,
     scan_core_oracle,
+    verify_small_ball_oracle,
 )
 
 
@@ -256,3 +264,130 @@ def test_interval_mass_matches_recursion(query):
     # bare endpoints give the same bracket
     got = interval_mass(m, (iv.lo, iv.hi), depth)
     assert (got.lower, got.upper) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(mass_queries().flatmap(lambda q: st.tuples(st.just(q), st.lists(points(q[0]), max_size=6))))
+def test_cutout_mass_matches_recursion(query_and_points):
+    """The pieces left after removing balls, bracketed through one table."""
+    (m, _, depth), ends = query_and_points
+    balls = [closed(min(a, b), max(a, b)) for a, b in zip(ends[::2], ends[1::2])]
+    config = CutOutConfig(balls)
+    expected = EXACT_ZERO
+    for piece in remaining_set(config, len(balls), depth=None):
+        expected = expected + interval_mass_recursive_oracle(m, piece, depth)
+    got = cutout_mass(m, config, len(balls), depth)
+    assert (got.lower, got.upper) == (expected.lower, expected.upper)
+
+
+@st.composite
+def restrict_cases(draw):
+    """A base measure (binomial, or a table deeper or shallower than the
+    evaluation depth), a Cantor tree and an evaluation depth (None: the
+    default tree depth + 6). Some bases are themselves restricted to a tree
+    of the same gap family, deeper or shallower than the new tree, or to a
+    tree of another family, whose gaps may swallow a node of the new tree."""
+    family = draw(gap_families())
+    tree = build_cantor(family, draw(st.integers(0, 5)))
+    base = draw(st.one_of(binomials(), tables(st.integers(1, 12))))
+    kind = draw(st.integers(0, 3))
+    if kind == 1:
+        base = restrict(base, build_cantor(family, draw(st.integers(0, 6))))
+    elif kind == 2:
+        base = restrict(base, build_cantor(draw(gap_families()), draw(st.integers(1, 4))))
+    eval_depth = draw(st.one_of(st.none(), st.integers(0, 14)))
+    return base, tree, eval_depth
+
+
+@settings(max_examples=60, deadline=None)
+@given(restrict_cases())
+# equal-length children of Lebesgue measure: every bracket exact
+@example((TreeMeasure(BinomialWeights(Fraction(1, 2))), build_cantor(Constant(Fraction(1, 2)), 3), None))
+# a massless base
+@example((TreeMeasure(BinomialWeights(Fraction(1, 3)), total_mass=Fraction(0)),
+          build_cantor(Constant(Fraction(1, 2)), 2), 8))
+def test_restrict_matches_oracle(case):
+    base, tree, eval_depth = case
+    assert _outcome(lambda: restrict(base, tree, eval_depth)) == _outcome(
+        lambda: restrict_oracle(base, tree, eval_depth)
+    )
+
+
+def test_restrict_outcomes_include_both_refusals():
+    empty = TreeMeasure(BinomialWeights(Fraction(1, 3)), total_mass=Fraction(0))
+    tree = build_cantor(Constant(Fraction(1, 2)), 2)
+    assert _outcome(lambda: restrict(empty, tree)) == (
+        "MisalignedTrees", "the measure puts no mass on the tree's root")
+    # a base whose gaps swallow a node of the new tree
+    holed = restrict(TreeMeasure(BinomialWeights(Fraction(1, 3))), build_cantor(Constant(Fraction(7, 8)), 3))
+    fine = build_cantor(Constant(Fraction(1, 16)), 3)
+    got = _outcome(lambda: restrict(holed, fine))
+    assert got == _outcome(lambda: restrict_oracle(holed, fine))
+    assert got[0] == "MisalignedTrees" and "splits with a vanishing side" in got[1]
+
+
+@st.composite
+def small_ball_cases(draw):
+    """A measure (binomial, shallow or deep table, or on a Cantor tree), an
+    exponent given as s or as a constant c (a power of two or not), and a
+    few explicit cases before the sampled ones."""
+    m = draw(st.one_of(binomials(), tables(st.integers(1, 12)), cantor_measures()))
+    if draw(st.booleans()):
+        c, s = draw(st.sampled_from([Fraction(2), Fraction(4), Fraction(8), Fraction(3),
+                                     Fraction(5, 2), Fraction(7)])), None
+    else:
+        c, s = None, draw(st.sampled_from([Fraction(1, 8), Fraction(1), Fraction(3, 2), Fraction(2)]))
+    depth = draw(st.integers(1, 8))
+    cases = []
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = sorted(draw(st.lists(points(m), min_size=2, max_size=2, unique=True)))
+        x = draw(st.sampled_from([a, b, (a + b) / 2]))
+        r = (b - a) / draw(st.sampled_from([2, 3, 16, 1000]))
+        cases.append(SmallBallCase(a, b, x, r))
+    return m, c, s, depth, cases
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_ball_cases(), st.integers(1, 25), st.integers(0, 9), st.sampled_from([1, 2, 4, 128]))
+@example((TreeMeasure(BinomialWeights(Fraction(1, 2))), Fraction(2), None, 8, []), 25, 4, 128)
+@example((TreeMeasure(BinomialWeights(Fraction(1, 3))), None, Fraction(1, 8), 8, []), 25, 4, 128)
+@example((TreeMeasure(BinomialWeights(Fraction(1, 3))), Fraction(3), None, 6, []), 25, 0, 1)
+# a case the oracle cannot settle at 256 bits (mu(B) = mu(A) / 4 = f exactly),
+# and a counterexample that settles only after escalating
+@example((TreeMeasure(BinomialWeights(Fraction(1, 2))), None, Fraction(1, 2), 8, []), 25, 1, 2)
+@example((TreeMeasure(TableWeights(((Fraction(1, 3),), (Fraction(1, 5), Fraction(2, 7))))),
+          None, Fraction(1, 8), 4, []), 25, 3, 1)
+def test_small_ball_check_matches_oracle(case, count, seed, bits):
+    """Holds and counterexamples (with their margin) match the oracle. A
+    case no precision can settle is refused at once, where the oracle
+    refuses it after escalating to max_bits. Starting at 1 to 4 bits, the
+    factor's enclosure is wide enough that cases escalate before they settle."""
+    m, c, s, depth, cases = case
+    kwargs = dict(c=c, s=s, count=count, depth=depth, seed=seed, cases=cases, bits=bits, max_bits=256)
+    got = _outcome(lambda: verify_small_ball_bound(m, **kwargs))
+    want = _outcome(lambda: verify_small_ball_oracle(m, **kwargs))
+    if got != want:
+        assert want[0] == got[0] == "EnclosureInconclusive"
+        assert "at any precision" in got[1]
+
+
+def test_small_ball_check_refuses_a_set_outside_the_unit_interval():
+    m = TreeMeasure(BinomialWeights(Fraction(1, 3)))
+    case = SmallBallCase(Fraction(1, 2), Fraction(3, 2), Fraction(1), Fraction(1, 4))
+    got = _outcome(lambda: verify_small_ball_bound(m, c=Fraction(2), cases=[case], count=1))
+    assert got == _outcome(lambda: verify_small_ball_oracle(m, c=Fraction(2), cases=[case], count=1))
+    assert got == ("PreconditionViolated", "interval [1/2, 3/2] must sit inside [0, 1]")
+
+
+@settings(max_examples=15, deadline=None)
+@given(cantor_cases, st.integers(0, 3))
+def test_cantor_window_fit_matches_oracle(case, seed):
+    """The tree branch of the window fit, alone and inside doubling_scan,
+    reads its node masses from the scan's ball oracle."""
+    m, depth = case
+    c_upper = scan_core(m, depth).c_upper
+    got = _outcome(lambda: tuple(vars(fit_mass_window(m, depth, c_upper=c_upper)).values()))
+    assert got == _outcome(lambda: fit_mass_window_oracle(m, depth, c_upper))
+    report = doubling_scan(m, depth, seed=seed)
+    if report.mass_window is not None:
+        assert tuple(vars(report.mass_window).values()) == got
