@@ -40,6 +40,7 @@ from .enclosure import (
     exp_neg_upper,
     log2_bounds,
     pow_bounds,
+    pow_end,
     refine,
 )
 from .errors import (
@@ -218,6 +219,24 @@ class FatnessCertificate:
     notes: tuple[str, ...] = ()
 
 
+# Integer exponents take the exact path, whose rationals grow with the
+# exponent, the terms' bit lengths and the factor count; refuse a product
+# whose estimated size passes this many bits before forming it.
+EXACT_BIT_BUDGET = 1 << 20
+
+
+def _check_exact_bits(size: int, what: str) -> None:
+    if size > EXACT_BIT_BUDGET:
+        raise PreconditionViolated(
+            f"{what} needs about {size} bits, over the exact-arithmetic "
+            f"budget of {EXACT_BIT_BUDGET} bits"
+        )
+
+
+def _bits(x: Fraction) -> int:
+    return x.numerator.bit_length() + x.denominator.bit_length()
+
+
 def _scaled_power(
     scale: Fraction, base: Fraction, exponent: Fraction, bits: int
 ) -> Bounds:
@@ -297,8 +316,12 @@ def certify_fat_thick(
         if classify_ellp(alpha, t) is not Summability.CONVERGES:
             raise NotInEllT(f"gap powers at exponent {t} are not summable")
 
-    n0 = _first_small_stage(alpha, t, scale, bits)
     exact_terms = t.denominator == 1
+    if exact_terms:  # the first factors: all of a finite family, else 64
+        first = length or 64
+        size = t.numerator * max(_bits(term(alpha, 1)), _bits(term(alpha, first))) * first
+        _check_exact_bits(size, f"the exact product of {first} factors at exponent {t}")
+    n0 = _first_small_stage(alpha, t, scale, bits)
 
     if length is not None:
         last = length
@@ -307,6 +330,9 @@ def certify_fat_thick(
         count = 64
         while True:
             last = n0 + count - 1
+            if exact_terms:
+                _check_exact_bits(t.numerator * _bits(term(alpha, last)) * count,
+                                  f"the exact product of {count} factors at exponent {t}")
             tail_sum = scale * tail_sum_upper(alpha, t, last, bits)
             if tail_sum <= tail_target or count >= max_terms:
                 break
@@ -345,7 +371,7 @@ def certify_fat_thick(
             if exact_terms:
                 ahead += scale * term(alpha, n) ** t.numerator
             else:
-                ahead += _scaled_power(scale, term(alpha, n), t, bits).lo
+                ahead += scale * pow_end(term(alpha, n), t, False, bits)
         tail_upper = min(Fraction(1), exp_neg_upper(ahead))
     bound = ProductBracket(
         partial=partial_lo,
@@ -394,7 +420,7 @@ def combine_fatness_constants(
         raise PreconditionViolated("witness constant must lie in (0,1]")
     if t <= 0 or m < 0:
         raise PreconditionViolated("need t > 0 and m >= 0")
-    inv = pow_bounds(c, -t, bits).hi
+    inv = pow_end(c, -t, True, bits)
     return inv * Fraction(c1) * Fraction(c2) * Fraction(doubling_c) ** m
 
 
@@ -447,14 +473,16 @@ def certify_thin_porous(
     for n in range(1, max_stages + 1):
         a_n = term(alpha, n)
         if exact_terms:
+            _check_exact_bits(s.numerator * _bits(a_n), f"the exact power of stage {n} at exponent {s}")
             drop = c * a_n**s.numerator
         else:
-            drop = c * pow_bounds(a_n, s, bits).lo
+            drop = c * pow_end(a_n, s, False, bits)
         factor_up = 1 - drop
         if factor_up <= 0:
             skipped.append(n)
         else:
             u *= factor_up
+            _check_exact_bits(_bits(u), f"the decay product after stage {n}")
         curve.append(u)
         if u < epsilon:
             return ThinnessCertificate(
@@ -539,8 +567,8 @@ def power_tail_upper(
     cut = n_from + head
     total = Fraction(0)
     for m in range(n_from, cut):
-        total += pow_bounds(Fraction(m), -delta, bits).hi
-    integral = pow_bounds(Fraction(cut - 1), 1 - delta, bits).hi / (delta - 1)
+        total += pow_end(Fraction(m), -delta, True, bits)
+    integral = pow_end(Fraction(cut - 1), 1 - delta, True, bits) / (delta - 1)
     return total + integral
 
 
@@ -552,7 +580,7 @@ def power_tail_lower(
         raise PreconditionViolated("tail start must be >= 1")
     total = Fraction(0)
     for m in range(n_from, n_from + head):
-        total += pow_bounds(Fraction(m), -delta, bits).lo
+        total += pow_end(Fraction(m), -delta, False, bits)
     return total
 
 
@@ -599,15 +627,15 @@ def tail_domination_start(
     def envelope_ok(n: int) -> bool:
         def attempt(b: int):
             h_hi = (
-                pow_bounds(Fraction(n), gamma, b).hi
-                * pow_bounds(Fraction(n - 1), 1 - delta, b).hi
+                pow_end(Fraction(n), gamma, True, b)
+                * pow_end(Fraction(n - 1), 1 - delta, True, b)
                 / (delta - 1)
             )
             if h_hi < epsilon:
                 return True
             h_lo = (
-                pow_bounds(Fraction(n), gamma, b).lo
-                * pow_bounds(Fraction(n - 1), 1 - delta, b).lo
+                pow_end(Fraction(n), gamma, False, b)
+                * pow_end(Fraction(n - 1), 1 - delta, False, b)
                 / (delta - 1)
             )
             if h_lo >= epsilon:
@@ -715,16 +743,16 @@ def cutout_lower_bound(
             f"largest surviving gap {gap_diam} < {n_balls}^(-{r})"
         )
 
-    main_term = lam * pow_bounds(Fraction(n_balls), -(r * s), bits).lo
+    main_term = lam * pow_end(Fraction(n_balls), -(r * s), False, bits)
 
     # sum of ball diameters^p: listed balls exactly, declared family beyond
     cp_up = Fraction(0)
     for ball in config.balls:
-        cp_up += pow_bounds(ball.diameter, p, bits).hi
+        cp_up += pow_end(ball.diameter, p, True, bits)
     cp_up += tail_sum_upper(config.diam_family, p, len(config.balls), bits)
 
     delta = t / p
-    cp_pow_up = pow_bounds(cp_up, delta, bits).hi
+    cp_pow_up = pow_end(cp_up, delta, True, bits)
     tail_up = power_tail_upper(delta, n_balls, bits)
     penalty = cp_pow_up * big_lam * tail_up
     value = main_term - penalty
@@ -773,7 +801,7 @@ def inflated_remainder_check(
     q, epsilon = Fraction(q), Fraction(epsilon)
     if epsilon <= 0:
         raise PreconditionViolated("epsilon must be positive")
-    zeta_up = 2 * pow_bounds(Fraction(n_balls), -q, bits).hi
+    zeta_up = 2 * pow_end(Fraction(n_balls), -q, True, bits)
     grown = inflate(config, n_balls, zeta_up)
     merged = merge_components(grown)
     grown_config = CutOutConfig(

@@ -23,6 +23,7 @@ from typing import Iterator, NamedTuple
 
 from .enclosure import (
     DEFAULT_BITS,
+    _exact_rational_pow,
     exp2_64ths,
     exp2_bounds,
     log2_bounds,
@@ -712,6 +713,9 @@ def verify_small_ball_bound(
         mu_a = table.bracket(case.a_lo, case.a_hi)
         mu_b = table.bracket(max(Fraction(0), case.x - case.r), min(Fraction(1), case.x + case.r))
         rho = case.r / (case.a_hi - case.a_lo)
+        # the factor is (rho/2)^s; when that is rational, a mass ratio equal
+        # to it holds, though no enclosure of the factor can show it
+        exact = None if s is None else _exact_rational_pow(rho / 2, Fraction(s))
         cur = bits
         while True:
             if (rho, cur) not in factors:
@@ -729,6 +733,8 @@ def verify_small_ball_bound(
                     counterexample=case,
                     margin=rhs_lo - Fraction(*mu_b[1]),
                 )
+            if exact is not None and not _below(mu_b[0], mu_a[1], exact):
+                break
             if _below(mu_b[0], mu_a[1], factor.lo) and not _below(mu_b[1], mu_a[0], factor.hi):
                 # no factor in [factor.lo, factor.hi] settles the case, so no
                 # precision can: only a deeper evaluation narrows the masses

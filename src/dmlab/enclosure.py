@@ -1,10 +1,12 @@
 """Certified enclosures for log2, 2^y, and rational powers.
 
-All bounds are exact dyadic rationals produced by integer arithmetic with
-directed rounding; no floats enter any comparison.  The working precision
-(`bits`, default 128) controls enclosure width, never soundness: a floor-pass
-mantissa stays <= the true value at every step and a ceil-pass stays >= it,
-so the returned interval always contains the true real number.
+All bounds are exact dyadic rationals from integer arithmetic with directed
+rounding at scale 2^B, B = bits + 32: `x >> B` floors, `-((-x) >> B)` ceils,
+and no floats enter any comparison.  `bits` (default 128) sets the width,
+never soundness: a floor pass stays <= the true value at every step and a
+ceil pass >= it.  Each end is computed on its own: a log2 end is an integer
+over 2^bits, an exp2 end one Fraction, and `pow_end` computes only the log2
+end and the exp2 end that one side of x^e needs.
 """
 
 from __future__ import annotations
@@ -57,28 +59,12 @@ def add_bounds(a: Bounds, b: Bounds) -> Bounds:
     return Bounds(a.lo + b.lo, a.hi + b.hi)
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
-
-
 def _ilog2(x: Fraction) -> int:
     """floor(log2(x)) for x > 0, exactly."""
     n, d = x.numerator, x.denominator
-    e = n.bit_length() - d.bit_length()
-    # adjust so 2^e <= x < 2^(e+1)
-    if e >= 0:
-        if n < d << e:
-            e -= 1
-    else:
-        if n << -e < d:
-            e -= 1
-    if e + 1 >= 0:
-        if n >= d << (e + 1):
-            e += 1
-    else:
-        if n << -(e + 1) >= d:
-            e += 1
-    return e
+    e = n.bit_length() - d.bit_length()  # so 2^(e-1) < x < 2^(e+1)
+    below = n < d << e if e >= 0 else n << -e < d
+    return e - 1 if below else e
 
 
 def _pow2_int(k: int) -> Fraction:
@@ -89,19 +75,36 @@ def _log2_frac_bits(n: int, d: int, bits: int, round_up: bool) -> int:
     # Fractional log2 bits of m = n/d in [1, 2) via squaring with directed
     # rounding.  Rounding direction alone guarantees the bound's side.
     B = bits + _GUARD
-    one = 1 << B
-    two = one << 1
-    M = _ceil_div(n << B, d) if round_up else (n << B) // d
+    two = 2 << B
     f = 0
-    for _ in range(bits):
-        M2 = M * M
-        M2 = _ceil_div(M2, one) if round_up else M2 // one
-        f <<= 1
-        if M2 >= two:
-            f |= 1
-            M2 = _ceil_div(M2, 2) if round_up else M2 // 2
-        M = M2
+    if round_up:
+        M = -((-n << B) // d)
+        for _ in range(bits):
+            M = -((-M * M) >> B)
+            f <<= 1
+            if M >= two:
+                f |= 1
+                M = -((-M) >> 1)
+    else:
+        M = (n << B) // d
+        for _ in range(bits):
+            M = (M * M) >> B
+            f <<= 1
+            if M >= two:
+                f |= 1
+                M >>= 1
     return f
+
+
+def _log2_end(x: Fraction, bits: int, upper: bool) -> int:
+    """The upper or lower end of log2_bounds(x, bits), times 2^bits."""
+    e = _ilog2(x)
+    # mantissa m = x / 2^e in [1, 2)
+    n, d = x.numerator, x.denominator
+    mn, md = (n, d << e) if e >= 0 else (n << -e, d)
+    if mn == md:  # x = 2^e
+        return e << bits
+    return (e << bits) + _log2_frac_bits(mn, md, bits, upper) + upper
 
 
 def log2_bounds(x: Fraction, bits: int = DEFAULT_BITS) -> Bounds:
@@ -109,25 +112,8 @@ def log2_bounds(x: Fraction, bits: int = DEFAULT_BITS) -> Bounds:
     x = Fraction(x)
     if x <= 0:
         raise PreconditionViolated("log2 needs a positive argument")
-    n, d = x.numerator, x.denominator
-    if n % d == 0:
-        q = n // d
-        if q & (q - 1) == 0:
-            return Bounds.exact(Fraction(q.bit_length() - 1))
-    if d % n == 0:
-        q = d // n
-        if q & (q - 1) == 0:
-            return Bounds.exact(Fraction(-(q.bit_length() - 1)))
-    e = _ilog2(x)
-    # mantissa m = x / 2^e in [1, 2)
-    if e >= 0:
-        mn, md = n, d << e
-    else:
-        mn, md = n << -e, d
-    f_lo = _log2_frac_bits(mn, md, bits, round_up=False)
-    f_hi = _log2_frac_bits(mn, md, bits, round_up=True)
     unit = 1 << bits
-    return Bounds(e + Fraction(f_lo, unit), e + Fraction(f_hi + 1, unit))
+    return Bounds(Fraction(_log2_end(x, bits, False), unit), Fraction(_log2_end(x, bits, True), unit))
 
 
 @lru_cache(maxsize=8)
@@ -138,53 +124,48 @@ def _root_tables(bits: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     down, up = [], []
     lo = hi = 2 * S  # represents the value 2.0
     for _ in range(bits):
-        t = isqrt(lo * S)
-        lo = t
+        lo = isqrt(lo * S)
         t = isqrt(hi * S)
-        if t * t < hi * S:
-            t += 1
-        hi = t
+        hi = t + (t * t < hi * S)
         down.append(lo)
         up.append(hi)
     return tuple(down), tuple(up)
 
 
-def _exp2_frac(f_scaled: int, bits: int, round_up: bool) -> Fraction:
-    # 2^(f_scaled / 2^bits) for 0 <= f_scaled < 2^bits, directed
+def _exp2_end(num: int, den: int, bits: int, upper: bool) -> Fraction:
+    """The upper or lower end of exp2_bounds(num / den, bits), den > 0.
+
+    2^y = 2^k * 2^f with k = floor(y); f is cut to bits fractional bits
+    (rounded toward the wanted side) and 2^f is the product of the roots
+    2^(2^-i) over its set bits, each step floored or ceiled at scale 2^B."""
+    k, rem = divmod(num, den)
+    if abs(k) > 1 << 22:
+        raise PreconditionViolated("exponent magnitude out of supported range")
+    if rem == 0:
+        return _pow2_int(k)
+    f, inexact = divmod(rem << bits, den)
+    if upper and inexact:
+        f += 1
+        if f >> bits:  # f rounded up to 1
+            return _pow2_int(k + 1)
     B = bits + _GUARD
-    S = 1 << B
+    P = 1 << B
     down, up = _root_tables(bits)
-    table = up if round_up else down
-    P = S
-    for i in range(1, bits + 1):
-        if (f_scaled >> (bits - i)) & 1:
-            P = _ceil_div(P * table[i - 1], S) if round_up else (P * table[i - 1]) // S
-    return Fraction(P, S)
+    if upper:
+        for bit, root in zip(format(f, f"0{bits}b"), up):
+            if bit == "1":
+                P = -((-P * root) >> B)
+    else:
+        for bit, root in zip(format(f, f"0{bits}b"), down):
+            if bit == "1":
+                P = (P * root) >> B
+    return Fraction(P << k, 1 << B) if k >= 0 else Fraction(P, 1 << (B - k))
 
 
 def exp2_bounds(y: Fraction, bits: int = DEFAULT_BITS) -> Bounds:
     """Certified enclosure of 2^y for rational y."""
-    y = Fraction(y)
-    if y.denominator == 1:
-        k = y.numerator
-        if abs(k) > 1 << 22:
-            raise PreconditionViolated("exponent magnitude out of supported range")
-        return Bounds.exact(_pow2_int(k))
-    n_floor = y.numerator // y.denominator
-    if abs(n_floor) > 1 << 22:
-        raise PreconditionViolated("exponent magnitude out of supported range")
-    f = y - n_floor  # in (0, 1)
-    scale = 1 << bits
-    f_lo = (f.numerator * scale) // f.denominator
-    exact_dyadic = f_lo * f.denominator == f.numerator * scale
-    f_hi = f_lo if exact_dyadic else f_lo + 1
-    base = _pow2_int(n_floor)
-    lo = base * _exp2_frac(f_lo, bits, round_up=False)
-    if f_hi >= scale:
-        hi = base * 2
-    else:
-        hi = base * _exp2_frac(f_hi, bits, round_up=True)
-    return Bounds(lo, hi)
+    n, d = Fraction(y).as_integer_ratio()
+    return Bounds(_exp2_end(n, d, bits, False), _exp2_end(n, d, bits, True))
 
 
 @lru_cache(maxsize=8)
@@ -221,7 +202,7 @@ def iroot(n: int, k: int) -> tuple[int, bool]:
         raise PreconditionViolated("iroot needs n >= 0 and k >= 1")
     if k == 1 or n in (0, 1):
         return n, True
-    x = 1 << _ceil_div(n.bit_length(), k)
+    x = 1 << -(-n.bit_length() // k)
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
@@ -243,6 +224,12 @@ def _exact_rational_pow(x: Fraction, e: Fraction) -> Fraction | None:
     return Fraction(rn, rd) ** e.numerator
 
 
+def _pow_end(x: Fraction, e: Fraction, upper: bool, bits: int) -> Fraction:
+    # one end of 2^(e log2 x): with e < 0 the lower log2 end gives the upper one
+    num, den = e.as_integer_ratio()
+    return _exp2_end(num * _log2_end(x, bits, upper == (num > 0)), den << bits, bits, upper)
+
+
 def pow_bounds(x: Fraction, e: Fraction | Bounds, bits: int = DEFAULT_BITS) -> Bounds:
     """Certified enclosure of x^e for rational x > 0.
 
@@ -253,27 +240,35 @@ def pow_bounds(x: Fraction, e: Fraction | Bounds, bits: int = DEFAULT_BITS) -> B
     x = Fraction(x)
     if x <= 0:
         raise PreconditionViolated("pow_bounds needs a positive base")
-    if isinstance(e, Bounds):
-        if e.is_exact:
-            e = e.lo
-    if isinstance(e, Fraction) or isinstance(e, int):
+    if isinstance(e, Bounds) and e.is_exact:
+        e = e.lo
+    if not isinstance(e, Bounds):
         e = Fraction(e)
-        if x == 1 or e == 0:
-            return Bounds.exact(Fraction(1))
         exact = _exact_rational_pow(x, e)
         if exact is not None:
             return Bounds.exact(exact)
-        e_bounds = Bounds.exact(e)
-    else:
-        e_bounds = e
-        if x == 1:
-            return Bounds.exact(Fraction(1))
-    prod = mul_bounds(e_bounds, log2_bounds(x, bits))
-    if prod.is_exact:  # x a power of two: one enclosure of 2^prod serves both ends
-        return exp2_bounds(prod.lo, bits)
-    lo = exp2_bounds(prod.lo, bits).lo
-    hi = exp2_bounds(prod.hi, bits).hi
-    return Bounds(lo, hi)
+        return Bounds(_pow_end(x, e, False, bits), _pow_end(x, e, True, bits))
+    if x == 1:
+        return Bounds.exact(Fraction(1))
+    prod = mul_bounds(e, log2_bounds(x, bits))
+    lo, hi = prod.lo.as_integer_ratio(), prod.hi.as_integer_ratio()
+    return Bounds(_exp2_end(*lo, bits, False), _exp2_end(*hi, bits, True))
+
+
+def pow_end(x: Fraction, e: Fraction, upper: bool, bits: int = DEFAULT_BITS) -> Fraction:
+    """pow_bounds(x, e, bits).hi when `upper`, else .lo, for a rational e;
+    only the one log2 end and the one exp2 end that side needs are computed."""
+    x, e = Fraction(x), Fraction(e)
+    if x <= 0:
+        raise PreconditionViolated("pow_bounds needs a positive base")
+    exact = _exact_rational_pow(x, e)
+    if exact is not None:
+        return exact
+    if abs(e) * (x.numerator.bit_length() + x.denominator.bit_length()) >= 1 << 22:
+        # the other end might leave the exponent range that pow_bounds checks
+        b = pow_bounds(x, e, bits)
+        return b.hi if upper else b.lo
+    return _pow_end(x, e, upper, bits)
 
 
 def exp_neg_upper(s: Fraction) -> Fraction:

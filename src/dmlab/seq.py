@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .enclosure import DEFAULT_BITS, pow_bounds, refine
+from .enclosure import DEFAULT_BITS, pow_bounds, pow_end, refine
 from .errors import (
     DivergentSeries,
     IndexOutOfRange,
@@ -257,7 +257,7 @@ def series_total(f: SequenceFamily) -> Fraction:
 
 
 def _pow_upper(x: Fraction, e: Fraction, bits: int) -> Fraction:
-    return pow_bounds(x, e, bits).hi
+    return pow_end(x, e, True, bits)
 
 
 def tail_sum_upper(

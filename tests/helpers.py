@@ -15,10 +15,15 @@ library's enclosure primitives and report types, but none of the kernels
 they check; their brackets come from the recursive node walk that
 `interval_mass` ran before it became two boundary walks
 (`interval_mass_recursive_oracle`).
+
+Last come `log2_bounds`, `exp2_bounds` and `pow_bounds` as Fraction loops
+with general long division, from before their kernels moved to shifts and
+integer ends.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -563,16 +568,9 @@ def rhs_bounds_oracle(rho, c, s, bits: int) -> Bounds:
     return mul_bounds(inv, pow_bounds(rho, s_b, bits))
 
 
-def verify_small_ball_oracle(m, c=None, s=None, count=1000, depth=10, seed=0, cases=None,
-                             bits=DEFAULT_BITS, max_bits=4096):
-    """`verify_small_ball_bound` as it ran before its prefix table: per
-    case, Fraction brackets of mu(A) and mu(B) (here by the recursive node
-    walk) and a fresh factor enclosure at every precision, doubled up to
-    max_bits while the case stays open."""
-    if (c is None) == (s is None):
-        raise PreconditionViolated("give exactly one of c or s")
-    if c is not None and Fraction(c) < 1:
-        raise PreconditionViolated("constant must be >= 1")
+def _small_ball_brackets(m, count, depth, seed, cases):
+    """The checked cases in order, given ones first and then sampled ones,
+    each with brackets of mu(A) and mu(B) from the recursive node walk."""
     eval_depth = min(depth + 8, m.split_depth)
     todo = list(cases) if cases else []
     rng = random.Random(seed)
@@ -583,7 +581,6 @@ def verify_small_ball_oracle(m, c=None, s=None, count=1000, depth=10, seed=0, ca
         a, b = Fraction(ia, grid), Fraction(ib, grid)
         x = Fraction(rng.randrange(ia, ib + 1), grid)
         todo.append(SmallBallCase(a, b, x, (b - a) / (1 << rng.randrange(1, 5))))
-    checked = 0
     for case in todo:
         if not (case.a_lo <= case.x <= case.a_hi):
             raise PreconditionViolated("center must lie in the set")
@@ -591,7 +588,42 @@ def verify_small_ball_oracle(m, c=None, s=None, count=1000, depth=10, seed=0, ca
             raise PreconditionViolated("radius must be in (0, diam A)")
         mu_a = interval_mass_recursive_oracle(m, closed(case.a_lo, case.a_hi), eval_depth)
         ball = closed(max(Fraction(0), case.x - case.r), min(Fraction(1), case.x + case.r))
-        mu_b = interval_mass_recursive_oracle(m, ball, eval_depth)
+        yield case, mu_a, interval_mass_recursive_oracle(m, ball, eval_depth)
+
+
+def verify_small_ball_exact_oracle(m, s, count=1000, depth=10, seed=0, cases=None):
+    """The small-ball check for a given s = p/q, decided without enclosures:
+    mu(B) >= (rho/2)^s mu(A) compares mu(B)^q with (rho/2)^p mu(A)^q. Returns
+    (holds, checked, counterexample, the exact margin's q-th power test) and
+    raises EnclosureInconclusive where the mass brackets leave a case open."""
+    p, q = Fraction(s).as_integer_ratio()
+    checked = 0
+    for case, mu_a, mu_b in _small_ball_brackets(m, count, depth, seed, cases):
+        rhs = (case.r / (case.a_hi - case.a_lo) / 2) ** p
+        checked += 1
+        if mu_b.lower ** q >= rhs * mu_a.upper ** q:
+            continue
+        if mu_b.upper ** q < rhs * mu_a.lower ** q:
+            def margin_ok(margin, mu_a=mu_a, mu_b=mu_b, rhs=rhs):
+                # a margin is sound when mu(B) + margin <= (rho/2)^s mu(A) still holds
+                return 0 < margin and (mu_b.upper + margin) ** q <= rhs * mu_a.lower ** q
+            return False, checked, case, margin_ok
+        raise EnclosureInconclusive(f"the brackets leave case {case} open")
+    return True, checked, None, None
+
+
+def verify_small_ball_oracle(m, c=None, s=None, count=1000, depth=10, seed=0, cases=None,
+                             bits=DEFAULT_BITS, max_bits=4096):
+    """`verify_small_ball_bound` as it ran before its prefix table: per
+    case, Fraction brackets of mu(A) and mu(B) (here by the recursive node
+    walk) and a fresh factor enclosure at every precision, doubled up to
+    max_bits while the case stays open."""
+    if (c is None) == (s is None):
+        raise PreconditionViolated("give exactly one of c or s")
+    if c is not None and Fraction(c) < 1:
+        raise PreconditionViolated("constant must be >= 1")
+    checked = 0
+    for case, mu_a, mu_b in _small_ball_brackets(m, count, depth, seed, cases):
         rho = case.r / (case.a_hi - case.a_lo)
         cur = bits
         while True:
@@ -609,6 +641,162 @@ def verify_small_ball_oracle(m, c=None, s=None, count=1000, depth=10, seed=0, ca
             cur *= 2
         checked += 1
     return SmallBallResult(holds=True, checked=checked)
+
+
+# --- Fraction oracles for the enclosure primitives -------------------------------
+#
+# log2_bounds, exp2_bounds and pow_bounds as they ran before their kernels
+# moved to shifts and integer ends: general long division by 2^B at every
+# rounding step, a Fraction per step, and pow_bounds asking for both ends of
+# both exp2 enclosures.  Only the exact-root shortcut comes from the library.
+
+from dmlab.enclosure import _exact_rational_pow  # noqa: E402
+
+ORACLE_GUARD = 32
+
+
+def _ceil_div(a: int, b: int) -> int:
+    return -((-a) // b)
+
+
+def _ilog2_oracle(x: Fraction) -> int:
+    n, d = x.numerator, x.denominator
+    e = n.bit_length() - d.bit_length()
+    if e >= 0:
+        if n < d << e:
+            e -= 1
+    else:
+        if n << -e < d:
+            e -= 1
+    if e + 1 >= 0:
+        if n >= d << (e + 1):
+            e += 1
+    else:
+        if n << -(e + 1) >= d:
+            e += 1
+    return e
+
+
+def _pow2_oracle(k: int) -> Fraction:
+    return Fraction(1 << k) if k >= 0 else Fraction(1, 1 << -k)
+
+
+def _log2_frac_bits_oracle(n: int, d: int, bits: int, round_up: bool) -> int:
+    B = bits + ORACLE_GUARD
+    one = 1 << B
+    two = one << 1
+    M = _ceil_div(n << B, d) if round_up else (n << B) // d
+    f = 0
+    for _ in range(bits):
+        M2 = M * M
+        M2 = _ceil_div(M2, one) if round_up else M2 // one
+        f <<= 1
+        if M2 >= two:
+            f |= 1
+            M2 = _ceil_div(M2, 2) if round_up else M2 // 2
+        M = M2
+    return f
+
+
+def log2_bounds_oracle(x: Fraction, bits: int = DEFAULT_BITS) -> Bounds:
+    x = Fraction(x)
+    if x <= 0:
+        raise PreconditionViolated("log2 needs a positive argument")
+    n, d = x.numerator, x.denominator
+    if n % d == 0:
+        q = n // d
+        if q & (q - 1) == 0:
+            return Bounds.exact(Fraction(q.bit_length() - 1))
+    if d % n == 0:
+        q = d // n
+        if q & (q - 1) == 0:
+            return Bounds.exact(Fraction(-(q.bit_length() - 1)))
+    e = _ilog2_oracle(x)
+    if e >= 0:
+        mn, md = n, d << e
+    else:
+        mn, md = n << -e, d
+    f_lo = _log2_frac_bits_oracle(mn, md, bits, round_up=False)
+    f_hi = _log2_frac_bits_oracle(mn, md, bits, round_up=True)
+    unit = 1 << bits
+    return Bounds(e + Fraction(f_lo, unit), e + Fraction(f_hi + 1, unit))
+
+
+@functools.lru_cache(maxsize=8)
+def _root_tables_oracle(bits: int) -> tuple[list[int], list[int]]:
+    B = bits + ORACLE_GUARD
+    S = 1 << B
+    down, up = [], []
+    lo = hi = 2 * S
+    for _ in range(bits):
+        lo = math.isqrt(lo * S)
+        t = math.isqrt(hi * S)
+        hi = t + 1 if t * t < hi * S else t
+        down.append(lo)
+        up.append(hi)
+    return down, up
+
+
+def _exp2_frac_oracle(f_scaled: int, bits: int, round_up: bool) -> Fraction:
+    B = bits + ORACLE_GUARD
+    S = 1 << B
+    table = _root_tables_oracle(bits)[1 if round_up else 0]
+    P = S
+    for i in range(1, bits + 1):
+        if (f_scaled >> (bits - i)) & 1:
+            P = _ceil_div(P * table[i - 1], S) if round_up else (P * table[i - 1]) // S
+    return Fraction(P, S)
+
+
+def exp2_bounds_oracle(y: Fraction, bits: int = DEFAULT_BITS) -> Bounds:
+    y = Fraction(y)
+    if y.denominator == 1:
+        k = y.numerator
+        if abs(k) > 1 << 22:
+            raise PreconditionViolated("exponent magnitude out of supported range")
+        return Bounds.exact(_pow2_oracle(k))
+    n_floor = y.numerator // y.denominator
+    if abs(n_floor) > 1 << 22:
+        raise PreconditionViolated("exponent magnitude out of supported range")
+    f = y - n_floor
+    scale = 1 << bits
+    f_lo = (f.numerator * scale) // f.denominator
+    exact_dyadic = f_lo * f.denominator == f.numerator * scale
+    f_hi = f_lo if exact_dyadic else f_lo + 1
+    base = _pow2_oracle(n_floor)
+    lo = base * _exp2_frac_oracle(f_lo, bits, round_up=False)
+    if f_hi >= scale:
+        hi = base * 2
+    else:
+        hi = base * _exp2_frac_oracle(f_hi, bits, round_up=True)
+    return Bounds(lo, hi)
+
+
+def pow_bounds_oracle(x: Fraction, e, bits: int = DEFAULT_BITS) -> Bounds:
+    x = Fraction(x)
+    if x <= 0:
+        raise PreconditionViolated("pow_bounds needs a positive base")
+    if isinstance(e, Bounds):
+        if e.is_exact:
+            e = e.lo
+    if isinstance(e, Fraction) or isinstance(e, int):
+        e = Fraction(e)
+        if x == 1 or e == 0:
+            return Bounds.exact(Fraction(1))
+        exact = _exact_rational_pow(x, e)
+        if exact is not None:
+            return Bounds.exact(exact)
+        e_bounds = Bounds.exact(e)
+    else:
+        e_bounds = e
+        if x == 1:
+            return Bounds.exact(Fraction(1))
+    prod = mul_bounds(e_bounds, log2_bounds_oracle(x, bits))
+    if prod.is_exact:
+        return exp2_bounds_oracle(prod.lo, bits)
+    lo = exp2_bounds_oracle(prod.lo, bits).lo
+    hi = exp2_bounds_oracle(prod.hi, bits).hi
+    return Bounds(lo, hi)
 
 
 # --- formatting -------------------------------------------------------------------

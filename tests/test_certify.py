@@ -1,11 +1,13 @@
 """Certificates against direct multiplication, literal enumeration, mpmath."""
 
+import time
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
 from dmlab.certify import (
+    EXACT_BIT_BUDGET,
     Conclusion,
     LimitVerdict,
     PackingVerdict,
@@ -106,6 +108,19 @@ class TestFatCertificates:
         with pytest.raises(NotInEllT):
             certify_fat_thick(Constant(Fraction(1, 2)), Fraction(1), Fraction(1))
 
+    @pytest.mark.parametrize("alpha, t, size", [
+        # 100000 * (1 + 66 bits of the 64th term) * 64 factors, before any power
+        (Geometric(Fraction(1, 4), Fraction(1, 2)), 100000, 428800000),
+        # slow decay doubles the factor count until 2 * 18 bits * 32768 passes it
+        (Power(Fraction(1, 2), 1, 1), 2, 1179648),
+    ])
+    def test_exact_path_refused_over_the_bit_budget(self, alpha, t, size):
+        start = time.process_time()
+        with pytest.raises(PreconditionViolated, match=f"needs about {size} bits, over the "
+                           f"exact-arithmetic budget of {EXACT_BIT_BUDGET} bits"):
+            certify_fat_thick(alpha, Fraction(t), Fraction(1, 2))
+        assert time.process_time() - start < 1
+
     def test_combine_constants_exact_case(self):
         got = combine_fatness_constants(
             c=Fraction(1, 2), t=Fraction(2), c1=Fraction(3), c2=Fraction(5),
@@ -141,6 +156,16 @@ class TestThinCertificates:
                 Fraction(1),
                 Fraction(1, 10),
             )
+
+    def test_exact_path_refused_over_the_bit_budget(self):
+        # each stage's exact power fits, but the decay product grows by
+        # 400000 bits a stage and passes the budget at stage 3
+        start = time.process_time()
+        with pytest.raises(PreconditionViolated, match="the decay product after stage 3"):
+            certify_thin_porous(Constant(Fraction(1, 4)), Fraction(100000), Fraction(1), Fraction(1, 10))
+        assert time.process_time() - start < 1
+        with pytest.raises(PreconditionViolated, match="the exact power of stage 1"):
+            certify_thin_porous(Constant(Fraction(1, 4)), Fraction(300000), Fraction(1), Fraction(1, 10))
 
     def test_scale_constant_validated(self):
         with pytest.raises(PreconditionViolated):

@@ -264,6 +264,11 @@ class TestErrorContract:
             (["cantor", "cutout", "--balls", "5"], "PreconditionViolated"),
             # 2^30 grid entries: refused by the node cap before any allocation
             (["measure", "grid", "--measure", BINOM, "--depth", "30"], "NodeBudgetExceeded"),
+            # integer exponents whose exact products pass the bit budget
+            (["certify", "fat", "--alpha", '{"kind":"geometric","a":"1/4","q":"1/2"}',
+              "--factor-scale", "1/2", "--t", "100000"], "PreconditionViolated"),
+            (["certify", "thin", "--alpha", '{"kind":"constant","value":"1/4"}', "--s", "100000",
+              "--c", "1", "--epsilon", "1/10"], "PreconditionViolated"),
         ],
     )
     def test_one_json_line(self, capsys, argv, kind):

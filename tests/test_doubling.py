@@ -105,6 +105,15 @@ class TestSmallBallBound:
             "(depth 6 + 8, capped at the split depth 2)"
         )
 
+    def test_ratio_equal_to_a_rational_factor_holds_at_once(self, lebesgue):
+        # rho = 1/8 and s = 1/2: mu(B) / mu(A) = 1/4 = (rho/2)^s exactly, which
+        # no enclosure of 2^-s rho^s settles; escalating to 4096 bits took 0.9 s
+        case = SmallBallCase(Fraction(17, 64), Fraction(107, 128), Fraction(21, 64), Fraction(73, 1024))
+        start = time.process_time()
+        res = verify_small_ball_bound(lebesgue, s=Fraction(1, 2), count=1, cases=[case], bits=2, max_bits=2)
+        assert time.process_time() - start < 0.1
+        assert res.holds and res.checked == 1
+
     def test_uncapped_eval_depth_is_named_as_such(self, binom13):
         # a ball narrower than a leaf at depth 1 + 8 has no leaf inside it:
         # mu(B) >= 0 says nothing, whatever the factor's precision

@@ -19,6 +19,7 @@ from dmlab.enclosure import (
     log2_bounds,
     mul_bounds,
     pow_bounds,
+    pow_end,
     refine,
 )
 from dmlab.errors import EnclosureInconclusive
@@ -96,6 +97,26 @@ def test_exp2_64ths_table_fills_lazily():
 def test_pow_encloses_reference(x, e):
     b = pow_bounds(x, e, DEFAULT_BITS)
     assert contains(b, mp.power(mpf(x), mpf(e)))
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3, 64, DEFAULT_BITS, 512])
+@pytest.mark.parametrize(
+    "x,e",
+    [
+        (Fraction(2), Fraction(1, 2)),
+        (Fraction(5, 3), Fraction(-3, 4)),
+        (Fraction(1, 10), Fraction(2, 5)),
+        (Fraction(77), Fraction(-13, 8)),
+        (Fraction(1, 3), Fraction(-7, 2)),
+        (Fraction(99, 100), Fraction(1, 1000)),
+    ],
+)
+def test_pow_end_encloses_reference(x, e, bits):
+    lo, hi = pow_end(x, e, False, bits), pow_end(x, e, True, bits)
+    with mp.workprec(2 * bits + 300):  # finer than the enclosure at every bits
+        assert mpf(lo) <= mp.power(mpf(x), mpf(e)) <= mpf(hi)
+    assert lo < hi
+    assert Bounds(lo, hi) == pow_bounds(x, e, bits)
 
 
 def test_pow_exact_for_integer_exponents():

@@ -5,11 +5,14 @@
 values, witnesses, notes and errors as the oracles in helpers.py, on the
 exact dyadic grid and on the bracket path, and `doubling_scan` the report
 built from them; `interval_mass` and `cutout_mass` must give the same
-brackets as the recursive node walk.
+brackets as the recursive node walk. `log2_bounds`, `exp2_bounds`,
+`pow_bounds` and `pow_end` must give the same ends and refusals as the
+Fraction enclosures they replaced.
 """
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -23,6 +26,7 @@ from dmlab.doubling import (
     scan_core,
     verify_small_ball_bound,
 )
+from dmlab.enclosure import Bounds, exp2_bounds, log2_bounds, pow_bounds, pow_end
 from dmlab.errors import EnclosureInconclusive
 from dmlab.geom import CutOutConfig, RationalInterval, build_cantor, closed, remaining_set
 from dmlab.measure import (
@@ -38,6 +42,9 @@ from dmlab.qs import DEFAULT_TAUS, QSMap, qs_ratio_scan
 from dmlab.seq import Constant, Geometric, Power
 
 from helpers import (
+    exp2_bounds_oracle,
+    log2_bounds_oracle,
+    pow_bounds_oracle,
     doubling_scan_oracle,
     fit_mass_window_oracle,
     fit_ratio_decay_oracle,
@@ -46,6 +53,7 @@ from helpers import (
     qs_ratio_scan_oracle,
     restrict_oracle,
     scan_core_oracle,
+    verify_small_ball_exact_oracle,
     verify_small_ball_oracle,
 )
 
@@ -358,17 +366,28 @@ def small_ball_cases(draw):
 @example((TreeMeasure(TableWeights(((Fraction(1, 3),), (Fraction(1, 5), Fraction(2, 7))))),
           None, Fraction(1, 8), 4, []), 25, 3, 1)
 def test_small_ball_check_matches_oracle(case, count, seed, bits):
-    """Holds and counterexamples (with their margin) match the oracle. A
-    case no precision can settle is refused at once, where the oracle
-    refuses it after escalating to max_bits. Starting at 1 to 4 bits, the
-    factor's enclosure is wide enough that cases escalate before they settle."""
+    """Holds and counterexamples (with their margin) match the oracle
+    wherever the oracle decides. A case no precision can settle is refused
+    at once, where the oracle refuses it after escalating to max_bits; a
+    mass ratio equal to a rational factor (rho/2)^s, which the oracle cannot
+    settle, now holds, and an exact re-check confirms every such verdict.
+    Starting at 1 to 4 bits, the factor's enclosure is wide enough that
+    cases escalate before they settle."""
     m, c, s, depth, cases = case
     kwargs = dict(c=c, s=s, count=count, depth=depth, seed=seed, cases=cases, bits=bits, max_bits=256)
     got = _outcome(lambda: verify_small_ball_bound(m, **kwargs))
     want = _outcome(lambda: verify_small_ball_oracle(m, **kwargs))
-    if got != want:
-        assert want[0] == got[0] == "EnclosureInconclusive"
-        assert "at any precision" in got[1]
+    if got == want:
+        return
+    assert want[0] == "EnclosureInconclusive"
+    if isinstance(got, tuple):
+        assert got[0] == "EnclosureInconclusive" and "at any precision" in got[1]
+        return
+    assert s is not None
+    holds, checked, counterexample, margin_ok = verify_small_ball_exact_oracle(
+        m, s, count=count, depth=depth, seed=seed, cases=cases)
+    assert (got.holds, got.checked, got.counterexample) == (holds, checked, counterexample)
+    assert holds or margin_ok(got.margin)
 
 
 def test_small_ball_check_refuses_a_set_outside_the_unit_interval():
@@ -391,3 +410,84 @@ def test_cantor_window_fit_matches_oracle(case, seed):
     report = doubling_scan(m, depth, seed=seed)
     if report.mass_window is not None:
         assert tuple(vars(report.mass_window).values()) == got
+
+
+# --- the enclosure primitives against their Fraction loops ----------------------
+
+# 1 to 3 bits leave wide enclosures and many ends rounded up to the next power
+precisions = st.one_of(st.integers(1, 3), st.sampled_from([8, 64, 128, 512]))
+positives = st.one_of(
+    st.builds(Fraction, st.integers(1, 1000), st.integers(1, 1000)),
+    st.builds(Fraction, st.integers(1, 1 << 200), st.integers(1, 1 << 200)),
+    st.integers(-80, 80).map(lambda k: Fraction(2) ** k),
+)
+rational_exponents = st.one_of(
+    st.builds(Fraction, st.integers(-400, 400), st.integers(1, 1000)),
+    st.integers(-12, 12).map(Fraction),
+)
+exponent_bounds = st.lists(rational_exponents, min_size=2, max_size=2).map(lambda e: Bounds(*sorted(e)))
+# (n/d)^q with a q-th root exponent p/q: the exact-root shortcut
+exact_roots = st.builds(
+    lambda n, d, q, p: (Fraction(n, d) ** q, Fraction(p, q)),
+    st.integers(1, 40), st.integers(1, 40), st.integers(2, 5), st.integers(-9, 9),
+)
+# floor(y) = +-2^22 is the last exponent exp2 takes, +-(2^22 + 1) the first it refuses
+EDGE = 1 << 22
+
+
+def _ends(b, upper):
+    return b if isinstance(b, tuple) else (b.hi if upper else b.lo)
+
+
+@settings(max_examples=150, deadline=None)
+@given(positives, precisions)
+@example(Fraction(1, 1024), 1)
+@example(Fraction(355, 113), 3)
+# sqrt(2) cut to 160 bits, the working scale at 128 bits: its square falls
+# below 2 when floored and reaches 2 only when every squaring is ceiled
+@example(Fraction(isqrt(2 << 320), 1 << 160), 128)
+def test_log2_bounds_matches_oracle(x, bits):
+    assert _outcome(lambda: log2_bounds(x, bits)) == _outcome(lambda: log2_bounds_oracle(x, bits))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**4)), precisions)
+# the fraction part 999/1000 rounds up to 2^bits at 3 bits: the upper end is 2^0
+@example(Fraction(-1, 1000), 3)
+@example(Fraction(EDGE) + Fraction(1, 3), 2)
+@example(Fraction(EDGE + 1) + Fraction(1, 3), 2)
+@example(Fraction(-EDGE) - Fraction(2, 3), 128)
+@example(Fraction(-EDGE - 1) + Fraction(1, 3), 128)
+@example(Fraction(-EDGE - 1) - Fraction(1, 3), 128)
+@example(Fraction(EDGE + 1), 1)
+def test_exp2_bounds_matches_oracle(y, bits):
+    got = _outcome(lambda: exp2_bounds(y, bits))
+    assert got == _outcome(lambda: exp2_bounds_oracle(y, bits))
+    if abs(y.numerator // y.denominator) > EDGE:
+        assert got == ("PreconditionViolated", "exponent magnitude out of supported range")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.tuples(positives, rational_exponents), exact_roots), precisions)
+@example((Fraction(8), Fraction(1, 3)), 128)
+@example((Fraction(1, 2), Fraction(-7, 5)), 2)
+@example((Fraction(27, 8), Fraction(-2, 3)), 1)
+@example((Fraction(999, 1000), Fraction(3, 1000)), 3)
+# e log2 3 lies in e * [3/2, 2] at 1 bit: the lower end is in range, the upper
+# is not, and both ends refuse as pow_bounds does
+@example((Fraction(3), Fraction(4 * EDGE + 1, 7)), 1)
+@example((Fraction(1, 3), Fraction(4 * EDGE + 1, 7)), 1)
+def test_pow_bounds_and_ends_match_oracle(case, bits):
+    x, e = case
+    want = _outcome(lambda: pow_bounds_oracle(x, e, bits))
+    assert _outcome(lambda: pow_bounds(x, e, bits)) == want
+    for upper in (False, True):
+        assert _outcome(lambda: pow_end(x, e, upper, bits)) == _ends(want, upper)
+
+
+@settings(max_examples=100, deadline=None)
+@given(positives, exponent_bounds, precisions)
+@example(Fraction(3), Bounds(Fraction(-1, 3), Fraction(1, 7)), 2)
+@example(Fraction(4), Bounds(Fraction(1, 2), Fraction(1, 2)), 1)
+def test_pow_bounds_with_an_enclosed_exponent_matches_oracle(x, e, bits):
+    assert _outcome(lambda: pow_bounds(x, e, bits)) == _outcome(lambda: pow_bounds_oracle(x, e, bits))
