@@ -9,7 +9,10 @@ infinite product, so that
 holds unconditionally.  The tail lower bound comes from the elementary
 inequality prod(1 - x_i) >= 1 - sum(x_i) (useful once the remaining sum drops
 below 1); the tail upper bound from prod(1 - x_i) <= exp(-sum(x_i)) with the
-exponential enclosed rationally from above.
+exponential enclosed rationally from above.  Terms and factors travel as
+integer (numerator, denominator) pairs (seq.terms); a product is one balanced
+product per side and one Fraction at the end, and a fractional power's two
+ends come from the integer enclosure ends, compared by cross-multiplication.
 
 On top of that sit:
   * certify_fat_thick      positive-mass certificates for thick constructions
@@ -35,7 +38,8 @@ from typing import Union
 from .doubling import DoublingReport
 from .enclosure import (
     DEFAULT_BITS,
-    Bounds,
+    _exact_rational_pow,
+    _pow_end,
     exp2_bounds,
     exp_neg_upper,
     log2_bounds,
@@ -75,6 +79,7 @@ from .seq import (
     series_total,
     tail_sum_upper,
     term,
+    terms,
 )
 
 
@@ -154,21 +159,24 @@ def _balanced_prod(vals: list[int]) -> int:
     return work[0]
 
 
-def _exact_partial(terms: list[Fraction]) -> Fraction:
-    # accumulate numerators/denominators as raw ints; one gcd at the end
-    nums = [t.denominator - t.numerator for t in terms]
-    dens = [t.denominator for t in terms]
-    return Fraction(_balanced_prod(nums), _balanced_prod(dens))
+def _pair_product(pairs: list[tuple[int, int]]) -> Fraction:
+    """The product of rationals given as (numerator, denominator) pairs:
+    balanced products of each side, one Fraction (one gcd) at the end."""
+    return Fraction(_balanced_prod([n for n, _ in pairs]), _balanced_prod([d for _, d in pairs]))
 
 
-def _lookahead_sum(x: SequenceFamily, start: int, count: int) -> Fraction:
-    """Exact sum of terms start+1 .. start+count (clipped to the family)."""
-    length = family_length(x)
-    stop = start + count if length is None else min(start + count, length)
-    total = Fraction(0)
-    for i in range(start + 1, stop + 1):
-        total += term(x, i)
-    return total
+def _pair_sum(pairs) -> Fraction:
+    # over the larger denominator where one divides the other (always, for
+    # powers of two), else over their product; one Fraction at the end
+    num, den = 0, 1
+    for n, d in pairs:
+        if den % d == 0:
+            num += n * (den // d)
+        elif d % den == 0:
+            num, den = num * (d // den) + n, d
+        else:
+            num, den = num * d + n * den, den * d
+    return Fraction(num, den)
 
 
 def product_bracket(
@@ -184,16 +192,16 @@ def product_bracket(
         raise PreconditionViolated("truncation index must be >= 0")
     length = family_length(x)
     used = n_partial if length is None else min(n_partial, length)
-    terms = [term(x, i) for i in range(1, used + 1)]
-    for i, t in enumerate(terms, start=1):
-        if not 0 < t < 1:
-            raise PreconditionViolated(f"factor term {i} = {t} outside (0,1)")
-    partial = _exact_partial(terms)
+    factors = []
+    for i, (n, d) in enumerate(terms(x, 1, used + 1), start=1):
+        if not 0 < n < d:
+            raise PreconditionViolated(f"factor term {i} = {Fraction(n, d)} outside (0,1)")
+        factors.append((d - n, d))
+    partial = _pair_product(factors)
 
     if length is not None:
         # finite families carry an exactly computable tail
-        rest = [term(x, i) for i in range(used + 1, length + 1)]
-        tail = _exact_partial(rest)
+        tail = _pair_product([(d - n, d) for n, d in terms(x, used + 1, length + 1)])
         return ProductBracket(partial, tail, tail, used)
 
     try:
@@ -201,7 +209,7 @@ def product_bracket(
     except DivergentSeries:
         tail_sum = None
     tail_lower = 1 - tail_sum if tail_sum is not None and tail_sum < 1 else Fraction(0)
-    ahead = _lookahead_sum(x, used, lookahead)
+    ahead = _pair_sum(terms(x, used + 1, used + lookahead + 1))  # an infinite family
     tail_upper = min(Fraction(1), exp_neg_upper(ahead))
     return ProductBracket(partial, tail_lower, tail_upper, used)
 
@@ -237,11 +245,32 @@ def _bits(x: Fraction) -> int:
     return x.numerator.bit_length() + x.denominator.bit_length()
 
 
-def _scaled_power(
-    scale: Fraction, base: Fraction, exponent: Fraction, bits: int
-) -> Bounds:
-    pb = pow_bounds(base, exponent, bits)
-    return Bounds(scale * pb.lo, scale * pb.hi)
+def _power_ends(x: Fraction, t: Fraction, bits: int, sides=(False, True)) -> list[tuple[int, int]]:
+    # the ends of x^t as integer pairs, as pow_bounds / pow_end give them:
+    # the exact root where there is one, else the two _pow_end ends
+    exact = _exact_rational_pow(x, t)
+    if exact is not None:
+        return [exact.as_integer_ratio()] * len(sides)
+    return [_pow_end(x, t, upper, bits) for upper in sides]
+
+
+def _factor_ends(x: Fraction, t: Fraction, scale: Fraction, bits: int, decide: bool = False):
+    """The ends (lower, upper) of the factor 1 - scale * x^t as integer
+    (numerator, denominator) pairs, x a reduced Fraction in (0, 1], t > 0.
+
+    Bits double up to 4096, as `refine` does, until scale * x^t < 1 is
+    certain; with `decide`, None as soon as scale * x^t >= 1 is certain."""
+    sn, sd = scale.as_integer_ratio()
+    while bits <= 4096:
+        (ln, ld), (hn, hd) = _power_ends(x, t, bits)
+        if ln * hd > hn * ld:
+            raise PreconditionViolated(f"empty bounds [{Fraction(ln, ld)}, {Fraction(hn, hd)}]")
+        if sn * hn < sd * hd:
+            return (sd * hd - sn * hn, sd * hd), (sd * ld - sn * ln, sd * ld)
+        if decide and sn * ln >= sd * ld:
+            return None
+        bits *= 2
+    raise EnclosureInconclusive("bounds still inconclusive at 4096 bits")
 
 
 def _first_small_stage(
@@ -249,33 +278,22 @@ def _first_small_stage(
 ) -> int:
     """Least n0 with scale * alpha_n^t certifiably < 1 for every n >= n0."""
 
-    def decided(n: int) -> bool:
-        def attempt(b: int):
-            sp = _scaled_power(scale, term(alpha, n), t, b)
-            if sp.hi < 1:
-                return True
-            if sp.lo >= 1:
-                return False
-            return None
-
-        return refine(attempt, bits, max_bits=4096)
+    def small(x: tuple[int, int]) -> bool:
+        return _factor_ends(Fraction(*x), t, scale, bits, decide=True) is not None
 
     length = family_length(alpha)
     if length is not None:
         # explicit prefixes need not be monotone: take the longest good suffix
         n0 = length + 1
-        for n in range(length, 0, -1):
-            if decided(n):
-                n0 = n
-            else:
+        for n, x in reversed(list(enumerate(terms(alpha, 1, length + 1), start=1))):
+            if not small(x):
                 break
+            n0 = n
         return n0
     # the infinite families have non-increasing terms, first success is least
-    n = 1
-    while n <= 1_000_000:
-        if decided(n):
+    for n, x in enumerate(terms(alpha, 1, 1_000_001), start=1):
+        if small(x):
             return n
-        n += 1
     raise Undecidable("decay factors stayed >= 1 for 10^6 stages")
 
 
@@ -342,37 +360,18 @@ def certify_fat_thick(
                 f"tail sum {tail_sum} still >= 1 after {count} factors"
             )
 
-    lower_factors: list[Fraction] = []
-    upper_factors: list[Fraction] = []
-    for n in range(n0, last + 1):
-        if exact_terms:
-            x = scale * term(alpha, n) ** t.numerator
-            lower_factors.append(1 - x)
-            upper_factors.append(1 - x)
-        else:
-            def attempt(b: int):
-                sp = _scaled_power(scale, term(alpha, n), t, b)
-                return sp if sp.hi < 1 else None
-
-            sp = refine(attempt, bits, max_bits=4096)
-            lower_factors.append(1 - sp.hi)
-            upper_factors.append(1 - sp.lo)
-
-    partial_lo = _frac_prod(lower_factors)
-    partial_hi = _frac_prod(upper_factors)
+    factors = [_factor_ends(Fraction(*x), t, scale, bits) for x in terms(alpha, n0, last + 1)]
+    lower, upper = [lo for lo, _ in factors], [hi for _, hi in factors]
+    partial_lo = _pair_product(lower)
+    # exact factors (an integer t) make one product serve both ends
+    partial_hi = partial_lo if lower == upper else _pair_product(upper)
     tail_lower = 1 - tail_sum if tail_sum < 1 else Fraction(0)
     if length is not None and last >= length:
         tail_upper = Fraction(1)
-    else:
-        ahead = Fraction(0)
-        for n in range(last + 1, last + 65):
-            if length is not None and n > length:
-                break
-            if exact_terms:
-                ahead += scale * term(alpha, n) ** t.numerator
-            else:
-                ahead += scale * pow_end(term(alpha, n), t, False, bits)
-        tail_upper = min(Fraction(1), exp_neg_upper(ahead))
+    else:  # an infinite family: the next 64 lower ends of alpha_n^t
+        ahead = _pair_sum(_power_ends(Fraction(*x), t, bits, (False,))[0]
+                          for x in terms(alpha, last + 1, last + 65))
+        tail_upper = min(Fraction(1), exp_neg_upper(scale * ahead))
     bound = ProductBracket(
         partial=partial_lo,
         tail_lower=tail_lower,
@@ -380,9 +379,9 @@ def certify_fat_thick(
         n_terms=last - n0 + 1,
         partial_upper=None if partial_hi == partial_lo else partial_hi,
     )
-    conclusion = (
-        Conclusion.POSITIVE if bound.lower_value > 0 else Conclusion.INCONCLUSIVE
-    )
+    # lower_value > 0 read off its two factors, without their huge product
+    positive = bound.partial > 0 and bound.tail_lower > 0
+    conclusion = Conclusion.POSITIVE if positive else Conclusion.INCONCLUSIVE
     return FatnessCertificate(
         alpha=alpha,
         t=t,
@@ -392,12 +391,6 @@ def certify_fat_thick(
         conclusion=conclusion,
         notes=tuple(notes),
     )
-
-
-def _frac_prod(vals: list[Fraction]) -> Fraction:
-    nums = [v.numerator for v in vals]
-    dens = [v.denominator for v in vals]
-    return Fraction(_balanced_prod(nums), _balanced_prod(dens))
 
 
 def combine_fatness_constants(

@@ -24,6 +24,7 @@ from typing import Iterator, NamedTuple
 from .enclosure import (
     DEFAULT_BITS,
     _exact_rational_pow,
+    _log2_end,
     exp2_64ths,
     exp2_bounds,
     log2_bounds,
@@ -129,8 +130,8 @@ class _MassOracle:
 class _ScanShare:
     """What one doubling_scan shares with the scan and fits it runs: the
     ball oracle of (m, depth), built by the first pass that asks for it,
-    and log2_bounds(c_upper, bits).hi, which gives both s_upper and the
-    window fit's s."""
+    and the upper log2 end of c_upper (log2_bounds(c_upper, bits).hi, computed
+    alone), which gives both s_upper and the window fit's s."""
 
     def __init__(self, m: TreeMeasure, depth: int):
         self.m, self.depth = m, depth
@@ -166,7 +167,7 @@ def _log2_hi(x: Fraction, bits: int) -> Fraction:
     share = _SHARE.get()
     memo = {} if share is None else share.log2_hi
     if (x, bits) not in memo:
-        memo[x, bits] = log2_bounds(x, bits).hi
+        memo[x, bits] = Fraction(_log2_end(x, bits, True), 1 << bits)
     return memo[x, bits]
 
 
@@ -597,7 +598,7 @@ def doubling_scan(
     with _sharing(m, depth):  # one ball oracle for the scan and both fits
         c_upper, c_lower, witness, exact, notes, per_scale = scan_core(m, depth)
         s_up = _log2_hi(c_upper, bits)
-        s_lo = log2_bounds(c_lower, bits).lo if c_lower >= 1 else Fraction(0)
+        s_lo = Fraction(_log2_end(c_lower, bits, False), 1 << bits) if c_lower >= 1 else Fraction(0)
         ratio_decay = None
         window_fit = None
         if fit:

@@ -5,8 +5,9 @@ rounding at scale 2^B, B = bits + 32: `x >> B` floors, `-((-x) >> B)` ceils,
 and no floats enter any comparison.  `bits` (default 128) sets the width,
 never soundness: a floor pass stays <= the true value at every step and a
 ceil pass >= it.  Each end is computed on its own: a log2 end is an integer
-over 2^bits, an exp2 end one Fraction, and `pow_end` computes only the log2
-end and the exp2 end that one side of x^e needs.
+over 2^bits, an exp2 end an integer pair (numerator, power-of-two
+denominator), and `pow_end` computes only the log2 end and the exp2 end that
+one side of x^e needs.
 """
 
 from __future__ import annotations
@@ -67,8 +68,8 @@ def _ilog2(x: Fraction) -> int:
     return e - 1 if below else e
 
 
-def _pow2_int(k: int) -> Fraction:
-    return Fraction(1 << k) if k >= 0 else Fraction(1, 1 << -k)
+def _pow2_pair(k: int) -> tuple[int, int]:
+    return (1 << k, 1) if k >= 0 else (1, 1 << -k)
 
 
 def _log2_frac_bits(n: int, d: int, bits: int, round_up: bool) -> int:
@@ -132,40 +133,38 @@ def _root_tables(bits: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(down), tuple(up)
 
 
-def _exp2_end(num: int, den: int, bits: int, upper: bool) -> Fraction:
-    """The upper or lower end of exp2_bounds(num / den, bits), den > 0.
+def _exp2_end(num: int, den: int, bits: int, upper: bool) -> tuple[int, int]:
+    """The upper or lower end of exp2_bounds(num / den, bits), den > 0, as an
+    integer pair (numerator, denominator) with a power-of-two denominator.
 
     2^y = 2^k * 2^f with k = floor(y); f is cut to bits fractional bits
     (rounded toward the wanted side) and 2^f is the product of the roots
-    2^(2^-i) over its set bits, each step floored or ceiled at scale 2^B."""
+    2^(2^-i) over its set bits, most significant first, each step floored or
+    ceiled at scale 2^B."""
     k, rem = divmod(num, den)
     if abs(k) > 1 << 22:
         raise PreconditionViolated("exponent magnitude out of supported range")
     if rem == 0:
-        return _pow2_int(k)
+        return _pow2_pair(k)
     f, inexact = divmod(rem << bits, den)
     if upper and inexact:
         f += 1
         if f >> bits:  # f rounded up to 1
-            return _pow2_int(k + 1)
+            return _pow2_pair(k + 1)
     B = bits + _GUARD
     P = 1 << B
-    down, up = _root_tables(bits)
-    if upper:
-        for bit, root in zip(format(f, f"0{bits}b"), up):
-            if bit == "1":
-                P = -((-P * root) >> B)
-    else:
-        for bit, root in zip(format(f, f"0{bits}b"), down):
-            if bit == "1":
-                P = (P * root) >> B
-    return Fraction(P << k, 1 << B) if k >= 0 else Fraction(P, 1 << (B - k))
+    roots = _root_tables(bits)[upper]
+    while f:  # bit i of f (from the top) selects the root 2^(2^-i)
+        i = f.bit_length()
+        f ^= 1 << (i - 1)
+        P = -((-P * roots[bits - i]) >> B) if upper else (P * roots[bits - i]) >> B
+    return (P << k, 1 << B) if k >= 0 else (P, 1 << (B - k))
 
 
 def exp2_bounds(y: Fraction, bits: int = DEFAULT_BITS) -> Bounds:
     """Certified enclosure of 2^y for rational y."""
     n, d = Fraction(y).as_integer_ratio()
-    return Bounds(_exp2_end(n, d, bits, False), _exp2_end(n, d, bits, True))
+    return Bounds(Fraction(*_exp2_end(n, d, bits, False)), Fraction(*_exp2_end(n, d, bits, True)))
 
 
 @lru_cache(maxsize=8)
@@ -202,6 +201,9 @@ def iroot(n: int, k: int) -> tuple[int, bool]:
         raise PreconditionViolated("iroot needs n >= 0 and k >= 1")
     if k == 1 or n in (0, 1):
         return n, True
+    e = n.bit_length() - 1
+    if n == 1 << e and e % k == 0:  # n = 2^e with k dividing e: the root is 2^(e/k)
+        return 1 << e // k, True
     x = 1 << -(-n.bit_length() // k)
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
@@ -215,17 +217,22 @@ def _exact_rational_pow(x: Fraction, e: Fraction) -> Fraction | None:
     # x^e as an exact rational when the root extraction is exact, else None
     if e.denominator == 1:
         return x ** e.numerator
-    rn, okn = iroot(x.numerator, e.denominator)
+    # a k-th power holds a multiple of k factors 2: refuse the rest before any root
+    n, d, k = x.numerator, x.denominator, e.denominator
+    if n and ((n & -n).bit_length() - 1) % k or ((d & -d).bit_length() - 1) % k:
+        return None
+    rn, okn = iroot(n, k)
     if not okn:
         return None
-    rd, okd = iroot(x.denominator, e.denominator)
+    rd, okd = iroot(d, k)
     if not okd:
         return None
     return Fraction(rn, rd) ** e.numerator
 
 
-def _pow_end(x: Fraction, e: Fraction, upper: bool, bits: int) -> Fraction:
-    # one end of 2^(e log2 x): with e < 0 the lower log2 end gives the upper one
+def _pow_end(x: Fraction, e: Fraction, upper: bool, bits: int) -> tuple[int, int]:
+    # one end of 2^(e log2 x) as an integer pair: with e < 0 the lower log2
+    # end gives the upper one
     num, den = e.as_integer_ratio()
     return _exp2_end(num * _log2_end(x, bits, upper == (num > 0)), den << bits, bits, upper)
 
@@ -247,12 +254,12 @@ def pow_bounds(x: Fraction, e: Fraction | Bounds, bits: int = DEFAULT_BITS) -> B
         exact = _exact_rational_pow(x, e)
         if exact is not None:
             return Bounds.exact(exact)
-        return Bounds(_pow_end(x, e, False, bits), _pow_end(x, e, True, bits))
+        return Bounds(Fraction(*_pow_end(x, e, False, bits)), Fraction(*_pow_end(x, e, True, bits)))
     if x == 1:
         return Bounds.exact(Fraction(1))
     prod = mul_bounds(e, log2_bounds(x, bits))
     lo, hi = prod.lo.as_integer_ratio(), prod.hi.as_integer_ratio()
-    return Bounds(_exp2_end(*lo, bits, False), _exp2_end(*hi, bits, True))
+    return Bounds(Fraction(*_exp2_end(*lo, bits, False)), Fraction(*_exp2_end(*hi, bits, True)))
 
 
 def pow_end(x: Fraction, e: Fraction, upper: bool, bits: int = DEFAULT_BITS) -> Fraction:
@@ -268,7 +275,7 @@ def pow_end(x: Fraction, e: Fraction, upper: bool, bits: int = DEFAULT_BITS) -> 
         # the other end might leave the exponent range that pow_bounds checks
         b = pow_bounds(x, e, bits)
         return b.hi if upper else b.lo
-    return _pow_end(x, e, upper, bits)
+    return Fraction(*_pow_end(x, e, upper, bits))
 
 
 def exp_neg_upper(s: Fraction) -> Fraction:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterator, Union
 
 from .enclosure import DEFAULT_BITS, pow_bounds, pow_end, refine
 from .errors import (
@@ -164,6 +164,25 @@ def term(f: SequenceFamily, n: int) -> Fraction:
     if isinstance(f, Scaled):
         return f.c * term(f.inner, n)
     raise InvalidFamily(f"unknown family {f!r}")
+
+
+def terms(f: SequenceFamily, start: int, stop: int) -> Iterator[tuple[int, int]]:
+    """Terms start .. stop - 1 as (numerator, denominator) integer pairs, equal
+    to term(f, n) but not always reduced; a geometric term is the one before
+    times q, a power term a / (n + offset)^gamma without a Fraction."""
+    if isinstance(f, Geometric):
+        (n, d), (qn, qd) = term(f, start).as_integer_ratio(), f.q.as_integer_ratio()
+        for _ in range(start, stop):
+            yield n, d
+            n, d = n * qn, d * qd
+    elif isinstance(f, Power):
+        an, ad = f.a.as_integer_ratio()
+        yield from ((an, ad * (n + f.offset) ** f.gamma) for n in range(start, stop))
+    elif isinstance(f, Scaled):
+        cn, cd = f.c.as_integer_ratio()
+        yield from ((cn * n, cd * d) for n, d in terms(f.inner, start, stop))
+    else:
+        yield from (term(f, n).as_integer_ratio() for n in range(start, stop))
 
 
 def sup_term(f: SequenceFamily) -> Fraction:

@@ -16,9 +16,11 @@ they check; their brackets come from the recursive node walk that
 `interval_mass` ran before it became two boundary walks
 (`interval_mass_recursive_oracle`).
 
-Last come `log2_bounds`, `exp2_bounds` and `pow_bounds` as Fraction loops
+Then come `log2_bounds`, `exp2_bounds` and `pow_bounds` as Fraction loops
 with general long division, from before their kernels moved to shifts and
-integer ends.
+integer ends, and `iroot` by Newton's iteration alone.  Last come
+`product_bracket` and `certify_fat_thick` as Fraction loops, from before
+they moved to integer (numerator, denominator) pairs.
 """
 
 from __future__ import annotations
@@ -797,6 +799,219 @@ def pow_bounds_oracle(x: Fraction, e, bits: int = DEFAULT_BITS) -> Bounds:
     lo = exp2_bounds_oracle(prod.lo, bits).lo
     hi = exp2_bounds_oracle(prod.hi, bits).hi
     return Bounds(lo, hi)
+
+
+def iroot_newton_oracle(n: int, k: int) -> tuple[int, bool]:
+    """`iroot` by Newton's iteration alone, from before powers of two were
+    answered by a shift."""
+    if k == 1 or n in (0, 1):
+        return n, True
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            break
+        x = y
+    return x, x**k == n
+
+
+# --- Fraction oracles for the certified products ---------------------------------
+#
+# product_bracket and certify_fat_thick as they ran before they moved to
+# integer (numerator, denominator) pairs: a Fraction per term and factor from
+# seq.term, both ends of every fractional power from pow_bounds under refine,
+# the lookahead from pow_end, and each end's partial product formed on its own.
+
+from dmlab.certify import (  # noqa: E402
+    Conclusion,
+    FatnessCertificate,
+    ProductBracket,
+    _balanced_prod,
+    _bits,
+    _check_exact_bits,
+)
+from dmlab.enclosure import exp_neg_upper, pow_end, refine  # noqa: E402
+from dmlab.errors import (  # noqa: E402
+    DivergentSeries,
+    NotInEllT,
+    TailTooLarge,
+    Undecidable,
+)
+from dmlab.geom import ThickStructure, verify_thick  # noqa: E402
+from dmlab.seq import (  # noqa: E402
+    Summability,
+    classify_ellp,
+    family_length,
+    tail_sum_upper,
+    term,
+)
+
+
+def _frac_prod_oracle(vals: list[Fraction]) -> Fraction:
+    nums = [v.numerator for v in vals]
+    dens = [v.denominator for v in vals]
+    return Fraction(_balanced_prod(nums), _balanced_prod(dens))
+
+
+def _exact_partial_oracle(terms: list[Fraction]) -> Fraction:
+    return _frac_prod_oracle([1 - t for t in terms])
+
+
+def _lookahead_sum_oracle(x, start: int, count: int) -> Fraction:
+    length = family_length(x)
+    stop = start + count if length is None else min(start + count, length)
+    total = Fraction(0)
+    for i in range(start + 1, stop + 1):
+        total += term(x, i)
+    return total
+
+
+def product_bracket_oracle(x, n_partial: int, bits: int = DEFAULT_BITS, lookahead: int = 64) -> ProductBracket:
+    if n_partial < 0:
+        raise PreconditionViolated("truncation index must be >= 0")
+    length = family_length(x)
+    used = n_partial if length is None else min(n_partial, length)
+    terms = [term(x, i) for i in range(1, used + 1)]
+    for i, t in enumerate(terms, start=1):
+        if not 0 < t < 1:
+            raise PreconditionViolated(f"factor term {i} = {t} outside (0,1)")
+    partial = _exact_partial_oracle(terms)
+    if length is not None:
+        tail = _exact_partial_oracle([term(x, i) for i in range(used + 1, length + 1)])
+        return ProductBracket(partial, tail, tail, used)
+    try:
+        tail_sum = tail_sum_upper(x, Fraction(1), used, bits)
+    except DivergentSeries:
+        tail_sum = None
+    tail_lower = 1 - tail_sum if tail_sum is not None and tail_sum < 1 else Fraction(0)
+    ahead = _lookahead_sum_oracle(x, used, lookahead)
+    tail_upper = min(Fraction(1), exp_neg_upper(ahead))
+    return ProductBracket(partial, tail_lower, tail_upper, used)
+
+
+def _scaled_power_oracle(scale: Fraction, base: Fraction, exponent: Fraction, bits: int) -> Bounds:
+    pb = pow_bounds(base, exponent, bits)
+    return Bounds(scale * pb.lo, scale * pb.hi)
+
+
+def _first_small_stage_oracle(alpha, t: Fraction, scale: Fraction, bits: int) -> int:
+    def decided(n: int) -> bool:
+        def attempt(b: int):
+            sp = _scaled_power_oracle(scale, term(alpha, n), t, b)
+            if sp.hi < 1:
+                return True
+            if sp.lo >= 1:
+                return False
+            return None
+
+        return refine(attempt, bits, max_bits=4096)
+
+    length = family_length(alpha)
+    if length is not None:
+        n0 = length + 1
+        for n in range(length, 0, -1):
+            if decided(n):
+                n0 = n
+            else:
+                break
+        return n0
+    n = 1
+    while n <= 1_000_000:
+        if decided(n):
+            return n
+        n += 1
+    raise Undecidable("decay factors stayed >= 1 for 10^6 stages")
+
+
+def certify_fat_thick_oracle(thick, t: Fraction, factor_scale: Fraction,
+                             tail_target: Fraction = Fraction(1, 1 << 34), max_terms: int = 65536,
+                             bits: int = DEFAULT_BITS) -> FatnessCertificate:
+    notes: list[str] = []
+    if isinstance(thick, ThickStructure):
+        verdict = verify_thick(thick)
+        if not verdict.valid:
+            raise PreconditionViolated(
+                f"structure fails verification: {verdict.violations[0].message}"
+            )
+        alpha = thick.alpha
+        notes.append(f"structure verified across {len(thick.levels)} levels")
+    else:
+        alpha = thick
+        notes.append("family supplied directly; geometry not re-checked here")
+    t = Fraction(t)
+    scale = Fraction(factor_scale)
+    if t <= 0 or scale <= 0:
+        raise PreconditionViolated("exponent and factor scale must be positive")
+    length = family_length(alpha)
+    if length is None:
+        if classify_ellp(alpha, t) is not Summability.CONVERGES:
+            raise NotInEllT(f"gap powers at exponent {t} are not summable")
+
+    exact_terms = t.denominator == 1
+    if exact_terms:
+        first = length or 64
+        size = t.numerator * max(_bits(term(alpha, 1)), _bits(term(alpha, first))) * first
+        _check_exact_bits(size, f"the exact product of {first} factors at exponent {t}")
+    n0 = _first_small_stage_oracle(alpha, t, scale, bits)
+
+    if length is not None:
+        last = length
+        tail_sum = Fraction(0)
+    else:
+        count = 64
+        while True:
+            last = n0 + count - 1
+            if exact_terms:
+                _check_exact_bits(t.numerator * _bits(term(alpha, last)) * count,
+                                  f"the exact product of {count} factors at exponent {t}")
+            tail_sum = scale * tail_sum_upper(alpha, t, last, bits)
+            if tail_sum <= tail_target or count >= max_terms:
+                break
+            count = min(2 * count, max_terms)
+        if tail_sum >= 1:
+            raise TailTooLarge(f"tail sum {tail_sum} still >= 1 after {count} factors")
+
+    lower_factors: list[Fraction] = []
+    upper_factors: list[Fraction] = []
+    for n in range(n0, last + 1):
+        if exact_terms:
+            x = scale * term(alpha, n) ** t.numerator
+            lower_factors.append(1 - x)
+            upper_factors.append(1 - x)
+        else:
+            def attempt(b: int):
+                sp = _scaled_power_oracle(scale, term(alpha, n), t, b)
+                return sp if sp.hi < 1 else None
+
+            sp = refine(attempt, bits, max_bits=4096)
+            lower_factors.append(1 - sp.hi)
+            upper_factors.append(1 - sp.lo)
+
+    partial_lo = _frac_prod_oracle(lower_factors)
+    partial_hi = _frac_prod_oracle(upper_factors)
+    tail_lower = 1 - tail_sum if tail_sum < 1 else Fraction(0)
+    if length is not None and last >= length:
+        tail_upper = Fraction(1)
+    else:
+        ahead = Fraction(0)
+        for n in range(last + 1, last + 65):
+            if length is not None and n > length:
+                break
+            if exact_terms:
+                ahead += scale * term(alpha, n) ** t.numerator
+            else:
+                ahead += scale * pow_end(term(alpha, n), t, False, bits)
+        tail_upper = min(Fraction(1), exp_neg_upper(ahead))
+    bound = ProductBracket(
+        partial=partial_lo,
+        tail_lower=tail_lower,
+        tail_upper=tail_upper,
+        n_terms=last - n0 + 1,
+        partial_upper=None if partial_hi == partial_lo else partial_hi,
+    )
+    conclusion = Conclusion.POSITIVE if bound.lower_value > 0 else Conclusion.INCONCLUSIVE
+    return FatnessCertificate(alpha=alpha, t=t, factor_scale=scale, n0=n0, bound=bound,
+                              conclusion=conclusion, notes=tuple(notes))
 
 
 # --- formatting -------------------------------------------------------------------

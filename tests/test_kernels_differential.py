@@ -7,7 +7,9 @@ exact dyadic grid and on the bracket path, and `doubling_scan` the report
 built from them; `interval_mass` and `cutout_mass` must give the same
 brackets as the recursive node walk. `log2_bounds`, `exp2_bounds`,
 `pow_bounds` and `pow_end` must give the same ends and refusals as the
-Fraction enclosures they replaced.
+Fraction enclosures they replaced, and `iroot` the same roots as Newton's
+iteration. `certify_fat_thick` and `product_bracket` must give the same
+certificates and refusals as the Fraction loops they replaced.
 """
 
 import random
@@ -17,6 +19,7 @@ from math import isqrt
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dmlab.certify import certify_fat_thick, product_bracket
 from dmlab.doubling import (
     SmallBallCase,
     doubling_scan,
@@ -26,8 +29,8 @@ from dmlab.doubling import (
     scan_core,
     verify_small_ball_bound,
 )
-from dmlab.enclosure import Bounds, exp2_bounds, log2_bounds, pow_bounds, pow_end
-from dmlab.errors import EnclosureInconclusive
+from dmlab.enclosure import Bounds, _exp2_end, exp2_bounds, iroot, log2_bounds, pow_bounds, pow_end
+from dmlab.errors import EnclosureInconclusive, InvalidFamily
 from dmlab.geom import CutOutConfig, RationalInterval, build_cantor, closed, remaining_set
 from dmlab.measure import (
     EXACT_ZERO,
@@ -39,10 +42,13 @@ from dmlab.measure import (
     restrict,
 )
 from dmlab.qs import DEFAULT_TAUS, QSMap, qs_ratio_scan
-from dmlab.seq import Constant, Geometric, Power
+from dmlab.seq import Constant, ExplicitFinite, Geometric, LogFloor, Power, Scaled
 
 from helpers import (
+    certify_fat_thick_oracle,
     exp2_bounds_oracle,
+    iroot_newton_oracle,
+    product_bracket_oracle,
     log2_bounds_oracle,
     pow_bounds_oracle,
     doubling_scan_oracle,
@@ -491,3 +497,110 @@ def test_pow_bounds_and_ends_match_oracle(case, bits):
 @example(Fraction(4), Bounds(Fraction(1, 2), Fraction(1, 2)), 1)
 def test_pow_bounds_with_an_enclosed_exponent_matches_oracle(x, e, bits):
     assert _outcome(lambda: pow_bounds(x, e, bits)) == _outcome(lambda: pow_bounds_oracle(x, e, bits))
+
+
+# --- the certified products --------------------------------------------------
+
+F = Fraction
+# non-dyadic q, a numerator sharing a factor with n + offset (3/(4(n+2)) is
+# the square 1/4 at n = 1 only once reduced), exact roots at t = 1/2 (4^-n,
+# 4/9), finite prefixes and scaled families
+fat_families = st.one_of(
+    st.builds(Geometric, st.sampled_from([F(1, 4), F(1, 2), F(3, 4), F(1, 3), F(4, 9)]),
+              st.sampled_from([F(1, 2), F(1, 4), F(2, 3), F(3, 5), F(9, 16)])),
+    st.tuples(st.sampled_from([F(3, 4), F(1, 2), F(1), F(9, 4), F(6)]), st.integers(1, 4), st.integers(0, 3))
+    .filter(lambda p: p[0] <= (1 + p[2]) ** p[1]).map(lambda p: Power(*p)),
+    st.builds(LogFloor, st.sampled_from([F(1, 4), F(1, 9), F(1, 3), F(1, 16)])),
+    st.builds(Constant, st.sampled_from([F(1, 4), F(4, 9), F(1, 2)])),
+    st.lists(st.sampled_from([F(1, 4), F(4, 9), F(1, 2), F(1, 3), F(9, 16), F(2, 3), F(7, 8)]),
+             min_size=1, max_size=6).map(ExplicitFinite),
+)
+
+
+@st.composite
+def families(draw):
+    f = draw(fat_families)
+    if draw(st.booleans()):
+        try:  # Scaled refuses a c that lifts a term to 1 or more
+            f = Scaled(draw(st.sampled_from([F(1, 2), F(2, 3), F(4, 9), F(9, 8)])), f)
+        except InvalidFamily:
+            pass
+    return f
+
+
+exponents = st.sampled_from([F(1), F(2), F(3), F(1, 2), F(3, 4), F(3, 2), F(2, 3), F(5, 2), F(5, 3)])
+# odd denominators among them
+factor_scales = st.sampled_from([F(1, 3), F(1, 2), F(5, 7), F(7, 4), F(2), F(3), F(9, 7)])
+
+
+def _certificate(fn):
+    def run():
+        cert = fn()
+        b = cert.bound
+        return (cert.n0, b.n_terms, b.partial, b.partial_upper, b.tail_lower, b.tail_upper,
+                cert.conclusion, cert.notes)
+
+    return _outcome(run)
+
+
+@settings(max_examples=60, deadline=None)
+@given(families(), exponents, factor_scales, st.sampled_from([64, 256]), st.sampled_from([2, 64, 128]))
+@example(Geometric(F(1, 4), F(1, 2)), F(1, 2), F(7, 4), 256, 128)
+@example(Geometric(F(1, 4), F(1, 4)), F(1, 2), F(2), 64, 128)  # every root exact
+@example(Power(F(3, 4), 1, 2), F(3, 2), F(2), 64, 128)  # exact only once reduced
+@example(Geometric(F(1, 3), F(2, 3)), F(1, 2), F(5, 4), 64, 128)
+@example(Power(F(3, 4), 6, 1), F(1), F(2), 64, 128)
+@example(ExplicitFinite((F(4, 9), F(1, 4), F(7, 8))), F(1, 2), F(9, 7), 64, 2)
+# scale * alpha_6^(1/2) passes 1 by less than 2^-200: the bits escalate
+@example(Geometric(F(1, 2), F(1, 2)), F(1, 2), F(isqrt(1 << 405) + 1, 1 << 200), 64, 128)
+def test_certify_fat_thick_matches_oracle(alpha, t, scale, max_terms, bits):
+    got = _certificate(lambda: certify_fat_thick(alpha, t, scale, max_terms=max_terms, bits=bits))
+    assert got == _certificate(
+        lambda: certify_fat_thick_oracle(alpha, t, scale, max_terms=max_terms, bits=bits))
+
+
+@settings(max_examples=60, deadline=None)
+@given(families(), st.integers(0, 300), st.sampled_from([0, 1, 64]))
+@example(Power(F(1), 2, 1), 1000, 64)
+@example(Power(F(1), 1, 0), 5, 64)  # the first term is 1
+@example(Power(F(6), 2, 2), 3, 64)  # a/(n+2)^2 shares 2 and 3 with a
+def test_product_bracket_matches_oracle(x, n_partial, lookahead):
+    assert _outcome(lambda: product_bracket(x, n_partial, lookahead=lookahead)) == _outcome(
+        lambda: product_bracket_oracle(x, n_partial, lookahead=lookahead))
+
+
+@st.composite
+def exp2_fractions(draw):
+    """(num, den, bits): fraction parts with few or many set bits at bits, or
+    off the dyadic grid so that the upper end rounds up."""
+    bits = draw(st.sampled_from([1, 2, 64, 128, 256]))
+    k = draw(st.integers(-300, 300))
+    kind = draw(st.sampled_from(["few", "many", "odd"]))
+    if kind == "few":
+        f = sum(1 << draw(st.integers(0, bits - 1)) for _ in range(draw(st.integers(1, 3))))
+        return (k << bits) + min(f, (1 << bits) - 1), 1 << bits, bits
+    if kind == "many":
+        return (k << bits) + draw(st.integers(0, (1 << bits) - 1)), 1 << bits, bits
+    den = draw(st.sampled_from([3, 7, 1000, 3 << bits]))
+    return k * den + draw(st.integers(1, den - 1)), den, bits
+
+
+@settings(max_examples=200, deadline=None)
+@given(exp2_fractions())
+@example((-1, 2, 128))
+@example(((1 << 128) - 1, 1 << 128, 128))
+@example((-1, 1000, 3))
+def test_exp2_end_matches_oracle(case):
+    num, den, bits = case
+    want = exp2_bounds_oracle(Fraction(num, den), bits)
+    assert Fraction(*_exp2_end(num, den, bits, False)) == want.lo
+    assert Fraction(*_exp2_end(num, den, bits, True)) == want.hi
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(0, 400).map(lambda e: 1 << e), st.integers(0, 1 << 300)), st.integers(1, 9))
+@example(1 << 360, 9)
+@example(1 << 361, 9)
+@example(2, 2)
+def test_iroot_matches_newton(n, k):
+    assert iroot(n, k) == iroot_newton_oracle(n, k)
