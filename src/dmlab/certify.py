@@ -68,7 +68,7 @@ from .geom import (
     merge_components,
     verify_thick,
 )
-from .measure import TreeMeasure, cutout_mass
+from .measure import TreeMeasure, _pair_sum, cutout_mass
 from .seq import (
     LogFloor,
     SequenceFamily,
@@ -165,22 +165,8 @@ def _pair_product(pairs: list[tuple[int, int]]) -> Fraction:
     return Fraction(_balanced_prod([n for n, _ in pairs]), _balanced_prod([d for _, d in pairs]))
 
 
-def _pair_sum(pairs) -> Fraction:
-    # over the larger denominator where one divides the other (always, for
-    # powers of two), else over their product; one Fraction at the end
-    num, den = 0, 1
-    for n, d in pairs:
-        if den % d == 0:
-            num += n * (den // d)
-        elif d % den == 0:
-            num, den = num * (d // den) + n, d
-        else:
-            num, den = num * d + n * den, den * d
-    return Fraction(num, den)
-
-
 def product_bracket(
-    x: SequenceFamily, n_partial: int, bits: int = DEFAULT_BITS, lookahead: int = 64
+    x: SequenceFamily, n_partial: int, lookahead: int = 64
 ) -> ProductBracket:
     """Certified enclosure of prod_{i>=1}(1 - x_i) truncated after n_partial
     exact factors.
@@ -205,11 +191,11 @@ def product_bracket(
         return ProductBracket(partial, tail, tail, used)
 
     try:
-        tail_sum = tail_sum_upper(x, Fraction(1), used, bits)
+        tail_sum = tail_sum_upper(x, Fraction(1), used)
     except DivergentSeries:
         tail_sum = None
     tail_lower = 1 - tail_sum if tail_sum is not None and tail_sum < 1 else Fraction(0)
-    ahead = _pair_sum(terms(x, used + 1, used + lookahead + 1))  # an infinite family
+    ahead = Fraction(*_pair_sum(terms(x, used + 1, used + lookahead + 1)))  # an infinite family
     tail_upper = min(Fraction(1), exp_neg_upper(ahead))
     return ProductBracket(partial, tail_lower, tail_upper, used)
 
@@ -231,6 +217,10 @@ class FatnessCertificate:
 # exponent, the terms' bit lengths and the factor count; refuse a product
 # whose estimated size passes this many bits before forming it.
 EXACT_BIT_BUDGET = 1 << 20
+
+# certify_fat_thick doubles its factor count until the scaled tail sum of the
+# remaining factors is at most this (or the count reaches max_terms)
+TAIL_TARGET = Fraction(1, 1 << 34)
 
 
 def _check_exact_bits(size: int, what: str) -> None:
@@ -301,7 +291,6 @@ def certify_fat_thick(
     thick: Union[ThickStructure, SequenceFamily],
     t: Fraction,
     factor_scale: Fraction,
-    tail_target: Fraction = Fraction(1, 1 << 34),
     max_terms: int = 65536,
     bits: int = DEFAULT_BITS,
 ) -> FatnessCertificate:
@@ -317,8 +306,10 @@ def certify_fat_thick(
     if isinstance(thick, ThickStructure):
         verdict = verify_thick(thick)
         if not verdict.valid:
+            first = verdict.violations[0]
             raise PreconditionViolated(
-                f"structure fails verification: {verdict.violations[0].message}"
+                f"structure fails verification: condition {first.condition} "
+                f"at level {first.level}: {first.detail}"
             )
         alpha = thick.alpha
         notes.append(f"structure verified across {len(thick.levels)} levels")
@@ -352,7 +343,7 @@ def certify_fat_thick(
                 _check_exact_bits(t.numerator * _bits(term(alpha, last)) * count,
                                   f"the exact product of {count} factors at exponent {t}")
             tail_sum = scale * tail_sum_upper(alpha, t, last, bits)
-            if tail_sum <= tail_target or count >= max_terms:
+            if tail_sum <= TAIL_TARGET or count >= max_terms:
                 break
             count = min(2 * count, max_terms)
         if tail_sum >= 1:
@@ -369,8 +360,8 @@ def certify_fat_thick(
     if length is not None and last >= length:
         tail_upper = Fraction(1)
     else:  # an infinite family: the next 64 lower ends of alpha_n^t
-        ahead = _pair_sum(_power_ends(Fraction(*x), t, bits, (False,))[0]
-                          for x in terms(alpha, last + 1, last + 65))
+        ahead = Fraction(*_pair_sum(_power_ends(Fraction(*x), t, bits, (False,))[0]
+                                    for x in terms(alpha, last + 1, last + 65)))
         tail_upper = min(Fraction(1), exp_neg_upper(scale * ahead))
     bound = ProductBracket(
         partial=partial_lo,
@@ -400,7 +391,6 @@ def combine_fatness_constants(
     c2: Fraction,
     doubling_c: Fraction,
     m: int,
-    bits: int = DEFAULT_BITS,
 ) -> Fraction:
     """Certified upper bound for the combined factor scale c^(-t)*c1*c2*C^m.
 
@@ -413,7 +403,7 @@ def combine_fatness_constants(
         raise PreconditionViolated("witness constant must lie in (0,1]")
     if t <= 0 or m < 0:
         raise PreconditionViolated("need t > 0 and m >= 0")
-    inv = pow_end(c, -t, True, bits)
+    inv = pow_end(c, -t, True)
     return inv * Fraction(c1) * Fraction(c2) * Fraction(doubling_c) ** m
 
 
@@ -436,8 +426,6 @@ def certify_thin_porous(
     s: Fraction,
     c: Fraction,
     epsilon: Fraction,
-    max_stages: int = 1_000_000,
-    bits: int = DEFAULT_BITS,
 ) -> ThinnessCertificate:
     """Decay certificate: stage masses shrink by (1 - c * alpha_n^s) each
     stage, and divergence of sum(alpha_n^s) drives the product to zero.
@@ -463,13 +451,14 @@ def certify_thin_porous(
     curve: list[Fraction] = []
     skipped: list[int] = []
     u = Fraction(1)
+    max_stages = 1_000_000
     for n in range(1, max_stages + 1):
         a_n = term(alpha, n)
         if exact_terms:
             _check_exact_bits(s.numerator * _bits(a_n), f"the exact power of stage {n} at exponent {s}")
             drop = c * a_n**s.numerator
         else:
-            drop = c * pow_end(a_n, s, False, bits)
+            drop = c * pow_end(a_n, s, False)
         factor_up = 1 - drop
         if factor_up <= 0:
             skipped.append(n)
@@ -501,8 +490,6 @@ def solve_inflation_exponent(
     t: Fraction,
     d: Fraction,
     epsilon: Fraction,
-    bits: int = DEFAULT_BITS,
-    max_bits: int = 4096,
 ) -> Fraction:
     """Least grid multiple Q of 1/64 with big_lam*(d+2)^t * 2^(1-t*Q) < eps/6.
 
@@ -516,8 +503,8 @@ def solve_inflation_exponent(
     base = d + 2
 
     # crossing point: Q* = (1 + log2(big_lam/rhs) + t*log2(base)) / t
-    l1 = log2_bounds(big_lam / rhs, bits)
-    l2 = log2_bounds(base, bits)
+    l1 = log2_bounds(big_lam / rhs)
+    l2 = log2_bounds(base)
     q_lo = (1 + l1.lo + t * l2.lo) / t
     q_hi = (1 + l1.hi + t * l2.hi) / t
 
@@ -533,7 +520,7 @@ def solve_inflation_exponent(
                 return False
             return None
 
-        return refine(attempt, bits, max_bits)
+        return refine(attempt, max_bits=4096)
 
     q = Fraction((q_lo / GRID_STEP).__floor__()) * GRID_STEP
     steps = int((q_hi - q_lo) / GRID_STEP) + 3
@@ -578,7 +565,7 @@ def power_tail_lower(
 
 
 def _tail_dominated(
-    n: int, delta: Fraction, gamma: Fraction, epsilon: Fraction, bits: int
+    n: int, delta: Fraction, gamma: Fraction, epsilon: Fraction
 ) -> bool:
     """Certified decision of sum_{m>=n} m^(-delta) < epsilon * n^(-gamma)."""
 
@@ -593,15 +580,13 @@ def _tail_dominated(
             return False
         return None
 
-    return refine(attempt, bits, max_bits=4096)
+    return refine(attempt, max_bits=4096)
 
 
 def tail_domination_start(
     epsilon: Fraction,
     delta: Fraction,
     gamma: Fraction,
-    bits: int = DEFAULT_BITS,
-    scan_cap: int = 10000,
 ) -> int:
     """Least M with sum_{m>=N} m^(-delta) < epsilon * N^(-gamma) for all
     N >= M, certified.
@@ -635,8 +620,9 @@ def tail_domination_start(
                 return False
             return None
 
-        return refine(attempt, bits, max_bits=4096)
+        return refine(attempt, max_bits=4096)
 
+    scan_cap = 10000
     n1 = None
     for n in range(2, scan_cap):
         if envelope_ok(n):
@@ -649,7 +635,7 @@ def tail_domination_start(
 
     def direct(n: int) -> bool:
         if n not in cache:
-            cache[n] = _tail_dominated(n, delta, gamma, epsilon, bits)
+            cache[n] = _tail_dominated(n, delta, gamma, epsilon)
         return cache[n]
 
     for m in range(1, scan_cap):
@@ -688,7 +674,6 @@ def cutout_lower_bound(
     r: Fraction,
     n_balls: int,
     p: Fraction,
-    bits: int = DEFAULT_BITS,
 ) -> CutoutBound:
     """Certified lower bound on the mass left after removing the first
     n_balls balls, using a validated mass-window fit (lam, s, big_lam, t).
@@ -729,24 +714,24 @@ def cutout_lower_bound(
                 return False
             return None
 
-        return refine(attempt, bits, max_bits=4096)
+        return refine(attempt, max_bits=4096)
 
     if not gap_big_enough():
         raise GapTooSmall(
             f"largest surviving gap {gap_diam} < {n_balls}^(-{r})"
         )
 
-    main_term = lam * pow_end(Fraction(n_balls), -(r * s), False, bits)
+    main_term = lam * pow_end(Fraction(n_balls), -(r * s), False)
 
     # sum of ball diameters^p: listed balls exactly, declared family beyond
     cp_up = Fraction(0)
     for ball in config.balls:
-        cp_up += pow_end(ball.diameter, p, True, bits)
-    cp_up += tail_sum_upper(config.diam_family, p, len(config.balls), bits)
+        cp_up += pow_end(ball.diameter, p, True)
+    cp_up += tail_sum_upper(config.diam_family, p, len(config.balls))
 
     delta = t / p
-    cp_pow_up = pow_end(cp_up, delta, True, bits)
-    tail_up = power_tail_upper(delta, n_balls, bits)
+    cp_pow_up = pow_end(cp_up, delta, True)
+    tail_up = power_tail_upper(delta, n_balls)
     penalty = cp_pow_up * big_lam * tail_up
     value = main_term - penalty
     return CutoutBound(
@@ -783,7 +768,6 @@ def inflated_remainder_check(
     q: Fraction,
     epsilon: Fraction,
     depth: int,
-    bits: int = DEFAULT_BITS,
 ) -> InflationCheck:
     """Check that the first n_balls balls, inflated by 2*n_balls^(-q) on each
     side, still leave more than epsilon/2 of the mass untouched.
@@ -794,12 +778,10 @@ def inflated_remainder_check(
     q, epsilon = Fraction(q), Fraction(epsilon)
     if epsilon <= 0:
         raise PreconditionViolated("epsilon must be positive")
-    zeta_up = 2 * pow_end(Fraction(n_balls), -q, True, bits)
+    zeta_up = 2 * pow_end(Fraction(n_balls), -q, True)
     grown = inflate(config, n_balls, zeta_up)
     merged = merge_components(grown)
-    grown_config = CutOutConfig(
-        balls=tuple(merged), diam_family=None, ambient=config.ambient
-    )
+    grown_config = CutOutConfig(balls=tuple(merged))
     remaining = cutout_mass(m, grown_config, len(merged), depth)
     required = epsilon / 2
     return InflationCheck(
@@ -824,12 +806,13 @@ class ScheduleMassReport:
     stage_partials: tuple[Fraction, ...]
 
 
+# logfloor_schedule_mass enumerates the tree only up to this many stages
+BRUTE_LIMIT = 512
+
+
 def logfloor_schedule_mass(
     p: Fraction,
     stages: int,
-    with_brute: bool | None = None,
-    brute_limit: int = 512,
-    bits: int = DEFAULT_BITS,
 ) -> ScheduleMassReport:
     """Mass of the set left by the floor(log2(j+1))-driven removal schedule.
 
@@ -853,11 +836,11 @@ def logfloor_schedule_mass(
         den *= p.denominator**m_j
         partials.append(Fraction(num, den))
 
-    closed_form = product_bracket(LogFloor(p), stages, bits)
+    closed_form = product_bracket(LogFloor(p), stages)
 
     brute = None
     match: bool | None = None
-    if with_brute or (with_brute is None and stages <= brute_limit):
+    if stages <= BRUTE_LIMIT:
         brute = _schedule_brute_force(p, exponents)
         match = brute == closed_form.partial
 
@@ -902,7 +885,7 @@ def _schedule_brute_force(p: Fraction, exponents: tuple[int, ...]) -> Fraction:
 
 
 def logfloor_vanishing_stage(
-    p: Fraction, threshold: Fraction, max_stages: int = 200_000
+    p: Fraction, threshold: Fraction
 ) -> tuple[int, Fraction]:
     """First stage whose exact partial product drops below the threshold."""
     p, threshold = Fraction(p), Fraction(threshold)
@@ -911,6 +894,7 @@ def logfloor_vanishing_stage(
     if not 0 < threshold < 1:
         raise PreconditionViolated("threshold must lie in (0,1)")
     num, den = 1, 1
+    max_stages = 200_000
     for j in range(1, max_stages + 1):
         m_j = logfloor_exponent(j)
         num *= p.denominator**m_j - p.numerator**m_j

@@ -148,15 +148,11 @@ def _cmd_cantor_build(args, config):
     return report, "pass"
 
 
-def _nested_balls(count: int) -> list[geom.RationalInterval]:
-    return [geom.closed(0, Fraction(1, 1 << i)) for i in range(1, count + 1)]
-
-
 def _balls_from(args, config) -> list[geom.RationalInterval]:
     nested = _setting(args, config, "nested")
     raw = _setting(args, config, "balls")
     if nested is not None:
-        return _nested_balls(int(nested))
+        return list(geom.nested_cutout(int(nested)).balls)
     if raw is None:
         raise DmlabError("provide --balls JSON or --nested COUNT")
     if isinstance(raw, str):
@@ -208,7 +204,7 @@ def _cmd_measure_mass(args, config):
         "measure": measure.measure_to_spec(m),
         "interval": [reports.rat_str(lo), reports.rat_str(hi)],
         "depth": depth,
-        "mass": reports.tag_mass(bracket),
+        "mass": reports.tag_bracket(bracket.lower, bracket.upper),
     }
     return report, "pass"
 
@@ -300,10 +296,7 @@ def _cmd_certify_cutout(args, config):
     r = _rat(_setting(args, config, "r", "1"))
     p = _rat(_setting(args, config, "p", "1/4"))
     scan = doubling.doubling_scan(m, scan_depth, seed=args.seed or 0)
-    cfg = geom.CutOutConfig(
-        _nested_balls(n_total),
-        diam_family=seq.Geometric(Fraction(1, 2), Fraction(1, 2)),
-    )
+    cfg = geom.nested_cutout(n_total)
     bound = certify.cutout_lower_bound(cfg, scan, r, n_balls, p)
     positive = bound.conclusion is certify.Conclusion.POSITIVE
     window = (scan.window_lo, scan.window_hi)
@@ -390,7 +383,7 @@ def _cmd_qs_pullback(args, config):
         "command": "qs pullback",
         "C": reports.rat_str(c),
         "eta2": reports.rat_str(eta2),
-        "pullback_constant": reports.tag_bounds(bounds),
+        "pullback_constant": reports.tag_bracket(bounds.lo, bounds.hi),
     }
     return report, "pass"
 

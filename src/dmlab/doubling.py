@@ -350,14 +350,13 @@ def fit_ratio_decay(
     m: TreeMeasure,
     depth: int,
     lambda_cap: Fraction = Fraction(1),
-    t_max: Fraction = Fraction(4),
     seed: int = 0,
-    holdout: int = 64,
     bits: int = DEFAULT_BITS,
 ) -> RatioDecayFit:
     """Largest grid exponent t (steps of 1/64) with a validated ratio bound
     mu(B(x,r)) / mu(B(x,R)) <= Lambda * (r/R)^t, Lambda <= lambda_cap, over
-    concentric interior pairs; then re-checked on a fresh random holdout.
+    concentric interior pairs, t <= 4; then re-checked on a fresh random
+    holdout of 64 draws.
 
     If the holdout finds a worse ratio the offending scales join the fitting
     sample and t is refitted, up to four rounds.
@@ -411,7 +410,7 @@ def fit_ratio_decay(
     if not pairs:
         raise PreconditionViolated("no interior pair produced a certified ratio")
 
-    grid_max = int(t_max / T_STEP)
+    grid_max = int(4 / T_STEP)
 
     def lam_at(t_steps: int) -> tuple[int, int]:
         """max over l of top[l] * 2^(l * t_steps / 64), rounded up."""
@@ -435,7 +434,7 @@ def fit_ratio_decay(
             )
         lam_n, lam_d = lam_at(k)
         failures: list[tuple[int, int, int]] = []
-        for _ in range(holdout):
+        for _ in range(64):
             j = rng.randrange(1, depth)
             i = rng.randrange(0, 1 << j) * 2 + 1
             if i < 2 or i + 2 > 2 << j:  # x = i / 2^(j+1) within 2^-j of an end

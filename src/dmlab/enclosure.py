@@ -43,13 +43,6 @@ class Bounds:
     def is_exact(self) -> bool:
         return self.lo == self.hi
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def contains(self, x: Fraction) -> bool:
-        return self.lo <= x <= self.hi
-
 
 def mul_bounds(a: Bounds, b: Bounds) -> Bounds:
     cands = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)

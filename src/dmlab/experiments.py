@@ -324,9 +324,7 @@ def run_cutout_fat(overrides: dict) -> dict:
     seed = _int(overrides, "seed", 0)
 
     scan = doubling.doubling_scan(m, scan_depth, seed=seed)
-    balls = [geom.closed(0, Fraction(1, 1 << i)) for i in range(1, n_total + 1)]
-    diam_family = seq.Geometric(Fraction(1, 2), Fraction(1, 2))
-    config = geom.CutOutConfig(balls, diam_family=diam_family)
+    config = geom.nested_cutout(n_total)
 
     bound = certify.cutout_lower_bound(config, scan, r, n_balls, p)
     probe = certify.cutout_lower_bound(config, scan, r, probe_n, p)
@@ -351,7 +349,7 @@ def run_cutout_fat(overrides: dict) -> dict:
             "probe_n": probe_n,
             "r": reports.tag_exact(r),
             "p": reports.tag_exact(p),
-            "diam_family": seq.family_to_spec(diam_family),
+            "diam_family": seq.family_to_spec(config.diam_family),
         },
         "results": {
             "doubling": reports.doubling_report_payload(scan),
@@ -368,7 +366,7 @@ def run_cutout_fat(overrides: dict) -> dict:
                 "value": reports.tag_window(probe.value, window),
                 "conclusion": probe.conclusion.name,
             },
-            "direct_mass": reports.tag_mass(direct),
+            "direct_mass": reports.tag_bracket(direct.lower, direct.upper),
             "inflation": {
                 "exponent": reports.tag_exact(q_exp),
                 "zeta_upper": reports.tag_exact(inflation.zeta_upper),

@@ -15,12 +15,11 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Iterator
 
-from . import seq as seqmod
 from .errors import (
     DepthBudgetExceeded,
     EmptyRemainder,
@@ -30,7 +29,7 @@ from .errors import (
     PreconditionViolated,
     ResolutionExhausted,
 )
-from .seq import SequenceFamily, term
+from .seq import Geometric, SequenceFamily, term
 
 DEFAULT_CAPS = {"depth": 32, "nodes": 1 << 20}
 
@@ -106,14 +105,6 @@ class RationalInterval:
     @property
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
-
-    @property
-    def closedness(self) -> str:
-        if self.lo_open and self.hi_open:
-            return "open"
-        if not self.lo_open and not self.hi_open:
-            return "closed"
-        return "half-open"
 
     def contains_point(self, x: Fraction) -> bool:
         if x < self.lo or x > self.hi:
@@ -261,9 +252,6 @@ class ConstructionTree:
     perfectness_constant: Fraction | None = None
     _edges: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def node(self, level: int, index: int) -> RationalInterval:
-        return self.nodes[level][index]
-
     def level_edges(self, level: int) -> tuple[int, list[int], list[int]]:
         """(den, lows, highs): the level's node endpoints as integer
         numerators over one common denominator, in node order. Both lists
@@ -337,22 +325,17 @@ def realized_beta_max(tree: ConstructionTree) -> Fraction | None:
 
 @dataclass(frozen=True)
 class CutOutConfig:
-    """Closed balls to remove from an ambient ([0,1] or a construction tree),
-    with a declared family bounding the ball diameters."""
+    """Closed balls to remove from [0,1], with a declared family bounding
+    the ball diameters."""
 
     balls: tuple[RationalInterval, ...]
     diam_family: SequenceFamily | None = None
-    ambient: ConstructionTree | None = None  # None means the unit interval
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "balls", tuple(self.balls))
         for b in self.balls:
             if b.lo_open or b.hi_open:
                 raise PreconditionViolated("cut-out balls must be closed")
-
-    def normalize_order(self) -> "CutOutConfig":
-        ordered = sorted(self.balls, key=lambda b: (-b.diameter, b.lo))
-        return replace(self, balls=tuple(ordered))
 
     def validate_diameters(self) -> None:
         if self.diam_family is None:
@@ -365,30 +348,28 @@ class CutOutConfig:
                 )
 
 
-def ambient_pieces(
-    config: CutOutConfig, depth: int | None = None
-) -> list[RationalInterval]:
-    if config.ambient is None:
-        return [closed(0, 1)]
-    level = config.ambient.depth if depth is None else min(depth, config.ambient.depth)
-    return list(config.ambient.nodes[level])
+def nested_cutout(count: int) -> CutOutConfig:
+    """The nested balls [0, 2^-i], i = 1..count, with the declared diameter
+    family Geometric(1/2, 1/2)."""
+    balls = [closed(0, Fraction(1, 1 << i)) for i in range(1, count + 1)]
+    return CutOutConfig(balls, diam_family=Geometric(Fraction(1, 2), Fraction(1, 2)))
 
 
 def remaining_set(
-    config: CutOutConfig, n_balls: int, depth: int | None = None
+    config: CutOutConfig, n_balls: int
 ) -> list[RationalInterval]:
-    """Exact components of (ambient minus the first n_balls closed balls)."""
+    """Exact components of ([0,1] minus the first n_balls closed balls)."""
     if n_balls < 0 or n_balls > len(config.balls):
         raise PreconditionViolated(f"n_balls must be in [0, {len(config.balls)}]")
     cuts = list(config.balls[:n_balls])
-    return subtract_from_all(ambient_pieces(config, depth), cuts)
+    return subtract_from_all([closed(0, 1)], cuts)
 
 
 def largest_gap(
-    config: CutOutConfig, n_balls: int, depth: int | None = None
+    config: CutOutConfig, n_balls: int
 ) -> tuple[RationalInterval, Fraction]:
     """Maximal-diameter surviving component (leftmost on ties)."""
-    pieces = remaining_set(config, n_balls, depth)
+    pieces = remaining_set(config, n_balls)
     if not pieces:
         raise EmptyRemainder(f"nothing survives the first {n_balls} balls")
     best = max(pieces, key=lambda p: p.diameter)
@@ -450,8 +431,6 @@ def _ceil_log2_inv(alpha: Fraction) -> int:
 def build_porous(
     alpha: SequenceFamily,
     depth: int,
-    max_level: int | None = None,
-    max_depth: int | None = None,
 ) -> PorousConstruction:
     """From each surviving dyadic piece remove its leftmost aligned dyadic
     subinterval of the largest dyadic length <= alpha_n * piece length.
@@ -459,8 +438,8 @@ def build_porous(
     That largest-dyadic choice pins the removed length L into the sandwich
     alpha*len/2 < L <= alpha*len, the scale the decay certificate needs.
     """
-    check_depth(depth, max_depth)
-    level_cap = resolve_cap("depth", max_level)
+    check_depth(depth)
+    level_cap = resolve_cap("depth")
     node_cap = resolve_cap("nodes")
     stages: list[tuple[DyadicPiece, ...]] = [(DyadicPiece(0, 0),)]
     removed: list[tuple[DyadicPiece, ...]] = []
@@ -531,14 +510,13 @@ class ThickVerdict:
     violations: tuple[ThickViolation, ...] = ()
 
 
-def verify_thick(ts: ThickStructure, depth: int | None = None) -> ThickVerdict:
+def verify_thick(ts: ThickStructure) -> ThickVerdict:
     """Check conditions i..v exactly; violations are returned, not thrown."""
-    levels = ts.levels if depth is None else ts.levels[:depth]
     bad: list[ThickViolation] = []
     c = Fraction(ts.witness_constant)
     if not 0 < c <= 1:
         bad.append(ThickViolation("iv", 0, 0, f"witness constant {c} outside (0,1]"))
-    for n, pairs in enumerate(levels, start=1):
+    for n, pairs in enumerate(ts.levels, start=1):
         a_n = term(ts.alpha, n)
         for j, pair in enumerate(pairs):
             if not interval_contains(pair.piece, pair.gap):
@@ -569,7 +547,7 @@ def verify_thick(ts: ThickStructure, depth: int | None = None) -> ThickVerdict:
             ball = closed(lo, hi)
             hit = None
             for k in range(n - 1):
-                for g_idx, earlier in enumerate(levels[k]):
+                for g_idx, earlier in enumerate(ts.levels[k]):
                     if intervals_intersect(ball, earlier.gap):
                         hit = (k + 1, g_idx)
                         break
@@ -588,9 +566,9 @@ def verify_thick(ts: ThickStructure, depth: int | None = None) -> ThickVerdict:
                     "ii", n, -1, f"{count} pieces share the point {witness}"
                 )
             )
-    if ts.target is not None and levels:
-        shell = merge_components([pair.piece for pairs in levels for pair in pairs])
-        gaps = [pair.gap for pairs in levels for pair in pairs]
+    if ts.target is not None and ts.levels:
+        shell = merge_components([pair.piece for pairs in ts.levels for pair in pairs])
+        gaps = [pair.gap for pairs in ts.levels for pair in pairs]
         residual = subtract_from_all(shell, gaps)
         target = merge_components(list(ts.target))
         for piece in residual:
@@ -604,9 +582,11 @@ def verify_thick(ts: ThickStructure, depth: int | None = None) -> ThickVerdict:
     return ThickVerdict(valid=not bad, violations=tuple(bad))
 
 
+MIN_WITNESS_CONSTANT = Fraction(1, 1 << 16)
+
+
 def thick_from_cantor(
     tree: ConstructionTree,
-    min_witness_constant: Fraction = Fraction(1, 1 << 16),
 ) -> ThickStructure:
     """Read the construction tree as a gap structure: level n pairs each
     level-(n-1) node with its removed middle, and puts the witness ball at the
@@ -623,9 +603,9 @@ def thick_from_cantor(
         )
     beta_max = realized_beta_max(tree)
     c = min(Fraction(1), (1 - beta_max) / 4)
-    if c < min_witness_constant:
+    if c < MIN_WITNESS_CONSTANT:
         raise FailsThickness(
-            f"witness constant {c} below the floor {min_witness_constant}"
+            f"witness constant {c} below the floor {MIN_WITNESS_CONSTANT}"
         )
     levels = []
     for n in range(1, tree.depth + 1):

@@ -49,31 +49,13 @@ class MassBracket:
     def __add__(self, other: "MassBracket") -> "MassBracket":
         return MassBracket(self.lower + other.lower, self.upper + other.upper)
 
-    def scale(self, k: Fraction) -> "MassBracket":
-        k = Fraction(k)
-        if k < 0:
-            raise PreconditionViolated("mass brackets only scale by k >= 0")
-        return MassBracket(self.lower * k, self.upper * k)
-
     @property
     def midpoint(self) -> Fraction:
         return (self.lower + self.upper) / 2
 
     @property
-    def width(self) -> Fraction:
-        return self.upper - self.lower
-
-    @property
     def is_exact(self) -> bool:
         return self.lower == self.upper
-
-    def exact(self) -> Fraction:
-        if not self.is_exact:
-            raise PreconditionViolated("bracket is not a point")
-        return self.lower
-
-    def contains(self, x: Fraction) -> bool:
-        return self.lower <= x <= self.upper
 
 
 EXACT_ZERO = MassBracket(Fraction(0), Fraction(0))
@@ -259,11 +241,15 @@ class LeafPrefixes(dict):
 
 
 def _pair_sum(pairs) -> tuple[int, int]:
-    """Sum of (numerator, denominator) pairs; equal denominators just add."""
+    """Sum of (numerator, denominator) pairs as one such pair, not reduced:
+    over the larger denominator where one divides the other (always, for
+    powers of two), else over their product."""
     num, den = 0, 1
     for n, d in pairs:
-        if d == den:
-            num += n
+        if den % d == 0:
+            num += n * (den // d)
+        elif d % den == 0:
+            num, den = num * (d // den) + n, d
         else:
             num, den = num * d + n * den, den * d
     return num, den
@@ -322,7 +308,7 @@ def cutout_mass(
     check_depth(depth)
     table = LeafPrefixes(m, depth)
     lowers, uppers = [], []
-    for piece in remaining_set(config, n_balls, depth=None):
+    for piece in remaining_set(config, n_balls):
         if piece.lo < piece.hi:
             lower, upper = table.bracket(piece.lo, piece.hi)
             lowers.append(lower)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
 
-from .enclosure import DEFAULT_BITS, Bounds, add_bounds, log2_bounds, mul_bounds, pow_bounds
+from .enclosure import Bounds, add_bounds, log2_bounds, mul_bounds, pow_bounds
 from .errors import NonMonotone, PreconditionViolated
 from .measure import (
     MassBracket,
@@ -147,11 +147,11 @@ def _straddle_maxima(cdf: list[int], depth: int) -> dict[Fraction, tuple]:
 def qs_ratio_scan(
     qsmap: QSMap,
     depth: int,
-    taus: tuple[Fraction, ...] = DEFAULT_TAUS,
     random_triples: int = 0,
     seed: int = 0,
 ) -> list[RatioScanRow]:
-    """Largest observed |f(x)-f(y)| / |f(x)-f(z)| per shape bound tau.
+    """Largest observed |f(x)-f(y)| / |f(x)-f(z)| per shape bound tau in
+    DEFAULT_TAUS.
 
     Triples are symmetric dyadic straddles y = x -/+ a*2^-k, z = x +/- b*2^-k
     with a, b in {1, 2, 4}; a triple enters every row whose tau admits its
@@ -163,14 +163,13 @@ def qs_ratio_scan(
         raise PreconditionViolated("scan depth must be >= 1")
     cdf, _ = dyadic_cdf_numerators(qsmap.source, depth)
     size = 1 << depth
-    taus = tuple(sorted(Fraction(t) for t in taus))
     shapes = _straddle_maxima(cdf, depth)
 
     def point(j: int) -> Fraction:
         return Fraction(j, size)
 
     best: dict[Fraction, tuple[Fraction, tuple[Fraction, ...]] | None] = {}
-    for t in taus:
+    for t in DEFAULT_TAUS:
         top = None
         for shape, cand in shapes.items():
             if shape <= t and (top is None or _outranks(cand, top)):
@@ -192,13 +191,13 @@ def qs_ratio_scan(
                 continue
             shape = Fraction(abs(j - jy), abs(j - jz))
             image = Fraction(abs(cdf[j] - cdf[jy]), den)
-            for t in taus:
+            for t in DEFAULT_TAUS:
                 cur = best[t]
                 if shape <= t and (cur is None or image > cur[0]):
                     best[t] = (image, (point(j), point(jy), point(jz)))
 
     rows = []
-    for t in taus:
+    for t in DEFAULT_TAUS:
         found = best[t]
         if found is None:
             continue
@@ -207,7 +206,7 @@ def qs_ratio_scan(
 
 
 def pullback_constant(
-    c: Fraction, eta2: Fraction, bits: int = DEFAULT_BITS
+    c: Fraction, eta2: Fraction
 ) -> Bounds:
     """Certified enclosure of c^(2*log2(eta2) + 1), the doubling constant a
     measure inherits when pulled back through a map with gauge value eta2 at
@@ -216,7 +215,7 @@ def pullback_constant(
     if c < 1 or eta2 < 1:
         raise PreconditionViolated("need c >= 1 and eta2 >= 1")
     exponent = add_bounds(
-        mul_bounds(Bounds.exact(Fraction(2)), log2_bounds(eta2, bits)),
+        mul_bounds(Bounds.exact(Fraction(2)), log2_bounds(eta2)),
         Bounds.exact(Fraction(1)),
     )
-    return pow_bounds(c, exponent, bits)
+    return pow_bounds(c, exponent)

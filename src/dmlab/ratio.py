@@ -40,8 +40,8 @@ def _digits10(n: int) -> int:
     return len(str(n))
 
 
-def decimal_str(x: Fraction, sig: int = 12) -> str:
-    """Render x with `sig` significant digits, round-half-even, no floats.
+def decimal_str(x: Fraction) -> str:
+    """Render x with 12 significant digits, round-half-even, no floats.
 
     Uses positional notation for moderate magnitudes and e-notation outside
     [1e-4, 1e+16).  Deterministic across platforms.
@@ -49,6 +49,7 @@ def decimal_str(x: Fraction, sig: int = 12) -> str:
     x = Fraction(x)
     if x == 0:
         return "0"
+    sig = 12
     sign = "-" if x < 0 else ""
     n, d = abs(x).numerator, abs(x).denominator
     # e = floor(log10(n/d)), first estimate from digit counts then correct

@@ -20,8 +20,6 @@ from typing import Any, Union
 
 from .certify import ProductBracket
 from .doubling import DoublingReport
-from .enclosure import Bounds
-from .measure import MassBracket
 from .ratio import decimal_str
 
 Rat = Union[Fraction, int, str]
@@ -67,14 +65,6 @@ def tag_window(x: Rat, window: tuple[Rat, Rat]) -> dict:
         "decimal": decimal_str(Fraction(x)),
         "window": [rat_str(window[0]), rat_str(window[1])],
     }
-
-
-def tag_mass(b: MassBracket) -> dict:
-    return tag_bracket(b.lower, b.upper)
-
-
-def tag_bounds(b: Bounds) -> dict:
-    return tag_bracket(b.lo, b.hi)
 
 
 SERIALIZE_PLACES = 60  # partial products carry huge exact rationals; reports

@@ -275,10 +275,6 @@ def series_total(f: SequenceFamily) -> Fraction:
     raise InvalidFamily(f"unknown family {f!r}")
 
 
-def _pow_upper(x: Fraction, e: Fraction, bits: int) -> Fraction:
-    return pow_end(x, e, True, bits)
-
-
 def tail_sum_upper(
     f: SequenceFamily, p: Fraction, n_from: int, bits: int = DEFAULT_BITS
 ) -> Fraction:
@@ -302,11 +298,11 @@ def tail_sum_upper(
     if isinstance(f, Geometric):
         # sum_{n > N} (a q^(n-1))^p = a^p q^(pN) / (1 - q^p)
         def attempt(bits_now: int):
-            a_up = _pow_upper(f.a, p, bits_now)
+            a_up = pow_end(f.a, p, True, bits_now)
             qp = pow_bounds(f.q, p, bits_now)
             if qp.hi >= 1:
                 return None
-            qN_up = _pow_upper(f.q, p * n_from, bits_now)
+            qN_up = pow_end(f.q, p * n_from, True, bits_now)
             return a_up * qN_up / (1 - qp.hi)
 
         return refine(attempt, bits)
@@ -316,11 +312,11 @@ def tail_sum_upper(
         start = n_from + f.offset
         if start < 1:
             # integral comparison needs a positive lower limit; peel one term
-            first_up = _pow_upper(term(f, n_from + 1), p, bits)
+            first_up = pow_end(term(f, n_from + 1), p, True, bits)
             return first_up + tail_sum_upper(f, p, n_from + 1, bits)
         gp = f.gamma * p
-        a_up = _pow_upper(f.a, p, bits)
-        decay_up = _pow_upper(Fraction(start), -(gp - 1), bits)
+        a_up = pow_end(f.a, p, True, bits)
+        decay_up = pow_end(Fraction(start), -(gp - 1), True, bits)
         return a_up * decay_up / (gp - 1)
 
     if isinstance(f, LogFloor):
@@ -339,12 +335,12 @@ def tail_sum_upper(
                 rest_in_block = ((1 << (k_next + 1)) - 2) - n_from
                 if rest_in_block == 0:
                     k_next += 1
-            block_term_up = _pow_upper(f.base, Fraction(p * k_next), bits_now)
+            block_term_up = pow_end(f.base, Fraction(p * k_next), True, bits_now)
             bound = rest_in_block * block_term_up
             # all blocks from k_next+1 (or k_next when nothing remains in it)
             k_full = k_next + 1 if rest_in_block else k_next
-            head_up = (1 << k_full) * _pow_upper(
-                f.base, Fraction(p * k_full), bits_now
+            head_up = (1 << k_full) * pow_end(
+                f.base, Fraction(p * k_full), True, bits_now
             )
             bound += head_up / (1 - ratio_hi)
             return bound
@@ -352,7 +348,7 @@ def tail_sum_upper(
         return refine(attempt, bits)
 
     if isinstance(f, Scaled):
-        c_up = _pow_upper(f.c, p, bits)
+        c_up = pow_end(f.c, p, True, bits)
         return c_up * tail_sum_upper(f.inner, p, n_from, bits)
 
     raise InvalidFamily(f"unknown family {f!r}")

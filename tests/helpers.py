@@ -930,8 +930,10 @@ def certify_fat_thick_oracle(thick, t: Fraction, factor_scale: Fraction,
     if isinstance(thick, ThickStructure):
         verdict = verify_thick(thick)
         if not verdict.valid:
+            first = verdict.violations[0]
             raise PreconditionViolated(
-                f"structure fails verification: {verdict.violations[0].message}"
+                f"structure fails verification: condition {first.condition} "
+                f"at level {first.level}: {first.detail}"
             )
         alpha = thick.alpha
         notes.append(f"structure verified across {len(thick.levels)} levels")

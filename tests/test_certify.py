@@ -1,5 +1,6 @@
 """Certificates against direct multiplication, literal enumeration, mpmath."""
 
+import dataclasses
 import time
 from fractions import Fraction
 
@@ -33,7 +34,7 @@ from dmlab.errors import (
     PreconditionViolated,
     SeriesConverges,
 )
-from dmlab.geom import CutOutConfig, closed
+from dmlab.geom import CutOutConfig, build_cantor, closed, thick_from_cantor
 from dmlab.measure import BinomialWeights, TreeMeasure
 from dmlab.seq import Constant, ExplicitFinite, Geometric, LogFloor, Power, term
 
@@ -107,6 +108,23 @@ class TestFatCertificates:
     def test_divergent_family_rejected(self):
         with pytest.raises(NotInEllT):
             certify_fat_thick(Constant(Fraction(1, 2)), Fraction(1), Fraction(1))
+
+    def test_verified_structure_gives_the_family_certificate(self):
+        tree = build_cantor(Geometric(Fraction(1, 2), Fraction(1, 2)), 4)
+        cert = certify_fat_thick(thick_from_cantor(tree), Fraction(1), Fraction(1))
+        direct = certify_fat_thick(tree.beta, Fraction(1), Fraction(1))
+        assert (cert.n0, cert.bound, cert.conclusion) == (direct.n0, direct.bound, direct.conclusion)
+        assert cert.notes == ("structure verified across 4 levels",)
+
+    def test_failing_structure_names_its_first_violation(self):
+        thick = thick_from_cantor(build_cantor(Geometric(Fraction(1, 2), Fraction(1, 2)), 3))
+        # shrink the first level-2 witness ball below c * diam(piece)
+        first, *rest = thick.levels[1]
+        small = dataclasses.replace(first, witness_radius=first.witness_radius / 2)
+        broken = dataclasses.replace(thick, levels=(thick.levels[0], (small, *rest), *thick.levels[2:]))
+        with pytest.raises(PreconditionViolated, match=r"^structure fails verification: condition iv "
+                           r"at level 2: witness radius below c \* diam\(piece\)$"):
+            certify_fat_thick(broken, Fraction(1), Fraction(1))
 
     @pytest.mark.parametrize("alpha, t, size", [
         # 100000 * (1 + 66 bits of the 64th term) * 64 factors, before any power
@@ -290,6 +308,10 @@ class TestRemovalSchedule:
     def test_brute_force_skipped_above_limit(self):
         report = logfloor_schedule_mass(Fraction(1, 3), 600)
         assert report.brute_force is None and report.match_exact is None
+        assert logfloor_schedule_mass(Fraction(1, 3), 513).brute_force is None
+        # the limit itself still runs the enumeration
+        report = logfloor_schedule_mass(Fraction(1, 3), 512)
+        assert report.brute_force == report.closed_form.partial and report.match_exact
 
     def test_verdicts_split_at_half(self):
         assert logfloor_schedule_mass(Fraction(1, 3), 4).verdict is LimitVerdict.POSITIVE_LIMIT

@@ -1,0 +1,110 @@
+"""Source hygiene, read off the syntax trees of the repository's Python files.
+
+Two rules keep unused surface out of `src/dmlab`:
+
+* no module imports a name it never uses (the package `__init__.py` is
+  exempt: its imports are the public names it re-exports);
+* every optional parameter of a function in `src/` is passed by some call in
+  `src/`, `tests/` or `bench/`, by keyword or by position.  A parameter that
+  no call passes is one every caller leaves at its default, so the default
+  belongs in the body.
+
+Calls are matched to definitions by name only (the last part of a dotted
+callee, the class name for `__init__`), which can only make a parameter look
+passed, never unpassed.
+"""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "dmlab"
+
+
+def _trees(*dirs: str):
+    for d in dirs:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            yield path, ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name
+)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [f"{name} (line {line})" for name, line in _imported_names(tree).items()
+              if name not in used]
+    assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def _optional_parameters():
+    """(module, function, parameter, position or None, callee name) for every
+    parameter with a default in src/."""
+    for path, tree in _trees("src"):
+        classes = {child: node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                   for child in node.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            cls = classes.get(node)
+            callee = cls if node.name == "__init__" else node.name
+            is_static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                            for d in node.decorator_list)
+            # a call site does not spell out self or cls
+            skip = 1 if cls is not None and not is_static else 0
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for index in range(first, len(positional)):
+                yield path.name, node.name, positional[index].arg, index - skip, callee
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield path.name, node.name, arg.arg, None, callee
+
+
+def _calls() -> dict[str, list[ast.Call]]:
+    calls: dict[str, list[ast.Call]] = {}
+    for _, tree in _trees("src", "tests", "bench"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Name):
+                    calls.setdefault(func.id, []).append(node)
+                elif isinstance(func, ast.Attribute):
+                    calls.setdefault(func.attr, []).append(node)
+    return calls
+
+
+def _passes(call: ast.Call, name: str, position: int | None) -> bool:
+    if any(kw.arg in (name, None) for kw in call.keywords):  # None: **mapping
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_every_optional_parameter_is_passed_somewhere():
+    calls = _calls()
+    never = [
+        f"{module}: {function}({name})"
+        for module, function, name, position, callee in _optional_parameters()
+        if not any(_passes(call, name, position) for call in calls.get(callee, ()))
+    ]
+    assert not never, "optional parameters no call passes: " + "; ".join(never)

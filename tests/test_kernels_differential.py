@@ -288,7 +288,7 @@ def test_cutout_mass_matches_recursion(query_and_points):
     balls = [closed(min(a, b), max(a, b)) for a, b in zip(ends[::2], ends[1::2])]
     config = CutOutConfig(balls)
     expected = EXACT_ZERO
-    for piece in remaining_set(config, len(balls), depth=None):
+    for piece in remaining_set(config, len(balls)):
         expected = expected + interval_mass_recursive_oracle(m, piece, depth)
     got = cutout_mass(m, config, len(balls), depth)
     assert (got.lower, got.upper) == (expected.lower, expected.upper)
