@@ -140,7 +140,7 @@ def _cmd_cantor_build(args, config):
         "beta": seq.family_to_spec(beta),
         "depth": depth,
         "level_lengths": {str(k): reports.tag_exact(v) for k, v in lengths},
-        "leaf_count": len(tree.nodes[depth]),
+        "leaf_count": len(tree.edges[depth][1]),
         "plot": [reports.plot_series("level_length", lengths)],
     }
     if tree.perfectness_constant is not None:
@@ -151,6 +151,8 @@ def _cmd_cantor_build(args, config):
 def _balls_from(args, config) -> list[geom.RationalInterval]:
     nested = _setting(args, config, "nested")
     raw = _setting(args, config, "balls")
+    if nested is not None and raw is not None:
+        raise PreconditionViolated("give --balls or --nested, not both")
     if nested is not None:
         return list(geom.nested_cutout(int(nested)).balls)
     if raw is None:

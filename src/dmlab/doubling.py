@@ -17,7 +17,6 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import sub
 from typing import Iterator, NamedTuple
 
@@ -43,7 +42,6 @@ from .measure import (
     LeafPrefixes,
     TreeMeasure,
     dyadic_cdf_numerators,
-    level_numerators,
 )
 
 PERFECTNESS_GAP_CAP = Fraction(15, 16)
@@ -92,39 +90,44 @@ class DoublingReport:
 
 
 class _MassOracle:
-    """Ball masses for the scan grids as fractions of integers.
+    """Ball masses for the scan grids, with ball ends integers over `unit`.
 
-    Ball ends are integers over `unit`. When the measure splits on the
-    dyadic base down to depth + 1 (`grid`), the query level is depth + 1 and
-    its cdf grid `cdf` holds integer numerators over one denominator; every
-    scan ball is then a union of leaves and exact. Otherwise a ball is
-    bracketed at the query level cap as `interval_mass` brackets it, through
-    a `LeafPrefixes` table (`table`) whose leaf edges are integers over
-    `unit` too."""
+    On the dyadic base, unit = 2^(depth + 1) and `cdf` holds the cdf
+    numerators at the query level cap = min(depth + 1, split_depth) over
+    one denominator `cdf_den`, so a leaf spans 2^shift units, shift =
+    depth + 1 - cap. At shift 0 (`grid`) every scan ball is a union of
+    leaves and exact. On a construction tree a ball is bracketed at the
+    query level split_depth as `interval_mass` brackets it, through a
+    `LeafPrefixes` table (`table`) whose leaf edges are integers over `unit`
+    too."""
 
     def __init__(self, m: TreeMeasure, depth: int):
-        cap = min(depth + 1, m.split_depth) if m.base is None else m.split_depth
-        self.grid = m.base is None and cap == depth + 1
-        if self.grid:
+        if m.base is None:
+            cap = min(depth + 1, m.split_depth)
             self.cdf, self.cdf_den = dyadic_cdf_numerators(m, cap)
-            self.unit = 1 << cap
+            self.unit, self.shift = 1 << (depth + 1), depth + 1 - cap
+            self.grid = not self.shift
             return
-        check_nodes(1 << cap)
-        den = 1 << cap if m.base is None else m.base.level_edges(cap)[0]
+        self.grid = False
+        check_nodes(1 << m.split_depth)
         # node ends at every level are leaf edges (children keep their
         # parent's outer ends), the scan halves them for midpoints, and
         # fit_ratio_decay's centers are dyadic at depth + 1
-        self.unit = lcm(2 * den, 1 << (depth + 1))
-        self.table = LeafPrefixes(m, cap, self.unit)
-        self.bracket = self.table.bracket_units
+        self.table = LeafPrefixes(m, m.split_depth, 1 << (depth + 1))
+        self.unit, self.bracket = self.table.unit, self.table.bracket_units
 
     def bracket(self, lo: int, hi: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        """(lower, upper) bracket of mu([lo / unit, hi / unit]) for
-        0 <= lo <= hi <= unit, each a (numerator, denominator) pair; on the
-        grid the cdf's common denominator is left out, as every ratio
-        cancels it. Off the grid the table's `bracket_units` stands in."""
-        v = (self.cdf[hi] - self.cdf[lo], 1)
-        return v, v
+        """`bracket_units` of mu([lo / unit, hi / unit]) for 0 <= lo <= hi
+        <= unit, leaving out the cdf's denominator, which every ratio
+        cancels: lower runs from the ceiling of lo in leaf widths to the
+        floor of hi, upper from the floor of lo to the ceiling of hi. On a
+        tree the table's `bracket_units` stands in."""
+        s, cdf = self.shift, self.cdf
+        if not s:  # the exact grid: both ends are leaf edges
+            v = (cdf[hi] - cdf[lo], 1)
+            return v, v
+        a, b = -(-lo >> s), hi >> s
+        return (cdf[b] - cdf[a] if b > a else 0, 1), (cdf[-(-hi >> s)] - cdf[lo >> s], 1)
 
 
 class _ScanShare:
@@ -171,16 +174,17 @@ def _log2_hi(x: Fraction, bits: int) -> Fraction:
     return memo[x, bits]
 
 
-def _scan_centers(m: TreeMeasure, depth: int) -> list[Fraction]:
+def _scan_centers(m: TreeMeasure, depth: int, unit: int) -> range | list[int]:
+    """The scan's centers as integers over the oracle's unit: i / 2^(depth+1)
+    on the dyadic base, else the ends and midpoints of the tree's nodes at
+    level min(depth, tree depth), whose denominator halves unit."""
     if m.base is None:
         check_nodes(1 << (depth + 1))
-        step = Fraction(1, 1 << (depth + 1))
-        return [i * step for i in range((1 << (depth + 1)) + 1)]
-    level = min(depth, m.base.depth)
-    pts: set[Fraction] = set()
-    for node in m.base.nodes[level]:
-        pts.update((node.lo, node.midpoint, node.hi))
-    return sorted(pts)
+        return range(0, unit + 1, unit >> (depth + 1))
+    den, lows, highs = m.base.edges[min(depth, m.base.depth)]
+    step = unit // (2 * den)
+    return sorted({2 * e * step for e in lows + highs}.union(
+        (lo + hi) * step for lo, hi in zip(lows, highs)))
 
 
 class ScanResult(NamedTuple):
@@ -219,14 +223,13 @@ def _grid_pass(cdf: list[int], depth: int) -> tuple[list[tuple[int, int, int | N
     return per_scale, skipped
 
 
-def _bracket_pass(oracle: _MassOracle, centers: list[Fraction], depth: int) -> tuple:
-    """The scan over bracketed balls, in the same (k, x) order as the grid
-    pass: scan_core skips a small ball without certified mass, the
-    per-scale maxima skip only one that certainly has none. The ball at
-    radius 2^-(k-1) is the doubled ball at scale k, so each center needs
-    depth + 1 brackets. Ratios are compared by cross-multiplication."""
+def _bracket_pass(oracle: _MassOracle, xs: range | list[int], depth: int) -> tuple:
+    """The scan over bracketed balls centered at xs / unit, in the (k, x)
+    order of the grid pass: scan_core skips a small ball without certified
+    mass, the per-scale maxima skip only one that certainly has none. The
+    ball at radius 2^-(k-1) is the doubled ball at scale k, so each center
+    needs depth + 1 brackets. Ratios are compared by cross-multiplication."""
     unit = oracle.unit
-    xs = [x.numerator * (unit // x.denominator) for x in centers]
 
     def balls(k: int) -> list:
         h = unit >> k
@@ -261,7 +264,7 @@ def _bracket_pass(oracle: _MassOracle, centers: list[Fraction], depth: int) -> t
     c_lower = Fraction(lo_n, lo_d)
     if witness is not None:
         k, i = witness
-        witness = ScanWitness(x=centers[i], r=Fraction(1, 1 << k), ratio_lower=c_lower)
+        witness = ScanWitness(x=Fraction(xs[i], unit), r=Fraction(1, 1 << k), ratio_lower=c_lower)
     return Fraction(up_n, up_d), c_lower, witness, exact and not skipped, skipped, per_scale
 
 
@@ -270,7 +273,7 @@ def _scan_pass(m: TreeMeasure, depth: int) -> tuple:
     exact, skipped, per-scale maxima)."""
     oracle = _shared_oracle(m, depth) or _MassOracle(m, depth)
     if not oracle.grid:
-        return _bracket_pass(oracle, _scan_centers(m, depth), depth)
+        return _bracket_pass(oracle, _scan_centers(m, depth, oracle.unit), depth)
     rows, skipped = _grid_pass(oracle.cdf, depth)
     per_scale = []
     c_lower = Fraction(0)
@@ -468,7 +471,7 @@ def fit_ratio_decay(
 
 
 def _cdf_levels(cdf: list[int], den: int, cap: int) -> Iterator[tuple[list[int], int]]:
-    """Node masses of levels 0..cap as level_numerators gives them, read as
+    """Node masses of dyadic levels 0..cap as (numerators, den), read as
     strided differences of a finer cdf grid."""
     for level in range(cap + 1):
         row = cdf[::(len(cdf) - 1) >> level]
@@ -512,6 +515,7 @@ def fit_mass_window(
         if cur is None or high[0] * cur[1] > cur[0] * high[1]:
             heaviest[diam] = high
 
+    oracle = _shared_oracle(m, depth) or _MassOracle(m, depth)
     if m.base is None:
         # a diameter 2^-j is keyed by j; its powers 2^(-j * steps / 64) come
         # from exp2_64ths, equal to pow_bounds' enclosures of them
@@ -519,13 +523,7 @@ def fit_mass_window(
             lo, hi, den = exp2_64ths(-j * steps, bits)
             return (lo, den), (hi, den)
 
-        cap = min(depth, m.split_depth)
-        oracle = _shared_oracle(m, depth)
-        if oracle is not None and oracle.grid:
-            levels = _cdf_levels(oracle.cdf, oracle.cdf_den, cap)
-        else:
-            check_nodes(1 << cap)
-            levels = level_numerators(m, cap)
+        levels = _cdf_levels(oracle.cdf, oracle.cdf_den, min(depth, m.split_depth))
         for level, (masses, den) in enumerate(levels):
             doubled = list(map(sum, zip(masses, masses[1:])))
             samples += len(masses) + len(doubled)
@@ -540,19 +538,18 @@ def fit_mass_window(
         # node ends are leaf edges of the oracle's level, split_depth, so node
         # i of level L is the 2^(split_depth - L) leaves from i * width on:
         # its mass is one exact difference of the oracle's prefixes
-        mass = (_shared_oracle(m, depth) or _MassOracle(m, depth)).table.mass
-        cap = min(depth, m.base.depth)
-        for level in range(cap + 1):
-            nodes = m.base.nodes[level]
+        mass = oracle.table.mass
+        for level in range(min(depth, m.base.depth) + 1):
+            den, lows, highs = m.base.edges[level]
             width = 1 << (m.split_depth - level)
-            for i, nd in enumerate(nodes):
+            for i, lo in enumerate(lows):
                 samples += 1
                 single = mass(i * width, (i + 1) * width)
-                note(nd.diameter, single, single)
-                if i + 1 < len(nodes):
+                note(Fraction(highs[i] - lo, den), single, single)
+                if i + 1 < len(lows):
                     samples += 1
                     pair = mass(i * width, (i + 2) * width)
-                    note(nodes[i + 1].hi - nd.lo, pair, pair)
+                    note(Fraction(highs[i + 1] - lo, den), pair, pair)
 
     # lower constant: worst mass / diam^s, rounded down through the enclosure
     lam_n, lam_d = None, 1

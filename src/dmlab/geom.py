@@ -15,9 +15,10 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import gcd
 from typing import Iterator
 
 from .errors import (
@@ -243,31 +244,32 @@ def max_overlap(pieces: list[RationalInterval]) -> tuple[int, Fraction | None]:
 @dataclass(frozen=True)
 class ConstructionTree:
     """Nested splitting of [0,1]: level-k pieces split in two around an open
-    middle gap occupying fraction beta_(k+1) of the parent."""
+    middle gap occupying fraction beta_(k+1) of the parent.
+
+    `edges[k]` is level k as (den, lows, highs): the node ends as integer
+    numerators over one reduced common denominator, in node order. Both
+    tuples ascend because each level is sorted and disjoint. `nodes` and
+    `gaps` are read off them as intervals when first asked for."""
 
     beta: SequenceFamily
     depth: int
-    nodes: tuple[tuple[RationalInterval, ...], ...]  # levels 0..depth
-    gaps: tuple[tuple[RationalInterval, ...], ...]  # gaps[k]: middles of level-k nodes
+    edges: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]  # levels 0..depth
     perfectness_constant: Fraction | None = None
-    _edges: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def level_edges(self, level: int) -> tuple[int, list[int], list[int]]:
-        """(den, lows, highs): the level's node endpoints as integer
-        numerators over one common denominator, in node order. Both lists
-        ascend because each level is sorted and disjoint. Built once."""
-        if level not in self._edges:
-            nodes = self.nodes[level]
-            den = lcm(*(n.lo.denominator for n in nodes), *(n.hi.denominator for n in nodes))
-            self._edges[level] = (
-                den,
-                [n.lo.numerator * (den // n.lo.denominator) for n in nodes],
-                [n.hi.numerator * (den // n.hi.denominator) for n in nodes],
-            )
-        return self._edges[level]
+    @cached_property
+    def nodes(self) -> tuple[tuple[RationalInterval, ...], ...]:  # levels 0..depth
+        return tuple(tuple(closed(Fraction(lo, den), Fraction(hi, den)) for lo, hi in zip(lows, highs))
+                     for den, lows, highs in self.edges)
+
+    @cached_property
+    def gaps(self) -> tuple[tuple[RationalInterval, ...], ...]:  # gaps[k]: middles of level-k nodes
+        return tuple(tuple(open_interval(Fraction(a, den), Fraction(b, den))
+                           for a, b in zip(highs[::2], lows[1::2]))
+                     for den, lows, highs in self.edges[1:])
 
     def level_length(self, level: int) -> Fraction:
-        return sum((n.diameter for n in self.nodes[level]), Fraction(0))
+        den, lows, highs = self.edges[level]
+        return Fraction(sum(highs) - sum(lows), den)
 
 
 def build_cantor(
@@ -282,37 +284,31 @@ def build_cantor(
     disjoint (children of a node sit on either side of its open middle gap):
     the leaf bisections of `measure.LeafPrefixes` rely on it, and so
     `interval_mass`, `cutout_mass`, `restrict` and the doubling scan's ball
-    oracle do."""
+    oracle do. Over den * 2 * denominator(beta_k), a child's inner end lies
+    (denominator - numerator) * (hi - lo) in from its parent's outer end;
+    each level is then reduced by the gcd of its denominator and ends."""
     check_depth(depth, max_depth)
     check_nodes(1 << depth)
-    levels: list[tuple[RationalInterval, ...]] = [(closed(0, 1),)]
-    gaps: list[tuple[RationalInterval, ...]] = []
+    den, lows, highs = 1, (0,), (1,)
+    edges = [(den, lows, highs)]
     worst: Fraction | None = None
     for k in range(1, depth + 1):
         b = term(beta, k)
         if not 0 < b < 1:
             raise InvalidFamily(f"gap fraction at level {k} must be in (0,1), got {b}")
         worst = b if worst is None or b > worst else worst
-        children: list[RationalInterval] = []
-        middles: list[RationalInterval] = []
-        half = (1 - b) / 2
-        for node in levels[k - 1]:
-            length = node.diameter
-            left_hi = node.lo + half * length
-            right_lo = node.hi - half * length
-            children.append(closed(node.lo, left_hi))
-            children.append(closed(right_lo, node.hi))
-            middles.append(open_interval(left_hi, right_lo))
-        levels.append(tuple(children))
-        gaps.append(tuple(middles))
+        scale, cut = 2 * b.denominator, b.denominator - b.numerator
+        kid_lows, kid_highs = [], []
+        for lo, hi in zip(lows, highs):
+            inner = cut * (hi - lo)
+            lo, hi = lo * scale, hi * scale
+            kid_lows += (lo, hi - inner)
+            kid_highs += (lo + inner, hi)
+        g = gcd(den * scale, *kid_lows, *kid_highs)
+        den, lows, highs = den * scale // g, tuple(v // g for v in kid_lows), tuple(v // g for v in kid_highs)
+        edges.append((den, lows, highs))
     perfectness = None if worst is None else (1 + worst) / (1 - worst)
-    return ConstructionTree(
-        beta=beta,
-        depth=depth,
-        nodes=tuple(levels),
-        gaps=tuple(gaps),
-        perfectness_constant=perfectness,
-    )
+    return ConstructionTree(beta=beta, depth=depth, edges=tuple(edges), perfectness_constant=perfectness)
 
 
 def realized_beta_max(tree: ConstructionTree) -> Fraction | None:

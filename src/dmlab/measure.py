@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
-from typing import Iterator, Union
+from typing import Union
 
 from .errors import MisalignedTrees, PreconditionViolated, ZeroMassBall
 from .geom import (
@@ -160,34 +160,41 @@ class LeafPrefixes(dict):
     denominators of all 2^cap - 1 nodes of a construction tree, P(j) only
     those on leaf j's path.
 
-    The leaf edges `lows`/`highs` are integers over `unit`, a multiple of
-    twice their common denominator: by default twice it, or what the caller
-    gives so that its query ends are integers over it too."""
+    The leaf edges `lows`/`highs` are integers over `unit`, the lcm of
+    twice their common denominator and `ends`, a denominator the caller's
+    query ends are integers over."""
 
-    def __init__(self, m: TreeMeasure, depth: int, unit: int | None = None):
+    def __init__(self, m: TreeMeasure, depth: int, ends: int = 1):
         super().__init__()
         self.m, self.cap = m, effective_depth(m, depth)
-        den = 1 << self.cap if m.base is None else m.base.level_edges(self.cap)[0]
-        self.den, self.unit = den, 2 * den if unit is None else unit
+        den = 1 << self.cap if m.base is None else m.base.edges[self.cap][0]
+        self.den, self.unit = den, lcm(2 * den, ends)
         self.step = step = self.unit // den
-        if step < 2 or self.unit % den:
-            raise PreconditionViolated(f"unit {self.unit} is no multiple of 2 * {den}")
         if m.base is None:
             self.lows, self.highs = range(0, self.unit, step), range(step, self.unit + step, step)
         else:
-            _, lows, highs = m.base.level_edges(self.cap)
+            _, lows, highs = m.base.edges[self.cap]
             self.lows, self.highs = [e * step for e in lows], [e * step for e in highs]
+        total = m.total_mass
+        self[1 << self.cap] = total.numerator, total.denominator
+        # walk states by node 2^level + index: (node mass, mass left of the
+        # node, den), the masses integer numerators over den
+        self.states = {1: (total.numerator, 0, total.denominator)}
 
     def __missing__(self, j: int) -> tuple[int, int]:
-        """P(j) for 0 <= j <= 2^cap: one walk down leaf j's path adds the
-        left child's mass at every right turn. Masses are integer
-        numerators over one running denominator, and the walk stops at j's
-        lowest set bit: below it the path only turns left."""
-        cap, total, left_share = self.cap, self.m.total_mass, self.m.weights.left_share
-        mass, den, acc = total.numerator, total.denominator, 0
-        if j >> cap:
-            acc = mass
-        for lev in range(cap - ((j & -j).bit_length() - 1) if j else 0):
+        """P(j) for 0 <= j < 2^cap: the mass left of the node where leaf j's
+        path last turns right (below it the path only turns left), at level
+        stop. The walk resumes from the deepest ancestor of that node already
+        walked; each step down multiplies the running denominator by the
+        share's and, on a right turn, adds the left child's mass."""
+        cap, left_share, states = self.cap, self.m.weights.left_share, self.states
+        stop = cap - ((j & -j).bit_length() - 1) if j else 0
+        node = ((1 << cap) | j) >> (cap - stop)
+        lev = stop
+        while node >> (stop - lev) not in states:
+            lev -= 1
+        mass, acc, den = states[node >> (stop - lev)]
+        for lev in range(lev, stop):
             w = left_share(lev, j >> (cap - lev))
             wn, wd = w.numerator, w.denominator
             left = mass * wn
@@ -198,6 +205,7 @@ class LeafPrefixes(dict):
                 mass = mass * wd - left
             else:
                 mass = left
+            states[node >> (stop - lev - 1)] = mass, acc, den
         g = gcd(acc, den)
         p = self[j] = acc // g, den // g
         return p
@@ -316,30 +324,11 @@ def cutout_mass(
     return MassBracket(Fraction(*_pair_sum(lowers)), Fraction(*_pair_sum(uppers)))
 
 
-def level_numerators(m: TreeMeasure, depth: int) -> Iterator[tuple[list[int], int]]:
-    """Node masses of dyadic-base levels 0..depth as (numerators, den): node i
-    of a level has mass numerators[i] / den, one common den per level."""
-    den = m.total_mass.denominator
-    masses = [m.total_mass.numerator]
-    for level in range(depth + 1):
-        yield masses, den
-        if level == depth:
-            return
-        shares = [m.weights.left_share(level, i) for i in range(len(masses))]
-        scale = lcm(*(w.denominator for w in shares))
-        nxt = []
-        for mass, w in zip(masses, shares):
-            left = mass * w.numerator * (scale // w.denominator)
-            nxt.append(left)
-            nxt.append(mass * scale - left)
-        masses = nxt
-        den *= scale
-
-
 def dyadic_cdf_numerators(m: TreeMeasure, depth: int) -> tuple[list[int], int]:
     """(F, den) with F[i] / den = mu([0, i/2^depth]) exactly, for dyadic-base
     measures: the cdf grid on one common denominator, so a ratio of two grid
-    masses is a ratio of two integers."""
+    masses is a ratio of two integers. Each level scales den by the lcm of
+    its share denominators."""
     if m.base is not None:
         raise PreconditionViolated("exact cdf grid needs the dyadic base")
     if depth < 0:
@@ -349,8 +338,17 @@ def dyadic_cdf_numerators(m: TreeMeasure, depth: int) -> tuple[list[int], int]:
             f"grid depth {depth} exceeds the measure's split depth {m.split_depth}"
         )
     check_nodes(1 << depth)
-    for masses, den in level_numerators(m, depth):
-        pass  # keep the deepest level
+    den, masses = m.total_mass.denominator, [m.total_mass.numerator]
+    for level in range(depth):
+        shares = [m.weights.left_share(level, i) for i in range(len(masses))]
+        scale = lcm(*(w.denominator for w in shares))
+        nxt = []
+        for mass, w in zip(masses, shares):
+            left = mass * w.numerator * (scale // w.denominator)
+            nxt.append(left)
+            nxt.append(mass * scale - left)
+        masses = nxt
+        den *= scale
     return list(accumulate(masses, initial=0)), den
 
 
@@ -369,19 +367,26 @@ def restrict(
     brackets, evaluated at eval_depth (default: tree depth + 6). Nodes whose
     upper mass vanishes mean the tree lives where m has no mass.
 
-    Every node is bracketed once, through one `LeafPrefixes` table whose
-    prefixes the levels share, so a share (L_l + U_l) / (L_l + U_l + L_r +
+    Every node is bracketed once from the tree's integer edges, through one
+    `LeafPrefixes` table whose prefixes the levels share and whose unit the
+    leaves' denominator divides, so a share (L_l + U_l) / (L_l + U_l + L_r +
     U_r) and the leaf total are built from integers.
     """
     if eval_depth is None:
         eval_depth = tree.depth + 6
-    table = LeafPrefixes(m, eval_depth)
-    nodes = [table.bracket(nd.lo, nd.hi) for nd in tree.nodes[0]]
+    table = LeafPrefixes(m, eval_depth, tree.edges[tree.depth][0])
+
+    def brackets(level: int) -> list:
+        den, lows, highs = tree.edges[level]
+        step = table.unit // den  # a child keeps its parent's outer ends
+        return [table.bracket_units(lo * step, hi * step) for lo, hi in zip(lows, highs)]
+
+    nodes = brackets(0)
     if nodes[0][1][0] == 0:  # the root's upper mass
         raise MisalignedTrees("the measure puts no mass on the tree's root")
     rows: list[tuple[Fraction, ...]] = []
     for level in range(tree.depth):
-        nodes = [table.bracket(nd.lo, nd.hi) for nd in tree.nodes[level + 1]]
+        nodes = brackets(level + 1)
         sums = [_pair_sum(bracket) for bracket in nodes]  # L + U
         row = []
         for index in range(1 << level):

@@ -20,7 +20,10 @@ Then come `log2_bounds`, `exp2_bounds` and `pow_bounds` as Fraction loops
 with general long division, from before their kernels moved to shifts and
 integer ends, and `iroot` by Newton's iteration alone.  Last come
 `product_bracket` and `certify_fat_thick` as Fraction loops, from before
-they moved to integer (numerator, denominator) pairs.
+they moved to integer (numerator, denominator) pairs, and `build_cantor`
+with `RationalInterval` nodes, from before its levels became integer
+edges, with the leaf-prefix walk from the root that `LeafPrefixes` ran
+before it resumed walks from memoised ancestors.
 """
 
 from __future__ import annotations
@@ -138,6 +141,7 @@ from dmlab.enclosure import (  # noqa: E402
 )
 from dmlab.errors import (  # noqa: E402
     EnclosureInconclusive,
+    InvalidFamily,
     MisalignedTrees,
     PreconditionViolated,
     ZeroMassBall,
@@ -1014,6 +1018,80 @@ def certify_fat_thick_oracle(thick, t: Fraction, factor_scale: Fraction,
     conclusion = Conclusion.POSITIVE if bound.lower_value > 0 else Conclusion.INCONCLUSIVE
     return FatnessCertificate(alpha=alpha, t=t, factor_scale=scale, n0=n0, bound=bound,
                               conclusion=conclusion, notes=tuple(notes))
+
+
+# --- Fraction construction trees and the plain leaf-prefix walk ------------------
+
+from dmlab.geom import open_interval  # noqa: E402
+from dmlab.seq import term  # noqa: E402
+
+
+class CantorTreeOracle:
+    """What `build_cantor` built before its levels became integer edges:
+    nodes and gaps as `RationalInterval`s, split with Fractions, level
+    edges by an lcm of the node denominators, lengths as sums of
+    diameters. It has the attributes `thick_from_cantor` reads."""
+
+    def __init__(self, beta, depth, nodes, gaps, perfectness_constant):
+        self.beta, self.depth, self.nodes, self.gaps = beta, depth, nodes, gaps
+        self.perfectness_constant = perfectness_constant
+
+    def level_edges(self, level: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        nodes = self.nodes[level]
+        den = math.lcm(*(n.lo.denominator for n in nodes), *(n.hi.denominator for n in nodes))
+        return (den, tuple(n.lo.numerator * (den // n.lo.denominator) for n in nodes),
+                tuple(n.hi.numerator * (den // n.hi.denominator) for n in nodes))
+
+    def level_length(self, level: int) -> Fraction:
+        return sum((n.diameter for n in self.nodes[level]), Fraction(0))
+
+
+def build_cantor_oracle(beta, depth: int) -> CantorTreeOracle:
+    levels = [(closed(0, 1),)]
+    gaps = []
+    worst = None
+    for k in range(1, depth + 1):
+        b = term(beta, k)
+        if not 0 < b < 1:
+            raise InvalidFamily(f"gap fraction at level {k} must be in (0,1), got {b}")
+        worst = b if worst is None or b > worst else worst
+        children, middles = [], []
+        half = (1 - b) / 2
+        for node in levels[k - 1]:
+            length = node.diameter
+            left_hi = node.lo + half * length
+            right_lo = node.hi - half * length
+            children.append(closed(node.lo, left_hi))
+            children.append(closed(right_lo, node.hi))
+            middles.append(open_interval(left_hi, right_lo))
+        levels.append(tuple(children))
+        gaps.append(tuple(middles))
+    perfectness = None if worst is None else (1 + worst) / (1 - worst)
+    return CantorTreeOracle(beta, depth, tuple(levels), tuple(gaps), perfectness)
+
+
+def leaf_prefix_oracle(m, cap: int, j: int) -> tuple[int, int]:
+    """P(j), the mass of leaves 0..j-1 at level cap, reduced, by one walk
+    from the root down leaf j's path (`LeafPrefixes` before it resumed
+    walks from memoised ancestors)."""
+    left_share = m.weights.left_share
+    total = m.total_mass
+    mass, den, acc = total.numerator, total.denominator, 0
+    if j >> cap:
+        acc = mass
+    for lev in range(cap - ((j & -j).bit_length() - 1) if j else 0):
+        w = left_share(lev, j >> (cap - lev))
+        wn, wd = w.numerator, w.denominator
+        left = mass * wn
+        acc *= wd
+        den *= wd
+        if (j >> (cap - 1 - lev)) & 1:
+            acc += left
+            mass = mass * wd - left
+        else:
+            mass = left
+    g = math.gcd(acc, den)
+    return acc // g, den // g
 
 
 # --- formatting -------------------------------------------------------------------

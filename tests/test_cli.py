@@ -279,6 +279,27 @@ class TestErrorContract:
         assert len(lines) == 1
         assert json.loads(lines[0])["kind"] == kind
 
+    @pytest.mark.parametrize("flags, config", [
+        (["--nested", "2", "--balls", '[["1/8", "1/4"]]'], None),
+        (["--balls", '[["1/8", "1/4"]]'], {"nested": 2}),
+        (["--nested", "2"], {"balls": [["1/8", "1/4"]]}),
+        ([], {"nested": 2, "balls": [["1/8", "1/4"]]}),
+    ])
+    def test_nested_and_balls_together_refused(self, capsys, tmp_path, flags, config):
+        """`cantor cutout` takes its balls from --balls or from --nested,
+        never drops one of the two, whether flag or --config gives it."""
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            flags = flags + ["--config", str(cfg)]
+        code, out, err = run(capsys, "cantor", "cutout", *flags)
+        assert code == 1
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "give --balls or --nested, not both",
+                                        "kind": "PreconditionViolated"}
+
     @pytest.mark.parametrize("argv, words", [
         (["seq", "classify", "--family", '{"kind":"constant","value":"1/2"}', "--plot", "x.csv"],
          "unrecognized arguments: --plot x.csv"),

@@ -162,7 +162,7 @@ class TestCantorConstruction:
     def test_levels_sorted_and_disjoint(self):
         tree = build_cantor(Geometric(Fraction(1, 4), Fraction(1, 2)), 5)
         for level in range(6):
-            den, lows, highs = tree.level_edges(level)
+            den, lows, highs = tree.edges[level]
             nodes = tree.nodes[level]
             assert [Fraction(v, den) for v in lows] == [n.lo for n in nodes]
             assert [Fraction(v, den) for v in highs] == [n.hi for n in nodes]

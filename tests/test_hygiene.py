@@ -1,13 +1,15 @@
 """Source hygiene, read off the syntax trees of the repository's Python files.
 
-Two rules keep unused surface out of `src/dmlab`:
+Three rules keep unused surface out of `src/dmlab`:
 
 * no module imports a name it never uses (the package `__init__.py` is
   exempt: its imports are the public names it re-exports);
 * every optional parameter of a function in `src/` is passed by some call in
   `src/`, `tests/` or `bench/`, by keyword or by position.  A parameter that
   no call passes is one every caller leaves at its default, so the default
-  belongs in the body.
+  belongs in the body;
+* `src/dmlab/*.py` holds at most `SOURCE_LINE_BUDGET` lines, so a change
+  pays for the lines it adds by removing as many elsewhere.
 
 Calls are matched to definitions by name only (the last part of a dotted
 callee, the class name for `__init__`), which can only make a parameter look
@@ -23,6 +25,7 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "dmlab"
+SOURCE_LINE_BUDGET = 5083
 
 
 def _trees(*dirs: str):
@@ -108,3 +111,10 @@ def test_every_optional_parameter_is_passed_somewhere():
         if not any(_passes(call, name, position) for call in calls.get(callee, ()))
     ]
     assert not never, "optional parameters no call passes: " + "; ".join(never)
+
+
+def test_source_stays_within_its_line_budget():
+    lines = {p.name: len(p.read_text(encoding="utf-8").splitlines()) for p in PACKAGE.glob("*.py")}
+    assert sum(lines.values()) <= SOURCE_LINE_BUDGET, (
+        f"src/dmlab/*.py holds {sum(lines.values())} lines, over the budget of "
+        f"{SOURCE_LINE_BUDGET}: {sorted(lines.items(), key=lambda kv: -kv[1])}")

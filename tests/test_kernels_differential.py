@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from dmlab.certify import certify_fat_thick, product_bracket
 from dmlab.doubling import (
     SmallBallCase,
+    _MassOracle,
     doubling_scan,
     fit_mass_window,
     fit_ratio_decay,
@@ -31,10 +32,18 @@ from dmlab.doubling import (
 )
 from dmlab.enclosure import Bounds, _exp2_end, exp2_bounds, iroot, log2_bounds, pow_bounds, pow_end
 from dmlab.errors import EnclosureInconclusive, InvalidFamily
-from dmlab.geom import CutOutConfig, RationalInterval, build_cantor, closed, remaining_set
+from dmlab.geom import (
+    CutOutConfig,
+    RationalInterval,
+    build_cantor,
+    closed,
+    remaining_set,
+    thick_from_cantor,
+)
 from dmlab.measure import (
     EXACT_ZERO,
     BinomialWeights,
+    LeafPrefixes,
     TableWeights,
     TreeMeasure,
     cutout_mass,
@@ -45,6 +54,7 @@ from dmlab.qs import DEFAULT_TAUS, QSMap, qs_ratio_scan
 from dmlab.seq import Constant, ExplicitFinite, Geometric, LogFloor, Power, Scaled
 
 from helpers import (
+    build_cantor_oracle,
     certify_fat_thick_oracle,
     exp2_bounds_oracle,
     iroot_newton_oracle,
@@ -55,6 +65,7 @@ from helpers import (
     fit_mass_window_oracle,
     fit_ratio_decay_oracle,
     interval_mass_recursive_oracle,
+    leaf_prefix_oracle,
     per_scale_oracle,
     qs_ratio_scan_oracle,
     restrict_oracle,
@@ -338,6 +349,77 @@ def test_restrict_outcomes_include_both_refusals():
     got = _outcome(lambda: restrict(holed, fine))
     assert got == _outcome(lambda: restrict_oracle(holed, fine))
     assert got[0] == "MisalignedTrees" and "splits with a vanishing side" in got[1]
+
+
+@st.composite
+def tree_families(draw):
+    """Constant, geometric, power and explicit gap fractions with odd and
+    even denominators, gaps up to 16/17; a power family's first gap may be
+    1 and an explicit one may end before the depth, both refused."""
+    kind = draw(st.integers(0, 3))
+    a = draw(_share(17))
+    if kind == 0:
+        return Constant(a)
+    if kind == 1:
+        return Geometric(a, draw(_share(5)))
+    if kind == 2:
+        return Power(draw(st.one_of(st.just(Fraction(1)), st.just(a))), draw(st.integers(1, 3)),
+                     draw(st.integers(0, 2)))
+    return ExplicitFinite(tuple(draw(st.lists(_share(12), min_size=1, max_size=9))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(tree_families(), st.integers(0, 8))
+@example(Constant(Fraction(1, 3)), 0)
+@example(ExplicitFinite((Fraction(1, 2), Fraction(2, 3))), 3)
+def test_build_cantor_matches_fraction_oracle(beta, depth):
+    """The integer edges give the nodes, gaps, edges, lengths, perfectness
+    constant and gap structure of the Fraction construction."""
+    want = _outcome(lambda: build_cantor_oracle(beta, depth))
+    if isinstance(want, tuple):  # the oracle refused; the build must refuse alike
+        assert _outcome(lambda: build_cantor(beta, depth)) == want
+        return
+    tree = build_cantor(beta, depth)
+    assert tree.nodes == want.nodes and tree.gaps == want.gaps
+    assert all(type(n.lo) is Fraction for level in tree.nodes for n in level)
+    for level in range(depth + 1):
+        assert tree.edges[level] == want.level_edges(level)
+        assert tree.level_length(level) == want.level_length(level)
+    assert tree.perfectness_constant == want.perfectness_constant
+    assert _outcome(lambda: thick_from_cantor(tree)) == _outcome(lambda: thick_from_cantor(want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(binomials(), tables(st.integers(1, 14)), cantor_measures(max_depth=8)),
+       st.integers(0, 14), st.randoms(use_true_random=False))
+def test_leaf_prefixes_match_plain_walk(m, depth, rnd):
+    """Walks resumed from memoised ancestors give the prefixes of one walk
+    from the root, whatever order the leaves are asked for in."""
+    table = LeafPrefixes(m, depth)
+    n = 1 << table.cap
+    js = list(range(n + 1)) if n <= 256 else [0, n] + rnd.sample(range(1, n), 254)
+    rnd.shuffle(js)
+    for j in js + js[::-1]:
+        assert table[j] == leaf_prefix_oracle(m, table.cap, j)
+
+
+@settings(max_examples=30, deadline=None)
+@given(tables(st.integers(1, 5)), st.integers(0, 7))
+def test_cdf_row_brackets_match_leaf_prefixes(m, depth):
+    """On the dyadic base the scan oracle's cdf-row brackets, at shift 0 and
+    below a shallow table's last level, equal `bracket_units` for every
+    integer pair lo <= hi over its unit."""
+    oracle = _MassOracle(m, depth)
+    cap = min(depth + 1, m.split_depth)
+    assert oracle.shift == depth + 1 - cap and oracle.grid == (oracle.shift == 0)
+    table = LeafPrefixes(m, cap, oracle.unit)
+    scale, den = table.unit // oracle.unit, oracle.cdf_den
+    for lo in range(oracle.unit + 1):
+        for hi in range(lo, oracle.unit + 1):
+            got = oracle.bracket(lo, hi)
+            want = table.bracket_units(lo * scale, hi * scale)
+            for (gn, gd), (wn, wd) in zip(got, want):
+                assert gn * wd == wn * gd * den
 
 
 @st.composite

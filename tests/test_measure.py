@@ -165,6 +165,17 @@ class TestRestrict:
         # equal-length children split Lebesgue mass evenly
         assert restricted.weights.left_share(0, 0) == Fraction(1, 2)
 
+    def test_trees_and_restrictions_hash_and_compare_by_value(self, binom13):
+        beta = Geometric(Fraction(1, 4), Fraction(1, 3))
+        a, b = build_cantor(beta, 4), build_cantor(beta, 4)
+        assert a.nodes and a.gaps  # cached on one of the two only
+        assert a == b and hash(a) == hash(b)
+        assert a != build_cantor(beta, 3)
+        ra, rb = restrict(binom13, a), restrict(binom13, b)
+        assert ra == rb and hash(ra) == hash(rb)
+        assert ra != restrict(binom13, a, 12)
+        assert len({a, b}) == 1 and len({ra, rb}) == 1
+
     def test_restrict_rejects_massless_root(self):
         empty = TreeMeasure(BinomialWeights(Fraction(1, 2)), total_mass=Fraction(0))
         tree = build_cantor(Geometric(Fraction(1, 2), Fraction(1, 2)), 2)
