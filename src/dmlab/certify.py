@@ -10,9 +10,10 @@ holds unconditionally.  The tail lower bound comes from the elementary
 inequality prod(1 - x_i) >= 1 - sum(x_i) (useful once the remaining sum drops
 below 1); the tail upper bound from prod(1 - x_i) <= exp(-sum(x_i)) with the
 exponential enclosed rationally from above.  Terms and factors travel as
-integer (numerator, denominator) pairs (seq.terms); a product is one balanced
-product per side and one Fraction at the end, and a fractional power's two
-ends come from the integer enclosure ends, compared by cross-multiplication.
+integer (numerator, denominator) pairs (seq.terms); a partial product is one
+balanced product per side, kept as an unreduced pair that checks compare by
+cross-multiplication and reports round straight from, so it is never
+reduced.  A fractional power's two ends come from the integer enclosure ends.
 
 On top of that sit:
   * certify_fat_thick      positive-mass certificates for thick constructions
@@ -30,10 +31,11 @@ On top of that sit:
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Union
+from typing import Iterator, Union
 
 from .doubling import DoublingReport
 from .enclosure import (
@@ -100,50 +102,83 @@ class PackingVerdict(enum.Enum):
 
 # --- certified infinite products ---------------------------------------------
 
+Pair = tuple[int, int]  # (numerator, denominator), denominator > 0, unreduced
+
+
+def _pair_le(a: Pair, b: Pair) -> bool:
+    return a[0] * b[1] <= b[0] * a[1]
+
+
 @dataclass(frozen=True)
 class ProductBracket:
     """Enclosure of an infinite product of factors (1 - x_i), x_i in (0,1).
 
-    `partial` is the product of the first n_terms factors; when the factors
-    are not exactly representable it is a certified lower bound and
-    `partial_upper` carries the matching upper bound (None means exact).
+    `partial_lo` is the product of the first n_terms factors as an unreduced
+    integer pair; when the factors are not exactly representable it is a
+    certified lower bound and `partial_hi` carries the matching upper bound
+    (None means exact).  Checks compare the pairs by cross-multiplication;
+    the Fraction readers reduce only when called.
     """
 
-    partial: Fraction
+    partial_lo: Pair
     tail_lower: Fraction
     tail_upper: Fraction
     n_terms: int
-    partial_upper: Fraction | None = None
+    partial_hi: Pair | None = None
 
     def __post_init__(self) -> None:
         if not 0 <= self.tail_lower <= self.tail_upper <= 1:
             raise PreconditionViolated(
                 f"tail bounds out of order: [{self.tail_lower}, {self.tail_upper}]"
             )
-        if not 0 <= self.partial <= 1:
-            raise PreconditionViolated(f"partial product {self.partial} outside [0,1]")
-        if self.partial_upper is not None and not (
-            self.partial <= self.partial_upper <= 1
-        ):
-            raise PreconditionViolated("partial bounds out of order")
+        lo, hi = self.partial_lo, self.partial_hi or self.partial_lo
+        if not (0 <= lo[0] and 0 < hi[1] and hi[0] <= hi[1] and (hi is lo or _pair_le(lo, hi))):
+            raise PreconditionViolated("partial products outside 0 <= lower <= upper <= 1")
         if self.n_terms < 0:
             raise PreconditionViolated("n_terms must be >= 0")
 
     @property
+    def partial(self) -> Fraction:
+        return Fraction(*self.partial_lo)
+
+    @property
+    def lower_end(self) -> Pair:
+        """lower_value as an unreduced pair."""
+        (n, d), (tn, td) = self.partial_lo, self.tail_lower.as_integer_ratio()
+        return n * tn, d * td
+
+    @property
+    def upper_end(self) -> Pair:
+        """upper_value as an unreduced pair."""
+        (n, d), (tn, td) = self.partial_hi or self.partial_lo, self.tail_upper.as_integer_ratio()
+        return n * tn, d * td
+
+    @property
     def lower_value(self) -> Fraction:
-        return self.partial * self.tail_lower
+        return Fraction(*self.lower_end)
 
     @property
     def upper_value(self) -> Fraction:
-        hi = self.partial if self.partial_upper is None else self.partial_upper
-        return hi * self.tail_upper
+        return Fraction(*self.upper_end)
 
     @property
     def width(self) -> Fraction:
         return self.upper_value - self.lower_value
 
     def encloses(self, value: Fraction) -> bool:
-        return self.lower_value <= value <= self.upper_value
+        v = Fraction(value).as_integer_ratio()
+        return _pair_le(self.lower_end, v) and _pair_le(v, self.upper_end)
+
+    def lower_at_least(self, bound: Fraction) -> bool:
+        return _pair_le(Fraction(bound).as_integer_ratio(), self.lower_end)
+
+    def width_at_most(self, bound: Fraction) -> bool:
+        bn, bd = Fraction(bound).as_integer_ratio()
+        if self.partial_hi is None:  # partial * (tail_upper - tail_lower): one big factor a side
+            (n, d), (wn, wd) = self.partial_lo, (self.tail_upper - self.tail_lower).as_integer_ratio()
+            return n * wn * bd <= bn * d * wd
+        (ln, ld), (hn, hd) = self.lower_end, self.upper_end
+        return (hn * ld - ln * hd) * bd <= bn * hd * ld
 
 
 def _balanced_prod(vals: list[int]) -> int:
@@ -159,10 +194,38 @@ def _balanced_prod(vals: list[int]) -> int:
     return work[0]
 
 
-def _pair_product(pairs: list[tuple[int, int]]) -> Fraction:
-    """The product of rationals given as (numerator, denominator) pairs:
-    balanced products of each side, one Fraction (one gcd) at the end."""
-    return Fraction(_balanced_prod([n for n, _ in pairs]), _balanced_prod([d for _, d in pairs]))
+def _pair_product(pairs: list[Pair]) -> Pair:
+    """The product of rationals given as (numerator, denominator) pairs, as
+    the unreduced pair of the balanced products of each side."""
+    return _balanced_prod([n for n, _ in pairs]), _balanced_prod([d for _, d in pairs])
+
+
+# Exact products (product_bracket, the logfloor schedule, integer exponents
+# in certify_fat_thick) grow with the exponent, the terms' bit lengths and the
+# factor count; refuse one whose estimated size passes this many bits first.
+EXACT_BIT_BUDGET = 1 << 20
+
+
+def _check_exact_bits(size: int, what: str) -> None:
+    if size > EXACT_BIT_BUDGET:
+        raise PreconditionViolated(
+            f"{what} needs about {size} bits, over the exact-arithmetic "
+            f"budget of {EXACT_BIT_BUDGET} bits"
+        )
+
+
+def _bits(x: Fraction) -> int:
+    return x.numerator.bit_length() + x.denominator.bit_length()
+
+
+def _check_product_bits(x: SequenceFamily, count: int, power: int, what: str) -> None:
+    """Refuse, before any factor is drawn, `count` factors 1 - c * x_n^power
+    of about power * count * max(bits of x_1, bits of x_count) bits; past
+    EXACT_BIT_BUDGET factors x_1 alone decides (every term holds 3 bits or
+    more), as the last term of a geometric family is itself costly."""
+    if count:
+        ends = (1, count) if count <= EXACT_BIT_BUDGET else (1,)
+        _check_exact_bits(power * max(_bits(term(x, n)) for n in ends) * count, what)
 
 
 def product_bracket(
@@ -178,6 +241,8 @@ def product_bracket(
         raise PreconditionViolated("truncation index must be >= 0")
     length = family_length(x)
     used = n_partial if length is None else min(n_partial, length)
+    count = used if length is None else length
+    _check_product_bits(x, count, 1, f"the exact product of {count} factors")
     factors = []
     for i, (n, d) in enumerate(terms(x, 1, used + 1), start=1):
         if not 0 < n < d:
@@ -187,7 +252,7 @@ def product_bracket(
 
     if length is not None:
         # finite families carry an exactly computable tail
-        tail = _pair_product([(d - n, d) for n, d in terms(x, used + 1, length + 1)])
+        tail = Fraction(*_pair_product([(d - n, d) for n, d in terms(x, used + 1, length + 1)]))
         return ProductBracket(partial, tail, tail, used)
 
     try:
@@ -213,26 +278,9 @@ class FatnessCertificate:
     notes: tuple[str, ...] = ()
 
 
-# Integer exponents take the exact path, whose rationals grow with the
-# exponent, the terms' bit lengths and the factor count; refuse a product
-# whose estimated size passes this many bits before forming it.
-EXACT_BIT_BUDGET = 1 << 20
-
 # certify_fat_thick doubles its factor count until the scaled tail sum of the
 # remaining factors is at most this (or the count reaches max_terms)
 TAIL_TARGET = Fraction(1, 1 << 34)
-
-
-def _check_exact_bits(size: int, what: str) -> None:
-    if size > EXACT_BIT_BUDGET:
-        raise PreconditionViolated(
-            f"{what} needs about {size} bits, over the exact-arithmetic "
-            f"budget of {EXACT_BIT_BUDGET} bits"
-        )
-
-
-def _bits(x: Fraction) -> int:
-    return x.numerator.bit_length() + x.denominator.bit_length()
 
 
 def _power_ends(x: Fraction, t: Fraction, bits: int, sides=(False, True)) -> list[tuple[int, int]]:
@@ -328,8 +376,8 @@ def certify_fat_thick(
     exact_terms = t.denominator == 1
     if exact_terms:  # the first factors: all of a finite family, else 64
         first = length or 64
-        size = t.numerator * max(_bits(term(alpha, 1)), _bits(term(alpha, first))) * first
-        _check_exact_bits(size, f"the exact product of {first} factors at exponent {t}")
+        _check_product_bits(alpha, first, t.numerator,
+                            f"the exact product of {first} factors at exponent {t}")
     n0 = _first_small_stage(alpha, t, scale, bits)
 
     if length is not None:
@@ -353,9 +401,8 @@ def certify_fat_thick(
 
     factors = [_factor_ends(Fraction(*x), t, scale, bits) for x in terms(alpha, n0, last + 1)]
     lower, upper = [lo for lo, _ in factors], [hi for _, hi in factors]
-    partial_lo = _pair_product(lower)
     # exact factors (an integer t) make one product serve both ends
-    partial_hi = partial_lo if lower == upper else _pair_product(upper)
+    partial_hi = None if lower == upper else _pair_product(upper)
     tail_lower = 1 - tail_sum if tail_sum < 1 else Fraction(0)
     if length is not None and last >= length:
         tail_upper = Fraction(1)
@@ -363,25 +410,12 @@ def certify_fat_thick(
         ahead = Fraction(*_pair_sum(_power_ends(Fraction(*x), t, bits, (False,))[0]
                                     for x in terms(alpha, last + 1, last + 65)))
         tail_upper = min(Fraction(1), exp_neg_upper(scale * ahead))
-    bound = ProductBracket(
-        partial=partial_lo,
-        tail_lower=tail_lower,
-        tail_upper=tail_upper,
-        n_terms=last - n0 + 1,
-        partial_upper=None if partial_hi == partial_lo else partial_hi,
-    )
+    bound = ProductBracket(_pair_product(lower), tail_lower, tail_upper, last - n0 + 1, partial_hi)
     # lower_value > 0 read off its two factors, without their huge product
-    positive = bound.partial > 0 and bound.tail_lower > 0
+    positive = bound.partial_lo[0] > 0 and bound.tail_lower > 0
     conclusion = Conclusion.POSITIVE if positive else Conclusion.INCONCLUSIVE
-    return FatnessCertificate(
-        alpha=alpha,
-        t=t,
-        factor_scale=scale,
-        n0=n0,
-        bound=bound,
-        conclusion=conclusion,
-        notes=tuple(notes),
-    )
+    return FatnessCertificate(alpha=alpha, t=t, factor_scale=scale, n0=n0, bound=bound,
+                              conclusion=conclusion, notes=tuple(notes))
 
 
 def combine_fatness_constants(
@@ -467,16 +501,9 @@ def certify_thin_porous(
             _check_exact_bits(_bits(u), f"the decay product after stage {n}")
         curve.append(u)
         if u < epsilon:
-            return ThinnessCertificate(
-                alpha=alpha,
-                s=s,
-                c=c,
-                divergence_witness=witness,
-                decay_curve=tuple(curve),
-                epsilon=epsilon,
-                n_star=n,
-                skipped_stages=tuple(skipped),
-            )
+            return ThinnessCertificate(alpha=alpha, s=s, c=c, divergence_witness=witness,
+                                       decay_curve=tuple(curve), epsilon=epsilon, n_star=n,
+                                       skipped_stages=tuple(skipped))
     raise Undecidable(f"decay curve stayed >= {epsilon} for {max_stages} stages")
 
 
@@ -604,19 +631,13 @@ def tail_domination_start(
 
     def envelope_ok(n: int) -> bool:
         def attempt(b: int):
-            h_hi = (
-                pow_end(Fraction(n), gamma, True, b)
-                * pow_end(Fraction(n - 1), 1 - delta, True, b)
-                / (delta - 1)
-            )
-            if h_hi < epsilon:
+            def h(upper: bool) -> Fraction:
+                return (pow_end(Fraction(n), gamma, upper, b)
+                        * pow_end(Fraction(n - 1), 1 - delta, upper, b) / (delta - 1))
+
+            if h(True) < epsilon:
                 return True
-            h_lo = (
-                pow_end(Fraction(n), gamma, False, b)
-                * pow_end(Fraction(n - 1), 1 - delta, False, b)
-                / (delta - 1)
-            )
-            if h_lo >= epsilon:
+            if h(False) >= epsilon:
                 return False
             return None
 
@@ -735,20 +756,9 @@ def cutout_lower_bound(
     penalty = cp_pow_up * big_lam * tail_up
     value = main_term - penalty
     return CutoutBound(
-        value=value,
-        conclusion=Conclusion.POSITIVE if value > 0 else Conclusion.INCONCLUSIVE,
-        main_term=main_term,
-        penalty=penalty,
-        lam=lam,
-        s=s,
-        big_lam=big_lam,
-        t=t,
-        p=p,
-        r=r,
-        n_balls=n_balls,
-        diam_power_sum_upper=cp_up,
-        tail_upper=tail_up,
-        gap=gap,
+        value=value, conclusion=Conclusion.POSITIVE if value > 0 else Conclusion.INCONCLUSIVE,
+        main_term=main_term, penalty=penalty, lam=lam, s=s, big_lam=big_lam, t=t, p=p, r=r,
+        n_balls=n_balls, diam_power_sum_upper=cp_up, tail_upper=tail_up, gap=gap,
         gap_diameter=gap_diam,
     )
 
@@ -784,12 +794,8 @@ def inflated_remainder_check(
     grown_config = CutOutConfig(balls=tuple(merged))
     remaining = cutout_mass(m, grown_config, len(merged), depth)
     required = epsilon / 2
-    return InflationCheck(
-        zeta_upper=zeta_up,
-        remaining_lower=remaining.lower,
-        slack_required=required,
-        passed=remaining.lower > required,
-    )
+    return InflationCheck(zeta_upper=zeta_up, remaining_lower=remaining.lower,
+                          slack_required=required, passed=remaining.lower > required)
 
 
 # --- the exactly solvable removal schedule ------------------------------------
@@ -827,38 +833,37 @@ def logfloor_schedule_mass(
         raise PreconditionViolated("weight p must lie in (0,1)")
     if stages < 1:
         raise PreconditionViolated("need at least one stage")
+    _check_product_bits(LogFloor(p), stages, 1, f"the exact product of {stages} stages")
     exponents = tuple(logfloor_exponent(j) for j in range(1, stages + 1))
-
-    partials: list[Fraction] = []
-    num, den = 1, 1
-    for m_j in exponents:
-        num *= p.denominator**m_j - p.numerator**m_j
-        den *= p.denominator**m_j
-        partials.append(Fraction(num, den))
-
+    partials = [Fraction(*nd) for nd in itertools.islice(_logfloor_partials(p), stages)]
     closed_form = product_bracket(LogFloor(p), stages)
 
     brute = None
     match: bool | None = None
     if stages <= BRUTE_LIMIT:
         brute = _schedule_brute_force(p, exponents)
-        match = brute == closed_form.partial
+        (bn, bd), (pn, pd) = brute.as_integer_ratio(), closed_form.partial_lo
+        match = bn * pd == pn * bd
 
     verdict = (
         LimitVerdict.POSITIVE_LIMIT
         if classify_ellp(LogFloor(p), Fraction(1)) is Summability.CONVERGES
         else LimitVerdict.ZERO_LIMIT
     )
-    return ScheduleMassReport(
-        p=p,
-        stages=stages,
-        exponents=exponents,
-        closed_form=closed_form,
-        brute_force=brute,
-        match_exact=match,
-        verdict=verdict,
-        stage_partials=tuple(partials),
-    )
+    return ScheduleMassReport(p=p, stages=stages, exponents=exponents, closed_form=closed_form,
+                              brute_force=brute, match_exact=match, verdict=verdict,
+                              stage_partials=tuple(partials))
+
+
+def _logfloor_partials(p: Fraction) -> Iterator[Pair]:
+    """The schedule's exact partial products, stage by stage, as unreduced
+    (numerator, denominator) pairs."""
+    num, den = 1, 1
+    for j in itertools.count(1):
+        m_j = logfloor_exponent(j)
+        num *= p.denominator**m_j - p.numerator**m_j
+        den *= p.denominator**m_j
+        yield num, den
 
 
 def _schedule_brute_force(p: Fraction, exponents: tuple[int, ...]) -> Fraction:
@@ -893,13 +898,10 @@ def logfloor_vanishing_stage(
         raise PreconditionViolated("weight p must lie in (0,1)")
     if not 0 < threshold < 1:
         raise PreconditionViolated("threshold must lie in (0,1)")
-    num, den = 1, 1
+    thr_num, thr_den = threshold.as_integer_ratio()
     max_stages = 200_000
-    for j in range(1, max_stages + 1):
-        m_j = logfloor_exponent(j)
-        num *= p.denominator**m_j - p.numerator**m_j
-        den *= p.denominator**m_j
-        if num < threshold * den:
+    for j, (num, den) in enumerate(itertools.islice(_logfloor_partials(p), max_stages), start=1):
+        if num * thr_den < thr_num * den:  # reduced once, for the value returned
             return j, Fraction(num, den)
     raise Undecidable(
         f"partial product stayed >= {threshold} through {max_stages} stages"

@@ -34,12 +34,16 @@ def tag_exact(x: Rat) -> dict:
     return {"kind": "exact", "value": rat_str(x), "decimal": decimal_str(x)}
 
 
+def _outward(lo: tuple[int, int], hi: tuple[int, int], places: int) -> tuple[Fraction, Fraction]:
+    # floor and ceiling on the grid straight from (numerator, denominator)
+    # pairs, reduced or not: only the 60-place ends are ever reduced
+    scale = 10**places
+    return Fraction(lo[0] * scale // lo[1], scale), Fraction(-(-hi[0] * scale // hi[1]), scale)
+
+
 def round_outward(lo: Fraction, hi: Fraction, places: int) -> tuple[Fraction, Fraction]:
     """Widen [lo, hi] to decimal-grid endpoints; the result still encloses."""
-    scale = 10**places
-    lo2 = Fraction(lo.numerator * scale // lo.denominator, scale)
-    hi2 = Fraction(-(-hi.numerator * scale // hi.denominator), scale)
-    return lo2, hi2
+    return _outward(lo.as_integer_ratio(), hi.as_integer_ratio(), places)
 
 
 def tag_bracket(lo: Rat, hi: Rat, places: int | None = None) -> dict:
@@ -72,7 +76,7 @@ SERIALIZE_PLACES = 60  # partial products carry huge exact rationals; reports
 
 
 def tag_product(pb: ProductBracket) -> dict:
-    out = tag_bracket(pb.lower_value, pb.upper_value, places=SERIALIZE_PLACES)
+    out = tag_bracket(*_outward(pb.lower_end, pb.upper_end, SERIALIZE_PLACES))
     out["n_terms"] = pb.n_terms
     return out
 

@@ -18,12 +18,15 @@ they check; their brackets come from the recursive node walk that
 
 Then come `log2_bounds`, `exp2_bounds` and `pow_bounds` as Fraction loops
 with general long division, from before their kernels moved to shifts and
-integer ends, and `iroot` by Newton's iteration alone.  Last come
+integer ends, and `iroot` by Newton's iteration alone.  Then come
 `product_bracket` and `certify_fat_thick` as Fraction loops, from before
-they moved to integer (numerator, denominator) pairs, and `build_cantor`
-with `RationalInterval` nodes, from before its levels became integer
-edges, with the leaf-prefix walk from the root that `LeafPrefixes` ran
-before it resumed walks from memoised ancestors.
+they moved to integer (numerator, denominator) pairs, returning the
+`ProductBracket` of reduced Fractions from before its partial products
+stayed unreduced pairs, and `tag_product` by floor and ceiling of its
+values.  Last come `build_cantor` with `RationalInterval` nodes, from
+before its levels became integer edges, with the leaf-prefix walk from the
+root that `LeafPrefixes` ran before it resumed walks from memoised
+ancestors.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -824,12 +828,12 @@ def iroot_newton_oracle(n: int, k: int) -> tuple[int, bool]:
 # product_bracket and certify_fat_thick as they ran before they moved to
 # integer (numerator, denominator) pairs: a Fraction per term and factor from
 # seq.term, both ends of every fractional power from pow_bounds under refine,
-# the lookahead from pow_end, and each end's partial product formed on its own.
+# the lookahead from pow_end, and each end's partial product formed on its own
+# and reduced to a Fraction.
 
 from dmlab.certify import (  # noqa: E402
     Conclusion,
     FatnessCertificate,
-    ProductBracket,
     _balanced_prod,
     _bits,
     _check_exact_bits,
@@ -842,6 +846,7 @@ from dmlab.errors import (  # noqa: E402
     Undecidable,
 )
 from dmlab.geom import ThickStructure, verify_thick  # noqa: E402
+from dmlab.reports import SERIALIZE_PLACES, tag_bracket  # noqa: E402
 from dmlab.seq import (  # noqa: E402
     Summability,
     classify_ellp,
@@ -849,6 +854,54 @@ from dmlab.seq import (  # noqa: E402
     tail_sum_upper,
     term,
 )
+
+
+@dataclass(frozen=True)
+class ProductBracketOracle:
+    """`certify.ProductBracket` as it was before its partial products became
+    unreduced integer pairs: reduced Fractions, compared as Fractions."""
+
+    partial: Fraction
+    tail_lower: Fraction
+    tail_upper: Fraction
+    n_terms: int
+    partial_upper: Fraction | None = None
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.tail_lower <= self.tail_upper <= 1:
+            raise PreconditionViolated(
+                f"tail bounds out of order: [{self.tail_lower}, {self.tail_upper}]"
+            )
+        hi = self.partial if self.partial_upper is None else self.partial_upper
+        if not 0 <= self.partial <= hi <= 1:
+            raise PreconditionViolated("partial products outside 0 <= lower <= upper <= 1")
+        if self.n_terms < 0:
+            raise PreconditionViolated("n_terms must be >= 0")
+
+    @property
+    def lower_value(self) -> Fraction:
+        return self.partial * self.tail_lower
+
+    @property
+    def upper_value(self) -> Fraction:
+        hi = self.partial if self.partial_upper is None else self.partial_upper
+        return hi * self.tail_upper
+
+    @property
+    def width(self) -> Fraction:
+        return self.upper_value - self.lower_value
+
+    def encloses(self, value: Fraction) -> bool:
+        return self.lower_value <= value <= self.upper_value
+
+
+def tag_product_oracle(pb: ProductBracketOracle) -> dict:
+    """`reports.tag_product` by another route: math.floor and math.ceil of
+    the reduced values times 10^60."""
+    scale = 10**SERIALIZE_PLACES
+    lo = Fraction(math.floor(pb.lower_value * scale), scale)
+    hi = Fraction(math.ceil(pb.upper_value * scale), scale)
+    return {**tag_bracket(lo, hi), "n_terms": pb.n_terms}
 
 
 def _frac_prod_oracle(vals: list[Fraction]) -> Fraction:
@@ -870,11 +923,16 @@ def _lookahead_sum_oracle(x, start: int, count: int) -> Fraction:
     return total
 
 
-def product_bracket_oracle(x, n_partial: int, bits: int = DEFAULT_BITS, lookahead: int = 64) -> ProductBracket:
+def product_bracket_oracle(x, n_partial: int, bits: int = DEFAULT_BITS,
+                           lookahead: int = 64) -> ProductBracketOracle:
     if n_partial < 0:
         raise PreconditionViolated("truncation index must be >= 0")
     length = family_length(x)
     used = n_partial if length is None else min(n_partial, length)
+    count = used if length is None else length
+    if count:
+        size = max(_bits(term(x, 1)), _bits(term(x, count))) * count
+        _check_exact_bits(size, f"the exact product of {count} factors")
     terms = [term(x, i) for i in range(1, used + 1)]
     for i, t in enumerate(terms, start=1):
         if not 0 < t < 1:
@@ -882,7 +940,7 @@ def product_bracket_oracle(x, n_partial: int, bits: int = DEFAULT_BITS, lookahea
     partial = _exact_partial_oracle(terms)
     if length is not None:
         tail = _exact_partial_oracle([term(x, i) for i in range(used + 1, length + 1)])
-        return ProductBracket(partial, tail, tail, used)
+        return ProductBracketOracle(partial, tail, tail, used)
     try:
         tail_sum = tail_sum_upper(x, Fraction(1), used, bits)
     except DivergentSeries:
@@ -890,7 +948,7 @@ def product_bracket_oracle(x, n_partial: int, bits: int = DEFAULT_BITS, lookahea
     tail_lower = 1 - tail_sum if tail_sum is not None and tail_sum < 1 else Fraction(0)
     ahead = _lookahead_sum_oracle(x, used, lookahead)
     tail_upper = min(Fraction(1), exp_neg_upper(ahead))
-    return ProductBracket(partial, tail_lower, tail_upper, used)
+    return ProductBracketOracle(partial, tail_lower, tail_upper, used)
 
 
 def _scaled_power_oracle(scale: Fraction, base: Fraction, exponent: Fraction, bits: int) -> Bounds:
@@ -1008,7 +1066,7 @@ def certify_fat_thick_oracle(thick, t: Fraction, factor_scale: Fraction,
             else:
                 ahead += scale * pow_end(term(alpha, n), t, False, bits)
         tail_upper = min(Fraction(1), exp_neg_upper(ahead))
-    bound = ProductBracket(
+    bound = ProductBracketOracle(
         partial=partial_lo,
         tail_lower=tail_lower,
         tail_upper=tail_upper,

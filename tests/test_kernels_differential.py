@@ -9,7 +9,9 @@ brackets as the recursive node walk. `log2_bounds`, `exp2_bounds`,
 `pow_bounds` and `pow_end` must give the same ends and refusals as the
 Fraction enclosures they replaced, and `iroot` the same roots as Newton's
 iteration. `certify_fat_thick` and `product_bracket` must give the same
-certificates and refusals as the Fraction loops they replaced.
+certificates, refusals and `tag_product` reports as the Fraction loops they
+replaced, and `ProductBracket`'s cross-multiplied checks the same answers as
+the Fraction comparisons of the type it replaced.
 """
 
 import random
@@ -19,7 +21,7 @@ from math import isqrt
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dmlab.certify import certify_fat_thick, product_bracket
+from dmlab.certify import ProductBracket, certify_fat_thick, product_bracket
 from dmlab.doubling import (
     SmallBallCase,
     _MassOracle,
@@ -51,9 +53,11 @@ from dmlab.measure import (
     restrict,
 )
 from dmlab.qs import DEFAULT_TAUS, QSMap, qs_ratio_scan
+from dmlab.reports import tag_product
 from dmlab.seq import Constant, ExplicitFinite, Geometric, LogFloor, Power, Scaled
 
 from helpers import (
+    ProductBracketOracle,
     build_cantor_oracle,
     certify_fat_thick_oracle,
     exp2_bounds_oracle,
@@ -70,6 +74,7 @@ from helpers import (
     qs_ratio_scan_oracle,
     restrict_oracle,
     scan_core_oracle,
+    tag_product_oracle,
     verify_small_ball_exact_oracle,
     verify_small_ball_oracle,
 )
@@ -615,12 +620,16 @@ exponents = st.sampled_from([F(1), F(2), F(3), F(1, 2), F(3, 4), F(3, 2), F(2, 3
 factor_scales = st.sampled_from([F(1, 3), F(1, 2), F(5, 7), F(7, 4), F(2), F(3), F(9, 7)])
 
 
-def _certificate(fn):
+def _values(b, tag):
+    """A product bracket by its values and its report tag, not by how it
+    holds them."""
+    return (b.n_terms, b.partial, b.lower_value, b.upper_value, b.tail_lower, b.tail_upper, tag(b))
+
+
+def _certificate(fn, tag):
     def run():
         cert = fn()
-        b = cert.bound
-        return (cert.n0, b.n_terms, b.partial, b.partial_upper, b.tail_lower, b.tail_upper,
-                cert.conclusion, cert.notes)
+        return (cert.n0, _values(cert.bound, tag), cert.conclusion, cert.notes)
 
     return _outcome(run)
 
@@ -636,9 +645,11 @@ def _certificate(fn):
 # scale * alpha_6^(1/2) passes 1 by less than 2^-200: the bits escalate
 @example(Geometric(F(1, 2), F(1, 2)), F(1, 2), F(isqrt(1 << 405) + 1, 1 << 200), 64, 128)
 def test_certify_fat_thick_matches_oracle(alpha, t, scale, max_terms, bits):
-    got = _certificate(lambda: certify_fat_thick(alpha, t, scale, max_terms=max_terms, bits=bits))
+    got = _certificate(lambda: certify_fat_thick(alpha, t, scale, max_terms=max_terms, bits=bits),
+                       tag_product)
     assert got == _certificate(
-        lambda: certify_fat_thick_oracle(alpha, t, scale, max_terms=max_terms, bits=bits))
+        lambda: certify_fat_thick_oracle(alpha, t, scale, max_terms=max_terms, bits=bits),
+        tag_product_oracle)
 
 
 @settings(max_examples=60, deadline=None)
@@ -647,8 +658,43 @@ def test_certify_fat_thick_matches_oracle(alpha, t, scale, max_terms, bits):
 @example(Power(F(1), 1, 0), 5, 64)  # the first term is 1
 @example(Power(F(6), 2, 2), 3, 64)  # a/(n+2)^2 shares 2 and 3 with a
 def test_product_bracket_matches_oracle(x, n_partial, lookahead):
-    assert _outcome(lambda: product_bracket(x, n_partial, lookahead=lookahead)) == _outcome(
-        lambda: product_bracket_oracle(x, n_partial, lookahead=lookahead))
+    assert _outcome(lambda: _values(product_bracket(x, n_partial, lookahead=lookahead), tag_product)) == _outcome(
+        lambda: _values(product_bracket_oracle(x, n_partial, lookahead=lookahead), tag_product_oracle))
+
+
+@st.composite
+def unreduced_pairs(draw):
+    """A rational in [0, 1] as a pair that keeps a common factor."""
+    d = draw(st.integers(1, 10**6))
+    k = draw(st.one_of(st.just(1), st.integers(2, 1 << 80)))
+    return draw(st.integers(0, d)) * k, d * k
+
+
+unit_fractions = st.one_of(st.sampled_from([F(0), F(1)]), st.fractions(0, 1, max_denominator=10**9))
+
+
+@settings(max_examples=300, deadline=None)
+@given(unreduced_pairs(), st.one_of(st.none(), unreduced_pairs()), unit_fractions, unit_fractions,
+       st.fractions(-1, 2, max_denominator=10**12))
+@example((3, 9), (2, 4), F(0), F(1), F(1, 3))
+@example((0, 5), None, F(1, 2), F(1, 2), F(0))
+def test_pair_comparisons_match_fractions(lo, hi, t1, t2, free):
+    """ProductBracket's cross-multiplied checks and pair rounding against the
+    Fraction comparisons and rounding of the oracle type."""
+    tails = sorted((t1, t2))
+    got = _outcome(lambda: ProductBracket(lo, *tails, 3, hi))
+    want = _outcome(lambda: ProductBracketOracle(F(*lo), *tails, 3, None if hi is None else F(*hi)))
+    if isinstance(got, tuple) or isinstance(want, tuple):  # the same refusal
+        assert got == want
+        return
+    a, b = want.lower_value, want.upper_value
+    for v in (a, b, (a + b) / 2, a - F(1, 10**70), b + F(1, 10**70), b - a, free):
+        assert got.encloses(v) == want.encloses(v)
+        assert got.lower_at_least(v) == (a >= v)
+        assert got.width_at_most(v) == (want.width <= v)
+    assert (got.lower_end[0] > 0) == (a > 0)
+    assert (got.partial, got.lower_value, got.upper_value, got.width) == (want.partial, a, b, want.width)
+    assert tag_product(got) == tag_product_oracle(want)
 
 
 @st.composite
