@@ -18,7 +18,8 @@ from fractions import Fraction
 
 from . import certify, doubling, experiments, geom, measure, qs, reports, seq
 from .errors import DmlabError, PreconditionViolated
-from .ratio import parse_rational
+from .experiments import REQUIRED, parse_family, parse_measure, read_options
+from .ratio import parse_integer, parse_rational
 
 PASS, ERROR, INCONCLUSIVE = 0, 1, 2
 
@@ -35,72 +36,56 @@ def _print_error(message: str, kind: str) -> None:
     print(json.dumps({"error": message, "kind": kind}), file=sys.stderr)
 
 
-def _load_config(args) -> dict:
-    """The --config file's option defaults; a key the verb does not read is
-    refused, as `example` refuses an unknown --set key."""
-    if not args.config:
+def _check_keys(verb: str, what: str, given: dict, spec: dict) -> None:
+    """Refuse a key the verb's option table does not hold."""
+    unknown = [key for key in given if key not in spec]
+    if unknown:
+        raise DmlabError(
+            f"{verb} reads no {what} {', '.join(map(repr, unknown))}; "
+            f"it reads: {', '.join(spec) or 'none'}"
+        )
+
+
+def _load_config(path: str | None, verb: str, spec: dict) -> dict:
+    """The --config file's option values; a key not in the table is refused."""
+    if not path:
         return {}
-    with open(args.config, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise DmlabError("config file must hold a JSON object")
-    if args.topic == "example":
-        verb, known = f"example {args.name}", experiments.OVERRIDE_KEYS[args.name]
-    else:
-        verb, known = f"{args.topic} {args.verb}", args.options
-    unknown = [key for key in data if key not in known]
-    if unknown:
-        raise DmlabError(
-            f"{verb} reads no --config key {', '.join(map(repr, unknown))}; "
-            f"it reads: {', '.join(known) or 'none'}"
-        )
+    _check_keys(verb, "--config key", data, spec)
     return data
 
 
-def _setting(args, config: dict, key: str, default=None):
-    flag = getattr(args, key.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    if key in config:
-        return config[key]
-    return default
-
-
-def _require(args, config: dict, key: str):
-    value = _setting(args, config, key)
-    if value is None:
-        raise DmlabError(f"missing required option --{key}")
+def _switch(value) -> bool:
+    """An on/off option: the bare flag, or a JSON boolean in --config."""
+    if not isinstance(value, bool):
+        raise PreconditionViolated(f"malformed switch {value!r}; give true or false")
     return value
 
 
-def _family_arg(value) -> seq.SequenceFamily:
-    if isinstance(value, str):
-        value = json.loads(value)
-    return seq.family_from_spec(value)
-
-
-def _measure_arg(value) -> measure.TreeMeasure:
-    if isinstance(value, str):
-        value = json.loads(value)
-    return measure.measure_from_spec(value)
-
-
-def _rat(value) -> Fraction:
-    return parse_rational(str(value))
-
-
-def _depth_arg(args, config: dict, key: str, default: int) -> int:
-    depth = int(_setting(args, config, key, default))
+def _depth(value) -> int:
+    depth = parse_integer(value)
     geom.check_depth(depth)
     return depth
+
+
+def _balls(value) -> list[geom.RationalInterval]:
+    if isinstance(value, str):
+        value = json.loads(value)
+    if not isinstance(value, list) or not all(
+        isinstance(ball, list) and len(ball) == 2 for ball in value
+    ):
+        raise PreconditionViolated("--balls must be a JSON list of [lo, hi] pairs")
+    return [geom.closed(parse_rational(lo), parse_rational(hi)) for lo, hi in value]
 
 
 # --- seq ---------------------------------------------------------------------
 
 
-def _cmd_seq_classify(args, config):
-    family = _family_arg(_require(args, config, "family"))
-    p = _rat(_setting(args, config, "p", "1"))
+def _cmd_seq_classify(options, seed):
+    family, p = options["family"], options["p"]
     verdict = seq.classify_ellp(family, p)
     report = {
         "command": "seq classify",
@@ -111,10 +96,8 @@ def _cmd_seq_classify(args, config):
     return report, "pass"
 
 
-def _cmd_seq_tail(args, config):
-    family = _family_arg(_require(args, config, "family"))
-    p = _rat(_setting(args, config, "p", "1"))
-    n_from = int(_setting(args, config, "from", 1))
+def _cmd_seq_tail(options, seed):
+    family, p, n_from = options["family"], options["p"], options["from"]
     upper = seq.tail_sum_upper(family, p, n_from)
     report = {
         "command": "seq tail",
@@ -130,9 +113,8 @@ def _cmd_seq_tail(args, config):
 # --- cantor --------------------------------------------------------------------
 
 
-def _cmd_cantor_build(args, config):
-    beta = _family_arg(_require(args, config, "beta"))
-    depth = _depth_arg(args, config, "depth", 8)
+def _cmd_cantor_build(options, seed):
+    beta, depth = options["beta"], options["depth"]
     tree = geom.build_cantor(beta, depth)
     lengths = [(k, tree.level_length(k)) for k in range(depth + 1)]
     report = {
@@ -148,31 +130,17 @@ def _cmd_cantor_build(args, config):
     return report, "pass"
 
 
-def _balls_from(args, config) -> list[geom.RationalInterval]:
-    nested = _setting(args, config, "nested")
-    raw = _setting(args, config, "balls")
-    if nested is not None and raw is not None:
+def _cmd_cantor_cutout(options, seed):
+    nested, balls = options["nested"], options["balls"]
+    if nested is not None and balls is not None:
         raise PreconditionViolated("give --balls or --nested, not both")
     if nested is not None:
-        return list(geom.nested_cutout(int(nested)).balls)
-    if raw is None:
+        balls = list(geom.nested_cutout(nested).balls)
+    elif balls is None:
         raise DmlabError("provide --balls JSON or --nested COUNT")
-    if isinstance(raw, str):
-        raw = json.loads(raw)
-    if not isinstance(raw, list) or not all(
-        isinstance(ball, list) and len(ball) == 2 for ball in raw
-    ):
-        raise PreconditionViolated("--balls must be a JSON list of [lo, hi] pairs")
-    return [geom.closed(_rat(lo), _rat(hi)) for lo, hi in raw]
-
-
-def _cmd_cantor_cutout(args, config):
-    balls = _balls_from(args, config)
-    n_balls = int(_setting(args, config, "n-balls", len(balls)))
-    fam = _setting(args, config, "diam-family")
-    diam_family = _family_arg(fam) if fam is not None else None
-    cfg = geom.CutOutConfig(balls, diam_family=diam_family)
-    if diam_family is not None:
+    n_balls = len(balls) if options["n-balls"] is None else options["n-balls"]
+    cfg = geom.CutOutConfig(balls, diam_family=options["diam-family"])
+    if cfg.diam_family is not None:
         cfg.validate_diameters()
     pieces = geom.remaining_set(cfg, n_balls)
     gap, diameter = geom.largest_gap(cfg, n_balls)
@@ -180,9 +148,7 @@ def _cmd_cantor_cutout(args, config):
         "command": "cantor cutout",
         "n_balls": n_balls,
         "component_count": len(pieces),
-        "components": [
-            [reports.rat_str(p.lo), reports.rat_str(p.hi)] for p in pieces
-        ],
+        "components": [[reports.rat_str(p.lo), reports.rat_str(p.hi)] for p in pieces],
         "remaining_length": reports.tag_exact(geom.union_length(pieces)),
         "largest_gap": {
             "interval": [reports.rat_str(gap.lo), reports.rat_str(gap.hi)],
@@ -195,11 +161,8 @@ def _cmd_cantor_cutout(args, config):
 # --- measure ---------------------------------------------------------------------
 
 
-def _cmd_measure_mass(args, config):
-    m = _measure_arg(_require(args, config, "measure"))
-    lo = _rat(_require(args, config, "lo"))
-    hi = _rat(_require(args, config, "hi"))
-    depth = _depth_arg(args, config, "depth", 16)
+def _cmd_measure_mass(options, seed):
+    m, lo, hi, depth = options["measure"], options["lo"], options["hi"], options["depth"]
     bracket = measure.interval_mass(m, geom.closed(lo, hi), depth)
     report = {
         "command": "measure mass",
@@ -211,9 +174,8 @@ def _cmd_measure_mass(args, config):
     return report, "pass"
 
 
-def _cmd_measure_grid(args, config):
-    m = _measure_arg(_require(args, config, "measure"))
-    depth = _depth_arg(args, config, "depth", 8)
+def _cmd_measure_grid(options, seed):
+    m, depth = options["measure"], options["depth"]
     grid = measure.dyadic_cdf_grid(m, depth)
     points = [(Fraction(i, 1 << depth), v) for i, v in enumerate(grid)]
     report = {
@@ -229,11 +191,9 @@ def _cmd_measure_grid(args, config):
 # --- doubling ---------------------------------------------------------------------
 
 
-def _cmd_doubling_scan(args, config):
-    m = _measure_arg(_require(args, config, "measure"))
-    depth = _depth_arg(args, config, "depth", 6)
-    fit = not bool(_setting(args, config, "no-fit", False))
-    rep = doubling.doubling_scan(m, depth, fit=fit, seed=args.seed or 0)
+def _cmd_doubling_scan(options, seed):
+    m = options["measure"]
+    rep = doubling.doubling_scan(m, options["depth"], fit=not options["no-fit"], seed=seed)
     report = {
         "command": "doubling scan",
         "measure": measure.measure_to_spec(m),
@@ -246,10 +206,8 @@ def _cmd_doubling_scan(args, config):
 # --- certify ---------------------------------------------------------------------
 
 
-def _cmd_certify_fat(args, config):
-    alpha = _family_arg(_require(args, config, "alpha"))
-    t = _rat(_setting(args, config, "t", "1"))
-    scale = _rat(_setting(args, config, "factor-scale", "1"))
+def _cmd_certify_fat(options, seed):
+    alpha, t, scale = options["alpha"], options["t"], options["factor-scale"]
     cert = certify.certify_fat_thick(alpha, t, scale)
     positive = cert.conclusion is certify.Conclusion.POSITIVE
     report = {
@@ -265,11 +223,8 @@ def _cmd_certify_fat(args, config):
     return report, "pass" if positive else "inconclusive"
 
 
-def _cmd_certify_thin(args, config):
-    alpha = _family_arg(_require(args, config, "alpha"))
-    s = _rat(_setting(args, config, "s", "1"))
-    c = _rat(_setting(args, config, "c", "1"))
-    epsilon = _rat(_setting(args, config, "epsilon", "1/1000"))
+def _cmd_certify_thin(options, seed):
+    alpha, s, c, epsilon = options["alpha"], options["s"], options["c"], options["epsilon"]
     cert = certify.certify_thin_porous(alpha, s, c, epsilon)
     report = {
         "command": "certify thin",
@@ -280,25 +235,15 @@ def _cmd_certify_thin(args, config):
         "divergence_witness": cert.divergence_witness.name,
         "n_star": cert.n_star,
         "skipped_stages": list(cert.skipped_stages),
-        "plot": [
-            reports.plot_series(
-                "stage_mass_upper",
-                list(enumerate(cert.decay_curve, start=1)),
-            )
-        ],
+        "plot": [reports.plot_series("stage_mass_upper", list(enumerate(cert.decay_curve, start=1)))],
     }
     return report, "pass"
 
 
-def _cmd_certify_cutout(args, config):
-    m = _measure_arg(_setting(args, config, "measure", '{"kind":"binomial","p":"1/2"}'))
-    scan_depth = _depth_arg(args, config, "scan-depth", 6)
-    n_total = int(_setting(args, config, "n-total", 64))
-    n_balls = int(_setting(args, config, "n-balls", 18))
-    r = _rat(_setting(args, config, "r", "1"))
-    p = _rat(_setting(args, config, "p", "1/4"))
-    scan = doubling.doubling_scan(m, scan_depth, seed=args.seed or 0)
-    cfg = geom.nested_cutout(n_total)
+def _cmd_certify_cutout(options, seed):
+    m, n_balls, r, p = options["measure"], options["n-balls"], options["r"], options["p"]
+    scan = doubling.doubling_scan(m, options["scan-depth"], seed=seed)
+    cfg = geom.nested_cutout(options["n-total"])
     bound = certify.cutout_lower_bound(cfg, scan, r, n_balls, p)
     positive = bound.conclusion is certify.Conclusion.POSITIVE
     window = (scan.window_lo, scan.window_hi)
@@ -318,9 +263,8 @@ def _cmd_certify_cutout(args, config):
     return report, "pass" if positive else "inconclusive"
 
 
-def _cmd_certify_logfloor(args, config):
-    p = _rat(_setting(args, config, "p", "1/3"))
-    stages = int(_setting(args, config, "stages", 12))
+def _cmd_certify_logfloor(options, seed):
+    p, stages = options["p"], options["stages"]
     schedule = certify.logfloor_schedule_mass(p, stages)
     report = {
         "command": "certify logfloor",
@@ -328,12 +272,7 @@ def _cmd_certify_logfloor(args, config):
         "stages": stages,
         "verdict": schedule.verdict.name,
         "stage_mass": reports.tag_product(schedule.closed_form),
-        "plot": [
-            reports.plot_series(
-                "partial_product",
-                list(enumerate(schedule.stage_partials, start=1)),
-            )
-        ],
+        "plot": [reports.plot_series("partial_product", list(enumerate(schedule.stage_partials, 1)))],
     }
     status = "pass"
     if schedule.brute_force is not None:
@@ -347,14 +286,10 @@ def _cmd_certify_logfloor(args, config):
 # --- qs ---------------------------------------------------------------------
 
 
-def _cmd_qs_scan(args, config):
-    m = _measure_arg(_require(args, config, "measure"))
-    depth = _depth_arg(args, config, "depth", 8)
-    random_triples = int(_setting(args, config, "random-triples", 0))
+def _cmd_qs_scan(options, seed):
+    m, depth = options["measure"], options["depth"]
     qsmap = qs.QSMap(m, eval_depth=depth)
-    rows = qs.qs_ratio_scan(
-        qsmap, depth, random_triples=random_triples, seed=args.seed or 0
-    )
+    rows = qs.qs_ratio_scan(qsmap, depth, random_triples=options["random-triples"], seed=seed)
     report = {
         "command": "qs scan",
         "measure": measure.measure_to_spec(m),
@@ -367,19 +302,14 @@ def _cmd_qs_scan(args, config):
             }
             for row in rows
         ],
-        "plot": [
-            reports.plot_series(
-                "qs_ratio_envelope", [(row.tau, row.max_ratio) for row in rows]
-            )
-        ],
+        "plot": [reports.plot_series("qs_ratio_envelope", [(row.tau, row.max_ratio) for row in rows])],
         "note": "empirical distortion envelope; a lower bound for any gauge",
     }
     return report, "pass"
 
 
-def _cmd_qs_pullback(args, config):
-    c = _rat(_require(args, config, "C"))
-    eta2 = _rat(_require(args, config, "eta2"))
+def _cmd_qs_pullback(options, seed):
+    c, eta2 = options["C"], options["eta2"]
     bounds = qs.pullback_constant(c, eta2)
     report = {
         "command": "qs pullback",
@@ -393,21 +323,15 @@ def _cmd_qs_pullback(args, config):
 # --- example ---------------------------------------------------------------------
 
 
-def _set_value(text: str):
-    """A --set value that reads as a JSON object or array is decoded; any
-    other value stays the string it was given as."""
-    try:
-        value = json.loads(text)
-    except ValueError:
-        return text
-    return value if isinstance(value, (dict, list)) else text
-
-
-def _cmd_example(args, config):
+def _example_overrides(args) -> dict:
+    """An experiment's overrides: --config, then --seed, then --override and
+    --set; a key must be in the experiment's option table."""
+    verb, spec = f"example {args.name}", experiments.EXPERIMENTS[args.name][1]
+    overrides = _load_config(args.config, verb, spec)
     honoured = experiments.HONOURED_FLAGS.get(args.name, ())
     for flag in _RUN_FLAGS:
         if getattr(args, flag) is not None and flag not in honoured:
-            raise DmlabError(f"example {args.name} takes no --{flag.replace('_', '-')}")
+            raise DmlabError(f"{verb} takes no --{flag.replace('_', '-')}")
     given = {}
     if args.override:
         given = json.loads(args.override)
@@ -417,20 +341,22 @@ def _cmd_example(args, config):
         if "=" not in item:
             raise DmlabError(f"--set needs KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
-        given[key.strip()] = _set_value(value.strip())
-    known = experiments.OVERRIDE_KEYS[args.name]
-    unknown = [key for key in given if key not in known]
-    if unknown:
-        raise DmlabError(
-            f"example {args.name} reads no override {', '.join(map(repr, unknown))}; "
-            f"it reads: {', '.join(known) or 'none'}"
-        )
-    overrides = dict(config)
+        given[key.strip()] = value.strip()
+    _check_keys(verb, "override", given, spec)
     if args.seed is not None:
         overrides["seed"] = args.seed
     overrides.update(given)
-    report = experiments.run_experiment(args.name, overrides)
-    return report, report["status"]
+    return overrides
+
+
+def _verb_options(args) -> dict:
+    """The verb's options: a flag beats --config, which beats the default."""
+    given = _load_config(args.config, f"{args.topic} {args.verb}", args.spec)
+    for name in args.spec:
+        flag = getattr(args, name.replace("-", "_"))
+        if flag is not None:
+            given[name] = flag
+    return read_options(args.spec, given)
 
 
 # --- wiring ---------------------------------------------------------------------
@@ -452,6 +378,7 @@ _IO = ("out", "config")
 _PLOT = _IO + ("plot",)  # for verbs whose report has plot series
 _CAPS = ("max-depth", "max-nodes")
 _RUN = _CAPS + ("seed",)
+_SWITCH = {"action": "store_true", "default": None}  # argparse keywords of a _switch option
 
 _TOPICS = {
     "seq": "sequence families",
@@ -462,37 +389,53 @@ _TOPICS = {
     "qs": "increasing-map view and ratio scans",
 }
 
-# (topic, verb, help, handler, options, common flags).  A verb of None makes
-# the topic the verb.  An option is a bare name, taken as --name, or a
-# (name or flag, add_argument keywords) pair.
+# (topic, verb, help, handler, option table, common flags).  Each option is
+# offered as --NAME and may be set by a --config key NAME; a handler takes
+# the options read from the table and the seed.
 VERBS = (
-    ("seq", "classify", "summability class of term^p", _cmd_seq_classify, ("family", "p"), _IO),
-    ("seq", "tail", "certified tail sum upper bound", _cmd_seq_tail, ("family", "p", "from"), _IO),
-    ("cantor", "build", "middle-gap construction tree", _cmd_cantor_build, ("beta", "depth"), _PLOT + _CAPS),
+    ("seq", "classify", "summability class of term^p", _cmd_seq_classify,
+     {"family": (parse_family, REQUIRED), "p": (parse_rational, "1")}, _IO),
+    ("seq", "tail", "certified tail sum upper bound", _cmd_seq_tail,
+     {"family": (parse_family, REQUIRED), "p": (parse_rational, "1"),
+      "from": (parse_integer, 1)}, _IO),
+    ("cantor", "build", "middle-gap construction tree", _cmd_cantor_build,
+     {"beta": (parse_family, REQUIRED), "depth": (_depth, 8)}, _PLOT + _CAPS),
     ("cantor", "cutout", "components left after removing balls", _cmd_cantor_cutout,
-     ("balls", "nested", "n-balls", "diam-family"), _IO),
+     {"nested": (parse_integer, None), "balls": (_balls, None), "n-balls": (parse_integer, None),
+      "diam-family": (parse_family, None)}, _IO),
     ("measure", "mass", "bracket the mass of an interval", _cmd_measure_mass,
-     ("measure", "lo", "hi", "depth"), _IO + ("max-depth",)),
-    ("measure", "grid", "exact cdf on a dyadic grid", _cmd_measure_grid, ("measure", "depth"), _PLOT + _CAPS),
+     {"measure": (parse_measure, REQUIRED), "lo": (parse_rational, REQUIRED),
+      "hi": (parse_rational, REQUIRED), "depth": (_depth, 16)}, _IO + ("max-depth",)),
+    ("measure", "grid", "exact cdf on a dyadic grid", _cmd_measure_grid,
+     {"measure": (parse_measure, REQUIRED), "depth": (_depth, 8)}, _PLOT + _CAPS),
     ("doubling", "scan", "certified ratio scan with window fits", _cmd_doubling_scan,
-     ("measure", "depth", ("--no-fit", {"action": "store_true", "default": None})), _PLOT + _RUN),
+     {"measure": (parse_measure, REQUIRED), "depth": (_depth, 6),
+      "no-fit": (_switch, False)}, _PLOT + _RUN),
     ("certify", "fat", "positive limit product for thick sets", _cmd_certify_fat,
-     ("alpha", "t", "factor-scale"), _IO),
+     {"alpha": (parse_family, REQUIRED), "t": (parse_rational, "1"),
+      "factor-scale": (parse_rational, "1")}, _IO),
     ("certify", "thin", "decay certificate for porous sets", _cmd_certify_thin,
-     ("alpha", "s", "c", "epsilon"), _PLOT),
+     {"alpha": (parse_family, REQUIRED), "s": (parse_rational, "1"), "c": (parse_rational, "1"),
+      "epsilon": (parse_rational, "1/1000")}, _PLOT),
     ("certify", "cutout", "survival bound after removing balls", _cmd_certify_cutout,
-     ("measure", "scan-depth", "n-total", "n-balls", "r", "p"), _IO + _RUN),
+     {"measure": (parse_measure, {"kind": "binomial", "p": "1/2"}), "scan-depth": (_depth, 6),
+      "n-total": (parse_integer, 64), "n-balls": (parse_integer, 18), "r": (parse_rational, "1"),
+      "p": (parse_rational, "1/4")}, _IO + _RUN),
     ("certify", "logfloor", "log-floor removal schedule mass", _cmd_certify_logfloor,
-     ("p", "stages"), _PLOT),
+     {"p": (parse_rational, "1/3"), "stages": (parse_integer, 12)}, _PLOT),
     ("qs", "scan", "empirical distortion envelope", _cmd_qs_scan,
-     ("measure", "depth", "random-triples"), _PLOT + _RUN),
-    ("qs", "pullback", "doubling constant through a gauge value", _cmd_qs_pullback, ("C", "eta2"), _IO),
-    ("example", None, "named end-to-end experiments", _cmd_example, (
-        ("name", {"choices": experiments.EXPERIMENT_NAMES}),
-        ("--override", {"help": "JSON object of experiment overrides"}),
-        ("--set", {"action": "append",
-                   "help": "KEY=VALUE override; a JSON object or array value is decoded"}),
-    ), _PLOT + _RUN),
+     {"measure": (parse_measure, REQUIRED), "depth": (_depth, 8),
+      "random-triples": (parse_integer, 0)}, _PLOT + _RUN),
+    ("qs", "pullback", "doubling constant through a gauge value", _cmd_qs_pullback,
+     {"C": (parse_rational, REQUIRED), "eta2": (parse_rational, REQUIRED)}, _IO),
+    # an experiment's options come from its own table in experiments.EXPERIMENTS
+    ("example", None, "named end-to-end experiments", None, {}, _PLOT + _RUN),
+)
+_EXAMPLE_ARGUMENTS = (
+    ("name", {"choices": experiments.EXPERIMENT_NAMES}),
+    ("--override", {"help": "JSON object of experiment overrides"}),
+    ("--set", {"action": "append",
+               "help": "KEY=VALUE override, read as text like a verb's flag"}),
 )
 
 
@@ -503,9 +446,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dmlab", description=__doc__)
     topics = parser.add_subparsers(dest="topic", required=True)
     verbs = {}
-    for topic, verb, help_text, handler, options, common in VERBS:
+    for topic, verb, help_text, handler, spec, common in VERBS:
         if verb is None:
             p = topics.add_parser(topic, help=help_text)
+            for name, kwargs in _EXAMPLE_ARGUMENTS:
+                p.add_argument(name, **kwargs)
         else:
             if topic not in verbs:
                 topic_p = topics.add_parser(topic, help=_TOPICS[topic])
@@ -513,14 +458,9 @@ def build_parser() -> argparse.ArgumentParser:
             p = verbs[topic].add_parser(verb, help=help_text)
         for name in common:
             p.add_argument(f"--{name}", **_COMMON[name])
-        names = []
-        for option in options:
-            name, kwargs = (f"--{option}", {}) if isinstance(option, str) else option
-            p.add_argument(name, **kwargs)
-            names.append(name.removeprefix("--"))
-        # the option names are the keys a --config file may set
-        p.set_defaults(handler=handler, options=tuple(names), plot=None,
-                       **dict.fromkeys(_RUN_FLAGS))
+        for name, (convert, _) in spec.items():
+            p.add_argument(f"--{name}", **(_SWITCH if convert is _switch else {}))
+        p.set_defaults(handler=handler, spec=spec, plot=None, **dict.fromkeys(_RUN_FLAGS))
     return parser
 
 
@@ -528,9 +468,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        config = _load_config(args)
         with geom.caps(args.max_depth, args.max_nodes):
-            report, status = args.handler(args, config)
+            if args.topic == "example":
+                report = experiments.run_experiment(args.name, _example_overrides(args))
+                status = report["status"]
+            else:
+                report, status = args.handler(_verb_options(args), args.seed or 0)
         if args.plot and not report.get("plot"):
             raise DmlabError("this report has no plot series for --plot to write")
         report.setdefault("schema", experiments.SCHEMA)
@@ -549,11 +492,7 @@ def main(argv=None) -> int:
     if not args.out:
         sys.stdout.write(text)
     print(f"elapsed: {time.monotonic() - started:.3f}s", file=sys.stderr)
-    if status == "pass":
-        return PASS
-    if status == "inconclusive":
-        return INCONCLUSIVE
-    return ERROR
+    return {"pass": PASS, "inconclusive": INCONCLUSIVE}.get(status, ERROR)
 
 
 if __name__ == "__main__":

@@ -481,7 +481,7 @@ def _cdf_levels(cdf: list[int], den: int, cap: int) -> Iterator[tuple[list[int],
 def fit_mass_window(
     m: TreeMeasure,
     depth: int,
-    c_upper: Fraction | None = None,
+    c_upper: Fraction,
     lambda_cap: Fraction = Fraction(1),
     bits: int = DEFAULT_BITS,
 ) -> MassWindowFit:
@@ -492,8 +492,6 @@ def fit_mass_window(
     if depth < 1:
         raise PreconditionViolated("window fit needs depth >= 1")
     _guard_tree_perfectness(m)
-    if c_upper is None:
-        c_upper = scan_core(m, depth).c_upper
     if c_upper < 1:
         raise PreconditionViolated("doubling bound below 1 is impossible")
     s_steps = math.ceil(_log2_hi(c_upper, bits) * 64)

@@ -8,12 +8,13 @@ machinery cannot decide is reported as inconclusive, never as failure.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from typing import Any, Callable
 
 from . import certify, doubling, geom, measure, reports, seq
-from .errors import PreconditionViolated
-from .ratio import parse_rational
+from .errors import DmlabError, PreconditionViolated
+from .ratio import parse_integer, parse_rational
 
 SCHEMA = "dmlab-report/1"
 
@@ -25,34 +26,39 @@ HONOURED_FLAGS = {
     "cutout_fat": ("seed", "max_depth", "max_nodes"),
 }
 
-# The override keys each experiment's runner reads; `dmlab example` refuses
-# any other key given by --set or --override.
-OVERRIDE_KEYS = {
-    "interval_packing": (),
-    "middle_cantor": ("beta", "n_partial", "cross_depth"),
-    "logfloor_removal": ("p", "stages", "deep_stage", "threshold"),
-    "porous_thin": ("alpha", "s", "c", "epsilon"),
-    "thick_fat": ("alpha", "t", "factor_scale"),
-    "cutout_fat": ("measure", "scan_depth", "n_total", "n_balls", "probe_n", "r", "p",
-                   "eval_depth", "seed"),
-}
-EXPERIMENT_NAMES = tuple(OVERRIDE_KEYS)
+
+# --- options ---------------------------------------------------------------
+#
+# An option table maps each option a command reads to (converter, default).
+# The CLI verbs and the experiments read theirs with `read_options`; the CLI
+# also builds its flags and its --config and override key checks from them.
+
+REQUIRED = object()  # the default of an option that must be given
 
 
-def _frac(overrides: dict, key: str, default: Fraction) -> Fraction:
-    if key in overrides:
-        return parse_rational(str(overrides[key]))
-    return default
+def read_options(spec: dict, given: dict) -> dict:
+    """Each option of `spec`, in table order: its given value, else its
+    default, through its converter.  A None default stays None; a REQUIRED
+    option that is not given is an error."""
+    options = {}
+    for name, (convert, default) in spec.items():
+        if name in given:
+            options[name] = convert(given[name])
+        elif default is REQUIRED:
+            raise DmlabError(f"missing required option --{name}")
+        else:
+            options[name] = None if default is None else convert(default)
+    return options
 
 
-def _int(overrides: dict, key: str, default: int) -> int:
-    return int(overrides.get(key, default))
+def parse_family(value) -> seq.SequenceFamily:
+    """A family spec, as a JSON object or as its text."""
+    return seq.family_from_spec(json.loads(value) if isinstance(value, str) else value)
 
 
-def _family(overrides: dict, key: str, default: seq.SequenceFamily):
-    if key in overrides:
-        return seq.family_from_spec(overrides[key])
-    return default
+def parse_measure(value) -> measure.TreeMeasure:
+    """A measure spec, as a JSON object or as its text."""
+    return measure.measure_from_spec(json.loads(value) if isinstance(value, str) else value)
 
 
 def _finish(report: dict, checks: list[tuple[str, bool]], inconclusive: bool = False) -> dict:
@@ -69,7 +75,7 @@ def _finish(report: dict, checks: list[tuple[str, bool]], inconclusive: bool = F
 # --- runners ---------------------------------------------------------------
 
 
-def run_interval_packing(overrides: dict) -> dict:
+def run_interval_packing(options: dict) -> dict:
     """Packings that spend the whole length budget: thin exactly when the
     pieces have disjoint interiors, fat as soon as anything overlaps."""
     half = Fraction(1, 2)
@@ -104,14 +110,12 @@ def run_interval_packing(overrides: dict) -> dict:
     return _finish(report, checks)
 
 
-def run_middle_cantor(overrides: dict) -> dict:
+def run_middle_cantor(options: dict) -> dict:
     """Middle-interval construction with gap fractions 1/(n+1)^2: the gap
     family sits in ell^(3/5) but not ell^(2/5), the surviving length is
     exactly the telescoping product with limit 1/2, and fatness is left
     open because no finite scan can refute it."""
-    beta = _family(overrides, "beta", seq.Power(Fraction(1), 2, 1))
-    n_partial = _int(overrides, "n_partial", 10_000)
-    cross_depth = _int(overrides, "cross_depth", 8)
+    beta, n_partial, cross_depth = options["beta"], options["n_partial"], options["cross_depth"]
 
     in_35 = seq.classify_ellp(beta, Fraction(3, 5))
     in_25 = seq.classify_ellp(beta, Fraction(2, 5))
@@ -163,15 +167,13 @@ def run_middle_cantor(overrides: dict) -> dict:
     return _finish(report, checks)
 
 
-def run_logfloor_removal(overrides: dict) -> dict:
+def run_logfloor_removal(options: dict) -> dict:
     """Removal schedule driven by floor(log2(stage+1)): under the left-weight
     p tree measure the survivor keeps positive mass for p = 1/3 and loses all
     mass for p = 2/3, with the brute-force tree count agreeing exactly with
     the closed form at every checked stage."""
-    p = _frac(overrides, "p", Fraction(1, 3))
-    stages = _int(overrides, "stages", 12)
-    deep_stage = _int(overrides, "deep_stage", 4096)
-    threshold = _frac(overrides, "threshold", Fraction(1, 10**6))
+    p, stages = options["p"], options["stages"]
+    deep_stage, threshold = options["deep_stage"], options["threshold"]
 
     schedule = certify.logfloor_schedule_mass(p, stages)
     results: dict[str, Any] = {
@@ -215,23 +217,15 @@ def run_logfloor_removal(overrides: dict) -> dict:
             "threshold": reports.tag_exact(threshold),
         },
         "results": results,
-        "plot": [
-            reports.plot_series(
-                "partial_product",
-                [(n, v) for n, v in enumerate(schedule.stage_partials, start=1)],
-            )
-        ],
+        "plot": [reports.plot_series("partial_product", list(enumerate(schedule.stage_partials, 1)))],
     }
     return _finish(report, checks)
 
 
-def run_porous_thin(overrides: dict) -> dict:
+def run_porous_thin(options: dict) -> dict:
     """Uniform relative holes force thinness: each stage multiplies the mass
     upper bound by (1 - c * alpha_n^s) and divergence drives it to zero."""
-    alpha = _family(overrides, "alpha", seq.Constant(Fraction(1, 2)))
-    s = _frac(overrides, "s", Fraction(1))
-    c = _frac(overrides, "c", Fraction(1))
-    epsilon = _frac(overrides, "epsilon", Fraction(1, 1000))
+    alpha, s, c, epsilon = options["alpha"], options["s"], options["c"], options["epsilon"]
 
     cert = certify.certify_thin_porous(alpha, s, c, epsilon)
     curve_points = [(n, v) for n, v in enumerate(cert.decay_curve, start=1)]
@@ -264,12 +258,10 @@ def run_porous_thin(overrides: dict) -> dict:
     return _finish(report, checks)
 
 
-def run_thick_fat(overrides: dict) -> dict:
+def run_thick_fat(options: dict) -> dict:
     """Geometric gap ratios keep a thick construction fat: the per-stage
     decay factors multiply to a certified positive limit."""
-    alpha = _family(overrides, "alpha", seq.Geometric(Fraction(1, 2), Fraction(1, 2)))
-    t = _frac(overrides, "t", Fraction(1))
-    factor_scale = _frac(overrides, "factor_scale", Fraction(1))
+    alpha, t, factor_scale = options["alpha"], options["t"], options["factor_scale"]
 
     cert = certify.certify_fat_thick(alpha, t, factor_scale)
 
@@ -296,27 +288,16 @@ def run_thick_fat(overrides: dict) -> dict:
     return _finish(report, checks, inconclusive=not positive)
 
 
-def run_cutout_fat(overrides: dict) -> dict:
+def run_cutout_fat(options: dict) -> dict:
     """Nested dyadic balls removed from the unit interval under Lebesgue
     measure: the window-validated mass fit plus the declared diameter family
     certify that enough balls still leave positive mass, and inflating the
     removed balls slightly does not destroy the remainder."""
-    m = (
-        measure.measure_from_spec(overrides["measure"])
-        if "measure" in overrides
-        else measure.TreeMeasure(measure.BinomialWeights(Fraction(1, 2)))
-    )
-    scan_depth = _int(overrides, "scan_depth", 6)
-    n_total = _int(overrides, "n_total", 64)
-    n_balls = _int(overrides, "n_balls", 18)
-    probe_n = _int(overrides, "probe_n", 4)
-    r = _frac(overrides, "r", Fraction(1))
-    p = _frac(overrides, "p", Fraction(1, 4))
-    eval_depth = _int(overrides, "eval_depth", 20)
-    seed = _int(overrides, "seed", 0)
+    m, scan_depth, n_balls = options["measure"], options["scan_depth"], options["n_balls"]
+    probe_n, r, p, eval_depth = options["probe_n"], options["r"], options["p"], options["eval_depth"]
 
-    scan = doubling.doubling_scan(m, scan_depth, seed=seed)
-    config = geom.nested_cutout(n_total)
+    scan = doubling.doubling_scan(m, scan_depth, seed=options["seed"])
+    config = geom.nested_cutout(options["n_total"])
 
     bound = certify.cutout_lower_bound(config, scan, r, n_balls, p)
     probe = certify.cutout_lower_bound(config, scan, r, probe_n, p)
@@ -336,7 +317,7 @@ def run_cutout_fat(overrides: dict) -> dict:
         "inputs": {
             "measure": measure.measure_to_spec(m),
             "scan_depth": scan_depth,
-            "n_total_balls": n_total,
+            "n_total_balls": options["n_total"],
             "n_balls": n_balls,
             "probe_n": probe_n,
             "r": reports.tag_exact(r),
@@ -366,12 +347,7 @@ def run_cutout_fat(overrides: dict) -> dict:
                 "passed": inflation.passed,
             },
         },
-        "plot": [
-            reports.plot_series(
-                "doubling_ratio_by_scale",
-                list(scan.per_scale),
-            )
-        ],
+        "plot": [reports.plot_series("doubling_ratio_by_scale", list(scan.per_scale))],
     }
     positive = bound.conclusion is certify.Conclusion.POSITIVE
     checks = [
@@ -385,18 +361,37 @@ def run_cutout_fat(overrides: dict) -> dict:
     return _finish(report, checks, inconclusive=not positive)
 
 
-_RUNNERS: dict[str, Callable[[dict], dict]] = {
-    "interval_packing": run_interval_packing,
-    "middle_cantor": run_middle_cantor,
-    "logfloor_removal": run_logfloor_removal,
-    "porous_thin": run_porous_thin,
-    "thick_fat": run_thick_fat,
-    "cutout_fat": run_cutout_fat,
+# Each experiment's runner and option table.  A default is written as the
+# value a user would give, so it takes the same path through the converter.
+EXPERIMENTS: dict[str, tuple[Callable[[dict], dict], dict]] = {
+    "interval_packing": (run_interval_packing, {}),
+    "middle_cantor": (run_middle_cantor, {
+        "beta": (parse_family, {"kind": "power", "a": "1", "gamma": 2, "offset": 1}),
+        "n_partial": (parse_integer, 10_000), "cross_depth": (parse_integer, 8)}),
+    "logfloor_removal": (run_logfloor_removal, {
+        "p": (parse_rational, "1/3"), "stages": (parse_integer, 12),
+        "deep_stage": (parse_integer, 4096), "threshold": (parse_rational, "1/1000000")}),
+    "porous_thin": (run_porous_thin, {
+        "alpha": (parse_family, {"kind": "constant", "value": "1/2"}),
+        "s": (parse_rational, "1"), "c": (parse_rational, "1"),
+        "epsilon": (parse_rational, "1/1000")}),
+    "thick_fat": (run_thick_fat, {
+        "alpha": (parse_family, {"kind": "geometric", "a": "1/2", "q": "1/2"}),
+        "t": (parse_rational, "1"), "factor_scale": (parse_rational, "1")}),
+    "cutout_fat": (run_cutout_fat, {
+        "measure": (parse_measure, {"kind": "binomial", "p": "1/2"}),
+        "scan_depth": (parse_integer, 6), "n_total": (parse_integer, 64),
+        "n_balls": (parse_integer, 18), "probe_n": (parse_integer, 4),
+        "r": (parse_rational, "1"), "p": (parse_rational, "1/4"),
+        "eval_depth": (parse_integer, 20), "seed": (parse_integer, 0)}),
 }
+EXPERIMENT_NAMES = tuple(EXPERIMENTS)
 
 
 def run_experiment(name: str, overrides: dict | None = None) -> dict:
-    if name not in _RUNNERS:
+    """Run the named experiment with its options read from `overrides`."""
+    if name not in EXPERIMENTS:
         known = ", ".join(EXPERIMENT_NAMES)
         raise PreconditionViolated(f"unknown experiment {name!r}; known: {known}")
-    return _RUNNERS[name]({} if overrides is None else overrides)
+    runner, spec = EXPERIMENTS[name]
+    return runner(read_options(spec, {} if overrides is None else overrides))

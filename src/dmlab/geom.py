@@ -48,10 +48,10 @@ def caps(max_depth: int | None = None, max_nodes: int | None = None) -> Iterator
         _SCOPED_CAPS.reset(token)
 
 
-def resolve_cap(kind: str, explicit: int | None = None) -> int:
-    """The "depth" or "nodes" cap: an explicit cap beats a `caps` scope beats
-    DMLAB_MAX_DEPTH / DMLAB_MAX_NODES beats the default."""
-    cap = explicit if explicit is not None else _SCOPED_CAPS.get().get(kind)
+def resolve_cap(kind: str) -> int:
+    """The "depth" or "nodes" cap: a `caps` scope beats DMLAB_MAX_DEPTH /
+    DMLAB_MAX_NODES beats the default."""
+    cap = _SCOPED_CAPS.get().get(kind)
     if cap is not None:
         return cap
     name = f"DMLAB_MAX_{kind.upper()}"
@@ -64,8 +64,8 @@ def resolve_cap(kind: str, explicit: int | None = None) -> int:
         raise PreconditionViolated(f"bad {name} {env!r}") from exc
 
 
-def check_depth(depth: int, max_depth: int | None = None) -> None:
-    cap = resolve_cap("depth", max_depth)
+def check_depth(depth: int) -> None:
+    cap = resolve_cap("depth")
     if depth < 0:
         raise PreconditionViolated("depth must be >= 0")
     if depth > cap:
@@ -272,11 +272,7 @@ class ConstructionTree:
         return Fraction(sum(highs) - sum(lows), den)
 
 
-def build_cantor(
-    beta: SequenceFamily,
-    depth: int,
-    max_depth: int | None = None,
-) -> ConstructionTree:
+def build_cantor(beta: SequenceFamily, depth: int) -> ConstructionTree:
     """Construct the tree to the given depth; splitting into level k uses the
     k-th gap fraction, so the level-k length sum is prod_{j<=k} (1 - beta_j).
 
@@ -287,7 +283,7 @@ def build_cantor(
     oracle do. Over den * 2 * denominator(beta_k), a child's inner end lies
     (denominator - numerator) * (hi - lo) in from its parent's outer end;
     each level is then reduced by the gcd of its denominator and ends."""
-    check_depth(depth, max_depth)
+    check_depth(depth)
     check_nodes(1 << depth)
     den, lows, highs = 1, (0,), (1,)
     edges = [(den, lows, highs)]

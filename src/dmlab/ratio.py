@@ -16,7 +16,7 @@ def parse_rational(text: str | int | Fraction) -> Fraction:
     """Parse "num/den", "num", or pass through ints and Fractions."""
     if isinstance(text, Fraction):
         return text
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str):
         raise PreconditionViolated(f"cannot parse rational from {type(text).__name__}")
@@ -28,6 +28,17 @@ def parse_rational(text: str | int | Fraction) -> Fraction:
         return Fraction(int(s))
     except (ValueError, ZeroDivisionError) as exc:
         raise PreconditionViolated(f"malformed rational {text!r}") from exc
+
+
+def parse_integer(value: str | int) -> int:
+    """An int or its decimal string; a bool, float, None, list or dict is
+    refused rather than rounded or coerced."""
+    try:
+        if isinstance(value, str) or type(value) is int:
+            return int(value)
+    except ValueError:
+        pass
+    raise PreconditionViolated(f"malformed integer {value!r}")
 
 
 def format_rational(x: Fraction) -> str:

@@ -14,7 +14,14 @@ from hypothesis import strategies as st
 
 from dmlab import cli
 from dmlab.cli import main
-from dmlab.experiments import EXPERIMENT_NAMES
+from dmlab.experiments import (
+    EXPERIMENT_NAMES,
+    EXPERIMENTS,
+    REQUIRED,
+    parse_family,
+    parse_measure,
+)
+from dmlab.ratio import parse_integer, parse_rational
 
 GEOM = '{"kind": "geometric", "a": "1/2", "q": "1/2"}'
 BINOM = '{"kind": "binomial", "p": "1/2"}'
@@ -250,6 +257,18 @@ class TestExampleSet:
         assert key in json.loads(err)["error"]
 
 
+# every option table: a verb's argv head, or `example NAME`, to its table
+SPECS = {
+    **{(t, v): spec for t, v, _, _, spec, _ in cli.VERBS if v is not None},
+    **{("example", name): spec for name, (_, spec) in EXPERIMENTS.items()},
+}
+OPTIONS = [(head, name, convert) for head, spec in SPECS.items()
+           for name, (convert, _) in spec.items()]
+OPTION_IDS = ["-".join([*head, name]) for head, name, _ in OPTIONS]
+# a value each converter takes, for the required options beside the one tested
+VALID = {parse_family: json.loads(GEOM), parse_measure: json.loads(BINOM), parse_rational: "1/2"}
+
+
 class TestErrorContract:
     """Bad input ends in exit 1 with exactly one JSON line on stderr."""
 
@@ -299,6 +318,57 @@ class TestErrorContract:
         assert len(lines) == 1
         assert json.loads(lines[0]) == {"error": "give --balls or --nested, not both",
                                         "kind": "PreconditionViolated"}
+
+    @pytest.mark.parametrize("argv, values", [
+        (["doubling", "scan", "--measure", BINOM], {"depth": None}),
+        (["doubling", "scan", "--measure", BINOM], {"depth": True}),
+        (["doubling", "scan", "--measure", BINOM, "--depth", "2"], {"no-fit": "false"}),
+        (["seq", "tail", "--family", GEOM], {"from": [1]}),
+        (["certify", "logfloor"], {"stages": 12.7}),
+        (["example", "middle_cantor"], {"n_partial": {"a": 1}}),
+        (["example", "middle_cantor"], {"cross_depth": 2.5}),
+        (["example", "logfloor_removal"], {"stages": 12.7}),
+    ])
+    def test_malformed_value_refused(self, capsys, tmp_path, argv, values):
+        """An integer option takes an int or its decimal string, and `no-fit`
+        a JSON boolean: a null, bool, float, list or object is refused, never
+        rounded, coerced or left to a traceback."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        calls = [[*argv, "--config", str(cfg)]]
+        if argv[0] == "example":
+            calls.append([*argv, "--override", json.dumps(values)])
+        for argv in calls:
+            code, out, err = run(capsys, *argv)
+            assert code == 1, argv
+            assert out == ""
+            assert set(json.loads(err)) == {"error", "kind"}
+
+    @pytest.mark.parametrize("head, name, convert", OPTIONS, ids=OPTION_IDS)
+    def test_every_option_refuses_values_of_the_wrong_type(self, capsys, tmp_path, head, name,
+                                                            convert):
+        """Each option of each verb and experiment, given a value of every
+        JSON type its converter does not take, by --config and (examples) by
+        --override: exit 1 with one JSON line, and nothing runs."""
+        base = {} if head[0] == "example" else {
+            other: VALID[conv] for other, (conv, default) in SPECS[head].items()
+            if default is REQUIRED and other != name}
+        bad = [None, True, 12.7, "x", "false", [1], {"a": 1}]
+        if convert not in (parse_rational, parse_integer, cli._depth):
+            bad.append(7)
+        if convert is cli._switch:
+            bad.remove(True)
+        cfg = tmp_path / "cfg.json"
+        for value in bad:
+            cfg.write_text(json.dumps({**base, name: value}))
+            calls = [[*head, "--config", str(cfg)]]
+            if head[0] == "example":
+                calls.append([*head, "--override", json.dumps({name: value})])
+            for argv in calls:
+                code, out, err = run(capsys, *argv)
+                assert code == 1, (argv, value)
+                assert out == ""
+                assert set(json.loads(err)) == {"error", "kind"}
 
     @pytest.mark.parametrize("argv, words", [
         (["seq", "classify", "--family", '{"kind":"constant","value":"1/2"}', "--plot", "x.csv"],
@@ -380,10 +450,10 @@ FILE_FLAGS = ("--out", "--plot", "--config")
 # each verb's argv head and the flags it offers
 OWN_FLAGS = {
     (t,) if v is None else (t, v): sorted(
-        {f"--{o}" if isinstance(o, str) else o[0] for o in options} - {"name"}
-        | {f"--{c}" for c in common}
+        {f"--{name}" for name in [*spec, *common]}
+        | ({f for f, _ in cli._EXAMPLE_ARGUMENTS if f.startswith("--")} if v is None else set())
     )
-    for t, v, _, _, options, common in cli.VERBS
+    for t, v, _, _, spec, common in cli.VERBS
 }
 FLAGS = sorted(set().union(*OWN_FLAGS.values()) | {"--seed", "--frobnicate"})
 flag_values = st.sampled_from(["0", "1", "3", "-1", "1/2", "2", "x", "", BINOM, GEOM, "[1]", "{}", "p=2/3"])

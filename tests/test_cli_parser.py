@@ -83,11 +83,14 @@ class TestReuse:
 
 
 def table_flags(topic, verb) -> set[str]:
-    for t, v, _, _, options, common in cli.VERBS:
+    """The flags a verb's row offers: --NAME for each option of its table and
+    each common flag; `example` adds its own arguments but the positional."""
+    for t, v, _, _, spec, common in cli.VERBS:
         if (t, v) == (topic, verb):
-            flags = {f"--{o}" if isinstance(o, str) else o[0] for o in options}
-            flags = {f for f in flags if f.startswith("--")}  # drop positionals
-            return flags | {f"--{c}" for c in common} | {"--help"}
+            flags = {f"--{name}" for name in [*spec, *common]} | {"--help"}
+            if verb is None:
+                flags |= {f for f, _ in cli._EXAMPLE_ARGUMENTS if f.startswith("--")}
+            return flags
     raise KeyError((topic, verb))
 
 
@@ -117,6 +120,30 @@ class TestHelp:
         assert "--max-depth" not in help_flags(["seq", "classify"])
         assert "--max-nodes" not in help_flags(["measure", "mass"])
         assert {"--seed", "--max-depth", "--max-nodes"} <= help_flags(["doubling", "scan"])
+
+
+class _ReadKeys(dict):
+    """An options dict that records every key a handler reads."""
+
+    def __init__(self, options):
+        super().__init__(options)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("topic, verb", [row for row in VERB_ROWS if row[1] is not None])
+def test_handler_reads_every_option_of_its_table(topic, verb):
+    """A verb's handler reads every option its table offers as a flag and a
+    --config key, so none is accepted and then ignored; a golden case of the
+    verb supplies the values."""
+    argv = next(c["argv"] for c in CASES.values() if c["argv"][:2] == [topic, verb])
+    args = build_parser().parse_args(argv)
+    options = _ReadKeys(cli._verb_options(args))
+    args.handler(options, 0)
+    assert options.read == set(args.spec)
 
 
 class TestSeed:

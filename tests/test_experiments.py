@@ -3,7 +3,7 @@
 import pytest
 
 from dmlab.errors import PreconditionViolated
-from dmlab.experiments import EXPERIMENT_NAMES, OVERRIDE_KEYS, run_experiment
+from dmlab.experiments import EXPERIMENT_NAMES, EXPERIMENTS, read_options, run_experiment
 from dmlab.reports import dump_report
 
 
@@ -47,23 +47,22 @@ def test_unknown_name_rejected():
 
 
 class _ReadKeys(dict):
-    """An empty override dict that records every key a runner looks up."""
+    """An options dict that records every key a runner reads."""
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, options):
+        super().__init__(options)
         self.read = set()
 
-    def __contains__(self, key):
+    def __getitem__(self, key):
         self.read.add(key)
-        return super().__contains__(key)
-
-    def get(self, key, default=None):
-        self.read.add(key)
-        return super().get(key, default)
+        return super().__getitem__(key)
 
 
 @pytest.mark.parametrize("name", EXPERIMENT_NAMES)
 def test_override_keys_are_the_keys_read(name):
-    overrides = _ReadKeys()
-    run_experiment(name, overrides)
-    assert overrides.read == set(OVERRIDE_KEYS[name])
+    """The keys of an experiment's option table, which `dmlab example`
+    accepts, are exactly the options its runner reads."""
+    runner, spec = EXPERIMENTS[name]
+    options = _ReadKeys(read_options(spec, {}))
+    runner(options)
+    assert options.read == set(spec)

@@ -155,8 +155,8 @@ class TestCantorConstruction:
                 assert interval_contains(parent, node)
 
     def test_depth_budget(self):
-        with pytest.raises(Exception) as err:
-            build_cantor(Constant(Fraction(1, 3)), 6, max_depth=4)
+        with caps(max_depth=4), pytest.raises(Exception) as err:
+            build_cantor(Constant(Fraction(1, 3)), 6)
         assert "depth" in str(err.value).lower()
 
     def test_levels_sorted_and_disjoint(self):
@@ -200,7 +200,8 @@ class TestNodeBudget:
         m = TreeMeasure(BinomialWeights(Fraction(1, 3)))
         with caps(max_depth=3):
             assert resolve_cap("depth") == 3
-            assert resolve_cap("depth", 5) == 5
+            with caps(max_depth=5):
+                assert resolve_cap("depth") == 5
             assert resolve_cap("nodes") == 1 << 20
             with pytest.raises(DepthBudgetExceeded):
                 build_cantor(Constant(Fraction(1, 3)), 4)
