@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import certify, doubling, experiments, geom, measure, qs, reports, seq
 from .errors import DmlabError, PreconditionViolated
-from .experiments import REQUIRED, parse_family, parse_measure, read_options
+from .experiments import REQUIRED, check_keys, parse_family, parse_measure, read_options
 from .ratio import parse_integer, parse_rational
 
 PASS, ERROR, INCONCLUSIVE = 0, 1, 2
@@ -36,16 +36,6 @@ def _print_error(message: str, kind: str) -> None:
     print(json.dumps({"error": message, "kind": kind}), file=sys.stderr)
 
 
-def _check_keys(verb: str, what: str, given: dict, spec: dict) -> None:
-    """Refuse a key the verb's option table does not hold."""
-    unknown = [key for key in given if key not in spec]
-    if unknown:
-        raise DmlabError(
-            f"{verb} reads no {what} {', '.join(map(repr, unknown))}; "
-            f"it reads: {', '.join(spec) or 'none'}"
-        )
-
-
 def _load_config(path: str | None, verb: str, spec: dict) -> dict:
     """The --config file's option values; a key not in the table is refused."""
     if not path:
@@ -54,7 +44,7 @@ def _load_config(path: str | None, verb: str, spec: dict) -> dict:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise DmlabError("config file must hold a JSON object")
-    _check_keys(verb, "--config key", data, spec)
+    check_keys(verb, "--config key", data, spec)
     return data
 
 
@@ -86,28 +76,24 @@ def _balls(value) -> list[geom.RationalInterval]:
 
 def _cmd_seq_classify(options, seed):
     family, p = options["family"], options["p"]
-    verdict = seq.classify_ellp(family, p)
-    report = {
+    return {
         "command": "seq classify",
         "family": seq.family_to_spec(family),
         "p": reports.rat_str(p),
-        "classification": verdict.name,
-    }
-    return report, "pass"
+        "classification": seq.classify_ellp(family, p).name,
+    }, "pass"
 
 
 def _cmd_seq_tail(options, seed):
     family, p, n_from = options["family"], options["p"], options["from"]
-    upper = seq.tail_sum_upper(family, p, n_from)
-    report = {
+    return {
         "command": "seq tail",
         "family": seq.family_to_spec(family),
         "p": reports.rat_str(p),
         "from": n_from,
-        "tail_sum_upper": reports.tag_exact(upper),
+        "tail_sum_upper": reports.tag_exact(seq.tail_sum_upper(family, p, n_from)),
         "note": "certified upper bound on sum of term^p beyond the index",
-    }
-    return report, "pass"
+    }, "pass"
 
 
 # --- cantor --------------------------------------------------------------------
@@ -144,7 +130,7 @@ def _cmd_cantor_cutout(options, seed):
         cfg.validate_diameters()
     pieces = geom.remaining_set(cfg, n_balls)
     gap, diameter = geom.largest_gap(cfg, n_balls)
-    report = {
+    return {
         "command": "cantor cutout",
         "n_balls": n_balls,
         "component_count": len(pieces),
@@ -154,8 +140,7 @@ def _cmd_cantor_cutout(options, seed):
             "interval": [reports.rat_str(gap.lo), reports.rat_str(gap.hi)],
             "diameter": reports.tag_exact(diameter),
         },
-    }
-    return report, "pass"
+    }, "pass"
 
 
 # --- measure ---------------------------------------------------------------------
@@ -164,28 +149,26 @@ def _cmd_cantor_cutout(options, seed):
 def _cmd_measure_mass(options, seed):
     m, lo, hi, depth = options["measure"], options["lo"], options["hi"], options["depth"]
     bracket = measure.interval_mass(m, geom.closed(lo, hi), depth)
-    report = {
+    return {
         "command": "measure mass",
         "measure": measure.measure_to_spec(m),
         "interval": [reports.rat_str(lo), reports.rat_str(hi)],
         "depth": depth,
         "mass": reports.tag_bracket(bracket.lower, bracket.upper),
-    }
-    return report, "pass"
+    }, "pass"
 
 
 def _cmd_measure_grid(options, seed):
     m, depth = options["measure"], options["depth"]
     grid = measure.dyadic_cdf_grid(m, depth)
     points = [(Fraction(i, 1 << depth), v) for i, v in enumerate(grid)]
-    report = {
+    return {
         "command": "measure grid",
         "measure": measure.measure_to_spec(m),
         "depth": depth,
         "total_mass": reports.tag_exact(m.total_mass),
         "plot": [reports.plot_series("cdf", points)],
-    }
-    return report, "pass"
+    }, "pass"
 
 
 # --- doubling ---------------------------------------------------------------------
@@ -194,13 +177,12 @@ def _cmd_measure_grid(options, seed):
 def _cmd_doubling_scan(options, seed):
     m = options["measure"]
     rep = doubling.doubling_scan(m, options["depth"], fit=not options["no-fit"], seed=seed)
-    report = {
+    return {
         "command": "doubling scan",
         "measure": measure.measure_to_spec(m),
         **reports.doubling_report_payload(rep),
         "plot": [reports.plot_series("doubling_ratio_by_scale", list(rep.per_scale))],
-    }
-    return report, "pass"
+    }, "pass"
 
 
 # --- certify ---------------------------------------------------------------------
@@ -209,8 +191,7 @@ def _cmd_doubling_scan(options, seed):
 def _cmd_certify_fat(options, seed):
     alpha, t, scale = options["alpha"], options["t"], options["factor-scale"]
     cert = certify.certify_fat_thick(alpha, t, scale)
-    positive = cert.conclusion is certify.Conclusion.POSITIVE
-    report = {
+    return {
         "command": "certify fat",
         "alpha": seq.family_to_spec(alpha),
         "t": reports.rat_str(t),
@@ -219,14 +200,13 @@ def _cmd_certify_fat(options, seed):
         "first_contracting_stage": cert.n0,
         "mass_lower_bound": reports.tag_product(cert.bound),
         "notes": list(cert.notes),
-    }
-    return report, "pass" if positive else "inconclusive"
+    }, ("pass" if cert.conclusion is certify.Conclusion.POSITIVE else "inconclusive")
 
 
 def _cmd_certify_thin(options, seed):
     alpha, s, c, epsilon = options["alpha"], options["s"], options["c"], options["epsilon"]
     cert = certify.certify_thin_porous(alpha, s, c, epsilon)
-    report = {
+    return {
         "command": "certify thin",
         "alpha": seq.family_to_spec(alpha),
         "s": reports.rat_str(s),
@@ -236,8 +216,7 @@ def _cmd_certify_thin(options, seed):
         "n_star": cert.n_star,
         "skipped_stages": list(cert.skipped_stages),
         "plot": [reports.plot_series("stage_mass_upper", list(enumerate(cert.decay_curve, start=1)))],
-    }
-    return report, "pass"
+    }, "pass"
 
 
 def _cmd_certify_cutout(options, seed):
@@ -245,9 +224,8 @@ def _cmd_certify_cutout(options, seed):
     scan = doubling.doubling_scan(m, options["scan-depth"], seed=seed)
     cfg = geom.nested_cutout(options["n-total"])
     bound = certify.cutout_lower_bound(cfg, scan, r, n_balls, p)
-    positive = bound.conclusion is certify.Conclusion.POSITIVE
     window = (scan.window_lo, scan.window_hi)
-    report = {
+    return {
         "command": "certify cutout",
         "measure": measure.measure_to_spec(m),
         "n_balls": n_balls,
@@ -259,8 +237,7 @@ def _cmd_certify_cutout(options, seed):
         "penalty": reports.tag_window(bound.penalty, window),
         "gap": [reports.rat_str(bound.gap.lo), reports.rat_str(bound.gap.hi)],
         "doubling": reports.doubling_report_payload(scan),
-    }
-    return report, "pass" if positive else "inconclusive"
+    }, ("pass" if bound.conclusion is certify.Conclusion.POSITIVE else "inconclusive")
 
 
 def _cmd_certify_logfloor(options, seed):
@@ -290,7 +267,7 @@ def _cmd_qs_scan(options, seed):
     m, depth = options["measure"], options["depth"]
     qsmap = qs.QSMap(m, eval_depth=depth)
     rows = qs.qs_ratio_scan(qsmap, depth, random_triples=options["random-triples"], seed=seed)
-    report = {
+    return {
         "command": "qs scan",
         "measure": measure.measure_to_spec(m),
         "depth": depth,
@@ -304,20 +281,18 @@ def _cmd_qs_scan(options, seed):
         ],
         "plot": [reports.plot_series("qs_ratio_envelope", [(row.tau, row.max_ratio) for row in rows])],
         "note": "empirical distortion envelope; a lower bound for any gauge",
-    }
-    return report, "pass"
+    }, "pass"
 
 
 def _cmd_qs_pullback(options, seed):
     c, eta2 = options["C"], options["eta2"]
     bounds = qs.pullback_constant(c, eta2)
-    report = {
+    return {
         "command": "qs pullback",
         "C": reports.rat_str(c),
         "eta2": reports.rat_str(eta2),
         "pullback_constant": reports.tag_bracket(bounds.lo, bounds.hi),
-    }
-    return report, "pass"
+    }, "pass"
 
 
 # --- example ---------------------------------------------------------------------
@@ -342,7 +317,6 @@ def _example_overrides(args) -> dict:
             raise DmlabError(f"--set needs KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         given[key.strip()] = value.strip()
-    _check_keys(verb, "override", given, spec)
     if args.seed is not None:
         overrides["seed"] = args.seed
     overrides.update(given)

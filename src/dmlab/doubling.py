@@ -11,13 +11,14 @@ hold, certifies a counterexample, or raises after exhausting precision.
 
 from __future__ import annotations
 
-import math
 import random
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
+from itertools import repeat
+from math import ceil, gcd, lcm
+from operator import mul, sub
 from typing import Iterator, NamedTuple
 
 from .enclosure import (
@@ -43,6 +44,7 @@ from .measure import (
     TreeMeasure,
     dyadic_cdf_numerators,
 )
+from .ratio import first_max
 
 PERFECTNESS_GAP_CAP = Fraction(15, 16)
 
@@ -95,20 +97,23 @@ class _MassOracle:
     On the dyadic base, unit = 2^(depth + 1) and `cdf` holds the cdf
     numerators at the query level cap = min(depth + 1, split_depth) over
     one denominator `cdf_den`, so a leaf spans 2^shift units, shift =
-    depth + 1 - cap. At shift 0 (`grid`) every scan ball is a union of
-    leaves and exact. On a construction tree a ball is bracketed at the
-    query level split_depth as `interval_mass` brackets it, through a
-    `LeafPrefixes` table (`table`) whose leaf edges are integers over `unit`
-    too."""
+    depth + 1 - cap. At shift 0 every scan ball is a union of leaves and
+    exact. On a construction tree a ball is bracketed at the query level
+    split_depth as `interval_mass` brackets it, through a `LeafPrefixes`
+    table (`table`) whose query ends are integers over `unit` too."""
 
     def __init__(self, m: TreeMeasure, depth: int):
+        self.table = None
         if m.base is None:
             cap = min(depth + 1, m.split_depth)
-            self.cdf, self.cdf_den = dyadic_cdf_numerators(m, cap)
-            self.unit, self.shift = 1 << (depth + 1), depth + 1 - cap
-            self.grid = not self.shift
+            check_nodes(1 << (depth + 1))  # the centers, before the padded cdf rows
+            (cdf, self.cdf_den), n, s = dyadic_cdf_numerators(m, cap), 1 << (depth + 1), depth + 1 - cap
+            self.cdf, self.unit, self.shift = cdf, n, s
+            # the cdf at the floor and the ceiling of q / 2^s for q in -n..2n
+            pad = lambda ends: [cdf[0]] * n + ends + [cdf[-1]] * n  # noqa: E731
+            self.floor = pad([cdf[q >> s] for q in range(n + 1)] if s else cdf)
+            self.ceil = pad([cdf[-(-q >> s)] for q in range(n + 1)]) if s else self.floor
             return
-        self.grid = False
         check_nodes(1 << m.split_depth)
         # node ends at every level are leaf edges (children keep their
         # parent's outer ends), the scan halves them for midpoints, and
@@ -117,17 +122,29 @@ class _MassOracle:
         self.unit, self.bracket = self.table.unit, self.table.bracket_units
 
     def bracket(self, lo: int, hi: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        """`bracket_units` of mu([lo / unit, hi / unit]) for 0 <= lo <= hi
-        <= unit, leaving out the cdf's denominator, which every ratio
-        cancels: lower runs from the ceiling of lo in leaf widths to the
-        floor of hi, upper from the floor of lo to the ceiling of hi. On a
-        tree the table's `bracket_units` stands in."""
+        """`bracket_units` of mu([lo / unit, hi / unit]), 0 <= lo <= hi <= unit,
+        over the cdf's denominator (left out): lower from the ceiling of lo in
+        leaf widths to the floor of hi, upper from the floor of lo to the
+        ceiling of hi. On a tree the table's `bracket_units` stands in."""
         s, cdf = self.shift, self.cdf
         if not s:  # the exact grid: both ends are leaf edges
             v = (cdf[hi] - cdf[lo], 1)
             return v, v
         a, b = -(-lo >> s), hi >> s
         return (cdf[b] - cdf[a] if b > a else 0, 1), (cdf[-(-hi >> s)] - cdf[lo >> s], 1)
+
+    def row(self, k: int, xs: range | list[int]) -> tuple:
+        """(lower, upper) of the balls of radius 2^-k around the centers xs /
+        unit as rows (numerators, denominators); on the dyadic base (centers
+        0..unit) strided differences of the padded cdf, denominators None."""
+        n, h = self.unit, self.unit >> k
+        if self.table is not None:
+            return self.table.bracket_rows([x - h for x in xs], [x + h for x in xs])  # ends clip
+        lo, hi = slice(n - h, 2 * n - h + 1), slice(n + h, 2 * n + h + 1)
+        upper = list(map(sub, self.ceil[hi], self.floor[lo])), None
+        if not self.shift:
+            return upper, upper
+        return (list(map(max, map(sub, self.floor[hi], self.ceil[lo]), repeat(0))), None), upper
 
 
 class _ScanShare:
@@ -179,8 +196,7 @@ def _scan_centers(m: TreeMeasure, depth: int, unit: int) -> range | list[int]:
     on the dyadic base, else the ends and midpoints of the tree's nodes at
     level min(depth, tree depth), whose denominator halves unit."""
     if m.base is None:
-        check_nodes(1 << (depth + 1))
-        return range(0, unit + 1, unit >> (depth + 1))
+        return range(unit + 1)
     den, lows, highs = m.base.edges[min(depth, m.base.depth)]
     step = unit // (2 * den)
     return sorted({2 * e * step for e in lows + highs}.union(
@@ -192,101 +208,61 @@ class ScanResult(NamedTuple):
 
     c_upper: Fraction
     c_lower: Fraction
-    witness: ScanWitness
+    witness: ScanWitness | None
     exact: bool
     notes: list[str]
     per_scale: list[tuple[int, Fraction]]  # lower-certified max ratio per scale
 
 
-def _grid_pass(cdf: list[int], depth: int) -> tuple[list[tuple[int, int, int | None]], int]:
-    """Integer scan over centers i / 2^(depth+1) and radii 2^-k.
-
-    Per scale k = 1..depth: (big, small, i) for the first center index i
-    whose ratio big/small of ball numerators is largest (i is None when
-    every small ball is empty), plus the count of empty small balls.
-    Ratios are compared by cross-multiplication."""
-    n = 1 << (depth + 1)
-    pad = [cdf[0]] * n + cdf + [cdf[-1]] * n  # balls clip to [0, 1]
-    per_scale = []
-    skipped = 0
-    for k in range(1, depth + 1):
-        h = n >> k
-        small = map(sub, pad[n + h:2 * n + h + 1], pad[n - h:2 * n - h + 1])
-        big = map(sub, pad[n + 2 * h:2 * n + 2 * h + 1], pad[n - 2 * h:2 * n - 2 * h + 1])
-        best_b, best_s, best_i = 0, 1, None
-        for i, (sm, bg) in enumerate(zip(small, big)):
-            if not sm:
-                skipped += 1
-            elif bg * best_s > best_b * sm:
-                best_b, best_s, best_i = bg, sm, i
-        per_scale.append((best_b, best_s, best_i))
-    return per_scale, skipped
+def _ratios(a: tuple, b: tuple) -> tuple[list[int], list[int]]:
+    """a / b entrywise for two rows of masses, as (numerators,
+    denominators); rows over the cdf's denominator divide as they are."""
+    (an, ad), (bn, bd) = a, b
+    if ad is None:
+        return an, bn
+    return list(map(mul, an, bd)), list(map(mul, ad, bn))
 
 
-def _bracket_pass(oracle: _MassOracle, xs: range | list[int], depth: int) -> tuple:
-    """The scan over bracketed balls centered at xs / unit, in the (k, x)
-    order of the grid pass: scan_core skips a small ball without certified
-    mass, the per-scale maxima skip only one that certainly has none. The
-    ball at radius 2^-(k-1) is the doubled ball at scale k, so each center
-    needs depth + 1 brackets. Ratios are compared by cross-multiplication."""
-    unit = oracle.unit
-
-    def balls(k: int) -> list:
-        h = unit >> k
-        return [oracle.bracket(max(0, x - h), min(unit, x + h)) for x in xs]
-
+def _scan_pass(m: TreeMeasure, depth: int) -> ScanResult:
+    """`scan_core` in whole rows (witness None if no ratio is certified): the
+    row of scale k holds every center's small ball, the row before it the
+    doubled balls. scan_core skips a small ball without certified mass, the
+    per-scale maxima only one that certainly has none. A row's first maximum
+    replaces the best so far only when strictly greater, so the witness is
+    the first (k, center) in scan order."""
+    oracle = _shared_oracle(m, depth) or _MassOracle(m, depth)
+    xs = _scan_centers(m, depth, oracle.unit)
     up_n, up_d = 0, 1  # c_upper
     lo_n, lo_d = 0, 1  # c_lower
     witness = None  # (k, center index)
-    exact = True
     skipped = 0
     per_scale = []
-    big_row = balls(0)
+    big_low, big_up = oracle.row(0, xs)
+    exact = big_low == big_up
     for k in range(1, depth + 1):
-        row = balls(k)
-        best_n, best_d = 0, 1
-        for i, (((sl, sl_d), (su, su_d)), ((bl, bl_d), (bu, bu_d))) in enumerate(zip(row, big_row)):
-            if su:  # ratio lower bound big.lower / small.upper
-                rn, rd = bl * su_d, bl_d * su
-                if rn * best_d > best_n * rd:
-                    best_n, best_d = rn, rd
-            if not sl:
-                skipped += 1
-                continue
-            exact = exact and sl * su_d == su * sl_d and bl * bu_d == bu * bl_d
-            qn, qd = bu * sl_d, bu_d * sl  # ratio upper bound big.upper / small.lower
-            if qn * up_d > up_n * qd:
-                up_n, up_d = qn, qd
-            if rn * lo_d > lo_n * rd:
-                lo_n, lo_d, witness = rn, rd, (k, i)
-        per_scale.append((k, Fraction(best_n, best_d)))
-        big_row = row
+        low, up = oracle.row(k, xs)
+        exact = exact and low == up
+        held = low[0]  # zero where the small ball has no certified mass
+        skipped += held.count(0)
+        rn, rd = _ratios(big_low, up)  # lower bounds big.lower / small.upper
+        i = first_max(rn, rd)
+        per_scale.append((k, Fraction(0) if i is None else Fraction(rn[i], rd[i])))
+        if i is not None and not held[i]:
+            i = first_max(rn, [d if w else 0 for d, w in zip(rd, held)])
+        if i is not None and rn[i] * lo_d > lo_n * rd[i]:
+            lo_n, lo_d, witness = rn[i], rd[i], (k, i)
+        if low is not up or big_low is not big_up:  # else the same ratios
+            rn, rd = _ratios(big_up, low)  # upper bounds big.upper / small.lower
+            i = first_max(rn, rd)
+        if i is not None and rn[i] * up_d > up_n * rd[i]:
+            up_n, up_d = rn[i], rd[i]
+        big_low, big_up = low, up
     c_lower = Fraction(lo_n, lo_d)
     if witness is not None:
         k, i = witness
-        witness = ScanWitness(x=Fraction(xs[i], unit), r=Fraction(1, 1 << k), ratio_lower=c_lower)
-    return Fraction(up_n, up_d), c_lower, witness, exact and not skipped, skipped, per_scale
-
-
-def _scan_pass(m: TreeMeasure, depth: int) -> tuple:
-    """One pass over the scan grid: (c_upper, c_lower, witness or None,
-    exact, skipped, per-scale maxima)."""
-    oracle = _shared_oracle(m, depth) or _MassOracle(m, depth)
-    if not oracle.grid:
-        return _bracket_pass(oracle, _scan_centers(m, depth, oracle.unit), depth)
-    rows, skipped = _grid_pass(oracle.cdf, depth)
-    per_scale = []
-    c_lower = Fraction(0)
-    witness = None
-    for k, (big, small, i) in enumerate(rows, start=1):
-        ratio = Fraction(0) if i is None else Fraction(big, small)
-        per_scale.append((k, ratio))
-        if ratio > c_lower:
-            c_lower = ratio
-            witness = ScanWitness(
-                x=Fraction(i, 1 << (depth + 1)), r=Fraction(1, 1 << k), ratio_lower=ratio
-            )
-    return c_lower, c_lower, witness, not skipped, skipped, per_scale
+        witness = ScanWitness(x=Fraction(xs[i], oracle.unit), r=Fraction(1, 1 << k), ratio_lower=c_lower)
+    notes = [f"skipped {skipped} pairs whose small ball had no certified mass"] if skipped else []
+    return ScanResult(Fraction(up_n, up_d), c_lower, witness, exact and not skipped, notes, per_scale)
 
 
 def scan_core(m: TreeMeasure, depth: int) -> ScanResult:
@@ -297,13 +273,10 @@ def scan_core(m: TreeMeasure, depth: int) -> ScanResult:
         raise PreconditionViolated("scan needs depth >= 1")
     if m.total_mass == 0:
         raise ZeroMassBall("the zero measure has no doubling ratios")
-    c_upper, c_lower, witness, exact, skipped, per_scale = _scan_pass(m, depth)
-    if witness is None:
+    res = _scan_pass(m, depth)
+    if res.witness is None:
         raise ZeroMassBall("no scanned ball produced a certifiable ratio")
-    notes = []
-    if skipped:
-        notes.append(f"skipped {skipped} pairs whose small ball had no certified mass")
-    return ScanResult(c_upper, c_lower, witness, exact, notes, per_scale)
+    return res
 
 
 def per_scale_max_ratios(m: TreeMeasure, depth: int) -> list[tuple[int, Fraction]]:
@@ -313,7 +286,7 @@ def per_scale_max_ratios(m: TreeMeasure, depth: int) -> list[tuple[int, Fraction
     that scale, so the list under-reports rather than over-reports."""
     if depth < 1:
         raise PreconditionViolated("scan needs depth >= 1")
-    return _scan_pass(m, depth)[5]
+    return _scan_pass(m, depth).per_scale
 
 
 def _guard_tree_perfectness(m: TreeMeasure) -> None:
@@ -381,16 +354,6 @@ def fit_ratio_decay(
     def ball(c: int, h: int) -> tuple[tuple[int, int], tuple[int, int]]:
         return bracket((c - h) * step, (c + h) * step)
 
-    def pair_ratio(c: int, j: int, l: int) -> tuple[int, int] | None:
-        """Certified upper bound of mu(B(x, R/2^l)) / mu(B(x, R)), or None
-        when the big ball has no certified mass."""
-        big_h = n >> j
-        bn, bd = ball(c, big_h)[0]
-        if not bn:
-            return None
-        sn, sd = ball(c, big_h >> l)[1]
-        return sn * bd, sd * bn
-
     # best certified ratio upper bound at each scale separation l
     top: dict[int, tuple[int, int]] = {}
     pairs = 0
@@ -443,19 +406,21 @@ def fit_ratio_decay(
             if i < 2 or i + 2 > 2 << j:  # x = i / 2^(j+1) within 2^-j of an end
                 continue
             l = rng.randrange(0, depth - j + 1)
-            ratio = pair_ratio(i << (depth - j), j, l)
-            if ratio is None:
+            c, big_h = i << (depth - j), n >> j
+            bn, bd = ball(c, big_h)[0]
+            if not bn:  # the big ball has no certified mass
                 continue
             holdout_seen += 1
-            # same rounding direction as the fit, so a pair never fails
-            # against the bound it itself defines
-            num, den = ratio
+            # the ratio's certified upper bound, rounded as the fit rounds, so
+            # a pair never fails against the bound it itself defines
+            sn, sd = ball(c, big_h >> l)[1]
+            num, den = sn * bd, sd * bn
             _, g, g_den = exp2_64ths(l * k, bits)
             if num * g * lam_d > lam_n * den * g_den:
                 failures.append((i, j, l))
                 cur_n, cur_d = top.get(l, (0, 1))
                 if num * cur_d > cur_n * den:
-                    top[l] = ratio
+                    top[l] = num, den
         if not failures:
             return RatioDecayFit(
                 big_lam=Fraction(lam_n, lam_d),
@@ -468,14 +433,6 @@ def fit_ratio_decay(
             raise PreconditionViolated(
                 f"holdout kept failing after {rounds} refit rounds"
             )
-
-
-def _cdf_levels(cdf: list[int], den: int, cap: int) -> Iterator[tuple[list[int], int]]:
-    """Node masses of dyadic levels 0..cap as (numerators, den), read as
-    strided differences of a finer cdf grid."""
-    for level in range(cap + 1):
-        row = cdf[::(len(cdf) - 1) >> level]
-        yield list(map(sub, row[1:], row[:-1])), den
 
 
 def fit_mass_window(
@@ -494,7 +451,7 @@ def fit_mass_window(
     _guard_tree_perfectness(m)
     if c_upper < 1:
         raise PreconditionViolated("doubling bound below 1 is impossible")
-    s_steps = math.ceil(_log2_hi(c_upper, bits) * 64)
+    s_steps = ceil(_log2_hi(c_upper, bits) * 64)
 
     # Samples are node masses and doubled-node masses, exact or safe from
     # below, grouped by diameter: lam needs only the lightest mass of each
@@ -521,8 +478,10 @@ def fit_mass_window(
             lo, hi, den = exp2_64ths(-j * steps, bits)
             return (lo, den), (hi, den)
 
-        levels = _cdf_levels(oracle.cdf, oracle.cdf_den, min(depth, m.split_depth))
-        for level, (masses, den) in enumerate(levels):
+        cdf, den = oracle.cdf, oracle.cdf_den
+        for level in range(min(depth, m.split_depth) + 1):  # strided differences of the cdf
+            row = cdf[::(len(cdf) - 1) >> level]
+            masses = list(map(sub, row[1:], row[:-1]))
             doubled = list(map(sum, zip(masses, masses[1:])))
             samples += len(masses) + len(doubled)
             note(level, (min(masses), den), (max(masses), den))
@@ -647,16 +606,19 @@ def _rhs_bounds(
         s_b = Bounds(Fraction(s), Fraction(s))
         inv = exp2_bounds(-Fraction(s), bits)
     else:
-        assert c is not None
         s_b = log2_bounds(c, bits)
         inv = Bounds(1 / Fraction(c), 1 / Fraction(c))
     rho_pow = pow_bounds(rho, s_b, bits)
     return mul_bounds(inv, rho_pow)
 
 
-def _below(p: tuple[int, int], q: tuple[int, int], f: Fraction) -> bool:
-    """p < q * f, for integer pairs p and q."""
-    return p[0] * q[1] * f.denominator < q[0] * f.numerator * p[1]
+def _below(p: tuple[int, int], q: tuple[int, int], f: tuple[int, int]) -> bool:
+    """p < q * f, for integer pairs p, q and f."""
+    return p[0] * q[1] * f[1] < q[0] * f[0] * p[1]
+
+
+def _unsettled(case: SmallBallCase) -> str:
+    return f"cannot settle the case A=[{case.a_lo},{case.a_hi}], x={case.x}, r={case.r}"
 
 
 def verify_small_ball_bound(
@@ -678,73 +640,75 @@ def verify_small_ball_bound(
     if c is not None and Fraction(c) < 1:
         raise PreconditionViolated("constant must be >= 1")
     eval_depth = min(depth + 8, m.split_depth)
-    todo: list[SmallBallCase] = list(cases) if cases else []
+    given = list(cases) if cases else []
+    # every case as integers (a, b, x, r) over the unit of one prefix table, a
+    # multiple of the given cases' denominators and of the sampled ones', 2^(depth + 4)
+    ends = [(case.a_lo, case.a_hi, case.x, case.r) for case in given]
+    table = LeafPrefixes(m, eval_depth, lcm(16 << depth, *(f.denominator for e in ends for f in e)))
+    unit = table.unit
+    todo = [(case, *(f.numerator * (unit // f.denominator) for f in e)) for case, e in zip(given, ends)]
     rng = random.Random(seed)
-    grid = 1 << depth
+    grid, step = 1 << depth, unit >> depth
     while len(todo) < count:
         ia = rng.randrange(0, grid)
         ib = rng.randrange(ia + 1, grid + 1)
-        a, b = Fraction(ia, grid), Fraction(ib, grid)
         ix = rng.randrange(ia, ib + 1)
-        x = Fraction(ix, grid)
-        r = (b - a) / (1 << rng.randrange(1, 5))
-        todo.append(SmallBallCase(a, b, x, r))
+        todo.append((None, ia * step, ib * step, ix * step, (ib - ia) * step >> rng.randrange(1, 5)))
 
-    # mu(A) and mu(B) as integer pairs from one prefix table, and the factor
-    # enclosure once per distinct (rho, bits)
-    table = LeafPrefixes(m, eval_depth)
-    factors: dict[tuple[Fraction, int], Bounds] = {}
+    def reported(case: SmallBallCase | None, *ends: int) -> SmallBallCase:  # built to be reported
+        return case or SmallBallCase(*(Fraction(v, unit) for v in ends))
+
+    # the factor's ends once per distinct (r / diam A, bits)
+    factors: dict[tuple[int, int, int], tuple[tuple[int, int], tuple[int, int]]] = {}
     capped = f", capped at the split depth {m.split_depth}" if eval_depth < depth + 8 else ""
     checked = 0
-    for case in todo:
-        if not (case.a_lo <= case.x <= case.a_hi):
+    for case, a, b, x, r in todo:
+        if not a <= x <= b:
             raise PreconditionViolated("center must lie in the set")
-        if not 0 < case.r < case.a_hi - case.a_lo:
+        if not 0 < r < b - a:
             raise PreconditionViolated("radius must be in (0, diam A)")
-        if case.a_lo < 0 or case.a_hi > 1:
+        if a < 0 or b > unit:  # a given case: the sampled ones lie inside
             raise PreconditionViolated(
                 f"interval [{case.a_lo}, {case.a_hi}] must sit inside [0, 1]"
             )
-        mu_a = table.bracket(case.a_lo, case.a_hi)
-        mu_b = table.bracket(max(Fraction(0), case.x - case.r), min(Fraction(1), case.x + case.r))
-        rho = case.r / (case.a_hi - case.a_lo)
+        mu_a = table.bracket_units(a, b)
+        mu_b = table.bracket_units(x - r, x + r)  # ends past [0, 1] clip
+        g = gcd(r, b - a)
+        rho = r // g, (b - a) // g
         # the factor is (rho/2)^s; when that is rational, a mass ratio equal
         # to it holds, though no enclosure of the factor can show it
-        exact = None if s is None else _exact_rational_pow(rho / 2, Fraction(s))
+        exact = None if s is None else _exact_rational_pow(Fraction(rho[0], 2 * rho[1]), Fraction(s))
         cur = bits
         while True:
-            if (rho, cur) not in factors:
-                factors[rho, cur] = _rhs_bounds(rho, c, s, cur)
-            factor = factors[rho, cur]
+            if (*rho, cur) not in factors:
+                f = _rhs_bounds(Fraction(*rho), c, s, cur)
+                factors[(*rho, cur)] = f.lo.as_integer_ratio(), f.hi.as_integer_ratio()
+            lo_f, hi_f = factors[(*rho, cur)]
             # mu_b.lower >= mu_a.upper * factor.hi
-            if not _below(mu_b[0], mu_a[1], factor.hi):
+            if not _below(mu_b[0], mu_a[1], hi_f):
                 break
             # mu_b.upper < mu_a.lower * factor.lo
-            if _below(mu_b[1], mu_a[0], factor.lo):
-                rhs_lo = Fraction(*mu_a[0]) * factor.lo
+            if _below(mu_b[1], mu_a[0], lo_f):
+                rhs_lo = Fraction(*mu_a[0]) * Fraction(*lo_f)
                 return SmallBallResult(
                     holds=False,
                     checked=checked + 1,
-                    counterexample=case,
+                    counterexample=reported(case, a, b, x, r),
                     margin=rhs_lo - Fraction(*mu_b[1]),
                 )
-            if exact is not None and not _below(mu_b[0], mu_a[1], exact):
+            if exact is not None and not _below(mu_b[0], mu_a[1], exact.as_integer_ratio()):
                 break
-            if _below(mu_b[0], mu_a[1], factor.lo) and not _below(mu_b[1], mu_a[0], factor.hi):
+            if _below(mu_b[0], mu_a[1], lo_f) and not _below(mu_b[1], mu_a[0], hi_f):
                 # no factor in [factor.lo, factor.hi] settles the case, so no
                 # precision can: only a deeper evaluation narrows the masses
                 (a_lo, a_up), (b_lo, b_up) = ([Fraction(*p) for p in mu] for mu in (mu_a, mu_b))
                 raise EnclosureInconclusive(
-                    f"cannot settle the case A=[{case.a_lo},{case.a_hi}], "
-                    f"x={case.x}, r={case.r} at any precision: "
+                    f"{_unsettled(reported(case, a, b, x, r))} at any precision: "
                     f"mu(A) in [{a_lo}, {a_up}], mu(B) in [{b_lo}, {b_up}] "
                     f"at eval depth {eval_depth} (depth {depth} + 8{capped})"
                 )
             if cur >= max_bits:
-                raise EnclosureInconclusive(
-                    f"cannot settle the case A=[{case.a_lo},{case.a_hi}], "
-                    f"x={case.x}, r={case.r} at {cur} bits"
-                )
+                raise EnclosureInconclusive(f"{_unsettled(reported(case, a, b, x, r))} at {cur} bits")
             cur *= 2
         checked += 1
     return SmallBallResult(holds=True, checked=checked)

@@ -51,6 +51,16 @@ def read_options(spec: dict, given: dict) -> dict:
     return options
 
 
+def check_keys(verb: str, what: str, given: dict, spec: dict) -> None:
+    """Refuse a key the verb's option table does not hold."""
+    unknown = [key for key in given if key not in spec]
+    if unknown:
+        raise DmlabError(
+            f"{verb} reads no {what} {', '.join(map(repr, unknown))}; "
+            f"it reads: {', '.join(spec) or 'none'}"
+        )
+
+
 def parse_family(value) -> seq.SequenceFamily:
     """A family spec, as a JSON object or as its text."""
     return seq.family_from_spec(json.loads(value) if isinstance(value, str) else value)
@@ -394,4 +404,6 @@ def run_experiment(name: str, overrides: dict | None = None) -> dict:
         known = ", ".join(EXPERIMENT_NAMES)
         raise PreconditionViolated(f"unknown experiment {name!r}; known: {known}")
     runner, spec = EXPERIMENTS[name]
-    return runner(read_options(spec, {} if overrides is None else overrides))
+    overrides = {} if overrides is None else overrides
+    check_keys(f"example {name}", "override", overrides, spec)
+    return runner(read_options(spec, overrides))

@@ -13,8 +13,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from functools import partial
+from itertools import accumulate, compress, count, repeat
 from math import gcd, lcm
+from operator import floordiv, mul, ne, neg, or_, sub
 from typing import Union
 
 from .errors import MisalignedTrees, PreconditionViolated, ZeroMassBall
@@ -160,21 +162,23 @@ class LeafPrefixes(dict):
     denominators of all 2^cap - 1 nodes of a construction tree, P(j) only
     those on leaf j's path.
 
-    The leaf edges `lows`/`highs` are integers over `unit`, the lcm of
-    twice their common denominator and `ends`, a denominator the caller's
-    query ends are integers over."""
+    Query ends are integers over `unit`, the lcm of twice the leaves' common
+    denominator `den` and `ends`, one the caller's ends are integers over;
+    they map onto the leaf edges, integers over den as the tree holds them,
+    by floor and ceiling division by `step`."""
 
     def __init__(self, m: TreeMeasure, depth: int, ends: int = 1):
         super().__init__()
         self.m, self.cap = m, effective_depth(m, depth)
         den = 1 << self.cap if m.base is None else m.base.edges[self.cap][0]
         self.den, self.unit = den, lcm(2 * den, ends)
-        self.step = step = self.unit // den
+        self.step = self.unit // den
+        # leaves ending at or before q and starting before q, for q over den
         if m.base is None:
-            self.lows, self.highs = range(0, self.unit, step), range(step, self.unit + step, step)
+            self.ending_by = self.starting_before = lambda q: min(max(q, 0), den)
         else:
             _, lows, highs = m.base.edges[self.cap]
-            self.lows, self.highs = [e * step for e in lows], [e * step for e in highs]
+            self.ending_by, self.starting_before = partial(bisect_right, highs), partial(bisect_left, lows)
         total = m.total_mass
         self[1 << self.cap] = total.numerator, total.denominator
         # walk states by node 2^level + index: (node mass, mass left of the
@@ -218,10 +222,9 @@ class LeafPrefixes(dict):
         return ne * df - nf * de, de * df
 
     def bracket(self, lo: Fraction, hi: Fraction) -> tuple[tuple[int, int], tuple[int, int]]:
-        """`bracket_units` of mu([lo, hi]) for Fractions lo <= hi; ends
-        outside [0, 1] clip. An end between two multiples of 1 / den stands
-        in as an integer over unit strictly between them, where no leaf edge
-        lies, so every comparison with an edge keeps its answer."""
+        """`bracket_units` of mu([lo, hi]) for Fractions lo <= hi: an end
+        between two multiples of 1 / den stands in as an integer over unit
+        strictly between them, where no leaf edge lies."""
         a, da = lo.numerator * self.den, lo.denominator
         b, db = hi.numerator * self.den, hi.denominator
         step = self.step
@@ -230,22 +233,44 @@ class LeafPrefixes(dict):
         )
 
     def bracket_units(self, lo: int, hi: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        """(lower, upper) of mu([lo / unit, hi / unit]) for integers lo <= hi,
-        each a (numerator, denominator) pair: lower is the mass of the leaves
-        inside the interval, upper the mass of the leaves whose interior
-        meets it. Both are contiguous runs, found by bisecting the leaf
-        edges, because each level is sorted and disjoint (see
-        `build_cantor`). When neither end lies inside a leaf the runs
-        coincide and one difference serves both."""
-        lows, highs = self.lows, self.highs
-        f, e = bisect_right(highs, lo), bisect_left(lows, hi)
-        g, h = bisect_left(lows, lo), bisect_right(highs, hi)
+        """(lower, upper) of mu([lo / unit, hi / unit]) for integers lo <= hi
+        (ends past [0, 1] clip), each a (numerator, denominator) pair: the
+        mass of the leaves inside the interval, and of those whose interior
+        meets it. Both are runs found by bisecting the edges, as each level is
+        sorted and disjoint (`build_cantor`); one difference serves both when
+        they coincide."""
+        s = self.step
+        f, e = self.ending_by(lo // s), self.starting_before(-(-hi // s))
+        g, h = self.starting_before(-(-lo // s)), self.ending_by(hi // s)
         upper = self.mass(f, e)
         if g == f and h == e:
             return upper, upper
         if h <= g:  # no leaf lies inside
             return (0, 1), upper
         return self.mass(g, h), upper
+
+    def bracket_rows(self, los: list[int], his: list[int]) -> tuple:
+        """`bracket_units` of every [los[i], his[i]] as two rows (lower,
+        upper) of lists (numerators, denominators), each step mapped over
+        whole lists; lower is computed apart only where its run differs,
+        and is P(g) - P(g) where no leaf lies inside."""
+        s, ending_by, starting_before = repeat(self.step), self.ending_by, self.starting_before
+        lo_up, hi_up = (map(neg, map(floordiv, map(neg, qs), s)) for qs in (los, his))
+        f, e = list(map(ending_by, map(floordiv, los, s))), list(map(starting_before, hi_up))
+        g = list(map(starting_before, lo_up))
+        h = list(map(max, map(ending_by, map(floordiv, his, s)), g))
+        un, ud = self._mass_row(f, e)
+        ln, ld = un[:], ud[:]
+        inner = list(compress(count(), map(or_, map(ne, f, g), map(ne, e, h))))
+        if inner:
+            for i, n, d in zip(inner, *self._mass_row(map(g.__getitem__, inner), map(h.__getitem__, inner))):
+                ln[i], ld[i] = n, d
+        return (ln, ld), (un, ud)
+
+    def _mass_row(self, fs, es) -> tuple:
+        """P(e) - P(f) for every run f..e-1, as (numerators, denominators)."""
+        (nf, df), (ne, de) = (zip(*map(self.__getitem__, js)) for js in (fs, es))
+        return list(map(sub, map(mul, ne, df), map(mul, nf, de))), list(map(mul, de, df))
 
 
 def _pair_sum(pairs) -> tuple[int, int]:
@@ -376,18 +401,18 @@ def restrict(
         eval_depth = tree.depth + 6
     table = LeafPrefixes(m, eval_depth, tree.edges[tree.depth][0])
 
-    def brackets(level: int) -> list:
+    def brackets(level: int) -> tuple:
         den, lows, highs = tree.edges[level]
-        step = table.unit // den  # a child keeps its parent's outer ends
-        return [table.bracket_units(lo * step, hi * step) for lo, hi in zip(lows, highs)]
+        step = repeat(table.unit // den)  # a child keeps its parent's outer ends
+        return table.bracket_rows(list(map(mul, lows, step)), list(map(mul, highs, step)))
 
-    nodes = brackets(0)
-    if nodes[0][1][0] == 0:  # the root's upper mass
+    lower, upper = brackets(0)
+    if upper[0][0] == 0:  # the root's upper mass
         raise MisalignedTrees("the measure puts no mass on the tree's root")
     rows: list[tuple[Fraction, ...]] = []
     for level in range(tree.depth):
-        nodes = brackets(level + 1)
-        sums = [_pair_sum(bracket) for bracket in nodes]  # L + U
+        lower, upper = brackets(level + 1)
+        sums = [_pair_sum(pairs) for pairs in zip(zip(*lower), zip(*upper))]  # L + U
         row = []
         for index in range(1 << level):
             (ln, ld), (rn, rd) = sums[2 * index], sums[2 * index + 1]
@@ -397,11 +422,8 @@ def restrict(
                 )
             row.append(Fraction(ln * rd, ln * rd + rn * ld))
         rows.append(tuple(row))
-    # nodes now holds the brackets of the leaves
-    leaf_total = MassBracket(
-        Fraction(*_pair_sum(lower for lower, _ in nodes)),
-        Fraction(*_pair_sum(upper for _, upper in nodes)),
-    )
+    # lower and upper now hold the brackets of the leaves
+    leaf_total = MassBracket(Fraction(*_pair_sum(zip(*lower))), Fraction(*_pair_sum(zip(*upper))))
     weights = TableWeights(tuple(rows))
     # total mass = the surviving-set mass at the build depth (midpoint of the
     # certified bracket; the bracket itself rides along for consumers)

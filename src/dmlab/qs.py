@@ -23,6 +23,7 @@ from .measure import (
     dyadic_cdf_grid,
     dyadic_cdf_numerators,
 )
+from .ratio import first_max
 
 DEFAULT_TAUS = (
     Fraction(1, 4),
@@ -130,13 +131,10 @@ def _straddle_maxima(cdf: list[int], depth: int) -> dict[Fraction, tuple]:
                     (0, left, right, Fraction(a, b)),
                     (1, right, left, Fraction(b, a)),
                 ):
-                    top_n, top_d, top_t = 0, 0, None
-                    for t, (num, den) in enumerate(zip(nums, dens)):
-                        if den and (top_t is None or num * top_d > top_n * den):
-                            top_n, top_d, top_t = num, den, t
+                    top_t = first_max(nums, dens)
                     if top_t is None:
                         continue
-                    j = lo + top_t
+                    top_n, top_d, j = nums[top_t], dens[top_t], lo + top_t
                     y, z = (j - lo, j + hi) if direction == 0 else (j + hi, j - lo)
                     cand = (top_n, top_d, (j, k, ai, bi, direction), (j, y, z))
                     if shape not in best or _outranks(cand, best[shape]):

@@ -8,6 +8,7 @@ only, so report bytes do not depend on platform float behavior.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import truediv
 
 from .errors import PreconditionViolated
 
@@ -39,6 +40,31 @@ def parse_integer(value: str | int) -> int:
     except ValueError:
         pass
     raise PreconditionViolated(f"malformed integer {value!r}")
+
+
+def first_max(nums: list[int], dens: list[int]) -> int | None:
+    """Index of the first largest nums[i] / dens[i] with dens[i] != 0, or None.
+
+    A float filter picks the candidates: int / int is correctly rounded and
+    rounding is monotone, so the exact maximum, and every entry equal to it,
+    has the largest float. Only those are cross-multiplied, in order; no
+    float leaves here. A ratio past the float range makes all candidates."""
+    try:
+        fl = ([n / d if d else -1.0 for n, d in zip(nums, dens)] if 0 in dens
+              else list(map(truediv, nums, dens)))
+    except OverflowError:
+        fl = [0.0 if d else -1.0 for d in dens]
+    top = max(fl)
+    if top < 0:
+        return None
+    best = i = fl.index(top)
+    try:
+        while True:  # the other candidates, the entries whose float equals top, in order
+            i = fl.index(top, i + 1)
+            if nums[i] * dens[best] > nums[best] * dens[i]:
+                best = i
+    except ValueError:
+        return best
 
 
 def format_rational(x: Fraction) -> str:

@@ -31,7 +31,7 @@ from .errors import (
     PreconditionViolated,
     Undecidable,
 )
-from .ratio import format_rational, parse_rational
+from .ratio import format_rational, parse_integer, parse_rational
 
 
 def _frac(x) -> Fraction:
@@ -385,14 +385,15 @@ def family_from_spec(spec: dict) -> SequenceFamily:
         if kind == "geometric":
             return Geometric(parse_rational(spec["a"]), parse_rational(spec["q"]))
         if kind == "power":
-            return Power(
-                parse_rational(spec["a"]), int(spec["gamma"]), int(spec.get("offset", 0))
-            )
+            return Power(parse_rational(spec["a"]), parse_integer(spec["gamma"]),
+                         parse_integer(spec.get("offset", 0)))
         if kind == "logfloor":
             return LogFloor(parse_rational(spec["base"]))
         if kind == "constant":
             return Constant(parse_rational(spec["value"]))
         if kind == "explicit":
+            if not isinstance(spec["terms"], list):
+                raise InvalidFamily("an explicit family spec needs \"terms\": a list")
             return ExplicitFinite(tuple(parse_rational(t) for t in spec["terms"]))
         if kind == "scaled":
             return Scaled(parse_rational(spec["c"]), family_from_spec(spec["inner"]))

@@ -26,7 +26,11 @@ stayed unreduced pairs, and `tag_product` by floor and ceiling of its
 values.  Last come `build_cantor` with `RationalInterval` nodes, from
 before its levels became integer edges, with the leaf-prefix walk from the
 root that `LeafPrefixes` ran before it resumed walks from memoised
-ancestors.
+ancestors.  At the very end come the per-ball scan passes that
+`scan_core` ran before it scanned whole rows (the exact-grid pass over the
+padded cdf and the bracket pass over `_MassOracle.bracket`, one ball at a
+time), and `verify_small_ball_bound` on Fraction case ends, from before it
+converted every case to integers over one unit.
 """
 
 from __future__ import annotations
@@ -1163,3 +1167,177 @@ def ratio_rows_csv(rows) -> str:
         wit = " ".join(str(v) for v in row.witness)
         out.append(f"{row.tau},{row.max_ratio.numerator},{row.max_ratio.denominator},{wit}")
     return "\n".join(out) + "\n"
+
+
+
+# --- per-ball scan passes and the Fraction small-ball check ---------------------
+#
+# `_scan_pass` as it ran before it scanned whole rows with a float filter:
+# the exact grid by a per-element loop over the padded cdf, every other
+# oracle one `_MassOracle.bracket` per ball, each ratio compared with the
+# best so far by cross-multiplication as it came.
+
+from operator import sub  # noqa: E402
+
+from dmlab.doubling import _MassOracle, _scan_centers  # noqa: E402
+from dmlab.measure import LeafPrefixes  # noqa: E402
+
+
+def grid_pass_oracle(cdf: list[int], depth: int) -> tuple[list[tuple[int, int, int | None]], int]:
+    """Per scale k = 1..depth: (big, small, i) for the first center index i
+    whose ratio big/small of ball numerators is largest (i is None when
+    every small ball is empty), plus the count of empty small balls."""
+    n = 1 << (depth + 1)
+    pad = [cdf[0]] * n + cdf + [cdf[-1]] * n  # balls clip to [0, 1]
+    per_scale = []
+    skipped = 0
+    for k in range(1, depth + 1):
+        h = n >> k
+        small = map(sub, pad[n + h:2 * n + h + 1], pad[n - h:2 * n - h + 1])
+        big = map(sub, pad[n + 2 * h:2 * n + 2 * h + 1], pad[n - 2 * h:2 * n - 2 * h + 1])
+        best_b, best_s, best_i = 0, 1, None
+        for i, (sm, bg) in enumerate(zip(small, big)):
+            if not sm:
+                skipped += 1
+            elif bg * best_s > best_b * sm:
+                best_b, best_s, best_i = bg, sm, i
+        per_scale.append((best_b, best_s, best_i))
+    return per_scale, skipped
+
+
+def bracket_pass_oracle(oracle, xs, depth: int) -> tuple:
+    """The scan over bracketed balls centered at xs / unit, one ball at a
+    time in (k, x) order: scan_core skips a small ball without certified
+    mass, the per-scale maxima skip only one that certainly has none."""
+    unit = oracle.unit
+
+    def balls(k: int) -> list:
+        h = unit >> k
+        return [oracle.bracket(max(0, x - h), min(unit, x + h)) for x in xs]
+
+    up_n, up_d = 0, 1
+    lo_n, lo_d = 0, 1
+    witness = None
+    exact = True
+    skipped = 0
+    per_scale = []
+    big_row = balls(0)
+    for k in range(1, depth + 1):
+        row = balls(k)
+        best_n, best_d = 0, 1
+        for i, (((sl, sl_d), (su, su_d)), ((bl, bl_d), (bu, bu_d))) in enumerate(zip(row, big_row)):
+            if su:
+                rn, rd = bl * su_d, bl_d * su
+                if rn * best_d > best_n * rd:
+                    best_n, best_d = rn, rd
+            if not sl:
+                skipped += 1
+                continue
+            exact = exact and sl * su_d == su * sl_d and bl * bu_d == bu * bl_d
+            qn, qd = bu * sl_d, bu_d * sl
+            if qn * up_d > up_n * qd:
+                up_n, up_d = qn, qd
+            if rn * lo_d > lo_n * rd:
+                lo_n, lo_d, witness = rn, rd, (k, i)
+        per_scale.append((k, Fraction(best_n, best_d)))
+        big_row = row
+    c_lower = Fraction(lo_n, lo_d)
+    if witness is not None:
+        k, i = witness
+        witness = ScanWitness(x=Fraction(xs[i], unit), r=Fraction(1, 1 << k), ratio_lower=c_lower)
+    return Fraction(up_n, up_d), c_lower, witness, exact and not skipped, skipped, per_scale
+
+
+def scan_pass_oracle(m, depth: int) -> tuple:
+    """(c_upper, c_lower, witness or None, exact, notes, per-scale maxima)
+    by the per-ball passes: the grid pass where the cdf reaches depth + 1,
+    else the bracket pass."""
+    oracle = _MassOracle(m, depth)
+    if oracle.table is not None or oracle.shift:
+        *head, skipped, per_scale = bracket_pass_oracle(oracle, _scan_centers(m, depth, oracle.unit), depth)
+        return (*head, _skip_notes(skipped), per_scale)
+    rows, skipped = grid_pass_oracle(oracle.cdf, depth)
+    per_scale = []
+    c_lower = Fraction(0)
+    witness = None
+    for k, (big, small, i) in enumerate(rows, start=1):
+        ratio = Fraction(0) if i is None else Fraction(big, small)
+        per_scale.append((k, ratio))
+        if ratio > c_lower:
+            c_lower = ratio
+            witness = ScanWitness(x=Fraction(i, 1 << (depth + 1)), r=Fraction(1, 1 << k), ratio_lower=ratio)
+    return c_lower, c_lower, witness, not skipped, _skip_notes(skipped), per_scale
+
+
+def _skip_notes(skipped: int) -> list[str]:
+    return [f"skipped {skipped} pairs whose small ball had no certified mass"] if skipped else []
+
+
+def _below_fraction(p: tuple[int, int], q: tuple[int, int], f: Fraction) -> bool:
+    return p[0] * q[1] * f.denominator < q[0] * f.numerator * p[1]
+
+
+def verify_small_ball_fraction_oracle(m, c=None, s=None, count=1000, depth=10, seed=0, cases=None,
+                                      bits=DEFAULT_BITS, max_bits=4096) -> SmallBallResult:
+    """`verify_small_ball_bound` as it ran on Fraction case ends: the
+    center, radius and [0, 1] checks, the clipped ball ends, rho and the
+    factor keys as Fractions, each end mapped onto one prefix table by
+    `LeafPrefixes.bracket`."""
+    if (c is None) == (s is None):
+        raise PreconditionViolated("give exactly one of c or s")
+    if c is not None and Fraction(c) < 1:
+        raise PreconditionViolated("constant must be >= 1")
+    eval_depth = min(depth + 8, m.split_depth)
+    todo = list(cases) if cases else []
+    rng = random.Random(seed)
+    grid = 1 << depth
+    while len(todo) < count:
+        ia = rng.randrange(0, grid)
+        ib = rng.randrange(ia + 1, grid + 1)
+        a, b = Fraction(ia, grid), Fraction(ib, grid)
+        x = Fraction(rng.randrange(ia, ib + 1), grid)
+        todo.append(SmallBallCase(a, b, x, (b - a) / (1 << rng.randrange(1, 5))))
+    table = LeafPrefixes(m, eval_depth)
+    factors = {}
+    capped = f", capped at the split depth {m.split_depth}" if eval_depth < depth + 8 else ""
+    checked = 0
+    for case in todo:
+        if not (case.a_lo <= case.x <= case.a_hi):
+            raise PreconditionViolated("center must lie in the set")
+        if not 0 < case.r < case.a_hi - case.a_lo:
+            raise PreconditionViolated("radius must be in (0, diam A)")
+        if case.a_lo < 0 or case.a_hi > 1:
+            raise PreconditionViolated(f"interval [{case.a_lo}, {case.a_hi}] must sit inside [0, 1]")
+        mu_a = table.bracket(case.a_lo, case.a_hi)
+        mu_b = table.bracket(max(Fraction(0), case.x - case.r), min(Fraction(1), case.x + case.r))
+        rho = case.r / (case.a_hi - case.a_lo)
+        exact = None if s is None else _exact_rational_pow(rho / 2, Fraction(s))
+        cur = bits
+        while True:
+            if (rho, cur) not in factors:
+                factors[rho, cur] = rhs_bounds_oracle(rho, c, s, cur)
+            factor = factors[rho, cur]
+            if not _below_fraction(mu_b[0], mu_a[1], factor.hi):
+                break
+            if _below_fraction(mu_b[1], mu_a[0], factor.lo):
+                return SmallBallResult(holds=False, checked=checked + 1, counterexample=case,
+                                       margin=Fraction(*mu_a[0]) * factor.lo - Fraction(*mu_b[1]))
+            if exact is not None and not _below_fraction(mu_b[0], mu_a[1], exact):
+                break
+            if (_below_fraction(mu_b[0], mu_a[1], factor.lo)
+                    and not _below_fraction(mu_b[1], mu_a[0], factor.hi)):
+                (a_lo, a_up), (b_lo, b_up) = ([Fraction(*p) for p in mu] for mu in (mu_a, mu_b))
+                raise EnclosureInconclusive(
+                    f"cannot settle the case A=[{case.a_lo},{case.a_hi}], "
+                    f"x={case.x}, r={case.r} at any precision: "
+                    f"mu(A) in [{a_lo}, {a_up}], mu(B) in [{b_lo}, {b_up}] "
+                    f"at eval depth {eval_depth} (depth {depth} + 8{capped})"
+                )
+            if cur >= max_bits:
+                raise EnclosureInconclusive(
+                    f"cannot settle the case A=[{case.a_lo},{case.a_hi}], "
+                    f"x={case.x}, r={case.r} at {cur} bits"
+                )
+            cur *= 2
+        checked += 1
+    return SmallBallResult(holds=True, checked=checked)

@@ -288,6 +288,12 @@ class TestErrorContract:
               "--factor-scale", "1/2", "--t", "100000"], "PreconditionViolated"),
             (["certify", "thin", "--alpha", '{"kind":"constant","value":"1/4"}', "--s", "100000",
               "--c", "1", "--epsilon", "1/10"], "PreconditionViolated"),
+            # family specs whose terms are not a list, or whose integers are not integers
+            (["seq", "classify", "--family", '{"kind":"explicit","terms":5}'], "InvalidFamily"),
+            (["seq", "classify", "--family", '{"kind":"power","a":"1","gamma":null}'],
+             "PreconditionViolated"),
+            (["seq", "classify", "--family", '{"kind":"power","a":"1/2","gamma":2.5}'],
+             "PreconditionViolated"),
         ],
     )
     def test_one_json_line(self, capsys, argv, kind):
@@ -429,12 +435,40 @@ measure_specs = st.one_of(
     ),
 )
 
+# family specs of every kind, with their fields of any JSON type; integers
+# stay small, so that no drawn exponent or term count makes a call slow
+small_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=6,
+)
+family_values = st.one_of(unit_texts, small_values)
+FAMILY_FIELDS = {"geometric": ("a", "q"), "power": ("a", "gamma", "offset"), "logfloor": ("base",),
+                 "constant": ("value",), "explicit": ("terms",), "scaled": ("c", "inner")}
+family_specs = st.deferred(lambda: st.one_of(
+    small_values,
+    # each kind with its fields, any of them of a wrong type or left out
+    *(st.fixed_dictionaries({"kind": st.just(kind)}, optional={
+        name: family_specs if name == "inner" else
+        st.one_of(st.lists(family_values, max_size=4), small_values) if name == "terms" else
+        family_values
+        for name in names}) for kind, names in FAMILY_FIELDS.items()),
+    st.fixed_dictionaries({"kind": st.sampled_from(["", "dyadic"])}),
+))
+
 
 @st.composite
 def cli_calls(draw):
+    verb = draw(st.sampled_from(["mass", "grid", "scan", "classify", "fat", "build"]))
+    if verb in ("classify", "fat", "build"):
+        family = json.dumps(draw(family_specs))
+        if verb == "classify":
+            return ["seq", "classify", "--family", family]
+        if verb == "fat":
+            return ["certify", "fat", "--alpha", family]
+        return ["cantor", "build", "--beta", family, "--depth", str(draw(st.integers(0, 6)))]
     spec = json.dumps(draw(measure_specs))
     depth = str(draw(st.integers(0, 12)))
-    verb = draw(st.sampled_from(["mass", "grid", "scan"]))
     if verb == "mass":
         lo, hi = draw(rational_texts), draw(rational_texts)
         return ["measure", "mass", f"--measure={spec}", f"--lo={lo}", f"--hi={hi}", "--depth", depth]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from dmlab.errors import PreconditionViolated
+from dmlab.errors import DmlabError, PreconditionViolated
 from dmlab.experiments import EXPERIMENT_NAMES, EXPERIMENTS, read_options, run_experiment
 from dmlab.reports import dump_report
 
@@ -44,6 +44,15 @@ def test_logfloor_heavy_override_vanishes():
 def test_unknown_name_rejected():
     with pytest.raises(PreconditionViolated):
         run_experiment("free_lunch")
+
+
+def test_unknown_override_key_rejected():
+    """The library refuses an override its experiment does not read, with
+    the message the CLI gives for it."""
+    with pytest.raises(DmlabError) as info:
+        run_experiment("logfloor_removal", {"q": 1})
+    assert str(info.value) == ("example logfloor_removal reads no override 'q'; "
+                               "it reads: p, stages, deep_stage, threshold")
 
 
 class _ReadKeys(dict):

@@ -25,6 +25,7 @@ from dmlab.certify import ProductBracket, certify_fat_thick, product_bracket
 from dmlab.doubling import (
     SmallBallCase,
     _MassOracle,
+    _scan_pass,
     doubling_scan,
     fit_mass_window,
     fit_ratio_decay,
@@ -52,6 +53,7 @@ from dmlab.measure import (
     interval_mass,
     restrict,
 )
+from dmlab.ratio import first_max
 from dmlab.qs import DEFAULT_TAUS, QSMap, qs_ratio_scan
 from dmlab.reports import tag_product
 from dmlab.seq import Constant, ExplicitFinite, Geometric, LogFloor, Power, Scaled
@@ -74,8 +76,10 @@ from helpers import (
     qs_ratio_scan_oracle,
     restrict_oracle,
     scan_core_oracle,
+    scan_pass_oracle,
     tag_product_oracle,
     verify_small_ball_exact_oracle,
+    verify_small_ball_fraction_oracle,
     verify_small_ball_oracle,
 )
 
@@ -190,6 +194,53 @@ def test_cantor_scan_matches_oracle(case):
 def test_zero_measure_per_scale_matches_oracle():
     m = TreeMeasure(BinomialWeights(Fraction(1, 3)), total_mass=Fraction(0))
     _check_scan(m, 4)
+
+
+@st.composite
+def equal_share_tables(draw):
+    """A table of one share at every node (1/2 among them), as deep as the
+    scan, deeper, or shallower: ratios of different balls tie exactly."""
+    n = draw(st.integers(1, 8))
+    w = draw(st.one_of(st.just(Fraction(1, 2)), shares))
+    return TreeMeasure(TableWeights(tuple((w,) * (1 << k) for k in range(n))), total_mass=draw(totals))
+
+
+# shares within 1/1000 of 0 or 1: at depth 6 and more, balls of nearly
+# equal mass give ratios whose floats tie although they differ
+extreme_shares = st.integers(1000, 9999).flatmap(
+    lambda d: st.sampled_from([Fraction(1, d), Fraction(d - 1, d)]))
+# binomials (Lebesgue and extreme shares among them), equal-share tables and
+# Cantor-tree measures, whose balls in gaps and symmetric trees give exact ties
+row_pass_cases = st.one_of(
+    st.tuples(st.one_of(binomials(), st.just(TreeMeasure(BinomialWeights(Fraction(1, 2))))),
+              st.integers(1, 8)),
+    st.tuples(extreme_shares.map(lambda p: TreeMeasure(BinomialWeights(p))), st.integers(6, 9)),
+    st.tuples(equal_share_tables(), st.integers(1, 8)),
+    cantor_cases,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(row_pass_cases)
+@example((TreeMeasure(BinomialWeights(Fraction(1, 9999))), 8))
+@example((TreeMeasure(BinomialWeights(Fraction(9998, 9999))), 8))
+def test_row_pass_matches_per_ball_passes(case):
+    """The row pass with its float filter gives the values, witness,
+    exactness, skip count and per-scale maxima of the per-ball passes."""
+    m, depth = case
+    assert tuple(_scan_pass(m, depth)) == scan_pass_oracle(m, depth)
+
+
+def test_first_max_decides_float_ties_exactly():
+    """Entries whose floats tie are compared exactly: the later, larger one
+    wins, and of two equal ones the first; a zero denominator drops out, and
+    a ratio past the float range leaves the exact comparison to decide."""
+    big = 10 ** 40
+    assert first_max([big, big + 1, big + 1], [1, 1, 1]) == 1
+    assert first_max([1, 5, 5], [0, 1, 1]) == 1
+    assert first_max([1, 2], [0, 0]) is None
+    huge = 1 << 2000
+    assert first_max([huge, huge + 1, 3], [1, 1, 1]) == 1
 
 
 @settings(max_examples=20, deadline=None)
@@ -416,7 +467,7 @@ def test_cdf_row_brackets_match_leaf_prefixes(m, depth):
     integer pair lo <= hi over its unit."""
     oracle = _MassOracle(m, depth)
     cap = min(depth + 1, m.split_depth)
-    assert oracle.shift == depth + 1 - cap and oracle.grid == (oracle.shift == 0)
+    assert oracle.shift == depth + 1 - cap
     table = LeafPrefixes(m, cap, oracle.unit)
     scale, den = table.unit // oracle.unit, oracle.cdf_den
     for lo in range(oracle.unit + 1):
@@ -481,6 +532,21 @@ def test_small_ball_check_matches_oracle(case, count, seed, bits):
         m, s, count=count, depth=depth, seed=seed, cases=cases)
     assert (got.holds, got.checked, got.counterexample) == (holds, checked, counterexample)
     assert holds or margin_ok(got.margin)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_ball_cases(), st.integers(1, 25), st.integers(0, 9), st.sampled_from([1, 2, 4, 128]))
+@example((TreeMeasure(BinomialWeights(Fraction(1, 2))), None, Fraction(1, 2), 8, []), 25, 1, 2)
+@example((TreeMeasure(BinomialWeights(Fraction(1, 3))), Fraction(3), None, 4,
+          [SmallBallCase(Fraction(1, 3), Fraction(5, 7), Fraction(2, 5), Fraction(1, 9))]), 5, 0, 4)
+def test_small_ball_check_matches_fraction_ends(case, count, seed, bits):
+    """Cases on integer ends over one unit give the verdicts, counterexamples,
+    margins and refusals, with their messages, of the same check on
+    Fraction ends."""
+    m, c, s, depth, cases = case
+    kwargs = dict(c=c, s=s, count=count, depth=depth, seed=seed, cases=cases, bits=bits, max_bits=256)
+    assert (_outcome(lambda: verify_small_ball_bound(m, **kwargs))
+            == _outcome(lambda: verify_small_ball_fraction_oracle(m, **kwargs)))
 
 
 def test_small_ball_check_refuses_a_set_outside_the_unit_interval():
