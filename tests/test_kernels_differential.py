@@ -11,7 +11,10 @@ Fraction enclosures they replaced, and `iroot` the same roots as Newton's
 iteration. `certify_fat_thick` and `product_bracket` must give the same
 certificates, refusals and `tag_product` reports as the Fraction loops they
 replaced, and `ProductBracket`'s cross-multiplied checks the same answers as
-the Fraction comparisons of the type it replaced.
+the Fraction comparisons of the type it replaced. The row pass of
+`scan_core`, with its float filter `first_max`, must give the results of
+the per-ball passes it replaced, float ties included, and the small-ball
+check on integer ends those of the check on Fraction ends.
 """
 
 import random
