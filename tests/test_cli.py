@@ -515,7 +515,8 @@ def random_argv(draw):
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(cli_calls(), random_argv()))
 def test_error_contract_fuzz(argv):
-    """Any measure spec and depth, or any argv: exit 0, 1 or 2, and an error
+    """Any measure spec and depth, any family spec for --family, --alpha or
+    --beta, or any argv: exit 0, 1 or 2, and an error
     is exactly one JSON line on stderr (an uncaught exception fails the
     test)."""
     out, err = io.StringIO(), io.StringIO()
