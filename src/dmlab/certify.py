@@ -47,6 +47,7 @@ from .enclosure import (
     log2_bounds,
     pow_bounds,
     pow_end,
+    pow_pair,
     refine,
 )
 from .errors import (
@@ -572,9 +573,7 @@ def power_tail_upper(
     if n_from < 1:
         raise PreconditionViolated("tail start must be >= 1")
     cut = n_from + head
-    total = Fraction(0)
-    for m in range(n_from, cut):
-        total += pow_end(Fraction(m), -delta, True, bits)
+    total = Fraction(*_pair_sum(pow_pair(m, -delta, True, bits) for m in range(n_from, cut)))
     integral = pow_end(Fraction(cut - 1), 1 - delta, True, bits) / (delta - 1)
     return total + integral
 
@@ -585,10 +584,7 @@ def power_tail_lower(
     delta = Fraction(delta)
     if n_from < 1:
         raise PreconditionViolated("tail start must be >= 1")
-    total = Fraction(0)
-    for m in range(n_from, n_from + head):
-        total += pow_end(Fraction(m), -delta, False, bits)
-    return total
+    return Fraction(*_pair_sum(pow_pair(m, -delta, False, bits) for m in range(n_from, n_from + head)))
 
 
 def _tail_dominated(
@@ -745,9 +741,7 @@ def cutout_lower_bound(
     main_term = lam * pow_end(Fraction(n_balls), -(r * s), False)
 
     # sum of ball diameters^p: listed balls exactly, declared family beyond
-    cp_up = Fraction(0)
-    for ball in config.balls:
-        cp_up += pow_end(ball.diameter, p, True)
+    cp_up = Fraction(*_pair_sum(pow_pair(ball.diameter, p, True) for ball in config.balls))
     cp_up += tail_sum_upper(config.diam_family, p, len(config.balls))
 
     delta = t / p

@@ -44,7 +44,7 @@ from .measure import (
     TreeMeasure,
     dyadic_cdf_numerators,
 )
-from .ratio import first_max
+from .ratio import first_max, randbelow
 
 PERFECTNESS_GAP_CAP = Fraction(15, 16)
 
@@ -122,28 +122,27 @@ class _MassOracle:
         self.unit, self.bracket = self.table.unit, self.table.bracket_units
 
     def bracket(self, lo: int, hi: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        """`bracket_units` of mu([lo / unit, hi / unit]), 0 <= lo <= hi <= unit,
-        over the cdf's denominator (left out): lower from the ceiling of lo in
-        leaf widths to the floor of hi, upper from the floor of lo to the
-        ceiling of hi. On a tree the table's `bracket_units` stands in."""
-        s, cdf = self.shift, self.cdf
-        if not s:  # the exact grid: both ends are leaf edges
-            v = (cdf[hi] - cdf[lo], 1)
-            return v, v
-        a, b = -(-lo >> s), hi >> s
-        return (cdf[b] - cdf[a] if b > a else 0, 1), (cdf[-(-hi >> s)] - cdf[lo >> s], 1)
+        """One entry of `row`: the (lower, upper) masses of [lo / unit, hi /
+        unit], 0 <= lo <= hi <= unit, over the cdf's denominator (left out).
+        On a tree the table's `bracket_units` stands in."""
+        lo, hi = lo + self.unit, hi + self.unit
+        return (max(self.floor[hi] - self.ceil[lo], 0), 1), (self.ceil[hi] - self.floor[lo], 1)
 
-    def row(self, k: int, xs: range | list[int]) -> tuple:
+    def row(self, k: int, xs: range | list[int], lower: bool = True) -> tuple:
         """(lower, upper) of the balls of radius 2^-k around the centers xs /
-        unit as rows (numerators, denominators); on the dyadic base (centers
-        0..unit) strided differences of the padded cdf, denominators None."""
+        unit as rows (numerators, denominators); on the dyadic base (xs a
+        range) strided differences of the padded cdf, denominators None. Not
+        asked for, the lower row is None below the cdf's level."""
         n, h = self.unit, self.unit >> k
         if self.table is not None:
             return self.table.bracket_rows([x - h for x in xs], [x + h for x in xs])  # ends clip
-        lo, hi = slice(n - h, 2 * n - h + 1), slice(n + h, 2 * n + h + 1)
+        lo = slice(n + xs.start - h, n + xs.stop - h, xs.step)
+        hi = slice(lo.start + 2 * h, lo.stop + 2 * h, xs.step)
         upper = list(map(sub, self.ceil[hi], self.floor[lo])), None
         if not self.shift:
             return upper, upper
+        if not lower:
+            return None, upper
         return (list(map(max, map(sub, self.floor[hi], self.ceil[lo]), repeat(0))), None), upper
 
 
@@ -322,6 +321,25 @@ def _largest_within(bound, cap: Fraction, hi_k: int) -> int:
     return lo_k
 
 
+def _concentric_maxima(oracle: _MassOracle, depth: int) -> tuple[dict[int, tuple[int, int]], int]:
+    """(top, pairs): top[l] the first largest certified bound on mu(B(x, R / 2^l))
+    / mu(B(x, R)), an integer pair, over interior centers x = i / 2^j and radii
+    R = 2^-j, j = 1..depth-1; pairs counts the pairs whose big ball has certified
+    mass. Each (j, l) is one row: small balls' upper over big balls' lower masses."""
+    n, top, pairs = oracle.unit, {}, 0
+    for j in range(1, depth):
+        xs = range(n >> j, n, n >> j)
+        big = oracle.row(j, xs)[0]
+        held = len(xs) - big[0].count(0)
+        pairs += held * (depth - j + 1)
+        for l in range(depth - j + 1) if held else ():
+            rn, rd = _ratios(oracle.row(j + l, xs, lower=False)[1], big)
+            i = first_max(rn, rd)
+            if i is not None and rn[i] and (l not in top or rn[i] * top[l][1] > top[l][0] * rd[i]):
+                top[l] = rn[i], rd[i]
+    return top, pairs
+
+
 def fit_ratio_decay(
     m: TreeMeasure,
     depth: int,
@@ -343,36 +361,7 @@ def fit_ratio_decay(
         raise PreconditionViolated("lambda cap below 1 can never validate l = 0")
     _guard_tree_perfectness(m)
     oracle = _shared_oracle(m, depth) or _MassOracle(m, depth)
-
-    # Concentric pairs: center x = c / 2^(depth+1), radii R = 2^-j and R / 2^l,
-    # the balls' ends scaled to the oracle's unit.  Every ratio and bound is
-    # a pair of integers, compared by cross-multiplication.
-    n = 1 << (depth + 1)
-    step = oracle.unit // n
-    bracket = oracle.bracket
-
-    def ball(c: int, h: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        return bracket((c - h) * step, (c + h) * step)
-
-    # best certified ratio upper bound at each scale separation l
-    top: dict[int, tuple[int, int]] = {}
-    pairs = 0
-    for j in range(1, depth):
-        big_h = n >> j
-        for c in range(big_h, n, big_h):  # interior centers i / 2^j
-            bn, bd = ball(c, big_h)[0]
-            if not bn:
-                continue
-            pairs += depth - j + 1
-            for l in range(0, depth - j + 1):
-                sn, sd = ball(c, big_h >> l)[1]
-                num, den = sn * bd, sd * bn
-                cur = top.get(l)
-                if cur is None:
-                    if num:
-                        top[l] = (num, den)
-                elif num * cur[1] > cur[0] * den:
-                    top[l] = (num, den)
+    top, pairs = _concentric_maxima(oracle, depth)
     if not pairs:
         raise PreconditionViolated("no interior pair produced a certified ratio")
 
@@ -388,7 +377,8 @@ def fit_ratio_decay(
                 worst_n, worst_d = val_n, val_d
         return worst_n, worst_d
 
-    rng = random.Random(seed)
+    # holdout balls: center x = i / 2^(j+1), radii R = 2^-j and R / 2^l
+    n, bracket, getrandbits = oracle.unit, oracle.bracket, random.Random(seed).getrandbits
     rounds = 0
     holdout_seen = 0
     while True:
@@ -399,36 +389,32 @@ def fit_ratio_decay(
                 "no positive exponent validates at this Lambda cap"
             )
         lam_n, lam_d = lam_at(k)
+        factors = [exp2_64ths(l * k, bits)[1:] for l in range(depth)]
         failures: list[tuple[int, int, int]] = []
-        for _ in range(64):
-            j = rng.randrange(1, depth)
-            i = rng.randrange(0, 1 << j) * 2 + 1
-            if i < 2 or i + 2 > 2 << j:  # x = i / 2^(j+1) within 2^-j of an end
+        for _ in range(64):  # the draws of randrange(1, depth), randrange(0, 2^j), ...
+            j = randbelow(getrandbits, depth - 1) + 1
+            i = randbelow(getrandbits, 1 << j) * 2 + 1
+            if i < 2 or i + 2 > 2 << j:  # x within 2^-j of an end
                 continue
-            l = rng.randrange(0, depth - j + 1)
-            c, big_h = i << (depth - j), n >> j
-            bn, bd = ball(c, big_h)[0]
+            l = randbelow(getrandbits, depth - j + 1)
+            c, big_h = i * (n >> (j + 1)), n >> j
+            bn, bd = bracket(c - big_h, c + big_h)[0]
             if not bn:  # the big ball has no certified mass
                 continue
             holdout_seen += 1
             # the ratio's certified upper bound, rounded as the fit rounds, so
             # a pair never fails against the bound it itself defines
-            sn, sd = ball(c, big_h >> l)[1]
+            sn, sd = bracket(c - (big_h >> l), c + (big_h >> l))[1]
             num, den = sn * bd, sd * bn
-            _, g, g_den = exp2_64ths(l * k, bits)
+            g, g_den = factors[l]
             if num * g * lam_d > lam_n * den * g_den:
                 failures.append((i, j, l))
                 cur_n, cur_d = top.get(l, (0, 1))
                 if num * cur_d > cur_n * den:
                     top[l] = num, den
         if not failures:
-            return RatioDecayFit(
-                big_lam=Fraction(lam_n, lam_d),
-                t=k * T_STEP,
-                pairs_checked=pairs + holdout_seen,
-                holdout_size=holdout_seen,
-                rounds=rounds,
-            )
+            return RatioDecayFit(big_lam=Fraction(lam_n, lam_d), t=k * T_STEP,
+                                 pairs_checked=pairs + holdout_seen, holdout_size=holdout_seen, rounds=rounds)
         if rounds >= 4:
             raise PreconditionViolated(
                 f"holdout kept failing after {rounds} refit rounds"
@@ -564,19 +550,9 @@ def doubling_scan(
             except (PreconditionViolated, NotUniformlyPerfect) as exc:
                 notes = notes + [f"window fit unavailable: {exc}"]
     return DoublingReport(
-        c_upper=c_upper,
-        c_lower=c_lower,
-        witness=witness,
-        s_lower=s_lo,
-        s_upper=s_up,
-        window_lo=Fraction(1, 1 << depth),
-        window_hi=Fraction(1, 2),
-        depth=depth,
-        exact=exact,
-        ratio_decay=ratio_decay,
-        mass_window=window_fit,
-        notes=tuple(notes),
-        per_scale=tuple(per_scale),
+        c_upper=c_upper, c_lower=c_lower, witness=witness, s_lower=s_lo, s_upper=s_up,
+        window_lo=Fraction(1, 1 << depth), window_hi=Fraction(1, 2), depth=depth, exact=exact,
+        ratio_decay=ratio_decay, mass_window=window_fit, notes=tuple(notes), per_scale=tuple(per_scale),
     )
 
 
@@ -647,13 +623,14 @@ def verify_small_ball_bound(
     table = LeafPrefixes(m, eval_depth, lcm(16 << depth, *(f.denominator for e in ends for f in e)))
     unit = table.unit
     todo = [(case, *(f.numerator * (unit // f.denominator) for f in e)) for case, e in zip(given, ends)]
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     grid, step = 1 << depth, unit >> depth
-    while len(todo) < count:
-        ia = rng.randrange(0, grid)
-        ib = rng.randrange(ia + 1, grid + 1)
-        ix = rng.randrange(ia, ib + 1)
-        todo.append((None, ia * step, ib * step, ix * step, (ib - ia) * step >> rng.randrange(1, 5)))
+    while len(todo) < count:  # randrange(0, grid), randrange(ia + 1, grid + 1), ...
+        ia = randbelow(getrandbits, grid)
+        ib = ia + 1 + randbelow(getrandbits, grid - ia)
+        ix = ia + randbelow(getrandbits, ib - ia + 1)
+        r = (ib - ia) * step >> (1 + randbelow(getrandbits, 4))
+        todo.append((None, ia * step, ib * step, ix * step, r))
 
     def reported(case: SmallBallCase | None, *ends: int) -> SmallBallCase:  # built to be reported
         return case or SmallBallCase(*(Fraction(v, unit) for v in ends))

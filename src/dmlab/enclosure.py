@@ -6,7 +6,7 @@ and no floats enter any comparison.  `bits` (default 128) sets the width,
 never soundness: a floor pass stays <= the true value at every step and a
 ceil pass >= it.  Each end is computed on its own: a log2 end is an integer
 over 2^bits, an exp2 end an integer pair (numerator, power-of-two
-denominator), and `pow_end` computes only the log2 end and the exp2 end that
+denominator), and `pow_pair` computes only the log2 end and the exp2 end that
 one side of x^e needs.
 """
 
@@ -255,20 +255,26 @@ def pow_bounds(x: Fraction, e: Fraction | Bounds, bits: int = DEFAULT_BITS) -> B
     return Bounds(Fraction(*_exp2_end(*lo, bits, False)), Fraction(*_exp2_end(*hi, bits, True)))
 
 
-def pow_end(x: Fraction, e: Fraction, upper: bool, bits: int = DEFAULT_BITS) -> Fraction:
-    """pow_bounds(x, e, bits).hi when `upper`, else .lo, for a rational e;
-    only the one log2 end and the one exp2 end that side needs are computed."""
+def pow_pair(x: Fraction, e: Fraction, upper: bool, bits: int = DEFAULT_BITS) -> tuple[int, int]:
+    """pow_bounds(x, e, bits).hi when `upper`, else .lo, for a rational e, as
+    an integer pair (numerator, denominator), not always reduced; only the
+    one log2 end and the one exp2 end that side needs are computed."""
     x, e = Fraction(x), Fraction(e)
     if x <= 0:
         raise PreconditionViolated("pow_bounds needs a positive base")
     exact = _exact_rational_pow(x, e)
     if exact is not None:
-        return exact
-    if abs(e) * (x.numerator.bit_length() + x.denominator.bit_length()) >= 1 << 22:
+        return exact.as_integer_ratio()
+    if abs(e.numerator) * (x.numerator.bit_length() + x.denominator.bit_length()) >= e.denominator << 22:
         # the other end might leave the exponent range that pow_bounds checks
         b = pow_bounds(x, e, bits)
-        return b.hi if upper else b.lo
-    return Fraction(*_pow_end(x, e, upper, bits))
+        return (b.hi if upper else b.lo).as_integer_ratio()
+    return _pow_end(x, e, upper, bits)
+
+
+def pow_end(x: Fraction, e: Fraction, upper: bool, bits: int = DEFAULT_BITS) -> Fraction:
+    """`pow_pair` as a Fraction."""
+    return Fraction(*pow_pair(x, e, upper, bits))
 
 
 def exp_neg_upper(s: Fraction) -> Fraction:

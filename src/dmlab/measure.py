@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import accumulate, compress, count, repeat
 from math import gcd, lcm
-from operator import floordiv, mul, ne, neg, or_, sub
+from operator import add, floordiv, mul, ne, or_, sub
 from typing import Union
 
 from .errors import MisalignedTrees, PreconditionViolated, ZeroMassBall
@@ -254,11 +254,16 @@ class LeafPrefixes(dict):
         upper) of lists (numerators, denominators), each step mapped over
         whole lists; lower is computed apart only where its run differs,
         and is P(g) - P(g) where no leaf lies inside."""
-        s, ending_by, starting_before = repeat(self.step), self.ending_by, self.starting_before
-        lo_up, hi_up = (map(neg, map(floordiv, map(neg, qs), s)) for qs in (los, his))
-        f, e = list(map(ending_by, map(floordiv, los, s))), list(map(starting_before, hi_up))
-        g = list(map(starting_before, lo_up))
-        h = list(map(max, map(ending_by, map(floordiv, his, s)), g))
+        s = repeat(self.step)
+        lo_dn, hi_dn = (map(floordiv, qs, s) for qs in (los, his))
+        lo_up, hi_up = (map(floordiv, map(add, qs, repeat(self.step - 1)), s) for qs in (los, his))
+        if self.m.base is None:
+            f, e, g, h = (list(map(self.ending_by, qs)) for qs in (lo_dn, hi_up, lo_up, hi_dn))
+        else:  # bisect the level's edges, as ending_by and starting_before do
+            lows, highs = map(repeat, self.m.base.edges[self.cap][1:])
+            f, h = (list(map(bisect_right, highs, qs)) for qs in (lo_dn, hi_dn))
+            e, g = (list(map(bisect_left, lows, qs)) for qs in (hi_up, lo_up))
+        h = list(map(max, h, g))
         un, ud = self._mass_row(f, e)
         ln, ld = un[:], ud[:]
         inner = list(compress(count(), map(or_, map(ne, f, g), map(ne, e, h))))
@@ -352,8 +357,9 @@ def cutout_mass(
 def dyadic_cdf_numerators(m: TreeMeasure, depth: int) -> tuple[list[int], int]:
     """(F, den) with F[i] / den = mu([0, i/2^depth]) exactly, for dyadic-base
     measures: the cdf grid on one common denominator, so a ratio of two grid
-    masses is a ratio of two integers. Each level scales den by the lcm of
-    its share denominators."""
+    masses is a ratio of two integers. Each level scales den by the lcm b of
+    its share denominators: a node of mass M and left share a / b splits into
+    M * a and M * (b - a), interleaved; a binomial level is one pair (a, b)."""
     if m.base is not None:
         raise PreconditionViolated("exact cdf grid needs the dyadic base")
     if depth < 0:
@@ -363,17 +369,19 @@ def dyadic_cdf_numerators(m: TreeMeasure, depth: int) -> tuple[list[int], int]:
             f"grid depth {depth} exceeds the measure's split depth {m.split_depth}"
         )
     check_nodes(1 << depth)
-    den, masses = m.total_mass.denominator, [m.total_mass.numerator]
+    den, masses, w = m.total_mass.denominator, [m.total_mass.numerator], m.weights
     for level in range(depth):
-        shares = [m.weights.left_share(level, i) for i in range(len(masses))]
-        scale = lcm(*(w.denominator for w in shares))
-        nxt = []
-        for mass, w in zip(masses, shares):
-            left = mass * w.numerator * (scale // w.denominator)
-            nxt.append(left)
-            nxt.append(mass * scale - left)
+        if isinstance(w, BinomialWeights):
+            b, a = w.p.denominator, w.p.numerator
+            left, right = repeat(a), repeat(b - a)
+        else:  # depth <= split_depth: every level is in the table
+            b = lcm(*(share.denominator for share in w.levels[level]))
+            left = [share.numerator * (b // share.denominator) for share in w.levels[level]]
+            right = [b - a for a in left]
+        nxt = masses * 2
+        nxt[::2], nxt[1::2] = map(mul, masses, left), map(mul, masses, right)
         masses = nxt
-        den *= scale
+        den *= b
     return list(accumulate(masses, initial=0)), den
 
 

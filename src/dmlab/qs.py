@@ -23,7 +23,7 @@ from .measure import (
     dyadic_cdf_grid,
     dyadic_cdf_numerators,
 )
-from .ratio import first_max
+from .ratio import first_max, randbelow
 
 DEFAULT_TAUS = (
     Fraction(1, 4),
@@ -177,10 +177,10 @@ def qs_ratio_scan(
         )
 
     if random_triples:
-        rng = random.Random(seed)
+        getrandbits = random.Random(seed).getrandbits
         made = 0
         while made < random_triples:
-            j, jy, jz = (rng.randrange(size + 1) for _ in range(3))
+            j, jy, jz = (randbelow(getrandbits, size + 1) for _ in range(3))
             if j == jy or j == jz or jy == jz:
                 continue
             made += 1

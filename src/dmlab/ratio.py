@@ -43,7 +43,8 @@ def parse_integer(value: str | int) -> int:
 
 
 def first_max(nums: list[int], dens: list[int]) -> int | None:
-    """Index of the first largest nums[i] / dens[i] with dens[i] != 0, or None.
+    """Index of the first largest nums[i] / dens[i] with dens[i] != 0, or None,
+    for rows of integers >= 0.
 
     A float filter picks the candidates: int / int is correctly rounded and
     rounding is monotone, so the exact maximum, and every entry equal to it,
@@ -58,13 +59,25 @@ def first_max(nums: list[int], dens: list[int]) -> int | None:
     if top < 0:
         return None
     best = i = fl.index(top)
-    try:
-        while True:  # the other candidates, the entries whose float equals top, in order
-            i = fl.index(top, i + 1)
-            if nums[i] * dens[best] > nums[best] * dens[i]:
-                best = i
-    except ValueError:
+    ties = fl.count(top) - 1
+    # two ratios of terms below 2^25 that differ do so by more than two ulps,
+    # so on such a row tied floats are equal ratios
+    if not ties or max(nums) < 1 << 25 and max(dens) < 1 << 25:
         return best
+    for _ in range(ties):  # the other candidates, the entries whose float equals top, in order
+        i = fl.index(top, i + 1)
+        if nums[i] * dens[best] > nums[best] * dens[i]:
+            best = i
+    return best
+
+
+def randbelow(getrandbits, n: int) -> int:
+    """`random.Random.randrange(n)`, n >= 1, from the generator's `getrandbits`
+    as CPython draws it: n.bit_length() bits at a time until below n."""
+    r = getrandbits(k := n.bit_length())
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 def format_rational(x: Fraction) -> str:

@@ -30,7 +30,13 @@ ancestors.  At the very end come the per-ball scan passes that
 `scan_core` ran before it scanned whole rows (the exact-grid pass over the
 padded cdf and the bracket pass over `_MassOracle.bracket`, one ball at a
 time), and `verify_small_ball_bound` on Fraction case ends, from before it
-converted every case to integers over one unit.
+converted every case to integers over one unit.  After them come the
+per-ball concentric stage of `fit_ratio_decay`, from before it read whole
+cdf rows; `dyadic_cdf_numerators` with one `left_share` call per node, from
+before a level became one pair of list products; `first_max` as the exact
+loop its float filter stands in for; and `power_tail_upper`,
+`power_tail_lower` and `cutout_lower_bound` with their `Fraction`-sum loops,
+from before their tail and diameter sums became integer pairs.
 """
 
 from __future__ import annotations
@@ -1205,6 +1211,18 @@ def grid_pass_oracle(cdf: list[int], depth: int) -> tuple[list[tuple[int, int, i
     return per_scale, skipped
 
 
+def mass_oracle_bracket(oracle, lo: int, hi: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """`_MassOracle.bracket` as it read the cdf before it read the padded
+    floor and ceiling rows: lower from the ceiling of lo in leaf widths to
+    the floor of hi, upper from the floor of lo to the ceiling of hi; on a
+    tree the table's `bracket_units`."""
+    if oracle.table is not None:
+        return oracle.table.bracket_units(lo, hi)
+    s, cdf = oracle.shift, oracle.cdf
+    a, b = -(-lo >> s), hi >> s
+    return (cdf[b] - cdf[a] if b > a else 0, 1), (cdf[-(-hi >> s)] - cdf[lo >> s], 1)
+
+
 def bracket_pass_oracle(oracle, xs, depth: int) -> tuple:
     """The scan over bracketed balls centered at xs / unit, one ball at a
     time in (k, x) order: scan_core skips a small ball without certified
@@ -1213,7 +1231,7 @@ def bracket_pass_oracle(oracle, xs, depth: int) -> tuple:
 
     def balls(k: int) -> list:
         h = unit >> k
-        return [oracle.bracket(max(0, x - h), min(unit, x + h)) for x in xs]
+        return [mass_oracle_bracket(oracle, max(0, x - h), min(unit, x + h)) for x in xs]
 
     up_n, up_d = 0, 1
     lo_n, lo_d = 0, 1
@@ -1341,3 +1359,136 @@ def verify_small_ball_fraction_oracle(m, c=None, s=None, count=1000, depth=10, s
             cur *= 2
         checked += 1
     return SmallBallResult(holds=True, checked=checked)
+
+
+# --- the ratio-decay fit per ball, the cdf per node, the tail sums as Fractions
+
+from dmlab.certify import CutoutBound  # noqa: E402
+from dmlab.errors import ExponentWindowEmpty, GapTooSmall  # noqa: E402
+from dmlab.geom import largest_gap  # noqa: E402
+from dmlab.seq import Summability, classify_ellp, tail_sum_upper  # noqa: E402
+
+
+def concentric_maxima_oracle(oracle, depth: int) -> tuple[dict, int]:
+    """(top, pairs) of `fit_ratio_decay`'s concentric stage, one bracket
+    per ball: top[l] the first largest certified bound
+    on mu(B(x, R / 2^l)) / mu(B(x, R)) as an integer pair, pairs the count
+    of pairs whose big ball has certified mass."""
+    n = 1 << (depth + 1)
+    step = oracle.unit // n
+    top: dict[int, tuple[int, int]] = {}
+    pairs = 0
+    for j in range(1, depth):
+        big_h = n >> j
+        for c in range(big_h, n, big_h):  # interior centers i / 2^j
+            bn, bd = mass_oracle_bracket(oracle, (c - big_h) * step, (c + big_h) * step)[0]
+            if not bn:
+                continue
+            pairs += depth - j + 1
+            for l in range(0, depth - j + 1):
+                sn, sd = mass_oracle_bracket(oracle, (c - (big_h >> l)) * step, (c + (big_h >> l)) * step)[1]
+                num, den = sn * bd, sd * bn
+                cur = top.get(l)
+                if cur is None:
+                    if num:
+                        top[l] = (num, den)
+                elif num * cur[1] > cur[0] * den:
+                    top[l] = (num, den)
+    return top, pairs
+
+
+def dyadic_cdf_numerators_oracle(m, depth: int) -> tuple[list[int], int]:
+    """`dyadic_cdf_numerators` with one `left_share` call per node and the
+    right child as mass * scale - left."""
+    den, masses = m.total_mass.denominator, [m.total_mass.numerator]
+    for level in range(depth):
+        shares = [m.weights.left_share(level, i) for i in range(len(masses))]
+        scale = math.lcm(*(w.denominator for w in shares))
+        nxt = []
+        for mass, w in zip(masses, shares):
+            left = mass * w.numerator * (scale // w.denominator)
+            nxt.append(left)
+            nxt.append(mass * scale - left)
+        masses = nxt
+        den *= scale
+    out = [0]
+    for mass in masses:
+        out.append(out[-1] + mass)
+    return out, den
+
+
+def first_max_oracle(nums: list[int], dens: list[int]) -> int | None:
+    """The first index of the largest nums[i] / dens[i] over dens[i] != 0,
+    by exact comparison of every entry."""
+    best = None
+    for i, (n, d) in enumerate(zip(nums, dens)):
+        if d and (best is None or n * dens[best] > nums[best] * d):
+            best = i
+    return best
+
+
+def power_tail_upper_oracle(delta, n_from: int, bits: int = DEFAULT_BITS, head: int = 64) -> Fraction:
+    """`power_tail_upper` as a `Fraction` sum of pow_bounds' upper ends."""
+    delta = Fraction(delta)
+    if delta <= 1:
+        raise DivergentSeries("polynomial tail needs delta > 1")
+    if n_from < 1:
+        raise PreconditionViolated("tail start must be >= 1")
+    cut = n_from + head
+    total = Fraction(0)
+    for m in range(n_from, cut):
+        total += pow_bounds(Fraction(m), -delta, bits).hi
+    return total + pow_bounds(Fraction(cut - 1), 1 - delta, bits).hi / (delta - 1)
+
+
+def power_tail_lower_oracle(delta, n_from: int, bits: int = DEFAULT_BITS, head: int = 64) -> Fraction:
+    delta = Fraction(delta)
+    if n_from < 1:
+        raise PreconditionViolated("tail start must be >= 1")
+    total = Fraction(0)
+    for m in range(n_from, n_from + head):
+        total += pow_bounds(Fraction(m), -delta, bits).lo
+    return total
+
+
+def cutout_lower_bound_oracle(config, report, r, n_balls: int, p) -> CutoutBound:
+    """`cutout_lower_bound` with its diameter sum and tail head as
+    `Fraction` sums of pow_bounds' ends."""
+    r, p = Fraction(r), Fraction(p)
+    fit = report.mass_window
+    if fit is None:
+        raise PreconditionViolated("doubling report carries no mass-window fit")
+    lam, s, big_lam, t = fit.lam, fit.s, fit.big_lam, fit.t
+    if p <= 0 or r <= 0:
+        raise PreconditionViolated("need p > 0 and r > 0")
+    if n_balls < 1:
+        raise PreconditionViolated("need at least one removed ball")
+    if p * (r * s + 1) >= t:
+        raise ExponentWindowEmpty(f"p = {p} does not satisfy p * (r*s + 1) < t = {t}")
+    if config.diam_family is None:
+        raise PreconditionViolated("config must declare a diameter family")
+    if classify_ellp(config.diam_family, p) is not Summability.CONVERGES:
+        raise NotInEllT(f"diameter powers at exponent {p} are not summable")
+    gap, gap_diam = largest_gap(config, n_balls)
+
+    def attempt(b: int):
+        nb = pow_bounds(Fraction(n_balls), -r, b)
+        return True if gap_diam >= nb.hi else False if gap_diam < nb.lo else None
+
+    if not refine(attempt, max_bits=4096):
+        raise GapTooSmall(f"largest surviving gap {gap_diam} < {n_balls}^(-{r})")
+    main_term = lam * pow_bounds(Fraction(n_balls), -(r * s)).lo
+    cp_up = Fraction(0)
+    for ball in config.balls:
+        cp_up += pow_bounds(ball.diameter, p).hi
+    cp_up += tail_sum_upper(config.diam_family, p, len(config.balls))
+    delta = t / p
+    tail_up = power_tail_upper_oracle(delta, n_balls)
+    penalty = pow_bounds(cp_up, delta).hi * big_lam * tail_up
+    value = main_term - penalty
+    return CutoutBound(
+        value=value, conclusion=Conclusion.POSITIVE if value > 0 else Conclusion.INCONCLUSIVE,
+        main_term=main_term, penalty=penalty, lam=lam, s=s, big_lam=big_lam, t=t, p=p, r=r,
+        n_balls=n_balls, diam_power_sum_upper=cp_up, tail_upper=tail_up, gap=gap,
+        gap_diameter=gap_diam,
+    )

@@ -14,9 +14,14 @@ replaced, and `ProductBracket`'s cross-multiplied checks the same answers as
 the Fraction comparisons of the type it replaced. The row pass of
 `scan_core`, with its float filter `first_max`, must give the results of
 the per-ball passes it replaced, float ties included, and the small-ball
-check on integer ends those of the check on Fraction ends.
+check on integer ends those of the check on Fraction ends. The ratio-decay
+fit's concentric rows must give the maxima of its per-ball stage, the
+level-wise cdf the numerators of the per-node loop, `randbelow` the draws of
+`randrange`, and `power_tail_upper`, `power_tail_lower` and
+`cutout_lower_bound` the values of their `Fraction`-sum loops.
 """
 
+import functools
 import random
 from fractions import Fraction
 from math import isqrt
@@ -24,10 +29,18 @@ from math import isqrt
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dmlab.certify import ProductBracket, certify_fat_thick, product_bracket
+from dmlab.certify import (
+    ProductBracket,
+    certify_fat_thick,
+    cutout_lower_bound,
+    power_tail_lower,
+    power_tail_upper,
+    product_bracket,
+)
 from dmlab.doubling import (
     SmallBallCase,
     _MassOracle,
+    _concentric_maxima,
     _scan_pass,
     doubling_scan,
     fit_mass_window,
@@ -43,6 +56,7 @@ from dmlab.geom import (
     RationalInterval,
     build_cantor,
     closed,
+    nested_cutout,
     remaining_set,
     thick_from_cantor,
 )
@@ -53,10 +67,11 @@ from dmlab.measure import (
     TableWeights,
     TreeMeasure,
     cutout_mass,
+    dyadic_cdf_numerators,
     interval_mass,
     restrict,
 )
-from dmlab.ratio import first_max
+from dmlab.ratio import first_max, randbelow
 from dmlab.qs import DEFAULT_TAUS, QSMap, qs_ratio_scan
 from dmlab.reports import tag_product
 from dmlab.seq import Constant, ExplicitFinite, Geometric, LogFloor, Power, Scaled
@@ -64,7 +79,11 @@ from dmlab.seq import Constant, ExplicitFinite, Geometric, LogFloor, Power, Scal
 from helpers import (
     ProductBracketOracle,
     build_cantor_oracle,
+    cdf_grid_oracle,
     certify_fat_thick_oracle,
+    concentric_maxima_oracle,
+    cutout_lower_bound_oracle,
+    dyadic_cdf_numerators_oracle,
     exp2_bounds_oracle,
     iroot_newton_oracle,
     product_bracket_oracle,
@@ -72,10 +91,14 @@ from helpers import (
     pow_bounds_oracle,
     doubling_scan_oracle,
     fit_mass_window_oracle,
+    first_max_oracle,
     fit_ratio_decay_oracle,
     interval_mass_recursive_oracle,
     leaf_prefix_oracle,
+    mass_oracle_bracket,
     per_scale_oracle,
+    power_tail_lower_oracle,
+    power_tail_upper_oracle,
     qs_ratio_scan_oracle,
     restrict_oracle,
     scan_core_oracle,
@@ -234,6 +257,40 @@ def test_row_pass_matches_per_ball_passes(case):
     assert tuple(_scan_pass(m, depth)) == scan_pass_oracle(m, depth)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(row_pass_cases, shallow_table_cases))
+@example((TreeMeasure(BinomialWeights(Fraction(1, 2))), 8))
+def test_concentric_rows_match_per_ball_stage(case):
+    """The ratio-decay fit's concentric stage in rows gives the per-l first
+    maxima and the pair count of the per-ball stage, and the oracle's
+    single-ball bracket, read from the padded rows, that of the cdf read by
+    shifts."""
+    m, depth = case
+    oracle = _MassOracle(m, depth)
+    (top, pairs), (want_top, want_pairs) = (f(oracle, depth) for f in (_concentric_maxima, concentric_maxima_oracle))
+    assert pairs == want_pairs
+    assert {l: Fraction(*v) for l, v in top.items()} == {l: Fraction(*v) for l, v in want_top.items()}
+    unit = oracle.unit
+    step = unit // 8 + 1
+    for lo in range(0, unit + 1, step):
+        for hi in range(lo, unit + 1, step // 2 + 1):
+            assert oracle.bracket(lo, hi) == mass_oracle_bracket(oracle, lo, hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(binomials(), st.just(TreeMeasure(BinomialWeights(Fraction(1, 2)))), tables(st.integers(1, 9)),
+                 equal_share_tables()),
+       st.integers(0, 9))
+def test_cdf_levels_match_per_node_loop(m, depth):
+    """A binomial level as one pair of list products and a table level from
+    its stored shares give the numerators and denominator of one left_share
+    per node, and the cdf of rational splitting."""
+    depth = min(depth, m.split_depth)
+    nums, den = dyadic_cdf_numerators(m, depth)
+    assert (nums, den) == dyadic_cdf_numerators_oracle(m, depth)
+    assert [Fraction(n, den) for n in nums] == cdf_grid_oracle(m, depth)
+
+
 def test_first_max_decides_float_ties_exactly():
     """Entries whose floats tie are compared exactly: the later, larger one
     wins, and of two equal ones the first; a zero denominator drops out, and
@@ -246,9 +303,61 @@ def test_first_max_decides_float_ties_exactly():
     assert first_max([huge, huge + 1, 3], [1, 1, 1]) == 1
 
 
-@settings(max_examples=20, deadline=None)
+@st.composite
+def max_rows(draw):
+    """Rows for `first_max`: small integers with many exact ties (1/2 = 2/4)
+    and zero denominators; ratios near 1 with terms from 2^25 to 2^28, where
+    (n + 2) / (n + 1) and (n + 1) / n get equal floats though they differ;
+    and terms on both sides of 2^25, the bound of the tied-row shortcut."""
+    small = st.integers(0, 6)
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        entries = st.tuples(small, small)
+    elif kind == 1:
+        n = draw(st.integers(1 << 25, 1 << 28))
+        entries = st.one_of(st.sampled_from([(n + 1, n), (n + 2, n + 1), (n + 3, n + 2), (n, n)]),
+                            st.tuples(small, st.integers(1, 6)))
+    else:
+        near = st.integers((1 << 25) - 3, (1 << 25) + 3)
+        entries = st.one_of(st.tuples(near, near), st.tuples(small, small))
+    pairs = draw(st.lists(entries, min_size=1, max_size=12))
+    return [n for n, _ in pairs], [d for _, d in pairs]
+
+
+@settings(max_examples=400, deadline=None)
+@given(max_rows())
+@example(([(1 << 27) + 2, (1 << 27) + 1], [(1 << 27) + 1, 1 << 27]))
+@example(([(1 << 25) - 1, (1 << 25) - 2, 2], [(1 << 25) - 2, (1 << 25) - 3, 2]))
+@example(([0, 0, 1, 2, 3], [0, 5, 2, 4, 6]))
+def test_first_max_matches_exact_loop(row):
+    """The float filter, with its shortcut on tied rows of terms below 2^25,
+    picks the first exact maximum."""
+    nums, dens = row
+    assert first_max(nums, dens) == first_max_oracle(nums, dens)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.lists(st.one_of(st.integers(1, 70), st.integers(1, 1 << 20)), min_size=1,
+                                       max_size=40))
+@example(0, [1, 2, 3, 4, 5, 64, 65, 1 << 20, (1 << 20) + 1])
+def test_randbelow_draws_as_randrange(seed, bounds):
+    """Every randrange(a, a + n) the library draws is a + randbelow(n) on
+    the same stream, which stays in step: the holdout's randrange(1, depth),
+    randrange(0, 2^j) and randrange(0, depth - j + 1), the small-ball
+    sampling's randrange(0, grid), randrange(ia + 1, grid + 1),
+    randrange(ia, ib + 1) and randrange(1, 5), and the qs triples'
+    randrange(size + 1)."""
+    ref, rng = random.Random(seed), random.Random(seed)
+    for i, n in enumerate(bounds):
+        a = i % 3
+        assert ref.randrange(a, a + n) == a + randbelow(rng.getrandbits, n)
+    assert ref.getrandbits(64) == rng.getrandbits(64)
+
+
+@settings(max_examples=30, deadline=None)
 @given(
-    st.one_of(grid_cases(min_depth=2), shallow_table_cases.filter(lambda case: case[1] >= 2)),
+    st.one_of(grid_cases(min_depth=2), shallow_table_cases.filter(lambda case: case[1] >= 2),
+              cantor_cases.filter(lambda case: case[1] >= 2)),
     st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(4)]),
     st.sampled_from([64, 128, 256]),
     st.integers(0, 3),
@@ -256,8 +365,9 @@ def test_first_max_decides_float_ties_exactly():
 # Lebesgue measure meets the cap exactly (t = 1 with Lambda = 1)
 @example((TreeMeasure(BinomialWeights(Fraction(1, 2))), 5), Fraction(1), 128, 0)
 def test_fits_match_oracle(case, lambda_cap, bits, seed):
-    """Both fits on the exact grid and on shallow tables, alone and inside
-    doubling_scan, which runs them over its scan's oracle."""
+    """Both fits on the exact grid, on tables scanned below their last
+    level and on construction trees, alone and inside doubling_scan, which
+    runs them over its scan's oracle."""
     m, depth = case
     expected = doubling_scan_oracle(m, depth, lambda_cap, seed, bits)
     assert doubling_scan(m, depth, lambda_cap=lambda_cap, seed=seed, bits=bits) == expected
@@ -729,6 +839,40 @@ def test_certify_fat_thick_matches_oracle(alpha, t, scale, max_terms, bits):
 def test_product_bracket_matches_oracle(x, n_partial, lookahead):
     assert _outcome(lambda: _values(product_bracket(x, n_partial, lookahead=lookahead), tag_product)) == _outcome(
         lambda: _values(product_bracket_oracle(x, n_partial, lookahead=lookahead), tag_product_oracle))
+
+
+# integer and fractional delta, exact roots among the fractional terms
+# (4^(-3/2) = 1/8) beside dyadic ends
+tail_deltas = st.one_of(st.integers(2, 5).map(Fraction),
+                        st.builds(Fraction, st.integers(5, 40), st.integers(2, 9)).filter(lambda d: d > 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(tail_deltas, st.integers(1, 3000), st.sampled_from([64, 128]))
+@example(Fraction(3, 2), 4, 128)
+@example(Fraction(2), 1, 128)
+def test_power_tails_match_fraction_sums(delta, n_from, bits):
+    assert power_tail_upper(delta, n_from, bits) == power_tail_upper_oracle(delta, n_from, bits)
+    assert power_tail_lower(delta, n_from, bits) == power_tail_lower_oracle(delta, n_from, bits)
+
+
+@functools.cache
+def _cutout_scan(p: Fraction, depth: int):
+    return doubling_scan(TreeMeasure(BinomialWeights(p)), depth)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([F(1, 2), F(31, 64), F(1, 3)]), st.integers(4, 6), st.integers(8, 64), st.integers(1, 64),
+       st.sampled_from([F(1, 4), F(1, 3), F(1, 2)]), st.sampled_from([F(1, 8), F(1, 4), F(1, 2), F(1)]))
+@example(F(1, 2), 6, 64, 18, F(1, 4), F(1))
+@example(F(31, 64), 5, 8, 8, F(1, 3), F(1, 4))
+def test_cutout_lower_bound_matches_fraction_sums(mu_p, depth, count, n_balls, p, r):
+    """Nested balls [0, 2^-i], i = 1..count, removed from binomial measures:
+    t / p is an integer (t = 1) or not, and the listed diameters' powers are
+    exact (2^-4i at p = 1/4) or dyadic ends."""
+    config, report, n_balls = nested_cutout(count), _cutout_scan(mu_p, depth), min(n_balls, count)
+    assert _outcome(lambda: cutout_lower_bound(config, report, r, n_balls, p)) == _outcome(
+        lambda: cutout_lower_bound_oracle(config, report, r, n_balls, p))
 
 
 @st.composite
