@@ -122,11 +122,16 @@ class _MassOracle:
         self.unit, self.bracket = self.table.unit, self.table.bracket_units
 
     def bracket(self, lo: int, hi: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        """One entry of `row`: the (lower, upper) masses of [lo / unit, hi /
-        unit], 0 <= lo <= hi <= unit, over the cdf's denominator (left out).
-        On a tree the table's `bracket_units` stands in."""
-        lo, hi = lo + self.unit, hi + self.unit
-        return (max(self.floor[hi] - self.ceil[lo], 0), 1), (self.ceil[hi] - self.floor[lo], 1)
+        """`bracket_units` of mu([lo / unit, hi / unit]), 0 <= lo <= hi <= unit,
+        over the cdf's denominator (left out): lower from the ceiling of lo in
+        leaf widths to the floor of hi, upper from the floor of lo to the
+        ceiling of hi. On a tree the table's `bracket_units` stands in."""
+        s, cdf = self.shift, self.cdf
+        if not s:  # the exact grid: both ends are leaf edges
+            v = (cdf[hi] - cdf[lo], 1)
+            return v, v
+        a, b = -(-lo >> s), hi >> s
+        return (cdf[b] - cdf[a] if b > a else 0, 1), (cdf[-(-hi >> s)] - cdf[lo >> s], 1)
 
     def row(self, k: int, xs: range | list[int], lower: bool = True) -> tuple:
         """(lower, upper) of the balls of radius 2^-k around the centers xs /
@@ -365,8 +370,6 @@ def fit_ratio_decay(
     if not pairs:
         raise PreconditionViolated("no interior pair produced a certified ratio")
 
-    grid_max = int(4 / T_STEP)
-
     def lam_at(t_steps: int) -> tuple[int, int]:
         """max over l of top[l] * 2^(l * t_steps / 64), rounded up."""
         worst_n, worst_d = 0, 1
@@ -383,7 +386,7 @@ def fit_ratio_decay(
     holdout_seen = 0
     while True:
         rounds += 1
-        k = _largest_within(lam_at, lambda_cap, grid_max)
+        k = _largest_within(lam_at, lambda_cap, 4 * 64)  # t <= 4
         if k == 0:
             raise PreconditionViolated(
                 "no positive exponent validates at this Lambda cap"

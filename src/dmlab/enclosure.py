@@ -256,9 +256,8 @@ def pow_bounds(x: Fraction, e: Fraction | Bounds, bits: int = DEFAULT_BITS) -> B
 
 
 def pow_pair(x: Fraction, e: Fraction, upper: bool, bits: int = DEFAULT_BITS) -> tuple[int, int]:
-    """pow_bounds(x, e, bits).hi when `upper`, else .lo, for a rational e, as
-    an integer pair (numerator, denominator), not always reduced; only the
-    one log2 end and the one exp2 end that side needs are computed."""
+    """pow_bounds(x, e, bits).hi when `upper`, else .lo, for a rational e, as an integer
+    pair, not always reduced; only the log2 end and the exp2 end that side needs are computed."""
     x, e = Fraction(x), Fraction(e)
     if x <= 0:
         raise PreconditionViolated("pow_bounds needs a positive base")

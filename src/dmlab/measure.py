@@ -357,9 +357,8 @@ def cutout_mass(
 def dyadic_cdf_numerators(m: TreeMeasure, depth: int) -> tuple[list[int], int]:
     """(F, den) with F[i] / den = mu([0, i/2^depth]) exactly, for dyadic-base
     measures: the cdf grid on one common denominator, so a ratio of two grid
-    masses is a ratio of two integers. Each level scales den by the lcm b of
-    its share denominators: a node of mass M and left share a / b splits into
-    M * a and M * (b - a), interleaved; a binomial level is one pair (a, b)."""
+    masses is a ratio of two integers. Each level scales den by the lcm b of its
+    share denominators: mass M, left share a / b, splits into M * a and M * (b - a)."""
     if m.base is not None:
         raise PreconditionViolated("exact cdf grid needs the dyadic base")
     if depth < 0:

@@ -1211,18 +1211,6 @@ def grid_pass_oracle(cdf: list[int], depth: int) -> tuple[list[tuple[int, int, i
     return per_scale, skipped
 
 
-def mass_oracle_bracket(oracle, lo: int, hi: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """`_MassOracle.bracket` as it read the cdf before it read the padded
-    floor and ceiling rows: lower from the ceiling of lo in leaf widths to
-    the floor of hi, upper from the floor of lo to the ceiling of hi; on a
-    tree the table's `bracket_units`."""
-    if oracle.table is not None:
-        return oracle.table.bracket_units(lo, hi)
-    s, cdf = oracle.shift, oracle.cdf
-    a, b = -(-lo >> s), hi >> s
-    return (cdf[b] - cdf[a] if b > a else 0, 1), (cdf[-(-hi >> s)] - cdf[lo >> s], 1)
-
-
 def bracket_pass_oracle(oracle, xs, depth: int) -> tuple:
     """The scan over bracketed balls centered at xs / unit, one ball at a
     time in (k, x) order: scan_core skips a small ball without certified
@@ -1231,7 +1219,7 @@ def bracket_pass_oracle(oracle, xs, depth: int) -> tuple:
 
     def balls(k: int) -> list:
         h = unit >> k
-        return [mass_oracle_bracket(oracle, max(0, x - h), min(unit, x + h)) for x in xs]
+        return [oracle.bracket(max(0, x - h), min(unit, x + h)) for x in xs]
 
     up_n, up_d = 0, 1
     lo_n, lo_d = 0, 1
@@ -1370,8 +1358,8 @@ from dmlab.seq import Summability, classify_ellp, tail_sum_upper  # noqa: E402
 
 
 def concentric_maxima_oracle(oracle, depth: int) -> tuple[dict, int]:
-    """(top, pairs) of `fit_ratio_decay`'s concentric stage, one bracket
-    per ball: top[l] the first largest certified bound
+    """(top, pairs) of `fit_ratio_decay`'s concentric stage, one
+    `_MassOracle.bracket` per ball: top[l] the first largest certified bound
     on mu(B(x, R / 2^l)) / mu(B(x, R)) as an integer pair, pairs the count
     of pairs whose big ball has certified mass."""
     n = 1 << (depth + 1)
@@ -1381,12 +1369,12 @@ def concentric_maxima_oracle(oracle, depth: int) -> tuple[dict, int]:
     for j in range(1, depth):
         big_h = n >> j
         for c in range(big_h, n, big_h):  # interior centers i / 2^j
-            bn, bd = mass_oracle_bracket(oracle, (c - big_h) * step, (c + big_h) * step)[0]
+            bn, bd = oracle.bracket((c - big_h) * step, (c + big_h) * step)[0]
             if not bn:
                 continue
             pairs += depth - j + 1
             for l in range(0, depth - j + 1):
-                sn, sd = mass_oracle_bracket(oracle, (c - (big_h >> l)) * step, (c + (big_h >> l)) * step)[1]
+                sn, sd = oracle.bracket((c - (big_h >> l)) * step, (c + (big_h >> l)) * step)[1]
                 num, den = sn * bd, sd * bn
                 cur = top.get(l)
                 if cur is None:

@@ -25,7 +25,7 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "dmlab"
-SOURCE_LINE_BUDGET = 5015
+SOURCE_LINE_BUDGET = 5016
 
 
 def _trees(*dirs: str):

@@ -95,7 +95,6 @@ from helpers import (
     fit_ratio_decay_oracle,
     interval_mass_recursive_oracle,
     leaf_prefix_oracle,
-    mass_oracle_bracket,
     per_scale_oracle,
     power_tail_lower_oracle,
     power_tail_upper_oracle,
@@ -262,19 +261,12 @@ def test_row_pass_matches_per_ball_passes(case):
 @example((TreeMeasure(BinomialWeights(Fraction(1, 2))), 8))
 def test_concentric_rows_match_per_ball_stage(case):
     """The ratio-decay fit's concentric stage in rows gives the per-l first
-    maxima and the pair count of the per-ball stage, and the oracle's
-    single-ball bracket, read from the padded rows, that of the cdf read by
-    shifts."""
+    maxima and the pair count of the per-ball stage."""
     m, depth = case
     oracle = _MassOracle(m, depth)
     (top, pairs), (want_top, want_pairs) = (f(oracle, depth) for f in (_concentric_maxima, concentric_maxima_oracle))
     assert pairs == want_pairs
     assert {l: Fraction(*v) for l, v in top.items()} == {l: Fraction(*v) for l, v in want_top.items()}
-    unit = oracle.unit
-    step = unit // 8 + 1
-    for lo in range(0, unit + 1, step):
-        for hi in range(lo, unit + 1, step // 2 + 1):
-            assert oracle.bracket(lo, hi) == mass_oracle_bracket(oracle, lo, hi)
 
 
 @settings(max_examples=60, deadline=None)
