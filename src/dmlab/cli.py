@@ -224,7 +224,6 @@ def _cmd_certify_cutout(options, seed):
     scan = doubling.doubling_scan(m, options["scan-depth"], seed=seed)
     cfg = geom.nested_cutout(options["n-total"])
     bound = certify.cutout_lower_bound(cfg, scan, r, n_balls, p)
-    window = (scan.window_lo, scan.window_hi)
     return {
         "command": "certify cutout",
         "measure": measure.measure_to_spec(m),
@@ -232,9 +231,9 @@ def _cmd_certify_cutout(options, seed):
         "r": reports.rat_str(r),
         "p": reports.rat_str(p),
         "conclusion": bound.conclusion.name,
-        "value": reports.tag_window(bound.value, window),
-        "main_term": reports.tag_window(bound.main_term, window),
-        "penalty": reports.tag_window(bound.penalty, window),
+        "value": reports.tag_window(bound.value, scan.window),
+        "main_term": reports.tag_window(bound.main_term, scan.window),
+        "penalty": reports.tag_window(bound.penalty, scan.window),
         "gap": [reports.rat_str(bound.gap.lo), reports.rat_str(bound.gap.hi)],
         "doubling": reports.doubling_report_payload(scan),
     }, ("pass" if bound.conclusion is certify.Conclusion.POSITIVE else "inconclusive")

@@ -12,14 +12,12 @@ hold, certifies a counterexample, or raises after exhausting precision.
 from __future__ import annotations
 
 import random
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import ceil, gcd, lcm
 from operator import mul, sub
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .enclosure import (
     DEFAULT_BITS,
@@ -81,14 +79,17 @@ class DoublingReport:
     witness: ScanWitness
     s_lower: Fraction
     s_upper: Fraction
-    window_lo: Fraction
-    window_hi: Fraction
     depth: int
     exact: bool
     ratio_decay: RatioDecayFit | None = None
     mass_window: MassWindowFit | None = None
     notes: tuple[str, ...] = ()
     per_scale: tuple[tuple[int, Fraction], ...] = ()  # scan_core's per-scale maxima
+
+    @property
+    def window(self) -> tuple[Fraction, Fraction]:
+        """The scanned radii, 2^-depth to 1/2, on which the constants hold."""
+        return Fraction(1, 1 << self.depth), Fraction(1, 2)
 
 
 class _MassOracle:
@@ -151,50 +152,6 @@ class _MassOracle:
         return (list(map(max, map(sub, self.floor[hi], self.ceil[lo]), repeat(0))), None), upper
 
 
-class _ScanShare:
-    """What one doubling_scan shares with the scan and fits it runs: the
-    ball oracle of (m, depth), built by the first pass that asks for it,
-    and the upper log2 end of c_upper (log2_bounds(c_upper, bits).hi, computed
-    alone), which gives both s_upper and the window fit's s."""
-
-    def __init__(self, m: TreeMeasure, depth: int):
-        self.m, self.depth = m, depth
-        self.oracle: _MassOracle | None = None
-        self.log2_hi: dict[tuple[Fraction, int], Fraction] = {}
-
-
-# a context variable, so the public passes keep their signatures
-_SHARE: ContextVar[_ScanShare | None] = ContextVar("scan_share", default=None)
-
-
-@contextmanager
-def _sharing(m: TreeMeasure, depth: int) -> Iterator[None]:
-    token = _SHARE.set(_ScanShare(m, depth))
-    try:
-        yield
-    finally:
-        _SHARE.reset(token)
-
-
-def _shared_oracle(m: TreeMeasure, depth: int) -> _MassOracle | None:
-    """doubling_scan's ball oracle of (m, depth), built by the first pass
-    that asks for it; None outside doubling_scan."""
-    share = _SHARE.get()
-    if share is None or share.m is not m or share.depth != depth:
-        return None
-    if share.oracle is None:
-        share.oracle = _MassOracle(m, depth)
-    return share.oracle
-
-
-def _log2_hi(x: Fraction, bits: int) -> Fraction:
-    share = _SHARE.get()
-    memo = {} if share is None else share.log2_hi
-    if (x, bits) not in memo:
-        memo[x, bits] = Fraction(_log2_end(x, bits, True), 1 << bits)
-    return memo[x, bits]
-
-
 def _scan_centers(m: TreeMeasure, depth: int, unit: int) -> range | list[int]:
     """The scan's centers as integers over the oracle's unit: i / 2^(depth+1)
     on the dyadic base, else the ends and midpoints of the tree's nodes at
@@ -227,14 +184,13 @@ def _ratios(a: tuple, b: tuple) -> tuple[list[int], list[int]]:
     return list(map(mul, an, bd)), list(map(mul, ad, bn))
 
 
-def _scan_pass(m: TreeMeasure, depth: int) -> ScanResult:
-    """`scan_core` in whole rows (witness None if no ratio is certified): the
-    row of scale k holds every center's small ball, the row before it the
-    doubled balls. scan_core skips a small ball without certified mass, the
-    per-scale maxima only one that certainly has none. A row's first maximum
-    replaces the best so far only when strictly greater, so the witness is
-    the first (k, center) in scan order."""
-    oracle = _shared_oracle(m, depth) or _MassOracle(m, depth)
+def _scan_pass(m: TreeMeasure, depth: int, oracle: _MassOracle) -> ScanResult:
+    """`scan_core` in whole rows on the ball oracle of (m, depth), witness None
+    if no ratio is certified: the row of scale k holds every center's small
+    ball, the row before it the doubled balls. scan_core skips a small ball
+    without certified mass, the per-scale maxima only one that certainly has
+    none. A row's first maximum replaces the best so far only when strictly
+    greater, so the witness is the first (k, center) in scan order."""
     xs = _scan_centers(m, depth, oracle.unit)
     up_n, up_d = 0, 1  # c_upper
     lo_n, lo_d = 0, 1  # c_lower
@@ -273,14 +229,20 @@ def scan_core(m: TreeMeasure, depth: int) -> ScanResult:
     """Certified doubling-ratio bounds over the grid of centers and radii
     2^-k, k = 1..depth, comparing each ball with its doubled ball; the same
     pass yields the per-scale maxima of `per_scale_max_ratios`."""
+    return _scan_core(m, depth)[0]
+
+
+def _scan_core(m: TreeMeasure, depth: int) -> tuple[ScanResult, _MassOracle]:
+    """`scan_core` and the ball oracle it builds after its checks."""
     if depth < 1:
         raise PreconditionViolated("scan needs depth >= 1")
     if m.total_mass == 0:
         raise ZeroMassBall("the zero measure has no doubling ratios")
-    res = _scan_pass(m, depth)
+    oracle = _MassOracle(m, depth)
+    res = _scan_pass(m, depth, oracle)
     if res.witness is None:
         raise ZeroMassBall("no scanned ball produced a certifiable ratio")
-    return res
+    return res, oracle
 
 
 def per_scale_max_ratios(m: TreeMeasure, depth: int) -> list[tuple[int, Fraction]]:
@@ -290,7 +252,7 @@ def per_scale_max_ratios(m: TreeMeasure, depth: int) -> list[tuple[int, Fraction
     that scale, so the list under-reports rather than over-reports."""
     if depth < 1:
         raise PreconditionViolated("scan needs depth >= 1")
-    return _scan_pass(m, depth).per_scale
+    return _scan_pass(m, depth, _MassOracle(m, depth)).per_scale
 
 
 def _guard_tree_perfectness(m: TreeMeasure) -> None:
@@ -360,12 +322,18 @@ def fit_ratio_decay(
     If the holdout finds a worse ratio the offending scales join the fitting
     sample and t is refitted, up to four rounds.
     """
+    return _fit_ratio_decay(m, depth, lambda_cap, seed, bits, None)
+
+
+def _fit_ratio_decay(m: TreeMeasure, depth: int, lambda_cap: Fraction, seed: int, bits: int,
+                     oracle: _MassOracle | None) -> RatioDecayFit:
+    """`fit_ratio_decay` on doubling_scan's ball oracle, or on its own (None) built after the checks."""
     if depth < 2:
         raise PreconditionViolated("ratio fit needs depth >= 2")
     if lambda_cap < 1:
         raise PreconditionViolated("lambda cap below 1 can never validate l = 0")
     _guard_tree_perfectness(m)
-    oracle = _shared_oracle(m, depth) or _MassOracle(m, depth)
+    oracle = oracle or _MassOracle(m, depth)
     top, pairs = _concentric_maxima(oracle, depth)
     if not pairs:
         raise PreconditionViolated("no interior pair produced a certified ratio")
@@ -388,9 +356,7 @@ def fit_ratio_decay(
         rounds += 1
         k = _largest_within(lam_at, lambda_cap, 4 * 64)  # t <= 4
         if k == 0:
-            raise PreconditionViolated(
-                "no positive exponent validates at this Lambda cap"
-            )
+            raise PreconditionViolated("no positive exponent validates at this Lambda cap")
         lam_n, lam_d = lam_at(k)
         factors = [exp2_64ths(l * k, bits)[1:] for l in range(depth)]
         failures: list[tuple[int, int, int]] = []
@@ -419,9 +385,7 @@ def fit_ratio_decay(
             return RatioDecayFit(big_lam=Fraction(lam_n, lam_d), t=k * T_STEP,
                                  pairs_checked=pairs + holdout_seen, holdout_size=holdout_seen, rounds=rounds)
         if rounds >= 4:
-            raise PreconditionViolated(
-                f"holdout kept failing after {rounds} refit rounds"
-            )
+            raise PreconditionViolated(f"holdout kept failing after {rounds} refit rounds")
 
 
 def fit_mass_window(
@@ -435,12 +399,21 @@ def fit_mass_window(
     and doubled-node samples: s is the 1/64-grid ceiling of log2(doubling
     constant); lam is the worst observed mass/diam^s; (Lambda, t) come from
     the same samples with t maximized subject to Lambda <= lambda_cap."""
+    return _fit_mass_window(m, depth, c_upper, lambda_cap, bits, None, None)
+
+
+def _fit_mass_window(m: TreeMeasure, depth: int, c_upper: Fraction, lambda_cap: Fraction, bits: int,
+                     oracle: _MassOracle | None, s_hi: Fraction | None) -> MassWindowFit:
+    """`fit_mass_window` on doubling_scan's ball oracle and upper log2 end s_hi
+    of c_upper, or on its own ones (both None) made after the checks."""
     if depth < 1:
         raise PreconditionViolated("window fit needs depth >= 1")
     _guard_tree_perfectness(m)
     if c_upper < 1:
         raise PreconditionViolated("doubling bound below 1 is impossible")
-    s_steps = ceil(_log2_hi(c_upper, bits) * 64)
+    if s_hi is None:
+        s_hi = Fraction(_log2_end(c_upper, bits, True), 1 << bits)
+    s_steps = ceil(s_hi * 64)
 
     # Samples are node masses and doubled-node masses, exact or safe from
     # below, grouped by diameter: lam needs only the lightest mass of each
@@ -459,7 +432,7 @@ def fit_mass_window(
         if cur is None or high[0] * cur[1] > cur[0] * high[1]:
             heaviest[diam] = high
 
-    oracle = _shared_oracle(m, depth) or _MassOracle(m, depth)
+    oracle = oracle or _MassOracle(m, depth)
     if m.base is None:
         # a diameter 2^-j is keyed by j; its powers 2^(-j * steps / 64) come
         # from exp2_64ths, equal to pow_bounds' enclosures of them
@@ -537,25 +510,24 @@ def doubling_scan(
     bits: int = DEFAULT_BITS,
 ) -> DoublingReport:
     check_depth(depth)
-    with _sharing(m, depth):  # one ball oracle for the scan and both fits
-        c_upper, c_lower, witness, exact, notes, per_scale = scan_core(m, depth)
-        s_up = _log2_hi(c_upper, bits)
-        s_lo = Fraction(_log2_end(c_lower, bits, False), 1 << bits) if c_lower >= 1 else Fraction(0)
-        ratio_decay = None
-        window_fit = None
-        if fit:
-            try:
-                ratio_decay = fit_ratio_decay(m, depth, lambda_cap=lambda_cap, seed=seed, bits=bits)
-            except (PreconditionViolated, NotUniformlyPerfect) as exc:
-                notes = notes + [f"ratio fit unavailable: {exc}"]
-            try:
-                window_fit = fit_mass_window(m, depth, c_upper=c_upper, lambda_cap=lambda_cap, bits=bits)
-            except (PreconditionViolated, NotUniformlyPerfect) as exc:
-                notes = notes + [f"window fit unavailable: {exc}"]
+    # one ball oracle and one upper log2 end of c_upper for the scan and both fits
+    (c_upper, c_lower, witness, exact, notes, per_scale), oracle = _scan_core(m, depth)
+    s_up = Fraction(_log2_end(c_upper, bits, True), 1 << bits)
+    s_lo = Fraction(_log2_end(c_lower, bits, False), 1 << bits) if c_lower >= 1 else Fraction(0)
+    ratio_decay = window_fit = None
+    if fit:
+        try:
+            ratio_decay = _fit_ratio_decay(m, depth, lambda_cap, seed, bits, oracle)
+        except (PreconditionViolated, NotUniformlyPerfect) as exc:
+            notes = notes + [f"ratio fit unavailable: {exc}"]
+        try:
+            window_fit = _fit_mass_window(m, depth, c_upper, lambda_cap, bits, oracle, s_up)
+        except (PreconditionViolated, NotUniformlyPerfect) as exc:
+            notes = notes + [f"window fit unavailable: {exc}"]
     return DoublingReport(
-        c_upper=c_upper, c_lower=c_lower, witness=witness, s_lower=s_lo, s_upper=s_up,
-        window_lo=Fraction(1, 1 << depth), window_hi=Fraction(1, 2), depth=depth, exact=exact,
-        ratio_decay=ratio_decay, mass_window=window_fit, notes=tuple(notes), per_scale=tuple(per_scale),
+        c_upper=c_upper, c_lower=c_lower, witness=witness, s_lower=s_lo, s_upper=s_up, depth=depth,
+        exact=exact, ratio_decay=ratio_decay, mass_window=window_fit, notes=tuple(notes),
+        per_scale=tuple(per_scale),
     )
 
 

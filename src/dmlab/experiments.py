@@ -320,7 +320,6 @@ def run_cutout_fat(options: dict) -> dict:
         m, config, n_balls, q_exp, Fraction(1, 2), eval_depth
     )
 
-    window = (scan.window_lo, scan.window_hi)
     report = {
         "schema": SCHEMA,
         "experiment": "cutout_fat",
@@ -337,16 +336,16 @@ def run_cutout_fat(options: dict) -> dict:
         "results": {
             "doubling": reports.doubling_report_payload(scan),
             "certified_bound": {
-                "value": reports.tag_window(bound.value, window),
+                "value": reports.tag_window(bound.value, scan.window),
                 "conclusion": bound.conclusion.name,
-                "main_term": reports.tag_window(bound.main_term, window),
-                "penalty": reports.tag_window(bound.penalty, window),
+                "main_term": reports.tag_window(bound.main_term, scan.window),
+                "penalty": reports.tag_window(bound.penalty, scan.window),
                 "gap": [reports.rat_str(bound.gap.lo), reports.rat_str(bound.gap.hi)],
                 "gap_diameter": reports.tag_exact(bound.gap_diameter),
             },
             "small_n_probe": {
                 "n_balls": probe_n,
-                "value": reports.tag_window(probe.value, window),
+                "value": reports.tag_window(probe.value, scan.window),
                 "conclusion": probe.conclusion.name,
             },
             "direct_mass": reports.tag_bracket(direct.lower, direct.upper),

@@ -159,6 +159,8 @@ def qs_ratio_scan(
     """
     if depth < 1:
         raise PreconditionViolated("scan depth must be >= 1")
+    if random_triples < 0:
+        raise PreconditionViolated("random triples must be >= 0")
     cdf, _ = dyadic_cdf_numerators(qsmap.source, depth)
     size = 1 << depth
     shapes = _straddle_maxima(cdf, depth)

@@ -83,7 +83,7 @@ def tag_product(pb: ProductBracket) -> dict:
 
 def doubling_report_payload(rep: DoublingReport) -> dict:
     """Serialize a scan report; scan constants hold on the scanned window."""
-    window = (rep.window_lo, rep.window_hi)
+    window = rep.window
     out: dict[str, Any] = {
         "c_lower": tag_window(rep.c_lower, window),
         "c_upper": tag_window(rep.c_upper, window),

@@ -487,8 +487,6 @@ def doubling_scan_oracle(m, depth: int, lambda_cap=Fraction(1), seed=0, bits=DEF
         witness=ScanWitness(x, r, ratio),
         s_lower=log2_bounds(c_lower, bits).lo if c_lower >= 1 else Fraction(0),
         s_upper=log2_bounds(c_upper, bits).hi,
-        window_lo=Fraction(1, 1 << depth),
-        window_hi=Fraction(1, 2),
         depth=depth,
         exact=exact,
         ratio_decay=fits[0],

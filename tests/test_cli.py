@@ -294,6 +294,9 @@ class TestErrorContract:
              "PreconditionViolated"),
             (["seq", "classify", "--family", '{"kind":"power","a":"1/2","gamma":2.5}'],
              "PreconditionViolated"),
+            # a negative count of random triples
+            (["qs", "scan", "--measure", '{"kind":"binomial","p":"1/3"}', "--depth", "3",
+              "--random-triples", "-4"], "PreconditionViolated"),
         ],
     )
     def test_one_json_line(self, capsys, argv, kind):

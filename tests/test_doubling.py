@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from dmlab import doubling
 from dmlab.doubling import (
     SmallBallCase,
     doubling_scan,
@@ -15,7 +16,9 @@ from dmlab.doubling import (
     verify_small_ball_bound,
 )
 from dmlab.errors import EnclosureInconclusive, PreconditionViolated, ZeroMassBall
-from dmlab.measure import BinomialWeights, TableWeights, TreeMeasure
+from dmlab.geom import build_cantor
+from dmlab.measure import BinomialWeights, TableWeights, TreeMeasure, restrict
+from dmlab.seq import Constant
 
 
 class TestScan:
@@ -67,6 +70,38 @@ class TestFits:
         # log2(3) < s and t < log2(3/2) ordering: t <= 1 <= s is forced here
         assert mw.t <= 1 <= mw.s
         assert mw.lam <= 1 <= mw.big_lam
+
+
+    @pytest.mark.parametrize("m", [
+        TreeMeasure(BinomialWeights(Fraction(1, 3))),
+        restrict(TreeMeasure(BinomialWeights(Fraction(1, 3))), build_cantor(Constant(Fraction(1, 2)), 3)),
+    ], ids=["binomial", "restricted_cantor"])
+    def test_scan_builds_one_oracle_and_one_log2_end(self, monkeypatch, m):
+        """doubling_scan hands one ball oracle and one upper log2 end of
+        c_upper to its scan and both fits; each public pass builds its own."""
+        built, ends = [], []
+        log2_end = doubling._log2_end
+
+        class Counted(doubling._MassOracle):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        def counted_log2_end(x, bits, upper):
+            ends.append((x, upper))
+            return log2_end(x, bits, upper)
+
+        monkeypatch.setattr(doubling, "_MassOracle", Counted)
+        monkeypatch.setattr(doubling, "_log2_end", counted_log2_end)
+        rep = doubling_scan(m, 5, lambda_cap=Fraction(2))
+        assert rep.ratio_decay is not None and rep.mass_window is not None  # both fits ran
+        assert built == [(m, 5)]
+        assert ends.count((rep.c_upper, True)) == 1
+        scan_core(m, 5)
+        fit_ratio_decay(m, 5, lambda_cap=Fraction(2))
+        fit_mass_window(m, 5, c_upper=rep.c_upper, lambda_cap=Fraction(2))
+        assert built == [(m, 5)] * 4
+        assert ends.count((rep.c_upper, True)) == 2
 
 
 class TestSmallBallBound:

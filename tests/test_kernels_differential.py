@@ -253,7 +253,7 @@ def test_row_pass_matches_per_ball_passes(case):
     """The row pass with its float filter gives the values, witness,
     exactness, skip count and per-scale maxima of the per-ball passes."""
     m, depth = case
-    assert tuple(_scan_pass(m, depth)) == scan_pass_oracle(m, depth)
+    assert tuple(_scan_pass(m, depth, _MassOracle(m, depth))) == scan_pass_oracle(m, depth)
 
 
 @settings(max_examples=60, deadline=None)

@@ -124,6 +124,10 @@ class TestRatioScan:
         for extra, plain in zip(first, base):
             assert extra.max_ratio >= plain.max_ratio
 
+    def test_negative_random_triples_refused(self, binom13):
+        with pytest.raises(PreconditionViolated, match="random triples must be >= 0"):
+            qs_ratio_scan(QSMap(binom13), 3, random_triples=-4)
+
     def test_csv_shape(self, lebesgue):
         text = ratio_rows_csv(qs_ratio_scan(QSMap(lebesgue), 4))
         lines = text.splitlines()
