@@ -223,7 +223,7 @@ def _cmd_certify_cutout(options, seed):
     m, n_balls, r, p = options["measure"], options["n-balls"], options["r"], options["p"]
     scan = doubling.doubling_scan(m, options["scan-depth"], seed=seed)
     cfg = geom.nested_cutout(options["n-total"])
-    bound = certify.cutout_lower_bound(cfg, scan, r, n_balls, p)
+    bound, tag = certify.cutout_lower_bound(cfg, scan, r, n_balls, p), reports.tag_window(scan.window)
     return {
         "command": "certify cutout",
         "measure": measure.measure_to_spec(m),
@@ -231,9 +231,9 @@ def _cmd_certify_cutout(options, seed):
         "r": reports.rat_str(r),
         "p": reports.rat_str(p),
         "conclusion": bound.conclusion.name,
-        "value": reports.tag_window(bound.value, scan.window),
-        "main_term": reports.tag_window(bound.main_term, scan.window),
-        "penalty": reports.tag_window(bound.penalty, scan.window),
+        "value": tag(bound.value),
+        "main_term": tag(bound.main_term),
+        "penalty": tag(bound.penalty),
         "gap": [reports.rat_str(bound.gap.lo), reports.rat_str(bound.gap.hi)],
         "doubling": reports.doubling_report_payload(scan),
     }, ("pass" if bound.conclusion is certify.Conclusion.POSITIVE else "inconclusive")

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from math import ceil, gcd, lcm
+from math import ceil, floor, gcd, lcm, log2
 from operator import mul, sub
 from typing import NamedTuple
 
@@ -252,6 +252,8 @@ def per_scale_max_ratios(m: TreeMeasure, depth: int) -> list[tuple[int, Fraction
     that scale, so the list under-reports rather than over-reports."""
     if depth < 1:
         raise PreconditionViolated("scan needs depth >= 1")
+    if m.total_mass == 0:
+        raise ZeroMassBall("the zero measure has no doubling ratios")
     return _scan_pass(m, depth, _MassOracle(m, depth)).per_scale
 
 
@@ -267,25 +269,43 @@ def _guard_tree_perfectness(m: TreeMeasure) -> None:
 
 
 T_STEP = Fraction(1, 64)
+T_MAX = 4 * 64  # fitted exponents t <= 4, in steps of T_STEP
 
 
-def _largest_within(bound, cap: Fraction, hi_k: int) -> int:
-    """Largest k in 1..hi_k whose bound(k), an integer pair, is at most cap,
-    by bisection over k (the bound grows with k); 0 when bound(1) is not."""
+def _guess_steps(cap: Fraction, terms) -> int:
+    """A float guess at `_largest_within`'s k for the bound max over terms (v's numerator,
+    denominator, e) of v * 2^(e k / 64): the least floor(64 (log2 cap - log2 v) / e), v, e > 0."""
+    room = log2(cap.numerator) - log2(cap.denominator)
+    return min((floor(64 * (room - log2(n) + log2(d)) / e) for n, d, e in terms if n and e > 0),
+               default=T_MAX)
+
+
+def _largest_within(bound, cap: Fraction, guess: int) -> tuple[int, tuple[int, int] | None]:
+    """(k, bound(k)) for the largest k in 1..T_MAX whose bound(k), an integer pair
+    growing with k, is at most cap; (0, None) when bound(1) is not. Two probes
+    settle the guess when bound(guess) is within and bound(guess + 1) is not;
+    else a bisection over k, narrowed by those probes, decides."""
+    found = {}
+
     def within(k: int) -> bool:
-        num, den = bound(k)
+        num, den = found[k] = bound(k)
         return num * cap.denominator <= cap.numerator * den
 
-    if not within(1):
-        return 0
-    lo_k = 1
+    lo_k, hi_k = 0, T_MAX  # within(lo_k) holds (0: none yet), within(hi_k + 1) fails
+    k = max(0, min(guess, T_MAX))
+    if k and not within(k):
+        hi_k = k - 1
+    elif k < T_MAX and within(k + 1):
+        lo_k = k + 1
+    else:
+        return k, found.get(k)
     while lo_k < hi_k:
         mid = (lo_k + hi_k + 1) // 2
         if within(mid):
             lo_k = mid
         else:
             hi_k = mid - 1
-    return lo_k
+    return lo_k, found.get(lo_k)
 
 
 def _concentric_maxima(oracle: _MassOracle, depth: int) -> tuple[dict[int, tuple[int, int]], int]:
@@ -348,25 +368,27 @@ def _fit_ratio_decay(m: TreeMeasure, depth: int, lambda_cap: Fraction, seed: int
                 worst_n, worst_d = val_n, val_d
         return worst_n, worst_d
 
-    # holdout balls: center x = i / 2^(j+1), radii R = 2^-j and R / 2^l
+    # holdout balls: center x = (2i + 1) / 2^(j+1), radii R = 2^-j and R / 2^l
     n, bracket, getrandbits = oracle.unit, oracle.bracket, random.Random(seed).getrandbits
-    rounds = 0
-    holdout_seen = 0
+    j_bits = (depth - 1).bit_length()
+    rounds = holdout_seen = 0
     while True:
         rounds += 1
-        k = _largest_within(lam_at, lambda_cap, 4 * 64)  # t <= 4
+        guess = _guess_steps(lambda_cap, ((num, den, l) for l, (num, den) in top.items()))
+        k, lam = _largest_within(lam_at, lambda_cap, guess)
         if k == 0:
             raise PreconditionViolated("no positive exponent validates at this Lambda cap")
-        lam_n, lam_d = lam_at(k)
-        factors = [exp2_64ths(l * k, bits)[1:] for l in range(depth)]
-        failures: list[tuple[int, int, int]] = []
-        for _ in range(64):  # the draws of randrange(1, depth), randrange(0, 2^j), ...
-            j = randbelow(getrandbits, depth - 1) + 1
-            i = randbelow(getrandbits, 1 << j) * 2 + 1
-            if i < 2 or i + 2 > 2 << j:  # x within 2^-j of an end
+        (lam_n, lam_d), factors = lam, [exp2_64ths(l * k, bits)[1:] for l in range(depth)]
+        failures = 0
+        for _ in range(64):  # randrange(1, depth), randrange(0, 2^j), ... as randbelow draws them
+            while (j := getrandbits(j_bits) + 1) >= depth:
+                pass
+            while (i := getrandbits(j + 1)) >> j:
+                pass
+            if i == 0 or i + 1 == 1 << j:  # x = (2i + 1) / 2^(j+1) within 2^-j of an end
                 continue
             l = randbelow(getrandbits, depth - j + 1)
-            c, big_h = i * (n >> (j + 1)), n >> j
+            c, big_h = (2 * i + 1) * (n >> (j + 1)), n >> j
             bn, bd = bracket(c - big_h, c + big_h)[0]
             if not bn:  # the big ball has no certified mass
                 continue
@@ -377,7 +399,7 @@ def _fit_ratio_decay(m: TreeMeasure, depth: int, lambda_cap: Fraction, seed: int
             num, den = sn * bd, sd * bn
             g, g_den = factors[l]
             if num * g * lam_d > lam_n * den * g_den:
-                failures.append((i, j, l))
+                failures += 1
                 cur_n, cur_d = top.get(l, (0, 1))
                 if num * cur_d > cur_n * den:
                     top[l] = num, den
@@ -420,9 +442,7 @@ def _fit_mass_window(m: TreeMeasure, depth: int, c_upper: Fraction, lambda_cap: 
     # diameter and upper_lam the heaviest, so each diameter power is enclosed
     # once per exponent.  Masses, powers and bounds are pairs of integers,
     # compared by cross-multiplication.
-    lightest: dict = {}
-    heaviest: dict = {}
-    samples = 0
+    lightest, heaviest, samples = {}, {}, 0
 
     def note(diam, low: tuple[int, int], high: tuple[int, int]) -> None:
         cur = lightest.get(diam)
@@ -489,13 +509,15 @@ def _fit_mass_window(m: TreeMeasure, depth: int, c_upper: Fraction, lambda_cap: 
                 worst_n, worst_d = val_n, val_d
         return worst_n, worst_d
 
-    lo_k = _largest_within(upper_lam, lambda_cap, 4 * 64)
+    # a key is a diameter, or on the dyadic base the j of a diameter 2^-j
+    guess = _guess_steps(lambda_cap, ((*v, d if m.base is None else -log2(d)) for d, v in heaviest.items()))
+    lo_k, big_lam = _largest_within(upper_lam, lambda_cap, guess)
     if lo_k == 0:
         raise PreconditionViolated("no positive growth exponent fits under the cap")
     return MassWindowFit(
         lam=Fraction(lam_n, lam_d),
         s=Fraction(s_steps, 64),
-        big_lam=Fraction(*upper_lam(lo_k)),
+        big_lam=Fraction(*big_lam),
         t=lo_k * T_STEP,
         samples=samples,
     )

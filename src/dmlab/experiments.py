@@ -307,6 +307,7 @@ def run_cutout_fat(options: dict) -> dict:
     probe_n, r, p, eval_depth = options["probe_n"], options["r"], options["p"], options["eval_depth"]
 
     scan = doubling.doubling_scan(m, scan_depth, seed=options["seed"])
+    tag = reports.tag_window(scan.window)
     config = geom.nested_cutout(options["n_total"])
 
     bound = certify.cutout_lower_bound(config, scan, r, n_balls, p)
@@ -336,16 +337,16 @@ def run_cutout_fat(options: dict) -> dict:
         "results": {
             "doubling": reports.doubling_report_payload(scan),
             "certified_bound": {
-                "value": reports.tag_window(bound.value, scan.window),
+                "value": tag(bound.value),
                 "conclusion": bound.conclusion.name,
-                "main_term": reports.tag_window(bound.main_term, scan.window),
-                "penalty": reports.tag_window(bound.penalty, scan.window),
+                "main_term": tag(bound.main_term),
+                "penalty": tag(bound.penalty),
                 "gap": [reports.rat_str(bound.gap.lo), reports.rat_str(bound.gap.hi)],
                 "gap_diameter": reports.tag_exact(bound.gap_diameter),
             },
             "small_n_probe": {
                 "n_balls": probe_n,
-                "value": reports.tag_window(probe.value, scan.window),
+                "value": tag(probe.value),
                 "conclusion": probe.conclusion.name,
             },
             "direct_mass": reports.tag_bracket(direct.lower, direct.upper),

@@ -80,53 +80,38 @@ def randbelow(getrandbits, n: int) -> int:
     return r
 
 
-def format_rational(x: Fraction) -> str:
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
-def _digits10(n: int) -> int:
-    # number of decimal digits of n >= 1
-    return len(str(n))
+def rat_str(x: Fraction | int | str) -> str:
+    """x as "num/den", or "num" when x is an integer."""
+    return str(Fraction(x))
 
 
 def decimal_str(x: Fraction) -> str:
     """Render x with 12 significant digits, round-half-even, no floats.
 
     Uses positional notation for moderate magnitudes and e-notation outside
-    [1e-4, 1e+16).  Deterministic across platforms.
+    [1e-4, 1e+16).  Deterministic across platforms.  Only the integers of
+    x.as_integer_ratio() are compared and divided.
     """
-    x = Fraction(x)
-    if x == 0:
+    n, d = x.as_integer_ratio()
+    if not n:
         return "0"
-    sig = 12
-    sign = "-" if x < 0 else ""
-    n, d = abs(x).numerator, abs(x).denominator
+    sign, n = ("-", -n) if n < 0 else ("", n)
     # e = floor(log10(n/d)), first estimate from digit counts then correct
-    e = _digits10(n) - _digits10(d)
+    e = len(str(n)) - len(str(d))
     if 10 ** max(e, 0) * d > n * 10 ** max(-e, 0):
         e -= 1
-    # now 10^e <= n/d < 10^(e+1)
-    shift = sig - 1 - e
-    num = n * 10 ** max(shift, 0)
-    den = d * 10 ** max(-shift, 0)
+    # now 10^e <= n/d < 10^(e+1): q = n/d * 10^(11 - e) rounded half to even
+    num, den = (n * 10 ** (11 - e), d) if e <= 11 else (n, d * 10 ** (e - 11))
     q, r = divmod(num, den)
-    # round half to even
-    if 2 * r > den or (2 * r == den and q % 2 == 1):
+    if 2 * r > den or 2 * r == den and q % 2:
         q += 1
-    if q == 10 ** sig:  # rounding bumped into the next decade
+    if q == 10**12:  # rounding bumped into the next decade
         q //= 10
         e += 1
-    digits = str(q)
-    if -4 <= e < 16:
-        if e >= sig - 1:
-            out = digits + "0" * (e - sig + 1)
-        elif e >= 0:
-            out = digits[: e + 1] + "." + digits[e + 1 :]
-        else:
-            out = "0." + "0" * (-e - 1) + digits
-        out = out.rstrip("0").rstrip(".") if "." in out else out
-        return sign + out
-    mantissa = digits[0] + ("." + digits[1:] if len(digits) > 1 else "")
-    mantissa = mantissa.rstrip("0").rstrip(".") if "." in mantissa else mantissa
-    return f"{sign}{mantissa}e{e:+d}"
+    digits = str(q)  # 12 of them
+    if not -4 <= e < 16:
+        return f"{sign}{(digits[0] + '.' + digits[1:]).rstrip('0').rstrip('.')}e{e:+d}"
+    if e >= 11:
+        return sign + digits + "0" * (e - 11)
+    out = digits[: e + 1] + "." + digits[e + 1 :] if e >= 0 else "0." + "0" * (-e - 1) + digits
+    return sign + out.rstrip("0").rstrip(".")

@@ -20,18 +20,14 @@ from typing import Any, Union
 
 from .certify import ProductBracket
 from .doubling import DoublingReport
-from .ratio import decimal_str
+from .ratio import decimal_str, rat_str
 
 Rat = Union[Fraction, int, str]
 
 
-def rat_str(x: Rat) -> str:
-    return str(Fraction(x))
-
-
 def tag_exact(x: Rat) -> dict:
     x = Fraction(x)
-    return {"kind": "exact", "value": rat_str(x), "decimal": decimal_str(x)}
+    return {"kind": "exact", "value": str(x), "decimal": decimal_str(x)}
 
 
 def _outward(lo: tuple[int, int], hi: tuple[int, int], places: int) -> tuple[Fraction, Fraction]:
@@ -52,23 +48,19 @@ def tag_bracket(lo: Rat, hi: Rat, places: int | None = None) -> dict:
         lo, hi = round_outward(lo, hi, places)
     if lo == hi:
         return tag_exact(lo)
-    return {
-        "kind": "bracket",
-        "lo": rat_str(lo),
-        "hi": rat_str(hi),
-        "lo_decimal": decimal_str(lo),
-        "hi_decimal": decimal_str(hi),
-    }
+    return {"kind": "bracket", "lo": str(lo), "hi": str(hi),
+            "lo_decimal": decimal_str(lo), "hi_decimal": decimal_str(hi)}
 
 
-def tag_window(x: Rat, window: tuple[Rat, Rat]) -> dict:
-    """A constant that was only checked for scales inside `window`."""
-    return {
-        "kind": "window-validated",
-        "value": rat_str(Fraction(x)),
-        "decimal": decimal_str(Fraction(x)),
-        "window": [rat_str(window[0]), rat_str(window[1])],
-    }
+def tag_window(window: tuple[Rat, Rat]):
+    """The tag of a constant that was only checked for scales inside `window`,
+    as a function of the constant; the window's ends render once."""
+    lo, hi = rat_str(window[0]), rat_str(window[1])
+
+    def tag(x: Rat) -> dict:
+        x = Fraction(x)
+        return {"kind": "window-validated", "value": str(x), "decimal": decimal_str(x), "window": [lo, hi]}
+    return tag
 
 
 SERIALIZE_PLACES = 60  # partial products carry huge exact rationals; reports
@@ -83,12 +75,12 @@ def tag_product(pb: ProductBracket) -> dict:
 
 def doubling_report_payload(rep: DoublingReport) -> dict:
     """Serialize a scan report; scan constants hold on the scanned window."""
-    window = rep.window
+    tag = tag_window(rep.window)
     out: dict[str, Any] = {
-        "c_lower": tag_window(rep.c_lower, window),
-        "c_upper": tag_window(rep.c_upper, window),
-        "s_lower": tag_window(rep.s_lower, window),
-        "s_upper": tag_window(rep.s_upper, window),
+        "c_lower": tag(rep.c_lower),
+        "c_upper": tag(rep.c_upper),
+        "s_lower": tag(rep.s_lower),
+        "s_upper": tag(rep.s_upper),
         "depth": rep.depth,
         "exact": rep.exact,
         "witness": {
@@ -100,18 +92,18 @@ def doubling_report_payload(rep: DoublingReport) -> dict:
     }
     if rep.ratio_decay is not None:
         out["ratio_decay"] = {
-            "big_lam": tag_window(rep.ratio_decay.big_lam, window),
-            "t": tag_window(rep.ratio_decay.t, window),
+            "big_lam": tag(rep.ratio_decay.big_lam),
+            "t": tag(rep.ratio_decay.t),
             "pairs_checked": rep.ratio_decay.pairs_checked,
             "holdout_size": rep.ratio_decay.holdout_size,
             "rounds": rep.ratio_decay.rounds,
         }
     if rep.mass_window is not None:
         out["mass_window"] = {
-            "lam": tag_window(rep.mass_window.lam, window),
-            "s": tag_window(rep.mass_window.s, window),
-            "big_lam": tag_window(rep.mass_window.big_lam, window),
-            "t": tag_window(rep.mass_window.t, window),
+            "lam": tag(rep.mass_window.lam),
+            "s": tag(rep.mass_window.s),
+            "big_lam": tag(rep.mass_window.big_lam),
+            "t": tag(rep.mass_window.t),
             "samples": rep.mass_window.samples,
         }
     return out

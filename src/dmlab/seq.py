@@ -31,7 +31,7 @@ from .errors import (
     PreconditionViolated,
     Undecidable,
 )
-from .ratio import format_rational, parse_integer, parse_rational
+from .ratio import parse_integer, parse_rational, rat_str
 
 
 def _frac(x) -> Fraction:
@@ -358,22 +358,22 @@ def tail_sum_upper(
 
 def family_to_spec(f: SequenceFamily) -> dict:
     if isinstance(f, Geometric):
-        return {"kind": "geometric", "a": format_rational(f.a), "q": format_rational(f.q)}
+        return {"kind": "geometric", "a": rat_str(f.a), "q": rat_str(f.q)}
     if isinstance(f, Power):
         return {
             "kind": "power",
-            "a": format_rational(f.a),
+            "a": rat_str(f.a),
             "gamma": f.gamma,
             "offset": f.offset,
         }
     if isinstance(f, LogFloor):
-        return {"kind": "logfloor", "base": format_rational(f.base)}
+        return {"kind": "logfloor", "base": rat_str(f.base)}
     if isinstance(f, Constant):
-        return {"kind": "constant", "value": format_rational(f.value)}
+        return {"kind": "constant", "value": rat_str(f.value)}
     if isinstance(f, ExplicitFinite):
-        return {"kind": "explicit", "terms": [format_rational(t) for t in f.terms]}
+        return {"kind": "explicit", "terms": [rat_str(t) for t in f.terms]}
     if isinstance(f, Scaled):
-        return {"kind": "scaled", "c": format_rational(f.c), "inner": family_to_spec(f.inner)}
+        return {"kind": "scaled", "c": rat_str(f.c), "inner": family_to_spec(f.inner)}
     raise InvalidFamily(f"unknown family {f!r}")
 
 

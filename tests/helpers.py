@@ -36,7 +36,10 @@ cdf rows; `dyadic_cdf_numerators` with one `left_share` call per node, from
 before a level became one pair of list products; `first_max` as the exact
 loop its float filter stands in for; and `power_tail_upper`,
 `power_tail_lower` and `cutout_lower_bound` with their `Fraction`-sum loops,
-from before their tail and diameter sums became integer pairs.
+from before their tail and diameter sums became integer pairs.  Last of all
+come the fits' exponent search as the plain bisection it ran before a float
+guess chose its first probes, and `decimal_str` on `Fraction` arithmetic,
+from before it worked on the integers of `as_integer_ratio()`.
 """
 
 from __future__ import annotations
@@ -1478,3 +1481,66 @@ def cutout_lower_bound_oracle(config, report, r, n_balls: int, p) -> CutoutBound
         n_balls=n_balls, diam_power_sum_upper=cp_up, tail_upper=tail_up, gap=gap,
         gap_diameter=gap_diam,
     )
+
+
+def largest_within_oracle(bound, cap: Fraction, hi_k: int) -> int:
+    """Largest k in 1..hi_k whose bound(k), an integer pair, is at most cap,
+    by bisection over k (the bound grows with k); 0 when bound(1) is not."""
+    def within(k: int) -> bool:
+        num, den = bound(k)
+        return num * cap.denominator <= cap.numerator * den
+
+    if not within(1):
+        return 0
+    lo_k = 1
+    while lo_k < hi_k:
+        mid = (lo_k + hi_k + 1) // 2
+        if within(mid):
+            lo_k = mid
+        else:
+            hi_k = mid - 1
+    return lo_k
+
+
+def _digits10(n: int) -> int:
+    # number of decimal digits of n >= 1
+    return len(str(n))
+
+
+def decimal_str_oracle(x: Fraction) -> str:
+    """`decimal_str` on Fraction comparisons: 12 significant digits,
+    round-half-even, positional inside [1e-4, 1e+16), e-notation outside."""
+    x = Fraction(x)
+    if x == 0:
+        return "0"
+    sig = 12
+    sign = "-" if x < 0 else ""
+    n, d = abs(x).numerator, abs(x).denominator
+    # e = floor(log10(n/d)), first estimate from digit counts then correct
+    e = _digits10(n) - _digits10(d)
+    if 10 ** max(e, 0) * d > n * 10 ** max(-e, 0):
+        e -= 1
+    # now 10^e <= n/d < 10^(e+1)
+    shift = sig - 1 - e
+    num = n * 10 ** max(shift, 0)
+    den = d * 10 ** max(-shift, 0)
+    q, r = divmod(num, den)
+    # round half to even
+    if 2 * r > den or (2 * r == den and q % 2 == 1):
+        q += 1
+    if q == 10 ** sig:  # rounding bumped into the next decade
+        q //= 10
+        e += 1
+    digits = str(q)
+    if -4 <= e < 16:
+        if e >= sig - 1:
+            out = digits + "0" * (e - sig + 1)
+        elif e >= 0:
+            out = digits[: e + 1] + "." + digits[e + 1 :]
+        else:
+            out = "0." + "0" * (-e - 1) + digits
+        out = out.rstrip("0").rstrip(".") if "." in out else out
+        return sign + out
+    mantissa = digits[0] + ("." + digits[1:] if len(digits) > 1 else "")
+    mantissa = mantissa.rstrip("0").rstrip(".") if "." in mantissa else mantissa
+    return f"{sign}{mantissa}e{e:+d}"

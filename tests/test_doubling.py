@@ -1,11 +1,16 @@
 """Doubling-ratio scans, window fits, and the lower-bound property suite."""
 
+import contextlib
+import io
+import json
+import pathlib
 import time
 from fractions import Fraction
 
 import pytest
 
 from dmlab import doubling
+from dmlab.cli import main
 from dmlab.doubling import (
     SmallBallCase,
     doubling_scan,
@@ -19,6 +24,9 @@ from dmlab.errors import EnclosureInconclusive, PreconditionViolated, ZeroMassBa
 from dmlab.geom import build_cantor
 from dmlab.measure import BinomialWeights, TableWeights, TreeMeasure, restrict
 from dmlab.seq import Constant
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 
 
 class TestScan:
@@ -45,6 +53,11 @@ class TestScan:
         empty = TreeMeasure(BinomialWeights(Fraction(1, 2)), total_mass=Fraction(0))
         with pytest.raises(ZeroMassBall):
             scan_core(empty, 3)
+
+    def test_per_scale_refuses_zero_measure(self):
+        empty = TreeMeasure(BinomialWeights(Fraction(1, 2)), total_mass=Fraction(0))
+        with pytest.raises(ZeroMassBall, match="the zero measure has no doubling ratios"):
+            per_scale_max_ratios(empty, 3)
 
     def test_per_scale_lebesgue(self, lebesgue):
         rows = per_scale_max_ratios(lebesgue, 6)
@@ -102,6 +115,26 @@ class TestFits:
         fit_mass_window(m, 5, c_upper=rep.c_upper, lambda_cap=Fraction(2))
         assert built == [(m, 5)] * 4
         assert ends.count((rep.c_upper, True)) == 2
+
+    @pytest.mark.parametrize("name", sorted(
+        name for name, case in GOLDEN_CASES.items() if case["argv"][:2] == ["doubling", "scan"]))
+    def test_exponent_search_settles_in_two_probes(self, monkeypatch, name):
+        """On the golden dyadic scans the float guess of each fit's exponent
+        is exact: its two checks settle the search, with no bisection."""
+        probes = []
+        largest_within = doubling._largest_within
+
+        def counted(bound, cap, guess):
+            def counted_bound(k):
+                probes[-1] += 1
+                return bound(k)
+            probes.append(0)
+            return largest_within(counted_bound, cap, guess)
+
+        monkeypatch.setattr(doubling, "_largest_within", counted)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(GOLDEN_CASES[name]["argv"]) == 0
+        assert len(probes) >= 2 and max(probes) <= 2, probes
 
 
 class TestSmallBallBound:

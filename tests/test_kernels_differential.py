@@ -18,7 +18,9 @@ check on integer ends those of the check on Fraction ends. The ratio-decay
 fit's concentric rows must give the maxima of its per-ball stage, the
 level-wise cdf the numerators of the per-node loop, `randbelow` the draws of
 `randrange`, and `power_tail_upper`, `power_tail_lower` and
-`cutout_lower_bound` the values of their `Fraction`-sum loops.
+`cutout_lower_bound` the values of their `Fraction`-sum loops. The fits'
+exponent search must find the plain bisection's exponent whatever its float
+guess, and `decimal_str` on integers the strings of its `Fraction` form.
 """
 
 import functools
@@ -39,8 +41,11 @@ from dmlab.certify import (
 )
 from dmlab.doubling import (
     SmallBallCase,
+    T_MAX,
     _MassOracle,
     _concentric_maxima,
+    _guess_steps,
+    _largest_within,
     _scan_pass,
     doubling_scan,
     fit_mass_window,
@@ -49,7 +54,7 @@ from dmlab.doubling import (
     scan_core,
     verify_small_ball_bound,
 )
-from dmlab.enclosure import Bounds, _exp2_end, exp2_bounds, iroot, log2_bounds, pow_bounds, pow_end
+from dmlab.enclosure import Bounds, _exp2_end, exp2_64ths, exp2_bounds, iroot, log2_bounds, pow_bounds, pow_end
 from dmlab.errors import EnclosureInconclusive, InvalidFamily
 from dmlab.geom import (
     CutOutConfig,
@@ -71,7 +76,7 @@ from dmlab.measure import (
     interval_mass,
     restrict,
 )
-from dmlab.ratio import first_max, randbelow
+from dmlab.ratio import decimal_str, first_max, randbelow
 from dmlab.qs import DEFAULT_TAUS, QSMap, qs_ratio_scan
 from dmlab.reports import tag_product
 from dmlab.seq import Constant, ExplicitFinite, Geometric, LogFloor, Power, Scaled
@@ -83,6 +88,7 @@ from helpers import (
     certify_fat_thick_oracle,
     concentric_maxima_oracle,
     cutout_lower_bound_oracle,
+    decimal_str_oracle,
     dyadic_cdf_numerators_oracle,
     exp2_bounds_oracle,
     iroot_newton_oracle,
@@ -94,6 +100,7 @@ from helpers import (
     first_max_oracle,
     fit_ratio_decay_oracle,
     interval_mass_recursive_oracle,
+    largest_within_oracle,
     leaf_prefix_oracle,
     per_scale_oracle,
     power_tail_lower_oracle,
@@ -162,10 +169,12 @@ def _scan(m, depth):
 
 def _check_scan(m, depth):
     assert _scan(m, depth) == _outcome(lambda: scan_core_oracle(m, depth))
+    if not m.total_mass:  # the per-scale maxima refuse the zero measure as the scan does
+        assert _outcome(lambda: per_scale_max_ratios(m, depth)) == _scan(m, depth)
+        return
     expected = per_scale_oracle(m, depth)
     assert per_scale_max_ratios(m, depth) == expected
-    if m.total_mass:
-        assert scan_core(m, depth).per_scale == expected
+    assert scan_core(m, depth).per_scale == expected
 
 
 @settings(max_examples=25, deadline=None)
@@ -937,3 +946,85 @@ def test_exp2_end_matches_oracle(case):
 @example(2, 2)
 def test_iroot_matches_newton(n, k):
     assert iroot(n, k) == iroot_newton_oracle(n, k)
+
+
+@st.composite
+def exponent_searches(draw):
+    """(top, cap, bits, offset): a `top` map of the ratio-decay fit (l to a
+    ratio bound, an integer pair), a cap >= 1, a precision and an offset of
+    the search's guess from the float guess, or None for a guess drawn at
+    random, in or far outside 0..T_MAX."""
+    top = draw(st.dictionaries(st.integers(0, 12), st.tuples(st.integers(1, 1 << 40), st.integers(1, 1 << 40)),
+                               min_size=1, max_size=6))
+    cap = draw(st.fractions(1, 64))
+    return top, cap, draw(st.sampled_from([1, 2, 64, 128])), draw(st.sampled_from([0, 0, -1, 1, None]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(exponent_searches(), st.integers(-1000, 1000))
+# answers k = 0 (refused), k = 1 and k = T_MAX
+@example(({1: (2, 1)}, Fraction(1), 64, 0), 0)
+@example(({64: (1, 3)}, Fraction(1), 64, 0), 0)
+@example(({1: (1, 32)}, Fraction(1), 64, 0), 0)
+# Lebesgue's ratios meet the cap exactly at t = 1, and an l = 0 term above it refuses every k
+@example(({0: (1, 1), 1: (1, 2), 5: (1, 32)}, Fraction(1), 64, 0), 0)
+@example(({0: (3, 2), 2: (1, 8)}, Fraction(1), 64, 0), 0)
+# guesses wrong by one either way, below 1 and past T_MAX
+@example(({1: (1, 2), 3: (1, 8)}, Fraction(1), 64, -1), 0)
+@example(({1: (1, 2), 3: (1, 8)}, Fraction(1), 64, 1), 0)
+@example(({1: (1, 2)}, Fraction(1), 64, None), -5)
+@example(({1: (1, 2)}, Fraction(1), 64, None), T_MAX + 7)
+def test_exponent_search_matches_bisection(case, drawn):
+    """`_largest_within` finds the bisection's k from any guess, with the
+    bound at k; from the float guess of `_guess_steps`, when that guess is
+    right, it evaluates the bound at most twice."""
+    top, cap, bits, offset = case
+
+    def lam_at(t_steps):
+        worst_n, worst_d = 0, 1
+        for l, (num, den) in top.items():
+            _, g, g_den = exp2_64ths(l * t_steps, bits)
+            if num * g * worst_d > worst_n * den * g_den:
+                worst_n, worst_d = num * g, den * g_den
+        return worst_n, worst_d
+
+    calls = []
+
+    def counted(k):
+        calls.append(k)
+        return lam_at(k)
+
+    want = largest_within_oracle(lam_at, cap, T_MAX)
+    guess = _guess_steps(cap, ((num, den, l) for l, (num, den) in top.items()))
+    if offset is not None:
+        guess = max(0, min(guess, T_MAX)) + offset
+    else:
+        guess = drawn
+    k, bound = _largest_within(counted, cap, guess)
+    assert (k, bound) == (want, lam_at(want) if want else None)
+    if guess == want:
+        assert len(calls) <= 2
+
+
+@st.composite
+def decimal_edges(draw):
+    """Rationals whose 12-digit rounding ties or carries into the next
+    decade, such as 9.9999999999995, near the 1e-4 and 1e16 notation edges
+    and elsewhere, with either sign."""
+    e = draw(st.one_of(st.sampled_from([-5, -4, -3, 14, 15, 16, 17]), st.integers(-30, 30)))
+    m = draw(st.one_of(st.integers(10**12 - 50, 10**12 + 50).map(lambda q: 10 * q - 5),
+                       st.integers(10**13 - 50, 10**13 - 1), st.integers(10**12, 10**13)))
+    x = Fraction(m, 10**12) * Fraction(10) ** e
+    return -x if draw(st.booleans()) else x
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(decimal_edges(), st.fractions(), st.integers(-10**20, 10**20).map(Fraction)))
+@example(Fraction(0))
+@example(Fraction(-7))
+@example(Fraction(99999999999995, 10**13))
+@example(Fraction(-99999999999995, 10**18))
+@example(Fraction(10**16) - Fraction(1, 3))
+@example(Fraction(1, 10**4) - Fraction(1, 10**20))
+def test_decimal_str_matches_fraction_form(x):
+    assert decimal_str(x) == decimal_str_oracle(x)

@@ -45,7 +45,7 @@ class TestTags:
         assert tag_bracket(Fraction(2, 5), Fraction(2, 5))["kind"] == "exact"
 
     def test_window_tag_records_scales(self):
-        tag = tag_window(Fraction(3, 2), (Fraction(1, 8), Fraction(1, 2)))
+        tag = tag_window((Fraction(1, 8), Fraction(1, 2)))(Fraction(3, 2))
         assert tag["kind"] == "window-validated"
         assert tag["window"] == ["1/8", "1/2"]
 
