@@ -34,7 +34,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from typing import Iterator, Union
 
 from .doubling import DoublingReport
@@ -284,18 +284,21 @@ class FatnessCertificate:
 TAIL_TARGET = Fraction(1, 1 << 34)
 
 
-def _power_ends(x: Fraction, t: Fraction, bits: int, sides=(False, True)) -> list[tuple[int, int]]:
-    # the ends of x^t as integer pairs, as pow_bounds / pow_end give them:
-    # the exact root where there is one, else the two _pow_end ends
-    exact = _exact_rational_pow(x, t)
+def _power_ends(x: Pair, t: Fraction, bits: int, sides=(False, True)) -> list[Pair]:
+    # the ends of x^t as integer pairs, as pow_bounds / pow_end give them: the
+    # exact root where there is one, else the two _pow_end ends; the root
+    # test takes x in lowest terms
+    g = gcd(*x)
+    n, d = x[0] // g, x[1] // g
+    exact = _exact_rational_pow(n, d, t)
     if exact is not None:
-        return [exact.as_integer_ratio()] * len(sides)
-    return [_pow_end(x, t, upper, bits) for upper in sides]
+        return [exact] * len(sides)
+    return [_pow_end(n, d, t, upper, bits) for upper in sides]
 
 
-def _factor_ends(x: Fraction, t: Fraction, scale: Fraction, bits: int, decide: bool = False):
+def _factor_ends(x: Pair, t: Fraction, scale: Fraction, bits: int, decide: bool = False):
     """The ends (lower, upper) of the factor 1 - scale * x^t as integer
-    (numerator, denominator) pairs, x a reduced Fraction in (0, 1], t > 0.
+    (numerator, denominator) pairs, x an integer pair in (0, 1], t > 0.
 
     Bits double up to 4096, as `refine` does, until scale * x^t < 1 is
     certain; with `decide`, None as soon as scale * x^t >= 1 is certain."""
@@ -317,8 +320,8 @@ def _first_small_stage(
 ) -> int:
     """Least n0 with scale * alpha_n^t certifiably < 1 for every n >= n0."""
 
-    def small(x: tuple[int, int]) -> bool:
-        return _factor_ends(Fraction(*x), t, scale, bits, decide=True) is not None
+    def small(x: Pair) -> bool:
+        return _factor_ends(x, t, scale, bits, decide=True) is not None
 
     length = family_length(alpha)
     if length is not None:
@@ -400,7 +403,7 @@ def certify_fat_thick(
                 f"tail sum {tail_sum} still >= 1 after {count} factors"
             )
 
-    factors = [_factor_ends(Fraction(*x), t, scale, bits) for x in terms(alpha, n0, last + 1)]
+    factors = [_factor_ends(x, t, scale, bits) for x in terms(alpha, n0, last + 1)]
     lower, upper = [lo for lo, _ in factors], [hi for _, hi in factors]
     # exact factors (an integer t) make one product serve both ends
     partial_hi = None if lower == upper else _pair_product(upper)
@@ -408,7 +411,7 @@ def certify_fat_thick(
     if length is not None and last >= length:
         tail_upper = Fraction(1)
     else:  # an infinite family: the next 64 lower ends of alpha_n^t
-        ahead = Fraction(*_pair_sum(_power_ends(Fraction(*x), t, bits, (False,))[0]
+        ahead = Fraction(*_pair_sum(_power_ends(x, t, bits, (False,))[0]
                                     for x in terms(alpha, last + 1, last + 65)))
         tail_upper = min(Fraction(1), exp_neg_upper(scale * ahead))
     bound = ProductBracket(_pair_product(lower), tail_lower, tail_upper, last - n0 + 1, partial_hi)

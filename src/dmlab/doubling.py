@@ -434,7 +434,7 @@ def _fit_mass_window(m: TreeMeasure, depth: int, c_upper: Fraction, lambda_cap: 
     if c_upper < 1:
         raise PreconditionViolated("doubling bound below 1 is impossible")
     if s_hi is None:
-        s_hi = Fraction(_log2_end(c_upper, bits, True), 1 << bits)
+        s_hi = Fraction(_log2_end(*c_upper.as_integer_ratio(), bits, True), 1 << bits)
     s_steps = ceil(s_hi * 64)
 
     # Samples are node masses and doubled-node masses, exact or safe from
@@ -534,8 +534,8 @@ def doubling_scan(
     check_depth(depth)
     # one ball oracle and one upper log2 end of c_upper for the scan and both fits
     (c_upper, c_lower, witness, exact, notes, per_scale), oracle = _scan_core(m, depth)
-    s_up = Fraction(_log2_end(c_upper, bits, True), 1 << bits)
-    s_lo = Fraction(_log2_end(c_lower, bits, False), 1 << bits) if c_lower >= 1 else Fraction(0)
+    s_up = Fraction(_log2_end(*c_upper.as_integer_ratio(), bits, True), 1 << bits)
+    s_lo = Fraction(_log2_end(*c_lower.as_integer_ratio(), bits, False), 1 << bits) if c_lower >= 1 else Fraction(0)
     ratio_decay = window_fit = None
     if fit:
         try:
@@ -651,7 +651,7 @@ def verify_small_ball_bound(
         rho = r // g, (b - a) // g
         # the factor is (rho/2)^s; when that is rational, a mass ratio equal
         # to it holds, though no enclosure of the factor can show it
-        exact = None if s is None else _exact_rational_pow(Fraction(rho[0], 2 * rho[1]), Fraction(s))
+        exact = None if s is None else _exact_rational_pow(*Fraction(rho[0], 2 * rho[1]).as_integer_ratio(), Fraction(s))
         cur = bits
         while True:
             if (*rho, cur) not in factors:
@@ -670,7 +670,7 @@ def verify_small_ball_bound(
                     counterexample=reported(case, a, b, x, r),
                     margin=rhs_lo - Fraction(*mu_b[1]),
                 )
-            if exact is not None and not _below(mu_b[0], mu_a[1], exact.as_integer_ratio()):
+            if exact is not None and not _below(mu_b[0], mu_a[1], exact):
                 break
             if _below(mu_b[0], mu_a[1], lo_f) and not _below(mu_b[1], mu_a[0], hi_f):
                 # no factor in [factor.lo, factor.hi] settles the case, so no

@@ -53,14 +53,6 @@ def add_bounds(a: Bounds, b: Bounds) -> Bounds:
     return Bounds(a.lo + b.lo, a.hi + b.hi)
 
 
-def _ilog2(x: Fraction) -> int:
-    """floor(log2(x)) for x > 0, exactly."""
-    n, d = x.numerator, x.denominator
-    e = n.bit_length() - d.bit_length()  # so 2^(e-1) < x < 2^(e+1)
-    below = n < d << e if e >= 0 else n << -e < d
-    return e - 1 if below else e
-
-
 def _pow2_pair(k: int) -> tuple[int, int]:
     return (1 << k, 1) if k >= 0 else (1, 1 << -k)
 
@@ -90,13 +82,14 @@ def _log2_frac_bits(n: int, d: int, bits: int, round_up: bool) -> int:
     return f
 
 
-def _log2_end(x: Fraction, bits: int, upper: bool) -> int:
-    """The upper or lower end of log2_bounds(x, bits), times 2^bits."""
-    e = _ilog2(x)
-    # mantissa m = x / 2^e in [1, 2)
-    n, d = x.numerator, x.denominator
+def _log2_end(n: int, d: int, bits: int, upper: bool) -> int:
+    """The upper or lower end of log2_bounds(n / d, bits), times 2^bits, for
+    positive integers n and d, not necessarily coprime."""
+    e = n.bit_length() - d.bit_length()  # so 2^(e-1) < n / d < 2^(e+1)
     mn, md = (n, d << e) if e >= 0 else (n << -e, d)
-    if mn == md:  # x = 2^e
+    if mn < md:  # n / d < 2^e: the mantissa below is (n / d) / 2^(e-1) = 2 mn / md
+        e, mn = e - 1, mn << 1
+    if mn == md:  # n / d = 2^e
         return e << bits
     return (e << bits) + _log2_frac_bits(mn, md, bits, upper) + upper
 
@@ -106,8 +99,8 @@ def log2_bounds(x: Fraction, bits: int = DEFAULT_BITS) -> Bounds:
     x = Fraction(x)
     if x <= 0:
         raise PreconditionViolated("log2 needs a positive argument")
-    unit = 1 << bits
-    return Bounds(Fraction(_log2_end(x, bits, False), unit), Fraction(_log2_end(x, bits, True), unit))
+    (n, d), unit = x.as_integer_ratio(), 1 << bits
+    return Bounds(Fraction(_log2_end(n, d, bits, False), unit), Fraction(_log2_end(n, d, bits, True), unit))
 
 
 @lru_cache(maxsize=8)
@@ -206,28 +199,28 @@ def iroot(n: int, k: int) -> tuple[int, bool]:
     return x, x**k == n
 
 
-def _exact_rational_pow(x: Fraction, e: Fraction) -> Fraction | None:
-    # x^e as an exact rational when the root extraction is exact, else None
-    if e.denominator == 1:
-        return x ** e.numerator
-    # a k-th power holds a multiple of k factors 2: refuse the rest before any root
-    n, d, k = x.numerator, x.denominator, e.denominator
-    if n and ((n & -n).bit_length() - 1) % k or ((d & -d).bit_length() - 1) % k:
-        return None
-    rn, okn = iroot(n, k)
-    if not okn:
-        return None
-    rd, okd = iroot(d, k)
-    if not okd:
-        return None
-    return Fraction(rn, rd) ** e.numerator
+def _exact_rational_pow(n: int, d: int, e: Fraction) -> tuple[int, int] | None:
+    """(n / d)^e as an integer pair, n, d > 0, when the root extraction is
+    exact, else None.  The root test needs n / d in lowest terms: (20, 45) has
+    no square root, its reduced form 4/9 has 2/3."""
+    u, k = e.as_integer_ratio()
+    if k > 1:
+        # a k-th power holds a multiple of k factors 2: refuse the rest before any root
+        if ((n & -n).bit_length() - 1) % k or ((d & -d).bit_length() - 1) % k:
+            return None
+        n, ok = iroot(n, k)
+        if ok:
+            d, ok = iroot(d, k)
+        if not ok:
+            return None
+    return (n**u, d**u) if u >= 0 else (d**-u, n**-u)
 
 
-def _pow_end(x: Fraction, e: Fraction, upper: bool, bits: int) -> tuple[int, int]:
-    # one end of 2^(e log2 x) as an integer pair: with e < 0 the lower log2
-    # end gives the upper one
+def _pow_end(n: int, d: int, e: Fraction, upper: bool, bits: int) -> tuple[int, int]:
+    # one end of 2^(e log2(n / d)) as an integer pair: with e < 0 the lower
+    # log2 end gives the upper one
     num, den = e.as_integer_ratio()
-    return _exp2_end(num * _log2_end(x, bits, upper == (num > 0)), den << bits, bits, upper)
+    return _exp2_end(num * _log2_end(n, d, bits, upper == (num > 0)), den << bits, bits, upper)
 
 
 def pow_bounds(x: Fraction, e: Fraction | Bounds, bits: int = DEFAULT_BITS) -> Bounds:
@@ -243,11 +236,11 @@ def pow_bounds(x: Fraction, e: Fraction | Bounds, bits: int = DEFAULT_BITS) -> B
     if isinstance(e, Bounds) and e.is_exact:
         e = e.lo
     if not isinstance(e, Bounds):
-        e = Fraction(e)
-        exact = _exact_rational_pow(x, e)
+        e, (n, d) = Fraction(e), x.as_integer_ratio()
+        exact = _exact_rational_pow(n, d, e)
         if exact is not None:
-            return Bounds.exact(exact)
-        return Bounds(Fraction(*_pow_end(x, e, False, bits)), Fraction(*_pow_end(x, e, True, bits)))
+            return Bounds.exact(Fraction(*exact))
+        return Bounds(Fraction(*_pow_end(n, d, e, False, bits)), Fraction(*_pow_end(n, d, e, True, bits)))
     if x == 1:
         return Bounds.exact(Fraction(1))
     prod = mul_bounds(e, log2_bounds(x, bits))
@@ -261,14 +254,15 @@ def pow_pair(x: Fraction, e: Fraction, upper: bool, bits: int = DEFAULT_BITS) ->
     x, e = Fraction(x), Fraction(e)
     if x <= 0:
         raise PreconditionViolated("pow_bounds needs a positive base")
-    exact = _exact_rational_pow(x, e)
+    n, d = x.as_integer_ratio()
+    exact = _exact_rational_pow(n, d, e)
     if exact is not None:
-        return exact.as_integer_ratio()
-    if abs(e.numerator) * (x.numerator.bit_length() + x.denominator.bit_length()) >= e.denominator << 22:
+        return exact
+    if abs(e.numerator) * (n.bit_length() + d.bit_length()) >= e.denominator << 22:
         # the other end might leave the exponent range that pow_bounds checks
         b = pow_bounds(x, e, bits)
         return (b.hi if upper else b.lo).as_integer_ratio()
-    return _pow_end(x, e, upper, bits)
+    return _pow_end(n, d, e, upper, bits)
 
 
 def pow_end(x: Fraction, e: Fraction, upper: bool, bits: int = DEFAULT_BITS) -> Fraction:

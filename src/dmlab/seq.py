@@ -19,6 +19,7 @@ Indices start at n = 1.  All parameters are exact rationals.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
@@ -147,29 +148,20 @@ def logfloor_exponent(n: int) -> int:
 
 def term(f: SequenceFamily, n: int) -> Fraction:
     """Exact n-th term, n >= 1."""
-    if n < 1:
-        raise IndexOutOfRange("term indices start at 1")
-    if isinstance(f, Geometric):
-        return f.a * f.q ** (n - 1)
-    if isinstance(f, Power):
-        return f.a / Fraction(n + f.offset) ** f.gamma
-    if isinstance(f, LogFloor):
-        return f.base ** logfloor_exponent(n)
-    if isinstance(f, Constant):
-        return f.value
-    if isinstance(f, ExplicitFinite):
-        if n > len(f.terms):
-            raise IndexOutOfRange(f"finite family has {len(f.terms)} terms")
-        return f.terms[n - 1]
     if isinstance(f, Scaled):
         return f.c * term(f.inner, n)
-    raise InvalidFamily(f"unknown family {f!r}")
+    if isinstance(f, Geometric) and n >= 1:  # Fraction(*pair) would pay a gcd the size of the term
+        return f.a * f.q ** (n - 1)
+    return Fraction(*next(terms(f, n, n + 1)))
 
 
 def terms(f: SequenceFamily, start: int, stop: int) -> Iterator[tuple[int, int]]:
     """Terms start .. stop - 1 as (numerator, denominator) integer pairs, equal
     to term(f, n) but not always reduced; a geometric term is the one before
-    times q, a power term a / (n + offset)^gamma without a Fraction."""
+    times q, a power term a / (n + offset)^gamma without a Fraction, and a
+    logfloor block of 2^k equal terms one pair base^k repeated."""
+    if start < 1:
+        raise IndexOutOfRange("term indices start at 1")
     if isinstance(f, Geometric):
         (n, d), (qn, qd) = term(f, start).as_integer_ratio(), f.q.as_integer_ratio()
         for _ in range(start, stop):
@@ -178,11 +170,21 @@ def terms(f: SequenceFamily, start: int, stop: int) -> Iterator[tuple[int, int]]
     elif isinstance(f, Power):
         an, ad = f.a.as_integer_ratio()
         yield from ((an, ad * (n + f.offset) ** f.gamma) for n in range(start, stop))
+    elif isinstance(f, LogFloor):  # block k: base^k at the indices 2^k - 1 .. 2^(k+1) - 2
+        bn, bd = f.base.as_integer_ratio()
+        for k in range(logfloor_exponent(start), logfloor_exponent(max(start, stop - 1)) + 1):
+            yield from itertools.repeat((bn**k, bd**k), min(stop, (2 << k) - 1) - max(start, (1 << k) - 1))
+    elif isinstance(f, Constant):
+        yield from itertools.repeat(f.value.as_integer_ratio(), stop - start)
+    elif isinstance(f, ExplicitFinite):
+        yield from (x.as_integer_ratio() for x in f.terms[start - 1:stop - 1])
+        if max(start, len(f.terms) + 1) < stop:  # an index past the end
+            raise IndexOutOfRange(f"finite family has {len(f.terms)} terms")
     elif isinstance(f, Scaled):
         cn, cd = f.c.as_integer_ratio()
         yield from ((cn * n, cd * d) for n, d in terms(f.inner, start, stop))
     else:
-        yield from (term(f, n).as_integer_ratio() for n in range(start, stop))
+        raise InvalidFamily(f"unknown family {f!r}")
 
 
 def sup_term(f: SequenceFamily) -> Fraction:

@@ -18,9 +18,11 @@ they check; their brackets come from the recursive node walk that
 
 Then come `log2_bounds`, `exp2_bounds` and `pow_bounds` as Fraction loops
 with general long division, from before their kernels moved to shifts and
-integer ends, and `iroot` by Newton's iteration alone.  Then come
-`product_bracket` and `certify_fat_thick` as Fraction loops, from before
-they moved to integer (numerator, denominator) pairs, returning the
+integer ends, `iroot` by Newton's iteration alone, and the exact-root
+shortcut and certify's power ends on Fractions, from before they took
+integer pairs.  Then come `seq.term` by each family's Fraction formula, and
+`product_bracket` and `certify_fat_thick` as Fraction loops over it, from
+before they moved to integer (numerator, denominator) pairs, returning the
 `ProductBracket` of reduced Fractions from before its partial products
 stayed unreduced pairs, and `tag_product` by floor and ceiling of its
 values.  Last come `build_cantor` with `RationalInterval` nodes, from
@@ -669,11 +671,26 @@ def verify_small_ball_oracle(m, c=None, s=None, count=1000, depth=10, seed=0, ca
 # log2_bounds, exp2_bounds and pow_bounds as they ran before their kernels
 # moved to shifts and integer ends: general long division by 2^B at every
 # rounding step, a Fraction per step, and pow_bounds asking for both ends of
-# both exp2 enclosures.  Only the exact-root shortcut comes from the library.
-
-from dmlab.enclosure import _exact_rational_pow  # noqa: E402
+# both exp2 enclosures.  The exact-root shortcut is the Fraction form it had
+# before it took integer pairs, on Newton's iteration alone.
 
 ORACLE_GUARD = 32
+
+
+def exact_rational_pow_oracle(x: Fraction, e: Fraction) -> Fraction | None:
+    """x^e as an exact rational when the root extraction is exact, else None."""
+    if e.denominator == 1:
+        return x ** e.numerator
+    n, d, k = x.numerator, x.denominator, e.denominator
+    if n and ((n & -n).bit_length() - 1) % k or ((d & -d).bit_length() - 1) % k:
+        return None
+    rn, okn = iroot_newton_oracle(n, k)
+    if not okn:
+        return None
+    rd, okd = iroot_newton_oracle(d, k)
+    if not okd:
+        return None
+    return Fraction(rn, rd) ** e.numerator
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -804,7 +821,7 @@ def pow_bounds_oracle(x: Fraction, e, bits: int = DEFAULT_BITS) -> Bounds:
         e = Fraction(e)
         if x == 1 or e == 0:
             return Bounds.exact(Fraction(1))
-        exact = _exact_rational_pow(x, e)
+        exact = exact_rational_pow_oracle(x, e)
         if exact is not None:
             return Bounds.exact(exact)
         e_bounds = Bounds.exact(e)
@@ -838,7 +855,7 @@ def iroot_newton_oracle(n: int, k: int) -> tuple[int, bool]:
 #
 # product_bracket and certify_fat_thick as they ran before they moved to
 # integer (numerator, denominator) pairs: a Fraction per term and factor from
-# seq.term, both ends of every fractional power from pow_bounds under refine,
+# term_oracle, seq.term by each family's own formula, both ends of every fractional power from pow_bounds under refine,
 # the lookahead from pow_end, and each end's partial product formed on its own
 # and reduced to a Fraction.
 
@@ -852,6 +869,7 @@ from dmlab.certify import (  # noqa: E402
 from dmlab.enclosure import exp_neg_upper, pow_end, refine  # noqa: E402
 from dmlab.errors import (  # noqa: E402
     DivergentSeries,
+    IndexOutOfRange,
     NotInEllT,
     TailTooLarge,
     Undecidable,
@@ -859,12 +877,39 @@ from dmlab.errors import (  # noqa: E402
 from dmlab.geom import ThickStructure, verify_thick  # noqa: E402
 from dmlab.reports import SERIALIZE_PLACES, tag_bracket  # noqa: E402
 from dmlab.seq import (  # noqa: E402
+    Constant,
+    ExplicitFinite,
+    Geometric,
+    LogFloor,
+    Power,
+    Scaled,
     Summability,
     classify_ellp,
     family_length,
     tail_sum_upper,
-    term,
 )
+
+
+def term_oracle(f, n: int) -> Fraction:
+    """`seq.term` by each family's Fraction formula, from before it read its
+    pair off `seq.terms`."""
+    if n < 1:
+        raise IndexOutOfRange("term indices start at 1")
+    if isinstance(f, Geometric):
+        return f.a * f.q ** (n - 1)
+    if isinstance(f, Power):
+        return f.a / Fraction(n + f.offset) ** f.gamma
+    if isinstance(f, LogFloor):
+        return f.base ** logfloor_exponent_oracle(n)
+    if isinstance(f, Constant):
+        return f.value
+    if isinstance(f, ExplicitFinite):
+        if n > len(f.terms):
+            raise IndexOutOfRange(f"finite family has {len(f.terms)} terms")
+        return f.terms[n - 1]
+    if isinstance(f, Scaled):
+        return f.c * term_oracle(f.inner, n)
+    raise InvalidFamily(f"unknown family {f!r}")
 
 
 @dataclass(frozen=True)
@@ -930,7 +975,7 @@ def _lookahead_sum_oracle(x, start: int, count: int) -> Fraction:
     stop = start + count if length is None else min(start + count, length)
     total = Fraction(0)
     for i in range(start + 1, stop + 1):
-        total += term(x, i)
+        total += term_oracle(x, i)
     return total
 
 
@@ -942,15 +987,15 @@ def product_bracket_oracle(x, n_partial: int, bits: int = DEFAULT_BITS,
     used = n_partial if length is None else min(n_partial, length)
     count = used if length is None else length
     if count:
-        size = max(_bits(term(x, 1)), _bits(term(x, count))) * count
+        size = max(_bits(term_oracle(x, 1)), _bits(term_oracle(x, count))) * count
         _check_exact_bits(size, f"the exact product of {count} factors")
-    terms = [term(x, i) for i in range(1, used + 1)]
+    terms = [term_oracle(x, i) for i in range(1, used + 1)]
     for i, t in enumerate(terms, start=1):
         if not 0 < t < 1:
             raise PreconditionViolated(f"factor term {i} = {t} outside (0,1)")
     partial = _exact_partial_oracle(terms)
     if length is not None:
-        tail = _exact_partial_oracle([term(x, i) for i in range(used + 1, length + 1)])
+        tail = _exact_partial_oracle([term_oracle(x, i) for i in range(used + 1, length + 1)])
         return ProductBracketOracle(partial, tail, tail, used)
     try:
         tail_sum = tail_sum_upper(x, Fraction(1), used, bits)
@@ -962,6 +1007,16 @@ def product_bracket_oracle(x, n_partial: int, bits: int = DEFAULT_BITS,
     return ProductBracketOracle(partial, tail_lower, tail_upper, used)
 
 
+def power_ends_oracle(x: Fraction, t: Fraction, bits: int) -> tuple[Fraction, Fraction]:
+    """certify's `_power_ends` on a Fraction: the exact root where there is
+    one, else the two ends of the Fraction `pow_bounds`."""
+    exact = exact_rational_pow_oracle(x, t)
+    if exact is not None:
+        return exact, exact
+    b = pow_bounds_oracle(x, t, bits)
+    return b.lo, b.hi
+
+
 def _scaled_power_oracle(scale: Fraction, base: Fraction, exponent: Fraction, bits: int) -> Bounds:
     pb = pow_bounds(base, exponent, bits)
     return Bounds(scale * pb.lo, scale * pb.hi)
@@ -970,7 +1025,7 @@ def _scaled_power_oracle(scale: Fraction, base: Fraction, exponent: Fraction, bi
 def _first_small_stage_oracle(alpha, t: Fraction, scale: Fraction, bits: int) -> int:
     def decided(n: int) -> bool:
         def attempt(b: int):
-            sp = _scaled_power_oracle(scale, term(alpha, n), t, b)
+            sp = _scaled_power_oracle(scale, term_oracle(alpha, n), t, b)
             if sp.hi < 1:
                 return True
             if sp.lo >= 1:
@@ -1025,7 +1080,7 @@ def certify_fat_thick_oracle(thick, t: Fraction, factor_scale: Fraction,
     exact_terms = t.denominator == 1
     if exact_terms:
         first = length or 64
-        size = t.numerator * max(_bits(term(alpha, 1)), _bits(term(alpha, first))) * first
+        size = t.numerator * max(_bits(term_oracle(alpha, 1)), _bits(term_oracle(alpha, first))) * first
         _check_exact_bits(size, f"the exact product of {first} factors at exponent {t}")
     n0 = _first_small_stage_oracle(alpha, t, scale, bits)
 
@@ -1037,7 +1092,7 @@ def certify_fat_thick_oracle(thick, t: Fraction, factor_scale: Fraction,
         while True:
             last = n0 + count - 1
             if exact_terms:
-                _check_exact_bits(t.numerator * _bits(term(alpha, last)) * count,
+                _check_exact_bits(t.numerator * _bits(term_oracle(alpha, last)) * count,
                                   f"the exact product of {count} factors at exponent {t}")
             tail_sum = scale * tail_sum_upper(alpha, t, last, bits)
             if tail_sum <= tail_target or count >= max_terms:
@@ -1050,12 +1105,12 @@ def certify_fat_thick_oracle(thick, t: Fraction, factor_scale: Fraction,
     upper_factors: list[Fraction] = []
     for n in range(n0, last + 1):
         if exact_terms:
-            x = scale * term(alpha, n) ** t.numerator
+            x = scale * term_oracle(alpha, n) ** t.numerator
             lower_factors.append(1 - x)
             upper_factors.append(1 - x)
         else:
             def attempt(b: int):
-                sp = _scaled_power_oracle(scale, term(alpha, n), t, b)
+                sp = _scaled_power_oracle(scale, term_oracle(alpha, n), t, b)
                 return sp if sp.hi < 1 else None
 
             sp = refine(attempt, bits, max_bits=4096)
@@ -1073,9 +1128,9 @@ def certify_fat_thick_oracle(thick, t: Fraction, factor_scale: Fraction,
             if length is not None and n > length:
                 break
             if exact_terms:
-                ahead += scale * term(alpha, n) ** t.numerator
+                ahead += scale * term_oracle(alpha, n) ** t.numerator
             else:
-                ahead += scale * pow_end(term(alpha, n), t, False, bits)
+                ahead += scale * pow_end(term_oracle(alpha, n), t, False, bits)
         tail_upper = min(Fraction(1), exp_neg_upper(ahead))
     bound = ProductBracketOracle(
         partial=partial_lo,
@@ -1092,7 +1147,6 @@ def certify_fat_thick_oracle(thick, t: Fraction, factor_scale: Fraction,
 # --- Fraction construction trees and the plain leaf-prefix walk ------------------
 
 from dmlab.geom import open_interval  # noqa: E402
-from dmlab.seq import term  # noqa: E402
 
 
 class CantorTreeOracle:
@@ -1120,7 +1174,7 @@ def build_cantor_oracle(beta, depth: int) -> CantorTreeOracle:
     gaps = []
     worst = None
     for k in range(1, depth + 1):
-        b = term(beta, k)
+        b = term_oracle(beta, k)
         if not 0 < b < 1:
             raise InvalidFamily(f"gap fraction at level {k} must be in (0,1), got {b}")
         worst = b if worst is None or b > worst else worst
@@ -1318,7 +1372,7 @@ def verify_small_ball_fraction_oracle(m, c=None, s=None, count=1000, depth=10, s
         mu_a = table.bracket(case.a_lo, case.a_hi)
         mu_b = table.bracket(max(Fraction(0), case.x - case.r), min(Fraction(1), case.x + case.r))
         rho = case.r / (case.a_hi - case.a_lo)
-        exact = None if s is None else _exact_rational_pow(rho / 2, Fraction(s))
+        exact = None if s is None else exact_rational_pow_oracle(rho / 2, Fraction(s))
         cur = bits
         while True:
             if (rho, cur) not in factors:

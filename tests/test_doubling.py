@@ -100,9 +100,9 @@ class TestFits:
                 built.append(args)
                 super().__init__(*args)
 
-        def counted_log2_end(x, bits, upper):
-            ends.append((x, upper))
-            return log2_end(x, bits, upper)
+        def counted_log2_end(n, d, bits, upper):
+            ends.append((Fraction(n, d), upper))
+            return log2_end(n, d, bits, upper)
 
         monkeypatch.setattr(doubling, "_MassOracle", Counted)
         monkeypatch.setattr(doubling, "_log2_end", counted_log2_end)

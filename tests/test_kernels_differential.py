@@ -8,7 +8,10 @@ built from them; `interval_mass` and `cutout_mass` must give the same
 brackets as the recursive node walk. `log2_bounds`, `exp2_bounds`,
 `pow_bounds` and `pow_end` must give the same ends and refusals as the
 Fraction enclosures they replaced, and `iroot` the same roots as Newton's
-iteration. `certify_fat_thick` and `product_bracket` must give the same
+iteration. `seq.terms` and `seq.term` must give the values of each family's
+Fraction formula, and `_power_ends`, `_exact_rational_pow` and `_log2_end`
+on integer pairs, unreduced ones included, the values of their Fraction
+forms. `certify_fat_thick` and `product_bracket` must give the same
 certificates, refusals and `tag_product` reports as the Fraction loops they
 replaced, and `ProductBracket`'s cross-multiplied checks the same answers as
 the Fraction comparisons of the type it replaced. The row pass of
@@ -33,6 +36,7 @@ from hypothesis import strategies as st
 
 from dmlab.certify import (
     ProductBracket,
+    _power_ends,
     certify_fat_thick,
     cutout_lower_bound,
     power_tail_lower,
@@ -54,7 +58,18 @@ from dmlab.doubling import (
     scan_core,
     verify_small_ball_bound,
 )
-from dmlab.enclosure import Bounds, _exp2_end, exp2_64ths, exp2_bounds, iroot, log2_bounds, pow_bounds, pow_end
+from dmlab.enclosure import (
+    Bounds,
+    _exact_rational_pow,
+    _exp2_end,
+    _log2_end,
+    exp2_64ths,
+    exp2_bounds,
+    iroot,
+    log2_bounds,
+    pow_bounds,
+    pow_end,
+)
 from dmlab.errors import EnclosureInconclusive, InvalidFamily
 from dmlab.geom import (
     CutOutConfig,
@@ -79,7 +94,7 @@ from dmlab.measure import (
 from dmlab.ratio import decimal_str, first_max, randbelow
 from dmlab.qs import DEFAULT_TAUS, QSMap, qs_ratio_scan
 from dmlab.reports import tag_product
-from dmlab.seq import Constant, ExplicitFinite, Geometric, LogFloor, Power, Scaled
+from dmlab.seq import Constant, ExplicitFinite, Geometric, LogFloor, Power, Scaled, term, terms
 
 from helpers import (
     ProductBracketOracle,
@@ -90,8 +105,10 @@ from helpers import (
     cutout_lower_bound_oracle,
     decimal_str_oracle,
     dyadic_cdf_numerators_oracle,
+    exact_rational_pow_oracle,
     exp2_bounds_oracle,
     iroot_newton_oracle,
+    power_ends_oracle,
     product_bracket_oracle,
     log2_bounds_oracle,
     pow_bounds_oracle,
@@ -110,6 +127,7 @@ from helpers import (
     scan_core_oracle,
     scan_pass_oracle,
     tag_product_oracle,
+    term_oracle,
     verify_small_ball_exact_oracle,
     verify_small_ball_fraction_oracle,
     verify_small_ball_oracle,
@@ -840,6 +858,66 @@ def test_certify_fat_thick_matches_oracle(alpha, t, scale, max_terms, bits):
 def test_product_bracket_matches_oracle(x, n_partial, lookahead):
     assert _outcome(lambda: _values(product_bracket(x, n_partial, lookahead=lookahead), tag_product)) == _outcome(
         lambda: _values(product_bracket_oracle(x, n_partial, lookahead=lookahead), tag_product_oracle))
+
+
+# any index up to 300, and the logfloor block edges: block k runs from 2^k - 1
+# to 2^(k+1) - 2
+term_indices = st.one_of(
+    st.integers(1, 300),
+    st.integers(1, 10).flatmap(lambda k: st.sampled_from([(1 << k) - 2, (1 << k) - 1, 1 << k])).filter(bool),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(families(), term_indices, term_indices)
+@example(LogFloor(F(1, 3)), 1, 64)
+@example(LogFloor(F(1, 4)), 7, 15)  # block 3 whole
+@example(Scaled(F(1, 2), LogFloor(F(1, 9))), 6, 8)  # the last of block 2, the first of block 3
+@example(LogFloor(F(1, 9)), 15, 15)  # empty
+@example(Constant(F(1, 4)), 9, 3)  # empty
+@example(ExplicitFinite((F(1, 2), F(1, 3))), 1, 5)  # past the end
+@example(ExplicitFinite((F(1, 4),)), 3, 3)  # empty, past the end
+def test_terms_match_term_by_value(f, start, stop):
+    """`terms` over start .. stop - 1 against the Fraction formulas one index
+    at a time, refusals included, and `term` against the same formulas."""
+    want = _outcome(lambda: [term_oracle(f, n) for n in range(start, stop)])
+    assert _outcome(lambda: [F(*x) for x in terms(f, start, stop)]) == want
+    assert _outcome(lambda: [term(f, n) for n in range(start, stop)]) == want
+
+
+@st.composite
+def unreduced_bases(draw):
+    """A rational in (0, 1] as an integer pair that may keep a common factor;
+    its reduced form often a square or a cube, so that a root is exact."""
+    d = draw(st.integers(1, 40))
+    n = draw(st.integers(1, d))
+    k = draw(st.sampled_from([1, 2, 3]))
+    g = draw(st.one_of(st.just(1), st.integers(2, 50), st.just(1 << 40)))
+    x = F(n**k, d**k)
+    return x.numerator * g, x.denominator * g
+
+
+@settings(max_examples=200, deadline=None)
+@given(unreduced_bases(), exponents, st.sampled_from([2, 64, 128]))
+@example((20, 45), F(1, 2), 128)  # 4/9: the root 2/3 shows once reduced
+@example((8, 18), F(1, 2), 128)
+@example((7, 7), F(3, 2), 64)
+def test_pair_power_kernels_match_fraction_oracles(x, t, bits):
+    """`_power_ends` on an unreduced pair against its Fraction form;
+    `_exact_rational_pow` against its Fraction form at t and -t, on the
+    reduced pair and, at an integer exponent, on the unreduced one; and
+    `_log2_end` on the unreduced pair against the Fraction `log2_bounds`."""
+    xf = F(*x)
+    assert tuple(F(*p) for p in _power_ends(x, t, bits)) == power_ends_oracle(xf, t, bits)
+    assert [F(*p) for p in _power_ends(x, t, bits, (False,))] == [power_ends_oracle(xf, t, bits)[0]]
+    for e in (t, -t):
+        want = exact_rational_pow_oracle(xf, e)
+        for pair in (xf.as_integer_ratio(), x) if e.denominator == 1 else (xf.as_integer_ratio(),):
+            got = _exact_rational_pow(*pair, e)
+            assert (None if got is None else F(*got)) == want
+    ends = log2_bounds_oracle(xf, bits)
+    assert F(_log2_end(*x, bits, False), 1 << bits) == ends.lo
+    assert F(_log2_end(*x, bits, True), 1 << bits) == ends.hi
 
 
 # integer and fractional delta, exact roots among the fractional terms

@@ -23,6 +23,7 @@ from dmlab.seq import (
     sup_term,
     tail_sum_upper,
     term,
+    terms,
 )
 
 from helpers import logfloor_exponent_oracle
@@ -79,6 +80,23 @@ def test_logfloor_terms():
     assert term(f, 1) == Fraction(1, 3)
     assert term(f, 3) == Fraction(1, 9)
     assert term(f, 7) == Fraction(1, 27)
+
+
+@pytest.mark.parametrize("f", [
+    Geometric(Fraction(1, 2), Fraction(1, 2)),
+    Power(Fraction(1), 1, 0),
+    LogFloor(Fraction(1, 3)),
+    Constant(Fraction(1, 4)),
+    ExplicitFinite((Fraction(1, 2), Fraction(1, 3))),
+    Scaled(Fraction(1, 2), Power(Fraction(1), 1, 0)),
+], ids=lambda f: type(f).__name__)
+@pytest.mark.parametrize("start", [0, -2])
+def test_terms_below_index_one_are_refused(f, start):
+    """terms refuses a start below 1 as term does, before any pair: a power
+    term at 0 would otherwise have the denominator 0."""
+    for run in (lambda: list(terms(f, start, 3)), lambda: term(f, start)):
+        with pytest.raises(IndexOutOfRange, match="term indices start at 1"):
+            run()
 
 
 class TestClassification:
