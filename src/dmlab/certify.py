@@ -32,10 +32,9 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from .doubling import DoublingReport
 from .enclosure import (
@@ -72,6 +71,7 @@ from .geom import (
     verify_thick,
 )
 from .measure import TreeMeasure, _pair_sum, cutout_mass
+from .ratio import Value
 from .seq import (
     LogFloor,
     SequenceFamily,
@@ -110,8 +110,7 @@ def _pair_le(a: Pair, b: Pair) -> bool:
     return a[0] * b[1] <= b[0] * a[1]
 
 
-@dataclass(frozen=True)
-class ProductBracket:
+class ProductBracket(Value):
     """Enclosure of an infinite product of factors (1 - x_i), x_i in (0,1).
 
     `partial_lo` is the product of the first n_terms factors as an unreduced
@@ -121,22 +120,22 @@ class ProductBracket:
     the Fraction readers reduce only when called.
     """
 
-    partial_lo: Pair
-    tail_lower: Fraction
-    tail_upper: Fraction
-    n_terms: int
-    partial_hi: Pair | None = None
+    __slots__ = _fields = ("partial_lo", "tail_lower", "tail_upper", "n_terms", "partial_hi")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.tail_lower <= self.tail_upper <= 1:
-            raise PreconditionViolated(
-                f"tail bounds out of order: [{self.tail_lower}, {self.tail_upper}]"
-            )
-        lo, hi = self.partial_lo, self.partial_hi or self.partial_lo
+    def __init__(self, partial_lo: Pair, tail_lower: Fraction, tail_upper: Fraction, n_terms: int,
+                 partial_hi: Pair | None = None) -> None:
+        if not 0 <= tail_lower <= tail_upper <= 1:
+            raise PreconditionViolated(f"tail bounds out of order: [{tail_lower}, {tail_upper}]")
+        lo, hi = partial_lo, partial_hi or partial_lo
         if not (0 <= lo[0] and 0 < hi[1] and hi[0] <= hi[1] and (hi is lo or _pair_le(lo, hi))):
             raise PreconditionViolated("partial products outside 0 <= lower <= upper <= 1")
-        if self.n_terms < 0:
+        if n_terms < 0:
             raise PreconditionViolated("n_terms must be >= 0")
+        object.__setattr__(self, "partial_lo", partial_lo)
+        object.__setattr__(self, "tail_lower", tail_lower)
+        object.__setattr__(self, "tail_upper", tail_upper)
+        object.__setattr__(self, "n_terms", n_terms)
+        object.__setattr__(self, "partial_hi", partial_hi)
 
     @property
     def partial(self) -> Fraction:
@@ -268,8 +267,7 @@ def product_bracket(
 
 # --- fatness: thick constructions --------------------------------------------
 
-@dataclass(frozen=True)
-class FatnessCertificate:
+class FatnessCertificate(NamedTuple):
     alpha: SequenceFamily
     t: Fraction
     factor_scale: Fraction  # the combined constant multiplying alpha_n^t
@@ -447,8 +445,7 @@ def combine_fatness_constants(
 
 # --- thinness: porous constructions ------------------------------------------
 
-@dataclass(frozen=True)
-class ThinnessCertificate:
+class ThinnessCertificate(NamedTuple):
     alpha: SequenceFamily
     s: Fraction
     c: Fraction
@@ -669,8 +666,7 @@ def tail_domination_start(
 
 # --- the final lower bound for cut-out sets -----------------------------------
 
-@dataclass(frozen=True)
-class CutoutBound:
+class CutoutBound(NamedTuple):
     value: Fraction          # certified lower bound on the surviving mass
     conclusion: Conclusion
     main_term: Fraction      # lam * n_balls^(-r*s), rounded down
@@ -760,8 +756,7 @@ def cutout_lower_bound(
     )
 
 
-@dataclass(frozen=True)
-class InflationCheck:
+class InflationCheck(NamedTuple):
     zeta_upper: Fraction      # inflation radius used (upper bound on 2N^-Q)
     remaining_lower: Fraction  # certified lower mass outside the inflated balls
     slack_required: Fraction   # the epsilon/2 the remainder must exceed
@@ -797,8 +792,7 @@ def inflated_remainder_check(
 
 # --- the exactly solvable removal schedule ------------------------------------
 
-@dataclass(frozen=True)
-class ScheduleMassReport:
+class ScheduleMassReport(NamedTuple):
     p: Fraction
     stages: int
     exponents: tuple[int, ...]          # removal depth at each stage

@@ -12,7 +12,6 @@ hold, certifies a counterexample, or raises after exhausting precision.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import ceil, floor, gcd, lcm, log2
@@ -47,15 +46,13 @@ from .ratio import first_max, randbelow
 PERFECTNESS_GAP_CAP = Fraction(15, 16)
 
 
-@dataclass(frozen=True)
-class ScanWitness:
+class ScanWitness(NamedTuple):
     x: Fraction
     r: Fraction
     ratio_lower: Fraction
 
 
-@dataclass(frozen=True)
-class RatioDecayFit:
+class RatioDecayFit(NamedTuple):
     big_lam: Fraction
     t: Fraction
     pairs_checked: int
@@ -63,8 +60,7 @@ class RatioDecayFit:
     rounds: int
 
 
-@dataclass(frozen=True)
-class MassWindowFit:
+class MassWindowFit(NamedTuple):
     lam: Fraction
     s: Fraction
     big_lam: Fraction
@@ -72,8 +68,7 @@ class MassWindowFit:
     samples: int
 
 
-@dataclass(frozen=True)
-class DoublingReport:
+class DoublingReport(NamedTuple):
     c_upper: Fraction
     c_lower: Fraction
     witness: ScanWitness
@@ -555,16 +550,14 @@ def doubling_scan(
 
 # --- conservative lower-bound verification ------------------------------------
 
-@dataclass(frozen=True)
-class SmallBallCase:
+class SmallBallCase(NamedTuple):
     a_lo: Fraction
     a_hi: Fraction
     x: Fraction
     r: Fraction
 
 
-@dataclass(frozen=True)
-class SmallBallResult:
+class SmallBallResult(NamedTuple):
     holds: bool
     checked: int
     counterexample: SmallBallCase | None = None

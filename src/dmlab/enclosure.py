@@ -12,27 +12,27 @@ one side of x^e needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
 from .errors import EnclosureInconclusive, PreconditionViolated
+from .ratio import Value
 
 DEFAULT_BITS = 128
 _GUARD = 32
 
 
-@dataclass(frozen=True)
-class Bounds:
+class Bounds(Value):
     """A closed interval [lo, hi] guaranteed to contain a real value."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = _fields = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise PreconditionViolated(f"empty bounds [{self.lo}, {self.hi}]")
+    def __init__(self, lo: Fraction, hi: Fraction) -> None:
+        if lo > hi:
+            raise PreconditionViolated(f"empty bounds [{lo}, {hi}]")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @staticmethod
     def exact(x: Fraction) -> "Bounds":

@@ -15,11 +15,10 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import (
     DepthBudgetExceeded,
@@ -30,6 +29,7 @@ from .errors import (
     PreconditionViolated,
     ResolutionExhausted,
 )
+from .ratio import Value
 from .seq import Geometric, SequenceFamily, term
 
 DEFAULT_CAPS = {"depth": 32, "nodes": 1 << 20}
@@ -80,24 +80,21 @@ def check_nodes(count: int) -> None:
         raise NodeBudgetExceeded(f"{count} nodes exceed the node cap {cap}")
 
 
-@dataclass(frozen=True)
-class RationalInterval:
+class RationalInterval(Value):
     """Subinterval of [0,1] with exact endpoints and per-side openness."""
 
-    lo: Fraction
-    hi: Fraction
-    lo_open: bool = False
-    hi_open: bool = False
+    __slots__ = _fields = ("lo", "hi", "lo_open", "hi_open")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
-        if not 0 <= self.lo <= self.hi <= 1:
-            raise PreconditionViolated(
-                f"interval [{self.lo}, {self.hi}] must sit inside [0, 1]"
-            )
-        if self.lo == self.hi and (self.lo_open or self.hi_open):
+    def __init__(self, lo: Fraction, hi: Fraction, lo_open: bool = False, hi_open: bool = False) -> None:
+        lo, hi = Fraction(lo), Fraction(hi)
+        if not 0 <= lo <= hi <= 1:
+            raise PreconditionViolated(f"interval [{lo}, {hi}] must sit inside [0, 1]")
+        if lo == hi and (lo_open or hi_open):
             raise PreconditionViolated("degenerate interval cannot be open")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "lo_open", lo_open)
+        object.__setattr__(self, "hi_open", hi_open)
 
     @property
     def diameter(self) -> Fraction:
@@ -241,20 +238,25 @@ def max_overlap(pieces: list[RationalInterval]) -> tuple[int, Fraction | None]:
 
 # --- Cantor-type construction trees -----------------------------------------
 
-@dataclass(frozen=True)
-class ConstructionTree:
+class ConstructionTree(Value):
     """Nested splitting of [0,1]: level-k pieces split in two around an open
     middle gap occupying fraction beta_(k+1) of the parent.
 
-    `edges[k]` is level k as (den, lows, highs): the node ends as integer
-    numerators over one reduced common denominator, in node order. Both
-    tuples ascend because each level is sorted and disjoint. `nodes` and
-    `gaps` are read off them as intervals when first asked for."""
+    `edges[k]` is level k as (den, lows, highs), k = 0..depth: the node ends
+    as integer numerators over one reduced common denominator, in node order.
+    Both tuples ascend because each level is sorted and disjoint. `nodes` and
+    `gaps` are read off them as intervals when first asked for, and cached
+    in the tree's `__dict__`."""
 
-    beta: SequenceFamily
-    depth: int
-    edges: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]  # levels 0..depth
-    perfectness_constant: Fraction | None = None
+    _fields = ("beta", "depth", "edges", "perfectness_constant")
+    __slots__ = (*_fields, "__dict__")
+
+    def __init__(self, beta: SequenceFamily, depth: int, edges: tuple,
+                 perfectness_constant: Fraction | None = None) -> None:
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "perfectness_constant", perfectness_constant)
 
     @cached_property
     def nodes(self) -> tuple[tuple[RationalInterval, ...], ...]:  # levels 0..depth
@@ -315,19 +317,19 @@ def realized_beta_max(tree: ConstructionTree) -> Fraction | None:
 
 # --- Cut-out configurations --------------------------------------------------
 
-@dataclass(frozen=True)
-class CutOutConfig:
+class CutOutConfig(Value):
     """Closed balls to remove from [0,1], with a declared family bounding
     the ball diameters."""
 
-    balls: tuple[RationalInterval, ...]
-    diam_family: SequenceFamily | None = None
+    __slots__ = _fields = ("balls", "diam_family")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "balls", tuple(self.balls))
-        for b in self.balls:
+    def __init__(self, balls: tuple[RationalInterval, ...], diam_family: SequenceFamily | None = None) -> None:
+        balls = tuple(balls)
+        for b in balls:
             if b.lo_open or b.hi_open:
                 raise PreconditionViolated("cut-out balls must be closed")
+        object.__setattr__(self, "balls", balls)
+        object.__setattr__(self, "diam_family", diam_family)
 
     def validate_diameters(self) -> None:
         if self.diam_family is None:
@@ -385,8 +387,7 @@ def inflate(config: CutOutConfig, n_balls: int, zeta: Fraction) -> list[Rational
 
 # --- Dyadic porous stages ----------------------------------------------------
 
-@dataclass(frozen=True)
-class DyadicPiece:
+class DyadicPiece(NamedTuple):
     level: int
     index: int
 
@@ -399,8 +400,7 @@ class DyadicPiece:
         return Fraction(1, 1 << self.level)
 
 
-@dataclass(frozen=True)
-class PorousConstruction:
+class PorousConstruction(NamedTuple):
     alpha: SequenceFamily
     stages: tuple[tuple[DyadicPiece, ...], ...]  # stages[n] is F_n, stage 0 = [0,1]
     removed: tuple[tuple[DyadicPiece, ...], ...]  # removed[n] taken out of F_n
@@ -460,16 +460,14 @@ def build_porous(
 
 # --- Gap structures with witness balls ---------------------------------------
 
-@dataclass(frozen=True)
-class ThickPair:
+class ThickPair(NamedTuple):
     piece: RationalInterval  # I
     gap: RationalInterval  # J, the open part removed inside I
     witness_center: Fraction
     witness_radius: Fraction
 
 
-@dataclass(frozen=True)
-class ThickStructure:
+class ThickStructure(NamedTuple):
     """Levelwise (piece, gap) pairs with witness balls.
 
     Conditions checked by verify_thick:
@@ -488,16 +486,14 @@ class ThickStructure:
     target: tuple[RationalInterval, ...] | None = None
 
 
-@dataclass(frozen=True)
-class ThickViolation:
+class ThickViolation(NamedTuple):
     condition: str  # one of "i".."v"
     level: int  # 1-based structure level
     index: int
     detail: str
 
 
-@dataclass(frozen=True)
-class ThickVerdict:
+class ThickVerdict(NamedTuple):
     valid: bool
     violations: tuple[ThickViolation, ...] = ()
 

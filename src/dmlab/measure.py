@@ -11,7 +11,6 @@ query depth.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, compress, count, repeat
@@ -29,24 +28,21 @@ from .geom import (
     closed,
     remaining_set,
 )
-from .ratio import parse_rational
+from .ratio import Value, parse_rational
 
 
-@dataclass(frozen=True)
-class MassBracket:
+class MassBracket(Value):
     """Certified enclosure 0 <= lower <= mu(E) <= upper."""
 
-    lower: Fraction
-    upper: Fraction
+    __slots__ = _fields = ("lower", "upper")
 
-    def __post_init__(self) -> None:
-        if type(self.lower) is not Fraction or type(self.upper) is not Fraction:
-            object.__setattr__(self, "lower", Fraction(self.lower))
-            object.__setattr__(self, "upper", Fraction(self.upper))
-        if not 0 <= self.lower <= self.upper:
-            raise PreconditionViolated(
-                f"bad mass bracket [{self.lower}, {self.upper}]"
-            )
+    def __init__(self, lower: Fraction, upper: Fraction) -> None:
+        if type(lower) is not Fraction or type(upper) is not Fraction:
+            lower, upper = Fraction(lower), Fraction(upper)
+        if not 0 <= lower <= upper:
+            raise PreconditionViolated(f"bad mass bracket [{lower}, {upper}]")
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
 
     def __add__(self, other: "MassBracket") -> "MassBracket":
         return MassBracket(self.lower + other.lower, self.upper + other.upper)
@@ -63,14 +59,13 @@ class MassBracket:
 EXACT_ZERO = MassBracket(Fraction(0), Fraction(0))
 
 
-@dataclass(frozen=True)
-class BinomialWeights:
+class BinomialWeights(Value):
     """Same left-share p at every node."""
 
-    p: Fraction
+    __slots__ = _fields = ("p",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p", Fraction(self.p))
+    def __init__(self, p: Fraction) -> None:
+        object.__setattr__(self, "p", Fraction(p))
         if not 0 < self.p < 1:
             raise PreconditionViolated(f"binomial weight must be in (0,1), got {self.p}")
 
@@ -82,16 +77,15 @@ class BinomialWeights:
         return None
 
 
-@dataclass(frozen=True)
-class TableWeights:
+class TableWeights(Value):
     """Explicit left-share table, one tuple per level; levels[k][i] is the
     left share of node i at level k. Below the table the split is even."""
 
-    levels: tuple[tuple[Fraction, ...], ...]
+    __slots__ = _fields = ("levels",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, levels: tuple[tuple[Fraction, ...], ...]) -> None:
         frozen = []
-        for k, row in enumerate(self.levels):
+        for k, row in enumerate(levels):
             if len(row) != (1 << k):
                 raise PreconditionViolated(f"level {k} needs {1 << k} weights")
             vals = tuple(Fraction(w) for w in row)
@@ -114,20 +108,22 @@ class TableWeights:
 WeightRule = Union[BinomialWeights, TableWeights]
 
 
-@dataclass(frozen=True)
-class TreeMeasure:
+class TreeMeasure(Value):
     """base None = dyadic subdivision of [0,1]; otherwise the measure lives on
-    the construction tree's nodes and every removed middle has mass zero."""
+    the construction tree's nodes and every removed middle has mass zero.
+    `base_mass_bracket` is the provenance of a restricted measure."""
 
-    weights: WeightRule
-    base: ConstructionTree | None = None
-    total_mass: Fraction = Fraction(1)
-    base_mass_bracket: MassBracket | None = None  # provenance when restricted
+    __slots__ = _fields = ("weights", "base", "total_mass", "base_mass_bracket")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "total_mass", Fraction(self.total_mass))
-        if self.total_mass < 0:
+    def __init__(self, weights: WeightRule, base: ConstructionTree | None = None,
+                 total_mass: Fraction = Fraction(1), base_mass_bracket: MassBracket | None = None) -> None:
+        total_mass = Fraction(total_mass)
+        if total_mass < 0:
             raise PreconditionViolated("total mass must be >= 0")
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "total_mass", total_mass)
+        object.__setattr__(self, "base_mass_bracket", base_mass_bracket)
 
     @property
     def split_depth(self) -> int:

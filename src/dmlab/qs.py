@@ -9,9 +9,9 @@ empirical: they lower-envelope any distortion gauge, they do not assert one.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
+from typing import NamedTuple
 
 from .enclosure import Bounds, add_bounds, log2_bounds, mul_bounds, pow_bounds
 from .errors import NonMonotone, PreconditionViolated
@@ -23,7 +23,7 @@ from .measure import (
     dyadic_cdf_grid,
     dyadic_cdf_numerators,
 )
-from .ratio import first_max, randbelow
+from .ratio import Value, first_max, randbelow
 
 DEFAULT_TAUS = (
     Fraction(1, 4),
@@ -36,16 +36,16 @@ DEFAULT_TAUS = (
 _STRADDLE_STEPS = (1, 2, 4)
 
 
-@dataclass(frozen=True)
-class QSMap:
+class QSMap(Value):
     """f(x) = mu([0,x]) for a tree measure; f(0) = 0, f(1) = total mass."""
 
-    source: TreeMeasure
-    eval_depth: int = 24
+    __slots__ = _fields = ("source", "eval_depth")
 
-    def __post_init__(self) -> None:
-        if self.eval_depth < 0:
+    def __init__(self, source: TreeMeasure, eval_depth: int = 24) -> None:
+        if eval_depth < 0:
             raise PreconditionViolated("evaluation depth must be >= 0")
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "eval_depth", eval_depth)
 
 
 def evaluate(qsmap: QSMap, x: Fraction) -> MassBracket:
@@ -87,8 +87,7 @@ def measure_from_map(table: list[Fraction]) -> TreeMeasure:
     )
 
 
-@dataclass(frozen=True)
-class RatioScanRow:
+class RatioScanRow(NamedTuple):
     tau: Fraction
     max_ratio: Fraction
     witness: tuple[Fraction, Fraction, Fraction]  # (x, y, z) attaining the max

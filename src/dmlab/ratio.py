@@ -1,4 +1,5 @@
-"""Parsing and deterministic rendering of exact rationals.
+"""Parsing and deterministic rendering of exact rationals, and `Value`, the
+base of the library's validated value types.
 
 Rationals travel through configs and reports as "num/den" strings (plain
 integers allowed).  Decimal renderings are produced by integer long division
@@ -11,6 +12,36 @@ from fractions import Fraction
 from operator import truediv
 
 from .errors import PreconditionViolated
+
+
+class Value:
+    """A validated, immutable value: its `__init__` checks and stores the
+    fields named in `_fields`. Two values are equal, and hash alike, when they
+    are of the same class and their fields are equal, so `Constant(1/2) !=
+    LogFloor(1/2)`; the repr is `Name(field=value, ...)`."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign to field '{name}'")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._key()
 
 
 def parse_rational(text: str | int | Fraction) -> Fraction:

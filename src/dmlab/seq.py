@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from .enclosure import DEFAULT_BITS, pow_bounds, pow_end, refine
 from .errors import (
@@ -32,7 +31,7 @@ from .errors import (
     PreconditionViolated,
     Undecidable,
 )
-from .ratio import parse_integer, parse_rational, rat_str
+from .ratio import Value, parse_integer, parse_rational, rat_str
 
 
 def _frac(x) -> Fraction:
@@ -42,28 +41,25 @@ def _frac(x) -> Fraction:
         raise InvalidFamily(f"not a rational: {x!r}") from exc
 
 
-@dataclass(frozen=True)
-class Geometric:
-    a: Fraction
-    q: Fraction
+class Geometric(Value):
+    __slots__ = _fields = ("a", "q")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _frac(self.a))
-        object.__setattr__(self, "q", _frac(self.q))
+    def __init__(self, a: Fraction, q: Fraction) -> None:
+        object.__setattr__(self, "a", _frac(a))
+        object.__setattr__(self, "q", _frac(q))
         if not 0 < self.q < 1:
             raise InvalidFamily("geometric ratio must satisfy 0 < q < 1")
         if not 0 < self.a < 1:
             raise InvalidFamily("geometric scale must satisfy 0 < a < 1")
 
 
-@dataclass(frozen=True)
-class Power:
-    a: Fraction
-    gamma: int
-    offset: int = 0
+class Power(Value):
+    __slots__ = _fields = ("a", "gamma", "offset")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _frac(self.a))
+    def __init__(self, a: Fraction, gamma: int, offset: int = 0) -> None:
+        object.__setattr__(self, "a", _frac(a))
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "offset", offset)
         if not isinstance(self.gamma, int) or self.gamma < 1:
             raise InvalidFamily("power exponent must be an integer >= 1")
         if not isinstance(self.offset, int) or self.offset < 0:
@@ -73,32 +69,29 @@ class Power:
             raise InvalidFamily("power family needs 0 < a/(1+offset)^gamma <= 1")
 
 
-@dataclass(frozen=True)
-class LogFloor:
-    base: Fraction
+class LogFloor(Value):
+    __slots__ = _fields = ("base",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "base", _frac(self.base))
+    def __init__(self, base: Fraction) -> None:
+        object.__setattr__(self, "base", _frac(base))
         if not 0 < self.base < 1:
             raise InvalidFamily("logfloor base must satisfy 0 < base < 1")
 
 
-@dataclass(frozen=True)
-class Constant:
-    value: Fraction
+class Constant(Value):
+    __slots__ = _fields = ("value",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", _frac(self.value))
+    def __init__(self, value: Fraction) -> None:
+        object.__setattr__(self, "value", _frac(value))
         if not 0 < self.value < 1:
             raise InvalidFamily("constant value must satisfy 0 < value < 1")
 
 
-@dataclass(frozen=True)
-class ExplicitFinite:
-    terms: tuple[Fraction, ...]
+class ExplicitFinite(Value):
+    __slots__ = _fields = ("terms",)
 
-    def __post_init__(self) -> None:
-        terms = tuple(_frac(t) for t in self.terms)
+    def __init__(self, terms: tuple[Fraction, ...]) -> None:
+        terms = tuple(_frac(t) for t in terms)
         object.__setattr__(self, "terms", terms)
         if not terms:
             raise InvalidFamily("explicit family needs at least one term")
@@ -106,13 +99,12 @@ class ExplicitFinite:
             raise InvalidFamily("explicit terms must lie in (0, 1)")
 
 
-@dataclass(frozen=True)
-class Scaled:
-    c: Fraction
-    inner: "SequenceFamily"
+class Scaled(Value):
+    __slots__ = _fields = ("c", "inner")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "c", _frac(self.c))
+    def __init__(self, c: Fraction, inner: SequenceFamily) -> None:
+        object.__setattr__(self, "c", _frac(c))
+        object.__setattr__(self, "inner", inner)
         if self.c <= 0:
             raise InvalidFamily("scale must be positive")
         if self.c * sup_term(self.inner) >= 1:
@@ -133,8 +125,7 @@ class Ell0Kind(enum.Enum):
     UNDECIDABLE = "undecidable"
 
 
-@dataclass(frozen=True)
-class Ell0Class:
+class Ell0Class(NamedTuple):
     kind: Ell0Kind
     witness: Fraction | None = None  # an exponent p where the p-th power sum diverges
 

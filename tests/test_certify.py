@@ -1,6 +1,5 @@
 """Certificates against direct multiplication, literal enumeration, mpmath."""
 
-import dataclasses
 import time
 from fractions import Fraction
 
@@ -120,8 +119,8 @@ class TestFatCertificates:
         thick = thick_from_cantor(build_cantor(Geometric(Fraction(1, 2), Fraction(1, 2)), 3))
         # shrink the first level-2 witness ball below c * diam(piece)
         first, *rest = thick.levels[1]
-        small = dataclasses.replace(first, witness_radius=first.witness_radius / 2)
-        broken = dataclasses.replace(thick, levels=(thick.levels[0], (small, *rest), *thick.levels[2:]))
+        small = first._replace(witness_radius=first.witness_radius / 2)
+        broken = thick._replace(levels=(thick.levels[0], (small, *rest), *thick.levels[2:]))
         with pytest.raises(PreconditionViolated, match=r"^structure fails verification: condition iv "
                            r"at level 2: witness radius below c \* diam\(piece\)$"):
             certify_fat_thick(broken, Fraction(1), Fraction(1))

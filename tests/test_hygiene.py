@@ -9,7 +9,11 @@ Three rules keep unused surface out of `src/dmlab`:
   no call passes is one every caller leaves at its default, so the default
   belongs in the body;
 * `src/dmlab/*.py` holds at most `SOURCE_LINE_BUDGET` lines, so a change
-  pays for the lines it adds by removing as many elsewhere.
+  pays for the lines it adds by removing as many elsewhere;
+* no module imports `dataclasses`, whose class building was a quarter of a
+  CLI process's setup, and `import dmlab.cli` loads neither `dataclasses`
+  nor `inspect`, but does load every module of the package, so the saving
+  does not come from an import deferred into the first call.
 
 Calls are matched to definitions by name only (the last part of a dotted
 callee, the class name for `__init__`), which can only make a parameter look
@@ -19,7 +23,10 @@ passed, never unpassed.
 from __future__ import annotations
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -118,3 +125,26 @@ def test_source_stays_within_its_line_budget():
     assert sum(lines.values()) <= SOURCE_LINE_BUDGET, (
         f"src/dmlab/*.py holds {sum(lines.values())} lines, over the budget of "
         f"{SOURCE_LINE_BUDGET}: {sorted(lines.items(), key=lambda kv: -kv[1])}")
+
+
+def _imported_modules(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+
+
+def test_no_module_imports_dataclasses():
+    users = [path.name for path, tree in _trees("src/dmlab")
+             if any(m.split(".")[0] == "dataclasses" for m in _imported_modules(tree))]
+    assert not users, f"modules importing dataclasses: {users}"
+
+
+def test_cli_import_loads_the_whole_package_and_no_class_builders():
+    probe = ("import sys, dmlab.cli; print(*sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('dmlab', 'dataclasses', 'inspect')))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")}).stdout.split()
+    package = {"dmlab"} | {f"dmlab.{p.stem}" for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
+    assert set(out) == package
