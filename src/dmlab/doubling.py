@@ -601,6 +601,9 @@ def verify_small_ball_bound(
     """For sampled sets A = [a,b], centers x in A and radii 0 < r < diam A,
     certify mu(B(x,r)) >= 2^-s (r/diam A)^s mu(A) or produce a certified
     counterexample. s may be given directly or derived from a constant c."""
+    check_depth(depth)
+    if count < 0:
+        raise PreconditionViolated("count must be >= 0")
     if (c is None) == (s is None):
         raise PreconditionViolated("give exactly one of c or s")
     if c is not None and Fraction(c) < 1:

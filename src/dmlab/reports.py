@@ -30,22 +30,8 @@ def tag_exact(x: Rat) -> dict:
     return {"kind": "exact", "value": str(x), "decimal": decimal_str(x)}
 
 
-def _outward(lo: tuple[int, int], hi: tuple[int, int], places: int) -> tuple[Fraction, Fraction]:
-    # floor and ceiling on the grid straight from (numerator, denominator)
-    # pairs, reduced or not: only the 60-place ends are ever reduced
-    scale = 10**places
-    return Fraction(lo[0] * scale // lo[1], scale), Fraction(-(-hi[0] * scale // hi[1]), scale)
-
-
-def round_outward(lo: Fraction, hi: Fraction, places: int) -> tuple[Fraction, Fraction]:
-    """Widen [lo, hi] to decimal-grid endpoints; the result still encloses."""
-    return _outward(lo.as_integer_ratio(), hi.as_integer_ratio(), places)
-
-
-def tag_bracket(lo: Rat, hi: Rat, places: int | None = None) -> dict:
+def tag_bracket(lo: Rat, hi: Rat) -> dict:
     lo, hi = Fraction(lo), Fraction(hi)
-    if places is not None:
-        lo, hi = round_outward(lo, hi, places)
     if lo == hi:
         return tag_exact(lo)
     return {"kind": "bracket", "lo": str(lo), "hi": str(hi),
@@ -68,7 +54,10 @@ SERIALIZE_PLACES = 60  # partial products carry huge exact rationals; reports
 
 
 def tag_product(pb: ProductBracket) -> dict:
-    out = tag_bracket(*_outward(pb.lower_end, pb.upper_end, SERIALIZE_PLACES))
+    # floor and ceiling on the grid straight from (numerator, denominator)
+    # pairs, reduced or not: only the 60-place ends are ever reduced
+    (lo, lo_d), (hi, hi_d), scale = pb.lower_end, pb.upper_end, 10**SERIALIZE_PLACES
+    out = tag_bracket(Fraction(lo * scale // lo_d, scale), Fraction(-(-hi * scale // hi_d), scale))
     out["n_terms"] = pb.n_terms
     return out
 

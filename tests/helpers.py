@@ -1,47 +1,53 @@
-"""Independent oracle routines for the test suite.
+"""Independent oracles for the test suite: one per certified quantity.
 
-Everything here recomputes results by a different route than the library:
-sweep lines instead of interval algebra, leaf enumeration instead of the
-recursive bracketer, literal word simulation instead of the counting DP.
-None of these import anything from the modules they check beyond plain
-data types.
+No oracle runs through the kernel it checks.  Beyond the library's value
+types and result records, they call only helpers other than the one under
+test: the enclosure primitives (with oracles of their own here), the tail
+sums, `refine` and the balanced product.  `tests/test_hygiene.py` checks
+that this module imports none of the scan, prefix-table, cdf and
+float-filter kernels.
 
-The exceptions are the Fraction scan oracles at the end of the file: the
-rational loops that `scan_core`, `per_scale_max_ratios`, `fit_ratio_decay`,
-`fit_mass_window`, `qs_ratio_scan`, `restrict` and
-`verify_small_ball_bound` ran before they moved to integer numerators, and
-the `doubling_scan` report built from them.  They reuse the
-library's enclosure primitives and report types, but none of the kernels
-they check; their brackets come from the recursive node walk that
-`interval_mass` ran before it became two boundary walks
-(`interval_mass_recursive_oracle`).
+Quantity: its oracle, and the oracle's route.
 
-Then come `log2_bounds`, `exp2_bounds` and `pow_bounds` as Fraction loops
-with general long division, from before their kernels moved to shifts and
-integer ends, `iroot` by Newton's iteration alone, and the exact-root
-shortcut and certify's power ends on Fractions, from before they took
-integer pairs.  Then come `seq.term` by each family's Fraction formula, and
-`product_bracket` and `certify_fat_thick` as Fraction loops over it, from
-before they moved to integer (numerator, denominator) pairs, returning the
-`ProductBracket` of reduced Fractions from before its partial products
-stayed unreduced pairs, and `tag_product` by floor and ceiling of its
-values.  Last come `build_cantor` with `RationalInterval` nodes, from
-before its levels became integer edges, with the leaf-prefix walk from the
-root that `LeafPrefixes` ran before it resumed walks from memoised
-ancestors.  At the very end come the per-ball scan passes that
-`scan_core` ran before it scanned whole rows (the exact-grid pass over the
-padded cdf and the bracket pass over `_MassOracle.bracket`, one ball at a
-time), and `verify_small_ball_bound` on Fraction case ends, from before it
-converted every case to integers over one unit.  After them come the
-per-ball concentric stage of `fit_ratio_decay`, from before it read whole
-cdf rows; `dyadic_cdf_numerators` with one `left_share` call per node, from
-before a level became one pair of list products; `first_max` as the exact
-loop its float filter stands in for; and `power_tail_upper`,
-`power_tail_lower` and `cutout_lower_bound` with their `Fraction`-sum loops,
-from before their tail and diameter sums became integer pairs.  Last of all
-come the fits' exponent search as the plain bisection it ran before a float
-guess chose its first probes, and `decimal_str` on `Fraction` arithmetic,
-from before it worked on the integers of `as_integer_ratio()`.
+* binomial interval masses: `interval_mass_oracle`, from p alone, every
+  leaf's mass a product over the bits of its index, summed by overlap;
+* `interval_mass`, `cutout_mass`: `interval_mass_recursive_oracle`, the
+  recursive node walk on Fraction node ends;
+* the dyadic cdf grid: `cdf_grid_oracle`, one `left_share` per node and a
+  running sum of the leaf masses;
+* `scan_core`, `per_scale_max_ratios`: `scan_core_oracle`, `per_scale_oracle`,
+  one Fraction ratio per ball, its masses from `cdf_grid_oracle` on the grid
+  and from the recursive walk elsewhere (`BallOracle`);
+* `fit_ratio_decay`, `fit_mass_window`, the `doubling_scan` report:
+  `fit_ratio_decay_oracle`, `fit_mass_window_oracle`, `doubling_scan_oracle`,
+  per-ball Fraction ratios over `BallOracle` and the exponent by bisection;
+* `qs_ratio_scan`: `qs_ratio_scan_oracle`, every straddle offered to every row;
+* `restrict`: `restrict_oracle`, each node's bracket by the recursive walk;
+* `verify_small_ball_bound`: `verify_small_ball_oracle` for verdicts and
+  margins, `verify_small_ball_exact_oracle` for a rational s decided by q-th
+  powers, `small_ball_refusal_oracle` for the cases no precision settles;
+  per case, Fraction brackets by the recursive walk and a fresh factor
+  enclosure at each precision;
+* `log2_bounds`, `exp2_bounds`, `pow_bounds`, the exact-root shortcut and
+  `iroot`: their `_oracle` forms, Fraction loops with general long division
+  at every rounding step, and Newton's iteration alone;
+* `seq.term`, `seq.terms`: `term_oracle`, each family's Fraction formula;
+* `product_bracket`, `certify_fat_thick`, `ProductBracket`, `tag_product`,
+  certify's power ends: `product_bracket_oracle`, `certify_fat_thick_oracle`,
+  `ProductBracketOracle`, `tag_product_oracle`, `power_ends_oracle`, a
+  Fraction per term and factor, reduced products, and floor and ceiling of
+  the values at 60 places;
+* `power_tail_upper`, `power_tail_lower`, `cutout_lower_bound`: their
+  `_oracle` forms, Fraction sums of `pow_bounds` ends;
+* the logfloor schedule mass: `logfloor_mass_oracle`, every word written out;
+* `build_cantor`: `build_cantor_oracle`, Fraction `RationalInterval` nodes;
+* `LeafPrefixes`: `leaf_prefix_oracle`, one walk from the root per leaf;
+* the ratio-decay fit's concentric rows: `concentric_maxima_oracle`, one
+  ball at a time over the library's `_MassOracle`, which the caller passes;
+* `first_max`: `first_max_oracle`, an exact comparison of every entry;
+* the fits' exponent search: `largest_within_oracle`, plain bisection;
+* `decimal_str`: `decimal_str_oracle`, on Fraction arithmetic;
+* union lengths: `union_length_oracle`, a sweep line.
 """
 
 from __future__ import annotations
@@ -165,7 +171,7 @@ from dmlab.errors import (  # noqa: E402
     PreconditionViolated,
     ZeroMassBall,
 )
-from dmlab.geom import closed, interval_contains  # noqa: E402
+from dmlab.geom import closed  # noqa: E402
 from dmlab.measure import (  # noqa: E402
     EXACT_ZERO,
     MassBracket,
@@ -175,30 +181,33 @@ from dmlab.measure import (  # noqa: E402
 )
 
 T_STEP = Fraction(1, 64)
+ZERO, ONE = Fraction(0), Fraction(1)
 
 
-def node_interval(m, level: int, index: int):
+def node_ends(m, level: int, index: int) -> tuple[Fraction, Fraction]:
     if m.base is not None:
-        return m.base.nodes[level][index]
+        node = m.base.nodes[level][index]
+        return node.lo, node.hi
     unit = Fraction(1, 1 << level)
-    return closed(index * unit, (index + 1) * unit)
+    return index * unit, (index + 1) * unit
 
 
 def interval_mass_recursive_oracle(m, iv, depth: int) -> MassBracket:
     """`interval_mass` by recursion over the nodes: lower adds nodes inside
     iv, upper also charges the straddling boundary nodes at the query depth;
-    iv is taken as its closed hull."""
-    if iv.lo == iv.hi:
+    iv is taken as its closed hull, which holds a node exactly when it holds
+    the node's ends, whether the node is open or closed."""
+    lo, hi = iv.lo, iv.hi
+    if lo == hi:
         return EXACT_ZERO
-    iv = closed(iv.lo, iv.hi)
     cap = effective_depth(m, depth)
 
     def rec(level: int, index: int, mass: Fraction) -> tuple[Fraction, Fraction]:
-        node_iv = node_interval(m, level, index)
+        node_lo, node_hi = node_ends(m, level, index)
         # single-point contact contributes nothing: require interior overlap
-        if mass == 0 or node_iv.hi <= iv.lo or node_iv.lo >= iv.hi:
+        if mass == 0 or node_hi <= lo or node_lo >= hi:
             return Fraction(0), Fraction(0)
-        if interval_contains(iv, node_iv):
+        if lo <= node_lo and node_hi <= hi:
             return mass, mass
         if level == cap:
             return Fraction(0), mass
@@ -207,8 +216,8 @@ def interval_mass_recursive_oracle(m, iv, depth: int) -> MassBracket:
         lo_r, hi_r = rec(level + 1, 2 * index + 1, mass * (1 - w))
         return lo_l + lo_r, hi_l + hi_r
 
-    lo, hi = rec(0, 0, m.total_mass)
-    return MassBracket(lo, hi)
+    lower, upper = rec(0, 0, m.total_mass)
+    return MassBracket(lower, upper)
 
 
 def cdf_grid_oracle(m, depth: int) -> list[Fraction]:
@@ -230,10 +239,13 @@ def cdf_grid_oracle(m, depth: int) -> list[Fraction]:
 
 
 class BallOracle:
-    """Exact grid masses where aligned, recursive brackets elsewhere."""
+    """Ball masses of m for a scan of the given depth: exact grid masses
+    where aligned, recursive brackets elsewhere. Each clipped ball is
+    bracketed once, since the small ball at scale k is the big ball at scale
+    k + 1; the scan, per-scale and fit oracles of one check share one."""
 
     def __init__(self, m, depth: int):
-        self.m = m
+        self.m, self.depth = m, depth
         self.grid = None
         if m.base is None and min(depth + 1, m.split_depth) == depth + 1:
             self.grid = cdf_grid_oracle(m, depth + 1)
@@ -241,10 +253,17 @@ class BallOracle:
         self.eval_depth = m.split_depth if m.base is not None else min(
             depth + 8, m.split_depth
         )
+        self.memo: dict[tuple[Fraction, Fraction], MassBracket] = {}
 
     def ball(self, x: Fraction, r: Fraction) -> MassBracket:
-        lo = max(Fraction(0), x - r)
-        hi = min(Fraction(1), x + r)
+        lo, hi = x - r, x + r
+        ends = lo if lo > 0 else ZERO, hi if hi < 1 else ONE
+        got = self.memo.get(ends)
+        if got is None:
+            got = self.memo[ends] = self._bracket(*ends)
+        return got
+
+    def _bracket(self, lo: Fraction, hi: Fraction) -> MassBracket:
         if self.grid is not None:
             scale = 1 << self.grid_depth
             li, hi_i = lo * scale, hi * scale
@@ -265,11 +284,11 @@ def scan_centers_oracle(m, depth: int) -> list[Fraction]:
     return sorted(pts)
 
 
-def scan_core_oracle(m, depth: int):
+def scan_core_oracle(oracle: BallOracle):
     """(c_upper, c_lower, (x, r, ratio_lower), exact, notes)."""
+    m, depth = oracle.m, oracle.depth
     if m.total_mass == 0:
         raise ZeroMassBall("the zero measure has no doubling ratios")
-    oracle = BallOracle(m, depth)
     centers = scan_centers_oracle(m, depth)
     c_upper = Fraction(0)
     c_lower = Fraction(0)
@@ -301,8 +320,8 @@ def scan_core_oracle(m, depth: int):
     return c_upper, c_lower, witness, exact, notes
 
 
-def per_scale_oracle(m, depth: int) -> list[tuple[int, Fraction]]:
-    oracle = BallOracle(m, depth)
+def per_scale_oracle(oracle: BallOracle) -> list[tuple[int, Fraction]]:
+    m, depth = oracle.m, oracle.depth
     centers = scan_centers_oracle(m, depth)
     out = []
     for k in range(1, depth + 1):
@@ -320,12 +339,12 @@ def per_scale_oracle(m, depth: int) -> list[tuple[int, Fraction]]:
 
 
 def fit_ratio_decay_oracle(
-    m, depth: int, lambda_cap=Fraction(1), t_max=Fraction(4), seed=0,
+    oracle: BallOracle, lambda_cap=Fraction(1), t_max=Fraction(4), seed=0,
     holdout=64, bits=DEFAULT_BITS,
 ):
     """(big_lam, t, pairs_checked, holdout_size, rounds); perfectness guard
     and precondition errors are left to the caller."""
-    oracle = BallOracle(m, depth)
+    depth = oracle.depth
     best: dict[int, Fraction] = {}
 
     def feed(x, big_r, l):
@@ -474,10 +493,11 @@ def fit_mass_window_oracle(m, depth: int, c_upper: Fraction, lambda_cap=Fraction
 def doubling_scan_oracle(m, depth: int, lambda_cap=Fraction(1), seed=0, bits=DEFAULT_BITS):
     """The report `doubling_scan` makes, from the scan and fit oracles; for
     measures on the dyadic base and depth >= 2, where the fits' guards pass."""
-    c_upper, c_lower, (x, r, ratio), exact, notes = scan_core_oracle(m, depth)
+    oracle = BallOracle(m, depth)
+    c_upper, c_lower, (x, r, ratio), exact, notes = scan_core_oracle(oracle)
     fits = []
     for kind, fit, cls in (
-        ("ratio", lambda: fit_ratio_decay_oracle(m, depth, lambda_cap, seed=seed, bits=bits),
+        ("ratio", lambda: fit_ratio_decay_oracle(oracle, lambda_cap, seed=seed, bits=bits),
          RatioDecayFit),
         ("window", lambda: fit_mass_window_oracle(m, depth, c_upper, lambda_cap, bits), MassWindowFit),
     ):
@@ -497,7 +517,7 @@ def doubling_scan_oracle(m, depth: int, lambda_cap=Fraction(1), seed=0, bits=DEF
         ratio_decay=fits[0],
         mass_window=fits[1],
         notes=tuple(notes),
-        per_scale=tuple(per_scale_oracle(m, depth)),
+        per_scale=tuple(per_scale_oracle(oracle)),
     )
 
 
@@ -664,6 +684,29 @@ def verify_small_ball_oracle(m, c=None, s=None, count=1000, depth=10, seed=0, ca
             cur *= 2
         checked += 1
     return SmallBallResult(holds=True, checked=checked)
+
+
+def small_ball_refusal_oracle(m, c=None, s=None, count=1000, depth=10, seed=0, cases=None, max_bits=4096):
+    """The refusal `verify_small_ball_bound` gives a case that no precision
+    settles: the first case that neither holds nor fails with the factor
+    enclosed at max_bits, unless a rational factor (rho/2)^s shows that it
+    holds, reported with its mu(A) and mu(B) brackets from the recursive node
+    walk. None when a counterexample comes first, or no case is left open."""
+    eval_depth = min(depth + 8, m.split_depth)
+    capped = f", capped at the split depth {m.split_depth}" if eval_depth < depth + 8 else ""
+    for case, mu_a, mu_b in _small_ball_brackets(m, count, depth, seed, cases):
+        rho = case.r / (case.a_hi - case.a_lo)
+        factor = rhs_bounds_oracle(rho, c, s, max_bits)
+        if mu_b.upper < mu_a.lower * factor.lo:
+            return None
+        exact = None if s is None else exact_rational_pow_oracle(rho / 2, Fraction(s))
+        if mu_b.lower >= mu_a.upper * (factor.hi if exact is None else exact):
+            continue
+        return (f"cannot settle the case A=[{case.a_lo},{case.a_hi}], x={case.x}, r={case.r} "
+                f"at any precision: mu(A) in [{mu_a.lower}, {mu_a.upper}], "
+                f"mu(B) in [{mu_b.lower}, {mu_b.upper}] "
+                f"at eval depth {eval_depth} (depth {depth} + 8{capped})")
+    return None
 
 
 # --- Fraction oracles for the enclosure primitives -------------------------------
@@ -1230,181 +1273,7 @@ def ratio_rows_csv(rows) -> str:
     return "\n".join(out) + "\n"
 
 
-
-# --- per-ball scan passes and the Fraction small-ball check ---------------------
-#
-# `_scan_pass` as it ran before it scanned whole rows with a float filter:
-# the exact grid by a per-element loop over the padded cdf, every other
-# oracle one `_MassOracle.bracket` per ball, each ratio compared with the
-# best so far by cross-multiplication as it came.
-
-from operator import sub  # noqa: E402
-
-from dmlab.doubling import _MassOracle, _scan_centers  # noqa: E402
-from dmlab.measure import LeafPrefixes  # noqa: E402
-
-
-def grid_pass_oracle(cdf: list[int], depth: int) -> tuple[list[tuple[int, int, int | None]], int]:
-    """Per scale k = 1..depth: (big, small, i) for the first center index i
-    whose ratio big/small of ball numerators is largest (i is None when
-    every small ball is empty), plus the count of empty small balls."""
-    n = 1 << (depth + 1)
-    pad = [cdf[0]] * n + cdf + [cdf[-1]] * n  # balls clip to [0, 1]
-    per_scale = []
-    skipped = 0
-    for k in range(1, depth + 1):
-        h = n >> k
-        small = map(sub, pad[n + h:2 * n + h + 1], pad[n - h:2 * n - h + 1])
-        big = map(sub, pad[n + 2 * h:2 * n + 2 * h + 1], pad[n - 2 * h:2 * n - 2 * h + 1])
-        best_b, best_s, best_i = 0, 1, None
-        for i, (sm, bg) in enumerate(zip(small, big)):
-            if not sm:
-                skipped += 1
-            elif bg * best_s > best_b * sm:
-                best_b, best_s, best_i = bg, sm, i
-        per_scale.append((best_b, best_s, best_i))
-    return per_scale, skipped
-
-
-def bracket_pass_oracle(oracle, xs, depth: int) -> tuple:
-    """The scan over bracketed balls centered at xs / unit, one ball at a
-    time in (k, x) order: scan_core skips a small ball without certified
-    mass, the per-scale maxima skip only one that certainly has none."""
-    unit = oracle.unit
-
-    def balls(k: int) -> list:
-        h = unit >> k
-        return [oracle.bracket(max(0, x - h), min(unit, x + h)) for x in xs]
-
-    up_n, up_d = 0, 1
-    lo_n, lo_d = 0, 1
-    witness = None
-    exact = True
-    skipped = 0
-    per_scale = []
-    big_row = balls(0)
-    for k in range(1, depth + 1):
-        row = balls(k)
-        best_n, best_d = 0, 1
-        for i, (((sl, sl_d), (su, su_d)), ((bl, bl_d), (bu, bu_d))) in enumerate(zip(row, big_row)):
-            if su:
-                rn, rd = bl * su_d, bl_d * su
-                if rn * best_d > best_n * rd:
-                    best_n, best_d = rn, rd
-            if not sl:
-                skipped += 1
-                continue
-            exact = exact and sl * su_d == su * sl_d and bl * bu_d == bu * bl_d
-            qn, qd = bu * sl_d, bu_d * sl
-            if qn * up_d > up_n * qd:
-                up_n, up_d = qn, qd
-            if rn * lo_d > lo_n * rd:
-                lo_n, lo_d, witness = rn, rd, (k, i)
-        per_scale.append((k, Fraction(best_n, best_d)))
-        big_row = row
-    c_lower = Fraction(lo_n, lo_d)
-    if witness is not None:
-        k, i = witness
-        witness = ScanWitness(x=Fraction(xs[i], unit), r=Fraction(1, 1 << k), ratio_lower=c_lower)
-    return Fraction(up_n, up_d), c_lower, witness, exact and not skipped, skipped, per_scale
-
-
-def scan_pass_oracle(m, depth: int) -> tuple:
-    """(c_upper, c_lower, witness or None, exact, notes, per-scale maxima)
-    by the per-ball passes: the grid pass where the cdf reaches depth + 1,
-    else the bracket pass."""
-    oracle = _MassOracle(m, depth)
-    if oracle.table is not None or oracle.shift:
-        *head, skipped, per_scale = bracket_pass_oracle(oracle, _scan_centers(m, depth, oracle.unit), depth)
-        return (*head, _skip_notes(skipped), per_scale)
-    rows, skipped = grid_pass_oracle(oracle.cdf, depth)
-    per_scale = []
-    c_lower = Fraction(0)
-    witness = None
-    for k, (big, small, i) in enumerate(rows, start=1):
-        ratio = Fraction(0) if i is None else Fraction(big, small)
-        per_scale.append((k, ratio))
-        if ratio > c_lower:
-            c_lower = ratio
-            witness = ScanWitness(x=Fraction(i, 1 << (depth + 1)), r=Fraction(1, 1 << k), ratio_lower=ratio)
-    return c_lower, c_lower, witness, not skipped, _skip_notes(skipped), per_scale
-
-
-def _skip_notes(skipped: int) -> list[str]:
-    return [f"skipped {skipped} pairs whose small ball had no certified mass"] if skipped else []
-
-
-def _below_fraction(p: tuple[int, int], q: tuple[int, int], f: Fraction) -> bool:
-    return p[0] * q[1] * f.denominator < q[0] * f.numerator * p[1]
-
-
-def verify_small_ball_fraction_oracle(m, c=None, s=None, count=1000, depth=10, seed=0, cases=None,
-                                      bits=DEFAULT_BITS, max_bits=4096) -> SmallBallResult:
-    """`verify_small_ball_bound` as it ran on Fraction case ends: the
-    center, radius and [0, 1] checks, the clipped ball ends, rho and the
-    factor keys as Fractions, each end mapped onto one prefix table by
-    `LeafPrefixes.bracket`."""
-    if (c is None) == (s is None):
-        raise PreconditionViolated("give exactly one of c or s")
-    if c is not None and Fraction(c) < 1:
-        raise PreconditionViolated("constant must be >= 1")
-    eval_depth = min(depth + 8, m.split_depth)
-    todo = list(cases) if cases else []
-    rng = random.Random(seed)
-    grid = 1 << depth
-    while len(todo) < count:
-        ia = rng.randrange(0, grid)
-        ib = rng.randrange(ia + 1, grid + 1)
-        a, b = Fraction(ia, grid), Fraction(ib, grid)
-        x = Fraction(rng.randrange(ia, ib + 1), grid)
-        todo.append(SmallBallCase(a, b, x, (b - a) / (1 << rng.randrange(1, 5))))
-    table = LeafPrefixes(m, eval_depth)
-    factors = {}
-    capped = f", capped at the split depth {m.split_depth}" if eval_depth < depth + 8 else ""
-    checked = 0
-    for case in todo:
-        if not (case.a_lo <= case.x <= case.a_hi):
-            raise PreconditionViolated("center must lie in the set")
-        if not 0 < case.r < case.a_hi - case.a_lo:
-            raise PreconditionViolated("radius must be in (0, diam A)")
-        if case.a_lo < 0 or case.a_hi > 1:
-            raise PreconditionViolated(f"interval [{case.a_lo}, {case.a_hi}] must sit inside [0, 1]")
-        mu_a = table.bracket(case.a_lo, case.a_hi)
-        mu_b = table.bracket(max(Fraction(0), case.x - case.r), min(Fraction(1), case.x + case.r))
-        rho = case.r / (case.a_hi - case.a_lo)
-        exact = None if s is None else exact_rational_pow_oracle(rho / 2, Fraction(s))
-        cur = bits
-        while True:
-            if (rho, cur) not in factors:
-                factors[rho, cur] = rhs_bounds_oracle(rho, c, s, cur)
-            factor = factors[rho, cur]
-            if not _below_fraction(mu_b[0], mu_a[1], factor.hi):
-                break
-            if _below_fraction(mu_b[1], mu_a[0], factor.lo):
-                return SmallBallResult(holds=False, checked=checked + 1, counterexample=case,
-                                       margin=Fraction(*mu_a[0]) * factor.lo - Fraction(*mu_b[1]))
-            if exact is not None and not _below_fraction(mu_b[0], mu_a[1], exact):
-                break
-            if (_below_fraction(mu_b[0], mu_a[1], factor.lo)
-                    and not _below_fraction(mu_b[1], mu_a[0], factor.hi)):
-                (a_lo, a_up), (b_lo, b_up) = ([Fraction(*p) for p in mu] for mu in (mu_a, mu_b))
-                raise EnclosureInconclusive(
-                    f"cannot settle the case A=[{case.a_lo},{case.a_hi}], "
-                    f"x={case.x}, r={case.r} at any precision: "
-                    f"mu(A) in [{a_lo}, {a_up}], mu(B) in [{b_lo}, {b_up}] "
-                    f"at eval depth {eval_depth} (depth {depth} + 8{capped})"
-                )
-            if cur >= max_bits:
-                raise EnclosureInconclusive(
-                    f"cannot settle the case A=[{case.a_lo},{case.a_hi}], "
-                    f"x={case.x}, r={case.r} at {cur} bits"
-                )
-            cur *= 2
-        checked += 1
-    return SmallBallResult(holds=True, checked=checked)
-
-
-# --- the ratio-decay fit per ball, the cdf per node, the tail sums as Fractions
+# --- the ratio-decay fit per ball, the float filter, the tail sums as Fractions
 
 from dmlab.certify import CutoutBound  # noqa: E402
 from dmlab.errors import ExponentWindowEmpty, GapTooSmall  # noqa: E402
@@ -1438,26 +1307,6 @@ def concentric_maxima_oracle(oracle, depth: int) -> tuple[dict, int]:
                 elif num * cur[1] > cur[0] * den:
                     top[l] = (num, den)
     return top, pairs
-
-
-def dyadic_cdf_numerators_oracle(m, depth: int) -> tuple[list[int], int]:
-    """`dyadic_cdf_numerators` with one `left_share` call per node and the
-    right child as mass * scale - left."""
-    den, masses = m.total_mass.denominator, [m.total_mass.numerator]
-    for level in range(depth):
-        shares = [m.weights.left_share(level, i) for i in range(len(masses))]
-        scale = math.lcm(*(w.denominator for w in shares))
-        nxt = []
-        for mass, w in zip(masses, shares):
-            left = mass * w.numerator * (scale // w.denominator)
-            nxt.append(left)
-            nxt.append(mass * scale - left)
-        masses = nxt
-        den *= scale
-    out = [0]
-    for mass in masses:
-        out.append(out[-1] + mass)
-    return out, den
 
 
 def first_max_oracle(nums: list[int], dens: list[int]) -> int | None:

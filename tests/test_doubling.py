@@ -20,7 +20,7 @@ from dmlab.doubling import (
     scan_core,
     verify_small_ball_bound,
 )
-from dmlab.errors import EnclosureInconclusive, PreconditionViolated, ZeroMassBall
+from dmlab.errors import DepthBudgetExceeded, EnclosureInconclusive, PreconditionViolated, ZeroMassBall
 from dmlab.geom import build_cantor
 from dmlab.measure import BinomialWeights, TableWeights, TreeMeasure, restrict
 from dmlab.seq import Constant
@@ -196,3 +196,15 @@ class TestSmallBallBound:
     def test_requires_exactly_one_exponent_form(self, lebesgue):
         with pytest.raises(PreconditionViolated):
             verify_small_ball_bound(lebesgue, c=Fraction(2), s=Fraction(1), count=1)
+
+    @pytest.mark.parametrize("kwargs, error, message", [
+        (dict(depth=-1), PreconditionViolated, "depth must be >= 0"),
+        # past the depth cap of 32, refused before a table of 16 << depth leaves is sized
+        (dict(depth=33), DepthBudgetExceeded, "depth 33 exceeds cap 32"),
+        # a negative count would check no case and report that the bound holds
+        (dict(count=-5), PreconditionViolated, "count must be >= 0"),
+    ])
+    def test_bad_depth_or_count_refused_first(self, lebesgue, kwargs, error, message):
+        with pytest.raises(error) as info:
+            verify_small_ball_bound(lebesgue, c=Fraction(2), **kwargs)
+        assert type(info.value) is error and str(info.value) == message

@@ -15,6 +15,12 @@ Three rules keep unused surface out of `src/dmlab`:
   nor `inspect`, but does load every module of the package, so the saving
   does not come from an import deferred into the first call.
 
+One rule keeps the test oracles apart from what they check:
+
+* `tests/helpers.py` imports none of the library's scan, prefix-table, cdf
+  and float-filter kernels, so no oracle runs through the kernel it stands
+  against.
+
 Calls are matched to definitions by name only (the last part of a dotted
 callee, the class name for `__init__`), which can only make a parameter look
 passed, never unpassed.
@@ -32,7 +38,9 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "dmlab"
-SOURCE_LINE_BUDGET = 4988
+SOURCE_LINE_BUDGET = 4979
+# kernels of the fast paths; an oracle built on one would check it against itself
+KERNELS = ("_MassOracle", "_scan_centers", "_scan_pass", "LeafPrefixes", "dyadic_cdf_numerators", "first_max")
 
 
 def _trees(*dirs: str):
@@ -148,3 +156,9 @@ def test_cli_import_loads_the_whole_package_and_no_class_builders():
                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}).stdout.split()
     package = {"dmlab"} | {f"dmlab.{p.stem}" for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
     assert set(out) == package
+
+
+def test_oracles_import_no_kernel():
+    imported = _imported_names(ast.parse((ROOT / "tests" / "helpers.py").read_text(encoding="utf-8")))
+    kernels = [name for name in KERNELS if name in imported]
+    assert not kernels, f"tests/helpers.py imports the kernels {kernels}"

@@ -14,16 +14,15 @@ on integer pairs, unreduced ones included, the values of their Fraction
 forms. `certify_fat_thick` and `product_bracket` must give the same
 certificates, refusals and `tag_product` reports as the Fraction loops they
 replaced, and `ProductBracket`'s cross-multiplied checks the same answers as
-the Fraction comparisons of the type it replaced. The row pass of
-`scan_core`, with its float filter `first_max`, must give the results of
-the per-ball passes it replaced, float ties included, and the small-ball
-check on integer ends those of the check on Fraction ends. The ratio-decay
-fit's concentric rows must give the maxima of its per-ball stage, the
-level-wise cdf the numerators of the per-node loop, `randbelow` the draws of
-`randrange`, and `power_tail_upper`, `power_tail_lower` and
-`cutout_lower_bound` the values of their `Fraction`-sum loops. The fits'
-exponent search must find the plain bisection's exponent whatever its float
-guess, and `decimal_str` on integers the strings of its `Fraction` form.
+the Fraction comparisons of the type it replaced. The scan's row pass,
+with its float filter `first_max`, is checked against per-ball Fraction
+ratios, float ties included. The ratio-decay fit's concentric rows must give
+the maxima of its per-ball stage, the level-wise cdf the cdf of rational
+splitting, `randbelow` the draws of `randrange`, and `power_tail_upper`,
+`power_tail_lower` and `cutout_lower_bound` the values of their
+`Fraction`-sum loops. The fits' exponent search must find the plain
+bisection's exponent whatever its float guess, and `decimal_str` on
+integers the strings of its `Fraction` form.
 """
 
 import functools
@@ -51,7 +50,6 @@ from dmlab.doubling import (
     _concentric_maxima,
     _guess_steps,
     _largest_within,
-    _scan_pass,
     doubling_scan,
     fit_mass_window,
     fit_ratio_decay,
@@ -98,6 +96,7 @@ from dmlab.reports import tag_product
 from dmlab.seq import Constant, ExplicitFinite, Geometric, LogFloor, Power, Scaled, term, terms
 
 from helpers import (
+    BallOracle,
     ProductBracketOracle,
     build_cantor_oracle,
     cdf_grid_oracle,
@@ -105,7 +104,6 @@ from helpers import (
     concentric_maxima_oracle,
     cutout_lower_bound_oracle,
     decimal_str_oracle,
-    dyadic_cdf_numerators_oracle,
     exact_rational_pow_oracle,
     exp2_bounds_oracle,
     iroot_newton_oracle,
@@ -126,11 +124,10 @@ from helpers import (
     qs_ratio_scan_oracle,
     restrict_oracle,
     scan_core_oracle,
-    scan_pass_oracle,
+    small_ball_refusal_oracle,
     tag_product_oracle,
     term_oracle,
     verify_small_ball_exact_oracle,
-    verify_small_ball_fraction_oracle,
     verify_small_ball_oracle,
 )
 
@@ -187,18 +184,43 @@ def _scan(m, depth):
 
 
 def _check_scan(m, depth):
-    assert _scan(m, depth) == _outcome(lambda: scan_core_oracle(m, depth))
+    oracle = BallOracle(m, depth)
+    assert _scan(m, depth) == _outcome(lambda: scan_core_oracle(oracle))
     if not m.total_mass:  # the per-scale maxima refuse the zero measure as the scan does
         assert _outcome(lambda: per_scale_max_ratios(m, depth)) == _scan(m, depth)
         return
-    expected = per_scale_oracle(m, depth)
+    expected = per_scale_oracle(oracle)
     assert per_scale_max_ratios(m, depth) == expected
     assert scan_core(m, depth).per_scale == expected
 
 
+@st.composite
+def equal_share_tables(draw, levels):
+    """A table of one share at every node (1/2 among them): ratios of
+    different balls tie exactly."""
+    n = draw(levels)
+    w = draw(st.one_of(st.just(Fraction(1, 2)), shares))
+    return TreeMeasure(TableWeights(tuple((w,) * (1 << k) for k in range(n))), total_mass=draw(totals))
+
+
+# shares within 1/1000 of 0 or 1: at depth 6 and more, balls of nearly
+# equal mass give ratios whose floats tie although they differ
+extreme_shares = st.integers(1000, 9999).flatmap(
+    lambda d: st.sampled_from([Fraction(1, d), Fraction(d - 1, d)]))
+extreme_binomial_cases = st.tuples(extreme_shares.map(lambda p: TreeMeasure(BinomialWeights(p))),
+                                   st.integers(6, 9))
+# equal-share tables deeper than the scan: exact ties on the grid
+deep_equal_share_cases = st.integers(1, 7).flatmap(
+    lambda d: st.tuples(equal_share_tables(st.integers(d + 1, 8)), st.just(d)))
+
+
 @settings(max_examples=25, deadline=None)
-@given(grid_cases())
+@given(st.one_of(grid_cases(), extreme_binomial_cases, deep_equal_share_cases))
+@example((TreeMeasure(BinomialWeights(Fraction(1, 9999))), 8))
+@example((TreeMeasure(BinomialWeights(Fraction(9998, 9999))), 8))
 def test_grid_scan_matches_oracle(case):
+    """On the exact grid, float ties included, whether the ratios differ
+    (extreme shares) or tie exactly (equal shares)."""
     _check_scan(*case)
 
 
@@ -223,16 +245,18 @@ def cantor_measures(draw, max_depth=5):
     return restrict(draw(st.one_of(binomials(), tables(st.integers(1, 8)))), tree)
 
 
+def _shallow(make_table):
+    # tables shallower than the scan: depth + 1 > levels
+    return st.integers(1, 5).flatmap(lambda n: st.tuples(make_table(st.just(n)), st.integers(n, 6)))
+
+
 # trees deeper and shallower than scans of depth up to 6
 cantor_cases = st.tuples(cantor_measures(max_depth=6), st.integers(1, 6))
-# tables shallower than the scan: depth + 1 > levels
-shallow_table_cases = st.integers(1, 5).flatmap(
-    lambda n: st.tuples(tables(st.just(n)), st.integers(n, 6))
-)
+shallow_table_cases = _shallow(tables)
 
 
 @settings(max_examples=20, deadline=None)
-@given(shallow_table_cases)
+@given(st.one_of(shallow_table_cases, _shallow(equal_share_tables)))
 def test_shallow_table_scan_matches_oracle(case):
     _check_scan(*case)
 
@@ -249,39 +273,15 @@ def test_zero_measure_per_scale_matches_oracle():
     _check_scan(m, 4)
 
 
-@st.composite
-def equal_share_tables(draw):
-    """A table of one share at every node (1/2 among them), as deep as the
-    scan, deeper, or shallower: ratios of different balls tie exactly."""
-    n = draw(st.integers(1, 8))
-    w = draw(st.one_of(st.just(Fraction(1, 2)), shares))
-    return TreeMeasure(TableWeights(tuple((w,) * (1 << k) for k in range(n))), total_mass=draw(totals))
-
-
-# shares within 1/1000 of 0 or 1: at depth 6 and more, balls of nearly
-# equal mass give ratios whose floats tie although they differ
-extreme_shares = st.integers(1000, 9999).flatmap(
-    lambda d: st.sampled_from([Fraction(1, d), Fraction(d - 1, d)]))
 # binomials (Lebesgue and extreme shares among them), equal-share tables and
 # Cantor-tree measures, whose balls in gaps and symmetric trees give exact ties
 row_pass_cases = st.one_of(
     st.tuples(st.one_of(binomials(), st.just(TreeMeasure(BinomialWeights(Fraction(1, 2))))),
               st.integers(1, 8)),
-    st.tuples(extreme_shares.map(lambda p: TreeMeasure(BinomialWeights(p))), st.integers(6, 9)),
-    st.tuples(equal_share_tables(), st.integers(1, 8)),
+    extreme_binomial_cases,
+    st.tuples(equal_share_tables(st.integers(1, 8)), st.integers(1, 8)),
     cantor_cases,
 )
-
-
-@settings(max_examples=80, deadline=None)
-@given(row_pass_cases)
-@example((TreeMeasure(BinomialWeights(Fraction(1, 9999))), 8))
-@example((TreeMeasure(BinomialWeights(Fraction(9998, 9999))), 8))
-def test_row_pass_matches_per_ball_passes(case):
-    """The row pass with its float filter gives the values, witness,
-    exactness, skip count and per-scale maxima of the per-ball passes."""
-    m, depth = case
-    assert tuple(_scan_pass(m, depth, _MassOracle(m, depth))) == scan_pass_oracle(m, depth)
 
 
 @settings(max_examples=60, deadline=None)
@@ -299,15 +299,14 @@ def test_concentric_rows_match_per_ball_stage(case):
 
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(binomials(), st.just(TreeMeasure(BinomialWeights(Fraction(1, 2)))), tables(st.integers(1, 9)),
-                 equal_share_tables()),
+                 equal_share_tables(st.integers(1, 8))),
        st.integers(0, 9))
 def test_cdf_levels_match_per_node_loop(m, depth):
     """A binomial level as one pair of list products and a table level from
-    its stored shares give the numerators and denominator of one left_share
-    per node, and the cdf of rational splitting."""
+    its stored shares give the cdf of rational splitting, one left_share per
+    node."""
     depth = min(depth, m.split_depth)
     nums, den = dyadic_cdf_numerators(m, depth)
-    assert (nums, den) == dyadic_cdf_numerators_oracle(m, depth)
     assert [Fraction(n, den) for n in nums] == cdf_grid_oracle(m, depth)
 
 
@@ -422,7 +421,7 @@ def test_window_fit_below_the_scanned_constant_matches_oracle(case, c_upper):
 def test_bracket_ratio_fit_matches_oracle(case, seed):
     m, depth = case
     got = _outcome(lambda: tuple(fit_ratio_decay(m, depth, seed=seed)))
-    assert got == _outcome(lambda: fit_ratio_decay_oracle(m, depth, seed=seed))
+    assert got == _outcome(lambda: fit_ratio_decay_oracle(BallOracle(m, depth), seed=seed))
 
 
 @settings(max_examples=20, deadline=None)
@@ -642,14 +641,18 @@ def small_ball_cases(draw):
 @example((TreeMeasure(BinomialWeights(Fraction(1, 2))), None, Fraction(1, 2), 8, []), 25, 1, 2)
 @example((TreeMeasure(TableWeights(((Fraction(1, 3),), (Fraction(1, 5), Fraction(2, 7))))),
           None, Fraction(1, 8), 4, []), 25, 3, 1)
+# a given case whose ends' denominators 3, 5, 7 and 9 the sampled cases' unit lacks
+@example((TreeMeasure(BinomialWeights(Fraction(1, 3))), Fraction(3), None, 4,
+          [SmallBallCase(Fraction(1, 3), Fraction(5, 7), Fraction(2, 5), Fraction(1, 9))]), 5, 0, 4)
 def test_small_ball_check_matches_oracle(case, count, seed, bits):
     """Holds and counterexamples (with their margin) match the oracle
     wherever the oracle decides. A case no precision can settle is refused
-    at once, where the oracle refuses it after escalating to max_bits; a
-    mass ratio equal to a rational factor (rho/2)^s, which the oracle cannot
-    settle, now holds, and an exact re-check confirms every such verdict.
-    Starting at 1 to 4 bits, the factor's enclosure is wide enough that
-    cases escalate before they settle."""
+    at once, where the oracle refuses it after escalating to max_bits, with
+    the case's mu(A) and mu(B) brackets in the message; a mass ratio equal
+    to a rational factor (rho/2)^s, which the oracle cannot settle, now
+    holds, and an exact re-check confirms every such verdict. Starting at 1
+    to 4 bits, the factor's enclosure is wide enough that cases escalate
+    before they settle."""
     m, c, s, depth, cases = case
     kwargs = dict(c=c, s=s, count=count, depth=depth, seed=seed, cases=cases, bits=bits, max_bits=256)
     got = _outcome(lambda: verify_small_ball_bound(m, **kwargs))
@@ -658,28 +661,14 @@ def test_small_ball_check_matches_oracle(case, count, seed, bits):
         return
     assert want[0] == "EnclosureInconclusive"
     if not isinstance(got, SmallBallResult):  # a refusal
-        assert got[0] == "EnclosureInconclusive" and "at any precision" in got[1]
+        kwargs.pop("bits")
+        assert got == ("EnclosureInconclusive", small_ball_refusal_oracle(m, **kwargs))
         return
     assert s is not None
     holds, checked, counterexample, margin_ok = verify_small_ball_exact_oracle(
         m, s, count=count, depth=depth, seed=seed, cases=cases)
     assert (got.holds, got.checked, got.counterexample) == (holds, checked, counterexample)
     assert holds or margin_ok(got.margin)
-
-
-@settings(max_examples=60, deadline=None)
-@given(small_ball_cases(), st.integers(1, 25), st.integers(0, 9), st.sampled_from([1, 2, 4, 128]))
-@example((TreeMeasure(BinomialWeights(Fraction(1, 2))), None, Fraction(1, 2), 8, []), 25, 1, 2)
-@example((TreeMeasure(BinomialWeights(Fraction(1, 3))), Fraction(3), None, 4,
-          [SmallBallCase(Fraction(1, 3), Fraction(5, 7), Fraction(2, 5), Fraction(1, 9))]), 5, 0, 4)
-def test_small_ball_check_matches_fraction_ends(case, count, seed, bits):
-    """Cases on integer ends over one unit give the verdicts, counterexamples,
-    margins and refusals, with their messages, of the same check on
-    Fraction ends."""
-    m, c, s, depth, cases = case
-    kwargs = dict(c=c, s=s, count=count, depth=depth, seed=seed, cases=cases, bits=bits, max_bits=256)
-    assert (_outcome(lambda: verify_small_ball_bound(m, **kwargs))
-            == _outcome(lambda: verify_small_ball_fraction_oracle(m, **kwargs)))
 
 
 def test_small_ball_check_refuses_a_set_outside_the_unit_interval():

@@ -2,15 +2,16 @@
 
 from fractions import Fraction
 
+from dmlab.certify import ProductBracket
 from dmlab.reports import (
     PLOT_HEADER,
     decimal_str,
     dump_report,
     emit_plotdata,
     plot_series,
-    round_outward,
     tag_bracket,
     tag_exact,
+    tag_product,
     tag_window,
 )
 
@@ -50,14 +51,19 @@ class TestTags:
         assert tag["window"] == ["1/8", "1/2"]
 
     def test_outward_rounding_encloses(self):
-        lo, hi = round_outward(Fraction(1, 3), Fraction(2, 3), 4)
+        # partial products 1/3 and 2/3 over full tails: the ends move out to the 60-place grid
+        tag = tag_product(ProductBracket((1, 3), Fraction(1), Fraction(1), 2, (2, 3)))
+        lo, hi = Fraction(tag["lo"]), Fraction(tag["hi"])
         assert lo <= Fraction(1, 3) and hi >= Fraction(2, 3)
-        assert lo.denominator == hi.denominator == 10**4
+        assert lo.denominator == hi.denominator == 10**60
+        assert tag["n_terms"] == 2
 
     def test_rounded_bracket_still_encloses(self):
         huge = Fraction(10**300 + 1, 3 * 10**300)
-        tag = tag_bracket(huge, huge + Fraction(1, 10**90), places=60)
-        assert Fraction(tag["lo"]) <= huge <= huge + Fraction(1, 10**90) <= Fraction(tag["hi"])
+        width = Fraction(1, 10**90)
+        tag = tag_product(ProductBracket(huge.as_integer_ratio(), Fraction(1), Fraction(1), 1,
+                                         (huge + width).as_integer_ratio()))
+        assert Fraction(tag["lo"]) <= huge <= huge + width <= Fraction(tag["hi"])
 
 
 class TestDumps:
