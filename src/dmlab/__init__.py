@@ -15,7 +15,6 @@ from .certify import (
     ThinnessCertificate,
     certify_fat_thick,
     certify_thin_porous,
-    combine_fatness_constants,
     cutout_lower_bound,
     inflated_remainder_check,
     interval_packing_verdict,
@@ -40,7 +39,6 @@ from .geom import (
     RationalInterval,
     ThickStructure,
     build_cantor,
-    build_porous,
     closed,
     inflate,
     largest_gap,
@@ -56,7 +54,6 @@ from .measure import (
     MassBracket,
     TableWeights,
     TreeMeasure,
-    ball_mass,
     cdf,
     cutout_mass,
     dyadic_cdf_grid,
@@ -65,11 +62,9 @@ from .measure import (
 )
 from .qs import (
     QSMap,
-    evaluate,
     measure_from_map,
     pullback_constant,
     qs_ratio_scan,
-    tabulate,
 )
 from .seq import (
     Constant,

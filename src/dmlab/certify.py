@@ -298,19 +298,21 @@ def _factor_ends(x: Pair, t: Fraction, scale: Fraction, bits: int, decide: bool 
     """The ends (lower, upper) of the factor 1 - scale * x^t as integer
     (numerator, denominator) pairs, x an integer pair in (0, 1], t > 0.
 
-    Bits double up to 4096, as `refine` does, until scale * x^t < 1 is
-    certain; with `decide`, None as soon as scale * x^t >= 1 is certain."""
+    `refine` doubles bits up to 4096 until scale * x^t < 1 is certain; with
+    `decide`, False as soon as scale * x^t >= 1 is certain."""
     sn, sd = scale.as_integer_ratio()
-    while bits <= 4096:
-        (ln, ld), (hn, hd) = _power_ends(x, t, bits)
+
+    def settle(bits_now: int):
+        (ln, ld), (hn, hd) = _power_ends(x, t, bits_now)
         if ln * hd > hn * ld:
             raise PreconditionViolated(f"empty bounds [{Fraction(ln, ld)}, {Fraction(hn, hd)}]")
         if sn * hn < sd * hd:
             return (sd * hd - sn * hn, sd * hd), (sd * ld - sn * ln, sd * ld)
         if decide and sn * ln >= sd * ld:
-            return None
-        bits *= 2
-    raise EnclosureInconclusive("bounds still inconclusive at 4096 bits")
+            return False
+        return None
+
+    return refine(settle, bits, 4096)
 
 
 def _first_small_stage(
@@ -319,7 +321,7 @@ def _first_small_stage(
     """Least n0 with scale * alpha_n^t certifiably < 1 for every n >= n0."""
 
     def small(x: Pair) -> bool:
-        return _factor_ends(x, t, scale, bits, decide=True) is not None
+        return _factor_ends(x, t, scale, bits, decide=True) is not False
 
     length = family_length(alpha)
     if length is not None:
@@ -418,29 +420,6 @@ def certify_fat_thick(
     conclusion = Conclusion.POSITIVE if positive else Conclusion.INCONCLUSIVE
     return FatnessCertificate(alpha=alpha, t=t, factor_scale=scale, n0=n0, bound=bound,
                               conclusion=conclusion, notes=tuple(notes))
-
-
-def combine_fatness_constants(
-    c: Fraction,
-    t: Fraction,
-    c1: Fraction,
-    c2: Fraction,
-    doubling_c: Fraction,
-    m: int,
-) -> Fraction:
-    """Certified upper bound for the combined factor scale c^(-t)*c1*c2*C^m.
-
-    All five inputs are finite-scale estimates, so the result is only as
-    trustworthy as they are; certify_fat_thick treats it as one opaque
-    rational.
-    """
-    c, t = Fraction(c), Fraction(t)
-    if not 0 < c <= 1:
-        raise PreconditionViolated("witness constant must lie in (0,1]")
-    if t <= 0 or m < 0:
-        raise PreconditionViolated("need t > 0 and m >= 0")
-    inv = pow_end(c, -t, True)
-    return inv * Fraction(c1) * Fraction(c2) * Fraction(doubling_c) ** m
 
 
 # --- thinness: porous constructions ------------------------------------------

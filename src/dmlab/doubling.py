@@ -27,6 +27,7 @@ from .enclosure import (
     log2_bounds,
     mul_bounds,
     pow_bounds,
+    refine,
     Bounds,
 )
 from .errors import (
@@ -648,15 +649,16 @@ def verify_small_ball_bound(
         # the factor is (rho/2)^s; when that is rational, a mass ratio equal
         # to it holds, though no enclosure of the factor can show it
         exact = None if s is None else _exact_rational_pow(*Fraction(rho[0], 2 * rho[1]).as_integer_ratio(), Fraction(s))
-        cur = bits
-        while True:
+
+        def settle(cur: int):
+            """True once the case holds, its result once it fails, None to escalate."""
             if (*rho, cur) not in factors:
                 f = _rhs_bounds(Fraction(*rho), c, s, cur)
                 factors[(*rho, cur)] = f.lo.as_integer_ratio(), f.hi.as_integer_ratio()
             lo_f, hi_f = factors[(*rho, cur)]
             # mu_b.lower >= mu_a.upper * factor.hi
             if not _below(mu_b[0], mu_a[1], hi_f):
-                break
+                return True
             # mu_b.upper < mu_a.lower * factor.lo
             if _below(mu_b[1], mu_a[0], lo_f):
                 rhs_lo = Fraction(*mu_a[0]) * Fraction(*lo_f)
@@ -667,7 +669,7 @@ def verify_small_ball_bound(
                     margin=rhs_lo - Fraction(*mu_b[1]),
                 )
             if exact is not None and not _below(mu_b[0], mu_a[1], exact):
-                break
+                return True
             if _below(mu_b[0], mu_a[1], lo_f) and not _below(mu_b[1], mu_a[0], hi_f):
                 # no factor in [factor.lo, factor.hi] settles the case, so no
                 # precision can: only a deeper evaluation narrows the masses
@@ -677,8 +679,15 @@ def verify_small_ball_bound(
                     f"mu(A) in [{a_lo}, {a_up}], mu(B) in [{b_lo}, {b_up}] "
                     f"at eval depth {eval_depth} (depth {depth} + 8{capped})"
                 )
-            if cur >= max_bits:
-                raise EnclosureInconclusive(f"{_unsettled(reported(case, a, b, x, r))} at {cur} bits")
-            cur *= 2
+            return None
+
+        try:
+            verdict = refine(settle, bits, max_bits)
+        except EnclosureInconclusive as exc:
+            if exc.bits is None:  # the case's own refusal, at any precision
+                raise
+            raise EnclosureInconclusive(f"{_unsettled(reported(case, a, b, x, r))} at {exc.bits} bits") from None
+        if verdict is not True:
+            return verdict
         checked += 1
     return SmallBallResult(holds=True, checked=checked)

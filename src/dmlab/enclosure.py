@@ -85,6 +85,8 @@ def _log2_frac_bits(n: int, d: int, bits: int, round_up: bool) -> int:
 def _log2_end(n: int, d: int, bits: int, upper: bool) -> int:
     """The upper or lower end of log2_bounds(n / d, bits), times 2^bits, for
     positive integers n and d, not necessarily coprime."""
+    if bits < 0:
+        raise PreconditionViolated(f"precision must be >= 0 bits, got {bits}")
     e = n.bit_length() - d.bit_length()  # so 2^(e-1) < n / d < 2^(e+1)
     mn, md = (n, d << e) if e >= 0 else (n << -e, d)
     if mn < md:  # n / d < 2^e: the mantissa below is (n / d) / 2^(e-1) = 2 mn / md
@@ -99,8 +101,9 @@ def log2_bounds(x: Fraction, bits: int = DEFAULT_BITS) -> Bounds:
     x = Fraction(x)
     if x <= 0:
         raise PreconditionViolated("log2 needs a positive argument")
-    (n, d), unit = x.as_integer_ratio(), 1 << bits
-    return Bounds(Fraction(_log2_end(n, d, bits, False), unit), Fraction(_log2_end(n, d, bits, True), unit))
+    n, d = x.as_integer_ratio()
+    lo, hi = _log2_end(n, d, bits, False), _log2_end(n, d, bits, True)
+    return Bounds(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits))
 
 
 @lru_cache(maxsize=8)
@@ -127,6 +130,8 @@ def _exp2_end(num: int, den: int, bits: int, upper: bool) -> tuple[int, int]:
     (rounded toward the wanted side) and 2^f is the product of the roots
     2^(2^-i) over its set bits, most significant first, each step floored or
     ceiled at scale 2^B."""
+    if bits < 0:
+        raise PreconditionViolated(f"precision must be >= 0 bits, got {bits}")
     k, rem = divmod(num, den)
     if abs(k) > 1 << 22:
         raise PreconditionViolated("exponent magnitude out of supported range")
@@ -287,11 +292,21 @@ def exp_neg_upper(s: Fraction) -> Fraction:
 
 
 def refine(check, start_bits: int = DEFAULT_BITS, max_bits: int = 2048):
-    """Run `check(bits)` at doubling precision until it returns non-None."""
+    """Run `check(bits)` until it returns non-None, at bits = start_bits,
+    2 start_bits, 4 start_bits, ... up to and including the first rung >=
+    max_bits; a start below 1 bit is refused before the first check.
+
+    This is the one precision ladder: every caller that escalates a
+    precision passes its check here.  The refusal is an
+    EnclosureInconclusive naming, in its message and its `bits`, the last
+    rung checked."""
+    if start_bits < 1:
+        raise PreconditionViolated(f"precision must start at >= 1 bit, got {start_bits}")
     bits = start_bits
-    while bits <= max_bits:
+    while True:
         result = check(bits)
         if result is not None:
             return result
+        if bits >= max_bits:
+            raise EnclosureInconclusive(f"bounds still inconclusive at {bits} bits", bits)
         bits *= 2
-    raise EnclosureInconclusive(f"bounds still inconclusive at {max_bits} bits")

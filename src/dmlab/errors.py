@@ -45,10 +45,6 @@ class FailsThickness(DmlabError):
     """No positive witness-ball constant exists for the construction."""
 
 
-class ResolutionExhausted(DmlabError):
-    """A removal would need dyadic intervals below the resolution budget."""
-
-
 class MisalignedTrees(DmlabError):
     """Restriction target does not line up with the base measure's support."""
 
@@ -90,4 +86,11 @@ class LengthMismatch(DmlabError, ValueError):
 
 
 class EnclosureInconclusive(DmlabError):
-    """Certified bounds stayed too wide at the maximum working precision."""
+    """Certified bounds stayed too wide at the maximum working precision.
+
+    `bits` is the precision reached when the ladder ran out, None when the
+    refusal holds at any precision."""
+
+    def __init__(self, message: str, bits: int | None = None) -> None:
+        super().__init__(message)
+        self.bits = bits

@@ -27,7 +27,6 @@ from .errors import (
     InvalidFamily,
     NodeBudgetExceeded,
     PreconditionViolated,
-    ResolutionExhausted,
 )
 from .ratio import Value
 from .seq import Geometric, SequenceFamily, term
@@ -383,79 +382,6 @@ def inflate(config: CutOutConfig, n_balls: int, zeta: Fraction) -> list[Rational
     for b in config.balls[:n_balls]:
         out.append(closed(max(Fraction(0), b.lo - zeta), min(Fraction(1), b.hi + zeta)))
     return out
-
-
-# --- Dyadic porous stages ----------------------------------------------------
-
-class DyadicPiece(NamedTuple):
-    level: int
-    index: int
-
-    def interval(self) -> RationalInterval:
-        unit = Fraction(1, 1 << self.level)
-        return closed(self.index * unit, (self.index + 1) * unit)
-
-    @property
-    def length(self) -> Fraction:
-        return Fraction(1, 1 << self.level)
-
-
-class PorousConstruction(NamedTuple):
-    alpha: SequenceFamily
-    stages: tuple[tuple[DyadicPiece, ...], ...]  # stages[n] is F_n, stage 0 = [0,1]
-    removed: tuple[tuple[DyadicPiece, ...], ...]  # removed[n] taken out of F_n
-
-    def stage_length(self, n: int) -> Fraction:
-        return sum((p.length for p in self.stages[n]), Fraction(0))
-
-
-def _ceil_log2_inv(alpha: Fraction) -> int:
-    """Smallest t >= 1 with 2^-t <= alpha, for alpha in (0,1)."""
-    num, den = alpha.numerator, alpha.denominator
-    t = max(1, den.bit_length() - num.bit_length())
-    while (num << t) < den:
-        t += 1
-    while t > 1 and (num << (t - 1)) >= den:
-        t -= 1
-    return t
-
-
-def build_porous(
-    alpha: SequenceFamily,
-    depth: int,
-) -> PorousConstruction:
-    """From each surviving dyadic piece remove its leftmost aligned dyadic
-    subinterval of the largest dyadic length <= alpha_n * piece length.
-
-    That largest-dyadic choice pins the removed length L into the sandwich
-    alpha*len/2 < L <= alpha*len, the scale the decay certificate needs.
-    """
-    check_depth(depth)
-    level_cap = resolve_cap("depth")
-    node_cap = resolve_cap("nodes")
-    stages: list[tuple[DyadicPiece, ...]] = [(DyadicPiece(0, 0),)]
-    removed: list[tuple[DyadicPiece, ...]] = []
-    for n in range(1, depth + 1):
-        a_n = term(alpha, n)
-        t = _ceil_log2_inv(a_n)
-        survivors: list[DyadicPiece] = []
-        cut: list[DyadicPiece] = []
-        for piece in stages[n - 1]:
-            m = piece.level + t
-            if m > level_cap:
-                raise ResolutionExhausted(
-                    f"stage {n} needs dyadic level {m} > cap {level_cap}"
-                )
-            cut.append(DyadicPiece(m, piece.index << t))
-            # binary decomposition of piece minus its leftmost level-m block
-            for j in range(m, piece.level, -1):
-                survivors.append(DyadicPiece(j, (piece.index << (j - piece.level)) + 1))
-        survivors.sort(key=lambda p: Fraction(p.index, 1 << p.level))
-        if len(survivors) > node_cap:
-            raise NodeBudgetExceeded(f"stage {n} would hold {len(survivors)} pieces")
-        stages.append(tuple(survivors))
-        removed.append(tuple(cut))
-    return PorousConstruction(alpha=alpha, stages=tuple(stages), removed=tuple(removed))
 
 
 # --- Gap structures with witness balls ---------------------------------------

@@ -18,7 +18,7 @@ from math import gcd, lcm
 from operator import add, floordiv, mul, ne, or_, sub
 from typing import Union
 
-from .errors import MisalignedTrees, PreconditionViolated, ZeroMassBall
+from .errors import MisalignedTrees, PreconditionViolated
 from .geom import (
     ConstructionTree,
     CutOutConfig,
@@ -320,18 +320,6 @@ def cdf(m: TreeMeasure, x: Fraction, depth: int) -> MassBracket:
     if x >= 1:
         return MassBracket(m.total_mass, m.total_mass)
     return interval_mass(m, closed(0, x), depth)
-
-
-def ball_mass(m: TreeMeasure, x: Fraction, r: Fraction, depth: int) -> MassBracket:
-    """Mass of the closed ball around x clipped to [0,1]."""
-    x, r = Fraction(x), Fraction(r)
-    if r <= 0:
-        raise PreconditionViolated("ball radius must be > 0")
-    lo = max(Fraction(0), x - r)
-    hi = min(Fraction(1), x + r)
-    if lo >= hi:
-        raise ZeroMassBall(f"ball at {x} radius {r} misses [0,1]")
-    return interval_mass(m, closed(lo, hi), depth)
 
 
 def cutout_mass(

@@ -16,11 +16,9 @@ from typing import NamedTuple
 from .enclosure import Bounds, add_bounds, log2_bounds, mul_bounds, pow_bounds
 from .errors import NonMonotone, PreconditionViolated
 from .measure import (
-    MassBracket,
     TableWeights,
     TreeMeasure,
     cdf,
-    dyadic_cdf_grid,
     dyadic_cdf_numerators,
 )
 from .ratio import Value, first_max, randbelow
@@ -46,19 +44,6 @@ class QSMap(Value):
             raise PreconditionViolated("evaluation depth must be >= 0")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "eval_depth", eval_depth)
-
-
-def evaluate(qsmap: QSMap, x: Fraction) -> MassBracket:
-    """Bracket of f(x); exact at points aligned with the refinement grid."""
-    x = Fraction(x)
-    if not 0 <= x <= 1:
-        raise PreconditionViolated("map argument must lie in [0,1]")
-    return cdf(qsmap.source, x, qsmap.eval_depth)
-
-
-def tabulate(qsmap: QSMap, depth: int) -> list[Fraction]:
-    """Exact values f(j / 2^depth) for j = 0 .. 2^depth."""
-    return dyadic_cdf_grid(qsmap.source, depth)
 
 
 def measure_from_map(table: list[Fraction]) -> TreeMeasure:

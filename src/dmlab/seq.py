@@ -308,9 +308,8 @@ def tail_sum_upper(
             first_up = pow_end(term(f, n_from + 1), p, True, bits)
             return first_up + tail_sum_upper(f, p, n_from + 1, bits)
         gp = f.gamma * p
-        a_up = pow_end(f.a, p, True, bits)
-        decay_up = pow_end(Fraction(start), -(gp - 1), True, bits)
-        return a_up * decay_up / (gp - 1)
+        # one rung, settled at once: the ladder refuses a start below 1 bit as for the other families
+        return refine(lambda b: pow_end(f.a, p, True, b) * pow_end(Fraction(start), 1 - gp, True, b) / (gp - 1), bits)
 
     if isinstance(f, LogFloor):
         # terms in block k (2^k of them) all equal base^k; bound the partial

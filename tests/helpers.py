@@ -43,7 +43,7 @@ Quantity: its oracle, and the oracle's route.
 * `build_cantor`: `build_cantor_oracle`, Fraction `RationalInterval` nodes;
 * `LeafPrefixes`: `leaf_prefix_oracle`, one walk from the root per leaf;
 * the ratio-decay fit's concentric rows: `concentric_maxima_oracle`, one
-  ball at a time over the library's `_MassOracle`, which the caller passes;
+  ball at a time over `BallOracle`;
 * `first_max`: `first_max_oracle`, an exact comparison of every entry;
 * the fits' exponent search: `largest_within_oracle`, plain bisection;
 * `decimal_str`: `decimal_str_oracle`, on Fraction arithmetic;
@@ -1281,31 +1281,27 @@ from dmlab.geom import largest_gap  # noqa: E402
 from dmlab.seq import Summability, classify_ellp, tail_sum_upper  # noqa: E402
 
 
-def concentric_maxima_oracle(oracle, depth: int) -> tuple[dict, int]:
+def concentric_maxima_oracle(m, depth: int) -> tuple[dict, int]:
     """(top, pairs) of `fit_ratio_decay`'s concentric stage, one
-    `_MassOracle.bracket` per ball: top[l] the first largest certified bound
-    on mu(B(x, R / 2^l)) / mu(B(x, R)) as an integer pair, pairs the count
-    of pairs whose big ball has certified mass."""
-    n = 1 << (depth + 1)
-    step = oracle.unit // n
-    top: dict[int, tuple[int, int]] = {}
+    `BallOracle.ball` per ball: top[l] the largest certified bound on
+    mu(B(x, R / 2^l)) / mu(B(x, R)) as a Fraction, over interior centers x =
+    i / 2^j and radii R = 2^-j, j = 1..depth-1, and pairs the count of pairs
+    whose big ball has certified mass."""
+    oracle = BallOracle(m, depth)
+    top: dict[int, Fraction] = {}
     pairs = 0
     for j in range(1, depth):
-        big_h = n >> j
-        for c in range(big_h, n, big_h):  # interior centers i / 2^j
-            bn, bd = oracle.bracket((c - big_h) * step, (c + big_h) * step)[0]
-            if not bn:
+        big_r = Fraction(1, 1 << j)
+        for i in range(1, 1 << j):
+            x = i * big_r
+            big = oracle.ball(x, big_r).lower
+            if not big:
                 continue
             pairs += depth - j + 1
             for l in range(0, depth - j + 1):
-                sn, sd = oracle.bracket((c - (big_h >> l)) * step, (c + (big_h >> l)) * step)[1]
-                num, den = sn * bd, sd * bn
-                cur = top.get(l)
-                if cur is None:
-                    if num:
-                        top[l] = (num, den)
-                elif num * cur[1] > cur[0] * den:
-                    top[l] = (num, den)
+                ratio = oracle.ball(x, big_r / (1 << l)).upper / big
+                if ratio > top.get(l, 0):
+                    top[l] = ratio
     return top, pairs
 
 

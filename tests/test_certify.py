@@ -13,7 +13,6 @@ from dmlab.certify import (
     PackingVerdict,
     certify_fat_thick,
     certify_thin_porous,
-    combine_fatness_constants,
     cutout_lower_bound,
     inflated_remainder_check,
     interval_packing_verdict,
@@ -137,13 +136,6 @@ class TestFatCertificates:
                            f"exact-arithmetic budget of {EXACT_BIT_BUDGET} bits"):
             certify_fat_thick(alpha, Fraction(t), Fraction(1, 2))
         assert time.process_time() - start < 1
-
-    def test_combine_constants_exact_case(self):
-        got = combine_fatness_constants(
-            c=Fraction(1, 2), t=Fraction(2), c1=Fraction(3), c2=Fraction(5),
-            doubling_c=Fraction(2), m=3,
-        )
-        assert got == 4 * 3 * 5 * 8  # (1/2)^-2 * c1 * c2 * C^m
 
 
 class TestThinCertificates:

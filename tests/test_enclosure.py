@@ -22,7 +22,9 @@ from dmlab.enclosure import (
     pow_end,
     refine,
 )
-from dmlab.errors import EnclosureInconclusive
+from dmlab.doubling import doubling_scan
+from dmlab.errors import EnclosureInconclusive, PreconditionViolated
+from dmlab.measure import BinomialWeights, TreeMeasure
 
 mp.mp.prec = 300
 
@@ -99,7 +101,7 @@ def test_pow_encloses_reference(x, e):
     assert contains(b, mp.power(mpf(x), mpf(e)))
 
 
-@pytest.mark.parametrize("bits", [1, 2, 3, 64, DEFAULT_BITS, 512])
+@pytest.mark.parametrize("bits", [0, 1, 2, 3, 64, DEFAULT_BITS, 512])
 @pytest.mark.parametrize(
     "x,e",
     [
@@ -158,6 +160,55 @@ def test_refine_escalates_until_decision():
     assert calls == [128, 256, 512]
 
 
-def test_refine_gives_up_with_error():
-    with pytest.raises(EnclosureInconclusive):
-        refine(lambda bits: None, 128, 512)
+@pytest.mark.parametrize("start, cap, rungs", [
+    (128, 512, [128, 256, 512]),
+    (128, 4096, [128, 256, 512, 1024, 2048, 4096]),
+    (3, 8, [3, 6, 12]),  # up to and including the first rung past the cap
+    (600, 512, [600]),
+])
+def test_refine_gives_up_with_error(start, cap, rungs):
+    calls = []
+    with pytest.raises(EnclosureInconclusive) as info:
+        refine(calls.append, start, cap)
+    assert calls == rungs
+    assert str(info.value) == f"bounds still inconclusive at {rungs[-1]} bits"
+    assert info.value.bits == rungs[-1]
+
+
+@pytest.mark.parametrize("call", [
+    "refine(lambda bits: None, {bits})",
+    "certify_fat_thick(Geometric(F(1, 4), F(1, 2)), F(1, 2), F(1, 2), bits={bits})",
+    "tail_sum_upper(Power(1, 1, 0), F(3, 2), 5, {bits})",
+    "verify_small_ball_bound(TreeMeasure(TableWeights(((F(1, 3),), (F(1, 5), F(2, 7))))),"
+    " s=F(1, 8), count=25, depth=4, seed=3, bits={bits})",
+], ids=lambda call: call.split("(")[0])
+def test_ladder_refuses_a_start_below_one_bit(call):
+    # 0 * 2 stays 0, so a ladder started there must be refused, not climbed;
+    # the subprocess's timeout bounds a ladder that climbs for ever
+    code = "\n".join([
+        "from fractions import Fraction as F",
+        "from dmlab import Geometric, Power, TableWeights, TreeMeasure, certify_fat_thick, refine,"
+        " tail_sum_upper, verify_small_ball_bound",
+        "for bits in (0, -3):",
+        "    try:",
+        f"        print('returned', {call.format(bits='bits')})",
+        "    except Exception as exc:",
+        "        print(type(exc).__name__, exc)",
+    ])
+    src = os.path.dirname(os.path.dirname(dmlab.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=30,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.splitlines() == [f"PreconditionViolated precision must start at >= 1 bit, got {bits}"
+                                for bits in (0, -3)]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: log2_bounds(Fraction(1, 3), -3),
+    lambda: exp2_bounds(Fraction(1, 3), -3),
+    lambda: pow_bounds(Fraction(1, 3), Fraction(1, 2), -3),
+    lambda: pow_end(Fraction(1, 3), Fraction(1, 2), True, -3),
+    lambda: doubling_scan(TreeMeasure(BinomialWeights(Fraction(1, 3))), 4, bits=-3),
+], ids=["log2_bounds", "exp2_bounds", "pow_bounds", "pow_end", "doubling_scan"])
+def test_negative_bits_refused(call):
+    with pytest.raises(PreconditionViolated, match=r"^precision must be >= 0 bits, got -3$"):
+        call()

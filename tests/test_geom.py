@@ -21,7 +21,6 @@ from dmlab.geom import (
     CutOutConfig,
     RationalInterval,
     build_cantor,
-    build_porous,
     caps,
     closed,
     inflate,
@@ -263,16 +262,3 @@ class TestThickStructures:
         thick = thick_from_cantor(tree)
         verdict = verify_thick(thick)
         assert verdict.valid, verdict.violations
-
-    def test_porous_removal_sandwich(self):
-        alpha = Constant(Fraction(1, 2))
-        porous = build_porous(alpha, 5)
-        assert len(porous.stages) == 6  # stage 0 plus five removals
-        assert all(len(stage) >= 1 for stage in porous.stages)
-        # removed[n] comes out of stage n; lengths obey alpha*len/2 < L <= alpha*len
-        for n in range(5):
-            total_before = porous.stage_length(n)
-            removed = sum((p.length for p in porous.removed[n]), Fraction(0))
-            a = term(alpha, n + 1)
-            assert removed <= a * total_before
-            assert 2 * removed > a * total_before

@@ -13,13 +13,18 @@ Three rules keep unused surface out of `src/dmlab`:
 * no module imports `dataclasses`, whose class building was a quarter of a
   CLI process's setup, and `import dmlab.cli` loads neither `dataclasses`
   nor `inspect`, but does load every module of the package, so the saving
-  does not come from an import deferred into the first call.
+  does not come from an import deferred into the first call;
+* no `x *= 2` outside `enclosure.refine`, so every precision that doubles
+  climbs the one ladder, which refuses a start below 1 bit.
 
-One rule keeps the test oracles apart from what they check:
+Two rules keep the test oracles apart from what they check:
 
 * `tests/helpers.py` imports none of the library's scan, prefix-table, cdf
   and float-filter kernels, so no oracle runs through the kernel it stands
-  against.
+  against;
+* no test passes an oracle from `tests/helpers.py` one of those kernels, or
+  a name bound to one, whether it calls the oracle by name or through a
+  loop over a tuple that holds it.
 
 Calls are matched to definitions by name only (the last part of a dotted
 callee, the class name for `__init__`), which can only make a parameter look
@@ -38,7 +43,7 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "dmlab"
-SOURCE_LINE_BUDGET = 4979
+SOURCE_LINE_BUDGET = 4878
 # kernels of the fast paths; an oracle built on one would check it against itself
 KERNELS = ("_MassOracle", "_scan_centers", "_scan_pass", "LeafPrefixes", "dyadic_cdf_numerators", "first_max")
 
@@ -162,3 +167,42 @@ def test_oracles_import_no_kernel():
     imported = _imported_names(ast.parse((ROOT / "tests" / "helpers.py").read_text(encoding="utf-8")))
     kernels = [name for name in KERNELS if name in imported]
     assert not kernels, f"tests/helpers.py imports the kernels {kernels}"
+
+
+def test_only_refine_doubles_in_place():
+    doubled = []
+    for path, tree in _trees("src/dmlab"):
+        exempt = {node for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                  and (path.name, fn.name) == ("enclosure.py", "refine") for node in ast.walk(fn)}
+        doubled += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mult)
+                    and isinstance(node.value, ast.Constant) and node.value.value == 2
+                    and node not in exempt]
+    assert not doubled, f"`*= 2` outside enclosure.refine: {doubled}"
+
+
+def _callee(call: ast.Call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+
+
+def test_no_test_hands_a_kernel_to_an_oracle():
+    handed = []
+    for path, tree in _trees("tests"):
+        oracles = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module == "helpers" for alias in node.names}
+        for fn in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+            nodes = list(ast.walk(fn))
+            bound = {target.id for node in nodes if isinstance(node, ast.Assign)
+                     and isinstance(node.value, ast.Call) and _callee(node.value) in KERNELS
+                     for target in node.targets if isinstance(target, ast.Name)}
+            # `for f in (kernel, oracle)` makes f an oracle too
+            callees = oracles | {loop.target.id for loop in nodes if isinstance(loop, (ast.For, ast.comprehension))
+                                 and isinstance(loop.target, ast.Name) and isinstance(loop.iter, (ast.Tuple, ast.List))
+                                 and any(isinstance(e, ast.Name) and e.id in oracles for e in loop.iter.elts)}
+            for call in (node for node in nodes if isinstance(node, ast.Call) and _callee(node) in callees):
+                args = call.args + [kw.value for kw in call.keywords]
+                if any(isinstance(a, ast.Name) and a.id in bound
+                       or isinstance(a, ast.Call) and _callee(a) in KERNELS for a in args):
+                    handed.append(f"{path.name}:{call.lineno}")
+    assert not handed, f"oracles handed a kernel object: {handed}"

@@ -291,10 +291,10 @@ def test_concentric_rows_match_per_ball_stage(case):
     """The ratio-decay fit's concentric stage in rows gives the per-l first
     maxima and the pair count of the per-ball stage."""
     m, depth = case
-    oracle = _MassOracle(m, depth)
-    (top, pairs), (want_top, want_pairs) = (f(oracle, depth) for f in (_concentric_maxima, concentric_maxima_oracle))
+    top, pairs = _concentric_maxima(_MassOracle(m, depth), depth)
+    want_top, want_pairs = concentric_maxima_oracle(m, depth)
     assert pairs == want_pairs
-    assert {l: Fraction(*v) for l, v in top.items()} == {l: Fraction(*v) for l, v in want_top.items()}
+    assert {l: Fraction(*v) for l, v in top.items()} == want_top
 
 
 @settings(max_examples=60, deadline=None)

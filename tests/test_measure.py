@@ -5,14 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from dmlab.errors import MisalignedTrees, PreconditionViolated, ZeroMassBall
+from dmlab.errors import MisalignedTrees, PreconditionViolated
 from dmlab.geom import build_cantor, closed, open_interval, CutOutConfig
 from dmlab.measure import (
     BinomialWeights,
     MassBracket,
     TableWeights,
     TreeMeasure,
-    ball_mass,
     cdf,
     cutout_mass,
     dyadic_cdf_grid,
@@ -119,12 +118,8 @@ class TestCdf:
 
 class TestBallAndCutout:
     def test_ball_clips(self, lebesgue):
-        b = ball_mass(lebesgue, Fraction(0), Fraction(1, 4), 8)
+        b = interval_mass(lebesgue, closed(0, Fraction(1, 4)), 8)
         assert b.lower == b.upper == Fraction(1, 4)
-
-    def test_ball_off_support(self, lebesgue):
-        with pytest.raises(ZeroMassBall):
-            ball_mass(lebesgue, Fraction(3), Fraction(1, 2), 8)
 
     def test_cutout_nested_balls(self, lebesgue):
         balls = [closed(0, Fraction(1, 1 << i)) for i in range(1, 9)]

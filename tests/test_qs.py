@@ -5,15 +5,13 @@ from fractions import Fraction
 import pytest
 
 from dmlab.errors import NonMonotone, PreconditionViolated
-from dmlab.measure import BinomialWeights, TreeMeasure, dyadic_cdf_grid, node_mass
+from dmlab.measure import BinomialWeights, TreeMeasure, cdf, dyadic_cdf_grid, node_mass
 from dmlab.qs import (
     DEFAULT_TAUS,
     QSMap,
-    evaluate,
     measure_from_map,
     pullback_constant,
     qs_ratio_scan,
-    tabulate,
 )
 
 from helpers import ratio_rows_csv
@@ -27,15 +25,15 @@ class TestRoundTrip:
     @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)])
     def test_weights_survive_depth_eight(self, p):
         source = binom(p)
-        recovered = measure_from_map(tabulate(QSMap(source), 8))
+        recovered = measure_from_map(dyadic_cdf_grid(source, 8))
         assert recovered.total_mass == 1
         for level in range(9):
             for index in range(1 << level):
                 assert node_mass(recovered, level, index) == node_mass(source, level, index)
 
     def test_table_regenerates_itself(self, binom13):
-        table = tabulate(QSMap(binom13), 6)
-        again = tabulate(QSMap(measure_from_map(table)), 6)
+        table = dyadic_cdf_grid(binom13, 6)
+        again = dyadic_cdf_grid(measure_from_map(table), 6)
         assert again == table
 
     def test_bad_table_length(self):
@@ -48,29 +46,22 @@ class TestRoundTrip:
 
 
 class TestEvaluate:
+    """f(x) = mu([0, x]) at a QSMap's evaluation depth, 24 by default."""
+
     def test_dyadic_points_exact(self, binom13):
-        q = QSMap(binom13)
-        got = evaluate(q, Fraction(1, 2))
+        got = cdf(binom13, Fraction(1, 2), 24)
         assert got.lower == got.upper == Fraction(1, 3)
-        got = evaluate(q, Fraction(3, 4))
+        got = cdf(binom13, Fraction(3, 4), 24)
         assert got.lower == got.upper == Fraction(5, 9)
 
     def test_endpoints(self, binom13):
-        q = QSMap(binom13)
-        assert evaluate(q, Fraction(0)).upper == 0
-        assert evaluate(q, Fraction(1)).lower == 1
+        assert cdf(binom13, Fraction(0), 24).upper == 0
+        assert cdf(binom13, Fraction(1), 24).lower == 1
 
     def test_off_grid_bracket_stays_tight(self, binom13):
-        got = evaluate(QSMap(binom13), Fraction(1, 7))
+        got = cdf(binom13, Fraction(1, 7), 24)
         assert got.lower < got.upper
         assert got.upper - got.lower < Fraction(1, 10**6)
-
-    def test_domain_checked(self, binom13):
-        with pytest.raises(PreconditionViolated):
-            evaluate(QSMap(binom13), Fraction(3, 2))
-
-    def test_grid_matches_cdf(self, binom13):
-        assert tabulate(QSMap(binom13), 5) == dyadic_cdf_grid(binom13, 5)
 
 
 class TestRatioScan:

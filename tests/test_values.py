@@ -35,8 +35,6 @@ from dmlab.enclosure import Bounds
 from dmlab.errors import InvalidFamily, PreconditionViolated
 from dmlab.geom import (
     CutOutConfig,
-    DyadicPiece,
-    PorousConstruction,
     RationalInterval,
     ThickPair,
     ThickStructure,
@@ -158,11 +156,6 @@ RECORDS = {
     "SmallBallResult": (
         lambda: SmallBallResult(True, 3, margin=F(1, 7)),
         "SmallBallResult(holds=True, checked=3, counterexample=None, margin=Fraction(1, 7))"),
-    "DyadicPiece": (lambda: DyadicPiece(2, 1), "DyadicPiece(level=2, index=1)"),
-    "PorousConstruction": (
-        lambda: PorousConstruction(Constant(HALF), ((DyadicPiece(0, 0),),), ()),
-        "PorousConstruction(alpha=Constant(value=Fraction(1, 2)), stages=((DyadicPiece(level=0, index=0),),), "
-        "removed=())"),
     "ThickPair": (
         lambda: ThickPair(closed(0, HALF), closed(QUARTER, F(3, 8)), F(1, 8), F(1, 16)),
         "ThickPair(piece=RationalInterval(lo=Fraction(0, 1), hi=Fraction(1, 2), lo_open=False, hi_open=False), "
