@@ -33,14 +33,13 @@ from __future__ import annotations
 import enum
 import itertools
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 from typing import Iterator, NamedTuple, Union
 
 from .doubling import DoublingReport
 from .enclosure import (
     DEFAULT_BITS,
-    _exact_rational_pow,
-    _pow_end,
+    _power_ends,
     exp2_bounds,
     exp_neg_upper,
     log2_bounds,
@@ -280,18 +279,6 @@ class FatnessCertificate(NamedTuple):
 # certify_fat_thick doubles its factor count until the scaled tail sum of the
 # remaining factors is at most this (or the count reaches max_terms)
 TAIL_TARGET = Fraction(1, 1 << 34)
-
-
-def _power_ends(x: Pair, t: Fraction, bits: int, sides=(False, True)) -> list[Pair]:
-    # the ends of x^t as integer pairs, as pow_bounds / pow_end give them: the
-    # exact root where there is one, else the two _pow_end ends; the root
-    # test takes x in lowest terms
-    g = gcd(*x)
-    n, d = x[0] // g, x[1] // g
-    exact = _exact_rational_pow(n, d, t)
-    if exact is not None:
-        return [exact] * len(sides)
-    return [_pow_end(n, d, t, upper, bits) for upper in sides]
 
 
 def _factor_ends(x: Pair, t: Fraction, scale: Fraction, bits: int, decide: bool = False):

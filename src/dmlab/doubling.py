@@ -160,17 +160,6 @@ def _scan_centers(m: TreeMeasure, depth: int, unit: int) -> range | list[int]:
         (lo + hi) * step for lo, hi in zip(lows, highs)))
 
 
-class ScanResult(NamedTuple):
-    """What `scan_core` certifies, plus the per-scale maxima of the same pass."""
-
-    c_upper: Fraction
-    c_lower: Fraction
-    witness: ScanWitness | None
-    exact: bool
-    notes: list[str]
-    per_scale: list[tuple[int, Fraction]]  # lower-certified max ratio per scale
-
-
 def _ratios(a: tuple, b: tuple) -> tuple[list[int], list[int]]:
     """a / b entrywise for two rows of masses, as (numerators,
     denominators); rows over the cdf's denominator divide as they are."""
@@ -180,13 +169,14 @@ def _ratios(a: tuple, b: tuple) -> tuple[list[int], list[int]]:
     return list(map(mul, an, bd)), list(map(mul, ad, bn))
 
 
-def _scan_pass(m: TreeMeasure, depth: int, oracle: _MassOracle) -> ScanResult:
-    """`scan_core` in whole rows on the ball oracle of (m, depth), witness None
-    if no ratio is certified: the row of scale k holds every center's small
-    ball, the row before it the doubled balls. scan_core skips a small ball
-    without certified mass, the per-scale maxima only one that certainly has
-    none. A row's first maximum replaces the best so far only when strictly
-    greater, so the witness is the first (k, center) in scan order."""
+def _scan_pass(m: TreeMeasure, depth: int, oracle: _MassOracle) -> tuple:
+    """`scan_core` in whole rows on the ball oracle of (m, depth): (c_upper,
+    c_lower, witness, exact, notes, per_scale), witness None if no ratio is
+    certified. The row of scale k holds every center's small ball, the row
+    before it the doubled balls. scan_core skips a small ball without
+    certified mass, the per-scale maxima only one that certainly has none. A
+    row's first maximum replaces the best so far only when strictly greater,
+    so the witness is the first (k, center) in scan order."""
     xs = _scan_centers(m, depth, oracle.unit)
     up_n, up_d = 0, 1  # c_upper
     lo_n, lo_d = 0, 1  # c_lower
@@ -217,28 +207,31 @@ def _scan_pass(m: TreeMeasure, depth: int, oracle: _MassOracle) -> ScanResult:
     if witness is not None:
         k, i = witness
         witness = ScanWitness(x=Fraction(xs[i], oracle.unit), r=Fraction(1, 1 << k), ratio_lower=c_lower)
-    notes = [f"skipped {skipped} pairs whose small ball had no certified mass"] if skipped else []
-    return ScanResult(Fraction(up_n, up_d), c_lower, witness, exact and not skipped, notes, per_scale)
+    notes = (f"skipped {skipped} pairs whose small ball had no certified mass",) if skipped else ()
+    return Fraction(up_n, up_d), c_lower, witness, exact and not skipped, notes, per_scale
 
 
-def scan_core(m: TreeMeasure, depth: int) -> ScanResult:
-    """Certified doubling-ratio bounds over the grid of centers and radii
-    2^-k, k = 1..depth, comparing each ball with its doubled ball; the same
-    pass yields the per-scale maxima of `per_scale_max_ratios`."""
-    return _scan_core(m, depth)[0]
-
-
-def _scan_core(m: TreeMeasure, depth: int) -> tuple[ScanResult, _MassOracle]:
-    """`scan_core` and the ball oracle it builds after its checks."""
+def _check_scan(m: TreeMeasure, depth: int) -> None:
     if depth < 1:
         raise PreconditionViolated("scan needs depth >= 1")
     if m.total_mass == 0:
         raise ZeroMassBall("the zero measure has no doubling ratios")
-    oracle = _MassOracle(m, depth)
-    res = _scan_pass(m, depth, oracle)
-    if res.witness is None:
+
+
+def scan_core(m: TreeMeasure, depth: int, bits: int = DEFAULT_BITS, *,
+              oracle: _MassOracle | None = None) -> DoublingReport:
+    """Certified doubling-ratio bounds over the grid of centers and radii
+    2^-k, k = 1..depth, comparing each ball with its doubled ball: a report
+    without fits, s_lower and s_upper enclosing log2 of the two bounds. The
+    same pass yields the per-scale maxima of `per_scale_max_ratios`."""
+    _check_scan(m, depth)
+    c_upper, c_lower, witness, exact, notes, per_scale = _scan_pass(m, depth, oracle or _MassOracle(m, depth))
+    if witness is None:
         raise ZeroMassBall("no scanned ball produced a certifiable ratio")
-    return res, oracle
+    s_up = Fraction(_log2_end(*c_upper.as_integer_ratio(), bits, True), 1 << bits)
+    s_lo = Fraction(_log2_end(*c_lower.as_integer_ratio(), bits, False), 1 << bits) if c_lower >= 1 else Fraction(0)
+    return DoublingReport(c_upper=c_upper, c_lower=c_lower, witness=witness, s_lower=s_lo, s_upper=s_up,
+                          depth=depth, exact=exact, notes=notes, per_scale=tuple(per_scale))
 
 
 def per_scale_max_ratios(m: TreeMeasure, depth: int) -> list[tuple[int, Fraction]]:
@@ -246,11 +239,8 @@ def per_scale_max_ratios(m: TreeMeasure, depth: int) -> list[tuple[int, Fraction
 
     Lower-certified: each entry is a ratio the measure provably attains at
     that scale, so the list under-reports rather than over-reports."""
-    if depth < 1:
-        raise PreconditionViolated("scan needs depth >= 1")
-    if m.total_mass == 0:
-        raise ZeroMassBall("the zero measure has no doubling ratios")
-    return _scan_pass(m, depth, _MassOracle(m, depth)).per_scale
+    _check_scan(m, depth)
+    return _scan_pass(m, depth, _MassOracle(m, depth))[-1]
 
 
 def _guard_tree_perfectness(m: TreeMeasure) -> None:
@@ -329,6 +319,8 @@ def fit_ratio_decay(
     lambda_cap: Fraction = Fraction(1),
     seed: int = 0,
     bits: int = DEFAULT_BITS,
+    *,
+    oracle: _MassOracle | None = None,
 ) -> RatioDecayFit:
     """Largest grid exponent t (steps of 1/64) with a validated ratio bound
     mu(B(x,r)) / mu(B(x,R)) <= Lambda * (r/R)^t, Lambda <= lambda_cap, over
@@ -336,14 +328,9 @@ def fit_ratio_decay(
     holdout of 64 draws.
 
     If the holdout finds a worse ratio the offending scales join the fitting
-    sample and t is refitted, up to four rounds.
+    sample and t is refitted, up to four rounds. Without a ball `oracle`
+    one is built after the checks.
     """
-    return _fit_ratio_decay(m, depth, lambda_cap, seed, bits, None)
-
-
-def _fit_ratio_decay(m: TreeMeasure, depth: int, lambda_cap: Fraction, seed: int, bits: int,
-                     oracle: _MassOracle | None) -> RatioDecayFit:
-    """`fit_ratio_decay` on doubling_scan's ball oracle, or on its own (None) built after the checks."""
     if depth < 2:
         raise PreconditionViolated("ratio fit needs depth >= 2")
     if lambda_cap < 1:
@@ -412,18 +399,16 @@ def fit_mass_window(
     c_upper: Fraction,
     lambda_cap: Fraction = Fraction(1),
     bits: int = DEFAULT_BITS,
+    *,
+    oracle: _MassOracle | None = None,
+    s_hi: Fraction | None = None,
 ) -> MassWindowFit:
     """Window fit lam * diam^s <= mass <= Lambda * diam^t over node samples
     and doubled-node samples: s is the 1/64-grid ceiling of log2(doubling
     constant); lam is the worst observed mass/diam^s; (Lambda, t) come from
-    the same samples with t maximized subject to Lambda <= lambda_cap."""
-    return _fit_mass_window(m, depth, c_upper, lambda_cap, bits, None, None)
-
-
-def _fit_mass_window(m: TreeMeasure, depth: int, c_upper: Fraction, lambda_cap: Fraction, bits: int,
-                     oracle: _MassOracle | None, s_hi: Fraction | None) -> MassWindowFit:
-    """`fit_mass_window` on doubling_scan's ball oracle and upper log2 end s_hi
-    of c_upper, or on its own ones (both None) made after the checks."""
+    the same samples with t maximized subject to Lambda <= lambda_cap.
+    Without a ball `oracle` or the upper log2 end `s_hi` of c_upper, each is
+    made after the checks."""
     if depth < 1:
         raise PreconditionViolated("window fit needs depth >= 1")
     _guard_tree_perfectness(m)
@@ -527,26 +512,24 @@ def doubling_scan(
     seed: int = 0,
     bits: int = DEFAULT_BITS,
 ) -> DoublingReport:
+    """`scan_core` and, with `fit`, both fits, all on one ball oracle, the
+    window fit on the scan's s_upper; a fit that does not apply leaves a note."""
     check_depth(depth)
-    # one ball oracle and one upper log2 end of c_upper for the scan and both fits
-    (c_upper, c_lower, witness, exact, notes, per_scale), oracle = _scan_core(m, depth)
-    s_up = Fraction(_log2_end(*c_upper.as_integer_ratio(), bits, True), 1 << bits)
-    s_lo = Fraction(_log2_end(*c_lower.as_integer_ratio(), bits, False), 1 << bits) if c_lower >= 1 else Fraction(0)
-    ratio_decay = window_fit = None
-    if fit:
-        try:
-            ratio_decay = _fit_ratio_decay(m, depth, lambda_cap, seed, bits, oracle)
-        except (PreconditionViolated, NotUniformlyPerfect) as exc:
-            notes = notes + [f"ratio fit unavailable: {exc}"]
-        try:
-            window_fit = _fit_mass_window(m, depth, c_upper, lambda_cap, bits, oracle, s_up)
-        except (PreconditionViolated, NotUniformlyPerfect) as exc:
-            notes = notes + [f"window fit unavailable: {exc}"]
-    return DoublingReport(
-        c_upper=c_upper, c_lower=c_lower, witness=witness, s_lower=s_lo, s_upper=s_up, depth=depth,
-        exact=exact, ratio_decay=ratio_decay, mass_window=window_fit, notes=tuple(notes),
-        per_scale=tuple(per_scale),
-    )
+    _check_scan(m, depth)
+    oracle = _MassOracle(m, depth)
+    rep = scan_core(m, depth, bits, oracle=oracle)
+    if not fit:
+        return rep
+    notes, ratio_decay, window_fit = rep.notes, None, None
+    try:
+        ratio_decay = fit_ratio_decay(m, depth, lambda_cap, seed, bits, oracle=oracle)
+    except (PreconditionViolated, NotUniformlyPerfect) as exc:
+        notes += (f"ratio fit unavailable: {exc}",)
+    try:
+        window_fit = fit_mass_window(m, depth, rep.c_upper, lambda_cap, bits, oracle=oracle, s_hi=rep.s_upper)
+    except (PreconditionViolated, NotUniformlyPerfect) as exc:
+        notes += (f"window fit unavailable: {exc}",)
+    return rep._replace(ratio_decay=ratio_decay, mass_window=window_fit, notes=notes)
 
 
 # --- conservative lower-bound verification ------------------------------------

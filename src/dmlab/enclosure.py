@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import EnclosureInconclusive, PreconditionViolated
 from .ratio import Value
@@ -228,6 +228,21 @@ def _pow_end(n: int, d: int, e: Fraction, upper: bool, bits: int) -> tuple[int, 
     return _exp2_end(num * _log2_end(n, d, bits, upper == (num > 0)), den << bits, bits, upper)
 
 
+def _power_ends(x: tuple[int, int], e: Fraction, bits: int, sides=(False, True)) -> list[tuple[int, int]]:
+    """The ends of x^e that `sides` names (True the upper), as pow_bounds gives
+    them, for an integer pair x = (n, d), n, d > 0, not necessarily coprime:
+    the exact root of the reduced pair where there is one, else the
+    `_pow_end` ends.  A negative `bits` is refused on both paths."""
+    if bits < 0:
+        raise PreconditionViolated(f"precision must be >= 0 bits, got {bits}")
+    g = gcd(*x)
+    n, d = x[0] // g, x[1] // g
+    exact = _exact_rational_pow(n, d, e)
+    if exact is not None:
+        return [exact] * len(sides)
+    return [_pow_end(n, d, e, upper, bits) for upper in sides]
+
+
 def pow_bounds(x: Fraction, e: Fraction | Bounds, bits: int = DEFAULT_BITS) -> Bounds:
     """Certified enclosure of x^e for rational x > 0.
 
@@ -241,13 +256,8 @@ def pow_bounds(x: Fraction, e: Fraction | Bounds, bits: int = DEFAULT_BITS) -> B
     if isinstance(e, Bounds) and e.is_exact:
         e = e.lo
     if not isinstance(e, Bounds):
-        e, (n, d) = Fraction(e), x.as_integer_ratio()
-        exact = _exact_rational_pow(n, d, e)
-        if exact is not None:
-            return Bounds.exact(Fraction(*exact))
-        return Bounds(Fraction(*_pow_end(n, d, e, False, bits)), Fraction(*_pow_end(n, d, e, True, bits)))
-    if x == 1:
-        return Bounds.exact(Fraction(1))
+        lo, hi = _power_ends(x.as_integer_ratio(), Fraction(e), bits)
+        return Bounds(Fraction(*lo), Fraction(*hi))
     prod = mul_bounds(e, log2_bounds(x, bits))
     lo, hi = prod.lo.as_integer_ratio(), prod.hi.as_integer_ratio()
     return Bounds(Fraction(*_exp2_end(*lo, bits, False)), Fraction(*_exp2_end(*hi, bits, True)))
@@ -260,14 +270,10 @@ def pow_pair(x: Fraction, e: Fraction, upper: bool, bits: int = DEFAULT_BITS) ->
     if x <= 0:
         raise PreconditionViolated("pow_bounds needs a positive base")
     n, d = x.as_integer_ratio()
-    exact = _exact_rational_pow(n, d, e)
-    if exact is not None:
-        return exact
-    if abs(e.numerator) * (n.bit_length() + d.bit_length()) >= e.denominator << 22:
-        # the other end might leave the exponent range that pow_bounds checks
-        b = pow_bounds(x, e, bits)
-        return (b.hi if upper else b.lo).as_integer_ratio()
-    return _pow_end(n, d, e, upper, bits)
+    # both ends, as pow_bounds computes them, where the other end might leave the exponent range
+    both = abs(e.numerator) * (n.bit_length() + d.bit_length()) >= e.denominator << 22
+    ends = _power_ends((n, d), e, bits, (False, True) if both else (upper,))
+    return ends[-1] if upper else ends[0]
 
 
 def pow_end(x: Fraction, e: Fraction, upper: bool, bits: int = DEFAULT_BITS) -> Fraction:

@@ -3,9 +3,10 @@
 No oracle runs through the kernel it checks.  Beyond the library's value
 types and result records, they call only helpers other than the one under
 test: the enclosure primitives (with oracles of their own here), the tail
-sums, `refine` and the balanced product.  `tests/test_hygiene.py` checks
-that this module imports none of the scan, prefix-table, cdf and
-float-filter kernels.
+sums and the balanced product; they escalate a precision on a ladder of
+their own, `ladder_oracle`.  `tests/test_hygiene.py` checks that this module
+imports none of the scan, prefix-table, cdf and float-filter kernels, nor
+`refine`.
 
 Quantity: its oracle, and the oracle's route.
 
@@ -33,7 +34,7 @@ Quantity: its oracle, and the oracle's route.
   at every rounding step, and Newton's iteration alone;
 * `seq.term`, `seq.terms`: `term_oracle`, each family's Fraction formula;
 * `product_bracket`, `certify_fat_thick`, `ProductBracket`, `tag_product`,
-  certify's power ends: `product_bracket_oracle`, `certify_fat_thick_oracle`,
+  the power ends: `product_bracket_oracle`, `certify_fat_thick_oracle`,
   `ProductBracketOracle`, `tag_product_oracle`, `power_ends_oracle`, a
   Fraction per term and factor, reduced products, and floor and ceiling of
   the values at 60 places;
@@ -898,7 +899,7 @@ def iroot_newton_oracle(n: int, k: int) -> tuple[int, bool]:
 #
 # product_bracket and certify_fat_thick as they ran before they moved to
 # integer (numerator, denominator) pairs: a Fraction per term and factor from
-# term_oracle, seq.term by each family's own formula, both ends of every fractional power from pow_bounds under refine,
+# term_oracle, seq.term by each family's own formula, both ends of every fractional power from pow_bounds under ladder_oracle,
 # the lookahead from pow_end, and each end's partial product formed on its own
 # and reduced to a Fraction.
 
@@ -909,7 +910,7 @@ from dmlab.certify import (  # noqa: E402
     _bits,
     _check_exact_bits,
 )
-from dmlab.enclosure import exp_neg_upper, pow_end, refine  # noqa: E402
+from dmlab.enclosure import exp_neg_upper, pow_end  # noqa: E402
 from dmlab.errors import (  # noqa: E402
     DivergentSeries,
     IndexOutOfRange,
@@ -931,6 +932,22 @@ from dmlab.seq import (  # noqa: E402
     family_length,
     tail_sum_upper,
 )
+
+
+def ladder_oracle(attempt, start: int = DEFAULT_BITS, cap: int = 4096):
+    """`enclosure.refine` written apart: the rungs start, 2 start, 4 start, ...
+    up to and including the first rung >= cap, listed first and then checked
+    in turn until one gives a result; a start below 1 bit is refused."""
+    if start < 1:
+        raise PreconditionViolated(f"precision must start at >= 1 bit, got {start}")
+    rungs = [start]
+    while rungs[-1] < cap:
+        rungs.append(2 * rungs[-1])
+    for bits in rungs:
+        result = attempt(bits)
+        if result is not None:
+            return result
+    raise EnclosureInconclusive(f"bounds still inconclusive at {rungs[-1]} bits", rungs[-1])
 
 
 def term_oracle(f, n: int) -> Fraction:
@@ -1051,7 +1068,7 @@ def product_bracket_oracle(x, n_partial: int, bits: int = DEFAULT_BITS,
 
 
 def power_ends_oracle(x: Fraction, t: Fraction, bits: int) -> tuple[Fraction, Fraction]:
-    """certify's `_power_ends` on a Fraction: the exact root where there is
+    """`enclosure._power_ends` on a Fraction: the exact root where there is
     one, else the two ends of the Fraction `pow_bounds`."""
     exact = exact_rational_pow_oracle(x, t)
     if exact is not None:
@@ -1075,7 +1092,7 @@ def _first_small_stage_oracle(alpha, t: Fraction, scale: Fraction, bits: int) ->
                 return False
             return None
 
-        return refine(attempt, bits, max_bits=4096)
+        return ladder_oracle(attempt, bits)
 
     length = family_length(alpha)
     if length is not None:
@@ -1156,7 +1173,7 @@ def certify_fat_thick_oracle(thick, t: Fraction, factor_scale: Fraction,
                 sp = _scaled_power_oracle(scale, term_oracle(alpha, n), t, b)
                 return sp if sp.hi < 1 else None
 
-            sp = refine(attempt, bits, max_bits=4096)
+            sp = ladder_oracle(attempt, bits)
             lower_factors.append(1 - sp.hi)
             upper_factors.append(1 - sp.lo)
 
@@ -1363,7 +1380,7 @@ def cutout_lower_bound_oracle(config, report, r, n_balls: int, p) -> CutoutBound
         nb = pow_bounds(Fraction(n_balls), -r, b)
         return True if gap_diam >= nb.hi else False if gap_diam < nb.lo else None
 
-    if not refine(attempt, max_bits=4096):
+    if not ladder_oracle(attempt):
         raise GapTooSmall(f"largest surviving gap {gap_diam} < {n_balls}^(-{r})")
     main_term = lam * pow_bounds(Fraction(n_balls), -(r * s)).lo
     cp_up = Fraction(0)

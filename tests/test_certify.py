@@ -34,7 +34,7 @@ from dmlab.errors import (
 )
 from dmlab.geom import CutOutConfig, build_cantor, closed, thick_from_cantor
 from dmlab.measure import BinomialWeights, TreeMeasure
-from dmlab.seq import Constant, ExplicitFinite, Geometric, LogFloor, Power, term
+from dmlab.seq import Constant, ExplicitFinite, Geometric, Power, term
 
 from helpers import direct_product, logfloor_mass_oracle
 

@@ -31,16 +31,16 @@ GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 
 class TestScan:
     def test_lebesgue_constant_exact(self, lebesgue):
-        c_upper, c_lower, witness, exact, notes, _ = scan_core(lebesgue, 7)
-        assert c_upper == c_lower == 2
-        assert exact
-        assert witness.ratio_lower == 2
+        rep = scan_core(lebesgue, 7)
+        assert rep.c_upper == rep.c_lower == 2
+        assert rep.exact
+        assert rep.witness.ratio_lower == 2
 
     def test_binomial_distorts(self, binom13):
-        c_upper, c_lower, witness, exact, _, _ = scan_core(binom13, 7)
-        assert c_lower >= 3
-        assert witness is not None
-        assert c_upper >= c_lower
+        rep = scan_core(binom13, 7)
+        assert rep.c_lower >= 3
+        assert rep.witness is not None
+        assert rep.c_upper >= rep.c_lower
 
     def test_reflection_symmetry(self):
         p = Fraction(1, 3)
@@ -90,8 +90,9 @@ class TestFits:
         restrict(TreeMeasure(BinomialWeights(Fraction(1, 3))), build_cantor(Constant(Fraction(1, 2)), 3)),
     ], ids=["binomial", "restricted_cantor"])
     def test_scan_builds_one_oracle_and_one_log2_end(self, monkeypatch, m):
-        """doubling_scan hands one ball oracle and one upper log2 end of
-        c_upper to its scan and both fits; each public pass builds its own."""
+        """doubling_scan hands one ball oracle to scan_core and both fits, and
+        the scan's upper log2 end of c_upper to the window fit; called
+        alone, each public pass builds its own."""
         built, ends = [], []
         log2_end = doubling._log2_end
 
@@ -114,7 +115,8 @@ class TestFits:
         fit_ratio_decay(m, 5, lambda_cap=Fraction(2))
         fit_mass_window(m, 5, c_upper=rep.c_upper, lambda_cap=Fraction(2))
         assert built == [(m, 5)] * 4
-        assert ends.count((rep.c_upper, True)) == 2
+        # the public scan encloses its own s ends, the window fit its own s
+        assert ends.count((rep.c_upper, True)) == 3
 
     @pytest.mark.parametrize("name", sorted(
         name for name, case in GOLDEN_CASES.items() if case["argv"][:2] == ["doubling", "scan"]))

@@ -10,14 +10,10 @@ from hypothesis import strategies as st
 from dmlab.errors import (
     DepthBudgetExceeded,
     EmptyRemainder,
-    FailsThickness,
-    IndexOutOfRange,
     NodeBudgetExceeded,
-    NotUniformlyPerfect,
     PreconditionViolated,
 )
 from dmlab.geom import (
-    ConstructionTree,
     CutOutConfig,
     RationalInterval,
     build_cantor,
@@ -38,7 +34,7 @@ from dmlab.geom import (
 )
 from dmlab.doubling import doubling_scan, fit_mass_window, scan_core
 from dmlab.measure import BinomialWeights, TreeMeasure, cutout_mass, dyadic_cdf_grid
-from dmlab.seq import Constant, ExplicitFinite, Geometric, term
+from dmlab.seq import Constant, Geometric, term
 
 from helpers import direct_product, union_length_oracle
 

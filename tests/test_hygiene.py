@@ -1,9 +1,10 @@
 """Source hygiene, read off the syntax trees of the repository's Python files.
 
-Three rules keep unused surface out of `src/dmlab`:
+These rules keep unused surface out of `src/dmlab`:
 
 * no module imports a name it never uses (the package `__init__.py` is
-  exempt: its imports are the public names it re-exports);
+  exempt: its imports are the public names it re-exports), and neither does
+  any of `tests/*.py`;
 * every optional parameter of a function in `src/` is passed by some call in
   `src/`, `tests/` or `bench/`, by keyword or by position.  A parameter that
   no call passes is one every caller leaves at its default, so the default
@@ -15,13 +16,17 @@ Three rules keep unused surface out of `src/dmlab`:
   nor `inspect`, but does load every module of the package, so the saving
   does not come from an import deferred into the first call;
 * no `x *= 2` outside `enclosure.refine`, so every precision that doubles
-  climbs the one ladder, which refuses a start below 1 bit.
+  climbs the one ladder, which refuses a start below 1 bit;
+* no public module-level function is a private twin's wrapper, one whose
+  whole body after the docstring returns a call (or a subscript of a call)
+  of a private function of its own module: the public function takes the
+  twin's parameters and the twin goes, so a by-name tracer sees each call.
 
 Two rules keep the test oracles apart from what they check:
 
 * `tests/helpers.py` imports none of the library's scan, prefix-table, cdf
-  and float-filter kernels, so no oracle runs through the kernel it stands
-  against;
+  and float-filter kernels, nor its precision ladder `refine`, so no oracle
+  runs through the kernel it stands against;
 * no test passes an oracle from `tests/helpers.py` one of those kernels, or
   a name bound to one, whether it calls the oracle by name or through a
   loop over a tuple that holds it.
@@ -43,9 +48,10 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "dmlab"
-SOURCE_LINE_BUDGET = 4878
-# kernels of the fast paths; an oracle built on one would check it against itself
-KERNELS = ("_MassOracle", "_scan_centers", "_scan_pass", "LeafPrefixes", "dyadic_cdf_numerators", "first_max")
+SOURCE_LINE_BUDGET = 4854
+# kernels of the fast paths and the precision ladder; an oracle built on one would check it against itself
+KERNELS = ("_MassOracle", "_scan_centers", "_scan_pass", "LeafPrefixes", "dyadic_cdf_numerators", "first_max",
+           "refine")
 
 
 def _trees(*dirs: str):
@@ -67,7 +73,8 @@ def _imported_names(tree: ast.Module) -> dict[str, int]:
 
 
 @pytest.mark.parametrize(
-    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    + sorted((ROOT / "tests").glob("*.py")), ids=lambda p: p.name
 )
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
@@ -179,6 +186,22 @@ def test_only_refine_doubles_in_place():
                     and isinstance(node.value, ast.Constant) and node.value.value == 2
                     and node not in exempt]
     assert not doubled, f"`*= 2` outside enclosure.refine: {doubled}"
+
+
+def test_no_public_function_wraps_a_private_twin():
+    twins = []
+    for path, tree in _trees("src/dmlab"):
+        private = {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")}
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                continue
+            body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+            value = body[0].value if len(body) == 1 and isinstance(body[0], ast.Return) else None
+            if isinstance(value, ast.Subscript):
+                value = value.value
+            if isinstance(value, ast.Call) and isinstance(value.func, ast.Name) and value.func.id in private:
+                twins.append(f"{path.name}: {fn.name} -> {value.func.id}")
+    assert not twins, f"public functions that only return a private twin's call: {twins}"
 
 
 def _callee(call: ast.Call) -> str | None:

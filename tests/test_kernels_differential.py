@@ -35,7 +35,6 @@ from hypothesis import strategies as st
 
 from dmlab.certify import (
     ProductBracket,
-    _power_ends,
     certify_fat_thick,
     cutout_lower_bound,
     power_tail_lower,
@@ -62,6 +61,7 @@ from dmlab.enclosure import (
     _exact_rational_pow,
     _exp2_end,
     _log2_end,
+    _power_ends,
     exp2_64ths,
     exp2_bounds,
     iroot,
@@ -69,7 +69,7 @@ from dmlab.enclosure import (
     pow_bounds,
     pow_end,
 )
-from dmlab.errors import EnclosureInconclusive, InvalidFamily
+from dmlab.errors import InvalidFamily
 from dmlab.geom import (
     CutOutConfig,
     RationalInterval,
@@ -178,7 +178,7 @@ def _scan(m, depth):
     def run():
         res = scan_core(m, depth)
         w = res.witness
-        return (res.c_upper, res.c_lower, (w.x, w.r, w.ratio_lower), res.exact, res.notes)
+        return (res.c_upper, res.c_lower, (w.x, w.r, w.ratio_lower), res.exact, list(res.notes))
 
     return _outcome(run)
 
@@ -191,7 +191,7 @@ def _check_scan(m, depth):
         return
     expected = per_scale_oracle(oracle)
     assert per_scale_max_ratios(m, depth) == expected
-    assert scan_core(m, depth).per_scale == expected
+    assert list(scan_core(m, depth).per_scale) == expected
 
 
 @st.composite
