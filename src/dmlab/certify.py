@@ -1,19 +1,20 @@
-"""Positivity and decay certificates from exact products and tail bounds.
+"""Positivity and decay certificates from certified products and tail bounds.
 
-The central object is ProductBracket: an exact rational partial product of
-factors (1 - x_i) together with certified rational bounds on the rest of the
-infinite product, so that
+The central object is ProductBracket: the first factors (1 - x_i) of an
+infinite product, each enclosed by integer-pair ends, together with
+certified rational bounds on the rest of the product, so that
 
-    partial * tail_lower  <=  prod_{i>=1}(1 - x_i)  <=  partial * tail_upper
+    prod(lower ends) * tail_lower  <=  prod_{i>=1}(1 - x_i)  <=  prod(upper ends) * tail_upper
 
 holds unconditionally.  The tail lower bound comes from the elementary
 inequality prod(1 - x_i) >= 1 - sum(x_i) (useful once the remaining sum drops
 below 1); the tail upper bound from prod(1 - x_i) <= exp(-sum(x_i)) with the
 exponential enclosed rationally from above.  Terms and factors travel as
-integer (numerator, denominator) pairs (seq.terms); a partial product is one
-balanced product per side, kept as an unreduced pair that checks compare by
-cross-multiplication and reports round straight from, so it is never
-reduced.  A fractional power's two ends come from the integer enclosure ends.
+integer (numerator, denominator) pairs (seq.terms), a run of equal factors
+once.  A reading (the report's 60-place floor and ceiling, a comparison
+with a bound) runs a partial product as B-bit fixed point rounded outward,
+doubling B until both sides agree; only at the exact product's bit size is
+it formed.  A fractional power's ends come from the integer enclosure ends.
 
 On top of that sit:
   * certify_fat_thick      positive-mass certificates for thick constructions
@@ -33,7 +34,8 @@ from __future__ import annotations
 import enum
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, prod
+from operator import itemgetter, mul
 from typing import Iterator, NamedTuple, Union
 
 from .doubling import DoublingReport
@@ -70,7 +72,7 @@ from .geom import (
     verify_thick,
 )
 from .measure import TreeMeasure, _pair_sum, cutout_mass
-from .ratio import Value
+from .ratio import PLOT_EXACT_BITS, SERIALIZE_PLACES, Value
 from .seq import (
     LogFloor,
     SequenceFamily,
@@ -105,103 +107,125 @@ class PackingVerdict(enum.Enum):
 Pair = tuple[int, int]  # (numerator, denominator), denominator > 0, unreduced
 
 
-def _pair_le(a: Pair, b: Pair) -> bool:
-    return a[0] * b[1] <= b[0] * a[1]
+def _fixed_product(runs, bits: int, up: bool = False) -> int:
+    """2^bits times the product of the runs' lower ends (upper ends when
+    `up`), floored (ceiled) after every factor: with every end in [0, 1], n
+    factors leave it less than n below (above) 2^bits times the exact one."""
+    # a negative product floors away from 0, so the upper ends' is run negated
+    acc, i = (-1 << bits, 2) if up else (1 << bits, 0)
+    for run in runs:
+        n, d, count = run[i], run[i + 1], run[4]
+        if count == 1:  # most runs: a range per factor would cost as much as the factor
+            acc = acc * n // d
+            continue
+        for _ in range(count):
+            acc = acc * n // d
+    return -acc if up else acc
+
+
+def _runs(pairs, ends) -> tuple:
+    """Runs (ln, ld, hn, hd, count) of the factor ends ends(pair, i) of the
+    i-th of `pairs`: one pair object repeated (a logfloor block) makes one
+    run, and one flat tuple a run, so few objects stay alive for the GC."""
+    runs, prev, count = [], None, 0
+    for i, pair in enumerate(pairs, start=1):
+        if pair is not prev:
+            if count:
+                runs.append((*run_ends, count))
+            run_ends, prev, count = ends(pair, i), pair, 0
+        count += 1
+    if count:
+        runs.append((*run_ends, count))
+    return tuple(runs)
+
+
+def _exact_product(runs, up: bool) -> Pair:
+    """The exact product of the lower (upper when `up`) ends of the runs."""
+    i = 2 if up else 0
+    return prod(run[i] ** run[4] for run in runs), prod(run[i + 1] ** run[4] for run in runs)
 
 
 class ProductBracket(Value):
     """Enclosure of an infinite product of factors (1 - x_i), x_i in (0,1).
 
-    `partial_lo` is the product of the first n_terms factors as an unreduced
-    integer pair; when the factors are not exactly representable it is a
-    certified lower bound and `partial_hi` carries the matching upper bound
-    (None means exact).  Checks compare the pairs by cross-multiplication;
-    the Fraction readers reduce only when called.
+    `factors` holds the first n_terms factors as runs (ln, ld, hn, hd, count)
+    of `count` equal factors with ends 0 <= ln / ld <= hn / hd <= 1 (equal
+    for an exact factor); lower_value = prod(lower ends) * tail_lower and
+    upper_value = prod(upper ends) * tail_upper enclose the product.  No
+    reading forms those products first.  At B bits the lower ends' product
+    is floored and the upper ends' ceiled after every factor
+    (`_fixed_product`), within n_terms units of 2^B times the exact one, and
+    a reading both sides of that bracket agree on is the exact ends' reading.
+    Else B doubles on `refine`, from bit_length(n_terms) + 232; the rung
+    where B reaches the exact products' bit size forms them exactly.
     """
 
-    __slots__ = _fields = ("partial_lo", "tail_lower", "tail_upper", "n_terms", "partial_hi")
+    __slots__ = ("factors", "tail_lower", "tail_upper", "n_terms", "_size", "_same", "_rungs")
+    _fields = ("factors", "tail_lower", "tail_upper")
 
-    def __init__(self, partial_lo: Pair, tail_lower: Fraction, tail_upper: Fraction, n_terms: int,
-                 partial_hi: Pair | None = None) -> None:
+    def __init__(self, factors: tuple, tail_lower: Fraction, tail_upper: Fraction) -> None:
         if not 0 <= tail_lower <= tail_upper <= 1:
             raise PreconditionViolated(f"tail bounds out of order: [{tail_lower}, {tail_upper}]")
-        lo, hi = partial_lo, partial_hi or partial_lo
-        if not (0 <= lo[0] and 0 < hi[1] and hi[0] <= hi[1] and (hi is lo or _pair_le(lo, hi))):
-            raise PreconditionViolated("partial products outside 0 <= lower <= upper <= 1")
-        if n_terms < 0:
-            raise PreconditionViolated("n_terms must be >= 0")
-        object.__setattr__(self, "partial_lo", partial_lo)
-        object.__setattr__(self, "tail_lower", tail_lower)
-        object.__setattr__(self, "tail_upper", tail_upper)
-        object.__setattr__(self, "n_terms", n_terms)
-        object.__setattr__(self, "partial_hi", partial_hi)
+        same = True
+        for ln, ld, hn, hd, count in factors:
+            if not (0 <= ln and 0 < ld and 0 < hd and hn <= hd and ln * hd <= hn * ld and count >= 1):
+                raise PreconditionViolated("factor runs need ends 0 <= lower <= upper <= 1 and a count >= 1")
+            same = same and ln == hn and ld == hd
+        counts = [run[4] for run in factors]
+        size = sum(map(mul, counts, map(int.bit_length, map(itemgetter(3), factors))))
+        for name, value in (("factors", factors), ("tail_lower", tail_lower), ("tail_upper", tail_upper),
+                            ("n_terms", sum(counts)), ("_size", size), ("_same", same), ("_rungs", {})):
+            object.__setattr__(self, name, value)
 
-    @property
-    def partial(self) -> Fraction:
-        return Fraction(*self.partial_lo)
+    def _decide(self, reading):
+        """reading(lo, hi, den) of lower_value = lo / den and upper_value =
+        hi / den, monotone in lo and in hi: its answer at the corners (a, e)
+        and (b, c) of the first rung's bounds a <= lower_value * den <= b,
+        c <= upper_value * den <= e at which the two agree."""
+        runs, same = self.factors, self._same
+        (tl, tld), (tu, tud) = self.tail_lower.as_integer_ratio(), self.tail_upper.as_integer_ratio()
 
-    @property
-    def lower_end(self) -> Pair:
-        """lower_value as an unreduced pair."""
-        (n, d), (tn, td) = self.partial_lo, self.tail_lower.as_integer_ratio()
-        return n * tn, d * td
+        def settle(bits: int):
+            if bits not in self._rungs:
+                if bits >= self._size:  # the last rung: the exact products
+                    low = _exact_product(runs, False)
+                    (pn, pd), (qn, qd) = low, low if same else _exact_product(runs, True)
+                    n, unit, low, high = 0, pd * qd, pn * qd, qn * pd
+                else:  # exact factors: the floored product encloses both ends
+                    n, unit, low = self.n_terms, 1 << bits, _fixed_product(runs, bits)
+                    high = low + n if same else _fixed_product(runs, bits, True)
+                lo, hi = tl * tud, tu * tld
+                self._rungs[bits] = low * lo, (low + n) * lo, (high - n) * hi, high * hi, unit * tld * tud
+            a, b, c, e, den = self._rungs[bits]
+            answer = reading(a, e, den)
+            return answer if answer == reading(b, c, den) else None
 
-    @property
-    def upper_end(self) -> Pair:
-        """upper_value as an unreduced pair."""
-        (n, d), (tn, td) = self.partial_hi or self.partial_lo, self.tail_upper.as_integer_ratio()
-        return n * tn, d * td
+        return refine(settle, self.n_terms.bit_length() + 232, self._size)
 
-    @property
-    def lower_value(self) -> Fraction:
-        return Fraction(*self.lower_end)
-
-    @property
-    def upper_value(self) -> Fraction:
-        return Fraction(*self.upper_end)
-
-    @property
-    def width(self) -> Fraction:
-        return self.upper_value - self.lower_value
+    def grid(self, scale: int) -> tuple[int, int]:
+        """floor(scale * lower_value) and ceil(scale * upper_value)."""
+        return self._decide(lambda lo, hi, den: (lo * scale // den, -(-hi * scale // den)))
 
     def encloses(self, value: Fraction) -> bool:
-        v = Fraction(value).as_integer_ratio()
-        return _pair_le(self.lower_end, v) and _pair_le(v, self.upper_end)
+        vn, vd = Fraction(value).as_integer_ratio()
+        return self._decide(lambda lo, hi, den: lo * vd <= vn * den <= hi * vd)
 
     def lower_at_least(self, bound: Fraction) -> bool:
-        return _pair_le(Fraction(bound).as_integer_ratio(), self.lower_end)
+        bn, bd = Fraction(bound).as_integer_ratio()
+        return self._decide(lambda lo, hi, den: bn * den <= lo * bd)
 
     def width_at_most(self, bound: Fraction) -> bool:
         bn, bd = Fraction(bound).as_integer_ratio()
-        if self.partial_hi is None:  # partial * (tail_upper - tail_lower): one big factor a side
-            (n, d), (wn, wd) = self.partial_lo, (self.tail_upper - self.tail_lower).as_integer_ratio()
-            return n * wn * bd <= bn * d * wd
-        (ln, ld), (hn, hd) = self.lower_end, self.upper_end
-        return (hn * ld - ln * hd) * bd <= bn * hd * ld
+        return self._decide(lambda lo, hi, den: (hi - lo) * bd <= bn * den)
+
+    def positive(self) -> bool:
+        """lower_value > 0, read off the lower ends and tail_lower."""
+        return self.tail_lower > 0 and all(run[0] for run in self.factors)
 
 
-def _balanced_prod(vals: list[int]) -> int:
-    """Product of a list of ints by pairwise halving (fast for many factors)."""
-    if not vals:
-        return 1
-    work = list(vals)
-    while len(work) > 1:
-        nxt = [work[i] * work[i + 1] for i in range(0, len(work) - 1, 2)]
-        if len(work) % 2:
-            nxt.append(work[-1])
-        work = nxt
-    return work[0]
-
-
-def _pair_product(pairs: list[Pair]) -> Pair:
-    """The product of rationals given as (numerator, denominator) pairs, as
-    the unreduced pair of the balanced products of each side."""
-    return _balanced_prod([n for n, _ in pairs]), _balanced_prod([d for _, d in pairs])
-
-
-# Exact products (product_bracket, the logfloor schedule, integer exponents
-# in certify_fat_thick) grow with the exponent, the terms' bit lengths and the
-# factor count; refuse one whose estimated size passes this many bits first.
+# The exact products a ladder's last rung forms (product_bracket, the logfloor
+# schedule, integer exponents in certify_fat_thick) grow with the exponent, the
+# terms' bit lengths and the factor count; refuse one past this many bits first.
 EXACT_BIT_BUDGET = 1 << 20
 
 
@@ -227,9 +251,7 @@ def _check_product_bits(x: SequenceFamily, count: int, power: int, what: str) ->
         _check_exact_bits(power * max(_bits(term(x, n)) for n in ends) * count, what)
 
 
-def product_bracket(
-    x: SequenceFamily, n_partial: int, lookahead: int = 64
-) -> ProductBracket:
+def product_bracket(x: SequenceFamily, n_partial: int, lookahead: int = 64) -> ProductBracket:
     """Certified enclosure of prod_{i>=1}(1 - x_i) truncated after n_partial
     exact factors.
 
@@ -242,17 +264,19 @@ def product_bracket(
     used = n_partial if length is None else min(n_partial, length)
     count = used if length is None else length
     _check_product_bits(x, count, 1, f"the exact product of {count} factors")
-    factors = []
-    for i, (n, d) in enumerate(terms(x, 1, used + 1), start=1):
+
+    def ends(term_pair: Pair, i: int) -> tuple[int, int, int, int]:
+        n, d = term_pair
         if not 0 < n < d:
             raise PreconditionViolated(f"factor term {i} = {Fraction(n, d)} outside (0,1)")
-        factors.append((d - n, d))
-    partial = _pair_product(factors)
+        return d - n, d, d - n, d
+
+    factors = _runs(terms(x, 1, used + 1), ends)
 
     if length is not None:
         # finite families carry an exactly computable tail
-        tail = Fraction(*_pair_product([(d - n, d) for n, d in terms(x, used + 1, length + 1)]))
-        return ProductBracket(partial, tail, tail, used)
+        tail = prod((Fraction(d - n, d) for n, d in terms(x, used + 1, length + 1)), start=Fraction(1))
+        return ProductBracket(factors, tail, tail)
 
     try:
         tail_sum = tail_sum_upper(x, Fraction(1), used)
@@ -261,7 +285,7 @@ def product_bracket(
     tail_lower = 1 - tail_sum if tail_sum is not None and tail_sum < 1 else Fraction(0)
     ahead = Fraction(*_pair_sum(terms(x, used + 1, used + lookahead + 1)))  # an infinite family
     tail_upper = min(Fraction(1), exp_neg_upper(ahead))
-    return ProductBracket(partial, tail_lower, tail_upper, used)
+    return ProductBracket(factors, tail_lower, tail_upper)
 
 
 # --- fatness: thick constructions --------------------------------------------
@@ -282,8 +306,9 @@ TAIL_TARGET = Fraction(1, 1 << 34)
 
 
 def _factor_ends(x: Pair, t: Fraction, scale: Fraction, bits: int, decide: bool = False):
-    """The ends (lower, upper) of the factor 1 - scale * x^t as integer
-    (numerator, denominator) pairs, x an integer pair in (0, 1], t > 0.
+    """The ends of the factor 1 - scale * x^t as integers (lower numerator,
+    denominator, upper numerator, denominator), x an integer pair in (0, 1],
+    t > 0.
 
     `refine` doubles bits up to 4096 until scale * x^t < 1 is certain; with
     `decide`, False as soon as scale * x^t >= 1 is certain."""
@@ -294,7 +319,7 @@ def _factor_ends(x: Pair, t: Fraction, scale: Fraction, bits: int, decide: bool 
         if ln * hd > hn * ld:
             raise PreconditionViolated(f"empty bounds [{Fraction(ln, ld)}, {Fraction(hn, hd)}]")
         if sn * hn < sd * hd:
-            return (sd * hd - sn * hn, sd * hd), (sd * ld - sn * ln, sd * ld)
+            return sd * hd - sn * hn, sd * hd, sd * ld - sn * ln, sd * ld
         if decide and sn * ln >= sd * ld:
             return False
         return None
@@ -302,9 +327,7 @@ def _factor_ends(x: Pair, t: Fraction, scale: Fraction, bits: int, decide: bool 
     return refine(settle, bits, 4096)
 
 
-def _first_small_stage(
-    alpha: SequenceFamily, t: Fraction, scale: Fraction, bits: int
-) -> int:
+def _first_small_stage(alpha: SequenceFamily, t: Fraction, scale: Fraction, bits: int) -> int:
     """Least n0 with scale * alpha_n^t certifiably < 1 for every n >= n0."""
 
     def small(x: Pair) -> bool:
@@ -326,13 +349,8 @@ def _first_small_stage(
     raise Undecidable("decay factors stayed >= 1 for 10^6 stages")
 
 
-def certify_fat_thick(
-    thick: Union[ThickStructure, SequenceFamily],
-    t: Fraction,
-    factor_scale: Fraction,
-    max_terms: int = 65536,
-    bits: int = DEFAULT_BITS,
-) -> FatnessCertificate:
+def certify_fat_thick(thick: Union[ThickStructure, SequenceFamily], t: Fraction, factor_scale: Fraction,
+                      max_terms: int = 65536, bits: int = DEFAULT_BITS) -> FatnessCertificate:
     """Certificate that a thick construction keeps positive mass.
 
     Accepts either a verified ThickStructure (its gap-ratio family is used)
@@ -386,14 +404,9 @@ def certify_fat_thick(
                 break
             count = min(2 * count, max_terms)
         if tail_sum >= 1:
-            raise TailTooLarge(
-                f"tail sum {tail_sum} still >= 1 after {count} factors"
-            )
+            raise TailTooLarge(f"tail sum {tail_sum} still >= 1 after {count} factors")
 
-    factors = [_factor_ends(x, t, scale, bits) for x in terms(alpha, n0, last + 1)]
-    lower, upper = [lo for lo, _ in factors], [hi for _, hi in factors]
-    # exact factors (an integer t) make one product serve both ends
-    partial_hi = None if lower == upper else _pair_product(upper)
+    factors = _runs(terms(alpha, n0, last + 1), lambda x, i: _factor_ends(x, t, scale, bits))
     tail_lower = 1 - tail_sum if tail_sum < 1 else Fraction(0)
     if length is not None and last >= length:
         tail_upper = Fraction(1)
@@ -401,10 +414,8 @@ def certify_fat_thick(
         ahead = Fraction(*_pair_sum(_power_ends(x, t, bits, (False,))[0]
                                     for x in terms(alpha, last + 1, last + 65)))
         tail_upper = min(Fraction(1), exp_neg_upper(scale * ahead))
-    bound = ProductBracket(_pair_product(lower), tail_lower, tail_upper, last - n0 + 1, partial_hi)
-    # lower_value > 0 read off its two factors, without their huge product
-    positive = bound.partial_lo[0] > 0 and bound.tail_lower > 0
-    conclusion = Conclusion.POSITIVE if positive else Conclusion.INCONCLUSIVE
+    bound = ProductBracket(factors, tail_lower, tail_upper)
+    conclusion = Conclusion.POSITIVE if bound.positive() else Conclusion.INCONCLUSIVE
     return FatnessCertificate(alpha=alpha, t=t, factor_scale=scale, n0=n0, bound=bound,
                               conclusion=conclusion, notes=tuple(notes))
 
@@ -422,12 +433,7 @@ class ThinnessCertificate(NamedTuple):
     skipped_stages: tuple[int, ...] = ()
 
 
-def certify_thin_porous(
-    alpha: SequenceFamily,
-    s: Fraction,
-    c: Fraction,
-    epsilon: Fraction,
-) -> ThinnessCertificate:
+def certify_thin_porous(alpha: SequenceFamily, s: Fraction, c: Fraction, epsilon: Fraction) -> ThinnessCertificate:
     """Decay certificate: stage masses shrink by (1 - c * alpha_n^s) each
     stage, and divergence of sum(alpha_n^s) drives the product to zero.
 
@@ -444,9 +450,7 @@ def certify_thin_porous(
         raise PreconditionViolated("target epsilon must lie in (0,1]")
     witness = classify_ellp(alpha, s)
     if witness is not Summability.DIVERGES:
-        raise SeriesConverges(
-            f"sum of alpha^({s}) converges; no decay certificate this way"
-        )
+        raise SeriesConverges(f"sum of alpha^({s}) converges; no decay certificate this way")
     exact_terms = s.denominator == 1
 
     curve: list[Fraction] = []
@@ -479,12 +483,7 @@ def certify_thin_porous(
 GRID_STEP = Fraction(1, 64)
 
 
-def solve_inflation_exponent(
-    big_lam: Fraction,
-    t: Fraction,
-    d: Fraction,
-    epsilon: Fraction,
-) -> Fraction:
+def solve_inflation_exponent(big_lam: Fraction, t: Fraction, d: Fraction, epsilon: Fraction) -> Fraction:
     """Least grid multiple Q of 1/64 with big_lam*(d+2)^t * 2^(1-t*Q) < eps/6.
 
     The left side is strictly decreasing in Q, so an analytic enclosure of the
@@ -525,9 +524,7 @@ def solve_inflation_exponent(
     raise EnclosureInconclusive("no grid point certified within the scan window")
 
 
-def power_tail_upper(
-    delta: Fraction, n_from: int, bits: int = DEFAULT_BITS, head: int = 64
-) -> Fraction:
+def power_tail_upper(delta: Fraction, n_from: int, bits: int = DEFAULT_BITS, head: int = 64) -> Fraction:
     """Certified upper bound on sum_{m >= n_from} m^(-delta), delta > 1.
 
     First `head` terms are bounded individually, the rest by the integral
@@ -539,23 +536,28 @@ def power_tail_upper(
     if n_from < 1:
         raise PreconditionViolated("tail start must be >= 1")
     cut = n_from + head
-    total = Fraction(*_pair_sum(pow_pair(m, -delta, True, bits) for m in range(n_from, cut)))
+    total = Fraction(*_power_head(delta, n_from, cut, True, bits))
     integral = pow_end(Fraction(cut - 1), 1 - delta, True, bits) / (delta - 1)
     return total + integral
 
 
-def power_tail_lower(
-    delta: Fraction, n_from: int, bits: int = DEFAULT_BITS, head: int = 64
-) -> Fraction:
+def power_tail_lower(delta: Fraction, n_from: int, bits: int = DEFAULT_BITS, head: int = 64) -> Fraction:
     delta = Fraction(delta)
     if n_from < 1:
         raise PreconditionViolated("tail start must be >= 1")
-    return Fraction(*_pair_sum(pow_pair(m, -delta, False, bits) for m in range(n_from, n_from + head)))
+    return Fraction(*_power_head(delta, n_from, n_from + head, False, bits))
 
 
-def _tail_dominated(
-    n: int, delta: Fraction, gamma: Fraction, epsilon: Fraction
-) -> bool:
+def _power_head(delta: Fraction, start: int, stop: int, upper: bool, bits: int) -> Pair:
+    """The sum of pow_pair(m, -delta, upper, bits) over start <= m < stop:
+    pow_pair's range check runs once, for the largest m, and every end
+    comes from _power_ends on the pair (m, 1)."""
+    both = abs(delta.numerator) * ((stop - 1).bit_length() + 1) >= delta.denominator << 22
+    sides = (False, True) if both else (upper,)
+    return _pair_sum(_power_ends((m, 1), -delta, bits, sides)[-upper] for m in range(start, stop))
+
+
+def _tail_dominated(n: int, delta: Fraction, gamma: Fraction, epsilon: Fraction) -> bool:
     """Certified decision of sum_{m>=n} m^(-delta) < epsilon * n^(-gamma)."""
 
     def attempt(b: int):
@@ -572,11 +574,7 @@ def _tail_dominated(
     return refine(attempt, max_bits=4096)
 
 
-def tail_domination_start(
-    epsilon: Fraction,
-    delta: Fraction,
-    gamma: Fraction,
-) -> int:
+def tail_domination_start(epsilon: Fraction, delta: Fraction, gamma: Fraction) -> int:
     """Least M with sum_{m>=N} m^(-delta) < epsilon * N^(-gamma) for all
     N >= M, certified.
 
@@ -650,13 +648,8 @@ class CutoutBound(NamedTuple):
     gap_diameter: Fraction
 
 
-def cutout_lower_bound(
-    config: CutOutConfig,
-    report: DoublingReport,
-    r: Fraction,
-    n_balls: int,
-    p: Fraction,
-) -> CutoutBound:
+def cutout_lower_bound(config: CutOutConfig, report: DoublingReport, r: Fraction, n_balls: int,
+                       p: Fraction) -> CutoutBound:
     """Certified lower bound on the mass left after removing the first
     n_balls balls, using a validated mass-window fit (lam, s, big_lam, t).
 
@@ -677,9 +670,7 @@ def cutout_lower_bound(
     if n_balls < 1:
         raise PreconditionViolated("need at least one removed ball")
     if p * (r * s + 1) >= t:
-        raise ExponentWindowEmpty(
-            f"p = {p} does not satisfy p * (r*s + 1) < t = {t}"
-        )
+        raise ExponentWindowEmpty(f"p = {p} does not satisfy p * (r*s + 1) < t = {t}")
     if config.diam_family is None:
         raise PreconditionViolated("config must declare a diameter family")
     if classify_ellp(config.diam_family, p) is not Summability.CONVERGES:
@@ -699,9 +690,7 @@ def cutout_lower_bound(
         return refine(attempt, max_bits=4096)
 
     if not gap_big_enough():
-        raise GapTooSmall(
-            f"largest surviving gap {gap_diam} < {n_balls}^(-{r})"
-        )
+        raise GapTooSmall(f"largest surviving gap {gap_diam} < {n_balls}^(-{r})")
 
     main_term = lam * pow_end(Fraction(n_balls), -(r * s), False)
 
@@ -729,14 +718,8 @@ class InflationCheck(NamedTuple):
     passed: bool
 
 
-def inflated_remainder_check(
-    m: TreeMeasure,
-    config: CutOutConfig,
-    n_balls: int,
-    q: Fraction,
-    epsilon: Fraction,
-    depth: int,
-) -> InflationCheck:
+def inflated_remainder_check(m: TreeMeasure, config: CutOutConfig, n_balls: int, q: Fraction, epsilon: Fraction,
+                             depth: int) -> InflationCheck:
     """Check that the first n_balls balls, inflated by 2*n_balls^(-q) on each
     side, still leave more than epsilon/2 of the mass untouched.
 
@@ -766,17 +749,14 @@ class ScheduleMassReport(NamedTuple):
     brute_force: Fraction | None        # exact tree mass, None when skipped
     match_exact: bool | None
     verdict: LimitVerdict
-    stage_partials: tuple[Fraction, ...]
+    stage_partials: tuple[Fraction, ...]  # the plot's values of the partial products
 
 
 # logfloor_schedule_mass enumerates the tree only up to this many stages
 BRUTE_LIMIT = 512
 
 
-def logfloor_schedule_mass(
-    p: Fraction,
-    stages: int,
-) -> ScheduleMassReport:
+def logfloor_schedule_mass(p: Fraction, stages: int) -> ScheduleMassReport:
     """Mass of the set left by the floor(log2(j+1))-driven removal schedule.
 
     Stage j removes, from every surviving piece, its leftmost descendant
@@ -784,6 +764,9 @@ def logfloor_schedule_mass(
     each stage scales the mass by exactly (1 - p^(m_j)).  The closed-form
     partial product and an independent brute-force enumeration (aggregated by
     left-edge counts, never forming the per-stage factors) must agree exactly.
+    Each stage partial is the value a report plots: exact while its
+    denominator has at most PLOT_EXACT_BITS bits, else its SERIALIZE_PLACES
+    floor.
     """
     p = Fraction(p)
     if not 0 < p < 1:
@@ -792,21 +775,22 @@ def logfloor_schedule_mass(
         raise PreconditionViolated("need at least one stage")
     _check_product_bits(LogFloor(p), stages, 1, f"the exact product of {stages} stages")
     exponents = tuple(logfloor_exponent(j) for j in range(1, stages + 1))
-    partials = [Fraction(*nd) for nd in itertools.islice(_logfloor_partials(p), stages)]
     closed_form = product_bracket(LogFloor(p), stages)
+    # a partial's pair is in lowest terms (its denominator a power of p's), so it is plotted as is
+    small = itertools.takewhile(lambda nd: nd[1].bit_length() <= PLOT_EXACT_BITS, _logfloor_partials(p))
+    partials = [Fraction(*nd) for nd in itertools.islice(small, stages)]
+    if len(partials) < stages:
+        scale = 10**SERIALIZE_PLACES
+        partials += [Fraction(k, scale) for k in _prefix_floors(closed_form.factors, scale)[len(partials):]]
 
-    brute = None
-    match: bool | None = None
+    brute = match = None
     if stages <= BRUTE_LIMIT:
         brute = _schedule_brute_force(p, exponents)
-        (bn, bd), (pn, pd) = brute.as_integer_ratio(), closed_form.partial_lo
+        (bn, bd), (pn, pd) = brute.as_integer_ratio(), [*itertools.islice(_logfloor_partials(p), stages)][-1]
         match = bn * pd == pn * bd
 
-    verdict = (
-        LimitVerdict.POSITIVE_LIMIT
-        if classify_ellp(LogFloor(p), Fraction(1)) is Summability.CONVERGES
-        else LimitVerdict.ZERO_LIMIT
-    )
+    converges = classify_ellp(LogFloor(p), Fraction(1)) is Summability.CONVERGES
+    verdict = LimitVerdict.POSITIVE_LIMIT if converges else LimitVerdict.ZERO_LIMIT
     return ScheduleMassReport(p=p, stages=stages, exponents=exponents, closed_form=closed_form,
                               brute_force=brute, match_exact=match, verdict=verdict,
                               stage_partials=tuple(partials))
@@ -821,6 +805,26 @@ def _logfloor_partials(p: Fraction) -> Iterator[Pair]:
         num *= p.denominator**m_j - p.numerator**m_j
         den *= p.denominator**m_j
         yield num, den
+
+
+def _prefix_floors(runs, scale: int) -> list[int]:
+    """floor(scale * P_k), k = 1, 2, ..., for the products P_k of the first k
+    lower ends of `runs`, each in [0, 1].  Floored after every factor, 2^bits
+    P_k is an A_k with A_k <= 2^bits P_k < A_k + k, which settles the floor
+    where A_k and A_k + k give the same one; `refine` doubles bits until all
+    are, and the rung at the exact products' bit size forms them exactly."""
+    size = sum(run[4] * run[1].bit_length() for run in runs)
+
+    def settle(bits: int):
+        factors = itertools.chain.from_iterable(itertools.repeat(run[:2], run[4]) for run in runs)
+        if bits >= size:
+            pairs = itertools.accumulate(factors, lambda a, f: (a[0] * f[0], a[1] * f[1]))
+            return [n * scale // d for n, d in pairs]
+        accs = itertools.accumulate(factors, lambda acc, f: acc * f[0] // f[1], initial=1 << bits)
+        floors = [(acc * scale >> bits, (acc + k) * scale >> bits) for k, acc in enumerate(accs)]
+        return [lo for lo, hi in floors[1:]] if all(lo == hi for lo, hi in floors) else None
+
+    return refine(settle, sum(run[4] for run in runs).bit_length() + 232, size)
 
 
 def _schedule_brute_force(p: Fraction, exponents: tuple[int, ...]) -> Fraction:
@@ -846,9 +850,7 @@ def _schedule_brute_force(p: Fraction, exponents: tuple[int, ...]) -> Fraction:
     return Fraction(total, pd**depth)
 
 
-def logfloor_vanishing_stage(
-    p: Fraction, threshold: Fraction
-) -> tuple[int, Fraction]:
+def logfloor_vanishing_stage(p: Fraction, threshold: Fraction) -> tuple[int, Fraction]:
     """First stage whose exact partial product drops below the threshold."""
     p, threshold = Fraction(p), Fraction(threshold)
     if not 0 < p < 1:
@@ -860,18 +862,13 @@ def logfloor_vanishing_stage(
     for j, (num, den) in enumerate(itertools.islice(_logfloor_partials(p), max_stages), start=1):
         if num * thr_den < thr_num * den:  # reduced once, for the value returned
             return j, Fraction(num, den)
-    raise Undecidable(
-        f"partial product stayed >= {threshold} through {max_stages} stages"
-    )
+    raise Undecidable(f"partial product stayed >= {threshold} through {max_stages} stages")
 
 
 # --- interval packings ---------------------------------------------------------
 
-def interval_packing_verdict(
-    intervals: list[RationalInterval],
-    lengths: SequenceFamily,
-    total: Fraction | None = None,
-) -> PackingVerdict:
+def interval_packing_verdict(intervals: list[RationalInterval], lengths: SequenceFamily,
+                             total: Fraction | None = None) -> PackingVerdict:
     """Overlap criterion for a union of intervals whose declared lengths sum
     to the ambient length `total` (ambient rescaled to [0,1]).
 
@@ -897,9 +894,7 @@ def interval_packing_verdict(
             )
         declared += expected
     if declared > total:
-        raise LengthMismatch(
-            f"prefix lengths sum to {declared} > ambient length {total}"
-        )
+        raise LengthMismatch(f"prefix lengths sum to {declared} > ambient length {total}")
 
     ordered = sorted(intervals, key=lambda iv: (iv.lo, iv.hi))
     for prev, nxt in zip(ordered, ordered[1:]):

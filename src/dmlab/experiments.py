@@ -198,9 +198,8 @@ def run_logfloor_removal(options: dict) -> dict:
             ("independent tree count equals the closed form exactly", bool(schedule.match_exact))
         )
 
-    monotone = all(
-        a > b for a, b in zip(schedule.stage_partials, schedule.stage_partials[1:])
-    )
+    # read off the factors 1 - p^m_j, each in (0, 1): plotted values below 10^-60 can tie
+    monotone = all(0 < p**m < 1 for m in schedule.exponents)
     checks.append(("partial products strictly decrease", monotone))
 
     if schedule.verdict is certify.LimitVerdict.POSITIVE_LIMIT:
@@ -293,7 +292,7 @@ def run_thick_fat(options: dict) -> dict:
     positive = cert.conclusion is certify.Conclusion.POSITIVE
     checks = [
         ("limit product certified positive", positive),
-        ("certified bracket is nondegenerate", cert.bound.lower_end[0] > 0),
+        ("certified bracket is nondegenerate", cert.bound.positive()),
     ]
     return _finish(report, checks, inconclusive=not positive)
 

@@ -111,6 +111,12 @@ def randbelow(getrandbits, n: int) -> int:
     return r
 
 
+# reports print a huge rational as its outward rounding to this many decimal
+# places, and a plotted value exactly only while its denominator fits these bits
+SERIALIZE_PLACES = 60
+PLOT_EXACT_BITS = 200
+
+
 def rat_str(x: Fraction | int | str) -> str:
     """x as "num/den", or "num" when x is an integer."""
     return str(Fraction(x))

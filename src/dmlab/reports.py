@@ -20,7 +20,7 @@ from typing import Any, Union
 
 from .certify import ProductBracket
 from .doubling import DoublingReport
-from .ratio import decimal_str, rat_str
+from .ratio import PLOT_EXACT_BITS, SERIALIZE_PLACES, decimal_str, rat_str
 
 Rat = Union[Fraction, int, str]
 
@@ -49,15 +49,12 @@ def tag_window(window: tuple[Rat, Rat]):
     return tag
 
 
-SERIALIZE_PLACES = 60  # partial products carry huge exact rationals; reports
-                       # store a certified outward rounding instead
-
-
 def tag_product(pb: ProductBracket) -> dict:
-    # floor and ceiling on the grid straight from (numerator, denominator)
-    # pairs, reduced or not: only the 60-place ends are ever reduced
-    (lo, lo_d), (hi, hi_d), scale = pb.lower_end, pb.upper_end, 10**SERIALIZE_PLACES
-    out = tag_bracket(Fraction(lo * scale // lo_d, scale), Fraction(-(-hi * scale // hi_d), scale))
+    # a product's ends are huge exact rationals: the report stores their
+    # certified outward rounding to the SERIALIZE_PLACES grid
+    scale = 10**SERIALIZE_PLACES
+    lo, hi = pb.grid(scale)
+    out = tag_bracket(Fraction(lo, scale), Fraction(hi, scale))
     out["n_terms"] = pb.n_terms
     return out
 
@@ -101,7 +98,7 @@ def doubling_report_payload(rep: DoublingReport) -> dict:
 def _plot_value(y: Rat) -> Fraction:
     # keep small rationals exact; park astronomical ones on the decimal grid
     y = Fraction(y)
-    if y.denominator.bit_length() > 200:
+    if y.denominator.bit_length() > PLOT_EXACT_BITS:
         scale = 10**SERIALIZE_PLACES
         y = Fraction(y.numerator * scale // y.denominator, scale)
     return y

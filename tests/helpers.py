@@ -2,11 +2,11 @@
 
 No oracle runs through the kernel it checks.  Beyond the library's value
 types and result records, they call only helpers other than the one under
-test: the enclosure primitives (with oracles of their own here), the tail
-sums and the balanced product; they escalate a precision on a ladder of
+test: the enclosure primitives (with oracles of their own here) and the tail
+sums; they escalate a precision on a ladder of
 their own, `ladder_oracle`.  `tests/test_hygiene.py` checks that this module
 imports none of the scan, prefix-table, cdf and float-filter kernels, nor
-`refine`.
+`refine`, nor the working-precision products.
 
 Quantity: its oracle, and the oracle's route.
 
@@ -33,11 +33,14 @@ Quantity: its oracle, and the oracle's route.
   `iroot`: their `_oracle` forms, Fraction loops with general long division
   at every rounding step, and Newton's iteration alone;
 * `seq.term`, `seq.terms`: `term_oracle`, each family's Fraction formula;
-* `product_bracket`, `certify_fat_thick`, `ProductBracket`, `tag_product`,
-  the power ends: `product_bracket_oracle`, `certify_fat_thick_oracle`,
-  `ProductBracketOracle`, `tag_product_oracle`, `power_ends_oracle`, a
-  Fraction per term and factor, reduced products, and floor and ceiling of
-  the values at 60 places;
+* `product_bracket`, `certify_fat_thick`, `ProductBracket` and its readings,
+  `tag_product`, the power ends: `product_bracket_oracle`,
+  `certify_fat_thick_oracle`, `ProductBracketOracle`,
+  `product_readings_oracle`, `tag_product_oracle`, `power_ends_oracle`, a
+  Fraction per term and factor, exact reduced products compared as
+  Fractions, and floor and ceiling of the values at 60 places;
+* the logfloor schedule's plotted partials: `stage_plot_values_oracle`, a
+  running Fraction product floored at 60 places;
 * `power_tail_upper`, `power_tail_lower`, `cutout_lower_bound`: their
   `_oracle` forms, Fraction sums of `pow_bounds` ends;
 * the logfloor schedule mass: `logfloor_mass_oracle`, every word written out;
@@ -900,13 +903,13 @@ def iroot_newton_oracle(n: int, k: int) -> tuple[int, bool]:
 # product_bracket and certify_fat_thick as they ran before they moved to
 # integer (numerator, denominator) pairs: a Fraction per term and factor from
 # term_oracle, seq.term by each family's own formula, both ends of every fractional power from pow_bounds under ladder_oracle,
-# the lookahead from pow_end, and each end's partial product formed on its own
-# and reduced to a Fraction.
+# the lookahead from pow_end, and each end's partial product formed exactly on
+# its own (math.prod of the numerators and of the denominators) and reduced to
+# a Fraction, where the library reads its products at working precision.
 
 from dmlab.certify import (  # noqa: E402
     Conclusion,
     FatnessCertificate,
-    _balanced_prod,
     _bits,
     _check_exact_bits,
 )
@@ -1011,6 +1014,14 @@ class ProductBracketOracle:
         return self.lower_value <= value <= self.upper_value
 
 
+def bracket_oracle(pb) -> ProductBracketOracle:
+    """A library `ProductBracket` with its exact ends: the Fraction powers of
+    its factor runs, multiplied out."""
+    lower, upper = (math.prod((Fraction(*run[i:i + 2]) ** run[4] for run in pb.factors), start=Fraction(1))
+                    for i in (0, 2))
+    return ProductBracketOracle(lower, pb.tail_lower, pb.tail_upper, pb.n_terms, upper)
+
+
 def tag_product_oracle(pb: ProductBracketOracle) -> dict:
     """`reports.tag_product` by another route: math.floor and math.ceil of
     the reduced values times 10^60."""
@@ -1021,9 +1032,25 @@ def tag_product_oracle(pb: ProductBracketOracle) -> dict:
 
 
 def _frac_prod_oracle(vals: list[Fraction]) -> Fraction:
-    nums = [v.numerator for v in vals]
-    dens = [v.denominator for v in vals]
-    return Fraction(_balanced_prod(nums), _balanced_prod(dens))
+    return Fraction(math.prod(v.numerator for v in vals), math.prod(v.denominator for v in vals))
+
+
+def product_readings_oracle(pb: ProductBracketOracle, probes) -> list[tuple[bool, bool, bool]]:
+    """`encloses`, `lower_at_least` and `width_at_most` at each probe, by
+    Fraction comparisons with the exact ends."""
+    return [(pb.encloses(v), pb.lower_value >= v, pb.width <= v) for v in probes]
+
+
+def stage_plot_values_oracle(p: Fraction, stages: int) -> list[Fraction]:
+    """The plotted partial products of the logfloor schedule: each stage's
+    reduced Fraction, floored to SERIALIZE_PLACES places once its
+    denominator passes 200 bits."""
+    out, partial, scale = [], Fraction(1), 10**SERIALIZE_PLACES
+    for j in range(1, stages + 1):
+        partial *= 1 - p ** logfloor_exponent_oracle(j)
+        big = partial.denominator.bit_length() > 200
+        out.append(Fraction(math.floor(partial * scale), scale) if big else partial)
+    return out
 
 
 def _exact_partial_oracle(terms: list[Fraction]) -> Fraction:

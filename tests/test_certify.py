@@ -2,10 +2,12 @@
 
 import time
 from fractions import Fraction
+from math import prod
 
 import mpmath as mp
 import pytest
 
+from dmlab import certify
 from dmlab.certify import (
     EXACT_BIT_BUDGET,
     Conclusion,
@@ -25,7 +27,7 @@ from dmlab.certify import (
     tail_domination_start,
 )
 from dmlab.doubling import doubling_scan
-from dmlab.enclosure import pow_bounds
+from dmlab.enclosure import pow_bounds, refine
 from dmlab.errors import (
     LengthMismatch,
     NotInEllT,
@@ -34,9 +36,10 @@ from dmlab.errors import (
 )
 from dmlab.geom import CutOutConfig, build_cantor, closed, thick_from_cantor
 from dmlab.measure import BinomialWeights, TreeMeasure
-from dmlab.seq import Constant, ExplicitFinite, Geometric, Power, term
+from dmlab.reports import tag_product
+from dmlab.seq import Constant, ExplicitFinite, Geometric, LogFloor, Power, term
 
-from helpers import direct_product, logfloor_mass_oracle
+from helpers import bracket_oracle, direct_product, logfloor_mass_oracle, stage_plot_values_oracle
 
 mp.mp.prec = 250
 
@@ -50,34 +53,83 @@ class TestProductBracket:
         g = Geometric(Fraction(1, 2), Fraction(1, 2))
         pb = product_bracket(g, 100)
         oracle = direct_product([term(g, n) for n in range(1, 101)])
-        assert pb.partial == oracle
-        assert pb.lower_value <= oracle  # the infinite tail only shrinks it
-        assert pb.upper_value >= pb.lower_value
+        assert pb.n_terms == 100
+        assert prod(Fraction(ln, ld) ** count for ln, ld, _, _, count in pb.factors) == oracle
+        ends = bracket_oracle(pb)
+        assert ends.lower_value <= ends.upper_value <= oracle  # the infinite tail only shrinks it
 
     def test_encloses_q_pochhammer_limit(self):
         pb = product_bracket(Geometric(Fraction(1, 2), Fraction(1, 2)), 60)
         limit = mp.qp(mp.mpf(1) / 2)  # prod_{n>=1}(1 - 2^-n)
-        assert mpf(pb.lower_value) <= limit <= mpf(pb.upper_value)
-        assert pb.width < Fraction(1, 10**12)
+        ends = bracket_oracle(pb)
+        assert mpf(ends.lower_value) <= limit <= mpf(ends.upper_value)
+        assert pb.width_at_most(Fraction(1, 10**12)) and not pb.width_at_most(0)
 
     def test_telescoping_family_encloses_half(self):
         pb = product_bracket(Power(Fraction(1), 2, 1), 200)
         assert pb.encloses(Fraction(1, 2))
-        assert pb.width < Fraction(1, 20)
+        assert pb.width_at_most(Fraction(1, 20))
 
     def test_finite_family_is_exact(self):
         f = ExplicitFinite((Fraction(1, 2), Fraction(1, 3)))
         pb = product_bracket(f, 2)
-        assert pb.lower_value == pb.upper_value == Fraction(1, 3)
+        ends = bracket_oracle(pb)
+        assert ends.lower_value == ends.upper_value == Fraction(1, 3)
 
     def test_divergent_family_floors_at_zero(self):
         pb = product_bracket(Constant(Fraction(1, 2)), 20)
-        assert pb.lower_value == 0
-        assert pb.upper_value <= pb.partial
+        ends = bracket_oracle(pb)
+        assert ends.lower_value == 0 and not pb.positive()
+        assert ends.upper_value <= direct_product([Fraction(1, 2)] * 20)
 
     def test_rejects_terms_at_one(self):
         with pytest.raises(PreconditionViolated):
             product_bracket(Power(Fraction(1), 1, 0), 5)  # first term is 1
+
+
+def _spy_rungs(monkeypatch) -> list[tuple[int, int]]:
+    """(bits, max_bits) of every rung that certify's ladder checks from now on."""
+    seen = []
+
+    def spy(check, start_bits, max_bits):
+        def rung(bits):
+            seen.append((bits, max_bits))
+            return check(bits)
+
+        return refine(rung, start_bits, max_bits)
+
+    monkeypatch.setattr(certify, "refine", spy)
+    return seen
+
+
+class TestWorkingPrecision:
+    def test_a_grid_tie_takes_the_exact_rung(self, monkeypatch):
+        cert = certify_fat_thick(ExplicitFinite((Fraction(1, 5), Fraction(1, 2))), Fraction(1), Fraction(1))
+        seen = _spy_rungs(monkeypatch)
+        tag = tag_product(cert.bound)
+        assert (tag["kind"], tag["value"]) == ("exact", "2/5")
+        bits, size = seen[-1]
+        assert bits >= size  # the rung that forms the product exactly
+
+    def test_a_near_bound_needs_a_second_rung(self, monkeypatch):
+        cert = certify_fat_thick(Geometric(Fraction(1, 4), Fraction(1, 2)), Fraction(1, 2), Fraction(7, 4))
+        a = bracket_oracle(cert.bound).lower_value
+        seen = _spy_rungs(monkeypatch)
+        assert tag_product(cert.bound)["kind"] == "bracket" and len(seen) == 1
+        assert cert.bound.lower_at_least(a - Fraction(1, 1 << 300))
+        assert not cert.bound.lower_at_least(a + Fraction(1, 1 << 300))
+        start, size = seen[0][0], seen[0][1]
+        assert [bits for bits, _ in seen] == [start, start, 2 * start, start, 2 * start] and 2 * start < size
+
+    def test_logfloor_certificate_reads_huge_ends_at_working_precision(self, monkeypatch):
+        seen = _spy_rungs(monkeypatch)
+        started = time.perf_counter()
+        cert = certify_fat_thick(LogFloor(Fraction(1, 8)), Fraction(1, 2), Fraction(1, 2))
+        tag = tag_product(cert.bound)
+        assert time.perf_counter() - started < 5
+        assert cert.bound.n_terms == 65536 and len(cert.bound.factors) == 16
+        assert tag["lo_decimal"] == "0.285526165187" and tag["hi_decimal"] == "0.287442380161"
+        assert seen[-1][0] < seen[-1][1] // 1000  # the first rung settles, far below the exact size
 
 
 class TestFatCertificates:
@@ -90,11 +142,12 @@ class TestFatCertificates:
         # frozen reference value, accurate to ten decimal places
         frozen = Fraction("2887880951") / 10**10
         tol = Fraction(1, 10**8)
-        assert abs(cert.bound.lower_value - frozen) <= tol
-        assert abs(cert.bound.upper_value - frozen) <= tol
+        ends = bracket_oracle(cert.bound)
+        assert abs(ends.lower_value - frozen) <= tol
+        assert abs(ends.upper_value - frozen) <= tol
         # the true limit sits strictly inside the certified bracket
         limit = mp.qp(mp.mpf(1) / 2)
-        assert mpf(cert.bound.lower_value) <= limit <= mpf(cert.bound.upper_value)
+        assert mpf(ends.lower_value) <= limit <= mpf(ends.upper_value)
 
     def test_larger_scale_shifts_start(self):
         cert = certify_fat_thick(
@@ -292,6 +345,11 @@ class TestRemovalSchedule:
                 assert report.match_exact
                 assert report.stage_partials[-1] == logfloor_mass_oracle(p, stages)
 
+    def test_stage_partials_are_the_plotted_values(self):
+        for p in (Fraction(1, 3), Fraction(2, 3), Fraction(1, 2)):
+            report = logfloor_schedule_mass(p, 300)
+            assert list(report.stage_partials) == stage_plot_values_oracle(p, 300)
+
     def test_stage_four_known_value(self):
         report = logfloor_schedule_mass(Fraction(1, 3), 4)
         assert report.stage_partials[-1] == Fraction(256, 729)
@@ -302,7 +360,8 @@ class TestRemovalSchedule:
         assert logfloor_schedule_mass(Fraction(1, 3), 513).brute_force is None
         # the limit itself still runs the enumeration
         report = logfloor_schedule_mass(Fraction(1, 3), 512)
-        assert report.brute_force == report.closed_form.partial and report.match_exact
+        assert report.match_exact
+        assert report.brute_force == direct_product([term(LogFloor(Fraction(1, 3)), j) for j in range(1, 513)])
 
     def test_verdicts_split_at_half(self):
         assert logfloor_schedule_mass(Fraction(1, 3), 4).verdict is LimitVerdict.POSITIVE_LIMIT

@@ -25,8 +25,9 @@ These rules keep unused surface out of `src/dmlab`:
 Two rules keep the test oracles apart from what they check:
 
 * `tests/helpers.py` imports none of the library's scan, prefix-table, cdf
-  and float-filter kernels, nor its precision ladder `refine`, so no oracle
-  runs through the kernel it stands against;
+  and float-filter kernels, nor its precision ladder `refine`, nor the
+  working-precision products of `certify`, so no oracle runs through the
+  kernel it stands against;
 * no test passes an oracle from `tests/helpers.py` one of those kernels, or
   a name bound to one, whether it calls the oracle by name or through a
   loop over a tuple that holds it.
@@ -51,7 +52,7 @@ PACKAGE = ROOT / "src" / "dmlab"
 SOURCE_LINE_BUDGET = 4854
 # kernels of the fast paths and the precision ladder; an oracle built on one would check it against itself
 KERNELS = ("_MassOracle", "_scan_centers", "_scan_pass", "LeafPrefixes", "dyadic_cdf_numerators", "first_max",
-           "refine")
+           "refine", "_fixed_product", "_prefix_floors")
 
 
 def _trees(*dirs: str):

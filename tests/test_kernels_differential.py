@@ -13,8 +13,8 @@ Fraction formula, and `_power_ends`, `_exact_rational_pow` and `_log2_end`
 on integer pairs, unreduced ones included, the values of their Fraction
 forms. `certify_fat_thick` and `product_bracket` must give the same
 certificates, refusals and `tag_product` reports as the Fraction loops they
-replaced, and `ProductBracket`'s cross-multiplied checks the same answers as
-the Fraction comparisons of the type it replaced. The scan's row pass,
+replaced, and `ProductBracket`'s readings at working precision the answers of
+Fraction comparisons with the exact products, near and on their ends. The scan's row pass,
 with its float filter `first_max`, is checked against per-ball Fraction
 ratios, float ties included. The ratio-decay fit's concentric rows must give
 the maxima of its per-ball stage, the level-wise cdf the cdf of rational
@@ -97,7 +97,7 @@ from dmlab.seq import Constant, ExplicitFinite, Geometric, LogFloor, Power, Scal
 
 from helpers import (
     BallOracle,
-    ProductBracketOracle,
+    bracket_oracle,
     build_cantor_oracle,
     cdf_grid_oracle,
     certify_fat_thick_oracle,
@@ -109,6 +109,7 @@ from helpers import (
     iroot_newton_oracle,
     power_ends_oracle,
     product_bracket_oracle,
+    product_readings_oracle,
     log2_bounds_oracle,
     pow_bounds_oracle,
     doubling_scan_oracle,
@@ -809,9 +810,10 @@ factor_scales = st.sampled_from([F(1, 3), F(1, 2), F(5, 7), F(7, 4), F(2), F(3),
 
 
 def _values(b, tag):
-    """A product bracket by its values and its report tag, not by how it
+    """A product bracket by its exact ends and its report tag, not by how it
     holds them."""
-    return (b.n_terms, b.partial, b.lower_value, b.upper_value, b.tail_lower, b.tail_upper, tag(b))
+    ends = bracket_oracle(b) if isinstance(b, ProductBracket) else b
+    return (b.n_terms, ends.lower_value, ends.upper_value, b.tail_lower, b.tail_upper, tag(b))
 
 
 def _certificate(fn, tag):
@@ -848,6 +850,35 @@ def test_certify_fat_thick_matches_oracle(alpha, t, scale, max_terms, bits):
 def test_product_bracket_matches_oracle(x, n_partial, lookahead):
     assert _outcome(lambda: _values(product_bracket(x, n_partial, lookahead=lookahead), tag_product)) == _outcome(
         lambda: _values(product_bracket_oracle(x, n_partial, lookahead=lookahead), tag_product_oracle))
+
+
+def _probes(a: Fraction, w: Fraction, offset: Fraction) -> list[Fraction]:
+    """Bounds at the exact lower end a, the upper end a + w and the width w,
+    and `offset` to either side of each."""
+    return [v + s for v in (a, a + w, w) for s in (0, -offset, offset)] + [F(0), F(1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(families(), exponents, factor_scales, st.integers(150, 400))
+# the lower end is 2/5, on the 60-place grid: only the exact rung settles its tag
+@example(ExplicitFinite((F(1, 5), F(1, 2))), F(1), F(1), 300)
+# probes 2^-300 off the ends: the first rung (256 bits) cannot tell, the second can
+@example(Geometric(F(1, 4), F(1, 2)), F(1, 2), F(7, 4), 300)
+@example(Scaled(F(1, 2), LogFloor(F(1, 9))), F(3), F(2), 250)
+def test_product_readings_match_exact_oracle(alpha, t, scale, k):
+    """`tag_product`, `encloses`, `lower_at_least` and `width_at_most` of a
+    fat certificate's bracket, read at working precision, against Fraction
+    comparisons with the oracle's exact ends, at bounds 2^-k off them."""
+    got = _outcome(lambda: certify_fat_thick(alpha, t, scale, max_terms=256).bound)
+    want = _outcome(lambda: certify_fat_thick_oracle(alpha, t, scale, max_terms=256).bound)
+    if isinstance(got, tuple) or isinstance(want, tuple):  # the same refusal
+        assert got == want
+        return
+    probes = _probes(want.lower_value, want.width, F(1, 1 << k))
+    assert [(got.encloses(v), got.lower_at_least(v), got.width_at_most(v)) for v in probes] == \
+        product_readings_oracle(want, probes)
+    assert tag_product(got) == tag_product_oracle(want)
+    assert got.positive() == (want.lower_value > 0)
 
 
 # any index up to 300, and the logfloor block edges: block k runs from 2^k - 1
@@ -945,37 +976,38 @@ def test_cutout_lower_bound_matches_fraction_sums(mu_p, depth, count, n_balls, p
 
 
 @st.composite
-def unreduced_pairs(draw):
-    """A rational in [0, 1] as a pair that keeps a common factor."""
-    d = draw(st.integers(1, 10**6))
-    k = draw(st.one_of(st.just(1), st.integers(2, 1 << 80)))
-    return draw(st.integers(0, d)) * k, d * k
+def factor_runs(draw):
+    """Runs (ln, ld, hn, hd, count) of factors in [0, 1] as pairs that keep
+    a common factor; the upper end is the lower one for an exact factor."""
+    runs = []
+    for _ in range(draw(st.integers(0, 4))):
+        d, k = draw(st.integers(1, 10**6)), draw(st.one_of(st.just(1), st.integers(2, 1 << 80)))
+        n = draw(st.integers(0, d))
+        upper = (n, d) if draw(st.booleans()) else (draw(st.integers(n, d)) * k, d * k)
+        runs.append((n * k, d * k, *upper, draw(st.integers(1, 40))))
+    return tuple(runs)
 
 
 unit_fractions = st.one_of(st.sampled_from([F(0), F(1)]), st.fractions(0, 1, max_denominator=10**9))
 
 
 @settings(max_examples=300, deadline=None)
-@given(unreduced_pairs(), st.one_of(st.none(), unreduced_pairs()), unit_fractions, unit_fractions,
-       st.fractions(-1, 2, max_denominator=10**12))
-@example((3, 9), (2, 4), F(0), F(1), F(1, 3))
-@example((0, 5), None, F(1, 2), F(1, 2), F(0))
-def test_pair_comparisons_match_fractions(lo, hi, t1, t2, free):
-    """ProductBracket's cross-multiplied checks and pair rounding against the
-    Fraction comparisons and rounding of the oracle type."""
-    tails = sorted((t1, t2))
-    got = _outcome(lambda: ProductBracket(lo, *tails, 3, hi))
-    want = _outcome(lambda: ProductBracketOracle(F(*lo), *tails, 3, None if hi is None else F(*hi)))
-    if isinstance(got, tuple) or isinstance(want, tuple):  # the same refusal
-        assert got == want
-        return
-    a, b = want.lower_value, want.upper_value
-    for v in (a, b, (a + b) / 2, a - F(1, 10**70), b + F(1, 10**70), b - a, free):
-        assert got.encloses(v) == want.encloses(v)
-        assert got.lower_at_least(v) == (a >= v)
-        assert got.width_at_most(v) == (want.width <= v)
-    assert (got.lower_end[0] > 0) == (a > 0)
-    assert (got.partial, got.lower_value, got.upper_value, got.width) == (want.partial, a, b, want.width)
+@given(factor_runs(), unit_fractions, unit_fractions, st.fractions(-1, 2, max_denominator=10**12),
+       st.integers(150, 1200))
+@example(((3, 9, 2, 4, 1),), F(0), F(1), F(1, 3), 300)
+@example(((0, 5, 0, 5, 2),), F(1, 2), F(1, 2), F(0), 300)
+# 3^-600: both ends sit far below the first rung's resolution
+@example(((1, 3, 1, 3, 600),), F(1), F(1), F(0), 300)
+def test_bracket_readings_match_fractions(runs, t1, t2, free, k):
+    """ProductBracket's readings, grid and positivity on any factor runs
+    against the Fraction comparisons of the oracle type over the same
+    factors."""
+    got = ProductBracket(runs, *sorted((t1, t2)))
+    want = bracket_oracle(got)
+    probes = _probes(want.lower_value, want.width, F(1, 1 << k)) + [free]
+    assert [(got.encloses(v), got.lower_at_least(v), got.width_at_most(v)) for v in probes] == \
+        product_readings_oracle(want, probes)
+    assert got.positive() == (want.lower_value > 0)
     assert tag_product(got) == tag_product_oracle(want)
 
 

@@ -52,7 +52,7 @@ class TestTags:
 
     def test_outward_rounding_encloses(self):
         # partial products 1/3 and 2/3 over full tails: the ends move out to the 60-place grid
-        tag = tag_product(ProductBracket((1, 3), Fraction(1), Fraction(1), 2, (2, 3)))
+        tag = tag_product(ProductBracket(((1, 3, 2, 3, 1), (1, 1, 1, 1, 1)), Fraction(1), Fraction(1)))
         lo, hi = Fraction(tag["lo"]), Fraction(tag["hi"])
         assert lo <= Fraction(1, 3) and hi >= Fraction(2, 3)
         assert lo.denominator == hi.denominator == 10**60
@@ -61,8 +61,8 @@ class TestTags:
     def test_rounded_bracket_still_encloses(self):
         huge = Fraction(10**300 + 1, 3 * 10**300)
         width = Fraction(1, 10**90)
-        tag = tag_product(ProductBracket(huge.as_integer_ratio(), Fraction(1), Fraction(1), 1,
-                                         (huge + width).as_integer_ratio()))
+        tag = tag_product(ProductBracket(((*huge.as_integer_ratio(), *(huge + width).as_integer_ratio(), 1),),
+                                         Fraction(1), Fraction(1)))
         assert Fraction(tag["lo"]) <= huge <= huge + width <= Fraction(tag["hi"])
 
 

@@ -66,7 +66,7 @@ def geo():
 
 
 def bracket():
-    return ProductBracket((3, 8), HALF, F(3, 4), 5, (1, 2))
+    return ProductBracket(((3, 8, 1, 2, 5),), HALF, F(3, 4))
 
 
 def witness():
@@ -95,8 +95,8 @@ VALUES = {
     "ConstructionTree": (lambda: build_cantor(geo(), 1),
                          "ConstructionTree(beta=Geometric(a=Fraction(1, 4), q=Fraction(1, 2)), depth=1, "
                          "edges=((1, (0,), (1,)), (8, (0, 5), (3, 8))), perfectness_constant=Fraction(5, 3))"),
-    "ProductBracket": (bracket, "ProductBracket(partial_lo=(3, 8), tail_lower=Fraction(1, 2), "
-                                "tail_upper=Fraction(3, 4), n_terms=5, partial_hi=(1, 2))"),
+    "ProductBracket": (bracket, "ProductBracket(factors=((3, 8, 1, 2, 5),), tail_lower=Fraction(1, 2), "
+                                "tail_upper=Fraction(3, 4))"),
     "Geometric": (geo, "Geometric(a=Fraction(1, 4), q=Fraction(1, 2))"),
     "Power": (lambda: Power(HALF, 2, offset=1), "Power(a=Fraction(1, 2), gamma=2, offset=1)"),
     "LogFloor": (lambda: LogFloor(HALF), "LogFloor(base=Fraction(1, 2))"),
@@ -111,8 +111,8 @@ RECORDS = {
     "FatnessCertificate": (
         lambda: FatnessCertificate(geo(), F(1), HALF, 2, bracket(), Conclusion.POSITIVE),
         "FatnessCertificate(alpha=Geometric(a=Fraction(1, 4), q=Fraction(1, 2)), t=Fraction(1, 1), "
-        "factor_scale=Fraction(1, 2), n0=2, bound=ProductBracket(partial_lo=(3, 8), tail_lower=Fraction(1, 2), "
-        "tail_upper=Fraction(3, 4), n_terms=5, partial_hi=(1, 2)), conclusion=<Conclusion.POSITIVE: 'positive'>, "
+        "factor_scale=Fraction(1, 2), n0=2, bound=ProductBracket(factors=((3, 8, 1, 2, 5),), "
+        "tail_lower=Fraction(1, 2), tail_upper=Fraction(3, 4)), conclusion=<Conclusion.POSITIVE: 'positive'>, "
         "notes=())"),
     "ThinnessCertificate": (
         lambda: ThinnessCertificate(Constant(HALF), F(1), F(1), Summability.DIVERGES, (HALF, QUARTER), F(1, 10), 3),
@@ -135,7 +135,7 @@ RECORDS = {
         lambda: ScheduleMassReport(HALF, 2, (1, 2), bracket(), None, None, LimitVerdict.POSITIVE_LIMIT,
                                    (HALF, QUARTER)),
         "ScheduleMassReport(p=Fraction(1, 2), stages=2, exponents=(1, 2), closed_form=ProductBracket("
-        "partial_lo=(3, 8), tail_lower=Fraction(1, 2), tail_upper=Fraction(3, 4), n_terms=5, partial_hi=(1, 2)), "
+        "factors=((3, 8, 1, 2, 5),), tail_lower=Fraction(1, 2), tail_upper=Fraction(3, 4)), "
         "brute_force=None, match_exact=None, verdict=<LimitVerdict.POSITIVE_LIMIT: 'positive_limit'>, "
         "stage_partials=(Fraction(1, 2), Fraction(1, 4)))"),
     "ScanWitness": (witness, "ScanWitness(x=Fraction(1, 2), r=Fraction(1, 4), ratio_lower=Fraction(3, 1))"),
@@ -230,6 +230,12 @@ def test_a_tree_cache_is_not_part_of_its_value():
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
 
 
+def test_a_bracket_s_rungs_are_not_part_of_its_value():
+    a, b = bracket(), bracket()
+    assert a.lower_at_least(F(1, 1000)) and a._rungs and not b._rungs
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
+
 @pytest.mark.parametrize("make, error, message", [
     (lambda: Bounds(HALF, F(1, 3)), PreconditionViolated, "empty bounds [1/2, 1/3]"),
     (lambda: MassBracket(HALF, F(1, 3)), PreconditionViolated, "bad mass bracket [1/2, 1/3]"),
@@ -245,12 +251,13 @@ def test_a_tree_cache_is_not_part_of_its_value():
     (lambda: RationalInterval(HALF, HALF, hi_open=True), PreconditionViolated, "degenerate interval cannot be open"),
     (lambda: CutOutConfig((RationalInterval(0, HALF, lo_open=True),)), PreconditionViolated,
      "cut-out balls must be closed"),
-    (lambda: ProductBracket((1, 2), HALF, QUARTER, 1), PreconditionViolated, "tail bounds out of order: [1/2, 1/4]"),
-    (lambda: ProductBracket((1, 2), F(0), F(1), 1, (1, 3)), PreconditionViolated,
-     "partial products outside 0 <= lower <= upper <= 1"),
-    (lambda: ProductBracket((3, 2), F(0), F(1), 1), PreconditionViolated,
-     "partial products outside 0 <= lower <= upper <= 1"),
-    (lambda: ProductBracket((1, 2), F(0), F(1), -1), PreconditionViolated, "n_terms must be >= 0"),
+    (lambda: ProductBracket((), HALF, QUARTER), PreconditionViolated, "tail bounds out of order: [1/2, 1/4]"),
+    (lambda: ProductBracket(((1, 2, 1, 3, 1),), F(0), F(1)), PreconditionViolated,
+     "factor runs need ends 0 <= lower <= upper <= 1 and a count >= 1"),
+    (lambda: ProductBracket(((3, 2, 3, 2, 1),), F(0), F(1)), PreconditionViolated,
+     "factor runs need ends 0 <= lower <= upper <= 1 and a count >= 1"),
+    (lambda: ProductBracket(((1, 2, 1, 2, 0),), F(0), F(1)), PreconditionViolated,
+     "factor runs need ends 0 <= lower <= upper <= 1 and a count >= 1"),
     (lambda: Geometric(HALF, 1), InvalidFamily, "geometric ratio must satisfy 0 < q < 1"),
     (lambda: Geometric(2, HALF), InvalidFamily, "geometric scale must satisfy 0 < a < 1"),
     (lambda: Geometric("x", HALF), InvalidFamily, "not a rational: 'x'"),
