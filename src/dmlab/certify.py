@@ -203,8 +203,10 @@ class ProductBracket(Value):
         return refine(settle, self.n_terms.bit_length() + 232, self._size)
 
     def grid(self, scale: int) -> tuple[int, int]:
-        """floor(scale * lower_value) and ceil(scale * upper_value)."""
-        return self._decide(lambda lo, hi, den: (lo * scale // den, -(-hi * scale // den)))
+        """floor(scale * lower_value) and ceil(scale * upper_value).  A positive
+        upper_value has a ceiling of at least 1, however far below 2^-B it lies."""
+        least = int(self.tail_upper > 0 and all(run[2] for run in self.factors))
+        return self._decide(lambda lo, hi, den: (lo * scale // den, max(-(-hi * scale // den), least)))
 
     def encloses(self, value: Fraction) -> bool:
         vn, vd = Fraction(value).as_integer_ratio()
@@ -776,12 +778,13 @@ def logfloor_schedule_mass(p: Fraction, stages: int) -> ScheduleMassReport:
     _check_product_bits(LogFloor(p), stages, 1, f"the exact product of {stages} stages")
     exponents = tuple(logfloor_exponent(j) for j in range(1, stages + 1))
     closed_form = product_bracket(LogFloor(p), stages)
-    # a partial's pair is in lowest terms (its denominator a power of p's), so it is plotted as is
+    # a partial's pair is in lowest terms (its denominator a power of p's): while it
+    # fits PLOT_EXACT_BITS it is plotted as is, and after it no partial lies on the grid
     small = itertools.takewhile(lambda nd: nd[1].bit_length() <= PLOT_EXACT_BITS, _logfloor_partials(p))
     partials = [Fraction(*nd) for nd in itertools.islice(small, stages)]
     if len(partials) < stages:
         scale = 10**SERIALIZE_PLACES
-        partials += [Fraction(k, scale) for k in _prefix_floors(closed_form.factors, scale)[len(partials):]]
+        partials += [Fraction(k, scale) for k in _prefix_floors(closed_form.factors, scale, len(partials))]
 
     brute = match = None
     if stages <= BRUTE_LIMIT:
@@ -807,22 +810,22 @@ def _logfloor_partials(p: Fraction) -> Iterator[Pair]:
         yield num, den
 
 
-def _prefix_floors(runs, scale: int) -> list[int]:
-    """floor(scale * P_k), k = 1, 2, ..., for the products P_k of the first k
-    lower ends of `runs`, each in [0, 1].  Floored after every factor, 2^bits
-    P_k is an A_k with A_k <= 2^bits P_k < A_k + k, which settles the floor
-    where A_k and A_k + k give the same one; `refine` doubles bits until all
-    are, and the rung at the exact products' bit size forms them exactly."""
+def _prefix_floors(runs, scale: int, start: int) -> list[int]:
+    """floor(scale * P_k), k = start + 1, ..., for the products P_k of the
+    first k lower ends of `runs` (each in [0, 1]): A_k, 2^bits P_k floored
+    after every factor, has A_k <= 2^bits P_k < A_k + k, so a floor is
+    settled once A_k and A_k + k agree on it; the ladder's last rung is exact."""
     size = sum(run[4] * run[1].bit_length() for run in runs)
 
     def settle(bits: int):
         factors = itertools.chain.from_iterable(itertools.repeat(run[:2], run[4]) for run in runs)
         if bits >= size:
             pairs = itertools.accumulate(factors, lambda a, f: (a[0] * f[0], a[1] * f[1]))
-            return [n * scale // d for n, d in pairs]
-        accs = itertools.accumulate(factors, lambda acc, f: acc * f[0] // f[1], initial=1 << bits)
-        floors = [(acc * scale >> bits, (acc + k) * scale >> bits) for k, acc in enumerate(accs)]
-        return [lo for lo, hi in floors[1:]] if all(lo == hi for lo, hi in floors) else None
+            return [n * scale // d for n, d in itertools.islice(pairs, start, None)]
+        accs = enumerate(itertools.accumulate(factors, lambda acc, f: acc * f[0] // f[1], initial=1 << bits))
+        floors = [(acc * scale >> bits, (acc + k) * scale >> bits)
+                  for k, acc in itertools.islice(accs, start + 1, None)]
+        return [lo for lo, hi in floors] if all(lo == hi for lo, hi in floors) else None
 
     return refine(settle, sum(run[4] for run in runs).bit_length() + 232, size)
 

@@ -121,6 +121,16 @@ class TestWorkingPrecision:
         start, size = seen[0][0], seen[0][1]
         assert [bits for bits, _ in seen] == [start, start, 2 * start, start, 2 * start] and 2 * start < size
 
+    def test_a_vanishing_schedule_settles_on_the_first_rungs(self, monkeypatch):
+        # p = 9/10: the first partials lie on the grid, the last far below 10^-60
+        seen = _spy_rungs(monkeypatch)
+        report = logfloor_schedule_mass(Fraction(9, 10), 600)
+        assert report.stage_partials[0] == Fraction(1, 10) and report.stage_partials[-1] == 0
+        # a positive mass below every rung's resolution still has the ceiling 10^-60
+        tag = tag_product(report.closed_form)
+        assert (tag["lo"], tag["hi"]) == ("0", f"1/{10**60}")
+        assert [bits for bits, _ in seen] == [(600).bit_length() + 232] * 2
+
     def test_logfloor_certificate_reads_huge_ends_at_working_precision(self, monkeypatch):
         seen = _spy_rungs(monkeypatch)
         started = time.perf_counter()
@@ -346,7 +356,7 @@ class TestRemovalSchedule:
                 assert report.stage_partials[-1] == logfloor_mass_oracle(p, stages)
 
     def test_stage_partials_are_the_plotted_values(self):
-        for p in (Fraction(1, 3), Fraction(2, 3), Fraction(1, 2)):
+        for p in (Fraction(1, 3), Fraction(2, 3), Fraction(1, 2), Fraction(9, 10)):
             report = logfloor_schedule_mass(p, 300)
             assert list(report.stage_partials) == stage_plot_values_oracle(p, 300)
 
