@@ -108,10 +108,9 @@ Pair = tuple[int, int]  # (numerator, denominator), denominator > 0, unreduced
 
 
 def _fixed_product(runs, bits: int, up: bool = False) -> int:
-    """2^bits times the product of the runs' lower ends (upper ends when
-    `up`), floored (ceiled) after every factor: with every end in [0, 1], n
-    factors leave it less than n below (above) 2^bits times the exact one."""
-    # a negative product floors away from 0, so the upper ends' is run negated
+    """2^bits times the product of the runs' lower ends, floored after every
+    factor, or with `up` of the upper ends, ceiled (run negated): with ends
+    in [0, 1], n factors leave it less than n units from 2^bits times the exact one."""
     acc, i = (-1 << bits, 2) if up else (1 << bits, 0)
     for run in runs:
         n, d, count = run[i], run[i + 1], run[4]
@@ -151,13 +150,14 @@ class ProductBracket(Value):
     `factors` holds the first n_terms factors as runs (ln, ld, hn, hd, count)
     of `count` equal factors with ends 0 <= ln / ld <= hn / hd <= 1 (equal
     for an exact factor); lower_value = prod(lower ends) * tail_lower and
-    upper_value = prod(upper ends) * tail_upper enclose the product.  No
-    reading forms those products first.  At B bits the lower ends' product
-    is floored and the upper ends' ceiled after every factor
-    (`_fixed_product`), within n_terms units of 2^B times the exact one, and
-    a reading both sides of that bracket agree on is the exact ends' reading.
-    Else B doubles on `refine`, from bit_length(n_terms) + 232; the rung
-    where B reaches the exact products' bit size forms them exactly.
+    upper_value = prod(upper ends) * tail_upper enclose the product.  A
+    reading never forms those products first: at B bits `_fixed_product`
+    floors the lower ends' product and ceils the upper ends' after every
+    factor, within n_terms units of 2^B times the exact one, and a reading
+    both sides agree on is the exact ends' reading.  Else B doubles on
+    `refine` from bit_length(n_terms) + 232; a rung costs about n_terms * B,
+    so the rung after the start where that reaches the exact products' bit
+    size (or the start, if B does) forms them: no reading costs much more.
     """
 
     __slots__ = ("factors", "tail_lower", "tail_upper", "n_terms", "_size", "_same", "_rungs")
@@ -182,12 +182,13 @@ class ProductBracket(Value):
         hi / den, monotone in lo and in hi: its answer at the corners (a, e)
         and (b, c) of the first rung's bounds a <= lower_value * den <= b,
         c <= upper_value * den <= e at which the two agree."""
-        runs, same = self.factors, self._same
+        runs, same, size, start = self.factors, self._same, self._size, self.n_terms.bit_length() + 232
+        last = min(size, max(2 * start, -(-size // max(self.n_terms, 1))))
         (tl, tld), (tu, tud) = self.tail_lower.as_integer_ratio(), self.tail_upper.as_integer_ratio()
 
         def settle(bits: int):
             if bits not in self._rungs:
-                if bits >= self._size:  # the last rung: the exact products
+                if bits >= last:  # the last rung: the exact products
                     low = _exact_product(runs, False)
                     (pn, pd), (qn, qd) = low, low if same else _exact_product(runs, True)
                     n, unit, low, high = 0, pd * qd, pn * qd, qn * pd
@@ -200,11 +201,10 @@ class ProductBracket(Value):
             answer = reading(a, e, den)
             return answer if answer == reading(b, c, den) else None
 
-        return refine(settle, self.n_terms.bit_length() + 232, self._size)
+        return refine(settle, start, last)
 
     def grid(self, scale: int) -> tuple[int, int]:
-        """floor(scale * lower_value) and ceil(scale * upper_value).  A positive
-        upper_value has a ceiling of at least 1, however far below 2^-B it lies."""
+        """floor(scale * lower_value) and ceil(scale * upper_value), >= 1 if upper_value > 0."""
         least = int(self.tail_upper > 0 and all(run[2] for run in self.factors))
         return self._decide(lambda lo, hi, den: (lo * scale // den, max(-(-hi * scale // den), least)))
 

@@ -35,10 +35,11 @@ Quantity: its oracle, and the oracle's route.
 * `seq.term`, `seq.terms`: `term_oracle`, each family's Fraction formula;
 * `product_bracket`, `certify_fat_thick`, `ProductBracket` and its readings,
   `tag_product`, the power ends: `product_bracket_oracle`,
-  `certify_fat_thick_oracle`, `ProductBracketOracle`,
-  `product_readings_oracle`, `tag_product_oracle`, `power_ends_oracle`, a
-  Fraction per term and factor, exact reduced products compared as
-  Fractions, and floor and ceiling of the values at 60 places;
+  `certify_fat_thick_oracle`, `ProductBracketOracle` (`bracket_oracle` reads
+  a library bracket's factor runs into one), `product_readings_oracle`,
+  `tag_product_oracle`, `power_ends_oracle`, a Fraction per term and
+  factor, exact reduced products compared as Fractions, and floor and
+  ceiling of the values at 60 places;
 * the logfloor schedule's plotted partials: `stage_plot_values_oracle`, a
   running Fraction product floored at 60 places;
 * `power_tail_upper`, `power_tail_lower`, `cutout_lower_bound`: their

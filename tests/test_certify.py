@@ -112,14 +112,24 @@ class TestWorkingPrecision:
         assert bits >= size  # the rung that forms the product exactly
 
     def test_a_near_bound_needs_a_second_rung(self, monkeypatch):
-        cert = certify_fat_thick(Geometric(Fraction(1, 4), Fraction(1, 2)), Fraction(1, 2), Fraction(7, 4))
+        # factors of about 700 bits at t = 20: the second rung is still fixed point
+        cert = certify_fat_thick(Geometric(Fraction(1, 4), Fraction(1, 2)), Fraction(20), Fraction(1, 2))
         a = bracket_oracle(cert.bound).lower_value
         seen = _spy_rungs(monkeypatch)
         assert tag_product(cert.bound)["kind"] == "bracket" and len(seen) == 1
         assert cert.bound.lower_at_least(a - Fraction(1, 1 << 300))
         assert not cert.bound.lower_at_least(a + Fraction(1, 1 << 300))
-        start, size = seen[0][0], seen[0][1]
-        assert [bits for bits, _ in seen] == [start, start, 2 * start, start, 2 * start] and 2 * start < size
+        start, last = seen[0]
+        assert [bits for bits, _ in seen] == [start, start, 2 * start, start, 2 * start] and 2 * start < last
+
+    def test_a_bound_on_an_end_takes_the_exact_rung_after_the_start(self, monkeypatch):
+        # 64 factors of about 170 bits: a second fixed rung would cost about the exact products
+        cert = certify_fat_thick(Geometric(Fraction(1, 4), Fraction(1, 2)), Fraction(1, 2), Fraction(7, 4))
+        a = bracket_oracle(cert.bound).lower_value
+        seen = _spy_rungs(monkeypatch)
+        assert cert.bound.lower_at_least(a) and not cert.bound.lower_at_least(a + Fraction(1, 1 << 300))
+        start, last = seen[0]
+        assert [bits for bits, _ in seen] == [start, 2 * start] * 2 and last == 2 * start
 
     def test_a_vanishing_schedule_settles_on_the_first_rungs(self, monkeypatch):
         # p = 9/10: the first partials lie on the grid, the last far below 10^-60
@@ -132,14 +142,14 @@ class TestWorkingPrecision:
         assert [bits for bits, _ in seen] == [(600).bit_length() + 232] * 2
 
     def test_logfloor_certificate_reads_huge_ends_at_working_precision(self, monkeypatch):
-        seen = _spy_rungs(monkeypatch)
         started = time.perf_counter()
         cert = certify_fat_thick(LogFloor(Fraction(1, 8)), Fraction(1, 2), Fraction(1, 2))
+        seen = _spy_rungs(monkeypatch)
         tag = tag_product(cert.bound)
         assert time.perf_counter() - started < 5
         assert cert.bound.n_terms == 65536 and len(cert.bound.factors) == 16
         assert tag["lo_decimal"] == "0.285526165187" and tag["hi_decimal"] == "0.287442380161"
-        assert seen[-1][0] < seen[-1][1] // 1000  # the first rung settles, far below the exact size
+        assert [bits for bits, _ in seen] == [(65536).bit_length() + 232]  # the first rung settles
 
 
 class TestFatCertificates:

@@ -862,7 +862,9 @@ def _probes(a: Fraction, w: Fraction, offset: Fraction) -> list[Fraction]:
 @given(families(), exponents, factor_scales, st.integers(150, 400))
 # the lower end is 2/5, on the 60-place grid: only the exact rung settles its tag
 @example(ExplicitFinite((F(1, 5), F(1, 2))), F(1), F(1), 300)
-# probes 2^-300 off the ends: the first rung (256 bits) cannot tell, the second can
+# probes 2^-300 off the ends: the first rung (240 bits) cannot tell, the second, still fixed point at
+# t = 20, can; at t = 1/2 the second rung is the exact one
+@example(Geometric(F(1, 4), F(1, 2)), F(20), F(1, 2), 300)
 @example(Geometric(F(1, 4), F(1, 2)), F(1, 2), F(7, 4), 300)
 @example(Scaled(F(1, 2), LogFloor(F(1, 9))), F(3), F(2), 250)
 def test_product_readings_match_exact_oracle(alpha, t, scale, k):
