@@ -21,6 +21,9 @@ from dmlab.experiments import EXPERIMENT_NAMES, HONOURED_FLAGS
 ROOT = pathlib.Path(__file__).parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
+# usage errors with their exact stderr line and exit code; CI runs them
+# through the installed console script too
+USAGE_ERRORS = json.loads((GOLDEN / "usage_errors.json").read_text(encoding="utf-8"))
 BINOM = '{"kind": "binomial", "p": "1/2"}'
 
 
@@ -115,11 +118,35 @@ class TestHelp:
         argv = [topic] if verb is None else [topic, verb]
         assert help_flags(argv) == table_flags(topic, verb)
 
+    def test_verb_help_text(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = call(["certify", "fat", "-h"])
+        assert code == 0 and err == ""
+        assert out == (
+            "usage: dmlab certify fat [-h] [--out OUT] [--config CONFIG] [--alpha ALPHA]\n"
+            "                         [--t T] [--factor-scale FACTOR_SCALE]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --out OUT             write the JSON report to this file\n"
+            "  --config CONFIG       JSON file with option defaults\n"
+            "  --alpha ALPHA\n"
+            "  --t T\n"
+            "  --factor-scale FACTOR_SCALE\n"
+        )
+
     def test_run_flags_only_where_honoured(self):
         assert "--seed" not in help_flags(["certify", "fat"])
         assert "--max-depth" not in help_flags(["seq", "classify"])
         assert "--max-nodes" not in help_flags(["measure", "mass"])
         assert {"--seed", "--max-depth", "--max-nodes"} <= help_flags(["doubling", "scan"])
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_ERRORS))
+def test_usage_error_line(name):
+    case = USAGE_ERRORS[name]
+    code, out, err = call(case["argv"])
+    assert (code, out, err) == (case["exit"], "", case["stderr"] + "\n")
 
 
 class _ReadKeys(dict):
