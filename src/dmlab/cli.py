@@ -77,7 +77,6 @@ def _balls(value) -> list[geom.RationalInterval]:
 def _cmd_seq_classify(options, seed):
     family, p = options["family"], options["p"]
     return {
-        "command": "seq classify",
         "family": seq.family_to_spec(family),
         "p": reports.rat_str(p),
         "classification": seq.classify_ellp(family, p).name,
@@ -87,7 +86,6 @@ def _cmd_seq_classify(options, seed):
 def _cmd_seq_tail(options, seed):
     family, p, n_from = options["family"], options["p"], options["from"]
     return {
-        "command": "seq tail",
         "family": seq.family_to_spec(family),
         "p": reports.rat_str(p),
         "from": n_from,
@@ -104,7 +102,6 @@ def _cmd_cantor_build(options, seed):
     tree = geom.build_cantor(beta, depth)
     lengths = [(k, tree.level_length(k)) for k in range(depth + 1)]
     report = {
-        "command": "cantor build",
         "beta": seq.family_to_spec(beta),
         "depth": depth,
         "level_lengths": {str(k): reports.tag_exact(v) for k, v in lengths},
@@ -131,7 +128,6 @@ def _cmd_cantor_cutout(options, seed):
     pieces = geom.remaining_set(cfg, n_balls)
     gap, diameter = geom.largest_gap(cfg, n_balls)
     return {
-        "command": "cantor cutout",
         "n_balls": n_balls,
         "component_count": len(pieces),
         "components": [[reports.rat_str(p.lo), reports.rat_str(p.hi)] for p in pieces],
@@ -150,7 +146,6 @@ def _cmd_measure_mass(options, seed):
     m, lo, hi, depth = options["measure"], options["lo"], options["hi"], options["depth"]
     bracket = measure.interval_mass(m, geom.closed(lo, hi), depth)
     return {
-        "command": "measure mass",
         "measure": measure.measure_to_spec(m),
         "interval": [reports.rat_str(lo), reports.rat_str(hi)],
         "depth": depth,
@@ -163,7 +158,6 @@ def _cmd_measure_grid(options, seed):
     grid = measure.dyadic_cdf_grid(m, depth)
     points = [(Fraction(i, 1 << depth), v) for i, v in enumerate(grid)]
     return {
-        "command": "measure grid",
         "measure": measure.measure_to_spec(m),
         "depth": depth,
         "total_mass": reports.tag_exact(m.total_mass),
@@ -178,7 +172,6 @@ def _cmd_doubling_scan(options, seed):
     m = options["measure"]
     rep = doubling.doubling_scan(m, options["depth"], fit=not options["no-fit"], seed=seed)
     return {
-        "command": "doubling scan",
         "measure": measure.measure_to_spec(m),
         **reports.doubling_report_payload(rep),
         "plot": [reports.plot_series("doubling_ratio_by_scale", list(rep.per_scale))],
@@ -192,7 +185,6 @@ def _cmd_certify_fat(options, seed):
     alpha, t, scale = options["alpha"], options["t"], options["factor-scale"]
     cert = certify.certify_fat_thick(alpha, t, scale)
     return {
-        "command": "certify fat",
         "alpha": seq.family_to_spec(alpha),
         "t": reports.rat_str(t),
         "factor_scale": reports.rat_str(scale),
@@ -207,7 +199,6 @@ def _cmd_certify_thin(options, seed):
     alpha, s, c, epsilon = options["alpha"], options["s"], options["c"], options["epsilon"]
     cert = certify.certify_thin_porous(alpha, s, c, epsilon)
     return {
-        "command": "certify thin",
         "alpha": seq.family_to_spec(alpha),
         "s": reports.rat_str(s),
         "c": reports.rat_str(c),
@@ -225,7 +216,6 @@ def _cmd_certify_cutout(options, seed):
     cfg = geom.nested_cutout(options["n-total"])
     bound, tag = certify.cutout_lower_bound(cfg, scan, r, n_balls, p), reports.tag_window(scan.window)
     return {
-        "command": "certify cutout",
         "measure": measure.measure_to_spec(m),
         "n_balls": n_balls,
         "r": reports.rat_str(r),
@@ -243,7 +233,6 @@ def _cmd_certify_logfloor(options, seed):
     p, stages = options["p"], options["stages"]
     schedule = certify.logfloor_schedule_mass(p, stages)
     report = {
-        "command": "certify logfloor",
         "p": reports.rat_str(p),
         "stages": stages,
         "verdict": schedule.verdict.name,
@@ -267,7 +256,6 @@ def _cmd_qs_scan(options, seed):
     qsmap = qs.QSMap(m, eval_depth=depth)
     rows = qs.qs_ratio_scan(qsmap, depth, random_triples=options["random-triples"], seed=seed)
     return {
-        "command": "qs scan",
         "measure": measure.measure_to_spec(m),
         "depth": depth,
         "rows": [
@@ -287,7 +275,6 @@ def _cmd_qs_pullback(options, seed):
     c, eta2 = options["C"], options["eta2"]
     bounds = qs.pullback_constant(c, eta2)
     return {
-        "command": "qs pullback",
         "C": reports.rat_str(c),
         "eta2": reports.rat_str(eta2),
         "pullback_constant": reports.tag_bracket(bounds.lo, bounds.hi),
@@ -415,30 +402,49 @@ _EXAMPLE_ARGUMENTS = (
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser for every row of VERBS, built once per process: argparse
-    keeps no per-call state on it, so every `main` call reuses it."""
+    keeps no per-call state on it, so every `main` call reuses it.  `verbs`
+    maps each row's argv head, (topic, verb) or ("example",), to its parser."""
     parser = _Parser(prog="dmlab", description=__doc__)
+    parser.verbs = {}
     topics = parser.add_subparsers(dest="topic", required=True)
     verbs = {}
     for topic, verb, help_text, handler, spec, common in VERBS:
         if verb is None:
-            p = topics.add_parser(topic, help=help_text)
+            p = parser.verbs[(topic,)] = topics.add_parser(topic, help=help_text)
             for name, kwargs in _EXAMPLE_ARGUMENTS:
                 p.add_argument(name, **kwargs)
         else:
             if topic not in verbs:
                 topic_p = topics.add_parser(topic, help=_TOPICS[topic])
                 verbs[topic] = topic_p.add_subparsers(dest="verb", required=True)
-            p = verbs[topic].add_parser(verb, help=help_text)
+            p = parser.verbs[(topic, verb)] = verbs[topic].add_parser(verb, help=help_text)
         for name in common:
             p.add_argument(f"--{name}", **_COMMON[name])
         for name, (convert, _) in spec.items():
             p.add_argument(f"--{name}", **(_SWITCH if convert is _switch else {}))
-        p.set_defaults(handler=handler, spec=spec, plot=None, **dict.fromkeys(_RUN_FLAGS))
+        p.set_defaults(topic=topic, verb=verb, handler=handler, spec=spec, plot=None, **dict.fromkeys(_RUN_FLAGS))
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)`, but a known `topic verb` or `example`
+    goes straight to the parser the full parse would reach, so help, usage
+    errors and exit codes stay the full parse's; leftovers go to the top
+    parser's `error`, as there.  Python versions differ in how a parser hands
+    "--" to a subparser, so an argv holding it takes the full parse."""
+    parser = build_parser()
+    n = 1 if argv[:1] == ["example"] else 2
+    sub = parser.verbs.get(tuple(argv[:n]))
+    if sub is None or "--" in argv:
+        return parser.parse_args(argv)
+    args, rest = sub.parse_known_args(argv[n:])
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     started = time.monotonic()
     try:
         with geom.caps(args.max_depth, args.max_nodes):
@@ -447,9 +453,9 @@ def main(argv=None) -> int:
                 status = report["status"]
             else:
                 report, status = args.handler(_verb_options(args), args.seed or 0)
+                report.update(command=f"{args.topic} {args.verb}", schema=experiments.SCHEMA)
         if args.plot and not report.get("plot"):
             raise DmlabError("this report has no plot series for --plot to write")
-        report.setdefault("schema", experiments.SCHEMA)
         text = reports.dump_report(report)
         # files first, so a file that cannot be written leaves stdout empty
         if args.out:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from typing import Any, Callable
 
 from . import certify, doubling, geom, measure, reports, seq
@@ -98,8 +100,6 @@ def run_interval_packing(options: dict) -> dict:
     v_empty = certify.interval_packing_verdict([], lengths, total=Fraction(1))
 
     report = {
-        "schema": SCHEMA,
-        "experiment": "interval_packing",
         "inputs": {
             "lengths": seq.family_to_spec(lengths),
             "total": reports.tag_exact(1),
@@ -132,24 +132,13 @@ def run_middle_cantor(options: dict) -> dict:
     mass = certify.product_bracket(beta, n_partial)
 
     tree = geom.build_cantor(beta, cross_depth)
-    partial = Fraction(1)
-    construction_matches = True
-    for level in range(1, cross_depth + 1):
-        partial *= 1 - seq.term(beta, level)
-        if tree.level_length(level) != partial:
-            construction_matches = False
-            break
-
-    stage_partials = []
-    running = Fraction(1)
-    for n in range(1, 13):
-        running *= 1 - seq.term(beta, n)
-        stage_partials.append((n, running))
+    # one running product serves the construction check and the plot's 12 stages
+    partials = list(accumulate((1 - seq.term(beta, n) for n in range(1, max(cross_depth, 12) + 1)), mul))
+    construction_matches = all(tree.level_length(k) == partials[k - 1] for k in range(1, cross_depth + 1))
+    stage_partials = list(enumerate(partials[:12], 1))
 
     half = Fraction(1, 2)
     report = {
-        "schema": SCHEMA,
-        "experiment": "middle_cantor",
         "inputs": {
             "beta": seq.family_to_spec(beta),
             "n_partial": n_partial,
@@ -217,8 +206,6 @@ def run_logfloor_removal(options: dict) -> dict:
         )
 
     report = {
-        "schema": SCHEMA,
-        "experiment": "logfloor_removal",
         "inputs": {
             "p": reports.tag_exact(p),
             "stages": stages,
@@ -240,8 +227,6 @@ def run_porous_thin(options: dict) -> dict:
     curve_points = [(n, v) for n, v in enumerate(cert.decay_curve, start=1)]
 
     report = {
-        "schema": SCHEMA,
-        "experiment": "porous_thin",
         "inputs": {
             "alpha": seq.family_to_spec(alpha),
             "s": reports.tag_exact(s),
@@ -275,8 +260,6 @@ def run_thick_fat(options: dict) -> dict:
     cert = certify.certify_fat_thick(alpha, t, factor_scale)
 
     report = {
-        "schema": SCHEMA,
-        "experiment": "thick_fat",
         "inputs": {
             "alpha": seq.family_to_spec(alpha),
             "t": reports.tag_exact(t),
@@ -321,8 +304,6 @@ def run_cutout_fat(options: dict) -> dict:
     )
 
     report = {
-        "schema": SCHEMA,
-        "experiment": "cutout_fat",
         "inputs": {
             "measure": measure.measure_to_spec(m),
             "scan_depth": scan_depth,
@@ -405,4 +386,4 @@ def run_experiment(name: str, overrides: dict | None = None) -> dict:
     runner, spec = EXPERIMENTS[name]
     overrides = {} if overrides is None else overrides
     check_keys(f"example {name}", "override", overrides, spec)
-    return runner(read_options(spec, overrides))
+    return {**runner(read_options(spec, overrides)), "schema": SCHEMA, "experiment": name}

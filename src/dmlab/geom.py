@@ -210,15 +210,6 @@ def subtract_intervals(
     return out
 
 
-def subtract_from_all(
-    pieces: list[RationalInterval], cuts: list[RationalInterval]
-) -> list[RationalInterval]:
-    out: list[RationalInterval] = []
-    for piece in pieces:
-        out.extend(subtract_intervals(piece, cuts))
-    return out
-
-
 def max_overlap(pieces: list[RationalInterval]) -> tuple[int, Fraction | None]:
     """Largest number of pieces sharing a point, with a witness point."""
     if not pieces:
@@ -355,7 +346,7 @@ def remaining_set(
     if n_balls < 0 or n_balls > len(config.balls):
         raise PreconditionViolated(f"n_balls must be in [0, {len(config.balls)}]")
     cuts = list(config.balls[:n_balls])
-    return subtract_from_all([closed(0, 1)], cuts)
+    return subtract_intervals(closed(0, 1), cuts)
 
 
 def largest_gap(
@@ -483,7 +474,7 @@ def verify_thick(ts: ThickStructure) -> ThickVerdict:
     if ts.target is not None and ts.levels:
         shell = merge_components([pair.piece for pairs in ts.levels for pair in pairs])
         gaps = [pair.gap for pairs in ts.levels for pair in pairs]
-        residual = subtract_from_all(shell, gaps)
+        residual = [rest for piece in shell for rest in subtract_intervals(piece, gaps)]
         target = merge_components(list(ts.target))
         for piece in residual:
             if not any(interval_contains(t, piece) for t in target):

@@ -119,7 +119,7 @@ PLOT_EXACT_BITS = 200
 
 def rat_str(x: Fraction | int | str) -> str:
     """x as "num/den", or "num" when x is an integer."""
-    return str(Fraction(x))
+    return str(parse_rational(x))
 
 
 def decimal_str(x: Fraction) -> str:

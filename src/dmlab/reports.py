@@ -9,29 +9,30 @@ observation:
   "window-validated" constant checked only over a finite range of scales
 
 Serialization is byte-stable: rationals render as canonical fraction
-strings, decimals via exact integer rounding, JSON with sorted keys.
+strings, decimals via exact integer rounding, and `dump_report` writes in one
+pass the JSON that `json.dumps(report, indent=2, sort_keys=True)` would.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, Union
 
 from .certify import ProductBracket
 from .doubling import DoublingReport
-from .ratio import PLOT_EXACT_BITS, SERIALIZE_PLACES, decimal_str, rat_str
+from .ratio import PLOT_EXACT_BITS, SERIALIZE_PLACES, decimal_str, parse_rational, rat_str
 
 Rat = Union[Fraction, int, str]
 
 
 def tag_exact(x: Rat) -> dict:
-    x = Fraction(x)
+    x = parse_rational(x)
     return {"kind": "exact", "value": str(x), "decimal": decimal_str(x)}
 
 
 def tag_bracket(lo: Rat, hi: Rat) -> dict:
-    lo, hi = Fraction(lo), Fraction(hi)
+    lo, hi = parse_rational(lo), parse_rational(hi)
     if lo == hi:
         return tag_exact(lo)
     return {"kind": "bracket", "lo": str(lo), "hi": str(hi),
@@ -44,7 +45,7 @@ def tag_window(window: tuple[Rat, Rat]):
     lo, hi = rat_str(window[0]), rat_str(window[1])
 
     def tag(x: Rat) -> dict:
-        x = Fraction(x)
+        x = parse_rational(x)
         return {"kind": "window-validated", "value": str(x), "decimal": decimal_str(x), "window": [lo, hi]}
     return tag
 
@@ -60,7 +61,8 @@ def tag_product(pb: ProductBracket) -> dict:
 
 
 def doubling_report_payload(rep: DoublingReport) -> dict:
-    """Serialize a scan report; scan constants hold on the scanned window."""
+    """Serialize a scan report; scan constants hold on the scanned window.  A
+    fit is written field by field: its counts as they are, the rest tagged."""
     tag = tag_window(rep.window)
     out: dict[str, Any] = {
         "c_lower": tag(rep.c_lower),
@@ -69,53 +71,69 @@ def doubling_report_payload(rep: DoublingReport) -> dict:
         "s_upper": tag(rep.s_upper),
         "depth": rep.depth,
         "exact": rep.exact,
-        "witness": {
-            "x": rat_str(rep.witness.x),
-            "r": rat_str(rep.witness.r),
-            "ratio_lower": rat_str(rep.witness.ratio_lower),
-        },
+        "witness": {name: rat_str(v) for name, v in zip(rep.witness._fields, rep.witness)},
         "notes": list(rep.notes),
     }
-    if rep.ratio_decay is not None:
-        out["ratio_decay"] = {
-            "big_lam": tag(rep.ratio_decay.big_lam),
-            "t": tag(rep.ratio_decay.t),
-            "pairs_checked": rep.ratio_decay.pairs_checked,
-            "holdout_size": rep.ratio_decay.holdout_size,
-            "rounds": rep.ratio_decay.rounds,
-        }
-    if rep.mass_window is not None:
-        out["mass_window"] = {
-            "lam": tag(rep.mass_window.lam),
-            "s": tag(rep.mass_window.s),
-            "big_lam": tag(rep.mass_window.big_lam),
-            "t": tag(rep.mass_window.t),
-            "samples": rep.mass_window.samples,
-        }
+    for name in ("ratio_decay", "mass_window"):
+        if (fit := getattr(rep, name)) is not None:
+            out[name] = {key: v if type(v) is int else tag(v) for key, v in zip(fit._fields, fit)}
     return out
-
-
-def _plot_value(y: Rat) -> Fraction:
-    # keep small rationals exact; park astronomical ones on the decimal grid
-    y = Fraction(y)
-    if y.denominator.bit_length() > PLOT_EXACT_BITS:
-        scale = 10**SERIALIZE_PLACES
-        y = Fraction(y.numerator * scale // y.denominator, scale)
-    return y
 
 
 def plot_series(name: str, points: list[tuple[Rat, Rat]]) -> dict:
     """One named series of (x, y) rational pairs for the plot-data CSV."""
-    return {
-        "series": name,
-        "points": [
-            {"x": rat_str(x), "y": rat_str(_plot_value(y))} for x, y in points
-        ],
-    }
+    scale, rows = 10**SERIALIZE_PLACES, []
+    for x, y in points:
+        # keep small rationals exact; park astronomical ones on the decimal grid
+        y = parse_rational(y)
+        if y.denominator.bit_length() > PLOT_EXACT_BITS:
+            y = Fraction(y.numerator * scale // y.denominator, scale)
+        rows.append({"x": rat_str(x), "y": str(y)})
+    return {"series": name, "points": rows}
 
 
 def dump_report(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """`json.dumps(report, indent=2, sort_keys=True) + "\n"` (the tests'
+    oracle), byte for byte, without json's pure-Python indenting encoder.  A
+    report is a tree of dicts with str keys, lists, tuples, strs, ints, bools
+    and None; a float or a non-str key raises TypeError, where json would
+    print the float's repr, or sort int keys as numbers and print them as strs."""
+    out: list[str] = []
+    _write(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(x, pad: str, out: list[str]) -> None:
+    # pad: x's newline and indent; the closer replaces the last item's separator
+    kind = type(x)
+    if kind is str:
+        out.append(encode_basestring_ascii(x))
+    elif kind is dict or kind is list or kind is tuple:
+        if not x:
+            out.append("{}" if kind is dict else "[]")
+            return
+        inner = pad + "  "
+        sep = "," + inner
+        if kind is dict:
+            out.append("{" + inner)
+            for key in sorted(x):
+                out += (encode_basestring_ascii(key), ": ")  # TypeError if key is no str
+                _write(x[key], inner, out)
+                out.append(sep)
+            out[-1] = pad + "}"
+        else:
+            out.append("[" + inner)
+            for item in x:
+                _write(item, inner, out)
+                out.append(sep)
+            out[-1] = pad + "]"
+    elif kind is int:
+        out.append(str(x))
+    elif x is None or kind is bool:
+        out.append("null" if x is None else "true" if x else "false")
+    else:
+        raise TypeError(f"a report cannot hold {kind.__name__} {x!r}")
 
 
 PLOT_HEADER = "series,x,y_num,y_den,y_decimal"

@@ -149,6 +149,58 @@ def test_usage_error_line(name):
     assert (code, out, err) == (case["exit"], "", case["stderr"] + "\n")
 
 
+def outcome(parse, argv) -> tuple:
+    """vars of the namespace `parse` returns for argv, or its exit code, stdout
+    and stderr when it exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(list(argv)))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+def row_argv(row, rng) -> list[str]:
+    """argv giving every flag of a VERBS row a value, in shuffled order."""
+    topic, verb, _, _, spec, common = row
+    head = [topic, rng.choice(EXPERIMENT_NAMES)] if verb is None else [topic, verb]
+    flags = [[f"--{name}"] if spec[name][0] is cli._switch else [f"--{name}", str(i)]
+             for i, name in enumerate(spec)]
+    flags += [[f"--{name}", str(len(spec) + i)] for i, name in enumerate(common)]
+    if verb is None:
+        flags += [["--override", "{}"], ["--set", "a=1"], ["--set", "b=2"]]
+    rng.shuffle(flags)
+    return head + [arg for flag in flags for arg in flag]
+
+
+class TestPerVerbParse:
+    """`cli._parse` parses a known verb with its own subparser; the namespace,
+    help, usage errors and exit codes must be the full parser's."""
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_golden_argv(self, name):
+        argv = CASES[name]["argv"]
+        assert outcome(cli._parse, argv) == outcome(build_parser().parse_args, argv)
+
+    @pytest.mark.parametrize("row", cli.VERBS, ids=lambda row: f"{row[0]}-{row[1]}")
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_shuffled_table_flags(self, row, seed):
+        argv = row_argv(row, random.Random(seed))
+        full = outcome(build_parser().parse_args, argv)
+        assert isinstance(full, dict)
+        assert outcome(cli._parse, argv) == full
+
+    @pytest.mark.parametrize("argv", [case["argv"] for case in USAGE_ERRORS.values()] + [
+        ["certify", "fat", "-h"], ["certify", "fat", "--h"], ["example", "-h"], ["example"],
+        ["certify", "fat", "--", "x"], ["certify", "fat", "--alpha", "x", "--", "--t", "1"],
+        ["certify", "fat", "--fact", "1/2"], ["certify", "fat", "--factor-scale=1/2", "--t=2"],
+        ["qs", "scan", "--random-triples", "-4"], ["doubling", "scan", "--no-fit", "x"],
+        ["example", "middle_cantor", "--set"], ["--bogus", "certify", "fat"], [], ["certify", "nope"],
+    ])
+    def test_help_and_usage_errors(self, argv):
+        assert outcome(cli._parse, argv) == outcome(build_parser().parse_args, argv)
+
+
 class _ReadKeys(dict):
     """An options dict that records every key a handler reads."""
 

@@ -1,6 +1,12 @@
 """Serialization: tags, outward rounding, deterministic dumps, plot CSV."""
 
+import json
+import pathlib
 from fractions import Fraction
+
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from dmlab.certify import ProductBracket
 from dmlab.reports import (
@@ -76,6 +82,41 @@ class TestDumps:
     def test_repeated_dump_identical(self):
         report = {"schema": "dmlab-report/1", "value": tag_exact(Fraction(1, 7))}
         assert dump_report(report) == dump_report(report)
+
+
+# every code point, lone surrogates among them
+TEXT = st.text(st.characters(blacklist_categories=()), max_size=12)
+LEAVES = (st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64) | st.integers(max_value=-2**64)
+          | TEXT)
+TREES = st.recursive(LEAVES, lambda kids: st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+                     | st.dictionaries(TEXT, kids, max_size=4), max_leaves=24)
+
+
+class TestWriterMatchesJson:
+    """`dump_report` against its oracle, `json.dumps(indent=2, sort_keys=True)`."""
+
+    @given(TREES)
+    @example({"q\"uote": 'back\\slash', "ctl": "\x00\x1f\x7f\n\t", "é": "\u00e9\u2028\U0001f600",
+              "lone": "\ud800", "low": "x\udfff"})
+    @example({"": {}, "e": [], "t": (), "n": [None, True, False, 0, -1, 2**64, -2**64 - 1, 10**40]})
+    @example([{"a": [{"b": ({}, [[]])}]}])
+    def test_same_bytes(self, value):
+        assert dump_report(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+    def test_golden_reports(self):
+        for name in ("measure_grid_binomial_37_101_d10", "certify_cutout_d5", "example_cutout_fat"):
+            text = (pathlib.Path(__file__).parent / "golden" / f"{name}.json").read_text(encoding="utf-8")
+            assert dump_report(json.loads(text)) == text
+
+    @pytest.mark.parametrize("value", [
+        0.5, {"a": 1.0}, [float("nan")], {"a": Fraction(1, 2)}, {"a": b"x"},
+        {1: "x"}, {None: 1}, {True: 1}, {("a",): 1}, {"a": {2: 3}}, {"a": 1, 2: 3},
+    ])
+    def test_refuses_floats_non_str_keys_and_other_types(self, value):
+        """json would print a float's repr and turn a key into a string; a
+        report holds neither, so the writer raises TypeError."""
+        with pytest.raises(TypeError):
+            dump_report(value)
 
 
 class TestPlotData:
