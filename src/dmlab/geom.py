@@ -87,7 +87,8 @@ class RationalInterval(Value):
     def __init__(self, lo: Fraction, hi: Fraction, lo_open: bool = False, hi_open: bool = False) -> None:
         lo, hi = Fraction(lo), Fraction(hi)
         if not 0 <= lo <= hi <= 1:
-            raise PreconditionViolated(f"interval [{lo}, {hi}] must sit inside [0, 1]")
+            fault = "is reversed" if lo > hi else "must sit inside [0, 1]"
+            raise PreconditionViolated(f"interval [{lo}, {hi}] {fault}")
         if lo == hi and (lo_open or hi_open):
             raise PreconditionViolated("degenerate interval cannot be open")
         object.__setattr__(self, "lo", lo)

@@ -307,6 +307,17 @@ class TestErrorContract:
         assert len(lines) == 1
         assert json.loads(lines[0])["kind"] == kind
 
+    @pytest.mark.parametrize("argv, message", [
+        (["measure", "mass", "--measure", BINOM, "--lo", "1/2", "--hi", "1/3"], "interval [1/2, 1/3] is reversed"),
+        (["cantor", "cutout", "--balls", "[[1,0]]"], "interval [1, 0] is reversed"),
+        (["measure", "mass", "--measure", BINOM, "--lo", "1/2", "--hi", "3/2"],
+         "interval [1/2, 3/2] must sit inside [0, 1]"),
+    ])
+    def test_interval_refusal_names_its_fault(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": message, "kind": "PreconditionViolated"}
+
     @pytest.mark.parametrize("flags, config", [
         (["--nested", "2", "--balls", '[["1/8", "1/4"]]'], None),
         (["--balls", '[["1/8", "1/4"]]'], {"nested": 2}),

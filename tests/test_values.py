@@ -246,7 +246,7 @@ def test_a_bracket_s_rungs_are_not_part_of_its_value():
     (lambda: TreeMeasure(BinomialWeights(HALF), total_mass=-1), PreconditionViolated, "total mass must be >= 0"),
     (lambda: QSMap(TreeMeasure(BinomialWeights(HALF)), eval_depth=-1), PreconditionViolated,
      "evaluation depth must be >= 0"),
-    (lambda: RationalInterval(HALF, QUARTER), PreconditionViolated, "interval [1/2, 1/4] must sit inside [0, 1]"),
+    (lambda: RationalInterval(HALF, QUARTER), PreconditionViolated, "interval [1/2, 1/4] is reversed"),
     (lambda: RationalInterval(HALF, F(3, 2)), PreconditionViolated, "interval [1/2, 3/2] must sit inside [0, 1]"),
     (lambda: RationalInterval(HALF, HALF, hi_open=True), PreconditionViolated, "degenerate interval cannot be open"),
     (lambda: CutOutConfig((RationalInterval(0, HALF, lo_open=True),)), PreconditionViolated,
