@@ -407,17 +407,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dmlab", description=__doc__)
     parser.verbs = {}
     topics = parser.add_subparsers(dest="topic", required=True)
-    verbs = {}
+    topic_verbs = {}
     for topic, verb, help_text, handler, spec, common in VERBS:
         if verb is None:
             p = parser.verbs[(topic,)] = topics.add_parser(topic, help=help_text)
             for name, kwargs in _EXAMPLE_ARGUMENTS:
                 p.add_argument(name, **kwargs)
         else:
-            if topic not in verbs:
+            if topic not in topic_verbs:
                 topic_p = topics.add_parser(topic, help=_TOPICS[topic])
-                verbs[topic] = topic_p.add_subparsers(dest="verb", required=True)
-            p = parser.verbs[(topic, verb)] = verbs[topic].add_parser(verb, help=help_text)
+                topic_verbs[topic] = topic_p.add_subparsers(dest="verb", required=True)
+            p = parser.verbs[(topic, verb)] = topic_verbs[topic].add_parser(verb, help=help_text)
         for name in common:
             p.add_argument(f"--{name}", **_COMMON[name])
         for name, (convert, _) in spec.items():
