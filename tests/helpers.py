@@ -52,7 +52,10 @@ Quantity: its oracle, and the oracle's route.
 * `first_max`: `first_max_oracle`, an exact comparison of every entry;
 * the fits' exponent search: `largest_within_oracle`, plain bisection;
 * `decimal_str`: `decimal_str_oracle`, on Fraction arithmetic;
-* union lengths: `union_length_oracle`, a sweep line.
+* union lengths: `union_length_oracle`, a sweep line;
+* `merge_components` of closed balls, `remaining_set`, `largest_gap`:
+  `closed_union_oracle`, `remaining_set_oracle`, a sweep line on closed
+  `Fraction` spans.
 """
 
 from __future__ import annotations
@@ -80,6 +83,32 @@ def union_length_oracle(spans: list[tuple[Fraction, Fraction]]) -> Fraction:
     if cur_hi is not None:
         total += cur_hi - cur_lo
     return total
+
+
+def closed_union_oracle(spans: list[tuple[Fraction, Fraction]]) -> list[tuple[Fraction, Fraction]]:
+    """The components of a union of closed spans [lo, hi], in order: a sweep
+    line, where spans that share a point join."""
+    out: list[tuple[Fraction, Fraction]] = []
+    for lo, hi in sorted(spans):
+        if out and lo <= out[-1][1]:
+            out[-1] = (out[-1][0], max(out[-1][1], hi))
+        else:
+            out.append((lo, hi))
+    return out
+
+
+def remaining_set_oracle(spans: list[tuple[Fraction, Fraction]]) -> list[tuple[Fraction, Fraction, bool, bool]]:
+    """[0, 1] minus closed spans inside it, as components (lo, hi, lo_open,
+    hi_open) in order: the gaps the sweep line leaves between the union's
+    components, open where a span ends them and closed at a kept 0 or 1."""
+    out, cur, cur_open = [], Fraction(0), False
+    for lo, hi in closed_union_oracle(spans):
+        if lo > cur:
+            out.append((cur, lo, cur_open, True))
+        cur, cur_open = hi, True
+    if cur < 1:
+        out.append((cur, Fraction(1), cur_open, False))
+    return out
 
 
 def leaf_masses(p: Fraction, depth: int) -> list[Fraction]:

@@ -20,7 +20,10 @@ ratios, float ties included. The ratio-decay fit's concentric rows must give
 the maxima of its per-ball stage, the level-wise cdf the cdf of rational
 splitting, `randbelow` the draws of `randrange`, and `power_tail_upper`,
 `power_tail_lower` and `cutout_lower_bound` the values of their
-`Fraction`-sum loops. The fits' exponent search must find the plain
+`Fraction`-sum loops, heads across powers of two and perfect k-th powers
+included. `remaining_set`, `largest_gap`, `merge_components` and
+`union_length` must give the components of a sweep line on closed spans.
+The fits' exponent search must find the plain
 bisection's exponent whatever its float guess, and `decimal_str` on
 integers the strings of its `Fraction` form.
 """
@@ -28,7 +31,7 @@ integers the strings of its `Fraction` form.
 import functools
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -75,9 +78,12 @@ from dmlab.geom import (
     RationalInterval,
     build_cantor,
     closed,
+    largest_gap,
+    merge_components,
     nested_cutout,
     remaining_set,
     thick_from_cantor,
+    union_length,
 )
 from dmlab.measure import (
     EXACT_ZERO,
@@ -101,6 +107,7 @@ from helpers import (
     build_cantor_oracle,
     cdf_grid_oracle,
     certify_fat_thick_oracle,
+    closed_union_oracle,
     concentric_maxima_oracle,
     cutout_lower_bound_oracle,
     decimal_str_oracle,
@@ -123,11 +130,13 @@ from helpers import (
     power_tail_lower_oracle,
     power_tail_upper_oracle,
     qs_ratio_scan_oracle,
+    remaining_set_oracle,
     restrict_oracle,
     scan_core_oracle,
     small_ball_refusal_oracle,
     tag_product_oracle,
     term_oracle,
+    union_length_oracle,
     verify_small_ball_exact_oracle,
     verify_small_ball_oracle,
 )
@@ -492,6 +501,48 @@ def test_cutout_mass_matches_recursion(query_and_points):
         expected = expected + interval_mass_recursive_oracle(m, piece, depth)
     got = cutout_mass(m, config, len(balls), depth)
     assert (got.lower, got.upper) == (expected.lower, expected.upper)
+
+
+@st.composite
+def cutout_balls(draw):
+    """Closed balls in [0, 1] with ends on a grid of 1/4, 1/16 or 1/48, so
+    touching balls, duplicate ends and ends at 0 and 1 are common, with some
+    nested balls [0, 2^-i] and repeated balls, in any order."""
+    den = draw(st.sampled_from([4, 16, 48]))
+    ends = st.integers(0, den).map(lambda k: Fraction(k, den))
+    spans = [tuple(sorted(pair)) for pair in draw(st.lists(st.tuples(ends, ends), max_size=8))]
+    spans += [(Fraction(0), Fraction(1, 1 << i)) for i in range(1, draw(st.integers(0, 6)) + 1)]
+    if spans:
+        spans += draw(st.lists(st.sampled_from(spans), max_size=2))
+    return draw(st.permutations(spans)), draw(st.integers(0, len(spans)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cutout_balls())
+@example(([(Fraction(0), Fraction(1))], 1))
+@example(([(Fraction(1, 4), Fraction(1, 2)), (Fraction(1, 2), Fraction(1)), (Fraction(0), Fraction(0))], 3))
+def test_remaining_set_matches_sweep_line(case):
+    """`remaining_set`, `largest_gap`, `merge_components` and `union_length`
+    on the first n balls against a sweep line on closed spans."""
+    spans, n = case
+    config = CutOutConfig([closed(lo, hi) for lo, hi in spans])
+    want = remaining_set_oracle(spans[:n])
+    got = remaining_set(config, n)
+    assert [(p.lo, p.hi, p.lo_open, p.hi_open) for p in got] == want
+    merged = merge_components(list(config.balls[:n]))
+    assert [(c.lo, c.hi, c.lo_open, c.hi_open) for c in merged] == [
+        (lo, hi, False, False) for lo, hi in closed_union_oracle(spans[:n])]
+    assert union_length(list(config.balls[:n])) == union_length_oracle(spans[:n])
+    assert union_length(got) == 1 - union_length_oracle(spans[:n])
+    widest = None
+    for piece in want:  # the first of the widest
+        if widest is None or piece[1] - piece[0] > widest[1] - widest[0]:
+            widest = piece
+    if widest is None:
+        assert _outcome(lambda: largest_gap(config, n)) == ("EmptyRemainder", f"nothing survives the first {n} balls")
+    else:
+        gap, diameter = largest_gap(config, n)
+        assert (gap.lo, gap.hi, gap.lo_open, gap.hi_open) == widest and diameter == widest[1] - widest[0]
 
 
 @st.composite
@@ -955,6 +1006,32 @@ tail_deltas = st.one_of(st.integers(2, 5).map(Fraction),
 @example(Fraction(2), 1, 128)
 def test_power_tails_match_fraction_sums(delta, n_from, bits):
     assert power_tail_upper(delta, n_from, bits) == power_tail_upper_oracle(delta, n_from, bits)
+    assert power_tail_lower(delta, n_from, bits) == power_tail_lower_oracle(delta, n_from, bits)
+
+
+@st.composite
+def crossing_heads(draw):
+    """delta = u / k in lowest terms, k = 2..64, and a start whose 64-term
+    head holds a power of two or a perfect k-th power: the head's log2 ends
+    are read off odd parts, and a k-th power's term is an exact root."""
+    k = draw(st.integers(2, 64))
+    u = draw(st.integers(k + 1, 8 * k).filter(lambda u: gcd(u, k) == 1))
+    mark = draw(st.one_of(st.integers(0, 40).map(lambda j: 1 << j),
+                          st.integers(2, 5).map(lambda r: r**k).filter(lambda v: v < 1 << 80)))
+    return Fraction(u, k), max(1, mark - draw(st.integers(0, 63)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(crossing_heads(), st.sampled_from([64, 128]))
+@example((Fraction(65, 64), (1 << 64) - 10), 128)
+@example((Fraction(5, 2), 1000), 128)
+@example((Fraction(7, 3), 1), 64)
+@example((Fraction(1, 3), 5), 64)  # no upper tail, and a head of growing terms
+@example((Fraction(-5, 2), 30), 128)
+def test_power_tail_heads_across_powers_match_fraction_sums(case, bits):
+    delta, n_from = case
+    assert _outcome(lambda: power_tail_upper(delta, n_from, bits)) == _outcome(
+        lambda: power_tail_upper_oracle(delta, n_from, bits))
     assert power_tail_lower(delta, n_from, bits) == power_tail_lower_oracle(delta, n_from, bits)
 
 

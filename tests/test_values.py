@@ -42,8 +42,9 @@ from dmlab.geom import (
     ThickViolation,
     build_cantor,
     closed,
+    open_interval,
 )
-from dmlab.measure import BinomialWeights, MassBracket, TableWeights, TreeMeasure
+from dmlab.measure import BinomialWeights, MassBracket, TableWeights, TreeMeasure, measure_from_spec
 from dmlab.qs import QSMap, RatioScanRow
 from dmlab.ratio import Value
 from dmlab.seq import (
@@ -277,3 +278,61 @@ def test_refusals_keep_their_type_and_message(make, error, message):
     with pytest.raises(error) as info:
         make()
     assert type(info.value) is error and str(info.value) == message
+
+
+def _table(*weights):
+    return {"kind": "table", "weights": [list(weights)]}
+
+
+@pytest.mark.parametrize("make, fields", [
+    (lambda: RationalInterval(0, 1), (F(0), F(1), False, False)),
+    (lambda: RationalInterval("1/3", "1/2", True), (F(1, 3), HALF, True, False)),
+    (lambda: RationalInterval(QUARTER, "3/4", False, True), (QUARTER, F(3, 4), False, True)),
+    (lambda: RationalInterval(HALF, HALF), (HALF, HALF, False, False)),
+    (lambda: closed(0, "1/2"), (F(0), HALF, False, False)),
+    (lambda: closed(QUARTER, 1), (QUARTER, F(1), False, False)),
+    (lambda: open_interval("0", HALF), (F(0), HALF, True, True)),
+])
+def test_intervals_take_ints_strs_and_fractions(make, fields):
+    iv = make()
+    assert (iv.lo, iv.hi, iv.lo_open, iv.hi_open) == fields
+    assert all(type(end) is F for end in (iv.lo, iv.hi))
+
+
+def test_measure_specs_take_ints_strs_and_fractions():
+    m = measure_from_spec({"kind": "table", "weights": [["1/3"], [QUARTER, "2/3"]], "total_mass": 2})
+    assert m.weights.levels == ((F(1, 3),), (QUARTER, F(2, 3))) and m.total_mass == 2
+    assert all(type(w) is F for row in m.weights.levels for w in row)
+    assert measure_from_spec({"kind": "binomial", "p": HALF, "total_mass": "3/2"}) == TreeMeasure(
+        BinomialWeights(HALF), total_mass=F(3, 2))
+
+
+# the messages these refusals gave before the checks moved onto integers
+@pytest.mark.parametrize("make, message", [
+    (lambda: RationalInterval("1/2", "1/4"), "interval [1/2, 1/4] is reversed"),
+    (lambda: closed(1, 0), "interval [1, 0] is reversed"),
+    (lambda: RationalInterval(2, 1), "interval [2, 1] is reversed"),
+    (lambda: closed(F(-1, 2), HALF), "interval [-1/2, 1/2] must sit inside [0, 1]"),
+    (lambda: closed(HALF, "3/2"), "interval [1/2, 3/2] must sit inside [0, 1]"),
+    (lambda: RationalInterval(F(3, 2), 2), "interval [3/2, 2] must sit inside [0, 1]"),
+    (lambda: RationalInterval(-1, -1), "interval [-1, -1] must sit inside [0, 1]"),
+    (lambda: RationalInterval(QUARTER, QUARTER, True), "degenerate interval cannot be open"),
+    (lambda: open_interval("1/3", F(1, 3)), "degenerate interval cannot be open"),
+    (lambda: RationalInterval(0, 0, False, True), "degenerate interval cannot be open"),
+    (lambda: TableWeights(((F(1),),)), "weight 1 outside (0,1)"),
+    (lambda: TableWeights(((HALF,), (F(-1, 2), HALF))), "weight -1/2 outside (0,1)"),
+    (lambda: TableWeights(((HALF,), (HALF, "3/2"))), "weight 3/2 outside (0,1)"),
+    (lambda: TableWeights(((0,),)), "weight 0 outside (0,1)"),
+    (lambda: measure_from_spec(_table(0)), "weight 0 outside (0,1)"),
+    (lambda: measure_from_spec(_table("1")), "weight 1 outside (0,1)"),
+    (lambda: measure_from_spec(_table("-1/2")), "weight -1/2 outside (0,1)"),
+    (lambda: measure_from_spec(_table(F(3, 2))), "weight 3/2 outside (0,1)"),
+    (lambda: measure_from_spec({"kind": "binomial", "p": 0}), "binomial weight must be in (0,1), got 0"),
+    (lambda: measure_from_spec({"kind": "binomial", "p": "1"}), "binomial weight must be in (0,1), got 1"),
+    (lambda: measure_from_spec({"kind": "binomial", "p": "-1/2"}), "binomial weight must be in (0,1), got -1/2"),
+    (lambda: measure_from_spec({"kind": "binomial", "p": F(3, 2)}), "binomial weight must be in (0,1), got 3/2"),
+])
+def test_interval_and_weight_refusals_keep_their_messages(make, message):
+    with pytest.raises(PreconditionViolated) as info:
+        make()
+    assert type(info.value) is PreconditionViolated and str(info.value) == message
