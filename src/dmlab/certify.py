@@ -42,6 +42,7 @@ from .doubling import DoublingReport
 from .enclosure import (
     DEFAULT_BITS,
     _power_ends,
+    _power_head,
     exp2_bounds,
     exp_neg_upper,
     log2_bounds,
@@ -66,9 +67,9 @@ from .geom import (
     CutOutConfig,
     RationalInterval,
     ThickStructure,
+    _widest,
     inflate,
-    largest_gap,
-    merge_components,
+    remaining_set,
     verify_thick,
 )
 from .measure import TreeMeasure, _pair_sum, cutout_mass
@@ -538,7 +539,7 @@ def power_tail_upper(delta: Fraction, n_from: int, bits: int = DEFAULT_BITS, hea
     if n_from < 1:
         raise PreconditionViolated("tail start must be >= 1")
     cut = n_from + head
-    total = Fraction(*_power_head(delta, n_from, cut, True, bits))
+    total = Fraction(*_pair_sum(_power_head(delta, n_from, cut, True, bits)))
     integral = pow_end(Fraction(cut - 1), 1 - delta, True, bits) / (delta - 1)
     return total + integral
 
@@ -547,16 +548,7 @@ def power_tail_lower(delta: Fraction, n_from: int, bits: int = DEFAULT_BITS, hea
     delta = Fraction(delta)
     if n_from < 1:
         raise PreconditionViolated("tail start must be >= 1")
-    return Fraction(*_power_head(delta, n_from, n_from + head, False, bits))
-
-
-def _power_head(delta: Fraction, start: int, stop: int, upper: bool, bits: int) -> Pair:
-    """The sum of pow_pair(m, -delta, upper, bits) over start <= m < stop:
-    pow_pair's range check runs once, for the largest m, and every end
-    comes from _power_ends on the pair (m, 1)."""
-    both = abs(delta.numerator) * ((stop - 1).bit_length() + 1) >= delta.denominator << 22
-    sides = (False, True) if both else (upper,)
-    return _pair_sum(_power_ends((m, 1), -delta, bits, sides)[-upper] for m in range(start, stop))
+    return Fraction(*_pair_sum(_power_head(delta, n_from, n_from + head, False, bits)))
 
 
 def _tail_dominated(n: int, delta: Fraction, gamma: Fraction, epsilon: Fraction) -> bool:
@@ -662,6 +654,15 @@ def cutout_lower_bound(config: CutOutConfig, report: DoublingReport, r: Fraction
     A positive value certifies survival at the fit's scale window; a negative
     value decides nothing.
     """
+    [(bound, _)] = _cutout_bounds(config, report, r, p, (n_balls,))
+    return bound
+
+
+def _cutout_bounds(config: CutOutConfig, report: DoublingReport, r: Fraction, p: Fraction,
+                   counts: tuple[int, ...]) -> list[tuple[CutoutBound, list[RationalInterval]]]:
+    """cutout_lower_bound at each ball count of `counts` in turn, with the
+    remaining set its gap was read off.  Its checks and the sum of diameter
+    powers do not depend on the count, so they run for the first count only."""
     r, p = Fraction(r), Fraction(p)
     fit = report.mass_window
     if fit is None:
@@ -669,48 +670,42 @@ def cutout_lower_bound(config: CutOutConfig, report: DoublingReport, r: Fraction
     lam, s, big_lam, t = fit.lam, fit.s, fit.big_lam, fit.t
     if p <= 0 or r <= 0:
         raise PreconditionViolated("need p > 0 and r > 0")
-    if n_balls < 1:
-        raise PreconditionViolated("need at least one removed ball")
-    if p * (r * s + 1) >= t:
-        raise ExponentWindowEmpty(f"p = {p} does not satisfy p * (r*s + 1) < t = {t}")
-    if config.diam_family is None:
-        raise PreconditionViolated("config must declare a diameter family")
-    if classify_ellp(config.diam_family, p) is not Summability.CONVERGES:
-        raise NotInEllT(f"diameter powers at exponent {p} are not summable")
+    out, delta = [], t / p
+    for n_balls in counts:
+        if n_balls < 1:
+            raise PreconditionViolated("need at least one removed ball")
+        if not out:
+            if p * (r * s + 1) >= t:
+                raise ExponentWindowEmpty(f"p = {p} does not satisfy p * (r*s + 1) < t = {t}")
+            if config.diam_family is None:
+                raise PreconditionViolated("config must declare a diameter family")
+            if classify_ellp(config.diam_family, p) is not Summability.CONVERGES:
+                raise NotInEllT(f"diameter powers at exponent {p} are not summable")
+        pieces = remaining_set(config, n_balls)
+        gap = _widest(pieces, n_balls)
+        gap_diam = gap.diameter
 
-    gap, gap_diam = largest_gap(config, n_balls)
-
-    def gap_big_enough() -> bool:
         def attempt(b: int):
             nb = pow_bounds(Fraction(n_balls), -r, b)
-            if gap_diam >= nb.hi:
-                return True
-            if gap_diam < nb.lo:
-                return False
-            return None
+            return True if gap_diam >= nb.hi else False if gap_diam < nb.lo else None
 
-        return refine(attempt, max_bits=4096)
-
-    if not gap_big_enough():
-        raise GapTooSmall(f"largest surviving gap {gap_diam} < {n_balls}^(-{r})")
-
-    main_term = lam * pow_end(Fraction(n_balls), -(r * s), False)
-
-    # sum of ball diameters^p: listed balls exactly, declared family beyond
-    cp_up = Fraction(*_pair_sum(pow_pair(ball.diameter, p, True) for ball in config.balls))
-    cp_up += tail_sum_upper(config.diam_family, p, len(config.balls))
-
-    delta = t / p
-    cp_pow_up = pow_end(cp_up, delta, True)
-    tail_up = power_tail_upper(delta, n_balls)
-    penalty = cp_pow_up * big_lam * tail_up
-    value = main_term - penalty
-    return CutoutBound(
-        value=value, conclusion=Conclusion.POSITIVE if value > 0 else Conclusion.INCONCLUSIVE,
-        main_term=main_term, penalty=penalty, lam=lam, s=s, big_lam=big_lam, t=t, p=p, r=r,
-        n_balls=n_balls, diam_power_sum_upper=cp_up, tail_upper=tail_up, gap=gap,
-        gap_diameter=gap_diam,
-    )
+        if not refine(attempt, max_bits=4096):
+            raise GapTooSmall(f"largest surviving gap {gap_diam} < {n_balls}^(-{r})")
+        main_term = lam * pow_end(Fraction(n_balls), -(r * s), False)
+        if not out:  # sum of ball diameters^p: listed balls exactly, declared family beyond
+            cp_up = Fraction(*_pair_sum(pow_pair(ball.diameter, p, True) for ball in config.balls))
+            cp_up += tail_sum_upper(config.diam_family, p, len(config.balls))
+            cp_pow_up = pow_end(cp_up, delta, True)
+        tail_up = power_tail_upper(delta, n_balls)
+        penalty = cp_pow_up * big_lam * tail_up
+        value = main_term - penalty
+        out.append((CutoutBound(
+            value=value, conclusion=Conclusion.POSITIVE if value > 0 else Conclusion.INCONCLUSIVE,
+            main_term=main_term, penalty=penalty, lam=lam, s=s, big_lam=big_lam, t=t, p=p, r=r,
+            n_balls=n_balls, diam_power_sum_upper=cp_up, tail_upper=tail_up, gap=gap,
+            gap_diameter=gap_diam,
+        ), pieces))
+    return out
 
 
 class InflationCheck(NamedTuple):
@@ -732,10 +727,8 @@ def inflated_remainder_check(m: TreeMeasure, config: CutOutConfig, n_balls: int,
     if epsilon <= 0:
         raise PreconditionViolated("epsilon must be positive")
     zeta_up = 2 * pow_end(Fraction(n_balls), -q, True)
-    grown = inflate(config, n_balls, zeta_up)
-    merged = merge_components(grown)
-    grown_config = CutOutConfig(balls=tuple(merged))
-    remaining = cutout_mass(m, grown_config, len(merged), depth)
+    grown = inflate(config, n_balls, zeta_up)  # the remaining set merges the balls that overlap
+    remaining = cutout_mass(m, CutOutConfig(balls=tuple(grown)), len(grown), depth)
     required = epsilon / 2
     return InflationCheck(zeta_upper=zeta_up, remaining_lower=remaining.lower,
                           slack_required=required, passed=remaining.lower > required)

@@ -14,7 +14,6 @@ import functools
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import certify, doubling, experiments, geom, measure, qs, reports, seq
 from .errors import DmlabError, PreconditionViolated
@@ -126,7 +125,7 @@ def _cmd_cantor_cutout(options, seed):
     if cfg.diam_family is not None:
         cfg.validate_diameters()
     pieces = geom.remaining_set(cfg, n_balls)
-    gap, diameter = geom.largest_gap(cfg, n_balls)
+    gap = geom._widest(pieces, n_balls)
     return {
         "n_balls": n_balls,
         "component_count": len(pieces),
@@ -134,7 +133,7 @@ def _cmd_cantor_cutout(options, seed):
         "remaining_length": reports.tag_exact(geom.union_length(pieces)),
         "largest_gap": {
             "interval": [reports.rat_str(gap.lo), reports.rat_str(gap.hi)],
-            "diameter": reports.tag_exact(diameter),
+            "diameter": reports.tag_exact(gap.diameter),
         },
     }, "pass"
 
@@ -155,13 +154,12 @@ def _cmd_measure_mass(options, seed):
 
 def _cmd_measure_grid(options, seed):
     m, depth = options["measure"], options["depth"]
-    grid = measure.dyadic_cdf_grid(m, depth)
-    points = [(Fraction(i, 1 << depth), v) for i, v in enumerate(grid)]
+    nums, den = measure.dyadic_cdf_numerators(m, depth)
     return {
         "measure": measure.measure_to_spec(m),
         "depth": depth,
         "total_mass": reports.tag_exact(m.total_mass),
-        "plot": [reports.plot_series("cdf", points)],
+        "plot": [reports.plot_series("cdf", [((i, 1 << depth), (n, den)) for i, n in enumerate(nums)])],
     }, "pass"
 
 

@@ -617,6 +617,8 @@ def verify_small_ball_bound(
     capped = f", capped at the split depth {m.split_depth}" if eval_depth < depth + 8 else ""
     checked = 0
     for case, a, b, x, r in todo:
+        if a > b:  # a given case: the sampled ones ascend
+            raise PreconditionViolated(f"interval [{case.a_lo}, {case.a_hi}] is reversed")
         if not a <= x <= b:
             raise PreconditionViolated("center must lie in the set")
         if not 0 < r < b - a:

@@ -281,6 +281,34 @@ def pow_end(x: Fraction, e: Fraction, upper: bool, bits: int = DEFAULT_BITS) -> 
     return Fraction(*pow_pair(x, e, upper, bits))
 
 
+def _power_head(delta: Fraction, start: int, stop: int, upper: bool, bits: int) -> list[tuple[int, int]]:
+    """pow_pair(m, -delta, upper, bits) for start <= m < stop, in order:
+    pow_pair's range check runs once, for the largest m, and every end is
+    _power_ends' on the pair (m, 1), the exact root first.  Otherwise it is
+    2^(-delta log2 m) from one log2 end, and for m = 2^a o, o odd, that end
+    is o's plus a 2^bits bit for bit (m and o share a mantissa, so every
+    squaring), so each odd part's end is computed once."""
+    if bits < 0:
+        raise PreconditionViolated(f"precision must be >= 0 bits, got {bits}")
+    both = abs(delta.numerator) * ((stop - 1).bit_length() + 1) >= delta.denominator << 22
+    sides = (False, True) if both else (upper,)
+    (num, den), e = delta.as_integer_ratio(), -delta
+    logs: dict[tuple[int, bool], int] = {}  # (odd part, side) -> its log2 end
+    ends = []
+    for m in range(start, stop):
+        end = _exact_rational_pow(m, 1, e)
+        if end is None:
+            a = (m & -m).bit_length() - 1
+            for side in sides:  # with delta > 0 the lower log2 end gives the upper end of m^-delta
+                key = m >> a, side
+                if key not in logs:
+                    logs[key] = _log2_end(m >> a, 1, bits, side != (num > 0))
+                pair = _exp2_end(-num * (logs[key] + (a << bits)), den << bits, bits, side)
+                end = pair if side == upper else end
+        ends.append(end)
+    return ends
+
+
 def exp_neg_upper(s: Fraction) -> Fraction:
     """Exact rational upper bound for e^(-s), s >= 0.
 

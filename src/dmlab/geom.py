@@ -18,6 +18,7 @@ from contextvars import ContextVar
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .errors import (
@@ -85,11 +86,15 @@ class RationalInterval(Value):
     __slots__ = _fields = ("lo", "hi", "lo_open", "hi_open")
 
     def __init__(self, lo: Fraction, hi: Fraction, lo_open: bool = False, hi_open: bool = False) -> None:
-        lo, hi = Fraction(lo), Fraction(hi)
-        if not 0 <= lo <= hi <= 1:
-            fault = "is reversed" if lo > hi else "must sit inside [0, 1]"
+        # a Fraction is kept as given; the checks cross-multiply its integers, since
+        # comparing two Fractions dispatches through the numbers.Rational ABC
+        lo = lo if type(lo) is Fraction else Fraction(lo)
+        hi = hi if type(hi) is Fraction else Fraction(hi)
+        (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
+        if not (0 <= ln and ln * hd <= hn * ld and hn <= hd):
+            fault = "is reversed" if ln * hd > hn * ld else "must sit inside [0, 1]"
             raise PreconditionViolated(f"interval [{lo}, {hi}] {fault}")
-        if lo == hi and (lo_open or hi_open):
+        if (lo_open or hi_open) and ln * hd == hn * ld:
             raise PreconditionViolated("degenerate interval cannot be open")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
@@ -115,11 +120,11 @@ class RationalInterval(Value):
 
 
 def closed(lo, hi) -> RationalInterval:
-    return RationalInterval(Fraction(lo), Fraction(hi))
+    return RationalInterval(lo, hi)
 
 
 def open_interval(lo, hi) -> RationalInterval:
-    return RationalInterval(Fraction(lo), Fraction(hi), lo_open=True, hi_open=True)
+    return RationalInterval(lo, hi, True, True)
 
 
 def intervals_intersect(a: RationalInterval, b: RationalInterval) -> bool:
@@ -143,72 +148,59 @@ def interval_contains(outer: RationalInterval, inner: RationalInterval) -> bool:
     return True
 
 
-def _emit(out: list[RationalInterval], lo, lo_open, hi, hi_open) -> None:
-    if lo > hi:
-        return
-    if lo == hi and (lo_open or hi_open):
-        return
-    out.append(RationalInterval(lo, hi, lo_open, hi_open))
+def _merged(pieces) -> list[list]:
+    """The union of the pieces as maximal components [lo, hi, lo_open,
+    hi_open], in order: two pieces merge when the meeting point belongs to at
+    least one of them."""
+    out: list[list] = []
+    for lo, hi, lo_open, hi_open in sorted(((p.lo, p.hi, p.lo_open, p.hi_open) for p in pieces), key=itemgetter(0, 2)):
+        cur = out[-1] if out else None
+        if cur is None or lo > cur[1] or lo == cur[1] and lo_open and cur[3]:
+            out.append([lo, hi, lo_open, hi_open])
+        elif hi > cur[1]:
+            cur[1], cur[3] = hi, hi_open
+        elif hi == cur[1]:
+            cur[3] = cur[3] and hi_open
+    return out
 
 
 def merge_components(pieces: list[RationalInterval]) -> list[RationalInterval]:
     """Union as maximal components (two pieces merge when the meeting point
     belongs to at least one of them)."""
-    if not pieces:
-        return []
-    items = sorted(pieces, key=lambda p: (p.lo, p.lo_open))
-    out = [items[0]]
-    for p in items[1:]:
-        cur = out[-1]
-        touching = p.lo < cur.hi or (
-            p.lo == cur.hi and (not p.lo_open or not cur.hi_open)
-        )
-        if not touching:
-            out.append(p)
-            continue
-        if p.hi > cur.hi:
-            hi, hi_open = p.hi, p.hi_open
-        elif p.hi == cur.hi:
-            hi, hi_open = cur.hi, cur.hi_open and p.hi_open
-        else:
-            hi, hi_open = cur.hi, cur.hi_open
-        out[-1] = RationalInterval(cur.lo, hi, cur.lo_open, hi_open)
-    return out
+    return [RationalInterval(*span) for span in _merged(pieces)]
 
 
 def union_length(pieces: list[RationalInterval]) -> Fraction:
-    return sum((c.diameter for c in merge_components(pieces)), Fraction(0))
+    return sum((hi - lo for lo, hi, _, _ in _merged(pieces)), Fraction(0))
 
 
-def subtract_intervals(
-    piece: RationalInterval, cuts: list[RationalInterval]
-) -> list[RationalInterval]:
-    """piece minus the union of cuts, honoring openness on both sides."""
-    live = [c for c in cuts if intervals_intersect(piece, c)]
-    if not live:
-        return [piece]
-    out: list[RationalInterval] = []
-    cur, cur_in = piece.lo, not piece.lo_open
-    for c in merge_components(live):
-        s = max(c.lo, piece.lo)
-        s_kept = c.lo_open and c.lo >= piece.lo  # point s survives the cut
-        if c.lo < piece.lo:
-            s_kept = False
+def subtract_intervals(piece: RationalInterval, cuts: list[RationalInterval]) -> list[RationalInterval]:
+    """piece minus the union of cuts, honoring openness on both sides: a
+    sweep over the cuts' components, on end tuples (lo, hi, lo_open,
+    hi_open) until the pieces it returns."""
+    plo, phi, plo_open, phi_open = piece.lo, piece.hi, piece.lo_open, piece.hi_open
+    out: list[tuple] = []
+    cur, cur_in = plo, not plo_open
+    for lo, hi, lo_open, hi_open in _merged(cuts):
+        if hi < plo or hi == plo and (hi_open or plo_open):  # left of the piece
+            continue
+        if lo > phi or lo == phi and (lo_open or phi_open):  # right of it
+            break
+        s, s_kept = (lo, lo_open) if lo >= plo else (plo, False)  # s_kept: the point s survives the cut
         if s > cur:
             # the cut keeps its open left endpoint inside the piece
-            _emit(out, cur, not cur_in, s, not (s_kept and piece.contains_point(s)))
+            out.append((cur, s, not cur_in, not s_kept or s == phi and phi_open))
         elif s == cur and cur_in and s_kept:
-            _emit(out, cur, False, cur, False)
-        if c.hi >= piece.hi:
-            cur = piece.hi
-            cur_in = c.hi_open and c.hi == piece.hi and not piece.hi_open
+            out.append((cur, cur, False, False))
+        if hi >= phi:
+            cur, cur_in = phi, hi_open and hi == phi and not phi_open
             break
-        cur, cur_in = c.hi, c.hi_open
-    if cur < piece.hi:
-        _emit(out, cur, not cur_in, piece.hi, piece.hi_open)
-    elif cur == piece.hi and cur_in and not piece.hi_open:
-        _emit(out, cur, False, cur, False)
-    return out
+        cur, cur_in = hi, hi_open
+    if cur < phi:
+        out.append((cur, phi, not cur_in, phi_open))
+    elif cur == phi and cur_in and not phi_open:
+        out.append((cur, cur, False, False))
+    return [RationalInterval(*span) for span in out]
 
 
 def max_overlap(pieces: list[RationalInterval]) -> tuple[int, Fraction | None]:
@@ -216,11 +208,8 @@ def max_overlap(pieces: list[RationalInterval]) -> tuple[int, Fraction | None]:
     if not pieces:
         return 0, None
     points = sorted({p.lo for p in pieces} | {p.hi for p in pieces})
-    candidates = list(points)
-    for a, b in zip(points, points[1:]):
-        candidates.append((a + b) / 2)
     best, witness = 0, None
-    for x in sorted(candidates):
+    for x in sorted(points + [(a + b) / 2 for a, b in zip(points, points[1:])]):
         cover = sum(1 for p in pieces if p.contains_point(x))
         if cover > best:
             best, witness = cover, x
@@ -328,40 +317,35 @@ class CutOutConfig(Value):
         for i, b in enumerate(self.balls, start=1):
             bound = term(self.diam_family, i)
             if b.diameter > bound:
-                raise PreconditionViolated(
-                    f"ball {i} has diameter {b.diameter} > declared bound {bound}"
-                )
+                raise PreconditionViolated(f"ball {i} has diameter {b.diameter} > declared bound {bound}")
 
 
 def nested_cutout(count: int) -> CutOutConfig:
     """The nested balls [0, 2^-i], i = 1..count, with the declared diameter
     family Geometric(1/2, 1/2)."""
-    balls = [closed(0, Fraction(1, 1 << i)) for i in range(1, count + 1)]
+    zero = Fraction(0)
+    balls = [closed(zero, Fraction(1, 1 << i)) for i in range(1, count + 1)]
     return CutOutConfig(balls, diam_family=Geometric(Fraction(1, 2), Fraction(1, 2)))
 
 
-def remaining_set(
-    config: CutOutConfig, n_balls: int
-) -> list[RationalInterval]:
+def remaining_set(config: CutOutConfig, n_balls: int) -> list[RationalInterval]:
     """Exact components of ([0,1] minus the first n_balls closed balls)."""
     if n_balls < 0 or n_balls > len(config.balls):
         raise PreconditionViolated(f"n_balls must be in [0, {len(config.balls)}]")
-    cuts = list(config.balls[:n_balls])
-    return subtract_intervals(closed(0, 1), cuts)
+    return subtract_intervals(closed(0, 1), config.balls[:n_balls])
 
 
-def largest_gap(
-    config: CutOutConfig, n_balls: int
-) -> tuple[RationalInterval, Fraction]:
+def largest_gap(config: CutOutConfig, n_balls: int) -> tuple[RationalInterval, Fraction]:
     """Maximal-diameter surviving component (leftmost on ties)."""
-    pieces = remaining_set(config, n_balls)
+    gap = _widest(remaining_set(config, n_balls), n_balls)
+    return gap, gap.diameter
+
+
+def _widest(pieces: list[RationalInterval], n_balls: int) -> RationalInterval:
+    """The leftmost widest of the components left by the first n_balls balls."""
     if not pieces:
         raise EmptyRemainder(f"nothing survives the first {n_balls} balls")
-    best = max(pieces, key=lambda p: p.diameter)
-    for p in pieces:  # leftmost tie-break since pieces are ordered by position
-        if p.diameter == best.diameter:
-            return p, p.diameter
-    raise AssertionError("unreachable")
+    return max(pieces, key=lambda p: p.hi - p.lo)  # max keeps the first of equals
 
 
 def inflate(config: CutOutConfig, n_balls: int, zeta: Fraction) -> list[RationalInterval]:
@@ -426,24 +410,13 @@ def verify_thick(ts: ThickStructure) -> ThickVerdict:
         a_n = term(ts.alpha, n)
         for j, pair in enumerate(pairs):
             if not interval_contains(pair.piece, pair.gap):
-                bad.append(
-                    ThickViolation("i", n, j, "gap escapes its piece")
-                )
+                bad.append(ThickViolation("i", n, j, "gap escapes its piece"))
             if c * pair.gap.diameter > a_n * pair.piece.diameter:
-                bad.append(
-                    ThickViolation(
-                        "iii",
-                        n,
-                        j,
-                        f"c*diam(gap)={c * pair.gap.diameter} exceeds "
-                        f"alpha_n*diam(piece)={a_n * pair.piece.diameter}",
-                    )
-                )
+                bad.append(ThickViolation("iii", n, j, f"c*diam(gap)={c * pair.gap.diameter} exceeds "
+                                                       f"alpha_n*diam(piece)={a_n * pair.piece.diameter}"))
             radius = Fraction(pair.witness_radius)
             if radius < c * pair.piece.diameter or radius <= 0:
-                bad.append(
-                    ThickViolation("iv", n, j, "witness radius below c * diam(piece)")
-                )
+                bad.append(ThickViolation("iv", n, j, "witness radius below c * diam(piece)"))
                 continue
             lo = pair.witness_center - radius
             hi = pair.witness_center + radius
@@ -451,27 +424,13 @@ def verify_thick(ts: ThickStructure) -> ThickVerdict:
                 bad.append(ThickViolation("iv", n, j, "witness ball escapes the piece"))
                 continue
             ball = closed(lo, hi)
-            hit = None
-            for k in range(n - 1):
-                for g_idx, earlier in enumerate(ts.levels[k]):
-                    if intervals_intersect(ball, earlier.gap):
-                        hit = (k + 1, g_idx)
-                        break
-                if hit:
-                    break
+            hit = next(((k + 1, g) for k in range(n - 1) for g, earlier in enumerate(ts.levels[k])
+                        if intervals_intersect(ball, earlier.gap)), None)
             if hit:
-                bad.append(
-                    ThickViolation(
-                        "iv", n, j, f"witness ball meets the level-{hit[0]} gap {hit[1]}"
-                    )
-                )
+                bad.append(ThickViolation("iv", n, j, f"witness ball meets the level-{hit[0]} gap {hit[1]}"))
         count, witness = max_overlap([pair.piece for pair in pairs])
         if count > ts.overlap_bound:
-            bad.append(
-                ThickViolation(
-                    "ii", n, -1, f"{count} pieces share the point {witness}"
-                )
-            )
+            bad.append(ThickViolation("ii", n, -1, f"{count} pieces share the point {witness}"))
     if ts.target is not None and ts.levels:
         shell = merge_components([pair.piece for pairs in ts.levels for pair in pairs])
         gaps = [pair.gap for pairs in ts.levels for pair in pairs]
@@ -479,11 +438,7 @@ def verify_thick(ts: ThickStructure) -> ThickVerdict:
         target = merge_components(list(ts.target))
         for piece in residual:
             if not any(interval_contains(t, piece) for t in target):
-                bad.append(
-                    ThickViolation(
-                        "v", 0, -1, f"residual piece [{piece.lo}, {piece.hi}] leaves the target"
-                    )
-                )
+                bad.append(ThickViolation("v", 0, -1, f"residual piece [{piece.lo}, {piece.hi}] leaves the target"))
                 break
     return ThickVerdict(valid=not bad, violations=tuple(bad))
 
@@ -491,47 +446,21 @@ def verify_thick(ts: ThickStructure) -> ThickVerdict:
 MIN_WITNESS_CONSTANT = Fraction(1, 1 << 16)
 
 
-def thick_from_cantor(
-    tree: ConstructionTree,
-) -> ThickStructure:
+def thick_from_cantor(tree: ConstructionTree) -> ThickStructure:
     """Read the construction tree as a gap structure: level n pairs each
     level-(n-1) node with its removed middle, and puts the witness ball at the
     midpoint of the node's left child, radius c * diam(node) for
     c = min(1, (1 - beta_max)/4)."""
     if tree.depth == 0:
         # degenerate: no splits yet, so no gap/piece pairs; vacuously valid
-        return ThickStructure(
-            levels=(),
-            overlap_bound=1,
-            witness_constant=Fraction(1, 4),
-            alpha=tree.beta,
-            target=tree.nodes[0],
-        )
+        return ThickStructure(levels=(), overlap_bound=1, witness_constant=Fraction(1, 4), alpha=tree.beta,
+                              target=tree.nodes[0])
     beta_max = realized_beta_max(tree)
     c = min(Fraction(1), (1 - beta_max) / 4)
     if c < MIN_WITNESS_CONSTANT:
-        raise FailsThickness(
-            f"witness constant {c} below the floor {MIN_WITNESS_CONSTANT}"
-        )
-    levels = []
-    for n in range(1, tree.depth + 1):
-        pairs = []
-        for j, piece in enumerate(tree.nodes[n - 1]):
-            gap = tree.gaps[n - 1][j]
-            left_child = tree.nodes[n][2 * j]
-            pairs.append(
-                ThickPair(
-                    piece=piece,
-                    gap=gap,
-                    witness_center=left_child.midpoint,
-                    witness_radius=c * piece.diameter,
-                )
-            )
-        levels.append(tuple(pairs))
-    return ThickStructure(
-        levels=tuple(levels),
-        overlap_bound=1,
-        witness_constant=c,
-        alpha=tree.beta,
-        target=tree.nodes[tree.depth],
-    )
+        raise FailsThickness(f"witness constant {c} below the floor {MIN_WITNESS_CONSTANT}")
+    # node j of level n - 1, its gap, and the midpoint of its left child, node 2j of level n
+    levels = tuple(tuple(ThickPair(piece, tree.gaps[n - 1][j], tree.nodes[n][2 * j].midpoint, c * piece.diameter)
+                         for j, piece in enumerate(tree.nodes[n - 1])) for n in range(1, tree.depth + 1))
+    return ThickStructure(levels=levels, overlap_bound=1, witness_constant=c, alpha=tree.beta,
+                          target=tree.nodes[tree.depth])

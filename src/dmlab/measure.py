@@ -88,9 +88,10 @@ class TableWeights(Value):
         for k, row in enumerate(levels):
             if len(row) != (1 << k):
                 raise PreconditionViolated(f"level {k} needs {1 << k} weights")
-            vals = tuple(Fraction(w) for w in row)
-            for w in vals:
-                if not 0 < w < 1:
+            vals = tuple(w if type(w) is Fraction else Fraction(w) for w in row)
+            for w in vals:  # 0 < w < 1 on its integers, as RationalInterval checks its ends
+                n, d = w.as_integer_ratio()
+                if not 0 < n < d:
                     raise PreconditionViolated(f"weight {w} outside (0,1)")
             frozen.append(vals)
         object.__setattr__(self, "levels", tuple(frozen))
@@ -328,9 +329,14 @@ def cutout_mass(
     """Bracket the mass surviving after the first n_balls are removed, every
     piece through one `LeafPrefixes` table."""
     check_depth(depth)
+    return _pieces_mass(m, remaining_set(config, n_balls), depth)
+
+
+def _pieces_mass(m: TreeMeasure, pieces: list[RationalInterval], depth: int) -> MassBracket:
+    """The mass bracket of disjoint pieces, at a checked depth."""
     table = LeafPrefixes(m, depth)
     lowers, uppers = [], []
-    for piece in remaining_set(config, n_balls):
+    for piece in pieces:
         if piece.lo < piece.hi:
             lower, upper = table.bracket(piece.lo, piece.hi)
             lowers.append(lower)

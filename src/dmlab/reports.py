@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from math import gcd
 from typing import Any, Union
 
 from .certify import ProductBracket
@@ -80,16 +81,26 @@ def doubling_report_payload(rep: DoublingReport) -> dict:
     return out
 
 
-def plot_series(name: str, points: list[tuple[Rat, Rat]]) -> dict:
-    """One named series of (x, y) rational pairs for the plot-data CSV."""
+def plot_series(name: str, points: list[tuple]) -> dict:
+    """One named series of (x, y) points for the plot-data CSV.  A coordinate
+    is a rational or an integer pair (n, d), d > 0, in any terms, and prints
+    in lowest terms; a y whose reduced denominator passes PLOT_EXACT_BITS
+    bits prints its floor on the decimal grid."""
     scale, rows = 10**SERIALIZE_PLACES, []
     for x, y in points:
-        # keep small rationals exact; park astronomical ones on the decimal grid
-        y = parse_rational(y)
-        if y.denominator.bit_length() > PLOT_EXACT_BITS:
-            y = Fraction(y.numerator * scale // y.denominator, scale)
-        rows.append({"x": rat_str(x), "y": str(y)})
+        xn, xd = x if type(x) is tuple else parse_rational(x).as_integer_ratio()
+        yn, yd = y if type(y) is tuple else parse_rational(y).as_integer_ratio()
+        g = gcd(yn, yd)
+        if (yd // g).bit_length() > PLOT_EXACT_BITS:
+            yn, yd = yn * scale // yd, scale
+            g = gcd(yn, yd)
+        rows.append({"x": _pair_str(xn, xd, gcd(xn, xd)), "y": _pair_str(yn, yd, g)})
     return {"series": name, "points": rows}
+
+
+def _pair_str(n: int, d: int, g: int) -> str:
+    """n / d, d > 0, as `rat_str` prints it, for g = gcd(n, d)."""
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def dump_report(report: dict) -> str:

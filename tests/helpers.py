@@ -6,7 +6,8 @@ test: the enclosure primitives (with oracles of their own here) and the tail
 sums; they escalate a precision on a ladder of
 their own, `ladder_oracle`.  `tests/test_hygiene.py` checks that this module
 imports none of the scan, prefix-table, cdf and float-filter kernels, nor
-`refine`, nor the working-precision products.
+`refine`, nor the working-precision products, nor the power-tail head or
+the interval merge.
 
 Quantity: its oracle, and the oracle's route.
 
@@ -659,6 +660,8 @@ def _small_ball_brackets(m, count, depth, seed, cases):
         x = Fraction(rng.randrange(ia, ib + 1), grid)
         todo.append(SmallBallCase(a, b, x, (b - a) / (1 << rng.randrange(1, 5))))
     for case in todo:
+        if case.a_lo > case.a_hi:
+            raise PreconditionViolated(f"interval [{case.a_lo}, {case.a_hi}] is reversed")
         if not (case.a_lo <= case.x <= case.a_hi):
             raise PreconditionViolated("center must lie in the set")
         if not 0 < case.r < case.a_hi - case.a_lo:

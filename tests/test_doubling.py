@@ -195,6 +195,13 @@ class TestSmallBallBound:
             "mu(A) in [1, 1], mu(B) in [0, 86/6561] at eval depth 9 (depth 1 + 8)"
         )
 
+    def test_reversed_given_case_is_refused_as_reversed(self, lebesgue):
+        # 3/8 lies between the ends, so the refusal names the order, not the center
+        case = SmallBallCase(Fraction(1, 2), Fraction(1, 4), Fraction(3, 8), Fraction(1, 16))
+        with pytest.raises(PreconditionViolated) as info:
+            verify_small_ball_bound(lebesgue, s=Fraction(1), count=1, cases=[case])
+        assert type(info.value) is PreconditionViolated and str(info.value) == "interval [1/2, 1/4] is reversed"
+
     def test_requires_exactly_one_exponent_form(self, lebesgue):
         with pytest.raises(PreconditionViolated):
             verify_small_ball_bound(lebesgue, c=Fraction(2), s=Fraction(1), count=1)
