@@ -88,19 +88,17 @@ def plot_series(name: str, points: list[tuple]) -> dict:
     bits prints its floor on the decimal grid."""
     scale, rows = 10**SERIALIZE_PLACES, []
     for x, y in points:
-        xn, xd = x if type(x) is tuple else parse_rational(x).as_integer_ratio()
-        yn, yd = y if type(y) is tuple else parse_rational(y).as_integer_ratio()
-        g = gcd(yn, yd)
-        if (yd // g).bit_length() > PLOT_EXACT_BITS:
-            yn, yd = yn * scale // yd, scale
-            g = gcd(yn, yd)
-        rows.append({"x": _pair_str(xn, xd, gcd(xn, xd)), "y": _pair_str(yn, yd, g)})
+        xn, xd = _lowest(*x) if type(x) is tuple else parse_rational(x).as_integer_ratio()
+        yn, yd = _lowest(*y) if type(y) is tuple else parse_rational(y).as_integer_ratio()
+        if yd.bit_length() > PLOT_EXACT_BITS:
+            yn, yd = _lowest(yn * scale // yd, scale)
+        rows.append({"x": str(xn) if xd == 1 else f"{xn}/{xd}", "y": str(yn) if yd == 1 else f"{yn}/{yd}"})
     return {"series": name, "points": rows}
 
 
-def _pair_str(n: int, d: int, g: int) -> str:
-    """n / d, d > 0, as `rat_str` prints it, for g = gcd(n, d)."""
-    return str(n // g) if g == d else f"{n // g}/{d // g}"
+def _lowest(n: int, d: int) -> tuple[int, int]:
+    g = gcd(n, d)
+    return n // g, d // g
 
 
 def dump_report(report: dict) -> str:

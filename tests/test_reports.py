@@ -129,5 +129,18 @@ class TestPlotData:
         assert lines[3] == "partials,3,1,3,0.333333333333"
         assert len(lines) == 4
 
+    def test_a_y_prints_exactly_up_to_200_denominator_bits(self):
+        half_up = Fraction((1 << 199) + 1, 1 << 200)  # 201 bits: floored at 60 places, 1/2
+        rows = plot_series("s", [(0, Fraction(1, 1 << 199)), (1, half_up),
+                                 ((2, 4), (3 * half_up.numerator, 3 << 200))])["points"]
+        assert [row["y"] for row in rows] == [f"1/{1 << 199}", "1/2", "1/2"]
+        assert [row["x"] for row in rows] == ["0", "1", "1/2"]
+
+    @pytest.mark.parametrize("y", [Fraction(0), Fraction(-4, 6), Fraction(5, 7), Fraction(7),
+                                   Fraction(3, (1 << 200) - 1), Fraction(-7, 3 << 200)])
+    def test_integer_pairs_in_any_terms_print_as_their_rationals(self, y):
+        n, d = y.as_integer_ratio()
+        assert plot_series("s", [((-12, 8), (9 * n, 9 * d))]) == plot_series("s", [(Fraction(-3, 2), y)])
+
     def test_no_plot_block_gives_header_only(self):
         assert emit_plotdata({}) == PLOT_HEADER + "\n"
