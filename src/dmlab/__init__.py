@@ -62,7 +62,6 @@ from .measure import (
 )
 from .qs import (
     QSMap,
-    measure_from_map,
     pullback_constant,
     qs_ratio_scan,
 )

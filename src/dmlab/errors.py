@@ -77,10 +77,6 @@ class ExponentWindowEmpty(DmlabError):
     """No admissible exponent exists between the given decay rates."""
 
 
-class NonMonotone(DmlabError, ValueError):
-    """A map table that must be strictly increasing is not."""
-
-
 class LengthMismatch(DmlabError, ValueError):
     """Interval lengths do not match the declared length family."""
 

@@ -1,8 +1,9 @@
 """Increasing-map view of tree measures on [0,1].
 
 A finite measure and the non-decreasing function f(x) = mu([0,x]) carry the
-same information; this module moves between the two representations and
-probes how strongly f distorts symmetric triples.  Ratio tables are
+same information; this module reads f off a tree measure, probes how
+strongly f distorts symmetric triples, and encloses the doubling constant a
+measure inherits when pulled back through such a map.  Ratio tables are
 empirical: they lower-envelope any distortion gauge, they do not assert one.
 """
 
@@ -14,13 +15,8 @@ from operator import sub
 from typing import NamedTuple
 
 from .enclosure import Bounds, add_bounds, log2_bounds, mul_bounds, pow_bounds
-from .errors import NonMonotone, PreconditionViolated
-from .measure import (
-    TableWeights,
-    TreeMeasure,
-    cdf,
-    dyadic_cdf_numerators,
-)
+from .errors import PreconditionViolated
+from .measure import TreeMeasure, cdf, dyadic_cdf_numerators
 from .ratio import Value, first_max, randbelow
 
 DEFAULT_TAUS = (
@@ -44,32 +40,6 @@ class QSMap(Value):
             raise PreconditionViolated("evaluation depth must be >= 0")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "eval_depth", eval_depth)
-
-
-def measure_from_map(table: list[Fraction]) -> TreeMeasure:
-    """Rebuild the tree measure whose cdf matches a strictly increasing table
-    on the dyadic grid: each node's left share is the fraction of the node's
-    rise that happens on its left half."""
-    values = [Fraction(v) for v in table]
-    if len(values) < 2 or (len(values) - 1) & (len(values) - 2):
-        raise PreconditionViolated("table length must be 2^depth + 1")
-    depth = (len(values) - 1).bit_length() - 1
-    for a, b in zip(values, values[1:]):
-        if b <= a:
-            raise NonMonotone(f"table stalls: {a} then {b}")
-    rows = []
-    for level in range(depth):
-        stride = 1 << (depth - level)
-        row = []
-        for index in range(1 << level):
-            lo = values[index * stride]
-            mid = values[index * stride + stride // 2]
-            hi = values[(index + 1) * stride]
-            row.append((mid - lo) / (hi - lo))
-        rows.append(tuple(row))
-    return TreeMeasure(
-        TableWeights(tuple(rows)), total_mass=values[-1] - values[0]
-    )
 
 
 class RatioScanRow(NamedTuple):

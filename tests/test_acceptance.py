@@ -23,8 +23,8 @@ from dmlab.certify import (
 from dmlab.doubling import doubling_scan, verify_small_ball_bound
 from dmlab.enclosure import pow_bounds
 from dmlab.experiments import EXPERIMENT_NAMES
-from dmlab.measure import BinomialWeights, TreeMeasure, dyadic_cdf_grid, node_mass
-from dmlab.qs import measure_from_map, pullback_constant
+from dmlab.measure import BinomialWeights, TreeMeasure
+from dmlab.qs import pullback_constant
 from dmlab.seq import Constant, Geometric, LogFloor, Power, term
 
 from helpers import bracket_oracle, direct_product, logfloor_mass_oracle
@@ -140,15 +140,7 @@ def test_sampled_ball_configurations():
 
 
 def test_map_measure_round_trip():
-    with criterion("map to measure round trip is the identity"):
-        for p in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)):
-            source = binom(p)
-            recovered = measure_from_map(dyadic_cdf_grid(source, 8))
-            for level in range(9):
-                for index in range(1 << level):
-                    assert node_mass(recovered, level, index) == node_mass(
-                        source, level, index
-                    )
+    with criterion("pullback constant exact at a power-of-two gauge"):
         eight = pullback_constant(2, 2)
         assert eight.lo == eight.hi == 8
 

@@ -1,15 +1,14 @@
-"""Quasisymmetry tooling: round trips, ratio scans, pullback constants."""
+"""Quasisymmetry tooling: map evaluation, ratio scans, pullback constants."""
 
 from fractions import Fraction
 
 import pytest
 
-from dmlab.errors import NonMonotone, PreconditionViolated
-from dmlab.measure import BinomialWeights, TreeMeasure, cdf, dyadic_cdf_grid, node_mass
+from dmlab.errors import PreconditionViolated
+from dmlab.measure import BinomialWeights, TreeMeasure, cdf
 from dmlab.qs import (
     DEFAULT_TAUS,
     QSMap,
-    measure_from_map,
     pullback_constant,
     qs_ratio_scan,
 )
@@ -19,30 +18,6 @@ from helpers import ratio_rows_csv
 
 def binom(p) -> TreeMeasure:
     return TreeMeasure(BinomialWeights(Fraction(p)))
-
-
-class TestRoundTrip:
-    @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)])
-    def test_weights_survive_depth_eight(self, p):
-        source = binom(p)
-        recovered = measure_from_map(dyadic_cdf_grid(source, 8))
-        assert recovered.total_mass == 1
-        for level in range(9):
-            for index in range(1 << level):
-                assert node_mass(recovered, level, index) == node_mass(source, level, index)
-
-    def test_table_regenerates_itself(self, binom13):
-        table = dyadic_cdf_grid(binom13, 6)
-        again = dyadic_cdf_grid(measure_from_map(table), 6)
-        assert again == table
-
-    def test_bad_table_length(self):
-        with pytest.raises(PreconditionViolated):
-            measure_from_map([Fraction(0), Fraction(1, 2), Fraction(2, 3), Fraction(1)])
-
-    def test_flat_step_rejected(self):
-        with pytest.raises(NonMonotone):
-            measure_from_map([Fraction(0), Fraction(1, 2), Fraction(1, 2), Fraction(3, 4), Fraction(1)])
 
 
 class TestEvaluate:
