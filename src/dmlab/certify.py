@@ -42,13 +42,11 @@ from .doubling import DoublingReport
 from .enclosure import (
     DEFAULT_BITS,
     _power_ends,
-    _power_head,
     exp2_bounds,
     exp_neg_upper,
     log2_bounds,
     pow_bounds,
     pow_end,
-    pow_pair,
     refine,
 )
 from .errors import (
@@ -318,7 +316,7 @@ def _factor_ends(x: Pair, t: Fraction, scale: Fraction, bits: int, decide: bool 
     sn, sd = scale.as_integer_ratio()
 
     def settle(bits_now: int):
-        (ln, ld), (hn, hd) = _power_ends(x, t, bits_now)
+        (ln, ld), (hn, hd) = _power_ends((x,), t, (False, True), bits_now)
         if ln * hd > hn * ld:
             raise PreconditionViolated(f"empty bounds [{Fraction(ln, ld)}, {Fraction(hn, hd)}]")
         if sn * hn < sd * hd:
@@ -414,8 +412,7 @@ def certify_fat_thick(thick: Union[ThickStructure, SequenceFamily], t: Fraction,
     if length is not None and last >= length:
         tail_upper = Fraction(1)
     else:  # an infinite family: the next 64 lower ends of alpha_n^t
-        ahead = Fraction(*_pair_sum(_power_ends(x, t, bits, (False,))[0]
-                                    for x in terms(alpha, last + 1, last + 65)))
+        ahead = Fraction(*_pair_sum(_power_ends(terms(alpha, last + 1, last + 65), t, (False,), bits)))
         tail_upper = min(Fraction(1), exp_neg_upper(scale * ahead))
     bound = ProductBracket(factors, tail_lower, tail_upper)
     conclusion = Conclusion.POSITIVE if bound.positive() else Conclusion.INCONCLUSIVE
@@ -539,8 +536,8 @@ def power_tail_upper(delta: Fraction, n_from: int, bits: int = DEFAULT_BITS, hea
     if n_from < 1:
         raise PreconditionViolated("tail start must be >= 1")
     cut = n_from + head
-    total = Fraction(*_pair_sum(_power_head(delta, n_from, cut, True, bits)))
-    integral = pow_end(Fraction(cut - 1), 1 - delta, True, bits) / (delta - 1)
+    total = Fraction(*_pair_sum(_power_ends(((m, 1) for m in range(n_from, cut)), -delta, (True,), bits)))
+    integral = pow_end(cut - 1, 1 - delta, True, bits) / (delta - 1)
     return total + integral
 
 
@@ -548,7 +545,7 @@ def power_tail_lower(delta: Fraction, n_from: int, bits: int = DEFAULT_BITS, hea
     delta = Fraction(delta)
     if n_from < 1:
         raise PreconditionViolated("tail start must be >= 1")
-    return Fraction(*_pair_sum(_power_head(delta, n_from, n_from + head, False, bits)))
+    return Fraction(*_pair_sum(_power_ends(((m, 1) for m in range(n_from, n_from + head)), -delta, (False,), bits)))
 
 
 def _tail_dominated(n: int, delta: Fraction, gamma: Fraction, epsilon: Fraction) -> bool:
@@ -557,7 +554,7 @@ def _tail_dominated(n: int, delta: Fraction, gamma: Fraction, epsilon: Fraction)
     def attempt(b: int):
         head = min(4096, 64 * max(1, b // DEFAULT_BITS))
         up = power_tail_upper(delta, n, b, head)
-        rhs = pow_bounds(Fraction(n), -gamma, b)
+        rhs = pow_bounds(n, -gamma, b)
         if up < epsilon * rhs.lo:
             return True
         lo = power_tail_lower(delta, n, b, head)
@@ -586,8 +583,8 @@ def tail_domination_start(epsilon: Fraction, delta: Fraction, gamma: Fraction) -
     def envelope_ok(n: int) -> bool:
         def attempt(b: int):
             def h(upper: bool) -> Fraction:
-                return (pow_end(Fraction(n), gamma, upper, b)
-                        * pow_end(Fraction(n - 1), 1 - delta, upper, b) / (delta - 1))
+                return (pow_end(n, gamma, upper, b)
+                        * pow_end(n - 1, 1 - delta, upper, b) / (delta - 1))
 
             if h(True) < epsilon:
                 return True
@@ -686,14 +683,15 @@ def _cutout_bounds(config: CutOutConfig, report: DoublingReport, r: Fraction, p:
         gap_diam = gap.diameter
 
         def attempt(b: int):
-            nb = pow_bounds(Fraction(n_balls), -r, b)
+            nb = pow_bounds(n_balls, -r, b)
             return True if gap_diam >= nb.hi else False if gap_diam < nb.lo else None
 
         if not refine(attempt, max_bits=4096):
             raise GapTooSmall(f"largest surviving gap {gap_diam} < {n_balls}^(-{r})")
-        main_term = lam * pow_end(Fraction(n_balls), -(r * s), False)
+        main_term = lam * pow_end(n_balls, -(r * s), False)
         if not out:  # sum of ball diameters^p: listed balls exactly, declared family beyond
-            cp_up = Fraction(*_pair_sum(pow_pair(ball.diameter, p, True) for ball in config.balls))
+            diams = (ball.diameter.as_integer_ratio() for ball in config.balls)
+            cp_up = Fraction(*_pair_sum(_power_ends(diams, p, (True,), DEFAULT_BITS)))
             cp_up += tail_sum_upper(config.diam_family, p, len(config.balls))
             cp_pow_up = pow_end(cp_up, delta, True)
         tail_up = power_tail_upper(delta, n_balls)
@@ -726,7 +724,7 @@ def inflated_remainder_check(m: TreeMeasure, config: CutOutConfig, n_balls: int,
     q, epsilon = Fraction(q), Fraction(epsilon)
     if epsilon <= 0:
         raise PreconditionViolated("epsilon must be positive")
-    zeta_up = 2 * pow_end(Fraction(n_balls), -q, True)
+    zeta_up = 2 * pow_end(n_balls, -q, True)
     grown = inflate(config, n_balls, zeta_up)  # the remaining set merges the balls that overlap
     remaining = cutout_mass(m, CutOutConfig(balls=tuple(grown)), len(grown), depth)
     required = epsilon / 2

@@ -6,8 +6,9 @@ and no floats enter any comparison.  `bits` (default 128) sets the width,
 never soundness: a floor pass stays <= the true value at every step and a
 ceil pass >= it.  Each end is computed on its own: a log2 end is an integer
 over 2^bits, an exp2 end an integer pair (numerator, power-of-two
-denominator), and `pow_pair` computes only the log2 end and the exp2 end that
-one side of x^e needs.
+denominator), and `_power_ends`, the one way from a rational exponent to the
+ends of x^e, computes only the log2 end and the exp2 end that each side it is
+asked for needs.
 """
 
 from __future__ import annotations
@@ -221,29 +222,50 @@ def _exact_rational_pow(n: int, d: int, e: Fraction) -> tuple[int, int] | None:
     return (n**u, d**u) if u >= 0 else (d**-u, n**-u)
 
 
-def _pow_end(n: int, d: int, e: Fraction, upper: bool, bits: int) -> tuple[int, int]:
-    # one end of 2^(e log2(n / d)) as an integer pair: with e < 0 the lower
-    # log2 end gives the upper one
-    num, den = e.as_integer_ratio()
-    return _exp2_end(num * _log2_end(n, d, bits, upper == (num > 0)), den << bits, bits, upper)
+def _power_ends(bases, e: Fraction, sides, bits: int) -> list[tuple[int, int]]:
+    """For each integer pair (n, d) of `bases` in turn, not necessarily
+    coprime, the ends of (n / d)^e that `sides` names (True the upper), as
+    pow_bounds gives them, each an integer pair, all in one list.
 
-
-def _power_ends(x: tuple[int, int], e: Fraction, bits: int, sides=(False, True)) -> list[tuple[int, int]]:
-    """The ends of x^e that `sides` names (True the upper), as pow_bounds gives
-    them, for an integer pair x = (n, d), n, d > 0, not necessarily coprime:
-    the exact root of the reduced pair where there is one, else the
-    `_pow_end` ends.  A negative `bits` is refused on both paths."""
+    This is the one way from a rational exponent to power ends.  A pair with
+    n <= 0 or d <= 0 and a negative `bits` are refused.  Each pair is reduced
+    and its exact root tried first.  Otherwise an end is 2^(e log2 x), from
+    one log2 end and one exp2 end.  For x = 2^a o / (2^b o'), o and o' odd,
+    x and o / o' share a mantissa, so every squaring sees the same integers
+    and x's log2 end is that of o / o' plus (a - b) 2^bits, bit for bit:
+    each odd part's end is computed once per call, and a dyadic base
+    (o = o' = 1) needs none.  Where the end not asked for might leave the
+    exponent range it is computed too, so the refusal is pow_bounds'."""
     if bits < 0:
         raise PreconditionViolated(f"precision must be >= 0 bits, got {bits}")
-    g = gcd(*x)
-    n, d = x[0] // g, x[1] // g
-    exact = _exact_rational_pow(n, d, e)
-    if exact is not None:
-        return [exact] * len(sides)
-    return [_pow_end(n, d, e, upper, bits) for upper in sides]
+    logs: dict[tuple[int, int, bool], int] = {}  # (o, o', side) -> the log2 end of o / o'
+    out = []
+    for n, d in bases:
+        if n <= 0 or d <= 0:
+            raise PreconditionViolated("pow_bounds needs a positive base")
+        g = gcd(n, d)
+        n, d = n // g, d // g
+        exact = _exact_rational_pow(n, d, e)
+        if exact is not None:
+            out += [exact] * len(sides)
+            continue
+        num, den = e.as_integer_ratio()
+        a, b = (n & -n).bit_length() - 1, (d & -d).bit_length() - 1
+        odd_n, odd_d, shift = n >> a, d >> b, (a - b) << bits
+        # both ends, as pow_bounds computes them, where the other one might leave the exponent range
+        near = abs(num) * (n.bit_length() + d.bit_length()) >= den << 22
+        ends = []
+        for side in (False, True) if near else sides:
+            key = odd_n, odd_d, side == (num > 0)  # with e < 0 the lower log2 end gives the upper end
+            log = 0 if odd_n == odd_d else logs.get(key)  # a dyadic base's log2 end is the shift alone
+            if log is None:
+                log = logs[key] = _log2_end(odd_n, odd_d, bits, key[2])
+            ends.append(_exp2_end(num * (log + shift), den << bits, bits, side))
+        out += [ends[side] for side in sides] if near else ends
+    return out
 
 
-def pow_bounds(x: Fraction, e: Fraction | Bounds, bits: int = DEFAULT_BITS) -> Bounds:
+def pow_bounds(x: Fraction | int, e: Fraction | Bounds, bits: int = DEFAULT_BITS) -> Bounds:
     """Certified enclosure of x^e for rational x > 0.
 
     `e` may be an exact rational or itself an enclosure (for irrational
@@ -251,62 +273,23 @@ def pow_bounds(x: Fraction, e: Fraction | Bounds, bits: int = DEFAULT_BITS) -> B
     integer exponents and exact rational roots.
     """
     x = Fraction(x)
-    if x <= 0:
-        raise PreconditionViolated("pow_bounds needs a positive base")
     if isinstance(e, Bounds) and e.is_exact:
         e = e.lo
     if not isinstance(e, Bounds):
-        lo, hi = _power_ends(x.as_integer_ratio(), Fraction(e), bits)
+        lo, hi = _power_ends((x.as_integer_ratio(),), Fraction(e), (False, True), bits)
         return Bounds(Fraction(*lo), Fraction(*hi))
+    if x <= 0:
+        raise PreconditionViolated("pow_bounds needs a positive base")
     prod = mul_bounds(e, log2_bounds(x, bits))
     lo, hi = prod.lo.as_integer_ratio(), prod.hi.as_integer_ratio()
     return Bounds(Fraction(*_exp2_end(*lo, bits, False)), Fraction(*_exp2_end(*hi, bits, True)))
 
 
-def pow_pair(x: Fraction, e: Fraction, upper: bool, bits: int = DEFAULT_BITS) -> tuple[int, int]:
-    """pow_bounds(x, e, bits).hi when `upper`, else .lo, for a rational e, as an integer
-    pair, not always reduced; only the log2 end and the exp2 end that side needs are computed."""
-    x, e = Fraction(x), Fraction(e)
-    if x <= 0:
-        raise PreconditionViolated("pow_bounds needs a positive base")
-    n, d = x.as_integer_ratio()
-    # both ends, as pow_bounds computes them, where the other end might leave the exponent range
-    both = abs(e.numerator) * (n.bit_length() + d.bit_length()) >= e.denominator << 22
-    ends = _power_ends((n, d), e, bits, (False, True) if both else (upper,))
-    return ends[-1] if upper else ends[0]
-
-
-def pow_end(x: Fraction, e: Fraction, upper: bool, bits: int = DEFAULT_BITS) -> Fraction:
-    """`pow_pair` as a Fraction."""
-    return Fraction(*pow_pair(x, e, upper, bits))
-
-
-def _power_head(delta: Fraction, start: int, stop: int, upper: bool, bits: int) -> list[tuple[int, int]]:
-    """pow_pair(m, -delta, upper, bits) for start <= m < stop, in order:
-    pow_pair's range check runs once, for the largest m, and every end is
-    _power_ends' on the pair (m, 1), the exact root first.  Otherwise it is
-    2^(-delta log2 m) from one log2 end, and for m = 2^a o, o odd, that end
-    is o's plus a 2^bits bit for bit (m and o share a mantissa, so every
-    squaring), so each odd part's end is computed once."""
-    if bits < 0:
-        raise PreconditionViolated(f"precision must be >= 0 bits, got {bits}")
-    both = abs(delta.numerator) * ((stop - 1).bit_length() + 1) >= delta.denominator << 22
-    sides = (False, True) if both else (upper,)
-    (num, den), e = delta.as_integer_ratio(), -delta
-    logs: dict[tuple[int, bool], int] = {}  # (odd part, side) -> its log2 end
-    ends = []
-    for m in range(start, stop):
-        end = _exact_rational_pow(m, 1, e)
-        if end is None:
-            a = (m & -m).bit_length() - 1
-            for side in sides:  # with delta > 0 the lower log2 end gives the upper end of m^-delta
-                key = m >> a, side
-                if key not in logs:
-                    logs[key] = _log2_end(m >> a, 1, bits, side != (num > 0))
-                pair = _exp2_end(-num * (logs[key] + (a << bits)), den << bits, bits, side)
-                end = pair if side == upper else end
-        ends.append(end)
-    return ends
+def pow_end(x: Fraction | int, e: Fraction, upper: bool, bits: int = DEFAULT_BITS) -> Fraction:
+    """pow_bounds(x, e, bits).hi when `upper`, else .lo, for a rational e:
+    only the log2 end and the exp2 end that side needs are computed."""
+    [end] = _power_ends((Fraction(x).as_integer_ratio(),), Fraction(e), (upper,), bits)
+    return Fraction(*end)
 
 
 def exp_neg_upper(s: Fraction) -> Fraction:

@@ -309,7 +309,7 @@ def tail_sum_upper(
             return first_up + tail_sum_upper(f, p, n_from + 1, bits)
         gp = f.gamma * p
         # one rung, settled at once: the ladder refuses a start below 1 bit as for the other families
-        return refine(lambda b: pow_end(f.a, p, True, b) * pow_end(Fraction(start), 1 - gp, True, b) / (gp - 1), bits)
+        return refine(lambda b: pow_end(f.a, p, True, b) * pow_end(start, 1 - gp, True, b) / (gp - 1), bits)
 
     if isinstance(f, LogFloor):
         # terms in block k (2^k of them) all equal base^k; bound the partial

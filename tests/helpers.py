@@ -6,8 +6,8 @@ test: the enclosure primitives (with oracles of their own here) and the tail
 sums; they escalate a precision on a ladder of
 their own, `ladder_oracle`.  `tests/test_hygiene.py` checks that this module
 imports none of the scan, prefix-table, cdf and float-filter kernels, nor
-`refine`, nor the working-precision products, nor the power-tail head or
-the interval merge.
+`refine`, nor the working-precision products, nor the power entry
+`_power_ends` or the interval merge.
 
 Quantity: its oracle, and the oracle's route.
 
@@ -30,21 +30,22 @@ Quantity: its oracle, and the oracle's route.
   powers, `small_ball_refusal_oracle` for the cases no precision settles;
   per case, Fraction brackets by the recursive walk and a fresh factor
   enclosure at each precision;
-* `log2_bounds`, `exp2_bounds`, `pow_bounds`, the exact-root shortcut and
-  `iroot`: their `_oracle` forms, Fraction loops with general long division
-  at every rounding step, and Newton's iteration alone;
+* `log2_bounds`, `exp2_bounds`, `pow_bounds` and the power entry
+  `_power_ends` behind it, the exact-root shortcut and `iroot`: their
+  `_oracle` forms (`pow_bounds_oracle` for the entry), Fraction loops with
+  general long division at every rounding step, and Newton's iteration
+  alone;
 * `seq.term`, `seq.terms`: `term_oracle`, each family's Fraction formula;
 * `product_bracket`, `certify_fat_thick`, `ProductBracket` and its readings,
-  `tag_product`, the power ends: `product_bracket_oracle`,
-  `certify_fat_thick_oracle`, `ProductBracketOracle` (`bracket_oracle` reads
-  a library bracket's factor runs into one), `product_readings_oracle`,
-  `tag_product_oracle`, `power_ends_oracle`, a Fraction per term and
-  factor, exact reduced products compared as Fractions, and floor and
-  ceiling of the values at 60 places;
+  `tag_product`: `product_bracket_oracle`, `certify_fat_thick_oracle`,
+  `ProductBracketOracle` (`bracket_oracle` reads a library bracket's factor
+  runs into one), `product_readings_oracle`, `tag_product_oracle`, a
+  Fraction per term and factor, exact reduced products compared as
+  Fractions, and floor and ceiling of the values at 60 places;
 * the logfloor schedule's plotted partials: `stage_plot_values_oracle`, a
   running Fraction product floored at 60 places;
 * `power_tail_upper`, `power_tail_lower`, `cutout_lower_bound`: their
-  `_oracle` forms, Fraction sums of `pow_bounds` ends;
+  `_oracle` forms, Fraction sums of `pow_bounds_oracle` ends;
 * the logfloor schedule mass: `logfloor_mass_oracle`, every word written out;
 * `build_cantor`: `build_cantor_oracle`, Fraction `RationalInterval` nodes;
 * `LeafPrefixes`: `leaf_prefix_oracle`, one walk from the root per leaf;
@@ -197,7 +198,6 @@ from dmlab.enclosure import (  # noqa: E402
     exp2_bounds,
     log2_bounds,
     mul_bounds,
-    pow_bounds,
 )
 from dmlab.errors import (  # noqa: E402
     EnclosureInconclusive,
@@ -496,14 +496,14 @@ def fit_mass_window_oracle(m, depth: int, c_upper: Fraction, lambda_cap=Fraction
                     samples.append((row[i].lower + row[i + 1].lower, nodes[i + 1].hi - nd.lo))
     lam = None
     for mass, diam in samples:
-        val = mass / pow_bounds(diam, s, bits).hi
+        val = mass / pow_bounds_oracle(diam, s, bits).hi
         if lam is None or val < lam:
             lam = val
 
     def upper_lam(t):
         worst = Fraction(0)
         for mass, diam in samples:
-            denom = pow_bounds(diam, t, bits).lo
+            denom = pow_bounds_oracle(diam, t, bits).lo
             if denom == 0:
                 raise EnclosureInconclusive("diameter power underflowed")
             val = mass / denom
@@ -643,7 +643,7 @@ def rhs_bounds_oracle(rho, c, s, bits: int) -> Bounds:
     else:
         s_b = log2_bounds(c, bits)
         inv = Bounds(1 / Fraction(c), 1 / Fraction(c))
-    return mul_bounds(inv, pow_bounds(rho, s_b, bits))
+    return mul_bounds(inv, pow_bounds_oracle(rho, s_b, bits))
 
 
 def _small_ball_brackets(m, count, depth, seed, cases):
@@ -935,10 +935,11 @@ def iroot_newton_oracle(n: int, k: int) -> tuple[int, bool]:
 #
 # product_bracket and certify_fat_thick as they ran before they moved to
 # integer (numerator, denominator) pairs: a Fraction per term and factor from
-# term_oracle, seq.term by each family's own formula, both ends of every fractional power from pow_bounds under ladder_oracle,
-# the lookahead from pow_end, and each end's partial product formed exactly on
-# its own (math.prod of the numerators and of the denominators) and reduced to
-# a Fraction, where the library reads its products at working precision.
+# term_oracle, seq.term by each family's own formula, both ends of every
+# fractional power from pow_bounds_oracle under ladder_oracle, the lookahead
+# from its lower ends, and each end's partial product formed exactly on its
+# own (math.prod of the numerators and of the denominators) and reduced to a
+# Fraction, where the library reads its products at working precision.
 
 from dmlab.certify import (  # noqa: E402
     Conclusion,
@@ -946,7 +947,7 @@ from dmlab.certify import (  # noqa: E402
     _bits,
     _check_exact_bits,
 )
-from dmlab.enclosure import exp_neg_upper, pow_end  # noqa: E402
+from dmlab.enclosure import exp_neg_upper  # noqa: E402
 from dmlab.errors import (  # noqa: E402
     DivergentSeries,
     IndexOutOfRange,
@@ -1127,18 +1128,8 @@ def product_bracket_oracle(x, n_partial: int, bits: int = DEFAULT_BITS,
     return ProductBracketOracle(partial, tail_lower, tail_upper, used)
 
 
-def power_ends_oracle(x: Fraction, t: Fraction, bits: int) -> tuple[Fraction, Fraction]:
-    """`enclosure._power_ends` on a Fraction: the exact root where there is
-    one, else the two ends of the Fraction `pow_bounds`."""
-    exact = exact_rational_pow_oracle(x, t)
-    if exact is not None:
-        return exact, exact
-    b = pow_bounds_oracle(x, t, bits)
-    return b.lo, b.hi
-
-
 def _scaled_power_oracle(scale: Fraction, base: Fraction, exponent: Fraction, bits: int) -> Bounds:
-    pb = pow_bounds(base, exponent, bits)
+    pb = pow_bounds_oracle(base, exponent, bits)
     return Bounds(scale * pb.lo, scale * pb.hi)
 
 
@@ -1250,7 +1241,7 @@ def certify_fat_thick_oracle(thick, t: Fraction, factor_scale: Fraction,
             if exact_terms:
                 ahead += scale * term_oracle(alpha, n) ** t.numerator
             else:
-                ahead += scale * pow_end(term_oracle(alpha, n), t, False, bits)
+                ahead += scale * pow_bounds_oracle(term_oracle(alpha, n), t, bits).lo
         tail_upper = min(Fraction(1), exp_neg_upper(ahead))
     bound = ProductBracketOracle(
         partial=partial_lo,
@@ -1393,7 +1384,7 @@ def first_max_oracle(nums: list[int], dens: list[int]) -> int | None:
 
 
 def power_tail_upper_oracle(delta, n_from: int, bits: int = DEFAULT_BITS, head: int = 64) -> Fraction:
-    """`power_tail_upper` as a `Fraction` sum of pow_bounds' upper ends."""
+    """`power_tail_upper` as a `Fraction` sum of pow_bounds_oracle's upper ends."""
     delta = Fraction(delta)
     if delta <= 1:
         raise DivergentSeries("polynomial tail needs delta > 1")
@@ -1402,8 +1393,8 @@ def power_tail_upper_oracle(delta, n_from: int, bits: int = DEFAULT_BITS, head: 
     cut = n_from + head
     total = Fraction(0)
     for m in range(n_from, cut):
-        total += pow_bounds(Fraction(m), -delta, bits).hi
-    return total + pow_bounds(Fraction(cut - 1), 1 - delta, bits).hi / (delta - 1)
+        total += pow_bounds_oracle(Fraction(m), -delta, bits).hi
+    return total + pow_bounds_oracle(Fraction(cut - 1), 1 - delta, bits).hi / (delta - 1)
 
 
 def power_tail_lower_oracle(delta, n_from: int, bits: int = DEFAULT_BITS, head: int = 64) -> Fraction:
@@ -1412,13 +1403,13 @@ def power_tail_lower_oracle(delta, n_from: int, bits: int = DEFAULT_BITS, head: 
         raise PreconditionViolated("tail start must be >= 1")
     total = Fraction(0)
     for m in range(n_from, n_from + head):
-        total += pow_bounds(Fraction(m), -delta, bits).lo
+        total += pow_bounds_oracle(Fraction(m), -delta, bits).lo
     return total
 
 
 def cutout_lower_bound_oracle(config, report, r, n_balls: int, p) -> CutoutBound:
     """`cutout_lower_bound` with its diameter sum and tail head as
-    `Fraction` sums of pow_bounds' ends."""
+    `Fraction` sums of pow_bounds_oracle's ends."""
     r, p = Fraction(r), Fraction(p)
     fit = report.mass_window
     if fit is None:
@@ -1437,19 +1428,19 @@ def cutout_lower_bound_oracle(config, report, r, n_balls: int, p) -> CutoutBound
     gap, gap_diam = largest_gap(config, n_balls)
 
     def attempt(b: int):
-        nb = pow_bounds(Fraction(n_balls), -r, b)
+        nb = pow_bounds_oracle(Fraction(n_balls), -r, b)
         return True if gap_diam >= nb.hi else False if gap_diam < nb.lo else None
 
     if not ladder_oracle(attempt):
         raise GapTooSmall(f"largest surviving gap {gap_diam} < {n_balls}^(-{r})")
-    main_term = lam * pow_bounds(Fraction(n_balls), -(r * s)).lo
+    main_term = lam * pow_bounds_oracle(Fraction(n_balls), -(r * s)).lo
     cp_up = Fraction(0)
     for ball in config.balls:
-        cp_up += pow_bounds(ball.diameter, p).hi
+        cp_up += pow_bounds_oracle(ball.diameter, p).hi
     cp_up += tail_sum_upper(config.diam_family, p, len(config.balls))
     delta = t / p
     tail_up = power_tail_upper_oracle(delta, n_balls)
-    penalty = pow_bounds(cp_up, delta).hi * big_lam * tail_up
+    penalty = pow_bounds_oracle(cp_up, delta).hi * big_lam * tail_up
     value = main_term - penalty
     return CutoutBound(
         value=value, conclusion=Conclusion.POSITIVE if value > 0 else Conclusion.INCONCLUSIVE,

@@ -20,7 +20,6 @@ from dmlab.enclosure import (
     mul_bounds,
     pow_bounds,
     pow_end,
-    pow_pair,
     refine,
 )
 from dmlab.doubling import doubling_scan
@@ -211,11 +210,11 @@ def test_ladder_refuses_a_start_below_one_bit(call):
     # an exact root (4^(1/2) = 2) is refused as the inexact ones are
     lambda: pow_bounds(Fraction(4), Fraction(1, 2), -3),
     lambda: pow_end(Fraction(4), Fraction(1, 2), True, -3),
-    lambda: pow_pair(Fraction(4), Fraction(1, 2), False, -3),
+    lambda: pow_end(Fraction(4), Fraction(1, 2), False, -3),
     lambda: pow_bounds(Fraction(1), Bounds(Fraction(1, 3), Fraction(1, 2)), -3),
     lambda: doubling_scan(TreeMeasure(BinomialWeights(Fraction(1, 3))), 4, bits=-3),
 ], ids=["log2_bounds", "exp2_bounds", "pow_bounds", "pow_end", "pow_bounds_exact_root", "pow_end_exact_root",
-        "pow_pair_exact_root", "pow_bounds_one_to_an_interval", "doubling_scan"])
+        "pow_end_exact_root_lower", "pow_bounds_one_to_an_interval", "doubling_scan"])
 def test_negative_bits_refused(call):
     with pytest.raises(PreconditionViolated, match=r"^precision must be >= 0 bits, got -3$"):
         call()

@@ -114,7 +114,6 @@ from helpers import (
     exact_rational_pow_oracle,
     exp2_bounds_oracle,
     iroot_newton_oracle,
-    power_ends_oracle,
     product_bracket_oracle,
     product_readings_oracle,
     log2_bounds_oracle,
@@ -960,38 +959,81 @@ def test_terms_match_term_by_value(f, start, stop):
 
 
 @st.composite
-def unreduced_bases(draw):
-    """A rational in (0, 1] as an integer pair that may keep a common factor;
-    its reduced form often a square or a cube, so that a root is exact."""
-    d = draw(st.integers(1, 40))
-    n = draw(st.integers(1, d))
-    k = draw(st.sampled_from([1, 2, 3]))
-    g = draw(st.one_of(st.just(1), st.integers(2, 50), st.just(1 << 40)))
-    x = F(n**k, d**k)
-    return x.numerator * g, x.denominator * g
+def power_base_lists(draw):
+    """Bases x > 0 as integer pairs that may keep a common factor: dyadic
+    2^±i, multiples and quarters of one odd ratio o / o' shared by the list
+    (so that the entry reuses a log2 end), other ratios, and squares or
+    cubes, whose reduced form has an exact root."""
+    odd = F(draw(st.integers(0, 40)) * 2 + 1, draw(st.integers(0, 10)) * 2 + 1)
+    x = st.one_of(
+        st.integers(-40, 40).map(lambda i: F(2) ** i),
+        st.sampled_from([F(1), F(2), F(1, 4), F(8)]).map(lambda k: k * odd),
+        st.builds(F, st.integers(1, 1000), st.integers(1, 1000)),
+        st.builds(lambda n, d, k: F(n**k, d**k), st.integers(1, 40), st.integers(1, 40), st.sampled_from([2, 3])),
+    )
+    g = st.one_of(st.just(1), st.integers(2, 50), st.just(1 << 40))
+    return [(v.numerator * k, v.denominator * k) for v, k in draw(st.lists(st.tuples(x, g), min_size=1, max_size=8))]
+
+
+# both signs, denominators 1 to 64
+entry_exponents = st.builds(F, st.integers(-200, 200), st.integers(1, 64))
 
 
 @settings(max_examples=200, deadline=None)
-@given(unreduced_bases(), exponents, st.sampled_from([2, 64, 128]))
-@example((20, 45), F(1, 2), 128)  # 4/9: the root 2/3 shows once reduced
-@example((8, 18), F(1, 2), 128)
-@example((7, 7), F(3, 2), 64)
-def test_pair_power_kernels_match_fraction_oracles(x, t, bits):
-    """`_power_ends` on an unreduced pair against its Fraction form;
-    `_exact_rational_pow` against its Fraction form at t and -t, on the
-    reduced pair and, at an integer exponent, on the unreduced one; and
-    `_log2_end` on the unreduced pair against the Fraction `log2_bounds`."""
-    xf = F(*x)
-    assert tuple(F(*p) for p in _power_ends(x, t, bits)) == power_ends_oracle(xf, t, bits)
-    assert [F(*p) for p in _power_ends(x, t, bits, (False,))] == [power_ends_oracle(xf, t, bits)[0]]
-    for e in (t, -t):
-        want = exact_rational_pow_oracle(xf, e)
-        for pair in (xf.as_integer_ratio(), x) if e.denominator == 1 else (xf.as_integer_ratio(),):
-            got = _exact_rational_pow(*pair, e)
-            assert (None if got is None else F(*got)) == want
-    ends = log2_bounds_oracle(xf, bits)
-    assert F(_log2_end(*x, bits, False), 1 << bits) == ends.lo
-    assert F(_log2_end(*x, bits, True), 1 << bits) == ends.hi
+@given(power_base_lists(), entry_exponents, st.sampled_from([(False,), (True,), (False, True)]),
+       st.sampled_from([1, 2, 64, 128]))
+@example([(20, 45)], F(1, 2), (False, True), 128)  # 4/9: the root 2/3 shows once reduced
+@example([(8, 18), (7, 7)], F(3, 2), (True,), 64)
+@example([(3, 1), (6, 1), (12, 16), (6, 2), (1, 1 << 40), (3 << 40, 1 << 40)], F(-5, 64), (False,), 128)
+@example([(1, 1 << 20), (1 << 33, 1), (6, 3)], F(7, 3), (False, True), 2)
+def test_pair_power_kernels_match_fraction_oracles(xs, t, sides, bits):
+    """`_power_ends` on a list of unreduced pairs against the Fraction
+    `pow_bounds`, side by side and end by end; `_exact_rational_pow`
+    against its Fraction form at t and -t, on the reduced pair and, at an
+    integer exponent, on the unreduced one; and `_log2_end` on the unreduced
+    pair against the Fraction `log2_bounds`."""
+    want = []
+    for x in xs:
+        b = pow_bounds_oracle(F(*x), t, bits)
+        want += [b.hi if upper else b.lo for upper in sides]
+    assert [F(*p) for p in _power_ends(xs, t, sides, bits)] == want
+    for x in xs:
+        xf = F(*x)
+        for e in (t, -t):
+            want_root = exact_rational_pow_oracle(xf, e)
+            for pair in (xf.as_integer_ratio(), x) if e.denominator == 1 else (xf.as_integer_ratio(),):
+                root = _exact_rational_pow(*pair, e)
+                assert (None if root is None else F(*root)) == want_root
+        ends = log2_bounds_oracle(xf, bits)
+        assert F(_log2_end(*x, bits, False), 1 << bits) == ends.lo
+        assert F(_log2_end(*x, bits, True), 1 << bits) == ends.hi
+
+
+def test_power_entry_refusals():
+    """A base <= 0 and a negative precision are refused on the exact-root
+    path and the enclosure path alike, and an end whose other end leaves the
+    exponent range is refused as `pow_bounds` refuses the pair."""
+    bad_base = ("PreconditionViolated", "pow_bounds needs a positive base")
+    bad_bits = ("PreconditionViolated", "precision must be >= 0 bits, got -1")
+    out_of_range = ("PreconditionViolated", "exponent magnitude out of supported range")
+    # e log2 3 lies in e * [3/2, 2] at 1 bit: 3^e's lower end is in range and its upper is
+    # not, and (1/3)^e the other way round
+    wide = F(4 * EDGE + 1, 7)
+    cases = [
+        ([(5, 7), (0, 1)], F(1, 2), (False, True), 128, bad_base),
+        ([(-1, 2)], F(1, 2), (True,), 128, bad_base),
+        ([(4, 1)], F(1, 2), (True,), -1, bad_bits),  # the exact root 2
+        ([(3, 1)], F(1, 2), (False,), -1, bad_bits),
+        ([(3, 1)], wide, (False,), 1, out_of_range),
+        ([(1, 3)], wide, (True,), 1, out_of_range),
+    ]
+    for bases, e, sides, bits, want in cases:
+        assert _outcome(lambda: _power_ends(bases, e, sides, bits)) == want
+    num, den = wide.as_integer_ratio()
+    for x, upper in ((F(3), False), (F(1, 3), True)):
+        assert _outcome(lambda: pow_bounds_oracle(x, wide, 1)) == out_of_range
+        # the end asked for, alone, is in range
+        _exp2_end(num * _log2_end(*x.as_integer_ratio(), 1, upper), den << 1, 1, upper)
 
 
 # integer and fractional delta, exact roots among the fractional terms
