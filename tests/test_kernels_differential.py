@@ -33,6 +33,7 @@ import random
 from fractions import Fraction
 from math import gcd, isqrt
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -1009,30 +1010,40 @@ def test_pair_power_kernels_match_fraction_oracles(xs, t, sides, bits):
         assert F(_log2_end(*x, bits, True), 1 << bits) == ends.hi
 
 
-def test_power_entry_refusals():
+_BAD_BASE = ("PreconditionViolated", "pow_bounds needs a positive base")
+_BAD_BITS = ("PreconditionViolated", "precision must be >= 0 bits, got -1")
+_OUT_OF_RANGE = ("PreconditionViolated", "exponent magnitude out of supported range")
+# e log2 3 lies in e * [3/2, 2] at 1 bit: 3^e's lower end is in range and its upper is
+# not, and (1/3)^e the other way round
+_WIDE = F(4 * EDGE + 1, 7)
+
+
+@pytest.mark.parametrize(
+    "bases, e, sides, bits, want",
+    [
+        ([(5, 7), (0, 1)], F(1, 2), (False, True), 128, _BAD_BASE),
+        ([(-1, 2)], F(1, 2), (True,), 128, _BAD_BASE),
+        ([(4, 1)], F(1, 2), (True,), -1, _BAD_BITS),  # the exact root 2
+        ([(3, 1)], F(1, 2), (False,), -1, _BAD_BITS),
+        ([(3, 1)], _WIDE, (False,), 1, _OUT_OF_RANGE),
+        ([(1, 3)], _WIDE, (True,), 1, _OUT_OF_RANGE),
+    ],
+    ids=["zero_base", "negative_base", "bits_exact_root", "bits_enclosure",
+         "range_upper_of_3", "range_lower_of_third"],
+)
+def test_power_entry_refusals(bases, e, sides, bits, want):
     """A base <= 0 and a negative precision are refused on the exact-root
     path and the enclosure path alike, and an end whose other end leaves the
     exponent range is refused as `pow_bounds` refuses the pair."""
-    bad_base = ("PreconditionViolated", "pow_bounds needs a positive base")
-    bad_bits = ("PreconditionViolated", "precision must be >= 0 bits, got -1")
-    out_of_range = ("PreconditionViolated", "exponent magnitude out of supported range")
-    # e log2 3 lies in e * [3/2, 2] at 1 bit: 3^e's lower end is in range and its upper is
-    # not, and (1/3)^e the other way round
-    wide = F(4 * EDGE + 1, 7)
-    cases = [
-        ([(5, 7), (0, 1)], F(1, 2), (False, True), 128, bad_base),
-        ([(-1, 2)], F(1, 2), (True,), 128, bad_base),
-        ([(4, 1)], F(1, 2), (True,), -1, bad_bits),  # the exact root 2
-        ([(3, 1)], F(1, 2), (False,), -1, bad_bits),
-        ([(3, 1)], wide, (False,), 1, out_of_range),
-        ([(1, 3)], wide, (True,), 1, out_of_range),
-    ]
-    for bases, e, sides, bits, want in cases:
-        assert _outcome(lambda: _power_ends(bases, e, sides, bits)) == want
-    num, den = wide.as_integer_ratio()
+    assert _outcome(lambda: _power_ends(bases, e, sides, bits)) == want
+
+
+def test_power_entry_range_cases_are_one_sided():
+    """In the range cases above, the oracle refuses the pair too, while the
+    end asked for, alone, is in range."""
+    num, den = _WIDE.as_integer_ratio()
     for x, upper in ((F(3), False), (F(1, 3), True)):
-        assert _outcome(lambda: pow_bounds_oracle(x, wide, 1)) == out_of_range
-        # the end asked for, alone, is in range
+        assert _outcome(lambda: pow_bounds_oracle(x, _WIDE, 1)) == _OUT_OF_RANGE
         _exp2_end(num * _log2_end(*x.as_integer_ratio(), 1, upper), den << 1, 1, upper)
 
 

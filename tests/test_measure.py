@@ -107,6 +107,15 @@ class TestCdf:
             b = cdf(binom13, x, depth)
             assert b.lower == b.upper == grid[i]
 
+    @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)])
+    def test_grid_steps_are_node_masses(self, p):
+        m = TreeMeasure(BinomialWeights(p))
+        depth = 8
+        grid = dyadic_cdf_grid(m, depth)
+        assert grid[0] == 0 and grid[-1] == m.total_mass
+        for index in range(1 << depth):
+            assert grid[index + 1] - grid[index] == node_mass(m, depth, index)
+
     def test_endpoints(self, binom13):
         assert cdf(binom13, Fraction(0), 5).upper == 0
         assert cdf(binom13, Fraction(1), 5).lower == 1
