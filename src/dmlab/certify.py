@@ -33,7 +33,9 @@ from __future__ import annotations
 
 import enum
 import itertools
+from bisect import bisect_left
 from fractions import Fraction
+from functools import cache
 from math import comb, prod
 from operator import itemgetter, mul
 from typing import Iterator, NamedTuple, Union
@@ -45,6 +47,7 @@ from .enclosure import (
     exp2_bounds,
     exp_neg_upper,
     log2_bounds,
+    mul_bounds,
     pow_bounds,
     pow_end,
     refine,
@@ -122,9 +125,9 @@ def _fixed_product(runs, bits: int, up: bool = False) -> int:
 
 
 def _runs(pairs, ends) -> tuple:
-    """Runs (ln, ld, hn, hd, count) of the factor ends ends(pair, i) of the
-    i-th of `pairs`: one pair object repeated (a logfloor block) makes one
-    run, and one flat tuple a run, so few objects stay alive for the GC."""
+    """Runs (*ends(pair, i), count) of the i-th of `pairs`, (ln, ld, hn, hd,
+    count) for factor ends: one pair object repeated (a logfloor block) makes
+    one run, and one flat tuple a run, so few objects stay alive for the GC."""
     runs, prev, count = [], None, 0
     for i, pair in enumerate(pairs, start=1):
         if pair is not prev:
@@ -306,48 +309,48 @@ class FatnessCertificate(NamedTuple):
 TAIL_TARGET = Fraction(1, 1 << 34)
 
 
-def _factor_ends(x: Pair, t: Fraction, scale: Fraction, bits: int, decide: bool = False):
+def _settle(lo: Pair, hi: Pair, scale: Fraction, decide: bool = False):
     """The ends of the factor 1 - scale * x^t as integers (lower numerator,
-    denominator, upper numerator, denominator), x an integer pair in (0, 1],
-    t > 0.
+    denominator, upper numerator, denominator) from the ends lo, hi of x^t,
+    if scale * x^t < 1 is certain; with `decide`, False if scale * x^t >= 1
+    is; else None."""
+    (ln, ld), (hn, hd), (sn, sd) = lo, hi, scale.as_integer_ratio()
+    if ln * hd > hn * ld:
+        raise PreconditionViolated(f"empty bounds [{Fraction(ln, ld)}, {Fraction(hn, hd)}]")
+    if sn * hn < sd * hd:
+        return sd * hd - sn * hn, sd * hd, sd * ld - sn * ln, sd * ld
+    if decide and sn * ln >= sd * ld:
+        return False
+    return None
 
-    `refine` doubles bits up to 4096 until scale * x^t < 1 is certain; with
-    `decide`, False as soon as scale * x^t >= 1 is certain."""
-    sn, sd = scale.as_integer_ratio()
 
-    def settle(bits_now: int):
-        (ln, ld), (hn, hd) = _power_ends((x,), t, (False, True), bits_now)
-        if ln * hd > hn * ld:
-            raise PreconditionViolated(f"empty bounds [{Fraction(ln, ld)}, {Fraction(hn, hd)}]")
-        if sn * hn < sd * hd:
-            return sd * hd - sn * hn, sd * hd, sd * ld - sn * ln, sd * ld
-        if decide and sn * ln >= sd * ld:
-            return False
-        return None
-
-    return refine(settle, bits, 4096)
+def _factor_ends(x: Pair, t: Fraction, scale: Fraction, bits: int, decide: bool = False):
+    """_settle's answer at the first rung from bits up to 4096 that has one,
+    x an integer pair in (0, 1], t > 0."""
+    return refine(lambda b: _settle(*_power_ends((x,), t, (False, True), b), scale, decide), bits, 4096)
 
 
 def _first_small_stage(alpha: SequenceFamily, t: Fraction, scale: Fraction, bits: int) -> int:
     """Least n0 with scale * alpha_n^t certifiably < 1 for every n >= n0."""
 
-    def small(x: Pair) -> bool:
-        return _factor_ends(x, t, scale, bits, decide=True) is not False
+    def small(n: int) -> bool:
+        return _factor_ends(next(terms(alpha, n, n + 1)), t, scale, bits, decide=True) is not False
 
     length = family_length(alpha)
     if length is not None:
         # explicit prefixes need not be monotone: take the longest good suffix
         n0 = length + 1
-        for n, x in reversed(list(enumerate(terms(alpha, 1, length + 1), start=1))):
-            if not small(x):
-                break
-            n0 = n
+        while n0 > 1 and small(n0 - 1):
+            n0 -= 1
         return n0
-    # the infinite families have non-increasing terms, first success is least
-    for n, x in enumerate(terms(alpha, 1, 1_000_001), start=1):
-        if small(x):
-            return n
-    raise Undecidable("decay factors stayed >= 1 for 10^6 stages")
+    # the infinite families have non-increasing terms, so n >= n0 are the
+    # small stages: probe n = 1, 2, 4, ... up to 10^6, then bisect
+    lo, hi = 0, 1
+    while not small(hi):
+        if hi == 1_000_000:
+            raise Undecidable("decay factors stayed >= 1 for 10^6 stages")
+        lo, hi = hi, min(2 * hi, 1_000_000)
+    return bisect_left(range(hi), True, lo + 1, key=small)
 
 
 def certify_fat_thick(thick: Union[ThickStructure, SequenceFamily], t: Fraction, factor_scale: Fraction,
@@ -360,7 +363,6 @@ def certify_fat_thick(thick: Union[ThickStructure, SequenceFamily], t: Fraction,
     factors 1 - factor_scale * alpha_n^t starting at the first stage n0 where
     every later factor is positive.
     """
-    notes: list[str] = []
     if isinstance(thick, ThickStructure):
         verdict = verify_thick(thick)
         if not verdict.valid:
@@ -369,11 +371,9 @@ def certify_fat_thick(thick: Union[ThickStructure, SequenceFamily], t: Fraction,
                 f"structure fails verification: condition {first.condition} "
                 f"at level {first.level}: {first.detail}"
             )
-        alpha = thick.alpha
-        notes.append(f"structure verified across {len(thick.levels)} levels")
+        alpha, notes = thick.alpha, (f"structure verified across {len(thick.levels)} levels",)
     else:
-        alpha = thick
-        notes.append("family supplied directly; geometry not re-checked here")
+        alpha, notes = thick, ("family supplied directly; geometry not re-checked here",)
     t = Fraction(t)
     scale = Fraction(factor_scale)
     if t <= 0 or scale <= 0:
@@ -407,9 +407,13 @@ def certify_fat_thick(thick: Union[ThickStructure, SequenceFamily], t: Fraction,
         if tail_sum >= 1:
             raise TailTooLarge(f"tail sum {tail_sum} still >= 1 after {count} factors")
 
-    factors = _runs(terms(alpha, n0, last + 1), lambda x, i: _factor_ends(x, t, scale, bits))
+    # every run's ends from one entry call; a factor unsettled at `bits` climbs the ladder alone
+    runs = _runs(terms(alpha, n0, last + 1), lambda x, i: (x,))
+    batch = iter(_power_ends(map(itemgetter(0), runs), t, (False, True), bits))
+    factors = tuple((*(_settle(lo, hi, scale) or _factor_ends(x, t, scale, bits)), count)
+                    for (x, count), lo, hi in zip(runs, batch, batch))
     tail_lower = 1 - tail_sum if tail_sum < 1 else Fraction(0)
-    if length is not None and last >= length:
+    if length is not None:
         tail_upper = Fraction(1)
     else:  # an infinite family: the next 64 lower ends of alpha_n^t
         ahead = Fraction(*_pair_sum(_power_ends(terms(alpha, last + 1, last + 65), t, (False,), bits)))
@@ -417,7 +421,7 @@ def certify_fat_thick(thick: Union[ThickStructure, SequenceFamily], t: Fraction,
     bound = ProductBracket(factors, tail_lower, tail_upper)
     conclusion = Conclusion.POSITIVE if bound.positive() else Conclusion.INCONCLUSIVE
     return FatnessCertificate(alpha=alpha, t=t, factor_scale=scale, n0=n0, bound=bound,
-                              conclusion=conclusion, notes=tuple(notes))
+                              conclusion=conclusion, notes=notes)
 
 
 # --- thinness: porous constructions ------------------------------------------
@@ -503,13 +507,10 @@ def solve_inflation_exponent(big_lam: Fraction, t: Fraction, d: Fraction, epsilo
 
     def certified(q: Fraction) -> bool:
         def attempt(b: int):
-            lhs_pow = pow_bounds(base, t, b)
-            lhs_exp = exp2_bounds(1 - t * q, b)
-            hi = big_lam * lhs_pow.hi * lhs_exp.hi
-            lo = big_lam * lhs_pow.lo * lhs_exp.lo
-            if hi < rhs:
+            lhs = mul_bounds(pow_bounds(base, t, b), exp2_bounds(1 - t * q, b))
+            if big_lam * lhs.hi < rhs:
                 return True
-            if lo >= rhs:
+            if big_lam * lhs.lo >= rhs:
                 return False
             return None
 
@@ -595,20 +596,15 @@ def tail_domination_start(epsilon: Fraction, delta: Fraction, gamma: Fraction) -
         return refine(attempt, max_bits=4096)
 
     scan_cap = 10000
-    n1 = None
-    for n in range(2, scan_cap):
-        if envelope_ok(n):
-            n1 = n
+    for n1 in range(2, scan_cap):
+        if envelope_ok(n1):
             break
-    if n1 is None:
+    else:
         raise Undecidable(f"envelope never dropped below {epsilon} by {scan_cap}")
 
-    cache: dict[int, bool] = {}
-
+    @cache
     def direct(n: int) -> bool:
-        if n not in cache:
-            cache[n] = _tail_dominated(n, delta, gamma, epsilon)
-        return cache[n]
+        return _tail_dominated(n, delta, gamma, epsilon)
 
     for m in range(1, scan_cap):
         if not direct(m):

@@ -633,7 +633,8 @@ def verify_small_ball_bound(
         rho = r // g, (b - a) // g
         # the factor is (rho/2)^s; when that is rational, a mass ratio equal
         # to it holds, though no enclosure of the factor can show it
-        exact = None if s is None else _exact_rational_pow(*Fraction(rho[0], 2 * rho[1]).as_integer_ratio(), Fraction(s))
+        exact = None if s is None else _exact_rational_pow(*Fraction(rho[0], 2 * rho[1]).as_integer_ratio(),
+                                                           *Fraction(s).as_integer_ratio())
 
         def settle(cur: int):
             """True once the case holds, its result once it fails, None to escalate."""

@@ -50,10 +50,6 @@ def mul_bounds(a: Bounds, b: Bounds) -> Bounds:
     return Bounds(min(cands), max(cands))
 
 
-def add_bounds(a: Bounds, b: Bounds) -> Bounds:
-    return Bounds(a.lo + b.lo, a.hi + b.hi)
-
-
 def _pow2_pair(k: int) -> tuple[int, int]:
     return (1 << k, 1) if k >= 0 else (1, 1 << -k)
 
@@ -123,26 +119,17 @@ def _root_tables(bits: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(down), tuple(up)
 
 
-def _exp2_end(num: int, den: int, bits: int, upper: bool) -> tuple[int, int]:
-    """The upper or lower end of exp2_bounds(num / den, bits), den > 0, as an
-    integer pair (numerator, denominator) with a power-of-two denominator.
-
-    2^y = 2^k * 2^f with k = floor(y); f is cut to bits fractional bits
-    (rounded toward the wanted side) and 2^f is the product of the roots
-    2^(2^-i) over its set bits, most significant first, each step floored or
-    ceiled at scale 2^B."""
-    if bits < 0:
-        raise PreconditionViolated(f"precision must be >= 0 bits, got {bits}")
-    k, rem = divmod(num, den)
-    if abs(k) > 1 << 22:
-        raise PreconditionViolated("exponent magnitude out of supported range")
-    if rem == 0:
-        return _pow2_pair(k)
+def _exp2_frac(rem: int, den: int, bits: int, upper: bool) -> int:
+    """2^B times the upper or lower end of 2^(rem / den), 0 <= rem < den,
+    B = bits + _GUARD, or 0 when the upper end rounds up to 2: rem / den is
+    cut to bits fractional bits f (rounded toward the wanted side), and 2^f
+    is the product of the roots 2^(2^-i) over its set bits, most significant
+    first, each step floored or ceiled at scale 2^B."""
     f, inexact = divmod(rem << bits, den)
     if upper and inexact:
         f += 1
         if f >> bits:  # f rounded up to 1
-            return _pow2_pair(k + 1)
+            return 0
     B = bits + _GUARD
     P = 1 << B
     roots = _root_tables(bits)[upper]
@@ -150,7 +137,28 @@ def _exp2_end(num: int, den: int, bits: int, upper: bool) -> tuple[int, int]:
         i = f.bit_length()
         f ^= 1 << (i - 1)
         P = -((-P * roots[bits - i]) >> B) if upper else (P * roots[bits - i]) >> B
+    return P
+
+
+def _pow2_times(k: int, P: int, bits: int) -> tuple[int, int]:
+    """2^k times the end P / 2^(bits + _GUARD) that _exp2_frac gives, as an
+    integer pair with a power-of-two denominator (2^(k + 1) for P = 0)."""
+    if not P:
+        return _pow2_pair(k + 1)
+    B = bits + _GUARD
     return (P << k, 1 << B) if k >= 0 else (P, 1 << (B - k))
+
+
+def _exp2_end(num: int, den: int, bits: int, upper: bool) -> tuple[int, int]:
+    """The upper or lower end of exp2_bounds(num / den, bits), den > 0, as an
+    integer pair (numerator, denominator) with a power-of-two denominator:
+    2^k times the end of 2^(rem / den), k, rem = divmod(num, den)."""
+    if bits < 0:
+        raise PreconditionViolated(f"precision must be >= 0 bits, got {bits}")
+    k, rem = divmod(num, den)
+    if abs(k) > 1 << 22:
+        raise PreconditionViolated("exponent magnitude out of supported range")
+    return _pow2_times(k, _exp2_frac(rem, den, bits, upper), bits) if rem else _pow2_pair(k)
 
 
 def exp2_bounds(y: Fraction, bits: int = DEFAULT_BITS) -> Bounds:
@@ -205,11 +213,11 @@ def iroot(n: int, k: int) -> tuple[int, bool]:
     return x, x**k == n
 
 
-def _exact_rational_pow(n: int, d: int, e: Fraction) -> tuple[int, int] | None:
-    """(n / d)^e as an integer pair, n, d > 0, when the root extraction is
-    exact, else None.  The root test needs n / d in lowest terms: (20, 45) has
-    no square root, its reduced form 4/9 has 2/3."""
-    u, k = e.as_integer_ratio()
+def _exact_rational_pow(n: int, d: int, u: int, k: int) -> tuple[int, int] | None:
+    """(n / d)^(u / k) as an integer pair, n, d, k > 0 and u / k in lowest
+    terms, when the root extraction is exact, else None.  The root test needs
+    n / d in lowest terms: (20, 45) has no square root, its reduced form 4/9
+    has 2/3."""
     if k > 1:
         # a k-th power holds a multiple of k factors 2: refuse the rest before any root
         if ((n & -n).bit_length() - 1) % k or ((d & -d).bit_length() - 1) % k:
@@ -228,39 +236,54 @@ def _power_ends(bases, e: Fraction, sides, bits: int) -> list[tuple[int, int]]:
     pow_bounds gives them, each an integer pair, all in one list.
 
     This is the one way from a rational exponent to power ends.  A pair with
-    n <= 0 or d <= 0 and a negative `bits` are refused.  Each pair is reduced
-    and its exact root tried first.  Otherwise an end is 2^(e log2 x), from
-    one log2 end and one exp2 end.  For x = 2^a o / (2^b o'), o and o' odd,
-    x and o / o' share a mantissa, so every squaring sees the same integers
-    and x's log2 end is that of o / o' plus (a - b) 2^bits, bit for bit:
-    each odd part's end is computed once per call, and a dyadic base
-    (o = o' = 1) needs none.  Where the end not asked for might leave the
-    exponent range it is computed too, so the refusal is pow_bounds'."""
+    n <= 0 or d <= 0 and a negative `bits` are refused.  Each pair is reduced;
+    a dyadic one, 2^(a - b), has an exact power exactly when e (a - b) is an
+    integer, any other its exact root tried first.  Otherwise an end is
+    2^(e log2 x), from one log2 end and one exp2 end.  For x = 2^a o / (2^b o'),
+    o and o' odd, x and o / o' share a mantissa, so every squaring sees the
+    same integers and x's log2 end is that of o / o' plus (a - b) 2^bits, bit
+    for bit: each odd part's end is computed once per call, and a dyadic base
+    needs none.  The exp2 end of y = k + rem / D, D = 2^bits times e's
+    denominator for every pair, is 2^k times a product that depends on rem
+    and the side alone: it too is computed once per call.  Where the end not
+    asked for might leave the exponent range it is computed too, so the
+    refusal is pow_bounds'."""
     if bits < 0:
         raise PreconditionViolated(f"precision must be >= 0 bits, got {bits}")
-    logs: dict[tuple[int, int, bool], int] = {}  # (o, o', side) -> the log2 end of o / o'
+    num, den = e.as_integer_ratio()
+    # (o, o', side) -> the log2 end of o / o'; rem (upper side) or ~rem (lower) -> _exp2_frac's product
+    memo: dict = {}
     out = []
     for n, d in bases:
         if n <= 0 or d <= 0:
             raise PreconditionViolated("pow_bounds needs a positive base")
         g = gcd(n, d)
         n, d = n // g, d // g
-        exact = _exact_rational_pow(n, d, e)
+        if n & (n - 1) or d & (d - 1):
+            exact = _exact_rational_pow(n, d, num, den)
+        else:  # 2^(a - b): exact, before any range check as an exact root is, when den divides num (a - b)
+            k, rem = divmod(num * (n.bit_length() - d.bit_length()), den)
+            exact = None if rem else _pow2_pair(k)
         if exact is not None:
             out += [exact] * len(sides)
             continue
-        num, den = e.as_integer_ratio()
         a, b = (n & -n).bit_length() - 1, (d & -d).bit_length() - 1
         odd_n, odd_d, shift = n >> a, d >> b, (a - b) << bits
         # both ends, as pow_bounds computes them, where the other one might leave the exponent range
         near = abs(num) * (n.bit_length() + d.bit_length()) >= den << 22
         ends = []
         for side in (False, True) if near else sides:
-            key = odd_n, odd_d, side == (num > 0)  # with e < 0 the lower log2 end gives the upper end
-            log = 0 if odd_n == odd_d else logs.get(key)  # a dyadic base's log2 end is the shift alone
+            # a dyadic base's log2 end is the shift alone; with e < 0 the lower log2 end gives the upper end
+            log = 0 if odd_n == odd_d else memo.get(key := (odd_n, odd_d, side == (num > 0)))
             if log is None:
-                log = logs[key] = _log2_end(odd_n, odd_d, bits, key[2])
-            ends.append(_exp2_end(num * (log + shift), den << bits, bits, side))
+                log = memo[key] = _log2_end(odd_n, odd_d, bits, key[2])
+            k, rem = divmod(num * (log + shift), den << bits)
+            if abs(k) > 1 << 22:
+                raise PreconditionViolated("exponent magnitude out of supported range")
+            P = memo.get(rem if side else ~rem)
+            if P is None:
+                P = memo[rem if side else ~rem] = _exp2_frac(rem, den << bits, bits, side)
+            ends.append(_pow2_times(k, P, bits) if rem else _pow2_pair(k))
         out += [ends[side] for side in sides] if near else ends
     return out
 
@@ -301,8 +324,6 @@ def exp_neg_upper(s: Fraction) -> Fraction:
     s = Fraction(s)
     if s < 0:
         raise PreconditionViolated("exp_neg_upper needs s >= 0")
-    if s == 0:
-        return Fraction(1)
     k = s.numerator // s.denominator
     f = s - k
     return Fraction(2, 5) ** k * (1 - f + f * f / 2)

@@ -23,7 +23,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Union
 
-from .enclosure import DEFAULT_BITS, pow_bounds, pow_end, refine
+from .enclosure import DEFAULT_BITS, pow_end, refine
 from .errors import (
     DivergentSeries,
     IndexOutOfRange,
@@ -291,12 +291,10 @@ def tail_sum_upper(
     if isinstance(f, Geometric):
         # sum_{n > N} (a q^(n-1))^p = a^p q^(pN) / (1 - q^p)
         def attempt(bits_now: int):
-            a_up = pow_end(f.a, p, True, bits_now)
-            qp = pow_bounds(f.q, p, bits_now)
-            if qp.hi >= 1:
+            a_up, q_up = pow_end(f.a, p, True, bits_now), pow_end(f.q, p, True, bits_now)
+            if q_up >= 1:
                 return None
-            qN_up = pow_end(f.q, p * n_from, True, bits_now)
-            return a_up * qN_up / (1 - qp.hi)
+            return a_up * pow_end(f.q, p * n_from, True, bits_now) / (1 - q_up)
 
         return refine(attempt, bits)
 
@@ -305,43 +303,29 @@ def tail_sum_upper(
         start = n_from + f.offset
         if start < 1:
             # integral comparison needs a positive lower limit; peel one term
-            first_up = pow_end(term(f, n_from + 1), p, True, bits)
-            return first_up + tail_sum_upper(f, p, n_from + 1, bits)
+            return pow_end(term(f, n_from + 1), p, True, bits) + tail_sum_upper(f, p, n_from + 1, bits)
         gp = f.gamma * p
         # one rung, settled at once: the ladder refuses a start below 1 bit as for the other families
         return refine(lambda b: pow_end(f.a, p, True, b) * pow_end(start, 1 - gp, True, b) / (gp - 1), bits)
 
     if isinstance(f, LogFloor):
-        # terms in block k (2^k of them) all equal base^k; bound the partial
-        # block at n_from exactly and the full later blocks geometrically
+        # terms in block k (2^k of them, indices 2^k - 1 .. 2^(k+1) - 2) all
+        # equal base^k; bound the rest of n_from's block k exactly and the
+        # full later blocks geometrically, with ratio 2 base^p
+        k = (n_from + 1).bit_length() - 1
+        rest = (2 << k) - 2 - n_from
+
         def attempt(bits_now: int):
-            bp = pow_bounds(f.base, p, bits_now)
-            ratio_hi = 2 * bp.hi
+            ratio_hi = 2 * pow_end(f.base, p, True, bits_now)
             if ratio_hi >= 1:
                 return None
-            if n_from == 0:
-                k_next = 1
-                rest_in_block = 0
-            else:
-                k_next = logfloor_exponent(n_from)
-                rest_in_block = ((1 << (k_next + 1)) - 2) - n_from
-                if rest_in_block == 0:
-                    k_next += 1
-            block_term_up = pow_end(f.base, Fraction(p * k_next), True, bits_now)
-            bound = rest_in_block * block_term_up
-            # all blocks from k_next+1 (or k_next when nothing remains in it)
-            k_full = k_next + 1 if rest_in_block else k_next
-            head_up = (1 << k_full) * pow_end(
-                f.base, Fraction(p * k_full), True, bits_now
-            )
-            bound += head_up / (1 - ratio_hi)
-            return bound
+            block = rest * pow_end(f.base, p * k, True, bits_now) if rest else 0
+            return block + (2 << k) * pow_end(f.base, p * (k + 1), True, bits_now) / (1 - ratio_hi)
 
         return refine(attempt, bits)
 
     if isinstance(f, Scaled):
-        c_up = pow_end(f.c, p, True, bits)
-        return c_up * tail_sum_upper(f.inner, p, n_from, bits)
+        return pow_end(f.c, p, True, bits) * tail_sum_upper(f.inner, p, n_from, bits)
 
     raise InvalidFamily(f"unknown family {f!r}")
 

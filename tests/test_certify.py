@@ -27,7 +27,7 @@ from dmlab.certify import (
     tail_domination_start,
 )
 from dmlab.doubling import doubling_scan
-from dmlab.enclosure import pow_bounds, refine
+from dmlab.enclosure import _power_ends, pow_bounds, refine
 from dmlab.errors import (
     LengthMismatch,
     NotInEllT,
@@ -196,6 +196,21 @@ class TestFatCertificates:
         with pytest.raises(PreconditionViolated, match=r"^structure fails verification: condition iv "
                            r"at level 2: witness radius below c \* diam\(piece\)$"):
             certify_fat_thick(broken, Fraction(1), Fraction(1))
+
+    def test_factor_runs_take_one_power_entry_call(self, monkeypatch):
+        """The ends of every factor run come from one call over the runs'
+        first pairs; only the search for n0 and the lookahead call it apart."""
+        calls = []
+
+        def spy(bases, e, sides, bits):
+            bases = list(bases)
+            calls.append((len(bases), sides))
+            return _power_ends(bases, e, sides, bits)
+
+        monkeypatch.setattr(certify, "_power_ends", spy)
+        cert = certify_fat_thick(LogFloor(Fraction(1, 8)), Fraction(1, 2), Fraction(1, 2))
+        assert (cert.n0, cert.bound.n_terms, len(cert.bound.factors)) == (1, 65536, 16)
+        assert calls == [(1, (False, True)), (16, (False, True)), (64, (False,))]
 
     @pytest.mark.parametrize("alpha, t, size", [
         # 100000 * (1 + 66 bits of the 64th term) * 64 factors, before any power

@@ -37,6 +37,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dmlab import enclosure
 from dmlab.certify import (
     ProductBracket,
     certify_fat_thick,
@@ -885,6 +886,12 @@ def _certificate(fn, tag):
 @example(ExplicitFinite((F(4, 9), F(1, 4), F(7, 8))), F(1, 2), F(9, 7), 64, 2)
 # scale * alpha_6^(1/2) passes 1 by less than 2^-200: the bits escalate
 @example(Geometric(F(1, 2), F(1, 2)), F(1, 2), F(isqrt(1 << 405) + 1, 1 << 200), 64, 128)
+# 128 factors from one power-entry call that shares log2 3 and two residues a side
+@example(Geometric(F(3, 4), F(1, 2)), F(1, 2), F(1), 256, 128)
+# stage 5 lies below 1 by less than 2^-200: the call's ends cannot settle it, its own ladder does
+@example(Geometric(F(1, 2), F(1, 2)), F(1, 2), F(isqrt(1 << 405), 1 << 200), 64, 128)
+# n0 = 100, where 2000 * alpha_99^(1/2) = 1: the search probes 128 before it bisects
+@example(Power(F(1, 4), 3, 1), F(1, 2), F(2000), 64, 128)
 def test_certify_fat_thick_matches_oracle(alpha, t, scale, max_terms, bits):
     got = _certificate(lambda: certify_fat_thick(alpha, t, scale, max_terms=max_terms, bits=bits),
                        tag_product)
@@ -987,6 +994,12 @@ entry_exponents = st.builds(F, st.integers(-200, 200), st.integers(1, 64))
 @example([(8, 18), (7, 7)], F(3, 2), (True,), 64)
 @example([(3, 1), (6, 1), (12, 16), (6, 2), (1, 1 << 40), (3 << 40, 1 << 40)], F(-5, 64), (False,), 128)
 @example([(1, 1 << 20), (1 << 33, 1), (6, 3)], F(7, 3), (False, True), 2)
+# dyadic bases sharing one residue at 1 bit: each upper end rounds up to the next power of two,
+# at negative, zero and positive integer parts
+@example([(1, 2), (1, 16), (4, 1), (2, 1 << 5), (1, 1 << 40)], F(1, 3), (False, True), 1)
+@example([(1, 2), (1, 4), (4, 1), (16, 1), (3, 6), (1, 8)], F(-2, 3), (True,), 1)
+@example([(3 << i, 1) for i in range(4)] + [(3, 1 << i) for i in range(1, 5)], F(1, 2), (False, True), 128)
+@example([(3 << 40, 1), (3, 1 << 40), (3, 1)], F(-5, 7), (False, True), 1)
 def test_pair_power_kernels_match_fraction_oracles(xs, t, sides, bits):
     """`_power_ends` on a list of unreduced pairs against the Fraction
     `pow_bounds`, side by side and end by end; `_exact_rational_pow`
@@ -1003,7 +1016,7 @@ def test_pair_power_kernels_match_fraction_oracles(xs, t, sides, bits):
         for e in (t, -t):
             want_root = exact_rational_pow_oracle(xf, e)
             for pair in (xf.as_integer_ratio(), x) if e.denominator == 1 else (xf.as_integer_ratio(),):
-                root = _exact_rational_pow(*pair, e)
+                root = _exact_rational_pow(*pair, *e.as_integer_ratio())
                 assert (None if root is None else F(*root)) == want_root
         ends = log2_bounds_oracle(xf, bits)
         assert F(_log2_end(*x, bits, False), 1 << bits) == ends.lo
@@ -1036,6 +1049,37 @@ def test_power_entry_refusals(bases, e, sides, bits, want):
     path and the enclosure path alike, and an end whose other end leaves the
     exponent range is refused as `pow_bounds` refuses the pair."""
     assert _outcome(lambda: _power_ends(bases, e, sides, bits)) == want
+
+
+def test_power_entry_dyadic_root_before_the_range_check():
+    """A dyadic base's exact power is returned before any range check, as an
+    exact root is: 2^(-(2^22 + 1)) lies past the exponent range."""
+    assert _power_ends([(1, 1 << (2**23 + 2))], F(1, 2), (True,), 128) == [(1, 1 << (2**22 + 1))]
+
+
+def test_power_entry_shares_ends_across_bases(monkeypatch):
+    """128 bases 3 2^-i at t = 1/2 share the odd part 3 and, at each side,
+    two residues of the exp2 exponent: two log2 ends and at most four exp2
+    products for all 256 ends."""
+    calls = {"log2": 0, "exp2": 0}
+
+    def counted(name, kernel):
+        def run(*args):
+            calls[name] += 1
+            return kernel(*args)
+
+        return run
+
+    monkeypatch.setattr(enclosure, "_log2_end", counted("log2", _log2_end))
+    monkeypatch.setattr(enclosure, "_exp2_frac", counted("exp2", enclosure._exp2_frac))
+    bases = [(3, 1 << i) for i in range(128)]
+    ends = _power_ends(bases, F(1, 2), (False, True), 128)
+    assert calls["log2"] == 2 and 0 < calls["exp2"] <= 4
+    want = []
+    for x in bases:
+        b = pow_bounds_oracle(F(*x), F(1, 2), 128)
+        want += [b.lo, b.hi]
+    assert [F(*p) for p in ends] == want
 
 
 def test_power_entry_range_cases_are_one_sided():
