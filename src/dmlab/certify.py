@@ -47,7 +47,6 @@ from .enclosure import (
     exp2_bounds,
     exp_neg_upper,
     log2_bounds,
-    mul_bounds,
     pow_bounds,
     pow_end,
     refine,
@@ -310,10 +309,9 @@ TAIL_TARGET = Fraction(1, 1 << 34)
 
 
 def _settle(lo: Pair, hi: Pair, scale: Fraction, decide: bool = False):
-    """The ends of the factor 1 - scale * x^t as integers (lower numerator,
-    denominator, upper numerator, denominator) from the ends lo, hi of x^t,
-    if scale * x^t < 1 is certain; with `decide`, False if scale * x^t >= 1
-    is; else None."""
+    """The factor 1 - scale * x^t's ends (lower numerator, denominator, upper
+    numerator, denominator) from x^t's ends lo, hi if scale * x^t < 1 is
+    certain; with `decide`, False if scale * x^t >= 1 is; else None."""
     (ln, ld), (hn, hd), (sn, sd) = lo, hi, scale.as_integer_ratio()
     if ln * hd > hn * ld:
         raise PreconditionViolated(f"empty bounds [{Fraction(ln, ld)}, {Fraction(hn, hd)}]")
@@ -371,9 +369,11 @@ def certify_fat_thick(thick: Union[ThickStructure, SequenceFamily], t: Fraction,
                 f"structure fails verification: condition {first.condition} "
                 f"at level {first.level}: {first.detail}"
             )
-        alpha, notes = thick.alpha, (f"structure verified across {len(thick.levels)} levels",)
+        alpha = thick.alpha
+        notes = (f"structure verified across {len(thick.levels)} levels",)
     else:
-        alpha, notes = thick, ("family supplied directly; geometry not re-checked here",)
+        alpha = thick
+        notes = ("family supplied directly; geometry not re-checked here",)
     t = Fraction(t)
     scale = Fraction(factor_scale)
     if t <= 0 or scale <= 0:
@@ -413,7 +413,7 @@ def certify_fat_thick(thick: Union[ThickStructure, SequenceFamily], t: Fraction,
     factors = tuple((*(_settle(lo, hi, scale) or _factor_ends(x, t, scale, bits)), count)
                     for (x, count), lo, hi in zip(runs, batch, batch))
     tail_lower = 1 - tail_sum if tail_sum < 1 else Fraction(0)
-    if length is not None:
+    if length is not None and last >= length:
         tail_upper = Fraction(1)
     else:  # an infinite family: the next 64 lower ends of alpha_n^t
         ahead = Fraction(*_pair_sum(_power_ends(terms(alpha, last + 1, last + 65), t, (False,), bits)))
@@ -507,10 +507,13 @@ def solve_inflation_exponent(big_lam: Fraction, t: Fraction, d: Fraction, epsilo
 
     def certified(q: Fraction) -> bool:
         def attempt(b: int):
-            lhs = mul_bounds(pow_bounds(base, t, b), exp2_bounds(1 - t * q, b))
-            if big_lam * lhs.hi < rhs:
+            lhs_pow = pow_bounds(base, t, b)
+            lhs_exp = exp2_bounds(1 - t * q, b)
+            hi = big_lam * lhs_pow.hi * lhs_exp.hi
+            lo = big_lam * lhs_pow.lo * lhs_exp.lo
+            if hi < rhs:
                 return True
-            if big_lam * lhs.lo >= rhs:
+            if lo >= rhs:
                 return False
             return None
 

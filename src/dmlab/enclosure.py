@@ -50,6 +50,10 @@ def mul_bounds(a: Bounds, b: Bounds) -> Bounds:
     return Bounds(min(cands), max(cands))
 
 
+def add_bounds(a: Bounds, b: Bounds) -> Bounds:
+    return Bounds(a.lo + b.lo, a.hi + b.hi)
+
+
 def _pow2_pair(k: int) -> tuple[int, int]:
     return (1 << k, 1) if k >= 0 else (1, 1 << -k)
 
@@ -119,17 +123,26 @@ def _root_tables(bits: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(down), tuple(up)
 
 
-def _exp2_frac(rem: int, den: int, bits: int, upper: bool) -> int:
-    """2^B times the upper or lower end of 2^(rem / den), 0 <= rem < den,
-    B = bits + _GUARD, or 0 when the upper end rounds up to 2: rem / den is
-    cut to bits fractional bits f (rounded toward the wanted side), and 2^f
-    is the product of the roots 2^(2^-i) over its set bits, most significant
-    first, each step floored or ceiled at scale 2^B."""
+def _exp2_end(num: int, den: int, bits: int, upper: bool) -> tuple[int, int]:
+    """The upper or lower end of exp2_bounds(num / den, bits), den > 0, as an
+    integer pair (numerator, denominator) with a power-of-two denominator.
+
+    2^y = 2^k * 2^f with k = floor(y); f is cut to bits fractional bits
+    (rounded toward the wanted side) and 2^f is the product of the roots
+    2^(2^-i) over its set bits, most significant first, each step floored or
+    ceiled at scale 2^B."""
+    if bits < 0:
+        raise PreconditionViolated(f"precision must be >= 0 bits, got {bits}")
+    k, rem = divmod(num, den)
+    if abs(k) > 1 << 22:
+        raise PreconditionViolated("exponent magnitude out of supported range")
+    if rem == 0:
+        return _pow2_pair(k)
     f, inexact = divmod(rem << bits, den)
     if upper and inexact:
         f += 1
         if f >> bits:  # f rounded up to 1
-            return 0
+            return _pow2_pair(k + 1)
     B = bits + _GUARD
     P = 1 << B
     roots = _root_tables(bits)[upper]
@@ -137,28 +150,7 @@ def _exp2_frac(rem: int, den: int, bits: int, upper: bool) -> int:
         i = f.bit_length()
         f ^= 1 << (i - 1)
         P = -((-P * roots[bits - i]) >> B) if upper else (P * roots[bits - i]) >> B
-    return P
-
-
-def _pow2_times(k: int, P: int, bits: int) -> tuple[int, int]:
-    """2^k times the end P / 2^(bits + _GUARD) that _exp2_frac gives, as an
-    integer pair with a power-of-two denominator (2^(k + 1) for P = 0)."""
-    if not P:
-        return _pow2_pair(k + 1)
-    B = bits + _GUARD
     return (P << k, 1 << B) if k >= 0 else (P, 1 << (B - k))
-
-
-def _exp2_end(num: int, den: int, bits: int, upper: bool) -> tuple[int, int]:
-    """The upper or lower end of exp2_bounds(num / den, bits), den > 0, as an
-    integer pair (numerator, denominator) with a power-of-two denominator:
-    2^k times the end of 2^(rem / den), k, rem = divmod(num, den)."""
-    if bits < 0:
-        raise PreconditionViolated(f"precision must be >= 0 bits, got {bits}")
-    k, rem = divmod(num, den)
-    if abs(k) > 1 << 22:
-        raise PreconditionViolated("exponent magnitude out of supported range")
-    return _pow2_times(k, _exp2_frac(rem, den, bits, upper), bits) if rem else _pow2_pair(k)
 
 
 def exp2_bounds(y: Fraction, bits: int = DEFAULT_BITS) -> Bounds:
@@ -237,22 +229,20 @@ def _power_ends(bases, e: Fraction, sides, bits: int) -> list[tuple[int, int]]:
 
     This is the one way from a rational exponent to power ends.  A pair with
     n <= 0 or d <= 0 and a negative `bits` are refused.  Each pair is reduced;
-    a dyadic one, 2^(a - b), has an exact power exactly when e (a - b) is an
-    integer, any other its exact root tried first.  Otherwise an end is
-    2^(e log2 x), from one log2 end and one exp2 end.  For x = 2^a o / (2^b o'),
-    o and o' odd, x and o / o' share a mantissa, so every squaring sees the
-    same integers and x's log2 end is that of o / o' plus (a - b) 2^bits, bit
-    for bit: each odd part's end is computed once per call, and a dyadic base
-    needs none.  The exp2 end of y = k + rem / D, D = 2^bits times e's
-    denominator for every pair, is 2^k times a product that depends on rem
-    and the side alone: it too is computed once per call.  Where the end not
-    asked for might leave the exponent range it is computed too, so the
-    refusal is pow_bounds'."""
+    a dyadic one, 2^(a - b), is exact exactly when e (a - b) is an integer,
+    any other has its exact root tried.  Otherwise an end is 2^(e log2 x).
+    For x = 2^a o / (2^b o'), o and o' odd, x and o / o' share a mantissa, so
+    every squaring sees the same integers and x's log2 end is that of o / o'
+    plus (a - b) 2^bits, bit for bit: each odd part's end is computed once
+    per call, and a dyadic base needs none.  The exp2 end of y = k + rem / D,
+    D = 2^bits times e's denominator for every pair, is 2^k times the end of
+    2^(rem / D), which depends on rem and the side alone: it too is computed
+    once per call.  Where the end not asked for might leave the exponent
+    range it is computed too, so the refusal is pow_bounds'."""
     if bits < 0:
         raise PreconditionViolated(f"precision must be >= 0 bits, got {bits}")
     num, den = e.as_integer_ratio()
-    # (o, o', side) -> the log2 end of o / o'; rem (upper side) or ~rem (lower) -> _exp2_frac's product
-    memo: dict = {}
+    memo: dict = {}  # (o, o', side) -> the log2 end of o / o'; rem, or ~rem on the lower side -> 2^(rem / D)'s end
     out = []
     for n, d in bases:
         if n <= 0 or d <= 0:
@@ -280,10 +270,10 @@ def _power_ends(bases, e: Fraction, sides, bits: int) -> list[tuple[int, int]]:
             k, rem = divmod(num * (log + shift), den << bits)
             if abs(k) > 1 << 22:
                 raise PreconditionViolated("exponent magnitude out of supported range")
-            P = memo.get(rem if side else ~rem)
-            if P is None:
-                P = memo[rem if side else ~rem] = _exp2_frac(rem, den << bits, bits, side)
-            ends.append(_pow2_times(k, P, bits) if rem else _pow2_pair(k))
+            r = rem if side else ~rem
+            P, Q = memo.get(r) or memo.setdefault(r, _exp2_end(rem, den << bits, bits, side))
+            # 2^(rem / D)'s end is (P, 2^B), or (1, 1) for rem = 0 or (2, 1) rounded up: 2^k times it
+            ends.append(_pow2_pair(k + P - 1) if Q == 1 else (P << k, Q) if k >= 0 else (P, Q << -k))
         out += [ends[side] for side in sides] if near else ends
     return out
 
@@ -311,7 +301,7 @@ def pow_bounds(x: Fraction | int, e: Fraction | Bounds, bits: int = DEFAULT_BITS
 def pow_end(x: Fraction | int, e: Fraction, upper: bool, bits: int = DEFAULT_BITS) -> Fraction:
     """pow_bounds(x, e, bits).hi when `upper`, else .lo, for a rational e:
     only the log2 end and the exp2 end that side needs are computed."""
-    [end] = _power_ends((Fraction(x).as_integer_ratio(),), Fraction(e), (upper,), bits)
+    [end] = _power_ends((x.as_integer_ratio(),), e, (upper,), bits)
     return Fraction(*end)
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from operator import sub
 from typing import NamedTuple
 
-from .enclosure import Bounds, log2_bounds, pow_bounds
+from .enclosure import Bounds, add_bounds, log2_bounds, mul_bounds, pow_bounds
 from .errors import PreconditionViolated
 from .measure import TreeMeasure, cdf, dyadic_cdf_numerators
 from .ratio import Value, first_max, randbelow
@@ -168,5 +168,8 @@ def pullback_constant(
     c, eta2 = Fraction(c), Fraction(eta2)
     if c < 1 or eta2 < 1:
         raise PreconditionViolated("need c >= 1 and eta2 >= 1")
-    log_eta2 = log2_bounds(eta2)  # >= 0: the exponent's ends are 2 times its ends, plus 1
-    return pow_bounds(c, Bounds(2 * log_eta2.lo + 1, 2 * log_eta2.hi + 1))
+    exponent = add_bounds(
+        mul_bounds(Bounds.exact(Fraction(2)), log2_bounds(eta2)),
+        Bounds.exact(Fraction(1)),
+    )
+    return pow_bounds(c, exponent)

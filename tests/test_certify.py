@@ -37,7 +37,7 @@ from dmlab.errors import (
 from dmlab.geom import CutOutConfig, build_cantor, closed, thick_from_cantor
 from dmlab.measure import BinomialWeights, TreeMeasure
 from dmlab.reports import tag_product
-from dmlab.seq import Constant, ExplicitFinite, Geometric, LogFloor, Power, term
+from dmlab.seq import Constant, ExplicitFinite, Geometric, LogFloor, Power, term, terms
 
 from helpers import bracket_oracle, direct_product, logfloor_mass_oracle, stage_plot_values_oracle
 
@@ -211,6 +211,22 @@ class TestFatCertificates:
         cert = certify_fat_thick(LogFloor(Fraction(1, 8)), Fraction(1, 2), Fraction(1, 2))
         assert (cert.n0, cert.bound.n_terms, len(cert.bound.factors)) == (1, 65536, 16)
         assert calls == [(1, (False, True)), (16, (False, True)), (64, (False,))]
+
+    def test_search_can_meet_a_range_refusal_past_n0(self):
+        """The n0 search probes up to about 2 n0, and the power entry refuses
+        an end of alpha_n^t below 2^(-2^22).  Here a stage-by-stage scan stops
+        at n0 = 82 (stage 81 is certainly >= 1, stage 82 certainly < 1, and
+        the terms decrease), but stage 128, the probe after 64, lies past the
+        range, so the search refuses: the README's stated exception."""
+        alpha, t, scale = Power(Fraction(1, 3 << (2**23 - 29)), 4), Fraction(1, 2), Fraction(1 << (2**22 - 1))
+
+        def small(n: int):
+            return certify._factor_ends(next(terms(alpha, n, n + 1)), t, scale, 128, decide=True) is not False
+
+        assert (small(81), small(82)) == (False, True)
+        for stage in (lambda: small(128), lambda: certify._first_small_stage(alpha, t, scale, 128)):
+            with pytest.raises(PreconditionViolated, match="^exponent magnitude out of supported range$"):
+                stage()
 
     @pytest.mark.parametrize("alpha, t, size", [
         # 100000 * (1 + 66 bits of the 64th term) * 64 factors, before any power

@@ -12,6 +12,7 @@ import dmlab
 from dmlab.enclosure import (
     DEFAULT_BITS,
     Bounds,
+    add_bounds,
     exp2_64ths,
     exp2_bounds,
     exp_neg_upper,
@@ -142,6 +143,8 @@ def test_bounds_algebra_keeps_direction():
     prod = mul_bounds(a, b)
     assert prod.lo <= Fraction(1, 3) * Fraction(-2)
     assert prod.hi >= Fraction(1, 2) * Fraction(3)
+    total = add_bounds(a, b)
+    assert total.lo == a.lo + b.lo and total.hi == a.hi + b.hi
 
 
 def test_refine_escalates_until_decision():

@@ -1052,9 +1052,20 @@ def test_power_entry_refusals(bases, e, sides, bits, want):
 
 
 def test_power_entry_dyadic_root_before_the_range_check():
-    """A dyadic base's exact power is returned before any range check, as an
+    """A dyadic base's exact root is returned before any range check, as any
     exact root is: 2^(-(2^22 + 1)) lies past the exponent range."""
     assert _power_ends([(1, 1 << (2**23 + 2))], F(1, 2), (True,), 128) == [(1, 1 << (2**22 + 1))]
+
+
+def test_power_entry_keeps_exp2_end_pairs():
+    """A shared exp2 end shifted by 2^k is the very pair `_exp2_end` gives for
+    the whole exponent, an upper end rounded up to a power of two too: dyadic
+    bases 2^j at e = 1/3 and 1 bit, each twice, so the second reads the dict."""
+    for j in (-40, -7, -4, -1, 2, 5, 41):
+        base = (1 << j, 1) if j >= 0 else (1, 1 << -j)
+        for upper in (False, True):
+            want = enclosure._exp2_end(j << 1, 3 << 1, 1, upper)
+            assert _power_ends([base, base], F(1, 3), (upper,), 1) == [want, want]
 
 
 def test_power_entry_shares_ends_across_bases(monkeypatch):
@@ -1071,7 +1082,7 @@ def test_power_entry_shares_ends_across_bases(monkeypatch):
         return run
 
     monkeypatch.setattr(enclosure, "_log2_end", counted("log2", _log2_end))
-    monkeypatch.setattr(enclosure, "_exp2_frac", counted("exp2", enclosure._exp2_frac))
+    monkeypatch.setattr(enclosure, "_exp2_end", counted("exp2", enclosure._exp2_end))
     bases = [(3, 1 << i) for i in range(128)]
     ends = _power_ends(bases, F(1, 2), (False, True), 128)
     assert calls["log2"] == 2 and 0 < calls["exp2"] <= 4
