@@ -599,15 +599,20 @@ def tail_domination_start(epsilon: Fraction, delta: Fraction, gamma: Fraction) -
         return refine(attempt, max_bits=4096)
 
     scan_cap = 10000
-    for n1 in range(2, scan_cap):
-        if envelope_ok(n1):
+    n1 = None
+    for n in range(2, scan_cap):
+        if envelope_ok(n):
+            n1 = n
             break
-    else:
+    if n1 is None:
         raise Undecidable(f"envelope never dropped below {epsilon} by {scan_cap}")
 
-    @cache
+    cache: dict[int, bool] = {}
+
     def direct(n: int) -> bool:
-        return _tail_dominated(n, delta, gamma, epsilon)
+        if n not in cache:
+            cache[n] = _tail_dominated(n, delta, gamma, epsilon)
+        return cache[n]
 
     for m in range(1, scan_cap):
         if not direct(m):

@@ -23,7 +23,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Union
 
-from .enclosure import DEFAULT_BITS, pow_bounds, pow_end, refine
+from .enclosure import DEFAULT_BITS, pow_end, refine
 from .errors import (
     DivergentSeries,
     IndexOutOfRange,
@@ -292,11 +292,10 @@ def tail_sum_upper(
         # sum_{n > N} (a q^(n-1))^p = a^p q^(pN) / (1 - q^p)
         def attempt(bits_now: int):
             a_up = pow_end(f.a, p, True, bits_now)
-            qp = pow_bounds(f.q, p, bits_now)
-            if qp.hi >= 1:
+            q_up = pow_end(f.q, p, True, bits_now)
+            if q_up >= 1:
                 return None
-            qN_up = pow_end(f.q, p * n_from, True, bits_now)
-            return a_up * qN_up / (1 - qp.hi)
+            return a_up * pow_end(f.q, p * n_from, True, bits_now) / (1 - q_up)
 
         return refine(attempt, bits)
 
@@ -305,16 +304,14 @@ def tail_sum_upper(
         start = n_from + f.offset
         if start < 1:
             # integral comparison needs a positive lower limit; peel one term
-            first_up = pow_end(term(f, n_from + 1), p, True, bits)
-            return first_up + tail_sum_upper(f, p, n_from + 1, bits)
+            return pow_end(term(f, n_from + 1), p, True, bits) + tail_sum_upper(f, p, n_from + 1, bits)
         gp = f.gamma * p
         # one rung, settled at once: the ladder refuses a start below 1 bit as for the other families
         return refine(lambda b: pow_end(f.a, p, True, b) * pow_end(start, 1 - gp, True, b) / (gp - 1), bits)
 
     if isinstance(f, LogFloor):
-        # terms in block k (2^k of them, indices 2^k - 1 .. 2^(k+1) - 2) all
-        # equal base^k; bound the rest of n_from's block k exactly and the
-        # full later blocks geometrically, with ratio 2 base^p
+        # block k: 2^k terms base^k at indices 2^k - 1 .. 2^(k+1) - 2; bound the rest of
+        # n_from's block k exactly and the later blocks geometrically, with ratio 2 base^p
         k = (n_from + 1).bit_length() - 1
         rest = (2 << k) - 2 - n_from
 
@@ -328,8 +325,7 @@ def tail_sum_upper(
         return refine(attempt, bits)
 
     if isinstance(f, Scaled):
-        c_up = pow_end(f.c, p, True, bits)
-        return c_up * tail_sum_upper(f.inner, p, n_from, bits)
+        return pow_end(f.c, p, True, bits) * tail_sum_upper(f.inner, p, n_from, bits)
 
     raise InvalidFamily(f"unknown family {f!r}")
 
