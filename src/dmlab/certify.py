@@ -35,7 +35,6 @@ import enum
 import itertools
 from bisect import bisect_left
 from fractions import Fraction
-from functools import cache
 from math import comb, prod
 from operator import itemgetter, mul
 from typing import Iterator, NamedTuple, Union
