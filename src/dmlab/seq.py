@@ -304,7 +304,8 @@ def tail_sum_upper(
         start = n_from + f.offset
         if start < 1:
             # integral comparison needs a positive lower limit; peel one term
-            return pow_end(term(f, n_from + 1), p, True, bits) + tail_sum_upper(f, p, n_from + 1, bits)
+            first_up = pow_end(term(f, n_from + 1), p, True, bits)
+            return first_up + tail_sum_upper(f, p, n_from + 1, bits)
         gp = f.gamma * p
         # one rung, settled at once: the ladder refuses a start below 1 bit as for the other families
         return refine(lambda b: pow_end(f.a, p, True, b) * pow_end(start, 1 - gp, True, b) / (gp - 1), bits)
