@@ -12,10 +12,11 @@ hold, certifies a counterexample, or raises after exhausting precision.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
-from itertools import repeat
-from math import ceil, floor, gcd, lcm, log2
-from operator import mul, sub
+from itertools import groupby, repeat
+from math import ceil, floor, gcd, inf, lcm, log2
+from operator import add, mul, sub
 from typing import NamedTuple
 
 from .enclosure import (
@@ -40,6 +41,8 @@ from .geom import check_depth, check_nodes, realized_beta_max
 from .measure import (
     LeafPrefixes,
     TreeMeasure,
+    _nonzero,
+    cdf_floats,
     dyadic_cdf_numerators,
 )
 from .ratio import first_max, randbelow
@@ -97,7 +100,8 @@ class _MassOracle:
     depth + 1 - cap. At shift 0 every scan ball is a union of leaves and
     exact. On a construction tree a ball is bracketed at the query level
     split_depth as `interval_mass` brackets it, through a `LeafPrefixes`
-    table (`table`) whose query ends are integers over `unit` too."""
+    table (`table`) whose query ends are integers over `unit` too. A row's
+    floats are within `err` of its masses, in one unit per scan."""
 
     def __init__(self, m: TreeMeasure, depth: int):
         self.table = None
@@ -106,17 +110,19 @@ class _MassOracle:
             check_nodes(1 << (depth + 1))  # the centers, before the padded cdf rows
             (cdf, self.cdf_den), n, s = dyadic_cdf_numerators(m, cap), 1 << (depth + 1), depth + 1 - cap
             self.cdf, self.unit, self.shift = cdf, n, s
-            # the cdf at the floor and the ceiling of q / 2^s for q in -n..2n
+            # the cdf, and its floats, at the floor and the ceiling of q / 2^s for q in -n..2n
             pad = lambda ends: [cdf[0]] * n + ends + [cdf[-1]] * n  # noqa: E731
             self.floor = pad([cdf[q >> s] for q in range(n + 1)] if s else cdf)
             self.ceil = pad([cdf[-(-q >> s)] for q in range(n + 1)]) if s else self.floor
+            self.ffloor, self.err = cdf_floats(self.floor)
+            self.fceil = cdf_floats(self.ceil)[0] if s else self.ffloor
             return
         check_nodes(1 << m.split_depth)
         # node ends at every level are leaf edges (children keep their
         # parent's outer ends), the scan halves them for midpoints, and
         # fit_ratio_decay's centers are dyadic at depth + 1
         self.table = LeafPrefixes(m, m.split_depth, 1 << (depth + 1))
-        self.unit, self.bracket = self.table.unit, self.table.bracket_units
+        self.unit, self.bracket, self.err = self.table.unit, self.table.bracket_units, 2  # as `LeafPrefixes.rows`
 
     def bracket(self, lo: int, hi: int) -> tuple[tuple[int, int], tuple[int, int]]:
         """`bracket_units` of mu([lo / unit, hi / unit]), 0 <= lo <= hi <= unit,
@@ -131,21 +137,30 @@ class _MassOracle:
         return (cdf[b] - cdf[a] if b > a else 0, 1), (cdf[-(-hi >> s)] - cdf[lo >> s], 1)
 
     def row(self, k: int, xs: range | list[int], lower: bool = True) -> tuple:
-        """(lower, upper) of the balls of radius 2^-k around the centers xs /
-        unit as rows (numerators, denominators); on the dyadic base (xs a
-        range) strided differences of the padded cdf, denominators None. Not
-        asked for, the lower row is None below the cdf's level."""
+        """(low, up, mass) for the balls of radius 2^-k around the centers xs
+        / unit: float rows of lower and upper masses (low is up where every
+        ball's two runs agree; low may be None if not asked for), 0 just
+        where the mass is, and mass(idx, upper) the exact masses of balls idx
+        as (numerators, denominators), the latter None over the cdf's one."""
         n, h = self.unit, self.unit >> k
         if self.table is not None:
-            return self.table.bracket_rows([x - h for x in xs], [x + h for x in xs])  # ends clip
+            return self.table.rows(list(map(sub, xs, repeat(h))), list(map(add, xs, repeat(h))))  # ends clip
         lo = slice(n + xs.start - h, n + xs.stop - h, xs.step)
         hi = slice(lo.start + 2 * h, lo.stop + 2 * h, xs.step)
-        upper = list(map(sub, self.ceil[hi], self.floor[lo])), None
-        if not self.shift:
-            return upper, upper
-        if not lower:
-            return None, upper
-        return (list(map(max, map(sub, self.floor[hi], self.ceil[lo]), repeat(0))), None), upper
+        floor, ceil, a, b, step = self.floor, self.ceil, lo.start, hi.start, xs.step
+
+        def mass(idx: list[int], upper: bool) -> tuple[list[int], None]:
+            if upper:
+                return [ceil[b + i * step] - floor[a + i * step] for i in idx], None
+            return [max(floor[b + i * step] - ceil[a + i * step], 0) for i in idx], None
+
+        up = list(map(sub, self.fceil[hi], self.ffloor[lo]))
+        if self.err and not all(up):  # every upper mass is positive
+            up = list(map(max, up, repeat(1)))
+        if not self.shift or not lower:
+            return None if self.shift else up, up, mass
+        low = list(map(max, map(sub, self.ffloor[hi], self.fceil[lo]), repeat(0)))
+        return _nonzero(low, floor[hi], ceil[lo]) if self.err else low, up, mass
 
 
 def _scan_centers(m: TreeMeasure, depth: int, unit: int) -> range | list[int]:
@@ -161,8 +176,8 @@ def _scan_centers(m: TreeMeasure, depth: int, unit: int) -> range | list[int]:
 
 
 def _ratios(a: tuple, b: tuple) -> tuple[list[int], list[int]]:
-    """a / b entrywise for two rows of masses, as (numerators,
-    denominators); rows over the cdf's denominator divide as they are."""
+    """a / b entrywise for two lists of masses, as (numerators,
+    denominators); masses over the cdf's denominator divide as they are."""
     (an, ad), (bn, bd) = a, b
     if ad is None:
         return an, bn
@@ -183,26 +198,31 @@ def _scan_pass(m: TreeMeasure, depth: int, oracle: _MassOracle) -> tuple:
     witness = None  # (k, center index)
     skipped = 0
     per_scale = []
-    big_low, big_up = oracle.row(0, xs)
-    exact = big_low == big_up
+    big_low, big_up, big_mass = oracle.row(0, xs)
+    exact, err = big_low is big_up, oracle.err
+
+    def lower_ratio(idx: list[int]) -> tuple[list[int], list[int]]:  # big.lower / small.upper
+        return _ratios(big_mass(idx, False), mass(idx, True))
+
+    def upper_ratio(idx: list[int]) -> tuple[list[int], list[int]]:  # big.upper / small.lower
+        return _ratios(big_mass(idx, True), mass(idx, False))
+
     for k in range(1, depth + 1):
-        low, up = oracle.row(k, xs)
-        exact = exact and low == up
-        held = low[0]  # zero where the small ball has no certified mass
-        skipped += held.count(0)
-        rn, rd = _ratios(big_low, up)  # lower bounds big.lower / small.upper
-        i = first_max(rn, rd)
-        per_scale.append((k, Fraction(0) if i is None else Fraction(rn[i], rd[i])))
-        if i is not None and not held[i]:
-            i = first_max(rn, [d if w else 0 for d, w in zip(rd, held)])
-        if i is not None and rn[i] * lo_d > lo_n * rd[i]:
-            lo_n, lo_d, witness = rn[i], rd[i], (k, i)
+        low, up, mass = oracle.row(k, xs)
+        exact = exact and low is up
+        skipped += 0 if all(low) else low.count(0)
+        i, rn, rd = first_max(big_low, up, err, lower_ratio) or (None, 0, 1)
+        per_scale.append((k, Fraction(rn, rd)))
+        if i is not None and not low[i]:  # the small ball has no certified mass: drop those that have none
+            held = [v if w else -inf for v, w in zip(big_low, low)]
+            i, rn, rd = first_max(held, up, err, lower_ratio) or (None, 0, 1)
+        if rn * lo_d > lo_n * rd:
+            lo_n, lo_d, witness = rn, rd, (k, i)
         if low is not up or big_low is not big_up:  # else the same ratios
-            rn, rd = _ratios(big_up, low)  # upper bounds big.upper / small.lower
-            i = first_max(rn, rd)
-        if i is not None and rn[i] * up_d > up_n * rd[i]:
-            up_n, up_d = rn[i], rd[i]
-        big_low, big_up = low, up
+            i, rn, rd = first_max(big_up, low, err, upper_ratio) or (None, 0, 1)
+        if rn * up_d > up_n * rd:
+            up_n, up_d = rn, rd
+        big_low, big_up, big_mass = low, up, mass
     c_lower = Fraction(lo_n, lo_d)
     if witness is not None:
         k, i = witness
@@ -298,18 +318,38 @@ def _concentric_maxima(oracle: _MassOracle, depth: int) -> tuple[dict[int, tuple
     """(top, pairs): top[l] the first largest certified bound on mu(B(x, R / 2^l))
     / mu(B(x, R)), an integer pair, over interior centers x = i / 2^j and radii
     R = 2^-j, j = 1..depth-1; pairs counts the pairs whose big ball has certified
-    mass. Each (j, l) is one row: small balls' upper over big balls' lower masses."""
-    n, top, pairs = oracle.unit, {}, 0
+    mass. One row per radius 2^-k, around the centers i / 2^k, of which j's are
+    every 2^(k-j)-th; each l is one `first_max` row in (j, x) order."""
+    n, err, pairs, js, top = oracle.unit, oracle.err, 0, [], {}
+    rows = [None] + [oracle.row(k, range(n >> k, n, n >> k), k < depth) for k in range(1, depth + 1)]
     for j in range(1, depth):
-        xs = range(n >> j, n, n >> j)
-        big = oracle.row(j, xs)[0]
-        held = len(xs) - big[0].count(0)
+        held = (1 << j) - 1 - (0 if all(rows[j][0]) else rows[j][0].count(0))
         pairs += held * (depth - j + 1)
-        for l in range(depth - j + 1) if held else ():
-            rn, rd = _ratios(oracle.row(j + l, xs, lower=False)[1], big)
-            i = first_max(rn, rd)
-            if i is not None and rn[i] and (l not in top or rn[i] * top[l][1] > top[l][0] * rd[i]):
-                top[l] = rn[i], rd[i]
+        if held:
+            js.append(j)
+
+    def ratio(idx: list[int]) -> tuple[list[int], list[int]]:  # the exact ratios of the row of l
+        nums, dens = [], []
+        for part, run in groupby(idx, lambda i: bisect_right(starts, i) - 1):  # entries of one j, from its start
+            j, t = js[part], [i - starts[part] for i in run]
+            part_nums, part_dens = _ratios(rows[j + l][2]([((x + 1) << l) - 1 for x in t], True), rows[j][2](t, False))
+            nums += part_nums
+            dens += part_dens
+        return nums, dens
+
+    for l in range(depth):
+        if not l and js and all(rows[j][0] is rows[j][1] for j in js):  # each ball over itself, all exact: 1
+            top[0] = 1, 1
+            continue
+        num, den, starts = [], [], []
+        for j in js:
+            if j + l <= depth:
+                starts.append(len(num))
+                num += rows[j + l][1][(1 << l) - 1::1 << l]
+                den += rows[j][0]
+        _, rn, rd = (first_max(num, den, err, ratio) if num else None) or (None, 0, 1)
+        if rn:
+            top[l] = rn, rd
     return top, pairs
 
 
@@ -338,7 +378,7 @@ def fit_ratio_decay(
     _guard_tree_perfectness(m)
     oracle = oracle or _MassOracle(m, depth)
     top, pairs = _concentric_maxima(oracle, depth)
-    if not pairs:
+    if not pairs or not m.total_mass:
         raise PreconditionViolated("no interior pair produced a certified ratio")
 
     def lam_at(t_steps: int) -> tuple[int, int]:

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from functools import partial
-from itertools import accumulate, compress, count, repeat
+from itertools import accumulate, repeat
 from math import gcd, lcm
-from operator import add, floordiv, mul, ne, or_, sub
+from operator import floordiv, gt, mul, neg, rshift, sub
 from typing import Union
 
 from .errors import MisalignedTrees, PreconditionViolated
@@ -161,26 +160,24 @@ class LeafPrefixes(dict):
 
     Query ends are integers over `unit`, the lcm of twice the leaves' common
     denominator `den` and `ends`, one the caller's ends are integers over;
-    they map onto the leaf edges, integers over den as the tree holds them,
-    by floor and ceiling division by `step`."""
+    a construction tree's leaf edges are kept over `unit` too (`lows`,
+    `highs`, sorted), so a query end is bisected against them as it is."""
 
     def __init__(self, m: TreeMeasure, depth: int, ends: int = 1):
         super().__init__()
         self.m, self.cap = m, effective_depth(m, depth)
         den = 1 << self.cap if m.base is None else m.base.edges[self.cap][0]
         self.den, self.unit = den, lcm(2 * den, ends)
-        self.step = self.unit // den
-        # leaves ending at or before q and starting before q, for q over den
-        if m.base is None:
-            self.ending_by = self.starting_before = lambda q: min(max(q, 0), den)
-        else:
+        self.step = step = self.unit // den
+        if m.base is not None:
             _, lows, highs = m.base.edges[self.cap]
-            self.ending_by, self.starting_before = partial(bisect_right, highs), partial(bisect_left, lows)
+            self.lows, self.highs = [lo * step for lo in lows], [hi * step for hi in highs]
         total = m.total_mass
         self[1 << self.cap] = total.numerator, total.denominator
         # walk states by node 2^level + index: (node mass, mass left of the
         # node, den), the masses integer numerators over den
         self.states = {1: (total.numerator, 0, total.denominator)}
+        self.approx = None
 
     def __missing__(self, j: int) -> tuple[int, int]:
         """P(j) for 0 <= j < 2^cap: the mass left of the node where leaf j's
@@ -233,12 +230,17 @@ class LeafPrefixes(dict):
         """(lower, upper) of mu([lo / unit, hi / unit]) for integers lo <= hi
         (ends past [0, 1] clip), each a (numerator, denominator) pair: the
         mass of the leaves inside the interval, and of those whose interior
-        meets it. Both are runs found by bisecting the edges, as each level is
-        sorted and disjoint (`build_cantor`); one difference serves both when
-        they coincide."""
-        s = self.step
-        f, e = self.ending_by(lo // s), self.starting_before(-(-hi // s))
-        g, h = self.starting_before(-(-lo // s)), self.ending_by(hi // s)
+        meets it. Both are runs of leaves: the floors and ceilings of the ends
+        in leaf widths on the dyadic base, found by bisecting a tree's edges,
+        as each level is sorted and disjoint (`build_cantor`); one difference
+        serves both when they coincide."""
+        if self.m.base is None:  # leaf j spans [j step, (j + 1) step]; the ends clip to [0, unit]
+            s, unit = self.step, self.unit
+            lo, hi = min(max(lo, 0), unit), min(max(hi, 0), unit)
+            f, e, g, h = lo // s, -(-hi // s), -(-lo // s), hi // s
+        else:
+            lows, highs = self.lows, self.highs
+            f, e, g, h = bisect_right(highs, lo), bisect_left(lows, hi), bisect_left(lows, lo), bisect_right(highs, hi)
         upper = self.mass(f, e)
         if g == f and h == e:
             return upper, upper
@@ -246,33 +248,65 @@ class LeafPrefixes(dict):
             return (0, 1), upper
         return self.mass(g, h), upper
 
-    def bracket_rows(self, los: list[int], his: list[int]) -> tuple:
-        """`bracket_units` of every [los[i], his[i]] as two rows (lower,
-        upper) of lists (numerators, denominators), each step mapped over
-        whole lists; lower is computed apart only where its run differs,
-        and is P(g) - P(g) where no leaf lies inside."""
-        s = repeat(self.step)
-        lo_dn, hi_dn = (map(floordiv, qs, s) for qs in (los, his))
-        lo_up, hi_up = (map(floordiv, map(add, qs, repeat(self.step - 1)), s) for qs in (los, his))
-        if self.m.base is None:
-            f, e, g, h = (list(map(self.ending_by, qs)) for qs in (lo_dn, hi_up, lo_up, hi_dn))
-        else:  # bisect the level's edges, as ending_by and starting_before do
-            lows, highs = map(repeat, self.m.base.edges[self.cap][1:])
-            f, h = (list(map(bisect_right, highs, qs)) for qs in (lo_dn, hi_dn))
-            e, g = (list(map(bisect_left, lows, qs)) for qs in (hi_up, lo_up))
-        h = list(map(max, h, g))
-        un, ud = self._mass_row(f, e)
-        ln, ld = un[:], ud[:]
-        inner = list(compress(count(), map(or_, map(ne, f, g), map(ne, e, h))))
-        if inner:
-            for i, n, d in zip(inner, *self._mass_row(map(g.__getitem__, inner), map(h.__getitem__, inner))):
-                ln[i], ld[i] = n, d
-        return (ln, ld), (un, ud)
+    def runs(self, los: list[int], his: list[int]) -> tuple[list[int], ...]:
+        """The runs of `bracket_units` for every [los[i], his[i]] as rows (f,
+        e, g, h): leaves f..e-1 meet the interval, leaves g..h-1, h >= g, lie
+        inside it."""
+        if self.m.base is None:  # as bracket_units: floors and ceilings of the clipped ends
+            s, unit = repeat(self.step), repeat(self.unit)
+            los, his = (list(map(min, map(max, qs, repeat(0)), unit)) for qs in (los, his))
+            f, e = list(map(floordiv, los, s)), list(map(neg, map(floordiv, map(neg, his), s)))
+            g, h = list(map(neg, map(floordiv, map(neg, los), s))), map(floordiv, his, s)
+        else:
+            lows, highs = repeat(self.lows), repeat(self.highs)
+            f, e = list(map(bisect_right, highs, los)), list(map(bisect_left, lows, his))
+            g, h = list(map(bisect_left, lows, los)), map(bisect_right, highs, his)
+        return f, e, g, list(map(max, h, g))
 
-    def _mass_row(self, fs, es) -> tuple:
-        """P(e) - P(f) for every run f..e-1, as (numerators, denominators)."""
-        (nf, df), (ne, de) = (zip(*map(self.__getitem__, js)) for js in (fs, es))
-        return list(map(sub, map(mul, ne, df), map(mul, nf, de))), list(map(mul, de, df))
+    def rows(self, los: list[int], his: list[int]) -> tuple:
+        """(low, up, mass) of every [los[i], his[i]]: float rows of their
+        lower and upper masses from `floats` (low is up where every pair of
+        runs agrees), each within 2 of its exact value, 0 just where that is
+        (`_nonzero`), and mass(idx, upper) the exact masses of the intervals
+        idx as (numerators, denominators)."""
+        f, e, g, h = self.runs(los, his)
+        fl = self.floats()
+
+        def mass(idx: list[int], upper: bool) -> list:
+            starts, ends = (f, e) if upper else (g, h)
+            return list(zip(*map(self.mass, map(starts.__getitem__, idx), map(ends.__getitem__, idx))))
+
+        up = _nonzero(list(map(sub, map(fl.__getitem__, e), map(fl.__getitem__, f))), e, f)
+        low = up if f == g and e == h else _nonzero(
+            list(map(sub, map(fl.__getitem__, h), map(fl.__getitem__, g))), h, g)
+        return low, up, mass
+
+    def floats(self) -> list[float]:
+        """P(j) for j = 0..2^cap as floats for `first_max`, made once: in
+        units of 2^-53 of a power of two above the total mass, so at most
+        2^53 and each correctly rounded, within 1/2 of its exact value."""
+        if self.approx is None:
+            tn, td = self[1 << self.cap]
+            s = 53 - tn.bit_length() + td.bit_length() - 1
+            self.approx = [(n << s) / d if s >= 0 else n / (d << -s)
+                           for n, d in map(self.__getitem__, range((1 << self.cap) + 1))]
+        return self.approx
+
+
+def _nonzero(row: list[float], ends, starts) -> list[float]:
+    """row of masses with 1 for a 0 whose mass is positive, within a slack of
+    at least 1: every leaf has mass, so that is where the run of leaves
+    starts[i]..ends[i] - 1 is not empty."""
+    return row if all(row) else list(map(max, row, map((0, 1).__getitem__, map(gt, ends, starts))))
+
+
+def cdf_floats(cdf: list[int]) -> tuple[list, int]:
+    """(floats, err) of cdf numerators for `first_max`: shifted right until
+    the last fits 53 bits, so a difference of two is exact and within err =
+    1 of the shifted true difference; where the last fits, err = 0 and the
+    integers stand as they are, every one a float exactly."""
+    shift = cdf[-1].bit_length() - 53
+    return (list(map(float, map(rshift, cdf, repeat(shift)))), 1) if shift > 0 else (cdf, 0)
 
 
 def _pair_sum(pairs) -> tuple[int, int]:
@@ -401,7 +435,8 @@ def restrict(
     def brackets(level: int) -> tuple:
         den, lows, highs = tree.edges[level]
         step = repeat(table.unit // den)  # a child keeps its parent's outer ends
-        return table.bracket_rows(list(map(mul, lows, step)), list(map(mul, highs, step)))
+        f, e, g, h = table.runs(list(map(mul, lows, step)), list(map(mul, highs, step)))
+        return list(map(table.mass, g, h)), list(map(table.mass, f, e))
 
     lower, upper = brackets(0)
     if upper[0][0] == 0:  # the root's upper mass
@@ -409,7 +444,7 @@ def restrict(
     rows: list[tuple[Fraction, ...]] = []
     for level in range(tree.depth):
         lower, upper = brackets(level + 1)
-        sums = [_pair_sum(pairs) for pairs in zip(zip(*lower), zip(*upper))]  # L + U
+        sums = list(map(_pair_sum, zip(lower, upper)))  # L + U
         row = []
         for index in range(1 << level):
             (ln, ld), (rn, rd) = sums[2 * index], sums[2 * index + 1]
@@ -420,7 +455,7 @@ def restrict(
             row.append(Fraction(ln * rd, ln * rd + rn * ld))
         rows.append(tuple(row))
     # lower and upper now hold the brackets of the leaves
-    leaf_total = MassBracket(Fraction(*_pair_sum(zip(*lower))), Fraction(*_pair_sum(zip(*upper))))
+    leaf_total = MassBracket(Fraction(*_pair_sum(lower)), Fraction(*_pair_sum(upper)))
     weights = TableWeights(tuple(rows))
     # total mass = the surviving-set mass at the build depth (midpoint of the
     # certified bracket; the bracket itself rides along for consumers)

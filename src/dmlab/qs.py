@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import repeat
 from operator import sub
 from typing import NamedTuple
 
 from .enclosure import Bounds, add_bounds, log2_bounds, mul_bounds, pow_bounds
 from .errors import PreconditionViolated
-from .measure import TreeMeasure, cdf, dyadic_cdf_numerators
+from .measure import TreeMeasure, cdf_floats, dyadic_cdf_numerators
 from .ratio import Value, first_max, randbelow
 
 DEFAULT_TAUS = (
@@ -56,18 +57,21 @@ def _outranks(a: tuple, b: tuple) -> bool:
 
 
 def _straddle_maxima(cdf: list[int], depth: int) -> dict[Fraction, tuple]:
-    """Best straddle per shape ratio, on integer cdf numerators.
+    """Best straddle per shape ratio, on integer cdf numerators of positive
+    total mass.
 
     Returns shape -> (num, den, order, (j, y, z)): the largest image ratio
     num/den of that shape and the grid indices of the first triple attaining
     it, where `order` is the triple's position in the scan order (j, k, a, b,
-    forward before reverse)."""
+    forward before reverse). Rows are rises of the cdf's floats (`cdf_floats`),
+    made once per offset; `first_max` takes the exact rises of its candidates."""
     size = 1 << depth
-    rises: dict[int, list[int]] = {}  # offset o -> [cdf[i + o] - cdf[i]]
+    fl, err = cdf_floats(cdf)
+    rises: dict[int, list[float]] = {}  # offset o -> [fl[i + o] - fl[i]]
 
-    def rise(o: int) -> list[int]:
+    def rise(o: int) -> list[float]:  # every rise is positive: one whose float came out 0 reads 1, within err
         if o not in rises:
-            rises[o] = list(map(sub, cdf[o:], cdf[:-o]))
+            rises[o] = list(map(max, map(sub, fl[o:], fl[:-o]), repeat(err)))
         return rises[o]
 
     best: dict[Fraction, tuple] = {}
@@ -85,10 +89,15 @@ def _straddle_maxima(cdf: list[int], depth: int) -> dict[Fraction, tuple]:
                     (0, left, right, Fraction(a, b)),
                     (1, right, left, Fraction(b, a)),
                 ):
-                    top_t = first_max(nums, dens)
-                    if top_t is None:
+                    def exact(idx: list[int]) -> tuple[list[int], list[int]]:  # the rises about centers lo + t
+                        pair = [cdf[lo + t] - cdf[t] for t in idx], [cdf[lo + t + hi] - cdf[lo + t] for t in idx]
+                        return pair[::-1] if direction else pair
+
+                    found = first_max(nums, dens, err, exact)
+                    if found is None:
                         continue
-                    top_n, top_d, j = nums[top_t], dens[top_t], lo + top_t
+                    top_t, top_n, top_d = found
+                    j = lo + top_t
                     y, z = (j - lo, j + hi) if direction == 0 else (j + hi, j - lo)
                     cand = (top_n, top_d, (j, k, ai, bi, direction), (j, y, z))
                     if shape not in best or _outranks(cand, best[shape]):
@@ -117,7 +126,7 @@ def qs_ratio_scan(
         raise PreconditionViolated("random triples must be >= 0")
     cdf, _ = dyadic_cdf_numerators(qsmap.source, depth)
     size = 1 << depth
-    shapes = _straddle_maxima(cdf, depth)
+    shapes = _straddle_maxima(cdf, depth) if cdf[-1] else {}
 
     def point(j: int) -> Fraction:
         return Fraction(j, size)

@@ -9,7 +9,9 @@ only, so report bytes do not depend on platform float behavior.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import truediv
+from itertools import compress, count, islice, repeat
+from math import inf
+from operator import ge, lt, truediv
 
 from .errors import PreconditionViolated
 
@@ -73,33 +75,55 @@ def parse_integer(value: str | int) -> int:
     raise PreconditionViolated(f"malformed integer {value!r}")
 
 
-def first_max(nums: list[int], dens: list[int]) -> int | None:
-    """Index of the first largest nums[i] / dens[i] with dens[i] != 0, or None,
-    for rows of integers >= 0.
+def first_max(num: list[float], den: list[float], err: int, exact) -> tuple[int, int, int] | None:
+    """(i, N_i, D_i) for the first largest N_i / D_i over the entries kept,
+    or None when none is, from float rows made once per scan: num[i] and
+    den[i] lie in [0, 2^53], within err >= 1 of c N_i and c D_i for one c >
+    0 per row, or, with err = 0, are N_i and D_i, Python integers; entry i
+    is dropped where num[i] = -inf or den[i] = 0, and D_i > 0 for every
+    entry kept; exact(idx) gives the lists of N_i and D_i for ascending
+    indices idx of entries kept, integers >= 0; it is called only if err.
 
-    A float filter picks the candidates: int / int is correctly rounded and
-    rounding is monotone, so the exact maximum, and every entry equal to it,
-    has the largest float. Only those are cross-multiplied, in order; no
-    float leaves here. A ratio past the float range makes all candidates."""
+    The slack. Let r_i = num[i] / den[i] rounded (-inf if dropped), top the
+    largest, j the first entry with it. With err = 0, r_i is N_i / D_i
+    correctly rounded, so every maximum has r_i = top and only those are
+    candidates; if only j has it, or top = 0 (every ratio kept is 0), or
+    every float is below 2^25 (two distinct ratios then differ by more than
+    two ulps), j is the answer.
+    Else ref = (num[j] - err) / (den[j] + err), rounded down, or 0 is at
+    most N_j / D_j, so at most M, the row's maximum. An entry at M has
+    N_i >= ref D_i, so num[i] - ref den[i] >= -err (1 + ref); with den[i]
+    >= beta = err (1 + ref) 2^20 / ref, rounded up, that is num[i] / den[i]
+    >= ref (1 - 2^-20), and r_i >= ref (1 - 2^-19) as rounded. The
+    candidates are the entries with r_i at least that and the kept ones
+    with den[i] < beta (all kept ones when ref = 0): ties whatever their
+    size, and the tiny masses a float cannot rank. They are cross-multiplied
+    with the best so far in row order, which a later one replaces only when
+    strictly greater."""
     try:
-        fl = ([n / d if d else -1.0 for n, d in zip(nums, dens)] if 0 in dens
-              else list(map(truediv, nums, dens)))
-    except OverflowError:
-        fl = [0.0 if d else -1.0 for d in dens]
+        fl = list(map(truediv, num, den))
+    except ZeroDivisionError:
+        fl = [n / d if d else -inf for n, d in zip(num, den)]
     top = max(fl)
-    if top < 0:
+    if top == -inf:
         return None
-    best = i = fl.index(top)
-    ties = fl.count(top) - 1
-    # two ratios of terms below 2^25 that differ do so by more than two ulps,
-    # so on such a row tied floats are equal ratios
-    if not ties or max(nums) < 1 << 25 and max(dens) < 1 << 25:
-        return best
-    for _ in range(ties):  # the other candidates, the entries whose float equals top, in order
-        i = fl.index(top, i + 1)
-        if nums[i] * dens[best] > nums[best] * dens[i]:
-            best = i
-    return best
+    j = fl.index(top)
+    if not err and (not top or fl.count(top) == 1 or max(num) < 1 << 25 and max(den) < 1 << 25):
+        return j, num[j], den[j]
+    if err:
+        ref = max((num[j] - err) / (den[j] + err) * (1 - 2**-50), 0.0)
+        thr, beta = ref * (1 - 2**-19), err * (1 + ref) / ref * 2**20 * (1 + 2**-40) if ref else inf
+    else:
+        thr, beta = top, 0
+    cands = list(compress(count(), map(ge, fl, repeat(thr))))
+    if err and beta > min(den):
+        cands = sorted(set(cands).union(i for i in compress(count(), map(lt, den, repeat(beta))) if fl[i] > -inf))
+    ns, ds = exact(cands) if err else ([num[i] for i in cands], [den[i] for i in cands])
+    b, bn, bd = 0, ns[0], ds[0]
+    for i, n, d in zip(count(1), islice(ns, 1, None), islice(ds, 1, None)):
+        if n * bd > bn * d:
+            b, bn, bd = i, n, d
+    return cands[b], bn, bd
 
 
 def randbelow(getrandbits, n: int) -> int:

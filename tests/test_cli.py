@@ -545,3 +545,72 @@ def test_error_contract_fuzz(argv):
         assert len(lines) == 1
         assert set(json.loads(lines[0])) == {"error", "kind"}
         assert out.getvalue() == ""
+
+
+def test_tail_past_the_printable_digits_prints_its_outward_rounding(capsys):
+    """A tail bound whose exact form has more digits than Python prints is
+    reported by its outward rounding to the 60-place grid, as a product is;
+    a printable one stays exact."""
+    family = '{"kind":"geometric","a":"1/2","q":"1/4"}'
+    code, out, _ = run(capsys, "seq", "tail", "--family", family, "--p", "1/2", "--from", "100000")
+    assert code == 0
+    assert json.loads(out)["tail_sum_upper"] == {
+        "kind": "bracket", "lo": "0", "lo_decimal": "0", "hi": "1/" + "1" + "0" * 60, "hi_decimal": "1e-60"}
+    code, out, _ = run(capsys, "seq", "tail", "--family", family, "--p", "1/2", "--from", "10")
+    assert code == 0 and json.loads(out)["tail_sum_upper"]["kind"] == "exact"
+
+
+POWER = '{"kind": "power", "a": "1", "gamma": 2, "offset": 1}'
+TABLE = '{"kind": "table", "weights": [["1/3"], ["1/4", "2/3"]]}'
+# per argv head: the options that run it, and for every option its row declares
+# (the run flags among its common ones included) a valid non-default value, None
+# for a switch, with the options both runs add where the value needs them to apply
+NON_DEFAULT = {
+    ("seq", "classify"): (["--family", GEOM], {"family": (POWER, []), "p": ("1/2", [])}),
+    ("seq", "tail"): (["--family", GEOM], {"family": (POWER, []), "p": ("2", []), "from": ("3", [])}),
+    ("cantor", "build"): (["--beta", GEOM, "--depth", "3"], {
+        "beta": ('{"kind": "constant", "value": "1/3"}', []), "depth": ("2", []),
+        "max-depth": ("2", []), "max-nodes": ("4", [])}),
+    ("cantor", "cutout"): (["--nested", "8"], {"nested": ("4", []), "balls": ('[["1/4", "1/2"]]', []),
+                                               "n-balls": ("2", []), "diam-family": (POWER, [])}),
+    ("measure", "mass"): (["--measure", BINOM, "--lo", "1/3", "--hi", "2/3", "--depth", "4"], {
+        "measure": (TABLE, []), "lo": ("1/5", []), "hi": ("3/5", []), "depth": ("6", []), "max-depth": ("2", [])}),
+    ("measure", "grid"): (["--measure", TABLE, "--depth", "2"], {
+        "measure": (BINOM, []), "depth": ("1", []), "max-depth": ("1", []), "max-nodes": ("2", [])}),
+    ("doubling", "scan"): (["--measure", '{"kind": "binomial", "p": "1/3"}', "--depth", "4"], {
+        "measure": (TABLE, []), "depth": ("3", []), "no-fit": (None, []), "max-depth": ("2", []),
+        "max-nodes": ("8", []), "seed": ("7", ["--depth", "6"])}),
+    ("certify", "fat"): (["--alpha", GEOM], {
+        "alpha": ('{"kind": "geometric", "a": "1/4", "q": "1/2"}', []), "t": ("2", []), "factor-scale": ("1/2", [])}),
+    ("certify", "thin"): (["--alpha", '{"kind": "constant", "value": "1/2"}'], {
+        "alpha": ('{"kind": "constant", "value": "1/4"}', []), "s": ("2", []), "c": ("2", []),
+        "epsilon": ("1/100", [])}),
+    ("certify", "cutout"): (["--scan-depth", "4"], {
+        "measure": ('{"kind": "binomial", "p": "1/3"}', []), "scan-depth": ("5", []), "n-total": ("32", []),
+        "n-balls": ("8", []), "r": ("1/2", []), "p": ("1/8", []), "max-depth": ("2", []),
+        "max-nodes": ("8", []), "seed": ("7", ["--scan-depth", "5"])}),
+    ("certify", "logfloor"): ([], {"p": ("1/4", []), "stages": ("6", [])}),
+    ("qs", "scan"): (["--measure", '{"kind": "binomial", "p": "1/10"}', "--depth", "3"], {
+        "measure": (TABLE, []), "depth": ("2", []), "random-triples": ("2000", []), "max-depth": ("2", []),
+        "max-nodes": ("4", []), "seed": ("1", ["--random-triples", "300"])}),
+    ("qs", "pullback"): (["--C", "2", "--eta2", "2"], {"C": ("3", []), "eta2": ("4", [])}),
+    ("example",): (["cutout_fat", "--set", "scan_depth=4"], {
+        "seed": ("7", ["--set", "scan_depth=5"]), "max-depth": ("2", []), "max-nodes": ("8", [])}),
+}
+
+
+@pytest.mark.parametrize("row", cli.VERBS, ids=lambda row: " ".join(w for w in row[:2] if w))
+def test_every_declared_option_changes_the_report_or_is_refused(capsys, row):
+    """No declared option is silently dropped: set to a valid value other than
+    its default, where it applies, it either changes the report bytes or is
+    refused."""
+    topic, verb, _, _, spec, common = row
+    head = (topic, verb) if verb else (topic,)
+    base, values = NON_DEFAULT[head]
+    assert set(values) == set(spec) | {name for name in common if name in cli._RUN}
+    for name, (value, both) in values.items():
+        code, want, _ = run(capsys, *head, *base, *both)
+        assert code in (0, 2), f"{head} {base + both} fails: {want}"
+        flag = [f"--{name}"] + ([] if value is None else [value])
+        code, got, err = run(capsys, *head, *base, *both, *flag)
+        assert code == 1 or got != want, f"{' '.join(head)} --{name} {value} neither changes the report nor is refused"

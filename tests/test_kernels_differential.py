@@ -229,9 +229,11 @@ deep_equal_share_cases = st.integers(1, 7).flatmap(
 @given(st.one_of(grid_cases(), extreme_binomial_cases, deep_equal_share_cases))
 @example((TreeMeasure(BinomialWeights(Fraction(1, 9999))), 8))
 @example((TreeMeasure(BinomialWeights(Fraction(9998, 9999))), 8))
+@example((TreeMeasure(BinomialWeights(Fraction(1, 10**9))), 4))
 def test_grid_scan_matches_oracle(case):
     """On the exact grid, float ties included, whether the ratios differ
-    (extreme shares) or tie exactly (equal shares)."""
+    (extreme shares, down to masses whose shifted floats are 0 beside huge
+    ones) or tie exactly (equal shares)."""
     _check_scan(*case)
 
 
@@ -274,6 +276,7 @@ def test_shallow_table_scan_matches_oracle(case):
 
 @settings(max_examples=25, deadline=None)
 @given(cantor_cases)
+@example((restrict(TreeMeasure(BinomialWeights(Fraction(1, 10**9))), build_cantor(Constant(Fraction(1, 4)), 4)), 4))
 def test_cantor_scan_matches_oracle(case):
     # both skip rules run where small balls fall in gaps
     _check_scan(*case)
@@ -298,6 +301,8 @@ row_pass_cases = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(row_pass_cases, shallow_table_cases))
 @example((TreeMeasure(BinomialWeights(Fraction(1, 2))), 8))
+@example((TreeMeasure(BinomialWeights(Fraction(1, 10**9))), 4))
+@example((restrict(TreeMeasure(BinomialWeights(Fraction(1, 10**9))), build_cantor(Constant(Fraction(1, 4)), 4)), 4))
 def test_concentric_rows_match_per_ball_stage(case):
     """The ratio-decay fit's concentric stage in rows gives the per-l first
     maxima and the pair count of the per-ball stage."""
@@ -321,49 +326,107 @@ def test_cdf_levels_match_per_node_loop(m, depth):
     assert [Fraction(n, den) for n in nums] == cdf_grid_oracle(m, depth)
 
 
+def _float_rows(nums, dens, drop=(), err=None, nudge=()):
+    """`first_max`'s rows for exact rows nums / dens: the integers themselves
+    (err 0; exact is not called) where all fit 53 bits and err is not asked
+    for, else the values
+    shifted right until they fit 52 bits, floored (within 1), moved by
+    nudge[i] (in [-1, 1]) times err - 1, clipped to [0, 2^53] and, for a
+    positive value that came out 0, set to 1, so within err; an index in
+    drop gets num -inf, and a zero denominator stays 0, which drops it too."""
+    shift = max(max(nums + dens).bit_length() - 52, 0) if err or max(nums + dens) >> 53 else None
+    if shift is None:
+        num, den, err = list(nums), list(dens), 0
+    else:
+        err = err or 1
+        moved = lambda v, i: min(max(float(v >> shift) + (nudge[i] if i < len(nudge) else 0) * (err - 1), 0.0),
+                                 2.0**53) or float(v > 0)
+        num, den = [moved(n, i) for i, n in enumerate(nums)], [moved(d, i + 1) for i, d in enumerate(dens)]
+    num = [-float("inf") if i in drop else n for i, n in enumerate(num)]
+
+    def exact(idx):
+        assert err and idx == sorted(idx) and not set(idx) & set(drop)
+        return [nums[i] for i in idx], [dens[i] for i in idx]
+
+    return num, den, err, exact
+
+
+def _first_max_checked(nums, dens, drop=(), err=None, nudge=()):
+    """first_max on the float rows of nums / dens, against the exact loop
+    with the dropped entries' denominators set to 0."""
+    got = first_max(*_float_rows(nums, dens, drop, err, nudge))
+    want = first_max_oracle(nums, [0 if i in drop else d for i, d in enumerate(dens)])
+    assert got == (None if want is None else (want, nums[want], dens[want]))
+    return got and got[0]
+
+
 def test_first_max_decides_float_ties_exactly():
     """Entries whose floats tie are compared exactly: the later, larger one
-    wins, and of two equal ones the first; a zero denominator drops out, and
-    a ratio past the float range leaves the exact comparison to decide."""
+    wins, and of two equal ones the first; a dropped entry never wins, and
+    a zero denominator drops its entry, and a ratio past the float range
+    leaves the exact comparison to decide."""
     big = 10 ** 40
-    assert first_max([big, big + 1, big + 1], [1, 1, 1]) == 1
-    assert first_max([1, 5, 5], [0, 1, 1]) == 1
-    assert first_max([1, 2], [0, 0]) is None
+    assert _first_max_checked([big, big + 1, big + 1], [1, 1, 1]) == 1
+    assert _first_max_checked([1, 5, 5], [1, 1, 1], drop={0}) == 1
+    assert _first_max_checked([1, 2], [1, 1], drop={0, 1}) is None
+    assert _first_max_checked([1, 2, 1], [0, 0, 3]) == 2
     huge = 1 << 2000
-    assert first_max([huge, huge + 1, 3], [1, 1, 1]) == 1
+    assert _first_max_checked([huge, huge + 1, 3], [1, 1, 1]) == 1
+    assert _first_max_checked([3, huge, huge + 1], [1, 1, 1]) == 2
 
 
 @st.composite
 def max_rows(draw):
-    """Rows for `first_max`: small integers with many exact ties (1/2 = 2/4)
-    and zero denominators; ratios near 1 with terms from 2^25 to 2^28, where
-    (n + 2) / (n + 1) and (n + 1) / n get equal floats though they differ;
-    and terms on both sides of 2^25, the bound of the tied-row shortcut."""
+    """Exact rows for `first_max`: small integers with many exact ties (1/2
+    = 2/4, and a Lebesgue row of one ratio but at its ends); ratios near 1
+    with terms from 2^25 to 2^28 and past 2^53, where (n + 2) / (n + 1) and
+    (n + 1) / n differ by a few ulps or less after the shift; terms on both
+    sides of 2^25, the bound of the tied-row shortcut; tiny denominators
+    beside huge masses; and tree-like rows of one ratio at many scales. Each
+    comes with entries to drop, a slack and nudges within it."""
     small = st.integers(0, 6)
-    kind = draw(st.integers(0, 2))
+    kind = draw(st.integers(0, 5))
     if kind == 0:
-        entries = st.tuples(small, small)
+        entries = st.tuples(small, st.integers(1, 6))
     elif kind == 1:
-        n = draw(st.integers(1 << 25, 1 << 28))
+        n = draw(st.one_of(st.integers(1 << 25, 1 << 28), st.integers(1 << 53, 1 << 120)))
         entries = st.one_of(st.sampled_from([(n + 1, n), (n + 2, n + 1), (n + 3, n + 2), (n, n)]),
                             st.tuples(small, st.integers(1, 6)))
-    else:
+    elif kind == 2:
         near = st.integers((1 << 25) - 3, (1 << 25) + 3)
-        entries = st.one_of(st.tuples(near, near), st.tuples(small, small))
+        entries = st.one_of(st.tuples(near, near), st.tuples(small, st.integers(1, 6)))
+    elif kind == 3:  # masses of 1 unit or less after the shift beside huge ones
+        huge = st.integers(1 << 60, 1 << 64)
+        entries = st.one_of(st.tuples(huge, st.integers(1, 1 << 8)),
+                            st.tuples(st.integers(0, 1 << 8), st.integers(1, 3)), st.tuples(huge, huge))
+    elif kind == 4:  # one ratio a / b at scales k, as self-similar balls have
+        a, b = draw(st.integers(1, 50)), draw(st.integers(1, 50))
+        entries = st.one_of(st.integers(1, 1 << 70).map(lambda k: (a * k, b * k)), st.tuples(small, st.integers(1, 6)))
+    else:  # Lebesgue: interior balls tie, the ends do not
+        d = draw(st.integers(1, 20))
+        entries = st.sampled_from([(2 << d, 1 << d), (1 << d, 1 << d), (3 << d, 2 << d)])
     pairs = draw(st.lists(entries, min_size=1, max_size=12))
-    return [n for n, _ in pairs], [d for _, d in pairs]
+    nums, dens = [n for n, _ in pairs], [d for _, d in pairs]
+    drop = set(draw(st.lists(st.integers(0, len(pairs) - 1), max_size=len(pairs))))
+    err = draw(st.sampled_from([None, 1, 2, 4]))
+    nudge = draw(st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), max_size=2 * len(pairs) + 1))
+    return nums, dens, drop, err, nudge
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(max_rows())
-@example(([(1 << 27) + 2, (1 << 27) + 1], [(1 << 27) + 1, 1 << 27]))
-@example(([(1 << 25) - 1, (1 << 25) - 2, 2], [(1 << 25) - 2, (1 << 25) - 3, 2]))
-@example(([0, 0, 1, 2, 3], [0, 5, 2, 4, 6]))
+@example(([(1 << 27) + 2, (1 << 27) + 1], [(1 << 27) + 1, 1 << 27], set(), None, []))
+@example(([1 << 28, (1 << 28) + 1], [(1 << 28) + 1, (1 << 28) + 2], set(), None, []))
+@example(([(1 << 25) - 1, (1 << 25) - 2, 2], [(1 << 25) - 2, (1 << 25) - 3, 2], set(), None, []))
+@example(([0, 0, 1, 2, 3], [0, 5, 2, 4, 6], {0}, None, []))
+@example(([(1 << 80) + 1, 1 << 80], [1 << 80, (1 << 80) - 1], set(), 1, [1.0, -1.0, 1.0, -1.0]))
+@example(([1 << 64, 3, 1 << 64], [1 << 64, 1, 2], set(), 2, [-1.0, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0]))
+@example(([0, 0, 0], [5, 7, 9], {1}, 4, []))
 def test_first_max_matches_exact_loop(row):
-    """The float filter, with its shortcut on tied rows of terms below 2^25,
-    picks the first exact maximum."""
-    nums, dens = row
-    assert first_max(nums, dens) == first_max_oracle(nums, dens)
+    """The float filter, with its shortcut on tied rows of terms below 2^25
+    and its slack for floats within err of the exact values, picks the first
+    exact maximum over the entries kept, or None."""
+    _first_max_checked(*row)
 
 
 @settings(max_examples=200, deadline=None)
@@ -437,6 +500,7 @@ def test_bracket_ratio_fit_matches_oracle(case, seed):
 
 @settings(max_examples=20, deadline=None)
 @given(grid_cases(), st.sampled_from([0, 50]), st.integers(0, 9))
+@example((TreeMeasure(BinomialWeights(Fraction(1, 10**9))), 4), 0, 0)
 def test_qs_scan_matches_oracle(case, random_triples, seed):
     m, depth = case
     rows = qs_ratio_scan(QSMap(m), depth, random_triples=random_triples, seed=seed)
@@ -642,6 +706,22 @@ def test_leaf_prefixes_match_plain_walk(m, depth, rnd):
     rnd.shuffle(js)
     for j in js + js[::-1]:
         assert table[j] == leaf_prefix_oracle(m, table.cap, j)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(binomials(), tables(st.integers(1, 10)), cantor_measures(max_depth=8)), st.integers(0, 10))
+def test_leaf_prefix_floats_round_their_values(m, depth):
+    """`first_max`'s premise on a table's floats: P(j) in units of 2^-53 of a
+    power of two above the total, each within 1/2 of its exact value and at
+    most 2^53."""
+    table = LeafPrefixes(m, depth)
+    floats = table.floats()
+    tn, td = table[1 << table.cap]
+    unit = Fraction(2) ** (53 - (tn.bit_length() - td.bit_length() + 1))  # 2^53 over 2^e > total
+    assert Fraction(tn, td) * unit <= 1 << 53
+    assert len(floats) == (1 << table.cap) + 1
+    for j, x in enumerate(floats):
+        assert abs(Fraction(x) - Fraction(*leaf_prefix_oracle(m, table.cap, j)) * unit) <= Fraction(1, 2)
 
 
 @settings(max_examples=30, deadline=None)
