@@ -14,12 +14,11 @@ import functools
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import certify, doubling, experiments, geom, measure, qs, reports, seq
 from .errors import DmlabError, PreconditionViolated
 from .experiments import REQUIRED, check_keys, parse_family, parse_measure, read_options
-from .ratio import SERIALIZE_PLACES, parse_integer, parse_rational
+from .ratio import parse_integer, parse_rational
 
 PASS, ERROR, INCONCLUSIVE = 0, 1, 2
 
@@ -85,17 +84,11 @@ def _cmd_seq_classify(options, seed):
 
 def _cmd_seq_tail(options, seed):
     family, p, n_from = options["family"], options["p"], options["from"]
-    bound = seq.tail_sum_upper(family, p, n_from)
-    try:
-        tail = reports.tag_exact(bound)
-    except ValueError:  # more digits than Python prints: its outward rounding to the report grid, as a product's
-        n, d, scale = *bound.as_integer_ratio(), 10**SERIALIZE_PLACES
-        tail = reports.tag_bracket(Fraction(n * scale // d, scale), Fraction(-(-n * scale // d), scale))
     return {
         "family": seq.family_to_spec(family),
         "p": reports.rat_str(p),
         "from": n_from,
-        "tail_sum_upper": tail,
+        "tail_sum_upper": reports.tag_printable(seq.tail_sum_upper(family, p, n_from)),
         "note": "certified upper bound on sum of term^p beyond the index",
     }, "pass"
 

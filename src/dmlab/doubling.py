@@ -12,39 +12,17 @@ hold, certifies a counterexample, or raises after exhausting precision.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from fractions import Fraction
-from itertools import groupby, repeat
+from itertools import repeat
 from math import ceil, floor, gcd, inf, lcm, log2
 from operator import add, mul, sub
 from typing import NamedTuple
 
-from .enclosure import (
-    DEFAULT_BITS,
-    _exact_rational_pow,
-    _log2_end,
-    exp2_64ths,
-    exp2_bounds,
-    log2_bounds,
-    mul_bounds,
-    pow_bounds,
-    refine,
-    Bounds,
-)
-from .errors import (
-    EnclosureInconclusive,
-    NotUniformlyPerfect,
-    PreconditionViolated,
-    ZeroMassBall,
-)
+from .enclosure import (DEFAULT_BITS, Bounds, _exact_rational_pow, _log2_end, exp2_64ths, exp2_bounds, log2_bounds,
+                        mul_bounds, pow_bounds, refine)
+from .errors import EnclosureInconclusive, NotUniformlyPerfect, PreconditionViolated, ZeroMassBall
 from .geom import check_depth, check_nodes, realized_beta_max
-from .measure import (
-    LeafPrefixes,
-    TreeMeasure,
-    _nonzero,
-    cdf_floats,
-    dyadic_cdf_numerators,
-)
+from .measure import LeafPrefixes, TreeMeasure, cdf_floats, dyadic_cdf_numerators
 from .ratio import first_max, randbelow
 
 PERFECTNESS_GAP_CAP = Fraction(15, 16)
@@ -110,12 +88,11 @@ class _MassOracle:
             check_nodes(1 << (depth + 1))  # the centers, before the padded cdf rows
             (cdf, self.cdf_den), n, s = dyadic_cdf_numerators(m, cap), 1 << (depth + 1), depth + 1 - cap
             self.cdf, self.unit, self.shift = cdf, n, s
-            # the cdf, and its floats, at the floor and the ceiling of q / 2^s for q in -n..2n
-            pad = lambda ends: [cdf[0]] * n + ends + [cdf[-1]] * n  # noqa: E731
-            self.floor = pad([cdf[q >> s] for q in range(n + 1)] if s else cdf)
-            self.ceil = pad([cdf[-(-q >> s)] for q in range(n + 1)]) if s else self.floor
-            self.ffloor, self.err = cdf_floats(self.floor)
-            self.fceil = cdf_floats(self.ceil)[0] if s else self.ffloor
+            # the cdf's floats at the floor and the ceiling of q / 2^s for q in -n..2n
+            fl, self.err = cdf_floats(cdf)
+            pad = lambda ends: [fl[0]] * n + ends + [fl[-1]] * n  # noqa: E731
+            self.floor = pad([fl[q >> s] for q in range(n + 1)] if s else fl)
+            self.ceil = pad([fl[-(-q >> s)] for q in range(n + 1)]) if s else self.floor
             return
         check_nodes(1 << m.split_depth)
         # node ends at every level are leaf edges (children keep their
@@ -138,29 +115,28 @@ class _MassOracle:
 
     def row(self, k: int, xs: range | list[int], lower: bool = True) -> tuple:
         """(low, up, mass) for the balls of radius 2^-k around the centers xs
-        / unit: float rows of lower and upper masses (low is up where every
-        ball's two runs agree; low may be None if not asked for), 0 just
-        where the mass is, and mass(idx, upper) the exact masses of balls idx
-        as (numerators, denominators), the latter None over the cdf's one."""
+        / unit: float rows of lower and upper masses, 0 just where the mass
+        is (low is up where all are exact, None below the cdf's level if not
+        asked for), and mass(idx, upper) the exact masses of balls idx as
+        (numerators, denominators), the latter None over the cdf's one."""
         n, h = self.unit, self.unit >> k
         if self.table is not None:
             return self.table.rows(list(map(sub, xs, repeat(h))), list(map(add, xs, repeat(h))))  # ends clip
         lo = slice(n + xs.start - h, n + xs.stop - h, xs.step)
         hi = slice(lo.start + 2 * h, lo.stop + 2 * h, xs.step)
-        floor, ceil, a, b, step = self.floor, self.ceil, lo.start, hi.start, xs.step
 
         def mass(idx: list[int], upper: bool) -> tuple[list[int], None]:
-            if upper:
-                return [ceil[b + i * step] - floor[a + i * step] for i in idx], None
-            return [max(floor[b + i * step] - ceil[a + i * step], 0) for i in idx], None
+            return [self.bracket(max(xs[i] - h, 0), min(xs[i] + h, n))[upper][0] for i in idx], None
 
-        up = list(map(sub, self.fceil[hi], self.ffloor[lo]))
+        up = list(map(sub, self.ceil[hi], self.floor[lo]))
         if self.err and not all(up):  # every upper mass is positive
-            up = list(map(max, up, repeat(1)))
+            up = list(map(max, up, repeat(1.0)))
         if not self.shift or not lower:
             return None if self.shift else up, up, mass
-        low = list(map(max, map(sub, self.ffloor[hi], self.fceil[lo]), repeat(0)))
-        return _nonzero(low, floor[hi], ceil[lo]) if self.err else low, up, mass
+        low = list(map(max, map(sub, self.floor[hi], self.ceil[lo]), repeat(0.0)))
+        if self.err and not all(low):  # as the exact lower mass is
+            low = [v or float(mass([i], False)[0][0] > 0) for i, v in enumerate(low)]
+        return low, up, mass
 
 
 def _scan_centers(m: TreeMeasure, depth: int, unit: int) -> range | list[int]:
@@ -201,25 +177,22 @@ def _scan_pass(m: TreeMeasure, depth: int, oracle: _MassOracle) -> tuple:
     big_low, big_up, big_mass = oracle.row(0, xs)
     exact, err = big_low is big_up, oracle.err
 
-    def lower_ratio(idx: list[int]) -> tuple[list[int], list[int]]:  # big.lower / small.upper
-        return _ratios(big_mass(idx, False), mass(idx, True))
-
-    def upper_ratio(idx: list[int]) -> tuple[list[int], list[int]]:  # big.upper / small.lower
-        return _ratios(big_mass(idx, True), mass(idx, False))
+    def ratio(idx: list[int], upper: bool = False) -> tuple:  # big.lower / small.upper, upper: big.upper / small.lower
+        return _ratios(big_mass(idx, upper), mass(idx, not upper))
 
     for k in range(1, depth + 1):
         low, up, mass = oracle.row(k, xs)
         exact = exact and low is up
-        skipped += 0 if all(low) else low.count(0)
-        i, rn, rd = first_max(big_low, up, err, lower_ratio) or (None, 0, 1)
+        skipped += 0 if all(low) else low.count(0.0)
+        i, rn, rd = first_max(big_low, up, err, ratio) or (None, 0, 1)
         per_scale.append((k, Fraction(rn, rd)))
         if i is not None and not low[i]:  # the small ball has no certified mass: drop those that have none
             held = [v if w else -inf for v, w in zip(big_low, low)]
-            i, rn, rd = first_max(held, up, err, lower_ratio) or (None, 0, 1)
+            i, rn, rd = first_max(held, up, err, ratio) or (None, 0, 1)
         if rn * lo_d > lo_n * rd:
             lo_n, lo_d, witness = rn, rd, (k, i)
         if low is not up or big_low is not big_up:  # else the same ratios
-            i, rn, rd = first_max(big_up, low, err, upper_ratio) or (None, 0, 1)
+            i, rn, rd = first_max(big_up, low, err, lambda idx: ratio(idx, True)) or (None, 0, 1)
         if rn * up_d > up_n * rd:
             up_n, up_d = rn, rd
         big_low, big_up, big_mass = low, up, mass
@@ -318,38 +291,23 @@ def _concentric_maxima(oracle: _MassOracle, depth: int) -> tuple[dict[int, tuple
     """(top, pairs): top[l] the first largest certified bound on mu(B(x, R / 2^l))
     / mu(B(x, R)), an integer pair, over interior centers x = i / 2^j and radii
     R = 2^-j, j = 1..depth-1; pairs counts the pairs whose big ball has certified
-    mass. One row per radius 2^-k, around the centers i / 2^k, of which j's are
-    every 2^(k-j)-th; each l is one `first_max` row in (j, x) order."""
-    n, err, pairs, js, top = oracle.unit, oracle.err, 0, [], {}
+    mass. One row of balls per radius 2^-k around the centers i / 2^k; the (j,
+    l) row is every 2^l-th small ball's upper mass over the big balls' lower."""
+    n, err, top, pairs = oracle.unit, oracle.err, {}, 0
     rows = [None] + [oracle.row(k, range(n >> k, n, n >> k), k < depth) for k in range(1, depth + 1)]
+
+    def ratio(idx: list[int]) -> tuple[list[int], list[int]]:  # the exact ratios of the (j, l) row
+        return _ratios(rows[j + l][2]([(i + 1 << l) - 1 for i in idx], True), rows[j][2](idx, False))
+
     for j in range(1, depth):
-        held = (1 << j) - 1 - (0 if all(rows[j][0]) else rows[j][0].count(0))
+        big, big_up = rows[j][:2]
+        held = (1 << j) - 1 - (0 if all(big) else big.count(0.0))
         pairs += held * (depth - j + 1)
-        if held:
-            js.append(j)
-
-    def ratio(idx: list[int]) -> tuple[list[int], list[int]]:  # the exact ratios of the row of l
-        nums, dens = [], []
-        for part, run in groupby(idx, lambda i: bisect_right(starts, i) - 1):  # entries of one j, from its start
-            j, t = js[part], [i - starts[part] for i in run]
-            part_nums, part_dens = _ratios(rows[j + l][2]([((x + 1) << l) - 1 for x in t], True), rows[j][2](t, False))
-            nums += part_nums
-            dens += part_dens
-        return nums, dens
-
-    for l in range(depth):
-        if not l and js and all(rows[j][0] is rows[j][1] for j in js):  # each ball over itself, all exact: 1
-            top[0] = 1, 1
-            continue
-        num, den, starts = [], [], []
-        for j in js:
-            if j + l <= depth:
-                starts.append(len(num))
-                num += rows[j + l][1][(1 << l) - 1::1 << l]
-                den += rows[j][0]
-        _, rn, rd = (first_max(num, den, err, ratio) if num else None) or (None, 0, 1)
-        if rn:
-            top[l] = rn, rd
+        for l in range(depth - j + 1) if held else ():
+            small = rows[j + l][1][(1 << l) - 1::1 << l]
+            found = (0, 1, 1) if not l and big is big_up else first_max(small, big, err, ratio)  # exact over itself: 1
+            if found and found[1] and (l not in top or found[1] * top[l][1] > top[l][0] * found[2]):
+                top[l] = found[1:]
     return top, pairs
 
 

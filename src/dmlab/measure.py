@@ -12,21 +12,14 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, repeat
 from math import gcd, lcm
-from operator import floordiv, gt, mul, neg, rshift, sub
+from operator import gt, mul, rshift, sub
 from typing import Union
 
 from .errors import MisalignedTrees, PreconditionViolated
-from .geom import (
-    ConstructionTree,
-    CutOutConfig,
-    RationalInterval,
-    check_depth,
-    check_nodes,
-    closed,
-    remaining_set,
-)
+from .geom import ConstructionTree, CutOutConfig, RationalInterval, check_depth, check_nodes, closed, remaining_set
 from .ratio import Value, parse_rational
 
 
@@ -177,7 +170,6 @@ class LeafPrefixes(dict):
         # walk states by node 2^level + index: (node mass, mass left of the
         # node, den), the masses integer numerators over den
         self.states = {1: (total.numerator, 0, total.denominator)}
-        self.approx = None
 
     def __missing__(self, j: int) -> tuple[int, int]:
         """P(j) for 0 <= j < 2^cap: the mass left of the node where leaf j's
@@ -248,65 +240,44 @@ class LeafPrefixes(dict):
             return (0, 1), upper
         return self.mass(g, h), upper
 
-    def runs(self, los: list[int], his: list[int]) -> tuple[list[int], ...]:
-        """The runs of `bracket_units` for every [los[i], his[i]] as rows (f,
-        e, g, h): leaves f..e-1 meet the interval, leaves g..h-1, h >= g, lie
-        inside it."""
-        if self.m.base is None:  # as bracket_units: floors and ceilings of the clipped ends
-            s, unit = repeat(self.step), repeat(self.unit)
-            los, his = (list(map(min, map(max, qs, repeat(0)), unit)) for qs in (los, his))
-            f, e = list(map(floordiv, los, s)), list(map(neg, map(floordiv, map(neg, his), s)))
-            g, h = list(map(neg, map(floordiv, map(neg, los), s))), map(floordiv, his, s)
-        else:
-            lows, highs = repeat(self.lows), repeat(self.highs)
-            f, e = list(map(bisect_right, highs, los)), list(map(bisect_left, lows, his))
-            g, h = list(map(bisect_left, lows, los)), map(bisect_right, highs, his)
-        return f, e, g, list(map(max, h, g))
-
     def rows(self, los: list[int], his: list[int]) -> tuple:
-        """(low, up, mass) of every [los[i], his[i]]: float rows of their
-        lower and upper masses from `floats` (low is up where every pair of
-        runs agrees), each within 2 of its exact value, 0 just where that is
-        (`_nonzero`), and mass(idx, upper) the exact masses of the intervals
-        idx as (numerators, denominators)."""
-        f, e, g, h = self.runs(los, his)
-        fl = self.floats()
+        """(low, up, mass) of every [los[i], his[i]] on a construction tree:
+        float rows of the lower and upper masses, differences of `floats`
+        within 2 of the exact ones and 0 just where those are (every leaf has
+        mass), low is up where all runs of leaves agree (`bracket_units`);
+        mass(idx, upper) gives the exact masses of intervals idx."""
+        lows, highs, fl = repeat(self.lows), repeat(self.highs), self.floats
+        f, e = list(map(bisect_right, highs, los)), list(map(bisect_left, lows, his))
+        g = list(map(bisect_left, lows, los))
+        h = list(map(max, map(bisect_right, highs, his), g))
+
+        def diffs(starts: list[int], ends: list[int]) -> list[float]:
+            row = list(map(sub, map(fl.__getitem__, ends), map(fl.__getitem__, starts)))
+            return row if all(row) else list(map(max, row, map((0.0, 1.0).__getitem__, map(gt, ends, starts))))
 
         def mass(idx: list[int], upper: bool) -> list:
             starts, ends = (f, e) if upper else (g, h)
             return list(zip(*map(self.mass, map(starts.__getitem__, idx), map(ends.__getitem__, idx))))
 
-        up = _nonzero(list(map(sub, map(fl.__getitem__, e), map(fl.__getitem__, f))), e, f)
-        low = up if f == g and e == h else _nonzero(
-            list(map(sub, map(fl.__getitem__, h), map(fl.__getitem__, g))), h, g)
-        return low, up, mass
+        up = diffs(f, e)
+        return up if f == g and e == h else diffs(g, h), up, mass
 
+    @cached_property
     def floats(self) -> list[float]:
-        """P(j) for j = 0..2^cap as floats for `first_max`, made once: in
-        units of 2^-53 of a power of two above the total mass, so at most
-        2^53 and each correctly rounded, within 1/2 of its exact value."""
-        if self.approx is None:
-            tn, td = self[1 << self.cap]
-            s = 53 - tn.bit_length() + td.bit_length() - 1
-            self.approx = [(n << s) / d if s >= 0 else n / (d << -s)
-                           for n, d in map(self.__getitem__, range((1 << self.cap) + 1))]
-        return self.approx
+        """P(j) for j = 0..2^cap, each correctly rounded in units of 2^-53 of
+        a power of two above the total mass, so at most 2^53."""
+        tn, td = self[1 << self.cap]
+        s = 53 - tn.bit_length() + td.bit_length() - 1
+        prefixes = map(self.__getitem__, range((1 << self.cap) + 1))
+        return [(n << s) / d if s >= 0 else n / (d << -s) for n, d in prefixes]
 
 
-def _nonzero(row: list[float], ends, starts) -> list[float]:
-    """row of masses with 1 for a 0 whose mass is positive, within a slack of
-    at least 1: every leaf has mass, so that is where the run of leaves
-    starts[i]..ends[i] - 1 is not empty."""
-    return row if all(row) else list(map(max, row, map((0, 1).__getitem__, map(gt, ends, starts))))
-
-
-def cdf_floats(cdf: list[int]) -> tuple[list, int]:
-    """(floats, err) of cdf numerators for `first_max`: shifted right until
-    the last fits 53 bits, so a difference of two is exact and within err =
-    1 of the shifted true difference; where the last fits, err = 0 and the
-    integers stand as they are, every one a float exactly."""
-    shift = cdf[-1].bit_length() - 53
-    return (list(map(float, map(rshift, cdf, repeat(shift)))), 1) if shift > 0 else (cdf, 0)
+def cdf_floats(cdf: list[int]) -> tuple[list[float], int]:
+    """(floats, err) of cdf numerators for `first_max`, each exact after a
+    right shift until the last fits 53 bits, so a difference of two is
+    within err = 1 of the shifted true one; err = 0 where none is needed."""
+    shift = max(cdf[-1].bit_length() - 53, 0)
+    return list(map(float, map(rshift, cdf, repeat(shift)))), int(shift > 0)
 
 
 def _pair_sum(pairs) -> tuple[int, int]:
@@ -435,8 +406,7 @@ def restrict(
     def brackets(level: int) -> tuple:
         den, lows, highs = tree.edges[level]
         step = repeat(table.unit // den)  # a child keeps its parent's outer ends
-        f, e, g, h = table.runs(list(map(mul, lows, step)), list(map(mul, highs, step)))
-        return list(map(table.mass, g, h)), list(map(table.mass, f, e))
+        return tuple(zip(*map(table.bracket_units, map(mul, lows, step), map(mul, highs, step))))
 
     lower, upper = brackets(0)
     if upper[0][0] == 0:  # the root's upper mass
@@ -459,12 +429,7 @@ def restrict(
     weights = TableWeights(tuple(rows))
     # total mass = the surviving-set mass at the build depth (midpoint of the
     # certified bracket; the bracket itself rides along for consumers)
-    return TreeMeasure(
-        weights=weights,
-        base=tree,
-        total_mass=leaf_total.midpoint,
-        base_mass_bracket=leaf_total,
-    )
+    return TreeMeasure(weights=weights, base=tree, total_mass=leaf_total.midpoint, base_mass_bracket=leaf_total)
 
 
 # --- JSON round trip ----------------------------------------------------------

@@ -20,13 +20,7 @@ from .errors import PreconditionViolated
 from .measure import TreeMeasure, cdf_floats, dyadic_cdf_numerators
 from .ratio import Value, first_max, randbelow
 
-DEFAULT_TAUS = (
-    Fraction(1, 4),
-    Fraction(1, 2),
-    Fraction(1),
-    Fraction(2),
-    Fraction(4),
-)
+DEFAULT_TAUS = (Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(4))
 
 _STRADDLE_STEPS = (1, 2, 4)
 
@@ -58,20 +52,19 @@ def _outranks(a: tuple, b: tuple) -> bool:
 
 def _straddle_maxima(cdf: list[int], depth: int) -> dict[Fraction, tuple]:
     """Best straddle per shape ratio, on integer cdf numerators of positive
-    total mass.
+    total mass, from rows of rises of the cdf's floats (`cdf_floats`).
 
     Returns shape -> (num, den, order, (j, y, z)): the largest image ratio
     num/den of that shape and the grid indices of the first triple attaining
     it, where `order` is the triple's position in the scan order (j, k, a, b,
-    forward before reverse). Rows are rises of the cdf's floats (`cdf_floats`),
-    made once per offset; `first_max` takes the exact rises of its candidates."""
+    forward before reverse)."""
     size = 1 << depth
     fl, err = cdf_floats(cdf)
     rises: dict[int, list[float]] = {}  # offset o -> [fl[i + o] - fl[i]]
 
     def rise(o: int) -> list[float]:  # every rise is positive: one whose float came out 0 reads 1, within err
         if o not in rises:
-            rises[o] = list(map(max, map(sub, fl[o:], fl[:-o]), repeat(err)))
+            rises[o] = list(map(max, map(sub, fl[o:], fl[:-o]), repeat(float(err))))
         return rises[o]
 
     best: dict[Fraction, tuple] = {}
@@ -137,9 +130,7 @@ def qs_ratio_scan(
         for shape, cand in shapes.items():
             if shape <= t and (top is None or _outranks(cand, top)):
                 top = cand
-        best[t] = None if top is None else (
-            Fraction(top[0], top[1]), tuple(point(v) for v in top[3])
-        )
+        best[t] = top and (Fraction(top[0], top[1]), tuple(map(point, top[3])))
 
     if random_triples:
         getrandbits = random.Random(seed).getrandbits
@@ -159,13 +150,7 @@ def qs_ratio_scan(
                 if shape <= t and (cur is None or image > cur[0]):
                     best[t] = (image, (point(j), point(jy), point(jz)))
 
-    rows = []
-    for t in DEFAULT_TAUS:
-        found = best[t]
-        if found is None:
-            continue
-        rows.append(RatioScanRow(tau=t, max_ratio=found[0], witness=found[1]))
-    return rows
+    return [RatioScanRow(tau=t, max_ratio=found[0], witness=found[1]) for t, found in best.items() if found]
 
 
 def pullback_constant(

@@ -77,29 +77,27 @@ def parse_integer(value: str | int) -> int:
 
 def first_max(num: list[float], den: list[float], err: int, exact) -> tuple[int, int, int] | None:
     """(i, N_i, D_i) for the first largest N_i / D_i over the entries kept,
-    or None when none is, from float rows made once per scan: num[i] and
-    den[i] lie in [0, 2^53], within err >= 1 of c N_i and c D_i for one c >
-    0 per row, or, with err = 0, are N_i and D_i, Python integers; entry i
-    is dropped where num[i] = -inf or den[i] = 0, and D_i > 0 for every
-    entry kept; exact(idx) gives the lists of N_i and D_i for ascending
-    indices idx of entries kept, integers >= 0; it is called only if err.
+    or None if none is, from float rows made once per scan: num[i], den[i]
+    in [0, 2^53] are within err >= 1 of c N_i, c D_i for one c > 0 per row,
+    or equal N_i, D_i if err = 0; entry i is dropped where num[i] = -inf or
+    den[i] = 0, else D_i > 0; exact(idx), called only if err, gives the
+    lists of N_i and D_i, integers >= 0, for ascending kept indices idx.
 
-    The slack. Let r_i = num[i] / den[i] rounded (-inf if dropped), top the
-    largest, j the first entry with it. With err = 0, r_i is N_i / D_i
-    correctly rounded, so every maximum has r_i = top and only those are
-    candidates; if only j has it, or top = 0 (every ratio kept is 0), or
-    every float is below 2^25 (two distinct ratios then differ by more than
-    two ulps), j is the answer.
-    Else ref = (num[j] - err) / (den[j] + err), rounded down, or 0 is at
-    most N_j / D_j, so at most M, the row's maximum. An entry at M has
-    N_i >= ref D_i, so num[i] - ref den[i] >= -err (1 + ref); with den[i]
-    >= beta = err (1 + ref) 2^20 / ref, rounded up, that is num[i] / den[i]
-    >= ref (1 - 2^-20), and r_i >= ref (1 - 2^-19) as rounded. The
-    candidates are the entries with r_i at least that and the kept ones
-    with den[i] < beta (all kept ones when ref = 0): ties whatever their
-    size, and the tiny masses a float cannot rank. They are cross-multiplied
-    with the best so far in row order, which a later one replaces only when
-    strictly greater."""
+    The slack. Let r_i = num[i] / den[i] as rounded (-inf if dropped), top
+    the largest, j its first entry. If err = 0, r_i is N_i / D_i correctly
+    rounded, so every maximum has r_i = top and only those are candidates;
+    j is the answer if it alone has top, if top = 0, or if every float is
+    below 2^25 (then N_i / D_i != N_k / D_k differ by at least 1 / (D_i
+    D_k), over 2^-50 of N_i / D_i: more than two ulps, so no float of both).
+    If err >= 1, ref = (num[j] - err) / (den[j] + err), rounded down, or 0,
+    is at most N_j / D_j <= M, the row's maximum. An entry at M has N_i >=
+    ref D_i, so num[i] - ref den[i] >= -err (1 + ref); with den[i] >= beta
+    = err (1 + ref) 2^20 / ref, rounded up, num[i] / den[i] >= ref (1 -
+    2^-20) and r_i >= ref (1 - 2^-19). The candidates are the entries with
+    r_i at least that and the kept ones with den[i] < beta (all if ref =
+    0): ties of any size, and tiny masses a float cannot rank. They are
+    cross-multiplied with the best so far in row order, which a later one
+    replaces only when strictly greater."""
     try:
         fl = list(map(truediv, num, den))
     except ZeroDivisionError:
@@ -109,16 +107,16 @@ def first_max(num: list[float], den: list[float], err: int, exact) -> tuple[int,
         return None
     j = fl.index(top)
     if not err and (not top or fl.count(top) == 1 or max(num) < 1 << 25 and max(den) < 1 << 25):
-        return j, num[j], den[j]
+        return j, int(num[j]), int(den[j])
     if err:
         ref = max((num[j] - err) / (den[j] + err) * (1 - 2**-50), 0.0)
         thr, beta = ref * (1 - 2**-19), err * (1 + ref) / ref * 2**20 * (1 + 2**-40) if ref else inf
     else:
         thr, beta = top, 0
     cands = list(compress(count(), map(ge, fl, repeat(thr))))
-    if err and beta > min(den):
+    if beta > min(den):
         cands = sorted(set(cands).union(i for i in compress(count(), map(lt, den, repeat(beta))) if fl[i] > -inf))
-    ns, ds = exact(cands) if err else ([num[i] for i in cands], [den[i] for i in cands])
+    ns, ds = exact(cands) if err else ([int(num[i]) for i in cands], [int(den[i]) for i in cands])
     b, bn, bd = 0, ns[0], ds[0]
     for i, n, d in zip(count(1), islice(ns, 1, None), islice(ds, 1, None)):
         if n * bd > bn * d:

@@ -51,14 +51,23 @@ def tag_window(window: tuple[Rat, Rat]):
     return tag
 
 
+# a product's ends, and a rational with a term past 4300 digits (CPython's default
+# printing limit), are stored as their outward rounding to the SERIALIZE_PLACES grid
+GRID, PRINTABLE = 10**SERIALIZE_PLACES, 10**4300
+
+
+def _tag_grid(lo: int, hi: int) -> dict:
+    return tag_bracket(Fraction(lo, GRID), Fraction(hi, GRID))
+
+
 def tag_product(pb: ProductBracket) -> dict:
-    # a product's ends are huge exact rationals: the report stores their
-    # certified outward rounding to the SERIALIZE_PLACES grid
-    scale = 10**SERIALIZE_PLACES
-    lo, hi = pb.grid(scale)
-    out = tag_bracket(Fraction(lo, scale), Fraction(hi, scale))
-    out["n_terms"] = pb.n_terms
-    return out
+    return {**_tag_grid(*pb.grid(GRID)), "n_terms": pb.n_terms}
+
+
+def tag_printable(x: Fraction) -> dict:
+    """`tag_exact(x)`, or its outward rounding by x's size, not by a process's own limit."""
+    n, d = x.as_integer_ratio()
+    return tag_exact(x) if abs(n) < PRINTABLE > d else _tag_grid(n * GRID // d, -(-n * GRID // d))
 
 
 def doubling_report_payload(rep: DoublingReport) -> dict:

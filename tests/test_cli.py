@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pathlib
+import sys
 import tempfile
 
 import pytest
@@ -548,16 +549,27 @@ def test_error_contract_fuzz(argv):
 
 
 def test_tail_past_the_printable_digits_prints_its_outward_rounding(capsys):
-    """A tail bound whose exact form has more digits than Python prints is
-    reported by its outward rounding to the 60-place grid, as a product is;
-    a printable one stays exact."""
+    """A tail bound with a term of more than 4300 digits, CPython's default
+    printing limit, is reported by its outward rounding to the 60-place
+    grid, as a product is; one of 4300 digits stays exact (--from 14125 and
+    14126 give denominators of 4300 and 4301 digits). The rule is the
+    bound's size: with the process's limit lifted the bytes are the same."""
     family = '{"kind":"geometric","a":"1/2","q":"1/4"}'
-    code, out, _ = run(capsys, "seq", "tail", "--family", family, "--p", "1/2", "--from", "100000")
-    assert code == 0
-    assert json.loads(out)["tail_sum_upper"] == {
+    tails = {n_from: run(capsys, "seq", "tail", "--family", family, "--p", "1/2", "--from", n_from)
+             for n_from in ("10", "14125", "14126", "100000")}
+    assert {code for code, _, _ in tails.values()} == {0}
+    kinds = {n_from: json.loads(out)["tail_sum_upper"]["kind"] for n_from, (_, out, _) in tails.items()}
+    assert kinds == {"10": "exact", "14125": "exact", "14126": "bracket", "100000": "bracket"}
+    assert json.loads(tails["100000"][1])["tail_sum_upper"] == {
         "kind": "bracket", "lo": "0", "lo_decimal": "0", "hi": "1/" + "1" + "0" * 60, "hi_decimal": "1e-60"}
-    code, out, _ = run(capsys, "seq", "tail", "--family", family, "--p", "1/2", "--from", "10")
-    assert code == 0 and json.loads(out)["tail_sum_upper"]["kind"] == "exact"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        unlimited = {n_from: run(capsys, "seq", "tail", "--family", family, "--p", "1/2", "--from", n_from)
+                     for n_from in tails}
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert {k: v[:2] for k, v in unlimited.items()} == {k: v[:2] for k, v in tails.items()}
 
 
 POWER = '{"kind": "power", "a": "1", "gamma": 2, "offset": 1}'

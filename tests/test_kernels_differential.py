@@ -268,8 +268,13 @@ cantor_cases = st.tuples(cantor_measures(max_depth=6), st.integers(1, 6))
 shallow_table_cases = _shallow(tables)
 
 
+# a leaf of mass 10^-18 of the total: past 53 bits its lower masses read 0 as floats
+TINY_LEAF_TABLE = TreeMeasure(TableWeights(((Fraction(1, 10**9),), (Fraction(1, 10**9), Fraction(1, 2)))))
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.one_of(shallow_table_cases, _shallow(equal_share_tables)))
+@example((TINY_LEAF_TABLE, 4))
 def test_shallow_table_scan_matches_oracle(case):
     _check_scan(*case)
 
@@ -303,6 +308,7 @@ row_pass_cases = st.one_of(
 @example((TreeMeasure(BinomialWeights(Fraction(1, 2))), 8))
 @example((TreeMeasure(BinomialWeights(Fraction(1, 10**9))), 4))
 @example((restrict(TreeMeasure(BinomialWeights(Fraction(1, 10**9))), build_cantor(Constant(Fraction(1, 4)), 4)), 4))
+@example((TINY_LEAF_TABLE, 4))
 def test_concentric_rows_match_per_ball_stage(case):
     """The ratio-decay fit's concentric stage in rows gives the per-l first
     maxima and the pair count of the per-ball stage."""
@@ -327,16 +333,16 @@ def test_cdf_levels_match_per_node_loop(m, depth):
 
 
 def _float_rows(nums, dens, drop=(), err=None, nudge=()):
-    """`first_max`'s rows for exact rows nums / dens: the integers themselves
+    """`first_max`'s rows for exact rows nums / dens: the integers as floats
     (err 0; exact is not called) where all fit 53 bits and err is not asked
-    for, else the values
-    shifted right until they fit 52 bits, floored (within 1), moved by
-    nudge[i] (in [-1, 1]) times err - 1, clipped to [0, 2^53] and, for a
-    positive value that came out 0, set to 1, so within err; an index in
-    drop gets num -inf, and a zero denominator stays 0, which drops it too."""
+    for, else the values shifted right until they fit 52 bits, floored
+    (within 1), moved by nudge[i] (in [-1, 1]) times err - 1, clipped to [0,
+    2^53] and, for a positive value that came out 0, set to 1, so within
+    err; an index in drop gets num -inf, and a zero denominator stays 0,
+    which drops it too."""
     shift = max(max(nums + dens).bit_length() - 52, 0) if err or max(nums + dens) >> 53 else None
     if shift is None:
-        num, den, err = list(nums), list(dens), 0
+        num, den, err = list(map(float, nums)), list(map(float, dens)), 0
     else:
         err = err or 1
         moved = lambda v, i: min(max(float(v >> shift) + (nudge[i] if i < len(nudge) else 0) * (err - 1), 0.0),
@@ -357,6 +363,7 @@ def _first_max_checked(nums, dens, drop=(), err=None, nudge=()):
     got = first_max(*_float_rows(nums, dens, drop, err, nudge))
     want = first_max_oracle(nums, [0 if i in drop else d for i, d in enumerate(dens)])
     assert got == (None if want is None else (want, nums[want], dens[want]))
+    assert got is None or type(got[1]) is type(got[2]) is int
     return got and got[0]
 
 
@@ -715,7 +722,7 @@ def test_leaf_prefix_floats_round_their_values(m, depth):
     power of two above the total, each within 1/2 of its exact value and at
     most 2^53."""
     table = LeafPrefixes(m, depth)
-    floats = table.floats()
+    floats = table.floats
     tn, td = table[1 << table.cap]
     unit = Fraction(2) ** (53 - (tn.bit_length() - td.bit_length() + 1))  # 2^53 over 2^e > total
     assert Fraction(tn, td) * unit <= 1 << 53
