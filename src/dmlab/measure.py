@@ -276,8 +276,8 @@ def cdf_floats(cdf: list[int]) -> tuple[list[float], int]:
     """(floats, err) of cdf numerators for `first_max`, each exact after a
     right shift until the last fits 53 bits, so a difference of two is
     within err = 1 of the shifted true one; err = 0 where none is needed."""
-    shift = max(cdf[-1].bit_length() - 53, 0)
-    return list(map(float, map(rshift, cdf, repeat(shift)))), int(shift > 0)
+    shift = cdf[-1].bit_length() - 53
+    return (list(map(float, map(rshift, cdf, repeat(shift)))), 1) if shift > 0 else (list(map(float, cdf)), 0)
 
 
 def _pair_sum(pairs) -> tuple[int, int]:

@@ -64,8 +64,13 @@ def _straddle_maxima(cdf: list[int], depth: int) -> dict[Fraction, tuple]:
 
     def rise(o: int) -> list[float]:  # every rise is positive: one whose float came out 0 reads 1, within err
         if o not in rises:
-            rises[o] = list(map(max, map(sub, fl[o:], fl[:-o]), repeat(float(err))))
+            row = list(map(sub, fl[o:], fl[:-o]))
+            rises[o] = row if all(row) else list(map(max, row, repeat(1.0)))
         return rises[o]
+
+    def exact(idx: list[int]) -> tuple[list[int], list[int]]:  # the exact rises about centers lo + t
+        pair = [cdf[lo + t] - cdf[t] for t in idx], [cdf[lo + t + hi] - cdf[lo + t] for t in idx]
+        return pair[::-1] if direction else pair
 
     best: dict[Fraction, tuple] = {}
     for k in range(1, depth + 1):
@@ -82,10 +87,6 @@ def _straddle_maxima(cdf: list[int], depth: int) -> dict[Fraction, tuple]:
                     (0, left, right, Fraction(a, b)),
                     (1, right, left, Fraction(b, a)),
                 ):
-                    def exact(idx: list[int]) -> tuple[list[int], list[int]]:  # the rises about centers lo + t
-                        pair = [cdf[lo + t] - cdf[t] for t in idx], [cdf[lo + t + hi] - cdf[lo + t] for t in idx]
-                        return pair[::-1] if direction else pair
-
                     found = first_max(nums, dens, err, exact)
                     if found is None:
                         continue

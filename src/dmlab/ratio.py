@@ -78,18 +78,19 @@ def parse_integer(value: str | int) -> int:
 def first_max(num: list[float], den: list[float], err: int, exact) -> tuple[int, int, int] | None:
     """(i, N_i, D_i) for the first largest N_i / D_i over the entries kept,
     or None if none is, from float rows made once per scan: num[i], den[i]
-    in [0, 2^53] are within err >= 1 of c N_i, c D_i for one c > 0 per row,
-    or equal N_i, D_i if err = 0; entry i is dropped where num[i] = -inf or
-    den[i] = 0, else D_i > 0; exact(idx), called only if err, gives the
-    lists of N_i and D_i, integers >= 0, for ascending kept indices idx.
+    in [0, 2^53] are within err >= 1 of c N_i, c D_i for one c > 0 per row
+    and 0 only where N_i, D_i are, or equal N_i, D_i if err = 0; entry i is
+    dropped where num[i] = -inf or den[i] = 0, else D_i > 0; exact(idx),
+    called only if err, gives the lists of N_i and D_i, integers >= 0, for
+    ascending kept indices idx.
 
     The slack. Let r_i = num[i] / den[i] as rounded (-inf if dropped), top
-    the largest, j its first entry. If err = 0, r_i is N_i / D_i correctly
-    rounded, so every maximum has r_i = top and only those are candidates;
-    j is the answer if it alone has top, if top = 0, or if every float is
-    below 2^25 (then N_i / D_i != N_k / D_k differ by at least 1 / (D_i
-    D_k), over 2^-50 of N_i / D_i: more than two ulps, so no float of both).
-    If err >= 1, ref = (num[j] - err) / (den[j] + err), rounded down, or 0,
+    the largest, j its first entry. If top = 0, every N_i kept is 0 and j
+    is the answer. If err = 0, r_i is N_i / D_i correctly rounded, so every
+    maximum has r_i = top and only those are candidates; j is the answer if
+    it alone has top, or if every float is below 2^25 (then N_i / D_i !=
+    N_k / D_k differ by at least 1 / (D_i D_k), over 2^-50 of N_i / D_i:
+    more than two ulps, so no float of both). If err >= 1, ref = (num[j] - err) / (den[j] + err), rounded down, or 0,
     is at most N_j / D_j <= M, the row's maximum. An entry at M has N_i >=
     ref D_i, so num[i] - ref den[i] >= -err (1 + ref); with den[i] >= beta
     = err (1 + ref) 2^20 / ref, rounded up, num[i] / den[i] >= ref (1 -
@@ -106,8 +107,8 @@ def first_max(num: list[float], den: list[float], err: int, exact) -> tuple[int,
     if top == -inf:
         return None
     j = fl.index(top)
-    if not err and (not top or fl.count(top) == 1 or max(num) < 1 << 25 and max(den) < 1 << 25):
-        return j, int(num[j]), int(den[j])
+    if not top or not err and (fl.count(top) == 1 or max(num) < 1 << 25 and max(den) < 1 << 25):
+        return (j, 0, exact([j])[1][0]) if err else (j, int(num[j]), int(den[j]))
     if err:
         ref = max((num[j] - err) / (den[j] + err) * (1 - 2**-50), 0.0)
         thr, beta = ref * (1 - 2**-19), err * (1 + ref) / ref * 2**20 * (1 + 2**-40) if ref else inf

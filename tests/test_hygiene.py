@@ -51,7 +51,7 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "dmlab"
-SOURCE_LINE_BUDGET = 4786
+SOURCE_LINE_BUDGET = 4789
 # kernels of the fast paths and the precision ladder; an oracle built on one would check it against itself
 KERNELS = ("_MassOracle", "_scan_centers", "_scan_pass", "LeafPrefixes", "dyadic_cdf_numerators", "cdf_floats",
            "first_max", "refine", "_fixed_product", "_prefix_floors", "_power_ends", "_merged")
