@@ -134,7 +134,7 @@ class _MassOracle:
         if not self.shift or not lower:
             return None if self.shift else up, up, mass
         low = list(map(max, map(sub, self.floor[hi], self.ceil[lo]), repeat(0.0)))
-        if self.err and 2 * h >> self.shift and not all(low):  # a leaf inside the ball; none if 2h < a leaf
+        if self.err and 2 * h >> self.shift and not all(low):  # 0 is exact in a ball narrower than a leaf
             s = self.shift
             low = [v or float(min(x + h, n) >> s > -(-max(x - h, 0) >> s)) for v, x in zip(low, xs)]
         return low, up, mass
