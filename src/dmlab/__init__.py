@@ -61,7 +61,6 @@ from .measure import (
     restrict,
 )
 from .qs import (
-    QSMap,
     pullback_constant,
     qs_ratio_scan,
 )

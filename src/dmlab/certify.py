@@ -66,9 +66,8 @@ from .geom import (
     CutOutConfig,
     RationalInterval,
     ThickStructure,
-    _widest,
     inflate,
-    remaining_set,
+    largest_gap,
     verify_thick,
 )
 from .measure import TreeMeasure, _pair_sum, cutout_mass
@@ -327,27 +326,28 @@ def _factor_ends(x: Pair, t: Fraction, scale: Fraction, bits: int, decide: bool 
     return refine(lambda b: _settle(*_power_ends((x,), t, (False, True), b), scale, decide), bits, 4096)
 
 
-def _first_small_stage(alpha: SequenceFamily, t: Fraction, scale: Fraction, bits: int) -> int:
-    """Least n0 with scale * alpha_n^t certifiably < 1 for every n >= n0."""
+def _first_small_stage(alpha: SequenceFamily, t: Fraction, scale: Fraction, bits: int) -> tuple[int, tuple | None]:
+    """Least n0 with scale * alpha_n^t certifiably < 1 for every n >= n0, and for a finite
+    family the runs (ln, ld, hn, hd, 1) of factors n0 .. its length its suffix scan settled."""
 
-    def small(n: int) -> bool:
-        return _factor_ends(next(terms(alpha, n, n + 1)), t, scale, bits, decide=True) is not False
+    def ends(n: int):
+        return _factor_ends(next(terms(alpha, n, n + 1)), t, scale, bits, decide=True)
 
     length = family_length(alpha)
     if length is not None:
         # explicit prefixes need not be monotone: take the longest good suffix
-        n0 = length + 1
-        while n0 > 1 and small(n0 - 1):
-            n0 -= 1
-        return n0
+        settled = []
+        while len(settled) < length and (factor := ends(length - len(settled))):
+            settled.append(factor)
+        return length + 1 - len(settled), tuple((*f, 1) for f in reversed(settled))
     # the infinite families have non-increasing terms, so n >= n0 are the
     # small stages: probe n = 1, 2, 4, ... up to 10^6, then bisect
     lo, hi = 0, 1
-    while not small(hi):
+    while not ends(hi):
         if hi == 1_000_000:
             raise Undecidable("decay factors stayed >= 1 for 10^6 stages")
         lo, hi = hi, min(2 * hi, 1_000_000)
-    return bisect_left(range(hi), True, lo + 1, key=small)
+    return bisect_left(range(hi), True, lo + 1, key=lambda n: ends(n) is not False), None
 
 
 def certify_fat_thick(thick: Union[ThickStructure, SequenceFamily], t: Fraction, factor_scale: Fraction,
@@ -387,7 +387,7 @@ def certify_fat_thick(thick: Union[ThickStructure, SequenceFamily], t: Fraction,
         first = length or 64
         _check_product_bits(alpha, first, t.numerator,
                             f"the exact product of {first} factors at exponent {t}")
-    n0 = _first_small_stage(alpha, t, scale, bits)
+    n0, factors = _first_small_stage(alpha, t, scale, bits)
 
     if length is not None:
         last = length
@@ -406,11 +406,11 @@ def certify_fat_thick(thick: Union[ThickStructure, SequenceFamily], t: Fraction,
         if tail_sum >= 1:
             raise TailTooLarge(f"tail sum {tail_sum} still >= 1 after {count} factors")
 
-    # every run's ends from one entry call; a factor unsettled at `bits` climbs the ladder alone
-    runs = _runs(terms(alpha, n0, last + 1), lambda x, i: (x,))
-    batch = iter(_power_ends(map(itemgetter(0), runs), t, (False, True), bits))
-    factors = tuple((*(_settle(lo, hi, scale) or _factor_ends(x, t, scale, bits)), count)
-                    for (x, count), lo, hi in zip(runs, batch, batch))
+    if factors is None:  # every run's ends from one entry call; a factor unsettled at `bits` climbs the ladder alone
+        runs = _runs(terms(alpha, n0, last + 1), lambda x, i: (x,))
+        batch = iter(_power_ends(map(itemgetter(0), runs), t, (False, True), bits))
+        factors = tuple((*(_settle(lo, hi, scale) or _factor_ends(x, t, scale, bits)), count)
+                        for (x, count), lo, hi in zip(runs, batch, batch))
     tail_lower = 1 - tail_sum if tail_sum < 1 else Fraction(0)
     if length is not None and last >= length:
         tail_upper = Fraction(1)
@@ -654,15 +654,6 @@ def cutout_lower_bound(config: CutOutConfig, report: DoublingReport, r: Fraction
     A positive value certifies survival at the fit's scale window; a negative
     value decides nothing.
     """
-    [(bound, _)] = _cutout_bounds(config, report, r, p, (n_balls,))
-    return bound
-
-
-def _cutout_bounds(config: CutOutConfig, report: DoublingReport, r: Fraction, p: Fraction,
-                   counts: tuple[int, ...]) -> list[tuple[CutoutBound, list[RationalInterval]]]:
-    """cutout_lower_bound at each ball count of `counts` in turn, with the
-    remaining set its gap was read off.  Its checks and the sum of diameter
-    powers do not depend on the count, so they run for the first count only."""
     r, p = Fraction(r), Fraction(p)
     fit = report.mass_window
     if fit is None:
@@ -670,43 +661,35 @@ def _cutout_bounds(config: CutOutConfig, report: DoublingReport, r: Fraction, p:
     lam, s, big_lam, t = fit.lam, fit.s, fit.big_lam, fit.t
     if p <= 0 or r <= 0:
         raise PreconditionViolated("need p > 0 and r > 0")
-    out, delta = [], t / p
-    for n_balls in counts:
-        if n_balls < 1:
-            raise PreconditionViolated("need at least one removed ball")
-        if not out:
-            if p * (r * s + 1) >= t:
-                raise ExponentWindowEmpty(f"p = {p} does not satisfy p * (r*s + 1) < t = {t}")
-            if config.diam_family is None:
-                raise PreconditionViolated("config must declare a diameter family")
-            if classify_ellp(config.diam_family, p) is not Summability.CONVERGES:
-                raise NotInEllT(f"diameter powers at exponent {p} are not summable")
-        pieces = remaining_set(config, n_balls)
-        gap = _widest(pieces, n_balls)
-        gap_diam = gap.diameter
+    if n_balls < 1:
+        raise PreconditionViolated("need at least one removed ball")
+    if p * (r * s + 1) >= t:
+        raise ExponentWindowEmpty(f"p = {p} does not satisfy p * (r*s + 1) < t = {t}")
+    if config.diam_family is None:
+        raise PreconditionViolated("config must declare a diameter family")
+    if classify_ellp(config.diam_family, p) is not Summability.CONVERGES:
+        raise NotInEllT(f"diameter powers at exponent {p} are not summable")
+    gap, gap_diam = largest_gap(config, n_balls)
 
-        def attempt(b: int):
-            nb = pow_bounds(n_balls, -r, b)
-            return True if gap_diam >= nb.hi else False if gap_diam < nb.lo else None
+    def attempt(b: int):
+        nb = pow_bounds(n_balls, -r, b)
+        return True if gap_diam >= nb.hi else False if gap_diam < nb.lo else None
 
-        if not refine(attempt, max_bits=4096):
-            raise GapTooSmall(f"largest surviving gap {gap_diam} < {n_balls}^(-{r})")
-        main_term = lam * pow_end(n_balls, -(r * s), False)
-        if not out:  # sum of ball diameters^p: listed balls exactly, declared family beyond
-            diams = (ball.diameter.as_integer_ratio() for ball in config.balls)
-            cp_up = Fraction(*_pair_sum(_power_ends(diams, p, (True,), DEFAULT_BITS)))
-            cp_up += tail_sum_upper(config.diam_family, p, len(config.balls))
-            cp_pow_up = pow_end(cp_up, delta, True)
-        tail_up = power_tail_upper(delta, n_balls)
-        penalty = cp_pow_up * big_lam * tail_up
-        value = main_term - penalty
-        out.append((CutoutBound(
-            value=value, conclusion=Conclusion.POSITIVE if value > 0 else Conclusion.INCONCLUSIVE,
-            main_term=main_term, penalty=penalty, lam=lam, s=s, big_lam=big_lam, t=t, p=p, r=r,
-            n_balls=n_balls, diam_power_sum_upper=cp_up, tail_upper=tail_up, gap=gap,
-            gap_diameter=gap_diam,
-        ), pieces))
-    return out
+    if not refine(attempt, max_bits=4096):
+        raise GapTooSmall(f"largest surviving gap {gap_diam} < {n_balls}^(-{r})")
+    main_term = lam * pow_end(n_balls, -(r * s), False)
+    # sum of ball diameters^p: listed balls exactly, declared family beyond
+    diams = (ball.diameter.as_integer_ratio() for ball in config.balls)
+    cp_up = Fraction(*_pair_sum(_power_ends(diams, p, (True,), DEFAULT_BITS)))
+    cp_up += tail_sum_upper(config.diam_family, p, len(config.balls))
+    tail_up = power_tail_upper(t / p, n_balls)
+    penalty = pow_end(cp_up, t / p, True) * big_lam * tail_up
+    value = main_term - penalty
+    return CutoutBound(
+        value=value, conclusion=Conclusion.POSITIVE if value > 0 else Conclusion.INCONCLUSIVE,
+        main_term=main_term, penalty=penalty, lam=lam, s=s, big_lam=big_lam, t=t, p=p, r=r,
+        n_balls=n_balls, diam_power_sum_upper=cp_up, tail_upper=tail_up, gap=gap, gap_diameter=gap_diam,
+    )
 
 
 class InflationCheck(NamedTuple):
@@ -783,7 +766,7 @@ def logfloor_schedule_mass(p: Fraction, stages: int) -> ScheduleMassReport:
     brute = match = None
     if stages <= BRUTE_LIMIT:
         brute = _schedule_brute_force(p, exponents)
-        (bn, bd), (pn, pd) = brute.as_integer_ratio(), [*itertools.islice(_logfloor_partials(p), stages)][-1]
+        (bn, bd), (pn, pd) = brute.as_integer_ratio(), _exact_product(closed_form.factors, False)
         match = bn * pd == pn * bd
 
     converges = classify_ellp(LogFloor(p), Fraction(1)) is Summability.CONVERGES

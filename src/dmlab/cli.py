@@ -125,7 +125,7 @@ def _cmd_cantor_cutout(options, seed):
     if cfg.diam_family is not None:
         cfg.validate_diameters()
     pieces = geom.remaining_set(cfg, n_balls)
-    gap = geom._widest(pieces, n_balls)
+    gap, diameter = geom.largest_gap(cfg, n_balls)
     return {
         "n_balls": n_balls,
         "component_count": len(pieces),
@@ -133,7 +133,7 @@ def _cmd_cantor_cutout(options, seed):
         "remaining_length": reports.tag_exact(geom.union_length(pieces)),
         "largest_gap": {
             "interval": [reports.rat_str(gap.lo), reports.rat_str(gap.hi)],
-            "diameter": reports.tag_exact(gap.diameter),
+            "diameter": reports.tag_exact(diameter),
         },
     }, "pass"
 
@@ -251,8 +251,7 @@ def _cmd_certify_logfloor(options, seed):
 
 def _cmd_qs_scan(options, seed):
     m, depth = options["measure"], options["depth"]
-    qsmap = qs.QSMap(m, eval_depth=depth)
-    rows = qs.qs_ratio_scan(qsmap, depth, random_triples=options["random-triples"], seed=seed)
+    rows = qs.qs_ratio_scan(m, depth, random_triples=options["random-triples"], seed=seed)
     return {
         "measure": measure.measure_to_spec(m),
         "depth": depth,

@@ -54,7 +54,16 @@ def add_bounds(a: Bounds, b: Bounds) -> Bounds:
     return Bounds(a.lo + b.lo, a.hi + b.hi)
 
 
+EXACT_POWER_BITS = 1 << 23  # an exact power past this many bits is refused before it is built
+
+
+def _check_power_bits(size: int) -> None:
+    if size > EXACT_POWER_BITS:
+        raise PreconditionViolated(f"an exact power needs about {size} bits, over the {EXACT_POWER_BITS}-bit budget")
+
+
 def _pow2_pair(k: int) -> tuple[int, int]:
+    _check_power_bits(abs(k))
     return (1 << k, 1) if k >= 0 else (1, 1 << -k)
 
 
@@ -207,9 +216,9 @@ def iroot(n: int, k: int) -> tuple[int, bool]:
 
 def _exact_rational_pow(n: int, d: int, u: int, k: int) -> tuple[int, int] | None:
     """(n / d)^(u / k) as an integer pair, n, d, k > 0 and u / k in lowest
-    terms, when the root extraction is exact, else None.  The root test needs
-    n / d in lowest terms: (20, 45) has no square root, its reduced form 4/9
-    has 2/3."""
+    terms, when the root extraction is exact, else None; refused past
+    EXACT_POWER_BITS before the power is built.  The root test needs n / d in
+    lowest terms: (20, 45) has no square root, its reduced form 4/9 has 2/3."""
     if k > 1:
         # a k-th power holds a multiple of k factors 2: refuse the rest before any root
         if ((n & -n).bit_length() - 1) % k or ((d & -d).bit_length() - 1) % k:
@@ -219,6 +228,7 @@ def _exact_rational_pow(n: int, d: int, u: int, k: int) -> tuple[int, int] | Non
             d, ok = iroot(d, k)
         if not ok:
             return None
+    _check_power_bits(abs(u) * (n.bit_length() + d.bit_length() - 2))
     return (n**u, d**u) if u >= 0 else (d**-u, n**-u)
 
 

@@ -292,10 +292,9 @@ def run_cutout_fat(options: dict) -> dict:
     tag = reports.tag_window(scan.window)
     config = geom.nested_cutout(options["n_total"])
 
-    # one pass of the count-free checks and diameter sum, one remaining set per count
-    (bound, pieces), (probe, _) = certify._cutout_bounds(config, scan, r, p, (n_balls, probe_n))
-    geom.check_depth(eval_depth)
-    direct = measure._pieces_mass(m, pieces, eval_depth)
+    bound = certify.cutout_lower_bound(config, scan, r, n_balls, p)
+    probe = certify.cutout_lower_bound(config, scan, r, probe_n, p)
+    direct = measure.cutout_mass(m, config, n_balls, eval_depth)
 
     q_exp = certify.solve_inflation_exponent(
         scan.mass_window.big_lam, scan.mass_window.t, Fraction(1), Fraction(1, 2)

@@ -337,15 +337,11 @@ def remaining_set(config: CutOutConfig, n_balls: int) -> list[RationalInterval]:
 
 def largest_gap(config: CutOutConfig, n_balls: int) -> tuple[RationalInterval, Fraction]:
     """Maximal-diameter surviving component (leftmost on ties)."""
-    gap = _widest(remaining_set(config, n_balls), n_balls)
-    return gap, gap.diameter
-
-
-def _widest(pieces: list[RationalInterval], n_balls: int) -> RationalInterval:
-    """The leftmost widest of the components left by the first n_balls balls."""
+    pieces = remaining_set(config, n_balls)
     if not pieces:
         raise EmptyRemainder(f"nothing survives the first {n_balls} balls")
-    return max(pieces, key=lambda p: p.hi - p.lo)  # max keeps the first of equals
+    gap = max(pieces, key=lambda p: p.hi - p.lo)  # max keeps the first of equals
+    return gap, gap.diameter
 
 
 def inflate(config: CutOutConfig, n_balls: int, zeta: Fraction) -> list[RationalInterval]:

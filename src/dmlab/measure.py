@@ -334,14 +334,9 @@ def cutout_mass(
     """Bracket the mass surviving after the first n_balls are removed, every
     piece through one `LeafPrefixes` table."""
     check_depth(depth)
-    return _pieces_mass(m, remaining_set(config, n_balls), depth)
-
-
-def _pieces_mass(m: TreeMeasure, pieces: list[RationalInterval], depth: int) -> MassBracket:
-    """The mass bracket of disjoint pieces, at a checked depth."""
     table = LeafPrefixes(m, depth)
     lowers, uppers = [], []
-    for piece in pieces:
+    for piece in remaining_set(config, n_balls):
         if piece.lo < piece.hi:
             lower, upper = table.bracket(piece.lo, piece.hi)
             lowers.append(lower)

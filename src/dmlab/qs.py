@@ -18,23 +18,11 @@ from typing import NamedTuple
 from .enclosure import Bounds, add_bounds, log2_bounds, mul_bounds, pow_bounds
 from .errors import PreconditionViolated
 from .measure import TreeMeasure, cdf_floats, dyadic_cdf_numerators
-from .ratio import Value, first_max, randbelow
+from .ratio import first_max, randbelow
 
 DEFAULT_TAUS = (Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(4))
 
 _STRADDLE_STEPS = (1, 2, 4)
-
-
-class QSMap(Value):
-    """f(x) = mu([0,x]) for a tree measure; f(0) = 0, f(1) = total mass."""
-
-    __slots__ = _fields = ("source", "eval_depth")
-
-    def __init__(self, source: TreeMeasure, eval_depth: int = 24) -> None:
-        if eval_depth < 0:
-            raise PreconditionViolated("evaluation depth must be >= 0")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "eval_depth", eval_depth)
 
 
 class RatioScanRow(NamedTuple):
@@ -100,13 +88,14 @@ def _straddle_maxima(cdf: list[int], depth: int) -> dict[Fraction, tuple]:
 
 
 def qs_ratio_scan(
-    qsmap: QSMap,
+    m: TreeMeasure,
     depth: int,
     random_triples: int = 0,
     seed: int = 0,
 ) -> list[RatioScanRow]:
     """Largest observed |f(x)-f(y)| / |f(x)-f(z)| per shape bound tau in
-    DEFAULT_TAUS.
+    DEFAULT_TAUS, for f(x) = mu([0, x]) read off the measure m's exact cdf
+    grid at the scan depth.
 
     Triples are symmetric dyadic straddles y = x -/+ a*2^-k, z = x +/- b*2^-k
     with a, b in {1, 2, 4}; a triple enters every row whose tau admits its
@@ -118,7 +107,7 @@ def qs_ratio_scan(
         raise PreconditionViolated("scan depth must be >= 1")
     if random_triples < 0:
         raise PreconditionViolated("random triples must be >= 0")
-    cdf, _ = dyadic_cdf_numerators(qsmap.source, depth)
+    cdf, _ = dyadic_cdf_numerators(m, depth)
     size = 1 << depth
     shapes = _straddle_maxima(cdf, depth) if cdf[-1] else {}
 

@@ -1,5 +1,6 @@
 """Certificates against direct multiplication, literal enumeration, mpmath."""
 
+import random
 import time
 from fractions import Fraction
 from math import prod
@@ -211,6 +212,28 @@ class TestFatCertificates:
         cert = certify_fat_thick(LogFloor(Fraction(1, 8)), Fraction(1, 2), Fraction(1, 2))
         assert (cert.n0, cert.bound.n_terms, len(cert.bound.factors)) == (1, 65536, 16)
         assert calls == [(1, (False, True)), (16, (False, True)), (64, (False,))]
+
+    def test_finite_family_settles_each_stage_once(self, monkeypatch):
+        """A finite family's factors are the ends its suffix scan settled:
+        one base per stage scanned reaches the power entry (the scan and a
+        factor batch after it passed 200 here), and each factor is the one
+        the ladder gives it alone."""
+        rng = random.Random(5)
+        alpha = ExplicitFinite(tuple(Fraction(rng.randrange(1, 1000), 4000) for _ in range(100)))
+        t, scale = Fraction(1, 2), Fraction(1)
+        bases = []
+
+        def spy(pairs, e, sides, bits):
+            pairs = list(pairs)
+            bases.extend(pairs)
+            return _power_ends(pairs, e, sides, bits)
+
+        monkeypatch.setattr(certify, "_power_ends", spy)
+        cert = certify_fat_thick(alpha, t, scale)
+        assert (cert.n0, len(bases)) == (1, 100)
+        monkeypatch.undo()
+        assert cert.bound.factors == tuple((*certify._factor_ends(x.as_integer_ratio(), t, scale, 128), 1)
+                                           for x in alpha.terms)
 
     def test_search_can_meet_a_range_refusal_past_n0(self):
         """The n0 search probes up to about 2 n0, and the power entry refuses

@@ -8,6 +8,7 @@ import os
 import pathlib
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -307,6 +308,17 @@ class TestErrorContract:
         lines = err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["kind"] == kind
+
+    def test_exact_power_past_the_bit_budget_is_refused_before_it_is_built(self, capsys):
+        """q^(p from) for q = 1/4, p = 1/2 is 2^-from exactly; at from = 10^12
+        that is a 10^12-bit denominator, refused from the bit lengths at once."""
+        start = time.process_time()
+        code, out, err = run(capsys, "seq", "tail", "--family", '{"kind":"geometric","a":"1/2","q":"1/4"}',
+                             "--p", "1/2", "--from", "1000000000000")
+        assert time.process_time() - start < 1
+        assert (code, out) == (1, "")
+        message = "an exact power needs about 1000000000000 bits, over the 8388608-bit budget"
+        assert json.loads(err) == {"error": message, "kind": "PreconditionViolated"}
 
     @pytest.mark.parametrize("argv, message", [
         (["measure", "mass", "--measure", BINOM, "--lo", "1/2", "--hi", "1/3"], "interval [1/2, 1/3] is reversed"),

@@ -2,6 +2,7 @@
 
 import pytest
 
+from dmlab import certify, measure
 from dmlab.errors import DmlabError, PreconditionViolated
 from dmlab.experiments import EXPERIMENT_NAMES, EXPERIMENTS, read_options, run_experiment
 from dmlab.reports import dump_report
@@ -75,3 +76,24 @@ def test_override_keys_are_the_keys_read(name):
     options = _ReadKeys(read_options(spec, {}))
     runner(options)
     assert options.read == set(spec)
+
+
+def test_cutout_fat_reads_its_bounds_and_masses_through_the_public_functions(monkeypatch):
+    """`example cutout_fat` calls `cutout_lower_bound` for its ball count and
+    its probe count, and `cutout_mass` for its direct mass and, inside
+    `inflated_remainder_check`, for the inflated remainder: a by-name tracer
+    sees each of them."""
+    calls = {"cutout_lower_bound": 0, "cutout_mass": 0}
+
+    def counted(name, fn):
+        def run(*args):
+            calls[name] += 1
+            return fn(*args)
+        return run
+
+    monkeypatch.setattr(certify, "cutout_lower_bound", counted("cutout_lower_bound", certify.cutout_lower_bound))
+    mass = counted("cutout_mass", measure.cutout_mass)
+    for module in (measure, certify):
+        monkeypatch.setattr(module, "cutout_mass", mass)
+    assert run_experiment("cutout_fat")["status"] == "pass"
+    assert calls == {"cutout_lower_bound": 2, "cutout_mass": 2}

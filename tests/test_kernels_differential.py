@@ -99,7 +99,7 @@ from dmlab.measure import (
     restrict,
 )
 from dmlab.ratio import decimal_str, first_max, randbelow
-from dmlab.qs import DEFAULT_TAUS, QSMap, qs_ratio_scan
+from dmlab.qs import DEFAULT_TAUS, qs_ratio_scan
 from dmlab.reports import tag_product
 from dmlab.seq import Constant, ExplicitFinite, Geometric, LogFloor, Power, Scaled, term, terms
 
@@ -510,7 +510,7 @@ def test_bracket_ratio_fit_matches_oracle(case, seed):
 @example((TreeMeasure(BinomialWeights(Fraction(1, 10**9))), 4), 0, 0)
 def test_qs_scan_matches_oracle(case, random_triples, seed):
     m, depth = case
-    rows = qs_ratio_scan(QSMap(m), depth, random_triples=random_triples, seed=seed)
+    rows = qs_ratio_scan(m, depth, random_triples=random_triples, seed=seed)
     expected = qs_ratio_scan_oracle(m, depth, DEFAULT_TAUS, random_triples, seed)
     assert [(r.tau, r.max_ratio, r.witness) for r in rows] == expected
 
@@ -1142,6 +1142,16 @@ def test_power_entry_dyadic_root_before_the_range_check():
     """A dyadic base's exact root is returned before any range check, as any
     exact root is: 2^(-(2^22 + 1)) lies past the exponent range."""
     assert _power_ends([(1, 1 << (2**23 + 2))], F(1, 2), (True,), 128) == [(1, 1 << (2**22 + 1))]
+
+
+def test_power_entry_refuses_an_exact_power_past_its_bit_budget():
+    """An exact power is refused from the bit lengths before it is built:
+    (1/4)^(2^22) = 2^(-2^23) fits the 2^23-bit budget and (1/4)^(2^22 + 1/2)
+    does not, and (9/25)^(u/2) = (3/5)^u needs about 3u bits."""
+    assert _power_ends([(1, 4)], F(1 << 22), (True,), 128) == [(1, 1 << (1 << 23))]
+    for base, e, size in (((1, 4), F((1 << 23) + 1, 2), (1 << 23) + 1), ((9, 25), F(2796203, 2), 8388609)):
+        assert _outcome(lambda: _power_ends([base], e, (False, True), 128)) == (
+            "PreconditionViolated", f"an exact power needs about {size} bits, over the 8388608-bit budget")
 
 
 def test_power_entry_keeps_exp2_end_pairs():

@@ -8,7 +8,6 @@ from dmlab.errors import PreconditionViolated
 from dmlab.measure import BinomialWeights, TreeMeasure, cdf
 from dmlab.qs import (
     DEFAULT_TAUS,
-    QSMap,
     pullback_constant,
     qs_ratio_scan,
 )
@@ -21,7 +20,7 @@ def binom(p) -> TreeMeasure:
 
 
 class TestEvaluate:
-    """f(x) = mu([0, x]) at a QSMap's evaluation depth, 24 by default."""
+    """f(x) = mu([0, x]) read off the measure's cdf at depth 24."""
 
     def test_dyadic_points_exact(self, binom13):
         got = cdf(binom13, Fraction(1, 2), 24)
@@ -41,20 +40,20 @@ class TestEvaluate:
 
 class TestRatioScan:
     def test_identity_map_hits_shape_exactly(self, lebesgue):
-        rows = qs_ratio_scan(QSMap(lebesgue), 6)
+        rows = qs_ratio_scan(lebesgue, 6)
         assert tuple(r.tau for r in rows) == DEFAULT_TAUS
         for row in rows:
             assert row.max_ratio == row.tau  # image ratio equals shape ratio
 
     def test_half_weight_reduces_to_identity(self, lebesgue):
-        symmetric = qs_ratio_scan(QSMap(binom(Fraction(1, 2))), 5)
-        plain = qs_ratio_scan(QSMap(lebesgue), 5)
+        symmetric = qs_ratio_scan(binom(Fraction(1, 2)), 5)
+        plain = qs_ratio_scan(lebesgue, 5)
         assert [(r.tau, r.max_ratio) for r in symmetric] == [
             (r.tau, r.max_ratio) for r in plain
         ]
 
     def test_skewed_weight_known_rows(self, binom13):
-        rows = qs_ratio_scan(QSMap(binom13), 6)
+        rows = qs_ratio_scan(binom13, 6)
         got = [(r.tau, r.max_ratio) for r in rows]
         assert got == [
             (Fraction(1, 4), Fraction(16, 9)),
@@ -65,37 +64,35 @@ class TestRatioScan:
         ]
 
     def test_symmetric_straddle_ratio_grows_with_depth(self, binom13):
-        q = QSMap(binom13)
         maxima = []
         for depth in (4, 6, 8):
-            row = next(r for r in qs_ratio_scan(q, depth) if r.tau == 1)
+            row = next(r for r in qs_ratio_scan(binom13, depth) if r.tau == 1)
             maxima.append(row.max_ratio)
         assert maxima == [Fraction(4), Fraction(16), Fraction(64)]  # 2^(depth-2)
-        row = next(r for r in qs_ratio_scan(q, 8) if r.tau == 1)
+        row = next(r for r in qs_ratio_scan(binom13, 8) if r.tau == 1)
         assert row.witness == (Fraction(1, 2), Fraction(127, 256), Fraction(129, 256))
 
     def test_rows_cumulative_in_tau(self, binom13):
-        rows = qs_ratio_scan(QSMap(binom13), 6)
+        rows = qs_ratio_scan(binom13, 6)
         for a, b in zip(rows, rows[1:]):
             assert a.max_ratio <= b.max_ratio
 
     def test_random_triples_deterministic(self, binom13):
-        q = QSMap(binom13)
-        first = qs_ratio_scan(q, 5, random_triples=200, seed=9)
-        second = qs_ratio_scan(q, 5, random_triples=200, seed=9)
+        first = qs_ratio_scan(binom13, 5, random_triples=200, seed=9)
+        second = qs_ratio_scan(binom13, 5, random_triples=200, seed=9)
         assert [(r.max_ratio, r.witness) for r in first] == [
             (r.max_ratio, r.witness) for r in second
         ]
-        base = qs_ratio_scan(q, 5)
+        base = qs_ratio_scan(binom13, 5)
         for extra, plain in zip(first, base):
             assert extra.max_ratio >= plain.max_ratio
 
     def test_negative_random_triples_refused(self, binom13):
         with pytest.raises(PreconditionViolated, match="random triples must be >= 0"):
-            qs_ratio_scan(QSMap(binom13), 3, random_triples=-4)
+            qs_ratio_scan(binom13, 3, random_triples=-4)
 
     def test_csv_shape(self, lebesgue):
-        text = ratio_rows_csv(qs_ratio_scan(QSMap(lebesgue), 4))
+        text = ratio_rows_csv(qs_ratio_scan(lebesgue, 4))
         lines = text.splitlines()
         assert lines[0] == "tau,max_ratio_num,max_ratio_den,witness"
         assert len(lines) == 1 + len(DEFAULT_TAUS)

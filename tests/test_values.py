@@ -45,7 +45,7 @@ from dmlab.geom import (
     open_interval,
 )
 from dmlab.measure import BinomialWeights, MassBracket, TableWeights, TreeMeasure, measure_from_spec
-from dmlab.qs import QSMap, RatioScanRow
+from dmlab.qs import RatioScanRow
 from dmlab.ratio import Value
 from dmlab.seq import (
     Constant,
@@ -85,9 +85,6 @@ VALUES = {
     "TreeMeasure": (lambda: TreeMeasure(BinomialWeights(F(1, 3)), total_mass=F(2)),
                     "TreeMeasure(weights=BinomialWeights(p=Fraction(1, 3)), base=None, "
                     "total_mass=Fraction(2, 1), base_mass_bracket=None)"),
-    "QSMap": (lambda: QSMap(TreeMeasure(BinomialWeights(HALF)), eval_depth=8),
-              "QSMap(source=TreeMeasure(weights=BinomialWeights(p=Fraction(1, 2)), base=None, "
-              "total_mass=Fraction(1, 1), base_mass_bracket=None), eval_depth=8)"),
     "RationalInterval": (lambda: RationalInterval(QUARTER, HALF, lo_open=True),
                          "RationalInterval(lo=Fraction(1, 4), hi=Fraction(1, 2), lo_open=True, hi_open=False)"),
     "CutOutConfig": (lambda: CutOutConfig((closed(0, QUARTER),), diam_family=geo()),
@@ -245,8 +242,6 @@ def test_a_bracket_s_rungs_are_not_part_of_its_value():
     (lambda: TableWeights(((HALF, HALF),)), PreconditionViolated, "level 0 needs 1 weights"),
     (lambda: TableWeights(((F(0),),)), PreconditionViolated, "weight 0 outside (0,1)"),
     (lambda: TreeMeasure(BinomialWeights(HALF), total_mass=-1), PreconditionViolated, "total mass must be >= 0"),
-    (lambda: QSMap(TreeMeasure(BinomialWeights(HALF)), eval_depth=-1), PreconditionViolated,
-     "evaluation depth must be >= 0"),
     (lambda: RationalInterval(HALF, QUARTER), PreconditionViolated, "interval [1/2, 1/4] is reversed"),
     (lambda: RationalInterval(HALF, F(3, 2)), PreconditionViolated, "interval [1/2, 3/2] must sit inside [0, 1]"),
     (lambda: RationalInterval(HALF, HALF, hi_open=True), PreconditionViolated, "degenerate interval cannot be open"),
