@@ -68,6 +68,7 @@ from .geom import (
     ThickStructure,
     inflate,
     largest_gap,
+    remaining_set,
     verify_thick,
 )
 from .measure import TreeMeasure, _pair_sum, cutout_mass
@@ -669,7 +670,7 @@ def cutout_lower_bound(config: CutOutConfig, report: DoublingReport, r: Fraction
         raise PreconditionViolated("config must declare a diameter family")
     if classify_ellp(config.diam_family, p) is not Summability.CONVERGES:
         raise NotInEllT(f"diameter powers at exponent {p} are not summable")
-    gap, gap_diam = largest_gap(config, n_balls)
+    gap, gap_diam = largest_gap(remaining_set(config, n_balls), n_balls)
 
     def attempt(b: int):
         nb = pow_bounds(n_balls, -r, b)

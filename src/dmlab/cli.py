@@ -125,7 +125,7 @@ def _cmd_cantor_cutout(options, seed):
     if cfg.diam_family is not None:
         cfg.validate_diameters()
     pieces = geom.remaining_set(cfg, n_balls)
-    gap, diameter = geom.largest_gap(cfg, n_balls)
+    gap, diameter = geom.largest_gap(pieces, n_balls)
     return {
         "n_balls": n_balls,
         "component_count": len(pieces),

@@ -4,11 +4,11 @@ All bounds are exact dyadic rationals from integer arithmetic with directed
 rounding at scale 2^B, B = bits + 32: `x >> B` floors, `-((-x) >> B)` ceils,
 and no floats enter any comparison.  `bits` (default 128) sets the width,
 never soundness: a floor pass stays <= the true value at every step and a
-ceil pass >= it.  Each end is computed on its own: a log2 end is an integer
-over 2^bits, an exp2 end an integer pair (numerator, power-of-two
-denominator), and `_power_ends`, the one way from a rational exponent to the
-ends of x^e, computes only the log2 end and the exp2 end that each side it is
-asked for needs.
+ceil pass >= it.  A log2 end is an integer over 2^bits: where a short series
+proves both squaring passes return its value (all but about 2^-27 of
+mantissas) it gives both ends, elsewhere the passes run.  An exp2 end is an
+integer pair (numerator, power-of-two denominator); `_power_ends`, the one way
+from a rational exponent to x^e, computes only those each asked side needs.
 """
 
 from __future__ import annotations
@@ -68,33 +68,67 @@ def _pow2_pair(k: int) -> tuple[int, int]:
 
 
 def _log2_frac_bits(n: int, d: int, bits: int, round_up: bool) -> int:
-    # Fractional log2 bits of m = n/d in [1, 2) via squaring with directed
-    # rounding.  Rounding direction alone guarantees the bound's side.
+    # Fractional log2 bits of m = n/d in (1, 2) via squaring with directed rounding; rounding direction
+    # alone guarantees the bound's side.  Test i sees 2^(b_i + r_i), b_i the bit of t = log2 m and
+    # r_i = frac(2^i t), off by a factor within h_i, where h_0 = 3 2^-B and h_i = 2 h_(i-1) + h_(i-1)^2
+    # bound e_i + 2^(1-B), e_i the running value's relative error, while the tests are right; so
+    # h_i <= 3 2^(i-B) (1 + 2^(i+1-B)) < 2^(i+2-B).  A test errs only if b_i = 1 and r_i < 3 h_i (floor) or
+    # b_i = 0 and 1 - r_i < 3 h_i (ceil): then frac(2^bits t) is within 2^(bits-i) 3 h_i < 2^-28 of an
+    # integer.  Otherwise both passes return floor(2^bits t).
     B = bits + _GUARD
+    s = -1 if round_up else 1  # M is s times the running value: `>>` floors it, or ceils it
+    M = (s * n << B) // d
     two = 2 << B
     f = 0
-    if round_up:
-        M = -((-n << B) // d)
-        for _ in range(bits):
-            M = -((-M * M) >> B)
-            f <<= 1
-            if M >= two:
-                f |= 1
-                M = -((-M) >> 1)
-    else:
-        M = (n << B) // d
-        for _ in range(bits):
-            M = (M * M) >> B
-            f <<= 1
-            if M >= two:
-                f |= 1
-                M >>= 1
+    for _ in range(bits):
+        M = s * M * M >> B
+        f <<= 1
+        if s * M >= two:
+            f |= 1
+            M >>= 1
     return f
 
 
-def _log2_end(n: int, d: int, bits: int, upper: bool) -> int:
-    """The upper or lower end of log2_bounds(n / d, bits), times 2^bits, for
-    positive integers n and d, not necessarily coprime."""
+@lru_cache(maxsize=8)
+def _series_plan(bits: int) -> tuple[int, int, int, int, int]:
+    # W roots, scale 2^P, K terms, L = 2^P ln 2 - l, 0 <= l < P/3 + 2, from ln 2 = sum 2 / ((2k+1) 3^(2k+1))
+    # with each term floored and the tail past k = P // 3 below 1, and the pad 2^12 + E of _log2_series
+    W = isqrt(bits) // 4 + 1
+    P = bits + W + 42
+    K = P // (2 * W + 2) + 1
+    L = sum((2 << P) // ((2 * k + 1) * 3 ** (2 * k + 1)) for k in range(P // 3 + 1))
+    return W, P, K, L, (1 << 12) + 2 * K + (P >> W) + 3
+
+
+def _log2_series(n: int, d: int, bits: int) -> int | None:
+    """floor(2^bits log2 m) for m = n / d in (1, 2), or None if a test of the
+    squaring loop might err.  With x = m^(2^-W), a = atanh(z) and
+    z = (x - 1) / (x + 1) < 2^-(W+1), log2 m = 2^(W+1) a / ln 2.  W floored
+    roots at scale 2^P, each halving the error before it, give Y = 2^P y,
+    x - 2^(1-P) < y <= x.  A sums K terms of atanh's series at
+    Z = floor(2^P (y - 1) / (y + 1)), all floored: 0 <= a 2^P - A < 2K + 1 (y
+    and Z cost < 1.1 each, the tail < 0.4, each later term < 1.9).  So
+    T = floor(2^(N+W+1) A / L), N = bits + 40, is within E = 2K + (P >> W) + 3
+    of S = 2^N log2 m (A's error moves it < 0.73 (2K + 1), L's < l 2^-(W+1),
+    the floor < 1).  Where T mod 2^40 is at least 2^12 + E from 0 and 2^40,
+    floor(S / 2^40) = T >> 40 and frac(2^bits log2 m) is over 2^-28 from an
+    integer, so no test errs and both passes return T >> 40."""
+    W, P, K, L, pad = _series_plan(bits)
+    Y = (n << P) // d
+    for _ in range(W):
+        Y = isqrt(Y << P)
+    Z = ((Y - (1 << P)) << P) // (Y + (1 << P))
+    Z2 = Z * Z >> P
+    A = term = Z
+    for k in range(3, 2 * K, 2):
+        term = term * Z2 >> P
+        A += term // k
+    T = (A << (bits + W + 41)) // L
+    return T >> 40 if pad <= T & ((1 << 40) - 1) <= (1 << 40) - pad else None
+
+
+def _log2_ends(n: int, d: int, bits: int) -> tuple[int, int]:
+    """Both ends of log2_bounds(n / d, bits) times 2^bits, n, d > 0 not necessarily coprime."""
     if bits < 0:
         raise PreconditionViolated(f"precision must be >= 0 bits, got {bits}")
     e = n.bit_length() - d.bit_length()  # so 2^(e-1) < n / d < 2^(e+1)
@@ -102,8 +136,16 @@ def _log2_end(n: int, d: int, bits: int, upper: bool) -> int:
     if mn < md:  # n / d < 2^e: the mantissa below is (n / d) / 2^(e-1) = 2 mn / md
         e, mn = e - 1, mn << 1
     if mn == md:  # n / d = 2^e
-        return e << bits
-    return (e << bits) + _log2_frac_bits(mn, md, bits, upper) + upper
+        return e << bits, e << bits
+    f = _log2_series(mn, md, bits)
+    if f is None:
+        return (e << bits) + _log2_frac_bits(mn, md, bits, False), (e << bits) + _log2_frac_bits(mn, md, bits, True) + 1
+    return (e << bits) + f, (e << bits) + f + 1
+
+
+def _log2_end(n: int, d: int, bits: int, upper: bool) -> int:
+    """The upper end of _log2_ends(n, d, bits) when `upper`, else the lower."""
+    return _log2_ends(n, d, bits)[upper]
 
 
 def log2_bounds(x: Fraction, bits: int = DEFAULT_BITS) -> Bounds:
@@ -111,8 +153,7 @@ def log2_bounds(x: Fraction, bits: int = DEFAULT_BITS) -> Bounds:
     x = Fraction(x)
     if x <= 0:
         raise PreconditionViolated("log2 needs a positive argument")
-    n, d = x.as_integer_ratio()
-    lo, hi = _log2_end(n, d, bits, False), _log2_end(n, d, bits, True)
+    lo, hi = _log2_ends(*x.as_integer_ratio(), bits)
     return Bounds(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits))
 
 
@@ -241,18 +282,18 @@ def _power_ends(bases, e: Fraction, sides, bits: int) -> list[tuple[int, int]]:
     n <= 0 or d <= 0 and a negative `bits` are refused.  Each pair is reduced;
     a dyadic one, 2^(a - b), is exact exactly when e (a - b) is an integer,
     any other has its exact root tried.  Otherwise an end is 2^(e log2 x).
-    For x = 2^a o / (2^b o'), o and o' odd, x and o / o' share a mantissa, so
-    every squaring sees the same integers and x's log2 end is that of o / o'
-    plus (a - b) 2^bits, bit for bit: each odd part's end is computed once
-    per call, and a dyadic base needs none.  The exp2 end of y = k + rem / D,
-    D = 2^bits times e's denominator for every pair, is 2^k times the end of
-    2^(rem / D), which depends on rem and the side alone: it too is computed
-    once per call.  Where the end not asked for might leave the exponent
-    range it is computed too, so the refusal is pow_bounds'."""
+    For x = 2^a o / (2^b o'), o and o' odd, x and o / o' share a mantissa,
+    all that the series and the squarings see, so x's log2 ends are those of
+    o / o' plus (a - b) 2^bits, bit for bit: each odd part's pair is computed
+    once per call, a dyadic base's (0, 0) with no series.  The exp2 end of
+    y = k + rem / D, D = 2^bits times e's denominator for every pair, is 2^k
+    times the end of 2^(rem / D), which depends on rem and the side alone: it
+    too is computed once per call.  Where the end not asked for might leave
+    the exponent range it is computed too, so the refusal is pow_bounds'."""
     if bits < 0:
         raise PreconditionViolated(f"precision must be >= 0 bits, got {bits}")
     num, den = e.as_integer_ratio()
-    memo: dict = {}  # (o, o', side) -> the log2 end of o / o'; rem, or ~rem on the lower side -> 2^(rem / D)'s end
+    memo: dict = {}  # (o, o') -> the log2 ends of o / o'; rem, or ~rem on the lower side -> 2^(rem / D)'s end
     out = []
     for n, d in bases:
         if n <= 0 or d <= 0:
@@ -269,15 +310,13 @@ def _power_ends(bases, e: Fraction, sides, bits: int) -> list[tuple[int, int]]:
             continue
         a, b = (n & -n).bit_length() - 1, (d & -d).bit_length() - 1
         odd_n, odd_d, shift = n >> a, d >> b, (a - b) << bits
+        logs = memo.get(odd := (odd_n, odd_d)) or memo.setdefault(odd, _log2_ends(odd_n, odd_d, bits))
         # both ends, as pow_bounds computes them, where the other one might leave the exponent range
         near = abs(num) * (n.bit_length() + d.bit_length()) >= den << 22
         ends = []
         for side in (False, True) if near else sides:
-            # a dyadic base's log2 end is the shift alone; with e < 0 the lower log2 end gives the upper end
-            log = 0 if odd_n == odd_d else memo.get(key := (odd_n, odd_d, side == (num > 0)))
-            if log is None:
-                log = memo[key] = _log2_end(odd_n, odd_d, bits, key[2])
-            k, rem = divmod(num * (log + shift), den << bits)
+            # with e < 0 the lower log2 end gives the upper end
+            k, rem = divmod(num * (logs[side == (num > 0)] + shift), den << bits)
             if abs(k) > 1 << 22:
                 raise PreconditionViolated("exponent magnitude out of supported range")
             r = rem if side else ~rem

@@ -335,9 +335,8 @@ def remaining_set(config: CutOutConfig, n_balls: int) -> list[RationalInterval]:
     return subtract_intervals(closed(0, 1), config.balls[:n_balls])
 
 
-def largest_gap(config: CutOutConfig, n_balls: int) -> tuple[RationalInterval, Fraction]:
-    """Maximal-diameter surviving component (leftmost on ties)."""
-    pieces = remaining_set(config, n_balls)
+def largest_gap(pieces: list[RationalInterval], n_balls: int) -> tuple[RationalInterval, Fraction]:
+    """Maximal-diameter component (leftmost on ties) of `pieces`, the set left by the first n_balls balls."""
     if not pieces:
         raise EmptyRemainder(f"nothing survives the first {n_balls} balls")
     gap = max(pieces, key=lambda p: p.hi - p.lo)  # max keeps the first of equals

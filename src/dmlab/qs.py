@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import repeat
+from itertools import product, repeat
 from operator import sub
 from typing import NamedTuple
 
@@ -63,27 +63,28 @@ def _straddle_maxima(cdf: list[int], depth: int) -> dict[Fraction, tuple]:
     best: dict[Fraction, tuple] = {}
     for k in range(1, depth + 1):
         unit = 1 << (depth - k)
-        for ai, a in enumerate(_STRADDLE_STEPS):
-            for bi, b in enumerate(_STRADDLE_STEPS):
-                lo, hi = a * unit, b * unit
-                if lo + hi > size:
+        for (ai, a), (bi, b) in product(enumerate(_STRADDLE_STEPS), repeat=2):
+            lo, hi = a * unit, b * unit
+            # k > 1, a and b even: the (k - 1, a/2, b/2) row entry for entry (same lo, hi and shape), so its
+            # candidate ties that row's at a later order (same j, larger k) and never outranks the best.
+            if lo + hi > size or k > 1 and a % 2 == b % 2 == 0:
+                continue
+            # centers j = lo .. size - hi
+            left = rise(lo)[:size - hi - lo + 1]
+            right = rise(hi)[lo:size - hi + 1]
+            for direction, nums, dens, shape in (
+                (0, left, right, Fraction(a, b)),
+                (1, right, left, Fraction(b, a)),
+            ):
+                found = first_max(nums, dens, err, exact)
+                if found is None:
                     continue
-                # centers j = lo .. size - hi
-                left = rise(lo)[:size - hi - lo + 1]
-                right = rise(hi)[lo:size - hi + 1]
-                for direction, nums, dens, shape in (
-                    (0, left, right, Fraction(a, b)),
-                    (1, right, left, Fraction(b, a)),
-                ):
-                    found = first_max(nums, dens, err, exact)
-                    if found is None:
-                        continue
-                    top_t, top_n, top_d = found
-                    j = lo + top_t
-                    y, z = (j - lo, j + hi) if direction == 0 else (j + hi, j - lo)
-                    cand = (top_n, top_d, (j, k, ai, bi, direction), (j, y, z))
-                    if shape not in best or _outranks(cand, best[shape]):
-                        best[shape] = cand
+                top_t, top_n, top_d = found
+                j = lo + top_t
+                y, z = (j - lo, j + hi) if direction == 0 else (j + hi, j - lo)
+                cand = (top_n, top_d, (j, k, ai, bi, direction), (j, y, z))
+                if shape not in best or _outranks(cand, best[shape]):
+                    best[shape] = cand
     return best
 
 

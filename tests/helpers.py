@@ -7,7 +7,7 @@ sums; they escalate a precision on a ladder of
 their own, `ladder_oracle`.  `tests/test_hygiene.py` checks that this module
 imports none of the scan, prefix-table, cdf and float-filter kernels, nor
 `refine`, nor the working-precision products, nor the power entry
-`_power_ends` or the interval merge.
+`_power_ends`, the log2 series `_log2_series` or the interval merge.
 
 Quantity: its oracle, and the oracle's route.
 
@@ -33,8 +33,9 @@ Quantity: its oracle, and the oracle's route.
 * `log2_bounds`, `exp2_bounds`, `pow_bounds` and the power entry
   `_power_ends` behind it, the exact-root shortcut and `iroot`: their
   `_oracle` forms (`pow_bounds_oracle` for the entry), Fraction loops with
-  general long division at every rounding step, and Newton's iteration
-  alone;
+  general long division at every rounding step (the log2 oracle is the
+  squaring loop on every mantissa, never the series), and Newton's
+  iteration alone;
 * `seq.term`, `seq.terms`: `term_oracle`, each family's Fraction formula;
 * `product_bracket`, `certify_fat_thick`, `ProductBracket` and its readings,
   `tag_product`: `product_bracket_oracle`, `certify_fat_thick_oracle`,
@@ -1345,7 +1346,7 @@ def ratio_rows_csv(rows) -> str:
 
 from dmlab.certify import CutoutBound  # noqa: E402
 from dmlab.errors import ExponentWindowEmpty, GapTooSmall  # noqa: E402
-from dmlab.geom import largest_gap  # noqa: E402
+from dmlab.geom import largest_gap, remaining_set  # noqa: E402
 from dmlab.seq import Summability, classify_ellp, tail_sum_upper  # noqa: E402
 
 
@@ -1425,7 +1426,7 @@ def cutout_lower_bound_oracle(config, report, r, n_balls: int, p) -> CutoutBound
         raise PreconditionViolated("config must declare a diameter family")
     if classify_ellp(config.diam_family, p) is not Summability.CONVERGES:
         raise NotInEllT(f"diameter powers at exponent {p} are not summable")
-    gap, gap_diam = largest_gap(config, n_balls)
+    gap, gap_diam = largest_gap(remaining_set(config, n_balls), n_balls)
 
     def attempt(b: int):
         nb = pow_bounds_oracle(Fraction(n_balls), -r, b)

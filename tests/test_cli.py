@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmlab import cli
+from dmlab import cli, geom
 from dmlab.cli import main
 from dmlab.experiments import (
     EXPERIMENT_NAMES,
@@ -117,6 +117,22 @@ class TestOutputs:
         assert out == ""
         assert "--plot" in json.loads(err)["error"]
         assert not plot_file.exists()
+
+    def test_cantor_cutout_builds_the_remaining_set_once(self, capsys, monkeypatch):
+        """One `cantor cutout` call subtracts its balls from [0, 1] once: its
+        components and its largest gap come from the same remaining set."""
+        built = []
+        subtract = geom.subtract_intervals
+
+        def counted(piece, cuts):
+            built.append(len(cuts))
+            return subtract(piece, cuts)
+
+        monkeypatch.setattr(geom, "subtract_intervals", counted)
+        code, out, _ = run(capsys, "cantor", "cutout", "--nested", "6", "--n-balls", "4")
+        assert code == 0
+        assert built == [4]
+        assert json.loads(out)["largest_gap"]["interval"] == ["1/2", "1"]
 
     def test_pullback_is_exact_eight(self, capsys):
         code, out, _ = run(capsys, "qs", "pullback", "--C", "2", "--eta2", "2")

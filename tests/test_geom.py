@@ -215,20 +215,20 @@ class TestCutOut:
         pieces = remaining_set(config, 3)
         # nested balls: only the largest matters
         assert union_length(pieces) == Fraction(1, 2)
-        gap, diameter = largest_gap(config, 3)
+        gap, diameter = largest_gap(pieces, 3)
         assert diameter == Fraction(1, 2)
         assert gap.lo == Fraction(1, 2) and gap.hi == 1
 
     def test_largest_gap_leftmost_tie(self):
         config = CutOutConfig([closed(Fraction(2, 5), Fraction(3, 5))])
-        gap, diameter = largest_gap(config, 1)
+        gap, diameter = largest_gap(remaining_set(config, 1), 1)
         assert diameter == Fraction(2, 5)
         assert gap.lo == 0  # leftmost of the two equal gaps
 
     def test_empty_remainder(self):
         config = CutOutConfig([closed(0, 1)])
         with pytest.raises(EmptyRemainder):
-            largest_gap(config, 1)
+            largest_gap(remaining_set(config, 1), 1)
 
     def test_diameter_declaration_enforced(self):
         config = CutOutConfig(

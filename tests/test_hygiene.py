@@ -30,8 +30,8 @@ Two rules keep the test oracles apart from what they check:
 * `tests/helpers.py` imports none of the library's scan, prefix-table, cdf
   and float-filter kernels, nor its precision ladder `refine`, nor the
   working-precision products of `certify`, nor the power entry
-  `_power_ends` or the interval merge, so no oracle runs through the kernel
-  it stands against;
+  `_power_ends`, the log2 series `_log2_series` or the interval merge, so
+  no oracle runs through the kernel it stands against;
 * no test passes an oracle from `tests/helpers.py` one of those kernels, or
   a name bound to one, whether it calls the oracle by name or through a
   loop over a tuple that holds it.
@@ -54,10 +54,10 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "dmlab"
-SOURCE_LINE_BUDGET = 4759
+SOURCE_LINE_BUDGET = 4799
 # kernels of the fast paths and the precision ladder; an oracle built on one would check it against itself
 KERNELS = ("_MassOracle", "_scan_centers", "_scan_pass", "LeafPrefixes", "dyadic_cdf_numerators", "cdf_floats",
-           "first_max", "refine", "_fixed_product", "_prefix_floors", "_power_ends", "_merged")
+           "first_max", "refine", "_fixed_product", "_prefix_floors", "_power_ends", "_merged", "_log2_series")
 
 
 def _trees(*dirs: str):

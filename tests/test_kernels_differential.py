@@ -508,6 +508,10 @@ def test_bracket_ratio_fit_matches_oracle(case, seed):
 @settings(max_examples=20, deadline=None)
 @given(grid_cases(), st.sampled_from([0, 50]), st.integers(0, 9))
 @example((TreeMeasure(BinomialWeights(Fraction(1, 10**9))), 4), 0, 0)
+# tie-heavy measures deep enough for rows at k > 1 with both steps even, which
+# repeat a row one level up and could only tie it: Lebesgue and a binomial
+@example((TreeMeasure(BinomialWeights(Fraction(1, 2))), 6), 0, 0)
+@example((TreeMeasure(BinomialWeights(Fraction(1, 3))), 5), 0, 0)
 def test_qs_scan_matches_oracle(case, random_triples, seed):
     m, depth = case
     rows = qs_ratio_scan(m, depth, random_triples=random_triples, seed=seed)
@@ -611,9 +615,9 @@ def test_remaining_set_matches_sweep_line(case):
         if widest is None or piece[1] - piece[0] > widest[1] - widest[0]:
             widest = piece
     if widest is None:
-        assert _outcome(lambda: largest_gap(config, n)) == ("EmptyRemainder", f"nothing survives the first {n} balls")
+        assert _outcome(lambda: largest_gap(got, n)) == ("EmptyRemainder", f"nothing survives the first {n} balls")
     else:
-        gap, diameter = largest_gap(config, n)
+        gap, diameter = largest_gap(got, n)
         assert (gap.lo, gap.hi, gap.lo_open, gap.hi_open) == widest and diameter == widest[1] - widest[0]
 
 
@@ -860,6 +864,30 @@ def _ends(b, upper):
     return b if isinstance(b, tuple) else (b.hi if upper else b.lo)
 
 
+def _near_tie(j: int, bits: int, up: bool) -> Fraction:
+    """2^(2^-j) by j floored square roots at scale 2^(bits + 64), which leave
+    it below by less than 2 units, or (up) 3 units more: log2 is 2^-j minus
+    or plus less than 2^-(bits+61), a run of ones past bit j, where a ceiled
+    squaring may reach 2, or a one at bit j and a run of zeros, where a
+    floored one may fall below 2.  The run passes bit bits + 28, so the
+    series leaves that bit in doubt and the squaring loop runs."""
+    scale = bits + 64
+    y = 2 << scale
+    for _ in range(j):
+        y = isqrt(y << scale)
+    return Fraction(y + 3 * up, 1 << scale)
+
+
+# runs at bit 1 and at the deepest bit, at 1, 128 and 4096 bits
+NEAR_TIES = [(_near_tie(j, bits, up), bits) for bits in (1, 128, 4096) for j in sorted({1, bits}) for up in (False, True)]
+
+
+def _near_tie_examples(test):
+    for x, bits in NEAR_TIES:
+        test = example(x, bits)(test)
+    return test
+
+
 @settings(max_examples=150, deadline=None)
 @given(positives, precisions)
 @example(Fraction(1, 1024), 1)
@@ -867,8 +895,31 @@ def _ends(b, upper):
 # sqrt(2) cut to 160 bits, the working scale at 128 bits: its square falls
 # below 2 when floored and reaches 2 only when every squaring is ceiled
 @example(Fraction(isqrt(2 << 320), 1 << 160), 128)
+@_near_tie_examples
 def test_log2_bounds_matches_oracle(x, bits):
     assert _outcome(lambda: log2_bounds(x, bits)) == _outcome(lambda: log2_bounds_oracle(x, bits))
+
+
+def test_log2_squaring_loop_runs_only_where_the_series_leaves_a_bit_in_doubt(monkeypatch):
+    """Both squaring passes run on every near tie above and on none of 10^4
+    random mantissas at 128 bits, whose ends the series gives alone."""
+    calls = []
+    loop = enclosure._log2_frac_bits
+
+    def counted(n, d, bits, round_up):
+        calls.append(round_up)
+        return loop(n, d, bits, round_up)
+
+    monkeypatch.setattr(enclosure, "_log2_frac_bits", counted)
+    rng = random.Random(0)
+    for _ in range(10**4):
+        d = rng.getrandbits(64) | 1 << 63
+        log2_bounds(Fraction(d + rng.randrange(1, d), d))
+    assert calls == []
+    for x, bits in NEAR_TIES + [(Fraction(isqrt(2 << 320), 1 << 160), 128)]:
+        log2_bounds(x, bits)
+        assert calls == [False, True], (x, bits)
+        calls.clear()
 
 
 @settings(max_examples=150, deadline=None)
@@ -1167,8 +1218,8 @@ def test_power_entry_keeps_exp2_end_pairs():
 
 def test_power_entry_shares_ends_across_bases(monkeypatch):
     """128 bases 3 2^-i at t = 1/2 share the odd part 3 and, at each side,
-    two residues of the exp2 exponent: two log2 ends and at most four exp2
-    products for all 256 ends."""
+    two residues of the exp2 exponent: one pair of log2 ends and at most four
+    exp2 products for all 256 ends."""
     calls = {"log2": 0, "exp2": 0}
 
     def counted(name, kernel):
@@ -1178,11 +1229,11 @@ def test_power_entry_shares_ends_across_bases(monkeypatch):
 
         return run
 
-    monkeypatch.setattr(enclosure, "_log2_end", counted("log2", _log2_end))
+    monkeypatch.setattr(enclosure, "_log2_ends", counted("log2", enclosure._log2_ends))
     monkeypatch.setattr(enclosure, "_exp2_end", counted("exp2", enclosure._exp2_end))
     bases = [(3, 1 << i) for i in range(128)]
     ends = _power_ends(bases, F(1, 2), (False, True), 128)
-    assert calls["log2"] == 2 and 0 < calls["exp2"] <= 4
+    assert calls["log2"] == 1 and 0 < calls["exp2"] <= 4
     want = []
     for x in bases:
         b = pow_bounds_oracle(F(*x), F(1, 2), 128)
